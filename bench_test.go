@@ -43,7 +43,7 @@ func BenchmarkFigure2ColdStart(b *testing.B) {
 	var rows []experiments.Fig2Row
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = experiments.Figure2(2000)
+		rows, err = experiments.Figure2()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func BenchmarkTable1VLLMInitBreakdown(b *testing.B) {
 	var rows []experiments.Table1Row
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = experiments.Table1(2000)
+		rows, err = experiments.Table1()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func BenchmarkFigure5OllamaLoading(b *testing.B) {
 	var rows []experiments.Fig5Row
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = experiments.Figure5(2000)
+		rows, err = experiments.Figure5()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func BenchmarkFigure6aSwapInVLLM(b *testing.B) {
 	var rows []experiments.Fig6aRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = experiments.Figure6a(1000)
+		rows, err = experiments.Figure6a()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func BenchmarkFigure6bSwapInOllama(b *testing.B) {
 	var rows []experiments.Fig6bRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = experiments.Figure6b(1000)
+		rows, err = experiments.Figure6b()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -160,11 +160,11 @@ func BenchmarkFigure6bSwapInOllama(b *testing.B) {
 func BenchmarkHeadlineClaims(b *testing.B) {
 	var h experiments.HeadlineResult
 	for i := 0; i < b.N; i++ {
-		a6, err := experiments.Figure6a(1000)
+		a6, err := experiments.Figure6a()
 		if err != nil {
 			b.Fatal(err)
 		}
-		b6, err := experiments.Figure6b(1000)
+		b6, err := experiments.Figure6b()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -184,7 +184,7 @@ func BenchmarkAblationPreemptionPolicy(b *testing.B) {
 	var rows []experiments.PolicyAblationRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = experiments.AblationPreemptionPolicy(1500, 48, 3)
+		rows, err = experiments.AblationPreemptionPolicy(48, 3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -209,7 +209,7 @@ func BenchmarkAblationSleepMode(b *testing.B) {
 	var rows []experiments.SleepModeAblationRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = experiments.AblationSleepMode(2000)
+		rows, err = experiments.AblationSleepMode()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -229,7 +229,7 @@ func BenchmarkAblationPipelinedSwap(b *testing.B) {
 	var rows []experiments.PipelineRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = experiments.AblationPipelinedSwap(2000)
+		rows, err = experiments.AblationPipelinedSwap()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -286,7 +286,7 @@ func BenchmarkAblationElasticity(b *testing.B) {
 	var rows []experiments.ElasticityRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = experiments.AblationElasticity(2000, 3)
+		rows, err = experiments.AblationElasticity(3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -305,7 +305,7 @@ func BenchmarkAblationSnapshotTiering(b *testing.B) {
 	var rows []experiments.TieringRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = experiments.AblationSnapshotTiering(2000)
+		rows, err = experiments.AblationSnapshotTiering()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -326,7 +326,7 @@ func BenchmarkAblationClusterPlacement(b *testing.B) {
 	var rows []experiments.ClusterPlacementRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = experiments.AblationClusterPlacement(1000, 11)
+		rows, err = experiments.AblationClusterPlacement(11)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -348,7 +348,7 @@ func BenchmarkAblationCompileCache(b *testing.B) {
 	var rows []experiments.CompileCacheRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = experiments.AblationCompileCache(2000)
+		rows, err = experiments.AblationCompileCache()
 		if err != nil {
 			b.Fatal(err)
 		}

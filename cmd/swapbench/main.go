@@ -3,7 +3,7 @@
 // reports. It is the artifact-evaluation entry point:
 //
 //	swapbench -exp all
-//	swapbench -exp fig5 -scale 2000
+//	swapbench -exp fig5
 //	swapbench -exp table1 -csv table1.csv
 package main
 
@@ -19,7 +19,6 @@ import (
 func main() {
 	var (
 		exp      = flag.String("exp", "all", "experiment: fig1|fig2|fig3|table1|fig5|fig6a|fig6b|headline|ablation-policy|ablation-sleep|ablation-consolidation|ablation-elasticity|ablation-tiering|ablation-compile-cache|pipeline|cluster|slo|ckptstore|protomix|chaos|all")
-		scale    = flag.Float64("scale", 0, "simulation clock scale override (0 = per-experiment default)")
 		seed     = flag.Int64("seed", 42, "workload seed for fig1/fig3/ablations; start seed for -exp chaos")
 		seeds    = flag.Int("seeds", 10, "number of seeds the chaos soak sweeps")
 		csvDir   = flag.String("csv", "", "also write each experiment's rows as CSV under this directory")
@@ -29,12 +28,6 @@ func main() {
 
 	run := func(name string) bool {
 		return *exp == "all" || *exp == name
-	}
-	pick := func(def float64) float64 {
-		if *scale > 0 {
-			return *scale
-		}
-		return def
 	}
 	out := os.Stdout
 	any := false
@@ -59,7 +52,7 @@ func main() {
 	}
 	if run("fig2") {
 		any = true
-		rows, err := experiments.Figure2(pick(2000))
+		rows, err := experiments.Figure2()
 		fail(err)
 		experiments.PrintFigure2(out, rows)
 		h, csv := experiments.Figure2CSV(rows)
@@ -76,7 +69,7 @@ func main() {
 	}
 	if run("table1") {
 		any = true
-		rows, err := experiments.Table1(pick(2000))
+		rows, err := experiments.Table1()
 		fail(err)
 		experiments.PrintTable1(out, rows)
 		h, csv := experiments.Table1CSV(rows)
@@ -85,7 +78,7 @@ func main() {
 	}
 	if run("fig5") {
 		any = true
-		rows, err := experiments.Figure5(pick(2000))
+		rows, err := experiments.Figure5()
 		fail(err)
 		experiments.PrintFigure5(out, rows)
 		h, csv := experiments.Figure5CSV(rows)
@@ -96,12 +89,12 @@ func main() {
 	var fig6b []experiments.Fig6bRow
 	if run("fig6a") || run("headline") {
 		var err error
-		fig6a, err = experiments.Figure6a(pick(1000))
+		fig6a, err = experiments.Figure6a()
 		fail(err)
 	}
 	if run("fig6b") || run("headline") {
 		var err error
-		fig6b, err = experiments.Figure6b(pick(1000))
+		fig6b, err = experiments.Figure6b()
 		fail(err)
 	}
 	if run("fig6a") {
@@ -125,14 +118,14 @@ func main() {
 	}
 	if run("ablation-policy") {
 		any = true
-		rows, err := experiments.AblationPreemptionPolicy(pick(1500), 48, *seed)
+		rows, err := experiments.AblationPreemptionPolicy(48, *seed)
 		fail(err)
 		experiments.PrintPolicyAblation(out, rows)
 		fmt.Fprintln(out)
 	}
 	if run("ablation-sleep") {
 		any = true
-		rows, err := experiments.AblationSleepMode(pick(2000))
+		rows, err := experiments.AblationSleepMode()
 		fail(err)
 		experiments.PrintSleepModeAblation(out, rows)
 		fmt.Fprintln(out)
@@ -144,7 +137,7 @@ func main() {
 	}
 	if run("ablation-elasticity") {
 		any = true
-		rows, err := experiments.AblationElasticity(pick(2000), *seed)
+		rows, err := experiments.AblationElasticity(*seed)
 		fail(err)
 		experiments.PrintElasticity(out, rows)
 		h, csv := experiments.ElasticityCSV(rows)
@@ -153,14 +146,14 @@ func main() {
 	}
 	if run("ablation-compile-cache") {
 		any = true
-		rows, err := experiments.AblationCompileCache(pick(2000))
+		rows, err := experiments.AblationCompileCache()
 		fail(err)
 		experiments.PrintCompileCache(out, rows)
 		fmt.Fprintln(out)
 	}
 	if run("ablation-tiering") {
 		any = true
-		rows, err := experiments.AblationSnapshotTiering(pick(2000))
+		rows, err := experiments.AblationSnapshotTiering()
 		fail(err)
 		experiments.PrintSnapshotTiering(out, rows)
 		fmt.Fprintln(out)
@@ -173,22 +166,26 @@ func main() {
 			path := *traceDir + "/pipeline.trace.json"
 			f, ferr := os.Create(path)
 			fail(ferr)
-			rows, err = experiments.AblationPipelinedSwapTraced(pick(1000), f)
+			rows, err = experiments.AblationPipelinedSwapTraced(f)
 			f.Close()
 			fail(err)
 			fmt.Fprintln(os.Stderr, "swapbench: wrote", path)
 		} else {
-			rows, err = experiments.AblationPipelinedSwap(pick(1000))
+			rows, err = experiments.AblationPipelinedSwap()
 			fail(err)
 		}
 		experiments.PrintPipeline(out, rows)
 		h, csv := experiments.PipelineCSV(rows)
 		writeCSV("pipeline", h, csv)
+		if err := os.WriteFile("BENCH_pipeline.json", []byte(experiments.PipelineBenchJSON(rows)), 0o644); err != nil {
+			fail(err)
+		}
+		fmt.Fprintln(os.Stderr, "swapbench: wrote BENCH_pipeline.json")
 		fmt.Fprintln(out)
 	}
 	if run("cluster") {
 		any = true
-		rows, err := experiments.AblationClusterPlacement(pick(1000), *seed)
+		rows, err := experiments.AblationClusterPlacement(*seed)
 		fail(err)
 		experiments.PrintClusterPlacement(out, rows)
 		h, csv := experiments.ClusterPlacementCSV(rows)
@@ -235,15 +232,15 @@ func main() {
 	}
 	if run("chaos") {
 		any = true
-		rows, err := experiments.ChaosSweep(*seed, *seeds, pick(4000))
+		rows, err := experiments.ChaosSweep(*seed, *seeds)
 		fail(err)
-		clusterRows, err := experiments.ChaosClusterSweep(*seed, *seeds, pick(4000))
+		clusterRows, err := experiments.ChaosClusterSweep(*seed, *seeds)
 		fail(err)
 		rows = append(rows, clusterRows...)
-		schedRows, err := experiments.ChaosSchedSweep(*seed, *seeds, pick(4000))
+		schedRows, err := experiments.ChaosSchedSweep(*seed, *seeds)
 		fail(err)
 		rows = append(rows, schedRows...)
-		ckptRows, err := experiments.ChaosCkptStoreSweep(*seed, *seeds, pick(4000))
+		ckptRows, err := experiments.ChaosCkptStoreSweep(*seed, *seeds)
 		fail(err)
 		rows = append(rows, ckptRows...)
 		experiments.PrintChaos(out, rows)

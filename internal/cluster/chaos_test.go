@@ -19,11 +19,7 @@ import (
 // and transition trace installed at construction.
 func startChaosCluster(t *testing.T, cfg config.Cluster, scale float64, inj *chaos.Injector, tr *chaos.Trace) *Cluster {
 	t.Helper()
-	c, err := NewWithOptions(cfg, Options{
-		Clock: simclock.NewScaled(testEpoch, scale),
-		Chaos: inj,
-		Trace: tr,
-	})
+	c, err := New(cfg, WithClock(simclock.NewScaled(testEpoch, scale)), WithChaos(inj), WithTrace(tr))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,19 +105,13 @@ type Cluster struct {
 
 // New builds a cluster from its configuration, applying functional
 // options. Nodes are constructed but not started.
-func New(cfg config.Cluster, opts ...Option) (*Cluster, error) {
-	var o Options
-	for _, opt := range opts {
+func New(cfg config.Cluster, options ...Option) (*Cluster, error) {
+	var opts Options
+	for _, opt := range options {
 		if opt != nil {
-			opt(&o)
+			opt(&opts)
 		}
 	}
-	return NewWithOptions(cfg, o)
-}
-
-// NewWithOptions is the compatibility constructor taking the Options
-// struct directly; New is the preferred entry point.
-func NewWithOptions(cfg config.Cluster, opts Options) (*Cluster, error) {
 	catalog := opts.Catalog
 	if catalog == nil {
 		catalog = models.Default()

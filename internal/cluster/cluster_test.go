@@ -35,7 +35,7 @@ func twoNodeConfig(model string) config.Cluster {
 // test.
 func startCluster(t *testing.T, cfg config.Cluster, scale float64) *Cluster {
 	t.Helper()
-	c, err := NewWithOptions(cfg, Options{Clock: simclock.NewScaled(testEpoch, scale)})
+	c, err := New(cfg, WithClock(simclock.NewScaled(testEpoch, scale)))
 	if err != nil {
 		t.Fatal(err)
 	}

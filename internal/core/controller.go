@@ -110,16 +110,6 @@ func NewController(clock simclock.Clock, opts ...ControllerOption) *Controller {
 	return ct
 }
 
-// NewControllerDeps is the positional compatibility constructor kept
-// for tests that predate the options API. New code should use
-// NewController with options.
-func NewControllerDeps(clock simclock.Clock, tb perfmodel.Testbed, rt *container.Runtime,
-	tm *TaskManager, policy PreemptionPolicy, reg *metrics.Registry) *Controller {
-	return NewController(clock,
-		WithTestbed(tb), WithRuntime(rt), WithTaskManager(tm),
-		WithPolicy(policy), WithRegistry(reg))
-}
-
 // traceCtx installs the controller's configured tracer on ctx when the
 // caller did not bring one, so every swap entry point is traceable.
 func (ct *Controller) traceCtx(ctx context.Context) context.Context {
@@ -184,6 +174,25 @@ func (ct *Controller) SwapOut(ctx context.Context, b *Backend) (err error) {
 	simclock.GateFor(ct.clock).Block(b.evictMu.Lock)
 	defer b.evictMu.Unlock()
 
+	if err := ct.quiesce(ctx, b); err != nil {
+		return err
+	}
+	t0 := ct.clock.Now()
+	saved, err := ct.rt.Driver().Suspend(ctx, b.ctr.ID())
+	if err != nil {
+		return ct.abortSwapOut(ctx, b, "checkpointing GPU state", err)
+	}
+	ct.swappedOut(b, saved, ct.clock.Since(t0))
+	return nil
+}
+
+// quiesce is the first leg of every swap-out: it takes a Running
+// backend to Swapping, drains its in-flight requests, records the
+// footprint a later swap-in must reserve, applies the sleep-mode
+// offload, and freezes the container, leaving the GPU state ready to
+// checkpoint. On failure the backend is serving again. The caller holds
+// b.evictMu.
+func (ct *Controller) quiesce(ctx context.Context, b *Backend) error {
 	if s := b.State(); s != BackendRunning {
 		return fmt.Errorf("core: swap-out of backend %s in state %v", b.name, s)
 	}
@@ -210,38 +219,42 @@ func (ct *Controller) SwapOut(ctx context.Context, b *Backend) (err error) {
 		}
 	}
 
-	// Freeze CPU execution, then checkpoint the GPU state.
+	// Freeze CPU execution; the caller then checkpoints the GPU state.
 	if err := ct.rt.Pause(ctx, b.ctr); err != nil {
-		ct.wakeIfSlept(ctx, b, eng)
+		ct.wakeIfSlept(ctx, b)
 		b.setState(BackendRunning)
 		return fmt.Errorf("core: pausing container: %w", err)
 	}
-	t0 := ct.clock.Now()
-	saved, err := ct.rt.Driver().Suspend(ctx, b.ctr.ID())
-	if err != nil {
-		// Roll back to a serving backend: thaw the container (retrying
-		// past transient faults) and undo the sleep-mode offload. A thaw
-		// that keeps failing leaves the engine frozen, so the backend is
-		// unusable and must be marked failed rather than Running. The
-		// rollback runs even when ctx was the cause of the abort.
-		rbCtx := context.WithoutCancel(ctx)
-		if uerr := retryTransient(func() error { return ct.rt.Unpause(rbCtx, b.ctr) }); uerr != nil {
-			b.setState(BackendFailed)
-			return fmt.Errorf("core: checkpointing GPU state: %w (rollback thaw failed: %w)", err, uerr)
-		}
-		ct.wakeIfSlept(ctx, b, eng)
-		b.setState(BackendRunning)
-		return fmt.Errorf("core: checkpointing GPU state: %w", err)
+	return nil
+}
+
+// abortSwapOut rolls a quiesced backend back to serving after the swap
+// failed at stage: thaw the container (retrying past transient faults)
+// and undo the sleep-mode offload. A thaw that keeps failing leaves the
+// engine frozen, so the backend is unusable and is marked failed rather
+// than Running. The rollback runs even when ctx was the cause of the
+// abort, but keeps its trace span.
+func (ct *Controller) abortSwapOut(ctx context.Context, b *Backend, stage string, cause error) error {
+	rbCtx := context.WithoutCancel(ctx)
+	if uerr := retryTransient(func() error { return ct.rt.Unpause(rbCtx, b.ctr) }); uerr != nil {
+		b.setState(BackendFailed)
+		return fmt.Errorf("core: %s: %w (rollback thaw failed: %w)", stage, cause, uerr)
 	}
-	ct.reg.Histogram("swap_out_latency").Observe(ct.clock.Since(t0))
+	ct.wakeIfSlept(ctx, b)
+	b.setState(BackendRunning)
+	return fmt.Errorf("core: %s: %w", stage, cause)
+}
+
+// swappedOut commits a completed checkpoint that took latency: it
+// records the swap-out metrics, marks the backend SwappedOut, and wakes
+// any reservation waiting on the freed memory.
+func (ct *Controller) swappedOut(b *Backend, saved int64, latency time.Duration) {
+	ct.reg.Histogram("swap_out_latency").Observe(latency)
 	ct.reg.Counter("swap_outs").Inc()
 	ct.reg.Gauge("snapshot_bytes_" + b.name).Set(float64(saved))
-
 	b.setState(BackendSwappedOut)
 	b.swapOuts.Add(1)
-	// Wake any reservation waiting on the freed memory.
 	ct.tm.NotifyFreed()
-	return nil
 }
 
 // drain waits until the backend has no in-flight requests. Completion is
@@ -270,6 +283,15 @@ func (ct *Controller) SwapIn(ctx context.Context, b *Backend) (err error) {
 	if err := ct.rt.Driver().Resume(ctx, b.ctr.ID()); err != nil {
 		return ct.failBack(ctx, b, "restoring GPU state", err)
 	}
+	return ct.resume(ctx, b, t0)
+}
+
+// resume is the last leg of every swap-in, run once the GPU state is
+// back on the device: thaw the container, apply the engine wake-up,
+// charge the engine resume overhead, verify the API is live (§3.3 ⑩),
+// and mark the backend Running with the swap-in latency measured from
+// t0. A failure rolls the backend back to SwappedOut via failBack.
+func (ct *Controller) resume(ctx context.Context, b *Backend, t0 time.Time) error {
 	// Thaw the container. A failed thaw leaves it paused, so retrying is
 	// safe and far cheaper than rolling the whole restore back.
 	if err := retryTransient(func() error { return ct.rt.Unpause(ctx, b.ctr) }); err != nil {
@@ -357,11 +379,11 @@ func retryTransient(op func() error) error {
 }
 
 // wakeIfSlept undoes a sleep-mode offload during swap-out rollback.
-func (ct *Controller) wakeIfSlept(ctx context.Context, b *Backend, eng engine.Engine) {
+func (ct *Controller) wakeIfSlept(ctx context.Context, b *Backend) {
 	if !b.sleepUsed.Load() {
 		return
 	}
-	if sleeper, ok := eng.(engine.Sleeper); ok {
+	if sleeper, ok := b.ctr.Engine().(engine.Sleeper); ok {
 		sleeper.Wake(ctx)
 	}
 	b.sleepUsed.Store(false)

@@ -3,10 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"time"
 
-	"swapservellm/internal/engine"
 	"swapservellm/internal/obs"
-	"swapservellm/internal/perfmodel"
 	"swapservellm/internal/simclock"
 )
 
@@ -69,51 +68,35 @@ func (ct *Controller) swapExchangeSequential(ctx context.Context, victim, target
 }
 
 // swapExchangePipelined overlaps the victim's checkpoint with the
-// target's restore. The victim is drained and frozen first; its Suspend
-// then runs in a goroutine while RestoreWait claims each freed chunk as
-// it lands. An async reservation acts as a FIFO barrier so the freed
-// capacity accrues to the target rather than a third party — the restore
-// itself never waits for the full grant.
+// target's restore. It is built from the same legs as SwapOut and
+// SwapIn: the victim is quiesced, its Suspend then runs in a goroutine
+// while RestoreWait claims each freed chunk as it lands, and the victim
+// is committed (swappedOut) or rolled back (abortSwapOut) before the
+// target resumes. A queued reservation acts as a FIFO barrier so the
+// freed capacity accrues to the target rather than a third party — the
+// restore itself never waits for the full grant.
 func (ct *Controller) swapExchangePipelined(ctx context.Context, victim, target *Backend) error {
-	simclock.GateFor(ct.clock).Block(target.swapMu.Lock)
+	gate := simclock.GateFor(ct.clock)
+	gate.Block(target.swapMu.Lock)
 	defer target.swapMu.Unlock()
 	if s := target.State(); s != BackendSwappedOut {
 		return fmt.Errorf("core: swap-exchange target %s in state %v", target.name, s)
 	}
-
-	simclock.GateFor(ct.clock).Block(victim.evictMu.Lock)
+	gate.Block(victim.evictMu.Lock)
 	defer victim.evictMu.Unlock()
-	if s := victim.State(); s != BackendRunning {
-		return fmt.Errorf("core: swap-exchange victim %s in state %v", victim.name, s)
-	}
 
 	t0 := ct.clock.Now()
-	victim.setState(BackendSwapping)
-	if err := ct.drain(ctx, victim); err != nil {
-		victim.setState(BackendRunning)
+	if err := ct.quiesce(ctx, victim); err != nil {
 		return err
-	}
-	eng := victim.ctr.Engine()
-	victim.requiredBytes.Store(eng.GPUBytes())
-	victim.sleepUsed.Store(false)
-	if sleeper, ok := eng.(engine.Sleeper); ok && victim.useSleepMode {
-		if err := sleeper.Sleep(ctx, 1); err == nil {
-			victim.sleepUsed.Store(true)
-		}
-	}
-	if err := ct.rt.Pause(ctx, victim.ctr); err != nil {
-		ct.wakeIfSlept(ctx, victim, eng)
-		victim.setState(BackendRunning)
-		return fmt.Errorf("core: pausing container: %w", err)
 	}
 
 	target.setState(BackendSwapping)
 	perDevice := target.RequiredBytes() / int64(len(target.gpus))
 	barrier, err := ct.tm.ReserveAsync(ctx, target.gpus, perDevice, target.name)
 	if err != nil {
-		ct.recoverVictim(ctx, victim, eng)
 		target.setState(BackendSwappedOut)
-		return fmt.Errorf("core: reserving %d bytes for %s: %w", target.RequiredBytes(), target.name, err)
+		return ct.abortSwapOut(ctx, victim,
+			fmt.Sprintf("reserving %d bytes for %s", target.RequiredBytes(), target.name), err)
 	}
 	defer barrier.Release()
 
@@ -124,16 +107,17 @@ func (ct *Controller) swapExchangePipelined(ctx context.Context, victim, target 
 
 	type suspendResult struct {
 		saved int64
+		took  time.Duration
 		err   error
 	}
 	suspended := make(chan suspendResult, 1)
-	gate := simclock.GateFor(ct.clock)
+	tXfer := ct.clock.Now()
 	gate.Go(func() {
 		saved, serr := ct.rt.Driver().Suspend(ctx, victim.ctr.ID())
 		if serr != nil {
 			cancel()
 		}
-		suspended <- suspendResult{saved: saved, err: serr}
+		suspended <- suspendResult{saved: saved, took: ct.clock.Since(tXfer), err: serr}
 	})
 
 	restoreErr := ct.rt.Driver().RestoreWait(rctx, target.ctr.ID())
@@ -146,18 +130,14 @@ func (ct *Controller) swapExchangePipelined(ctx context.Context, victim, target 
 	var sres suspendResult
 	gate.Block(func() { sres = <-suspended })
 
-	// Victim leg: on success it is swapped out; on failure thaw it back
-	// to a serving state (mirroring SwapOut's rollback). Either way the
-	// target leg below still settles the target into a consistent state.
-	victimErr := sres.err
-	if victimErr == nil {
-		ct.reg.Counter("swap_outs").Inc()
-		ct.reg.Gauge("snapshot_bytes_" + victim.name).Set(float64(sres.saved))
-		victim.setState(BackendSwappedOut)
-		victim.swapOuts.Add(1)
-		ct.tm.NotifyFreed()
-	} else if !ct.recoverVictim(ctx, victim, eng) {
-		victimErr = fmt.Errorf("%w (rollback thaw failed)", victimErr)
+	// Victim leg: commit the checkpoint, or thaw the victim back to
+	// serving. Either way the target leg below still settles the target
+	// into a consistent state.
+	var victimErr error
+	if sres.err == nil {
+		ct.swappedOut(victim, sres.saved, sres.took)
+	} else {
+		victimErr = ct.abortSwapOut(ctx, victim, "checkpointing GPU state", sres.err)
 	}
 
 	// Target leg: the driver rolled a failed restore back to
@@ -168,52 +148,19 @@ func (ct *Controller) swapExchangePipelined(ctx context.Context, victim, target 
 		if victimErr != nil {
 			// The victim's failure is the root cause; the restore only
 			// aborted because the exchange cancelled it.
-			return fmt.Errorf("core: checkpointing GPU state: %w (target restore aborted: %w)", victimErr, restoreErr)
+			return fmt.Errorf("%w (target restore aborted: %w)", victimErr, restoreErr)
 		}
 		return ferr
 	}
-	if err := retryTransient(func() error { return ct.rt.Unpause(ctx, target.ctr) }); err != nil {
-		return ct.failBack(ctx, target, "unpausing container", err)
+	if err := ct.resume(ctx, target, tXfer); err != nil {
+		return err
 	}
-	if target.sleepUsed.Load() {
-		if sleeper, ok := target.ctr.Engine().(engine.Sleeper); ok {
-			if err := sleeper.Wake(ctx); err != nil {
-				return ct.failBack(ctx, target, "waking engine", err)
-			}
-		}
-		target.sleepUsed.Store(false)
-	}
-	ct.clock.Sleep(perfmodel.EngineResumeOverhead(target.engine))
-	if err := ct.verifyAPI(ctx, target); err != nil {
-		return ct.failBack(ctx, target, "engine API not live after swap-in", err)
-	}
-	target.lastReady.Store(ct.clock.Now().UnixNano())
-	target.setState(BackendRunning)
-	target.swapIns.Add(1)
-	ct.reg.Counter("swap_ins").Inc()
-
 	if victimErr != nil {
 		// The target is serving but the victim leg failed and was thawed
 		// back to Running; report the partial failure.
-		return fmt.Errorf("core: checkpointing GPU state: %w", victimErr)
+		return victimErr
 	}
 	ct.reg.Histogram("swap_exchange_latency").Observe(ct.clock.Since(t0))
 	ct.reg.Counter("swap_exchanges").Inc()
 	return nil
-}
-
-// recoverVictim thaws a frozen victim back to a serving state after a
-// failed exchange, reporting whether the thaw succeeded. A thaw that
-// keeps failing leaves the engine frozen, so the backend is marked
-// failed. The thaw ignores ctx's cancellation — it is the rollback of
-// an exchange ctx may have aborted — but keeps the trace span.
-func (ct *Controller) recoverVictim(ctx context.Context, victim *Backend, eng engine.Engine) bool {
-	rbCtx := context.WithoutCancel(ctx)
-	if err := retryTransient(func() error { return ct.rt.Unpause(rbCtx, victim.ctr) }); err != nil {
-		victim.setState(BackendFailed)
-		return false
-	}
-	ct.wakeIfSlept(ctx, victim, eng)
-	victim.setState(BackendRunning)
-	return true
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -27,7 +28,7 @@ func exchangeServer(t *testing.T, pipelined bool, opts Options) (*Server, *Backe
 	victim.KeepWarm = true
 	cfg.Models = []config.Model{target, victim}
 	if opts.Clock == nil {
-		opts.Clock = simclock.NewScaled(testEpoch, 20000)
+		opts.Clock = virtualTestClock(t)
 	}
 	s, err := New(cfg, opts)
 	if err != nil {
@@ -59,7 +60,7 @@ func checkExchanged(t *testing.T, s *Server, victim, target *Backend) {
 		t.Fatalf("reserved headroom leaked: %d", got)
 	}
 	// The target must be genuinely servable.
-	doChat(t, s.URL(), target.Name(), 2)
+	serverChat(t, s, target.Name(), 2)
 }
 
 func TestSwapExchangeSequential(t *testing.T) {
@@ -84,6 +85,46 @@ func TestSwapExchangePipelined(t *testing.T) {
 	}
 }
 
+// TestSwapExchangeRecordsSwapLatencies checks that both exchange paths
+// feed the same per-leg metrics as SwapOut and SwapIn: one
+// swap_out_latency sample for the victim and one swap_in_latency sample
+// for the target, alongside the swap_outs and swap_ins counters.
+func TestSwapExchangeRecordsSwapLatencies(t *testing.T) {
+	for _, pipelined := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pipelined=%v", pipelined), func(t *testing.T) {
+			s, victim, target := exchangeServer(t, pipelined, Options{})
+			reg := s.Registry()
+			outs := reg.Histogram("swap_out_latency").Count()
+			ins := reg.Histogram("swap_in_latency").Count()
+			outCount := reg.Counter("swap_outs").Value()
+			inCount := reg.Counter("swap_ins").Value()
+			if err := s.Controller().SwapExchange(context.Background(), victim, target); err != nil {
+				t.Fatal(err)
+			}
+			checkExchanged(t, s, victim, target)
+			for _, c := range []struct {
+				hist, counter string
+				before        int
+				beforeCount   float64
+			}{
+				{"swap_out_latency", "swap_outs", outs, outCount},
+				{"swap_in_latency", "swap_ins", ins, inCount},
+			} {
+				h := reg.Histogram(c.hist)
+				if got := h.Count() - c.before; got != 1 {
+					t.Errorf("%s samples from one exchange = %d, want 1", c.hist, got)
+				}
+				if got := reg.Counter(c.counter).Value() - c.beforeCount; got != 1 {
+					t.Errorf("%s from one exchange = %v, want 1", c.counter, got)
+				}
+				if h.Max() <= 0 {
+					t.Errorf("%s max = %v, want a positive latency", c.hist, h.Max())
+				}
+			}
+		})
+	}
+}
+
 func TestSwapExchangePipelinedOverlaps(t *testing.T) {
 	// Both directions of the exchange must be in flight at once: the
 	// victim's first D2H chunk blocks until the target's first H2D chunk
@@ -93,6 +134,9 @@ func TestSwapExchangePipelinedOverlaps(t *testing.T) {
 	victimPID := victim.Container().ID()
 	targetPID := target.Container().ID()
 
+	// The hooks wait through the gate: a hook parked on the other
+	// direction must not hold virtual time still.
+	gate := simclock.GateFor(s.Clock())
 	d2h := make(chan struct{})
 	h2d := make(chan struct{})
 	var d2hOnce, h2dOnce sync.Once
@@ -100,18 +144,22 @@ func TestSwapExchangePipelinedOverlaps(t *testing.T) {
 		switch {
 		case ev.PID == victimPID && ev.Dir == perfmodel.DirD2H:
 			d2hOnce.Do(func() { close(d2h) })
-			select {
-			case <-h2d:
-			case <-time.After(30 * time.Second):
-				t.Error("target restore never started while victim checkpoint was in flight")
-			}
+			gate.Block(func() {
+				select {
+				case <-h2d:
+				case <-time.After(30 * time.Second):
+					t.Error("target restore never started while victim checkpoint was in flight")
+				}
+			})
 		case ev.PID == targetPID && ev.Dir == perfmodel.DirH2D:
 			h2dOnce.Do(func() { close(h2d) })
-			select {
-			case <-d2h:
-			case <-time.After(30 * time.Second):
-				t.Error("victim checkpoint never started while target restore was in flight")
-			}
+			gate.Block(func() {
+				select {
+				case <-d2h:
+				case <-time.After(30 * time.Second):
+					t.Error("victim checkpoint never started while target restore was in flight")
+				}
+			})
 		}
 	})
 	if err := s.Controller().SwapExchange(context.Background(), victim, target); err != nil {
@@ -153,7 +201,7 @@ func TestSwapExchangePipelinedVictimFaultRollsBack(t *testing.T) {
 	// Both backends must still be usable: the victim serves immediately,
 	// and the exchange succeeds once chaos is disarmed.
 	s.Driver().SetChaos(nil)
-	doChat(t, s.URL(), victim.Name(), 2)
+	serverChat(t, s, victim.Name(), 2)
 	if err := s.Controller().SwapExchange(context.Background(), victim, target); err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +326,8 @@ func TestIncrementalGrantBeforeCheckpointFinishes(t *testing.T) {
 	// A pending reservation smaller than the victim's footprint must be
 	// granted from the first freed chunks, long before the checkpoint
 	// finishes.
-	clock := simclock.NewScaled(testEpoch, 1000)
+	clock := virtualTestClock(t)
+	gate := clock.Gate()
 	topo := gpu.NewTopology(perfmodel.GPUH100, 1, 80*gib)
 	tm := NewTaskManager(clock, topo)
 	tb, _ := perfmodel.TestbedByName("h100")
@@ -297,10 +346,10 @@ func TestIncrementalGrantBeforeCheckpointFinishes(t *testing.T) {
 	})
 
 	suspended := make(chan error, 1)
-	go func() {
+	gate.Go(func() {
 		_, err := drv.Suspend(context.Background(), "victim")
 		suspended <- err
-	}()
+	})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -314,8 +363,10 @@ func TestIncrementalGrantBeforeCheckpointFinishes(t *testing.T) {
 	default:
 	}
 	res.Release()
-	if err := <-suspended; err != nil {
-		t.Fatal(err)
+	var serr error
+	gate.Block(func() { serr = <-suspended })
+	if serr != nil {
+		t.Fatal(serr)
 	}
 	if got := tm.Reserved(0); got != 0 {
 		t.Fatalf("Reserved = %d after release", got)

@@ -79,3 +79,18 @@ func TestServerAccessorsBeforeStart(t *testing.T) {
 	// Shutdown before Start is safe.
 	s.Shutdown()
 }
+
+// virtualTestClock returns a fresh Virtual clock with the calling test
+// goroutine registered on its gate until the test's cleanups finish, so
+// the test's own swaps and waits take part in quiescence detection and
+// simulated timings are exact. Register it before any cleanup that
+// shuts a server down: cleanups run last-in first-out, so the shutdown
+// then still runs registered.
+func virtualTestClock(t *testing.T) *simclock.Virtual {
+	t.Helper()
+	clock := simclock.NewVirtual(testEpoch)
+	gate := clock.Gate()
+	gate.Enter() //swaplint:ignore gatecheck registration spans the test: t.Cleanup runs the matching Exit on the test goroutine
+	t.Cleanup(gate.Exit)
+	return clock
+}

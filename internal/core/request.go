@@ -34,6 +34,11 @@ type queuedRequest struct {
 	// done is closed by the router when the response has been fully
 	// relayed to the client, ending the request's in-flight accounting.
 	done chan struct{}
+	// retired is closed by the worker once it has finished its own
+	// accounting (pending, in-flight) for a request it answered on
+	// result. The router waits for it before returning, so a client that
+	// has read the whole response never sees the request still pending.
+	retired chan struct{}
 }
 
 // newQueuedRequest builds a queued request.
@@ -45,5 +50,6 @@ func newQueuedRequest(ctx context.Context, path string, body []byte, now time.Ti
 		arrivedAt: now,
 		result:    make(chan forwardResult, 1),
 		done:      make(chan struct{}),
+		retired:   make(chan struct{}),
 	}
 }

@@ -146,7 +146,17 @@ func (rt *router) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy
 	}
 
 	item := newQueuedRequest(ctx, ep.Upstream, canonical, now)
-	defer close(item.done)
+	// A worker that answered owns the request until it retires it; wait
+	// for that before returning. The last bytes of a buffered response
+	// reach the client only when the handler returns, so the client can
+	// never observe a request the server still counts as pending.
+	answered := false
+	defer func() {
+		close(item.done)
+		if answered {
+			<-item.retired
+		}
+	}()
 
 	// Queue-capacity check (§3.3 ②).
 	select {
@@ -165,6 +175,7 @@ func (rt *router) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy
 		openai.WriteError(w, http.StatusGatewayTimeout, "timeout", "request timed out or was cancelled")
 		return
 	case res := <-item.result:
+		answered = true
 		if res.err != nil {
 			rt.s.reg.Counter("forward_errors").Inc()
 			span.Fail(res.err)
@@ -186,7 +197,7 @@ func (rt *router) relayResponse(w http.ResponseWriter, resp *http.Response, ep p
 	tr := rt.front.Translator(ep)
 	streaming := strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream")
 	if tr.Passthrough() {
-		relayRaw(w, resp)
+		relayRaw(w, resp, streaming)
 		return
 	}
 	if streaming {
@@ -246,12 +257,19 @@ func (rt *router) relayTranslatedStream(w http.ResponseWriter, resp *http.Respon
 	}
 }
 
-// relayRaw streams the backend response (headers, status, body) to the
-// client unchanged, flushing as data arrives so SSE streams stay
-// real-time.
-func relayRaw(w http.ResponseWriter, resp *http.Response) {
+// relayRaw relays the backend response (headers, status, body) to the
+// client unchanged. A stream is flushed as data arrives so SSE stays
+// real-time; a buffered body is left to net/http, which sends it when
+// the handler returns.
+func relayRaw(w http.ResponseWriter, resp *http.Response, streaming bool) {
 	copyResponseHeaders(w, resp)
 	w.WriteHeader(resp.StatusCode)
+	if !streaming {
+		// The status line is already out, so a copy error (client or
+		// engine gone mid-body) leaves nothing to report.
+		_, _ = io.Copy(w, resp.Body)
+		return
+	}
 	flusher, _ := w.(http.Flusher)
 	buf := make([]byte, 4096)
 	for {

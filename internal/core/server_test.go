@@ -44,9 +44,24 @@ func vllmModel(name string) config.Model {
 
 func doChat(t *testing.T, url, model string, maxTokens int) *openai.ChatCompletionResponse {
 	t.Helper()
+	return chatVia(t, openai.NewClient(url), model, maxTokens)
+}
+
+// serverChat is doChat with the client on the server's clock, so a test
+// goroutine registered with a Virtual clock gives up its run token for
+// the round trip instead of freezing simulated time.
+func serverChat(t *testing.T, s *Server, model string, maxTokens int) *openai.ChatCompletionResponse {
+	t.Helper()
+	cli := openai.NewClient(s.URL())
+	cli.Clock = s.Clock()
+	return chatVia(t, cli, model, maxTokens)
+}
+
+func chatVia(t *testing.T, cli *openai.Client, model string, maxTokens int) *openai.ChatCompletionResponse {
+	t.Helper()
 	seed := int64(7)
 	temp := 0.0
-	resp, err := openai.NewClient(url).ChatCompletion(context.Background(), &openai.ChatCompletionRequest{
+	resp, err := cli.ChatCompletion(context.Background(), &openai.ChatCompletionRequest{
 		Model:       model,
 		Messages:    []openai.Message{{Role: "user", Content: "hello from the test"}},
 		Seed:        &seed,
@@ -120,12 +135,14 @@ func TestRequestTriggersSwapIn(t *testing.T) {
 func TestSwapInLatencyFasterThanColdStart(t *testing.T) {
 	// The headline claim end-to-end: serving a swapped-out model costs a
 	// swap-in (~1s for a 1B Ollama model) rather than a cold start.
-	// A modest scale keeps wall-clock overhead (HTTP hops) from inflating
-	// the simulated measurement.
-	s := testServer(t, 200, ollamaModel("llama3.2:1b-fp16"))
+	// The Virtual clock keeps wall-clock overhead (HTTP hops) out of the
+	// simulated measurement.
+	cfg := config.Default()
+	cfg.Models = []config.Model{ollamaModel("llama3.2:1b-fp16")}
+	s := startServer(t, cfg, Options{Clock: virtualTestClock(t)})
 	clock := s.Clock()
 	t0 := clock.Now()
-	doChat(t, s.URL(), "llama3.2:1b-fp16", 1)
+	serverChat(t, s, "llama3.2:1b-fp16", 1)
 	elapsed := clock.Since(t0)
 	// Swap-in ≈0.76s + decode; cold start would be ≈2s (Ollama) or ≈87s
 	// (vLLM). Generous bound: must be well under the Ollama cold start.

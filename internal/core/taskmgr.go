@@ -23,21 +23,26 @@ type Evictor interface {
 	EvictOne(ctx context.Context, gpuID int, exclude map[string]bool) (freed int64, ok bool)
 }
 
-// Reservation is a granted claim on GPU memory with scoped
-// acquire-release semantics (§6): the holder performs its swap-in, the
-// actual device allocation replaces the claim, and Release returns the
-// claimed headroom to the pool.
+// Reservation is a claim on GPU memory with scoped acquire-release
+// semantics (§6). Reserve hands it out granted: the holder performs its
+// swap-in, the actual device allocation replaces the claim, and Release
+// returns the claimed headroom to the pool. ReserveAsync hands it out
+// queued: it accrues freed capacity in FIFO order until Done closes.
 type Reservation struct {
-	tm       *TaskManager
-	gpus     []int
-	bytes    int64
-	released bool
+	tm *TaskManager
+	p  *pending
+
 	mu       sync.Mutex
+	released bool
 }
 
-// Release returns the reservation's headroom. Safe to call once the
-// restore's device allocation has landed (or after a failed swap-in).
-// Idempotent.
+// Done is closed once the reservation has been fully granted.
+func (r *Reservation) Done() <-chan struct{} { return r.p.granted }
+
+// Release returns whatever the reservation holds — the full claim when
+// granted, the partial per-device claims otherwise, removing it from the
+// queue — and re-runs the grant loop. Safe to call once the restore's
+// device allocation has landed (or after a failed swap-in). Idempotent.
 func (r *Reservation) Release() {
 	r.mu.Lock()
 	if r.released {
@@ -46,7 +51,19 @@ func (r *Reservation) Release() {
 	}
 	r.released = true
 	r.mu.Unlock()
-	r.tm.release(r.gpus, r.bytes)
+
+	tm, p := r.tm, r.p
+	tm.mu.Lock()
+	defer tm.mu.Unlock()
+	if !isClosed(p.granted) {
+		if p.index >= 0 && p.index < len(tm.queue) && tm.queue[p.index] == p {
+			heap.Remove(&tm.queue, p.index)
+		}
+	}
+	// A granted claim holds p.bytes on every device; a queued one holds
+	// whatever the grant loop carved out so far.
+	tm.returnClaimsLocked(p)
+	tm.grantLocked()
 }
 
 // pending is one queued reservation request.
@@ -157,6 +174,52 @@ func (tm *TaskManager) Reserve(ctx context.Context, gpus []int, bytes int64, own
 	ctx, span := obs.Start(ctx, "reserve",
 		obs.String("owner", owner), obs.Int64("bytes", bytes))
 	defer func() { span.EndErr(err) }()
+	r, err := tm.enqueue(gpus, bytes, owner)
+	if err != nil {
+		return nil, err
+	}
+
+	// A waiter that was not granted immediately drives preemption for
+	// itself once it reaches the head of the queue; the evictor
+	// serializes actual evictions.
+	gate := simclock.GateFor(tm.clock)
+	if !isClosed(r.p.granted) && tm.evictor != nil {
+		gate.Go(func() { tm.reclaim(ctx, r.p) })
+	}
+
+	granted := false
+	gate.Block(func() {
+		select {
+		case <-r.p.granted:
+			granted = true
+		case <-ctx.Done():
+		}
+	})
+	if granted {
+		return r, nil
+	}
+	// Cancelled: hand back the partial claims, or the full claim if the
+	// grant raced the cancellation.
+	r.Release()
+	return nil, ctx.Err()
+}
+
+// ReserveAsync enqueues a reservation and returns immediately with a
+// handle; no preemption loop is spawned. The claim participates in the
+// normal FIFO grant order and accrues freed capacity incrementally like
+// any other waiter; Done reports the full grant. The caller must Release
+// it exactly as with Reserve. ctx carries the active trace span (the
+// enqueue is recorded as an event on it); the handle itself does not
+// block, so cancellation is the caller's to honor via Release.
+func (tm *TaskManager) ReserveAsync(ctx context.Context, gpus []int, bytes int64, owner string) (*Reservation, error) {
+	obs.AddEvent(ctx, "reserve.enqueue",
+		obs.String("owner", owner), obs.Int64("bytes", bytes))
+	return tm.enqueue(gpus, bytes, owner)
+}
+
+// enqueue validates a claim, queues it in FIFO order, and runs the
+// grant loop once, so a claim that fits is granted before it returns.
+func (tm *TaskManager) enqueue(gpus []int, bytes int64, owner string) (*Reservation, error) {
 	if bytes < 0 {
 		return nil, fmt.Errorf("core: negative reservation %d", bytes)
 	}
@@ -171,55 +234,14 @@ func (tm *TaskManager) Reserve(ctx context.Context, gpus []int, bytes int64, own
 				ErrNoCapacity, bytes, id, d.Total())
 		}
 	}
-
 	p := &pending{gpus: gpus, bytes: bytes, owner: owner, granted: make(chan struct{})}
 	tm.mu.Lock()
 	tm.seq++
 	p.seq = tm.seq
 	heap.Push(&tm.queue, p)
 	tm.grantLocked()
-	blocked := !isClosed(p.granted)
 	tm.mu.Unlock()
-
-	// A waiter that was not granted immediately drives preemption for
-	// itself once it reaches the head of the queue; the evictor
-	// serializes actual evictions.
-	gate := simclock.GateFor(tm.clock)
-	if blocked && tm.evictor != nil {
-		gate.Go(func() { tm.reclaim(ctx, p) })
-	}
-
-	granted := false
-	gate.Block(func() {
-		select {
-		case <-p.granted:
-			granted = true
-		case <-ctx.Done():
-		}
-	})
-	if granted {
-		return &Reservation{tm: tm, gpus: gpus, bytes: bytes}, nil
-	}
-	{
-		tm.mu.Lock()
-		select {
-		case <-p.granted:
-			// Granted concurrently with cancellation: release it.
-			tm.mu.Unlock()
-			r := &Reservation{tm: tm, gpus: gpus, bytes: bytes}
-			r.Release()
-			return nil, ctx.Err()
-		default:
-		}
-		if p.index >= 0 && p.index < len(tm.queue) && tm.queue[p.index] == p {
-			heap.Remove(&tm.queue, p.index)
-		}
-		// A partially claimed head gives back what it took.
-		tm.returnClaimsLocked(p)
-		tm.grantLocked()
-		tm.mu.Unlock()
-		return nil, ctx.Err()
-	}
+	return &Reservation{tm: tm, p: p}, nil
 }
 
 // normalizeGPUs sorts and deduplicates device indices (ordered
@@ -288,8 +310,9 @@ func (tm *TaskManager) claimHeadLocked(p *pending) bool {
 	return done
 }
 
-// returnClaimsLocked hands back the partial claims of a reservation that
-// is leaving the queue ungranted. Caller holds tm.mu.
+// returnClaimsLocked hands back everything a reservation has claimed:
+// the full amount once granted, the partial claims while queued. Caller
+// holds tm.mu.
 func (tm *TaskManager) returnClaimsLocked(p *pending) {
 	for id, c := range p.claimed {
 		tm.reserved[id] -= c
@@ -370,105 +393,10 @@ func (tm *TaskManager) reclaim(ctx context.Context, p *pending) {
 	}
 }
 
-// release returns headroom and re-runs the grant loop.
-func (tm *TaskManager) release(gpus []int, bytes int64) {
-	tm.mu.Lock()
-	for _, id := range gpus {
-		tm.reserved[id] -= bytes
-		if tm.reserved[id] < 0 {
-			tm.reserved[id] = 0
-		}
-	}
-	tm.grantLocked()
-	tm.mu.Unlock()
-}
-
 // NotifyFreed re-runs the grant loop after memory was freed outside the
 // reservation system (a swap-out or container stop).
 func (tm *TaskManager) NotifyFreed() {
 	tm.mu.Lock()
 	tm.grantLocked()
 	tm.mu.Unlock()
-}
-
-// AsyncReservation is a queued reservation that does not block its
-// creator: the pipelined swap-exchange enqueues one as a FIFO barrier so
-// capacity freed by the victim's checkpoint accrues to the incoming
-// target rather than to a third party, while the restore itself proceeds
-// without waiting for the full grant.
-type AsyncReservation struct {
-	tm *TaskManager
-	p  *pending
-
-	mu       sync.Mutex
-	released bool
-}
-
-// Done is closed once the reservation has been fully granted.
-func (a *AsyncReservation) Done() <-chan struct{} { return a.p.granted }
-
-// Release returns whatever the reservation holds — the full claim when
-// granted, the partial per-device claims otherwise — and removes it from
-// the queue. Idempotent.
-func (a *AsyncReservation) Release() {
-	a.mu.Lock()
-	if a.released {
-		a.mu.Unlock()
-		return
-	}
-	a.released = true
-	a.mu.Unlock()
-
-	tm := a.tm
-	tm.mu.Lock()
-	if isClosed(a.p.granted) {
-		// Fully granted: every device holds the full claim.
-		for _, id := range a.p.gpus {
-			tm.reserved[id] -= a.p.bytes
-			if tm.reserved[id] < 0 {
-				tm.reserved[id] = 0
-			}
-		}
-	} else {
-		if a.p.index >= 0 && a.p.index < len(tm.queue) && tm.queue[a.p.index] == a.p {
-			heap.Remove(&tm.queue, a.p.index)
-		}
-		tm.returnClaimsLocked(a.p)
-	}
-	tm.grantLocked()
-	tm.mu.Unlock()
-}
-
-// ReserveAsync enqueues a reservation and returns immediately with a
-// handle; no preemption loop is spawned. The claim participates in the
-// normal FIFO grant order and accrues freed capacity incrementally like
-// any other waiter. The caller must Release it exactly as with Reserve.
-// ctx carries the active trace span (the enqueue is recorded as an
-// event on it); the handle itself does not block, so cancellation is
-// the caller's to honor via Release.
-func (tm *TaskManager) ReserveAsync(ctx context.Context, gpus []int, bytes int64, owner string) (*AsyncReservation, error) {
-	obs.AddEvent(ctx, "reserve.enqueue",
-		obs.String("owner", owner), obs.Int64("bytes", bytes))
-	if bytes < 0 {
-		return nil, fmt.Errorf("core: negative reservation %d", bytes)
-	}
-	gpus = normalizeGPUs(gpus)
-	for _, id := range gpus {
-		d, err := tm.topo.Device(id)
-		if err != nil {
-			return nil, err
-		}
-		if bytes > d.Total() {
-			return nil, fmt.Errorf("%w: need %d on gpu %d with capacity %d",
-				ErrNoCapacity, bytes, id, d.Total())
-		}
-	}
-	p := &pending{gpus: gpus, bytes: bytes, owner: owner, granted: make(chan struct{})}
-	tm.mu.Lock()
-	tm.seq++
-	p.seq = tm.seq
-	heap.Push(&tm.queue, p)
-	tm.grantLocked()
-	tm.mu.Unlock()
-	return &AsyncReservation{tm: tm, p: p}, nil
 }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"swapservellm/internal/obs"
-	"swapservellm/internal/simclock"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden trace files")
@@ -23,7 +22,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden trace files")
 // runs of the same seedless deterministic simulation.
 func tracedExchange(t *testing.T) (string, []obs.SpanData) {
 	t.Helper()
-	clock := simclock.NewScaled(testEpoch, 20000)
+	clock := virtualTestClock(t)
 	tracer := obs.NewTracer(clock)
 	s, victim, target := exchangeServer(t, false, Options{Clock: clock, Tracer: tracer})
 	if err := s.Controller().SwapExchange(context.Background(), victim, target); err != nil {

@@ -61,13 +61,13 @@ func (w *worker) run() {
 		// (§4.1: cancellations and timeouts are handled here).
 		if item.ctx.Err() != nil {
 			item.result <- forwardResult{err: item.ctx.Err()}
-			w.b.pending.Add(-1)
+			w.retire(item)
 			continue
 		}
 		if w.b.State() != BackendRunning {
 			if err := w.sched.EnsureRunning(item.ctx, w.b); err != nil {
 				item.result <- forwardResult{err: err}
-				w.b.pending.Add(-1)
+				w.retire(item)
 				continue
 			}
 		}
@@ -82,7 +82,7 @@ func (w *worker) run() {
 // backend cannot be swapped out between the running-state check and the
 // in-flight accounting (§3.5).
 func (w *worker) forward(item *queuedRequest) {
-	defer w.b.pending.Add(-1)
+	defer w.retire(item)
 	gate := simclock.GateFor(w.clock)
 	const maxAttempts = 3
 	for attempt := 0; attempt < maxAttempts; attempt++ {
@@ -112,6 +112,13 @@ func (w *worker) forward(item *queuedRequest) {
 		return
 	}
 	item.result <- forwardResult{err: fmt.Errorf("core: backend %s kept being preempted", w.b.name)}
+}
+
+// retire ends the worker's accounting for a dequeued request and
+// releases the router waiting to return the response.
+func (w *worker) retire(item *queuedRequest) {
+	w.b.pending.Add(-1)
+	close(item.retired)
 }
 
 // relay performs the engine HTTP call and keeps the in-flight accounting

@@ -76,7 +76,7 @@ func TestChunkedAccountingBalancedAtEveryBoundary(t *testing.T) {
 // simulated time and emits exactly one chunk event per direction.
 func TestMonolithicChunkSizeMatchesChunkedTiming(t *testing.T) {
 	elapsed := func(chunkBytes int64) (time.Duration, int) {
-		d, dev, clock := newDriver(t, 0)
+		d, dev, clock := newVirtualDriver(t, 0)
 		d.SetChunkBytes(chunkBytes)
 		if err := dev.Alloc("p", 8*gib); err != nil {
 			t.Fatal(err)
@@ -238,7 +238,8 @@ func TestCheckpointRollsForwardWhenCapacityClaimed(t *testing.T) {
 // means neither stretches the other, so the exchange completes in
 // roughly the slower transfer's time rather than the sum.
 func TestPipelinedExchangeOverlapsTransfers(t *testing.T) {
-	d, dev, clock := newDriver(t, 0)
+	d, dev, clock := newVirtualDriver(t, 0)
+	gate := clock.Gate()
 	// Build target's host image first: it runs, checkpoints out.
 	if err := dev.Alloc("target", 72*gib); err != nil {
 		t.Fatal(err)
@@ -264,15 +265,17 @@ func TestPipelinedExchangeOverlapsTransfers(t *testing.T) {
 
 	start := clock.Now()
 	suspendErr := make(chan error, 1)
-	go func() {
+	gate.Go(func() {
 		_, err := d.Suspend(context.Background(), "victim")
 		suspendErr <- err
-	}()
+	})
 	if err := d.RestoreWait(context.Background(), "target"); err != nil {
 		t.Fatalf("RestoreWait: %v", err)
 	}
-	if err := <-suspendErr; err != nil {
-		t.Fatalf("victim Suspend: %v", err)
+	var serr error
+	gate.Block(func() { serr = <-suspendErr })
+	if serr != nil {
+		t.Fatalf("victim Suspend: %v", serr)
 	}
 	elapsed := clock.Now().Sub(start)
 

@@ -22,6 +22,20 @@ func newDriver(t *testing.T, hostCap int64) (*Driver, *gpu.Device, *simclock.Sca
 	return NewDriver(clock, perfmodel.H100(), hostCap), dev, clock
 }
 
+// newVirtualDriver is newDriver on a Virtual clock, with the calling
+// test goroutine registered on its gate until the test's cleanups
+// finish: simulated durations are then exact deadline arithmetic, free
+// of the wall-clock slop a scaled clock adds under host load.
+func newVirtualDriver(t *testing.T, hostCap int64) (*Driver, *gpu.Device, *simclock.Virtual) {
+	t.Helper()
+	clock := simclock.NewVirtual(time.Date(2025, 11, 16, 0, 0, 0, 0, time.UTC))
+	gate := clock.Gate()
+	gate.Enter() //swaplint:ignore gatecheck registration spans the test: t.Cleanup runs the matching Exit on the test goroutine
+	t.Cleanup(gate.Exit)
+	dev := gpu.NewDevice(0, perfmodel.GPUH100, 80*gib)
+	return NewDriver(clock, perfmodel.H100(), hostCap), dev, clock
+}
+
 func TestStateString(t *testing.T) {
 	if StateRunning.String() != "running" || StateLocked.String() != "locked" || StateCheckpointed.String() != "checkpointed" {
 		t.Fatal("state strings wrong")

@@ -3,7 +3,6 @@ package cudackpt
 import (
 	"context"
 	"testing"
-	"time"
 
 	"swapservellm/internal/ckptstore"
 	"swapservellm/internal/gpu"
@@ -13,13 +12,11 @@ import (
 )
 
 // newStoreDriver builds a spill-enabled driver with the content-addressed
-// checkpoint store attached.
-func newStoreDriver(t *testing.T, hostCap int64) (*Driver, *ckptstore.Store, *gpu.Device, *metrics.Registry, *simclock.Scaled) {
+// checkpoint store attached, on newVirtualDriver's Virtual clock.
+func newStoreDriver(t *testing.T, hostCap int64) (*Driver, *ckptstore.Store, *gpu.Device, *metrics.Registry, *simclock.Virtual) {
 	t.Helper()
-	clock := simclock.NewScaled(time.Date(2025, 11, 16, 0, 0, 0, 0, time.UTC), 5000)
-	dev := gpu.NewDevice(0, perfmodel.GPUH100, 80*gib)
+	d, dev, clock := newVirtualDriver(t, hostCap)
 	reg := metrics.NewRegistry()
-	d := NewDriver(clock, perfmodel.H100(), hostCap)
 	d.EnableSpill()
 	st := ckptstore.New(clock, perfmodel.H100(), ckptstore.WithRegistry(reg))
 	d.AttachStore(st)

@@ -46,10 +46,10 @@ var ablationModels = []string{
 // workload: one hot model receives most requests while cold models
 // receive sporadic traffic, so a demand-blind policy keeps evicting the
 // hot backend.
-func AblationPreemptionPolicy(scale float64, requests int, seed int64) ([]PolicyAblationRow, error) {
+func AblationPreemptionPolicy(requests int, seed int64) ([]PolicyAblationRow, error) {
 	var rows []PolicyAblationRow
 	for _, policyName := range []string{"demand-aware", "lru", "largest-first", "round-robin"} {
-		row, err := runPolicyTrial(policyName, scale, requests, seed)
+		row, err := runPolicyTrial(policyName, requests, seed)
 		if err != nil {
 			return nil, fmt.Errorf("policy %s: %w", policyName, err)
 		}
@@ -59,7 +59,7 @@ func AblationPreemptionPolicy(scale float64, requests int, seed int64) ([]Policy
 }
 
 // runPolicyTrial runs one bursty trial under the named policy.
-func runPolicyTrial(policyName string, scale float64, requests int, seed int64) (PolicyAblationRow, error) {
+func runPolicyTrial(policyName string, requests int, seed int64) (PolicyAblationRow, error) {
 	policy, ok := core.PolicyByName(policyName)
 	if !ok {
 		return PolicyAblationRow{}, fmt.Errorf("unknown policy %q", policyName)
@@ -71,7 +71,6 @@ func runPolicyTrial(policyName string, scale float64, requests int, seed int64) 
 	for _, name := range ablationModels {
 		cfg.Models = append(cfg.Models, config.Model{Name: name, Engine: "ollama"})
 	}
-	_ = scale // virtual time; retained for interface stability
 	clock, gate := virtualClock()
 	defer gate.Exit()
 	s, err := core.New(cfg, core.Options{Clock: clock, Policy: policy})
@@ -212,8 +211,7 @@ type SleepModeAblationRow struct {
 
 // AblationSleepMode measures the vLLM sleep-mode optimization: snapshot
 // size and swap-out/swap-in latency with the fast path on and off.
-func AblationSleepMode(scale float64) ([]SleepModeAblationRow, error) {
-	_ = scale // virtual time; retained for interface stability
+func AblationSleepMode() ([]SleepModeAblationRow, error) {
 	var rows []SleepModeAblationRow
 	for _, sleep := range []bool{false, true} {
 		row, err := runSleepModeTrial(sleep)

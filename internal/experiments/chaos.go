@@ -86,7 +86,7 @@ const chaosSoakRequests = 16
 // checkpoint/restore traffic) serve a sequential workload while the
 // schedule injects faults. Failed requests are retried a bounded number
 // of times; at quiescence the full invariant suite is checked.
-func ChaosSoak(seed int64, scale float64) (ChaosRow, error) {
+func ChaosSoak(seed int64) (ChaosRow, error) {
 	cfg := config.Default()
 	cfg.Global.ResponseTimeoutSec = 0
 	cfg.Global.KeepAliveSec = 0
@@ -97,7 +97,6 @@ func ChaosSoak(seed int64, scale float64) (ChaosRow, error) {
 		cfg.Models = append(cfg.Models, config.Model{Name: m, Engine: "vllm"})
 	}
 
-	_ = scale // virtual time; retained for interface stability
 	clock, gate := virtualClock()
 	defer gate.Exit()
 	tr := chaos.NewTrace()
@@ -175,7 +174,7 @@ func ChaosSoak(seed int64, scale float64) (ChaosRow, error) {
 // failover that duplicates or drops an event is an invariant
 // violation, not just a failure), and at quiescence the node
 // transition trace and both servers are audited.
-func ChaosClusterSoak(seed int64, scale float64) (ChaosRow, error) {
+func ChaosClusterSoak(seed int64) (ChaosRow, error) {
 	const model = "llama3.2:1b-fp16"
 	cfg := config.DefaultCluster()
 	cfg.Cluster.HeartbeatSec = 3600 // swept manually between requests
@@ -184,7 +183,6 @@ func ChaosClusterSoak(seed int64, scale float64) (ChaosRow, error) {
 		{Name: "node-b", Models: []config.Model{{Name: model, Engine: "ollama"}}},
 	}
 
-	_ = scale // virtual time; retained for interface stability
 	clock, gate := virtualClock()
 	defer gate.Exit()
 	tr := chaos.NewTrace()
@@ -286,7 +284,7 @@ func ChaosClusterSoak(seed int64, scale float64) (ChaosRow, error) {
 // only into well-formed sheds (every 429 carries Retry-After and is
 // mirrored by a shed counter) and retriable latency — never into
 // invariant violations.
-func ChaosSchedSoak(seed int64, scale float64) (ChaosRow, error) {
+func ChaosSchedSoak(seed int64) (ChaosRow, error) {
 	modelsUsed := []string{"llama3.2:1b-fp16", "llama3.2:3b-fp16"}
 	cfg := config.DefaultCluster()
 	cfg.Cluster.HeartbeatSec = 3600
@@ -311,7 +309,6 @@ func ChaosSchedSoak(seed int64, scale float64) (ChaosRow, error) {
 		{Name: "node-b", Models: nodeModels},
 	}
 
-	_ = scale // virtual time; retained for interface stability
 	clock, gate := virtualClock()
 	defer gate.Exit()
 	inj := chaos.NewInjector(chaos.MustParsePlan(SchedChaosRules).WithSeed(seed))
@@ -436,10 +433,10 @@ func chatOnceHTTP(url, model string, seed int64, clock simclock.Clock) (status i
 }
 
 // ChaosSchedSweep runs the scheduling soak over n consecutive seeds.
-func ChaosSchedSweep(start int64, n int, scale float64) ([]ChaosRow, error) {
+func ChaosSchedSweep(start int64, n int) ([]ChaosRow, error) {
 	var rows []ChaosRow
 	for seed := start; seed < start+int64(n); seed++ {
-		row, err := ChaosSchedSoak(seed, scale)
+		row, err := ChaosSchedSoak(seed)
 		if err != nil {
 			return rows, fmt.Errorf("seed %d: %w", seed, err)
 		}
@@ -450,10 +447,10 @@ func ChaosSchedSweep(start int64, n int, scale float64) ([]ChaosRow, error) {
 
 // ChaosSweep runs the single-node soak over n consecutive seeds
 // starting at start — the property-style loop: same rules, swept seed.
-func ChaosSweep(start int64, n int, scale float64) ([]ChaosRow, error) {
+func ChaosSweep(start int64, n int) ([]ChaosRow, error) {
 	var rows []ChaosRow
 	for seed := start; seed < start+int64(n); seed++ {
-		row, err := ChaosSoak(seed, scale)
+		row, err := ChaosSoak(seed)
 		if err != nil {
 			return rows, fmt.Errorf("seed %d: %w", seed, err)
 		}
@@ -463,10 +460,10 @@ func ChaosSweep(start int64, n int, scale float64) ([]ChaosRow, error) {
 }
 
 // ChaosClusterSweep runs the cluster soak over n consecutive seeds.
-func ChaosClusterSweep(start int64, n int, scale float64) ([]ChaosRow, error) {
+func ChaosClusterSweep(start int64, n int) ([]ChaosRow, error) {
 	var rows []ChaosRow
 	for seed := start; seed < start+int64(n); seed++ {
-		row, err := ChaosClusterSoak(seed, scale)
+		row, err := ChaosClusterSoak(seed)
 		if err != nil {
 			return rows, fmt.Errorf("seed %d: %w", seed, err)
 		}

@@ -12,18 +12,13 @@ var (
 		"number of consecutive seeds in the chaos soak sweep")
 )
 
-// chaosScale is inert under the Virtual clock (trials run in virtual
-// time regardless); retained because the soak entry points keep their
-// scale parameter for interface stability.
-const chaosScale = 0
-
 // TestChaosSoak is the property-style randomized soak: the node fault
 // schedule replayed over a sweep of seeds (default 50, -chaos.seeds to
 // change), asserting zero invariant violations on every one. Failing
 // seeds are printed for deterministic replay via -chaos.seed=<n>.
 func TestChaosSoak(t *testing.T) {
 	if *chaosSeed != 0 {
-		row, err := ChaosSoak(*chaosSeed, chaosScale)
+		row, err := ChaosSoak(*chaosSeed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", *chaosSeed, err)
 		}
@@ -38,7 +33,7 @@ func TestChaosSoak(t *testing.T) {
 	var failing []int64
 	var faults, failed, recovered int
 	for seed := int64(1); seed <= int64(*chaosSeeds); seed++ {
-		row, err := ChaosSoak(seed, chaosScale)
+		row, err := ChaosSoak(seed)
 		if err != nil {
 			t.Fatalf("seed %d: trial error: %v", seed, err)
 		}
@@ -67,7 +62,7 @@ func TestChaosSoak(t *testing.T) {
 // only legal edges.
 func TestChaosClusterSoak(t *testing.T) {
 	if *chaosSeed != 0 {
-		row, err := ChaosClusterSoak(*chaosSeed, chaosScale)
+		row, err := ChaosClusterSoak(*chaosSeed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", *chaosSeed, err)
 		}
@@ -86,7 +81,7 @@ func TestChaosClusterSoak(t *testing.T) {
 	var failing []int64
 	var faults int
 	for seed := int64(1); seed <= int64(seeds); seed++ {
-		row, err := ChaosClusterSoak(seed, chaosScale)
+		row, err := ChaosClusterSoak(seed)
 		if err != nil {
 			t.Fatalf("seed %d: trial error: %v", seed, err)
 		}
@@ -113,7 +108,7 @@ func TestChaosClusterSoak(t *testing.T) {
 // correctness.
 func TestChaosSchedSoak(t *testing.T) {
 	if *chaosSeed != 0 {
-		row, err := ChaosSchedSoak(*chaosSeed, chaosScale)
+		row, err := ChaosSchedSoak(*chaosSeed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", *chaosSeed, err)
 		}
@@ -132,7 +127,7 @@ func TestChaosSchedSoak(t *testing.T) {
 	var failing []int64
 	var faults int
 	for seed := int64(1); seed <= int64(seeds); seed++ {
-		row, err := ChaosSchedSoak(seed, chaosScale)
+		row, err := ChaosSchedSoak(seed)
 		if err != nil {
 			t.Fatalf("seed %d: trial error: %v", seed, err)
 		}
@@ -156,11 +151,11 @@ func TestChaosSchedSoak(t *testing.T) {
 // failing seeds replayable. (Latency fields carry real-clock jitter and
 // are excluded.)
 func TestChaosSoakDeterministic(t *testing.T) {
-	a, err := ChaosSoak(7, chaosScale)
+	a, err := ChaosSoak(7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ChaosSoak(7, chaosScale)
+	b, err := ChaosSoak(7)
 	if err != nil {
 		t.Fatal(err)
 	}

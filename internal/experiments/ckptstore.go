@@ -116,7 +116,7 @@ func AblationCheckpointStore() (*CkptStoreResult, error) {
 
 // ckptStoreModelRow runs the full measurement sequence for one model.
 func ckptStoreModelRow(name string, weights int64) (CkptStoreRow, error) {
-	r := newRig(perfmodel.H100(), 0)
+	r := newRig(perfmodel.H100())
 	defer r.done()
 	ctx := context.Background()
 	image := weights + ckptStoreDynBytes
@@ -287,9 +287,8 @@ const ckptSoakOps = 40
 // fallback ladder always has a further rung. After every operation the
 // store self-checks and the driver's conservation invariants are
 // audited; failed operations are retried a bounded number of times.
-func ChaosCkptStoreSoak(seed int64, scale float64) (ChaosRow, error) {
-	_ = scale // virtual time; retained for interface stability
-	r := newRig(perfmodel.H100(), 0)
+func ChaosCkptStoreSoak(seed int64) (ChaosRow, error) {
+	r := newRig(perfmodel.H100())
 	defer r.done()
 	ctx := context.Background()
 	const model = "llama3.1:8b-fp16"
@@ -388,10 +387,10 @@ func ChaosCkptStoreSoak(seed int64, scale float64) (ChaosRow, error) {
 
 // ChaosCkptStoreSweep runs the checkpoint-store soak over n consecutive
 // seeds starting at start.
-func ChaosCkptStoreSweep(start int64, n int, scale float64) ([]ChaosRow, error) {
+func ChaosCkptStoreSweep(start int64, n int) ([]ChaosRow, error) {
 	var rows []ChaosRow
 	for seed := start; seed < start+int64(n); seed++ {
-		row, err := ChaosCkptStoreSoak(seed, scale)
+		row, err := ChaosCkptStoreSoak(seed)
 		if err != nil {
 			return nil, err
 		}

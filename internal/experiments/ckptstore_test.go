@@ -57,7 +57,7 @@ func TestCkptStoreDeterministic(t *testing.T) {
 // invariant violations and no unrecovered operations.
 func TestChaosCkptStoreSoak(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		row, err := ChaosCkptStoreSoak(seed, 0)
+		row, err := ChaosCkptStoreSoak(seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

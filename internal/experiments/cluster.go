@@ -68,14 +68,14 @@ const clusterTrialsPerPolicy = 3
 // scatter requests and pay the restore cost far more often. Each policy
 // is measured over clusterTrialsPerPolicy independent days and the
 // per-request TTFTs pooled.
-func AblationClusterPlacement(scale float64, seed int64) ([]ClusterPlacementRow, error) {
+func AblationClusterPlacement(seed int64) ([]ClusterPlacementRow, error) {
 	var rows []ClusterPlacementRow
 	for _, policy := range []string{"locality", "least-loaded", "random"} {
 		row := ClusterPlacementRow{Policy: policy}
 		var ttfts []time.Duration
 		var hits, total float64
 		for trial := int64(0); trial < clusterTrialsPerPolicy; trial++ {
-			res, err := runClusterTrial(policy, scale, seed+trial)
+			res, err := runClusterTrial(policy, seed+trial)
 			if err != nil {
 				return nil, fmt.Errorf("placement %s seed %d: %w", policy, seed+trial, err)
 			}
@@ -169,9 +169,8 @@ type clusterTrialResult struct {
 
 // runClusterTrial serves the compressed diurnal day through one
 // placement policy and measures streaming TTFT at the first chunk.
-func runClusterTrial(policy string, scale float64, seed int64) (clusterTrialResult, error) {
+func runClusterTrial(policy string, seed int64) (clusterTrialResult, error) {
 	cfg := clusterTrialConfig(policy)
-	_ = scale // virtual time; retained for interface stability
 	clock, gate := virtualClock()
 	defer gate.Exit()
 	c, err := cluster.New(cfg, cluster.WithClock(clock), cluster.WithSeed(seed))

@@ -21,8 +21,8 @@ type CompileCacheRow struct {
 // AblationCompileCache measures the three strategies for LLaMA 3.1-8B on
 // the H100 testbed. Even against a warm compile cache, hot-swapping wins
 // by the CUDA-graph capture and runtime setup it also skips.
-func AblationCompileCache(scale float64) ([]CompileCacheRow, error) {
-	r := newRig(perfmodel.H100(), scale)
+func AblationCompileCache() ([]CompileCacheRow, error) {
+	r := newRig(perfmodel.H100())
 	defer r.done()
 	m := models.Default().MustLookup("llama3.1:8b-fp16")
 	r.stage(m, perfmodel.TierDisk)
@@ -58,7 +58,7 @@ func AblationCompileCache(scale float64) ([]CompileCacheRow, error) {
 	e2.Shutdown()
 
 	// SwapServeLLM swap-in through the full stack.
-	swap, _, err := swapInThroughServer("vllm", m.Name, scale)
+	swap, _, err := swapInThroughServer("vllm", m.Name)
 	if err != nil {
 		return nil, err
 	}

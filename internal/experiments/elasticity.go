@@ -36,7 +36,7 @@ var elasticityModels = []string{
 // strategies: always-warm (dedicated residency), reactive hot-swapping
 // with a keep-alive window, and hot-swapping with the predictive
 // prefetcher. It reports the latency/cost trade-off each strategy buys.
-func AblationElasticity(scale float64, seed int64) ([]ElasticityRow, error) {
+func AblationElasticity(seed int64) ([]ElasticityRow, error) {
 	type strategy struct {
 		name      string
 		keepWarm  bool
@@ -50,7 +50,7 @@ func AblationElasticity(scale float64, seed int64) ([]ElasticityRow, error) {
 	}
 	var rows []ElasticityRow
 	for _, st := range strategies {
-		row, err := runElasticityTrial(st.name, st.keepWarm, st.keepAlive, st.prefetch, scale, seed)
+		row, err := runElasticityTrial(st.name, st.keepWarm, st.keepAlive, st.prefetch, seed)
 		if err != nil {
 			return nil, fmt.Errorf("strategy %s: %w", st.name, err)
 		}
@@ -61,8 +61,7 @@ func AblationElasticity(scale float64, seed int64) ([]ElasticityRow, error) {
 
 // runElasticityTrial runs one strategy for ~150 simulated seconds of
 // periodic bursts.
-func runElasticityTrial(name string, keepWarm bool, keepAliveSec float64, prefetch bool,
-	scale float64, seed int64) (ElasticityRow, error) {
+func runElasticityTrial(name string, keepWarm bool, keepAliveSec float64, prefetch bool, seed int64) (ElasticityRow, error) {
 	cfg := config.Default()
 	cfg.Global.ResponseTimeoutSec = 0
 	cfg.Global.KeepAliveSec = keepAliveSec
@@ -70,7 +69,6 @@ func runElasticityTrial(name string, keepWarm bool, keepAliveSec float64, prefet
 	for _, m := range elasticityModels {
 		cfg.Models = append(cfg.Models, config.Model{Name: m, Engine: "ollama", KeepWarm: keepWarm})
 	}
-	_ = scale // virtual time; retained for interface stability
 	clock, gate := virtualClock()
 	defer gate.Exit()
 	s, err := core.New(cfg, core.Options{Clock: clock})
@@ -180,7 +178,7 @@ type TieringRow struct {
 // 14B Ollama backends are snapshotted under a host cap that only holds
 // two images, forcing one to disk; swap-in latency is then measured per
 // tier.
-func AblationSnapshotTiering(scale float64) ([]TieringRow, error) {
+func AblationSnapshotTiering() ([]TieringRow, error) {
 	cfg := config.Default()
 	cfg.Global.SnapshotHostCapGiB = 40
 	cfg.Global.SnapshotSpill = true
@@ -188,7 +186,6 @@ func AblationSnapshotTiering(scale float64) ([]TieringRow, error) {
 	for _, m := range modelsUsed {
 		cfg.Models = append(cfg.Models, config.Model{Name: m, Engine: "ollama"})
 	}
-	_ = scale // virtual time; retained for interface stability
 	clock, gate := virtualClock()
 	defer gate.Exit()
 	s, err := core.New(cfg, core.Options{Clock: clock})

@@ -46,12 +46,9 @@ type rig struct {
 	driver  *cudackpt.Driver
 }
 
-// newRig builds a single-GPU rig on the given testbed. The scale
-// parameter is retained for interface stability but unused: the Virtual
-// clock advances by discrete-event jumps, so there is no wall-time
-// ratio to configure.
-func newRig(tb perfmodel.Testbed, scale float64) *rig {
-	_ = scale
+// newRig builds a single-GPU rig on the given testbed, on its own
+// Virtual clock.
+func newRig(tb perfmodel.Testbed) *rig {
 	clock := simclock.NewVirtual(epoch)
 	gate := simclock.GateFor(clock)
 	gate.Enter() //swaplint:ignore gatecheck registration spans functions: every caller pairs newRig with rig.done (Exit)

@@ -23,7 +23,7 @@ func within(t *testing.T, name string, got, want, tol float64) {
 }
 
 func TestTable1MatchesPaper(t *testing.T) {
-	rows, err := Table1(0)
+	rows, err := Table1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 }
 
 func TestFigure2Shape(t *testing.T) {
-	rows, err := Figure2(0)
+	rows, err := Figure2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestFigure2Shape(t *testing.T) {
 }
 
 func TestFigure5Shape(t *testing.T) {
-	rows, err := Figure5(0)
+	rows, err := Figure5()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestFigure5Shape(t *testing.T) {
 }
 
 func TestFigure6aShape(t *testing.T) {
-	rows, err := Figure6a(0)
+	rows, err := Figure6a()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestFigure6aShape(t *testing.T) {
 }
 
 func TestFigure6bShape(t *testing.T) {
-	rows, err := Figure6b(0)
+	rows, err := Figure6b()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,11 +189,11 @@ func TestFigure6bShape(t *testing.T) {
 }
 
 func TestHeadlineClaims(t *testing.T) {
-	a, err := Figure6a(0)
+	a, err := Figure6a()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Figure6b(0)
+	b, err := Figure6b()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,11 +219,11 @@ func TestHeadlineClaims(t *testing.T) {
 // within a band.
 func TestHeadlineDeterministic(t *testing.T) {
 	render := func() string {
-		a, err := Figure6a(0)
+		a, err := Figure6a()
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Figure6b(0)
+		b, err := Figure6b()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,7 +295,7 @@ func TestFigure3Shape(t *testing.T) {
 }
 
 func TestAblationSleepMode(t *testing.T) {
-	rows, err := AblationSleepMode(0)
+	rows, err := AblationSleepMode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestAblationConsolidation(t *testing.T) {
 }
 
 func TestAblationPreemptionPolicy(t *testing.T) {
-	rows, err := AblationPreemptionPolicy(0, 48, 3)
+	rows, err := AblationPreemptionPolicy(48, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestPrintersProduceOutput(t *testing.T) {
 }
 
 func TestAblationElasticity(t *testing.T) {
-	rows, err := AblationElasticity(0, 3)
+	rows, err := AblationElasticity(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +409,7 @@ func TestAblationElasticity(t *testing.T) {
 }
 
 func TestAblationSnapshotTiering(t *testing.T) {
-	rows, err := AblationSnapshotTiering(0)
+	rows, err := AblationSnapshotTiering()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +446,7 @@ func TestAblationSnapshotTiering(t *testing.T) {
 }
 
 func TestAblationCompileCache(t *testing.T) {
-	rows, err := AblationCompileCache(0)
+	rows, err := AblationCompileCache()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,8 +43,8 @@ var Figure2Engines = []perfmodel.EngineKind{
 // Figure2 reproduces Figure 2: for every engine × model it creates a
 // container, starts it, and measures until the engine is ready —
 // the full cold-start path a serverless scale-out pays.
-func Figure2(scale float64) ([]Fig2Row, error) {
-	r := newRig(perfmodel.H100(), scale)
+func Figure2() ([]Fig2Row, error) {
+	r := newRig(perfmodel.H100())
 	defer r.done()
 	rt := container.NewRuntime(r.clock, r.tb, r.freezer, r.driver)
 	cat := models.Default()

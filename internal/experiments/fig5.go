@@ -38,8 +38,8 @@ var Figure5Models = []string{
 // (a) an Ollama cold load with weights on disk, (b) the same with a
 // memory-backed (tmpfs) store, and (c) a SwapServeLLM snapshot restore
 // via the transparent GPU checkpoint driver.
-func Figure5(scale float64) ([]Fig5Row, error) {
-	r := newRig(perfmodel.A100(), scale)
+func Figure5() ([]Fig5Row, error) {
+	r := newRig(perfmodel.A100())
 	defer r.done()
 	cat := models.Default()
 	ctx := context.Background()

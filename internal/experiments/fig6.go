@@ -44,11 +44,9 @@ var Figure6Models = []string{
 // swapInThroughServer builds a single-backend SwapServeLLM server, lets
 // the init sequence snapshot it, and measures Reps full swap-in/swap-out
 // cycles through the scheduler/controller path. The trial runs on its
-// own Virtual clock (scale is retained for interface stability but
-// unused), so the measured cycle is pure deadline arithmetic and
-// identical on every run.
-func swapInThroughServer(engineKind string, modelName string, scale float64) (swapIn time.Duration, gpuBytes int64, err error) {
-	_ = scale
+// own Virtual clock, so the measured cycle is pure deadline arithmetic
+// and identical on every run.
+func swapInThroughServer(engineKind string, modelName string) (swapIn time.Duration, gpuBytes int64, err error) {
 	clock, gate := virtualClock()
 	defer gate.Exit()
 	cfg := config.Default()
@@ -98,13 +96,13 @@ func swapInThroughServer(engineKind string, modelName string, scale float64) (sw
 
 // Figure6a reproduces Figure 6a: swap-in latency of vLLM backends
 // (each occupying ~90% of the H100) against their cold-start latency.
-func Figure6a(scale float64) ([]Fig6aRow, error) {
+func Figure6a() ([]Fig6aRow, error) {
 	tb := perfmodel.H100()
 	cat := models.Default()
 	var rows []Fig6aRow
 	for _, name := range Figure6Models {
 		m := cat.MustLookup(name)
-		swap, bytes, err := swapInThroughServer("vllm", name, scale)
+		swap, bytes, err := swapInThroughServer("vllm", name)
 		if err != nil {
 			return nil, err
 		}
@@ -122,13 +120,13 @@ func Figure6a(scale float64) ([]Fig6aRow, error) {
 
 // Figure6b reproduces Figure 6b: SwapServeLLM swap-in latency with
 // Ollama backends against Ollama's native model loading.
-func Figure6b(scale float64) ([]Fig6bRow, error) {
+func Figure6b() ([]Fig6bRow, error) {
 	tb := perfmodel.H100()
 	cat := models.Default()
 	var rows []Fig6bRow
 	for _, name := range Figure6Models {
 		m := cat.MustLookup(name)
-		swap, bytes, err := swapInThroughServer("ollama", name, scale)
+		swap, bytes, err := swapInThroughServer("ollama", name)
 		if err != nil {
 			return nil, err
 		}

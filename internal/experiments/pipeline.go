@@ -98,8 +98,8 @@ func exchangeThroughServer(modelName string, pipelined bool, clock simclock.Cloc
 // H2D restore overlap on the full-duplex PCIe link, so the pipelined
 // switch completes in roughly the slower transfer's time instead of the
 // sum.
-func AblationPipelinedSwap(scale float64) ([]PipelineRow, error) {
-	return AblationPipelinedSwapTraced(scale, nil)
+func AblationPipelinedSwap() ([]PipelineRow, error) {
+	return AblationPipelinedSwapTraced(nil)
 }
 
 // AblationPipelinedSwapTraced is AblationPipelinedSwap with
@@ -108,8 +108,7 @@ func AblationPipelinedSwap(scale float64) ([]PipelineRow, error) {
 // swap.exchange spans nesting the ckpt.* phases and their per-chunk
 // events, sequential and pipelined side by side — is written to
 // traceOut at the end.
-func AblationPipelinedSwapTraced(scale float64, traceOut io.Writer) ([]PipelineRow, error) {
-	_ = scale // virtual time; retained for interface stability
+func AblationPipelinedSwapTraced(traceOut io.Writer) ([]PipelineRow, error) {
 	clock, gate := virtualClock()
 	defer gate.Exit()
 	var tracer *obs.Tracer
@@ -164,4 +163,35 @@ func PipelineCSV(rows []PipelineRow) (header string, out []string) {
 			r.Model, r.DisplayName, r.GPUMemGiB, r.SequentialSec, r.PipelinedSec, r.ImprovementPct))
 	}
 	return header, out
+}
+
+// PipelineBenchJSON renders the pipeline ablation as the committed
+// BENCH_pipeline.json artifact. The sweep runs on the Virtual clock, so
+// regeneration is byte-identical.
+func PipelineBenchJSON(rows []PipelineRow) string {
+	out := "{\n"
+	out += "  \"benchmark\": \"AblationPipelinedSwap\",\n"
+	out += "  \"description\": \"Full model-switch latency (victim swap-out start to target serving) of the sequential swap-out-then-swap-in baseline vs the pipelined full-duplex exchange, for each Figure 6 target model preempting a keep-warm vLLM victim (both pooling ~72 GiB of the 80 GiB H100).\",\n"
+	out += "  \"testbed\": \"h100\",\n"
+	out += "  \"engine\": \"vllm\",\n"
+	out += fmt.Sprintf("  \"victim\": %q,\n", pipelinePartner)
+	out += "  \"command\": \"go run ./cmd/swapbench -exp pipeline\",\n"
+	out += "  \"rows\": [\n"
+	var sum float64
+	for i, r := range rows {
+		comma := ","
+		if i == len(rows)-1 {
+			comma = ""
+		}
+		out += fmt.Sprintf("    {\"model\": %q, \"display\": %q, \"gpu_mem_gib\": %.1f, \"sequential_s\": %.2f, \"pipelined_s\": %.2f, \"improvement_pct\": %.1f}%s\n",
+			r.Model, r.DisplayName, r.GPUMemGiB, r.SequentialSec, r.PipelinedSec, r.ImprovementPct, comma)
+		sum += r.ImprovementPct
+	}
+	out += "  ],\n"
+	mean := 0.0
+	if len(rows) > 0 {
+		mean = sum / float64(len(rows))
+	}
+	out += fmt.Sprintf("  \"mean_improvement_pct\": %.1f\n}\n", mean)
+	return out
 }

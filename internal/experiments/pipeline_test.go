@@ -14,7 +14,7 @@ import (
 // sweep runs on a Virtual clock, so the margin holds unconditionally —
 // including under -race.
 func TestAblationPipelinedSwap(t *testing.T) {
-	rows, err := AblationPipelinedSwap(0)
+	rows, err := AblationPipelinedSwap()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestAblationPipelinedSwap(t *testing.T) {
 func TestPipelineGoldenDeterminism(t *testing.T) {
 	run := func() (string, string) {
 		var trace bytes.Buffer
-		rows, err := AblationPipelinedSwapTraced(0, &trace)
+		rows, err := AblationPipelinedSwapTraced(&trace)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,8 +28,8 @@ type Table1Row struct {
 
 // Table1 reproduces Table 1: it cold-starts a vLLM engine for each of the
 // ten models on an H100 rig and reports the phase breakdown.
-func Table1(scale float64) ([]Table1Row, error) {
-	r := newRig(perfmodel.H100(), scale)
+func Table1() ([]Table1Row, error) {
+	r := newRig(perfmodel.H100())
 	defer r.done()
 	cat := models.Default()
 	var rows []Table1Row
