@@ -311,3 +311,50 @@ func TestGatewayListingsAndEncoders(t *testing.T) {
 		t.Fatalf("rerank = %+v", rr.Results)
 	}
 }
+
+// TestGatewayDebugTraceRequiresToken: with auth_token set, the
+// gateway's trace export sits behind the bearer token like /metrics
+// and the admin routes.
+func TestGatewayDebugTraceRequiresToken(t *testing.T) {
+	cfg := twoNodeConfig("llama3.2:1b-fp16")
+	cfg.Global.AuthToken = "secret-token"
+	c := startCluster(t, cfg, 5000)
+
+	resp, err := http.Get(c.URL() + "/debug/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnauthorized {
+		t.Fatalf("/debug/trace without token: status %d, want 401", resp.StatusCode)
+	}
+	req, _ := http.NewRequest(http.MethodGet, c.URL()+"/debug/trace", nil)
+	req.Header.Set("Authorization", "Bearer secret-token")
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/debug/trace with token: status %d", resp.StatusCode)
+	}
+}
+
+// TestGatewayOversizedBodyIs413: a request body one byte over the 1 MiB
+// bound is answered 413 with an error envelope, not cut short and
+// misreported as malformed JSON.
+func TestGatewayOversizedBodyIs413(t *testing.T) {
+	const model = "llama3.2:1b-fp16"
+	c := startCluster(t, twoNodeConfig(model), 5000)
+	head := fmt.Sprintf(`{"model":%q,"messages":[{"role":"user","content":"`, model)
+	const tail = `"}]}`
+	body := head + strings.Repeat("x", 1<<20+1-len(head)-len(tail)) + tail
+	resp := postGateway(t, c.URL(), "/api/chat", body, nil)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status = %d, want 413", resp.StatusCode)
+	}
+	var env ir.ErrorEnvelope
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || env.Error.Type != "invalid_request_error" {
+		t.Fatalf("413 body: %+v, %v", env, err)
+	}
+}

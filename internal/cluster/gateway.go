@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -43,9 +42,6 @@ type gateway struct {
 	front *proxy.Front
 }
 
-// maxBodyBytes bounds client payloads (mirrors the node router).
-const maxBodyBytes = 1 << 20
-
 // proxyOutcome classifies one forwarding attempt.
 type proxyOutcome int
 
@@ -60,85 +56,36 @@ const (
 	outcomeFatal
 )
 
-// handler builds the gateway's http.Handler: one loop over the
-// endpoint table for the inference routes, plus the versioned admin
-// mux and the observability endpoints.
+// handler builds the gateway's http.Handler: the proxy edge serves the
+// endpoint table, and the gateway adds its health and versioned admin
+// routes.
 func (g *gateway) handler() http.Handler {
-	mux := http.NewServeMux()
-	for _, ep := range g.front.Table() {
-		ep := ep
-		switch {
-		case ep.Upstream != "":
-			mux.HandleFunc(ep.Path, g.auth(func(w http.ResponseWriter, r *http.Request) {
-				g.serveEndpoint(w, r, ep)
-			}))
-		case ep.Path == "/v1/models":
-			mux.HandleFunc(ep.Path, g.auth(g.listModels))
-		case ep.Path == "/api/tags":
-			mux.HandleFunc(ep.Path, g.auth(g.listTags))
-		}
+	door := proxy.Door{
+		Token:           g.c.cfg.Global.AuthToken,
+		Serve:           g.serveEndpoint,
+		Models:          g.models,
+		TranslateFailed: g.translateFailed,
+		Registry:        g.c.reg,
+		Tracer:          g.c.tracer,
 	}
+	mux := g.front.Mux(door)
 	mux.HandleFunc("/health", g.health)
-	mux.Handle("/admin/", g.adminMux())
-	mux.HandleFunc("/metrics", g.auth(g.metricsProm))
-	mux.HandleFunc("/metrics.csv", g.auth(g.metricsCSV))
-	mux.Handle("/debug/trace", g.c.tracer.Handler())
+	mux.HandleFunc("/admin/v1/cluster/status", door.Auth(g.status))
+	mux.HandleFunc("/admin/v1/cluster/drain", door.Auth(g.drain(true)))
+	mux.HandleFunc("/admin/v1/cluster/undrain", door.Auth(g.drain(false)))
+	mux.HandleFunc("/admin/v1/models/revision", door.Auth(g.bumpRevision))
 	return mux
 }
 
-// adminMux is the versioned operator surface, kept separate from the
-// inference routes so protocol translation never sees admin traffic.
-func (g *gateway) adminMux() *http.ServeMux {
-	admin := http.NewServeMux()
-	admin.HandleFunc("/admin/v1/cluster/status", g.auth(g.status))
-	admin.HandleFunc("/admin/v1/cluster/drain", g.auth(g.drain(true)))
-	admin.HandleFunc("/admin/v1/cluster/undrain", g.auth(g.drain(false)))
-	admin.HandleFunc("/admin/v1/models/revision", g.auth(g.bumpRevision))
-	return admin
-}
+// translateFailed counts a request answered 503 translate_failed.
+func (g *gateway) translateFailed() { g.c.reg.Counter("gateway_translate_failures").Inc() }
 
-// auth enforces the optional bearer token at the gateway edge.
-func (g *gateway) auth(next http.HandlerFunc) http.HandlerFunc {
-	token := g.c.cfg.Global.AuthToken
-	if token == "" {
-		return next
-	}
-	return func(w http.ResponseWriter, r *http.Request) {
-		got := strings.TrimPrefix(r.Header.Get("Authorization"), "Bearer ")
-		if got != token {
-			openai.WriteError(w, http.StatusUnauthorized, "invalid_api_key", "invalid or missing API key")
-			return
-		}
-		next(w, r)
-	}
-}
-
-// serveEndpoint runs one endpoint-table row: decode the client wire
-// format into the IR, consult the response cache, then place → forward
-// → maybe-fail-over.
-func (g *gateway) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy.Endpoint) {
-	if r.Method != ep.Method {
-		openai.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use "+ep.Method)
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err != nil {
-		openai.WriteError(w, http.StatusBadRequest, "invalid_request_error", "reading body: "+err.Error())
-		return
-	}
-	req, err := g.front.Decode(ep, body)
-	if err != nil {
-		g.writeDecodeError(w, err)
-		return
-	}
+// serveEndpoint serves one decoded endpoint-table request: consult the
+// response cache, run admission, then place → forward → maybe-fail-over.
+func (g *gateway) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy.Endpoint, req *ir.Request, canonical []byte) {
 	class, err := g.c.classFor(req.Model, r.Header.Get("X-Priority-Class"), ep.Class)
 	if err != nil {
 		openai.WriteError(w, http.StatusBadRequest, "invalid_request_error", err.Error())
-		return
-	}
-	canonical, err := g.front.EncodeUpstream(req)
-	if err != nil {
-		openai.WriteError(w, http.StatusServiceUnavailable, "translate_failed", err.Error())
 		return
 	}
 
@@ -203,7 +150,18 @@ func (g *gateway) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy
 	// stream tracks delivery across attempts so a failover resumes
 	// where the dead node stopped, translating each canonical upstream
 	// event into the endpoint's framing.
-	stream := &streamRelay{w: w, inj: g.c.chaosInj, tr: g.front.Translator(ep)}
+	stream := g.front.StreamRelay(w, ep)
+	if inj := g.c.chaosInj; inj != nil {
+		// Injected mid-stream disconnect: drop the connection as if the
+		// node died between two events.
+		stream.Cut = func() error {
+			err := inj.At(chaos.SiteSSE).Err
+			if err != nil {
+				obs.AnnotateFault(ctx, string(chaos.SiteSSE), err)
+			}
+			return err
+		}
+	}
 	tried := make(map[string]bool)
 	var lastErr string
 
@@ -227,7 +185,7 @@ func (g *gateway) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy
 		if !ok {
 			continue
 		}
-		outcome, errMsg := g.forward(ctx, node, ep, req.Model, canonical, r.Header.Get("Authorization"), class, stream)
+		outcome, errMsg := g.forward(ctx, w, node, ep, req.Model, canonical, r.Header.Get("Authorization"), class, stream)
 		switch outcome {
 		case outcomeDone:
 			if attempt > 0 {
@@ -245,7 +203,7 @@ func (g *gateway) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy
 	// Every eligible node was tried (or none existed).
 	g.c.reg.Counter("gateway_unrouteable").Inc()
 	span.Fail(fmt.Errorf("unrouteable after %d attempts", len(tried)))
-	if stream.started {
+	if stream.Started() {
 		// Mid-stream with no replica left: all we can do is end the
 		// stream; the missing terminal frame ([DONE] or the done:true
 		// line) tells the client it was truncated.
@@ -261,18 +219,6 @@ func (g *gateway) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy
 		msg += ": " + lastErr
 	}
 	openai.WriteError(w, http.StatusServiceUnavailable, "no_available_node", msg)
-}
-
-// writeDecodeError maps a front-door decode failure onto the wire: an
-// injected translation fault is a well-formed 503 (the pipeline is
-// degraded, not the request), anything else is the client's 400.
-func (g *gateway) writeDecodeError(w http.ResponseWriter, err error) {
-	if errors.Is(err, proxy.ErrTranslate) {
-		g.c.reg.Counter("gateway_translate_failures").Inc()
-		openai.WriteError(w, http.StatusServiceUnavailable, "translate_failed", err.Error())
-		return
-	}
-	openai.WriteError(w, http.StatusBadRequest, "invalid_request_error", err.Error())
 }
 
 // place asks the policy for the next node, excluding already-tried
@@ -319,7 +265,7 @@ func (g *gateway) recordPlacement(nodeID string, warm bool) {
 // forward sends the canonical request to one node's upstream path and
 // relays its response. The error string is only meaningful for
 // outcomeRetry.
-func (g *gateway) forward(ctx context.Context, node *Node, ep proxy.Endpoint, model string, canonical []byte, authHeader, class string, stream *streamRelay) (proxyOutcome, string) {
+func (g *gateway) forward(ctx context.Context, w http.ResponseWriter, node *Node, ep proxy.Endpoint, model string, canonical []byte, authHeader, class string, stream *proxy.StreamRelay) (proxyOutcome, string) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, node.URL()+ep.Upstream, bytes.NewReader(canonical))
 	if err != nil {
 		return outcomeRetry, err.Error()
@@ -364,7 +310,14 @@ func (g *gateway) forward(ctx context.Context, node *Node, ep proxy.Endpoint, mo
 	}
 
 	if strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream") {
-		return stream.relay(ctx, node, resp)
+		switch err := stream.Relay(resp); {
+		case err == nil:
+			return outcomeDone, ""
+		case errors.Is(err, proxy.ErrStreamCut):
+			return outcomeRetry, fmt.Sprintf("node %s: %v", node.ID(), err)
+		default:
+			return outcomeFatal, fmt.Sprintf("node %s: %v", node.ID(), err)
+		}
 	}
 
 	// Buffered (non-streaming) response: read it fully before touching
@@ -374,29 +327,11 @@ func (g *gateway) forward(ctx context.Context, node *Node, ep proxy.Endpoint, mo
 		g.c.registry.ReportFailure(node.ID())
 		return outcomeRetry, fmt.Sprintf("node %s: reading response: %v", node.ID(), err)
 	}
-	return g.deliverBuffered(ep, model, canonical, stream.w, resp, full)
-}
-
-// deliverBuffered writes a fully-read node response to the client: a
-// canonical 200 is translated into the endpoint's protocol and stored
-// in the response cache; error envelopes pass through untouched.
-func (g *gateway) deliverBuffered(ep proxy.Endpoint, model string, canonical []byte, w http.ResponseWriter, resp *http.Response, full []byte) (proxyOutcome, string) {
-	if resp.StatusCode == http.StatusOK {
-		out, err := g.front.TranslateResponse(ep, full)
-		if err != nil {
-			g.c.reg.Counter("gateway_translate_failures").Inc()
-			openai.WriteError(w, http.StatusServiceUnavailable, "translate_failed", err.Error())
-			return outcomeDone, ""
-		}
+	if err := g.front.WriteResponse(w, ep, resp, full); err != nil {
+		g.translateFailed()
+	} else if resp.StatusCode == http.StatusOK {
 		g.front.CacheStore(ep, model, canonical, full)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		w.Write(out)
-		return outcomeDone, ""
 	}
-	copyHeaders(w.Header(), resp.Header)
-	w.WriteHeader(resp.StatusCode)
-	w.Write(full)
 	return outcomeDone, ""
 }
 
@@ -412,85 +347,9 @@ func retriableStatus(code int) bool {
 	return false
 }
 
-func copyHeaders(dst, src http.Header) {
-	for k, vs := range src {
-		for _, v := range vs {
-			dst.Add(k, v)
-		}
-	}
-}
-
-// streamRelay translates the node's canonical SSE stream into the
-// endpoint's client framing while counting delivered canonical events,
-// so a retry on another node can skip what the client already has and
-// continue the stream seamlessly. The count is over upstream events —
-// which map 1:1 onto client frames in every registered codec — so the
-// same resume arithmetic is exact under SSE and NDJSON alike.
-type streamRelay struct {
-	w         http.ResponseWriter
-	inj       *chaos.Injector
-	tr        *proxy.StreamTranslator
-	started   bool
-	delivered int
-}
-
-// relay pipes one node's canonical SSE response to the client. On a
-// clean terminal event it reports outcomeDone; on a mid-stream read
-// failure it reports outcomeRetry so the caller can resume on another
-// node.
-func (s *streamRelay) relay(ctx context.Context, node *Node, resp *http.Response) (proxyOutcome, string) {
-	if !s.started {
-		s.w.Header().Set("Content-Type", s.tr.ContentType())
-		s.w.WriteHeader(resp.StatusCode)
-		s.started = true
-	}
-	flusher, _ := s.w.(http.Flusher)
-	br := bufio.NewReader(resp.Body)
-	skip := s.delivered
-	for {
-		event, err := ir.ReadSSEEvent(br)
-		if err != nil {
-			// A partial event cut off mid-write is discarded: the replica
-			// will re-send it whole at the same position.
-			return outcomeRetry, fmt.Sprintf("node %s: stream interrupted after %d events: %v", node.ID(), s.delivered, err)
-		}
-		// Injected mid-stream disconnect: drop the connection here, as if
-		// the node died between two events. The event just read is
-		// discarded — the replica re-sends it at the same position.
-		if ferr := s.inj.At(chaos.SiteSSE).Err; ferr != nil {
-			obs.AnnotateFault(ctx, string(chaos.SiteSSE), ferr)
-			return outcomeRetry, fmt.Sprintf("node %s: stream cut after %d events: %v", node.ID(), s.delivered, ferr)
-		}
-		done := strings.TrimSpace(strings.TrimPrefix(event, "data:")) == ir.DoneSentinel
-		if !done && skip > 0 {
-			skip--
-			continue
-		}
-		frames, _, terr := s.tr.Frames(event)
-		if terr != nil {
-			// The upstream stream is our own deterministic engine output; a
-			// replica would produce the same bytes, so retrying cannot help.
-			return outcomeFatal, fmt.Sprintf("node %s: %v", node.ID(), terr)
-		}
-		if len(frames) > 0 {
-			if _, werr := s.w.Write(frames); werr != nil {
-				return outcomeFatal, "client gone"
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-		if done {
-			return outcomeDone, ""
-		}
-		s.delivered++
-	}
-}
-
-// listModels reports the union of models deployed on healthy nodes,
-// with each model's protocol capabilities.
-func (g *gateway) listModels(w http.ResponseWriter, r *http.Request) {
-	list := openai.ModelList{Object: "list"}
+// models lists the union of models deployed on healthy nodes.
+func (g *gateway) models() []proxy.ListedModel {
+	var out []proxy.ListedModel
 	seen := make(map[string]bool)
 	for _, n := range g.c.registry.Nodes() {
 		if n.State() != NodeHealthy {
@@ -501,36 +360,10 @@ func (g *gateway) listModels(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			seen[b.Name()] = true
-			list.Data = append(list.Data, openai.ModelInfo{
-				ID:           b.Name(),
-				Object:       "model",
-				Created:      g.c.clock.Now().Unix(),
-				OwnedBy:      string(b.EngineKind()),
-				Capabilities: b.Model().Capabilities(),
-			})
+			out = append(out, proxy.ListedModel{Name: b.Name(), OwnedBy: string(b.EngineKind()), Model: b.Model()})
 		}
 	}
-	openai.WriteJSON(w, http.StatusOK, list)
-}
-
-// listTags is the Ollama protocol's model listing (GET /api/tags): the
-// same healthy-node union rendered in the Ollama wire shape.
-func (g *gateway) listTags(w http.ResponseWriter, r *http.Request) {
-	var tags ir.OllamaTagsResponse
-	seen := make(map[string]bool)
-	for _, n := range g.c.registry.Nodes() {
-		if n.State() != NodeHealthy {
-			continue
-		}
-		for _, b := range n.Server().Backends() {
-			if seen[b.Name()] {
-				continue
-			}
-			seen[b.Name()] = true
-			tags.Models = append(tags.Models, proxy.TagFor(b.Name(), b.Model()))
-		}
-	}
-	openai.WriteJSON(w, http.StatusOK, tags)
+	return out
 }
 
 // health reports gateway liveness: OK once at least one node is
@@ -601,13 +434,4 @@ func (g *gateway) bumpRevision(w http.ResponseWriter, r *http.Request) {
 	}
 	rev := g.front.BumpRevision(model)
 	openai.WriteJSON(w, http.StatusOK, map[string]interface{}{"model": model, "revision": rev})
-}
-
-func (g *gateway) metricsProm(w http.ResponseWriter, r *http.Request) {
-	g.c.reg.Handler().ServeHTTP(w, r)
-}
-
-func (g *gateway) metricsCSV(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/csv")
-	g.c.reg.WriteCSV(w)
 }

@@ -182,7 +182,7 @@ func TestSnapshotSpillToDisk(t *testing.T) {
 		ollamaModel("deepseek-r1:14b-fp16"), // ~31 GiB snapshot
 		ollamaModel("llama3.1:8b-fp16"),     // ~17.5 GiB snapshot
 	}
-	s := startServer(t, cfg, Options{Clock: simclock.NewScaled(testEpoch, 5000)})
+	s := startServer(t, cfg, Options{Clock: virtualTestClock(t)})
 
 	a, _ := s.Backend("deepseek-r1:14b-fp16")
 	bb, _ := s.Backend("llama3.1:8b-fp16")
@@ -205,13 +205,13 @@ func TestSnapshotSpillToDisk(t *testing.T) {
 	// RAM-resident one.
 	clock := s.Clock()
 	t0 := clock.Now()
-	doChat(t, s.URL(), "deepseek-r1:14b-fp16", 1)
+	serverChat(t, s, "deepseek-r1:14b-fp16", 1)
 	diskRestore := clock.Since(t0)
 	if a.State() != BackendRunning {
 		t.Fatalf("state = %v", a.State())
 	}
 	t1 := clock.Now()
-	doChat(t, s.URL(), "llama3.1:8b-fp16", 1)
+	serverChat(t, s, "llama3.1:8b-fp16", 1)
 	ramRestore := clock.Since(t1)
 	// 14B from disk ≈ 31 GiB read at ~6-9 GiB/s + restore vs 8B from RAM.
 	if diskRestore <= ramRestore {

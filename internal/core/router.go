@@ -1,10 +1,9 @@
 package core
 
 import (
-	"bufio"
-	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"strings"
 
@@ -35,84 +34,32 @@ func newRouter(s *Server) *router {
 	return &router{s: s, front: proxy.New(proxy.WithClock(s.clock))}
 }
 
-// handler builds the router's http.Handler: one loop over the endpoint
-// table plus the node admin and observability routes.
+// handler builds the router's http.Handler: the proxy edge serves the
+// endpoint table, and the router adds the node health and admin routes.
 func (rt *router) handler() http.Handler {
-	mux := http.NewServeMux()
-	for _, ep := range rt.front.Table() {
-		ep := ep
-		switch {
-		case ep.Upstream != "":
-			mux.HandleFunc(ep.Path, rt.auth(func(w http.ResponseWriter, r *http.Request) {
-				rt.serveEndpoint(w, r, ep)
-			}))
-		case ep.Path == "/v1/models":
-			mux.HandleFunc(ep.Path, rt.auth(rt.listModels))
-		case ep.Path == "/api/tags":
-			mux.HandleFunc(ep.Path, rt.auth(rt.listTags))
-		}
+	door := proxy.Door{
+		Token:    rt.s.cfg.Global.AuthToken,
+		Serve:    rt.serveEndpoint,
+		Models:   rt.models,
+		Registry: rt.s.reg,
+		Tracer:   rt.s.tracer,
 	}
+	mux := rt.front.Mux(door)
 	mux.HandleFunc("/health", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprintln(w, "ok")
 	})
-	mux.HandleFunc("/admin/status", rt.auth(rt.adminStatus))
-	mux.HandleFunc("/admin/inventory", rt.auth(rt.adminInventory))
-	mux.HandleFunc("/admin/swap-in", rt.auth(rt.adminSwap(true)))
-	mux.HandleFunc("/admin/swap-out", rt.auth(rt.adminSwap(false)))
-	mux.HandleFunc("/metrics", rt.auth(rt.metricsProm))
-	mux.HandleFunc("/metrics.csv", rt.auth(rt.metricsCSV))
-	mux.Handle("/debug/trace", rt.s.tracer.Handler())
+	mux.HandleFunc("/admin/status", door.Auth(rt.adminStatus))
+	mux.HandleFunc("/admin/inventory", door.Auth(rt.adminInventory))
+	mux.HandleFunc("/admin/swap-in", door.Auth(rt.adminSwap(true)))
+	mux.HandleFunc("/admin/swap-out", door.Auth(rt.adminSwap(false)))
 	return mux
 }
 
-// auth enforces the optional bearer token.
-func (rt *router) auth(next http.HandlerFunc) http.HandlerFunc {
-	token := rt.s.cfg.Global.AuthToken
-	if token == "" {
-		return next
-	}
-	return func(w http.ResponseWriter, r *http.Request) {
-		got := strings.TrimPrefix(r.Header.Get("Authorization"), "Bearer ")
-		if got != token {
-			openai.WriteError(w, http.StatusUnauthorized, "invalid_api_key", "invalid or missing API key")
-			return
-		}
-		next(w, r)
-	}
-}
-
-// maxBodyBytes bounds request payloads (1 MiB covers any chat request).
-const maxBodyBytes = 1 << 20
-
-// serveEndpoint runs one endpoint-table row: decode the client wire
-// format into the IR, queue the canonical request for the model's
-// worker, and translate the backend's response back out.
-func (rt *router) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy.Endpoint) {
-	if r.Method != ep.Method {
-		openai.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use "+ep.Method)
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err != nil {
-		openai.WriteError(w, http.StatusBadRequest, "invalid_request_error", "reading body: "+err.Error())
-		return
-	}
-	req, err := rt.front.Decode(ep, body)
-	if err != nil {
-		if errors.Is(err, proxy.ErrTranslate) {
-			openai.WriteError(w, http.StatusServiceUnavailable, "translate_failed", err.Error())
-			return
-		}
-		openai.WriteError(w, http.StatusBadRequest, "invalid_request_error", err.Error())
-		return
-	}
-	canonical, err := rt.front.EncodeUpstream(req)
-	if err != nil {
-		openai.WriteError(w, http.StatusServiceUnavailable, "translate_failed", err.Error())
-		return
-	}
-
+// serveEndpoint serves one decoded endpoint-table request: queue the
+// canonical request for the model's worker and translate the backend's
+// response back out.
+func (rt *router) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy.Endpoint, req *ir.Request, canonical []byte) {
 	b, ok := rt.s.Backend(req.Model)
 	if !ok {
 		openai.WriteError(w, http.StatusNotFound, "invalid_request_error",
@@ -190,70 +137,27 @@ func (rt *router) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy
 
 // relayResponse delivers the backend response to the client in the
 // endpoint's wire format. OpenAI endpoints pass bytes through
-// untouched; Ollama endpoints translate the canonical JSON body or
-// re-frame the canonical SSE stream as NDJSON, flushing per frame so
-// streams stay real-time.
+// untouched; Ollama endpoints go through the proxy edge, which
+// translates the canonical JSON body or re-frames the canonical SSE
+// stream as NDJSON.
 func (rt *router) relayResponse(w http.ResponseWriter, resp *http.Response, ep proxy.Endpoint) {
-	tr := rt.front.Translator(ep)
 	streaming := strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream")
-	if tr.Passthrough() {
+	switch {
+	case ep.Protocol == proxy.ProtocolOpenAI:
 		relayRaw(w, resp, streaming)
-		return
-	}
-	if streaming {
-		rt.relayTranslatedStream(w, resp, tr)
-		return
-	}
-	full, err := io.ReadAll(resp.Body)
-	if err != nil {
-		openai.WriteError(w, http.StatusBadGateway, "backend_error", "reading backend response: "+err.Error())
-		return
-	}
-	if resp.StatusCode != http.StatusOK {
-		// Error envelopes pass through untranslated: every protocol's
-		// tooling understands a JSON error object.
-		copyResponseHeaders(w, resp)
-		w.WriteHeader(resp.StatusCode)
-		w.Write(full)
-		return
-	}
-	out, err := rt.front.TranslateResponse(ep, full)
-	if err != nil {
-		openai.WriteError(w, http.StatusServiceUnavailable, "translate_failed", err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(out)
-}
-
-// relayTranslatedStream re-frames the backend's canonical SSE stream
-// into the endpoint's client framing, one event at a time.
-func (rt *router) relayTranslatedStream(w http.ResponseWriter, resp *http.Response, tr *proxy.StreamTranslator) {
-	w.Header().Set("Content-Type", tr.ContentType())
-	w.WriteHeader(resp.StatusCode)
-	flusher, _ := w.(http.Flusher)
-	br := bufio.NewReader(resp.Body)
-	for {
-		event, err := ir.ReadSSEEvent(br)
+	case streaming:
+		// A broken upstream ends the stream early; the missing done line
+		// tells the client.
+		_ = rt.front.StreamRelay(w, ep).Relay(resp)
+	default:
+		full, err := io.ReadAll(resp.Body)
 		if err != nil {
-			return // truncated upstream: the missing done line tells the client
-		}
-		frames, done, terr := tr.Frames(event)
-		if terr != nil {
+			openai.WriteError(w, http.StatusBadGateway, "backend_error", "reading backend response: "+err.Error())
 			return
 		}
-		if len(frames) > 0 {
-			if _, werr := w.Write(frames); werr != nil {
-				return
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-		if done {
-			return
-		}
+		// A translation failure is already answered 503; the node keeps
+		// no count of it.
+		_ = rt.front.WriteResponse(w, ep, resp, full)
 	}
 }
 
@@ -262,7 +166,7 @@ func (rt *router) relayTranslatedStream(w http.ResponseWriter, resp *http.Respon
 // real-time; a buffered body is left to net/http, which sends it when
 // the handler returns.
 func relayRaw(w http.ResponseWriter, resp *http.Response, streaming bool) {
-	copyResponseHeaders(w, resp)
+	maps.Copy(w.Header(), resp.Header)
 	w.WriteHeader(resp.StatusCode)
 	if !streaming {
 		// The status line is already out, so a copy error (client or
@@ -288,37 +192,13 @@ func relayRaw(w http.ResponseWriter, resp *http.Response, streaming bool) {
 	}
 }
 
-func copyResponseHeaders(w http.ResponseWriter, resp *http.Response) {
-	for k, vs := range resp.Header {
-		for _, v := range vs {
-			w.Header().Add(k, v)
-		}
-	}
-}
-
-// listModels reports every configured model with its protocol
-// capabilities.
-func (rt *router) listModels(w http.ResponseWriter, r *http.Request) {
-	list := openai.ModelList{Object: "list"}
+// models lists every configured model for the protocol listings.
+func (rt *router) models() []proxy.ListedModel {
+	var out []proxy.ListedModel
 	for _, b := range rt.s.Backends() {
-		list.Data = append(list.Data, openai.ModelInfo{
-			ID:           b.name,
-			Object:       "model",
-			Created:      rt.s.clock.Now().Unix(),
-			OwnedBy:      string(b.engine),
-			Capabilities: b.model.Capabilities(),
-		})
+		out = append(out, proxy.ListedModel{Name: b.name, OwnedBy: string(b.engine), Model: b.model})
 	}
-	openai.WriteJSON(w, http.StatusOK, list)
-}
-
-// listTags is the Ollama protocol's model listing (GET /api/tags).
-func (rt *router) listTags(w http.ResponseWriter, r *http.Request) {
-	var tags ir.OllamaTagsResponse
-	for _, b := range rt.s.Backends() {
-		tags.Models = append(tags.Models, proxy.TagFor(b.name, b.model))
-	}
-	openai.WriteJSON(w, http.StatusOK, tags)
+	return out
 }
 
 // adminStatus reports backend and GPU state.
@@ -380,17 +260,4 @@ func (rt *router) adminSwap(in bool) http.HandlerFunc {
 // cluster layer consumes for placement and rebalancing.
 func (rt *router) adminInventory(w http.ResponseWriter, r *http.Request) {
 	openai.WriteJSON(w, http.StatusOK, rt.s.Inventory())
-}
-
-// metricsProm serves the registry in the Prometheus text exposition
-// format (scrapeable /metrics).
-func (rt *router) metricsProm(w http.ResponseWriter, r *http.Request) {
-	rt.s.reg.Handler().ServeHTTP(w, r)
-}
-
-// metricsCSV dumps the metrics registry as CSV (the paper's analysis
-// format).
-func (rt *router) metricsCSV(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/csv")
-	rt.s.reg.WriteCSV(w)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
@@ -10,6 +11,7 @@ import (
 
 	"swapservellm/internal/config"
 	"swapservellm/internal/openai"
+	"swapservellm/internal/proxy/ir"
 	"swapservellm/internal/simclock"
 )
 
@@ -130,3 +132,53 @@ func TestBackendStatusFields(t *testing.T) {
 
 // ioCopy is a tiny io.Copy indirection so the test file reads cleanly.
 func ioCopy(dst io.Writer, src io.Reader) (int64, error) { return io.Copy(dst, src) }
+
+// TestDebugTraceRequiresToken: with auth_token set, the node's trace
+// export sits behind the bearer token like /metrics and the admin
+// routes.
+func TestDebugTraceRequiresToken(t *testing.T) {
+	cfg := config.Default()
+	cfg.Global.AuthToken = "secret-token"
+	cfg.Models = []config.Model{ollamaModel("llama3.2:1b-fp16")}
+	s := startServer(t, cfg, Options{Clock: simclock.NewScaled(testEpoch, 5000)})
+
+	resp, err := http.Get(s.URL() + "/debug/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnauthorized {
+		t.Fatalf("/debug/trace without token: status %d, want 401", resp.StatusCode)
+	}
+	req, _ := http.NewRequest(http.MethodGet, s.URL()+"/debug/trace", nil)
+	req.Header.Set("Authorization", "Bearer secret-token")
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/debug/trace with token: status %d", resp.StatusCode)
+	}
+}
+
+// TestOversizedBodyIs413: a request body one byte over the 1 MiB bound
+// is answered 413 with an error envelope, not cut short and misreported
+// as malformed JSON.
+func TestOversizedBodyIs413(t *testing.T) {
+	s := testServer(t, 5000, ollamaModel("llama3.2:1b-fp16"))
+	const head, tail = `{"model":"llama3.2:1b-fp16","messages":[{"role":"user","content":"`, `"}]}`
+	body := head + strings.Repeat("x", 1<<20+1-len(head)-len(tail)) + tail
+	resp, err := http.Post(s.URL()+"/v1/chat/completions", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status = %d, want 413", resp.StatusCode)
+	}
+	var env ir.ErrorEnvelope
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || env.Error.Type != "invalid_request_error" {
+		t.Fatalf("413 body: %+v, %v", env, err)
+	}
+}

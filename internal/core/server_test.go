@@ -438,23 +438,20 @@ func TestQueueFull429(t *testing.T) {
 	cfg := config.Default()
 	cfg.Global.QueueCapacity = 1
 	cfg.Models = []config.Model{ollamaModel("llama3.2:1b-fp16")}
-	s, err := New(cfg, Options{Clock: simclock.NewScaled(testEpoch, 2000)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Shutdown()
+	clock := virtualTestClock(t)
+	s := startServer(t, cfg, Options{Clock: clock})
 
 	// Flood with concurrent requests; with queue depth 1 and a multi-second
-	// swap-in, some must be rejected with 429.
+	// swap-in, some must be rejected with 429. On the Virtual clock the
+	// swap-in cannot finish while the flood is still crossing the wire, so
+	// the outcome does not hang on host scheduling.
+	gate := clock.Gate()
 	var wg sync.WaitGroup
 	var got429 bool
 	var mu sync.Mutex
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
-		go func() {
+		gate.Go(func() {
 			defer wg.Done()
 			seed := int64(1)
 			body := openai.MarshalJSONString(openai.ChatCompletionRequest{
@@ -463,19 +460,25 @@ func TestQueueFull429(t *testing.T) {
 				Seed:      &seed,
 				MaxTokens: 2,
 			})
-			resp, err := http.Post(s.URL()+"/v1/chat/completions", "application/json", strings.NewReader(body))
+			var resp *http.Response
+			var err error
+			gate.BlockIO(func() {
+				resp, err = http.Post(s.URL()+"/v1/chat/completions", "application/json", strings.NewReader(body))
+				if err == nil {
+					resp.Body.Close()
+				}
+			})
 			if err != nil {
 				return
 			}
-			resp.Body.Close()
 			if resp.StatusCode == http.StatusTooManyRequests {
 				mu.Lock()
 				got429 = true
 				mu.Unlock()
 			}
-		}()
+		})
 	}
-	wg.Wait()
+	gate.Block(wg.Wait)
 	if !got429 {
 		t.Fatal("no request was rejected with 429 despite queue depth 1")
 	}

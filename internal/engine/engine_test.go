@@ -19,7 +19,7 @@ var testEpoch = time.Date(2025, 11, 16, 0, 0, 0, 0, time.UTC)
 
 // testRig bundles the substrates an engine needs.
 type testRig struct {
-	clock  *simclock.Scaled
+	clock  simclock.Clock
 	tb     perfmodel.Testbed
 	device *gpu.Device
 	store  *storage.ModelStore
@@ -27,7 +27,22 @@ type testRig struct {
 
 func newRig(t *testing.T) *testRig {
 	t.Helper()
-	clock := simclock.NewScaled(testEpoch, 2000) // fast: unit tests only check behaviour
+	return rigOn(simclock.NewScaled(testEpoch, 2000)) // fast: unit tests only check behaviour
+}
+
+// newVirtualRig is newRig on a Virtual clock with the test goroutine
+// registered on its gate until the test's cleanups finish, so simulated
+// timings are exact instead of scaled wall time.
+func newVirtualRig(t *testing.T) *testRig {
+	t.Helper()
+	clock := simclock.NewVirtual(testEpoch)
+	gate := clock.Gate()
+	gate.Enter() //swaplint:ignore gatecheck registration spans the test: t.Cleanup runs the matching Exit on the test goroutine
+	t.Cleanup(gate.Exit)
+	return rigOn(clock)
+}
+
+func rigOn(clock simclock.Clock) *testRig {
 	tb := perfmodel.H100()
 	return &testRig{
 		clock:  clock,
@@ -367,7 +382,7 @@ func TestStageWeightsIdempotent(t *testing.T) {
 }
 
 func TestInitCacheSkipsCompile(t *testing.T) {
-	r := newRig(t)
+	r := newVirtualRig(t)
 	cache := NewInitCache()
 	cfg := r.config(t, "cache-1", "llama3.1:8b-fp16")
 	cfg.InitCache = cache

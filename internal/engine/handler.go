@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 
 	"swapservellm/internal/openai"
 	"swapservellm/internal/perfmodel"
@@ -158,16 +160,9 @@ func (h *handler) chatCompletions(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Blocking: decode every token, then respond.
-	var content string
-	for i := 0; i < n; i++ {
-		if err := h.b.gate.Wait(r.Context()); err != nil {
-			return
-		}
-		tb0.Sleep(tb.TokenTime(kind, m, 1))
-		content += gen.Token(prompt, seed, i)
-		if r.Context().Err() != nil {
-			return
-		}
+	content, err := h.decodeText(r.Context(), prompt, seed, n)
+	if err != nil {
+		return
 	}
 	openai.WriteJSON(w, http.StatusOK, openai.ChatCompletionResponse{
 		ID:      id,
@@ -245,16 +240,9 @@ func (h *handler) completions(w http.ResponseWriter, r *http.Request) {
 			finish = "length"
 		}
 		clock.Sleep(tb.PrefillTime(kind, m, promptTokens))
-		var text string
-		for i := 0; i < n; i++ {
-			if err := h.b.gate.Wait(r.Context()); err != nil {
-				return
-			}
-			clock.Sleep(tb.TokenTime(kind, m, 1))
-			text += gen.Token(prompt, seed, i)
-			if r.Context().Err() != nil {
-				return
-			}
+		text, err := h.decodeText(r.Context(), prompt, seed, n)
+		if err != nil {
+			return
 		}
 		fr := finish
 		choices = append(choices, openai.CompletionChoice{Text: text, Index: idx, FinishReason: &fr})
@@ -275,7 +263,6 @@ func (h *handler) completions(w http.ResponseWriter, r *http.Request) {
 // streamCompletion emits SSE chunks token by token.
 func (h *handler) streamCompletion(w http.ResponseWriter, r *http.Request, req *openai.ChatCompletionRequest,
 	id string, created int64, prompt string, seed int64, n, promptTokens int, finish string) {
-	var gen Generator
 	sw := openai.NewSSEWriter(w)
 	m := h.b.cfg.Model
 
@@ -286,17 +273,13 @@ func (h *handler) streamCompletion(w http.ResponseWriter, r *http.Request, req *
 	}); err != nil {
 		return
 	}
-	for i := 0; i < n; i++ {
-		if err := h.b.gate.Wait(r.Context()); err != nil {
-			return
-		}
-		h.b.cfg.Clock.Sleep(h.b.cfg.Testbed.TokenTime(h.b.kind, m, 1))
-		if err := sw.WriteChunk(&openai.ChatCompletionChunk{
+	if err := h.decode(r.Context(), prompt, seed, n, func(tok string) error {
+		return sw.WriteChunk(&openai.ChatCompletionChunk{
 			ID: id, Object: "chat.completion.chunk", Created: created, Model: m.Name,
-			Choices: []openai.DeltaChoice{{Delta: openai.Message{Content: gen.Token(prompt, seed, i)}}},
-		}); err != nil {
-			return
-		}
+			Choices: []openai.DeltaChoice{{Delta: openai.Message{Content: tok}}},
+		})
+	}); err != nil {
+		return
 	}
 	fr := finish
 	sw.WriteChunk(&openai.ChatCompletionChunk{
@@ -309,6 +292,34 @@ func (h *handler) streamCompletion(w http.ResponseWriter, r *http.Request, req *
 		},
 	})
 	sw.WriteDone()
+}
+
+// decode is the per-token loop every generation path shares: wait out
+// a freeze, charge one token's decode time, then hand the token to
+// emit. It stops at the first error from the gate or from emit.
+func (h *handler) decode(ctx context.Context, prompt string, seed int64, n int, emit func(tok string) error) error {
+	var gen Generator
+	for i := 0; i < n; i++ {
+		if err := h.b.gate.Wait(ctx); err != nil {
+			return err
+		}
+		h.b.cfg.Clock.Sleep(h.b.cfg.Testbed.TokenTime(h.b.kind, h.b.cfg.Model, 1))
+		if err := emit(gen.Token(prompt, seed, i)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// decodeText decodes n tokens into one buffered completion, giving up
+// once the client has.
+func (h *handler) decodeText(ctx context.Context, prompt string, seed int64, n int) (string, error) {
+	var text strings.Builder
+	err := h.decode(ctx, prompt, seed, n, func(tok string) error {
+		text.WriteString(tok)
+		return ctx.Err()
+	})
+	return text.String(), err
 }
 
 // updateBusy reflects in-flight request count in the device's compute

@@ -7,11 +7,13 @@ import "errors"
 var (
 	// ErrUnknownProtocol marks a protocol name with no registered codec.
 	ErrUnknownProtocol = errors.New("proxy: unknown protocol")
-	// ErrUnknownEndpoint marks a path absent from the endpoint table.
-	ErrUnknownEndpoint = errors.New("proxy: unknown endpoint")
 	// ErrTranslate marks a protocol-translation failure at the front
 	// door (including chaos-injected ones at the proxy.translate site);
 	// the gateway answers it with a well-formed 503 rather than a 400,
 	// because the client's payload may have been valid.
 	ErrTranslate = errors.New("proxy: translating request")
+	// ErrStreamCut marks an upstream stream that ended before its
+	// terminal event (a dead node or an injected proxy.sse cut); a
+	// replica can resume it where it stopped.
+	ErrStreamCut = errors.New("proxy: upstream stream interrupted")
 )

@@ -1,12 +1,13 @@
 // Package proxy is the multi-protocol front door: a declarative
 // endpoint table routing OpenAI (/v1/*, SSE) and Ollama (/api/*,
 // NDJSON) traffic through the protocol-neutral IR in
-// internal/proxy/ir, plus an IR-keyed response cache in front of
-// placement. Both the cluster gateway and the node router consume the
-// same table, so adding an endpoint is one table row, and every
-// protocol reaches the same canonical upstream encoding — which is
-// what makes deterministic cross-node stream resume work identically
-// under SSE and NDJSON framing.
+// internal/proxy/ir, the HTTP edge that serves the table, and an
+// IR-keyed response cache in front of placement. The cluster gateway
+// and the node router both plug into the same edge (see Door), so
+// adding an endpoint is one table row, and every protocol reaches the
+// same canonical upstream encoding — which is what makes deterministic
+// cross-node stream resume work identically under SSE and NDJSON
+// framing.
 package proxy
 
 import (
@@ -31,7 +32,7 @@ type Options struct {
 	// counters and hit-ratio gauges.
 	Registry *metrics.Registry
 	// Clock, when set, charges chaos delay outcomes as simulated
-	// latency (without it delays are ignored).
+	// latency (without it delays are ignored) and dates model listings.
 	Clock simclock.Clock
 }
 

@@ -38,8 +38,7 @@ func (t *StreamTranslator) ContentType() string {
 // the event verbatim in SSE framing.
 func (t *StreamTranslator) Frames(event string) (frames []byte, done bool, err error) {
 	if t.passthrough {
-		done = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(event), "data:")) == ir.DoneSentinel
-		return []byte(event + "\n\n"), done, nil
+		return []byte(event + "\n\n"), isDone(event), nil
 	}
 	ev, err := (ir.OpenAICodec{}).DecodeStreamEvent(t.family, []byte(event))
 	if err != nil {
@@ -50,4 +49,10 @@ func (t *StreamTranslator) Frames(event string) (frames []byte, done bool, err e
 		return nil, false, fmt.Errorf("%w: stream event: %w", ErrTranslate, err)
 	}
 	return frames, ev.Done, nil
+}
+
+// isDone reports whether an upstream SSE event is the terminal [DONE]
+// sentinel.
+func isDone(event string) bool {
+	return strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(event), "data:")) == ir.DoneSentinel
 }
