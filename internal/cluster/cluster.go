@@ -16,6 +16,7 @@ import (
 	"swapservellm/internal/models"
 	"swapservellm/internal/obs"
 	"swapservellm/internal/proxy"
+	"swapservellm/internal/sched"
 	"swapservellm/internal/simclock"
 )
 
@@ -93,6 +94,7 @@ type Cluster struct {
 	registry   *NodeRegistry
 	nodes      []*Node
 	rebal      *rebalancer
+	rebalLoop  *simclock.Loop // nil without a rebalancer
 	sched      *schedState
 	retryLimit int
 
@@ -172,7 +174,7 @@ func New(cfg config.Cluster, options ...Option) (*Cluster, error) {
 	}
 	c.sched = schedSt
 
-	var ttl core.TTLPolicy
+	var ttl sched.TTLPolicy
 	if schedSt != nil {
 		ttl = schedSt.ttl
 	}
@@ -256,7 +258,9 @@ func (c *Cluster) Start(ctx context.Context) error {
 
 	c.registry.Start()
 	if c.rebal != nil {
-		gate.Go(c.rebal.run)
+		c.rebalLoop = simclock.Every(c.clock, c.rebal.interval, func() {
+			c.rebal.Sweep(context.Background())
+		})
 	}
 	if c.sched != nil && c.sched.pw != nil {
 		c.sched.pw.Run(c.clock)
@@ -270,9 +274,7 @@ func (c *Cluster) Start(ctx context.Context) error {
 			c.sched.pw.Halt()
 		}
 		c.registry.Stop()
-		if c.rebal != nil {
-			c.rebal.halt()
-		}
+		c.rebalLoop.Stop()
 		c.shutdownNodesLocked()
 		return fmt.Errorf("cluster: gateway listen: %w", err)
 	}
@@ -298,9 +300,7 @@ func (c *Cluster) Shutdown() {
 	if c.sched != nil && c.sched.pw != nil {
 		c.sched.pw.Halt()
 	}
-	if c.rebal != nil {
-		c.rebal.halt()
-	}
+	c.rebalLoop.Stop()
 	c.registry.Stop()
 	c.shutdownNodesLocked()
 }

@@ -6,7 +6,6 @@ import (
 
 	"swapservellm/internal/core"
 	"swapservellm/internal/obs"
-	"swapservellm/internal/simclock"
 )
 
 // rebalancer is the cluster's background snapshot-placement optimizer.
@@ -24,9 +23,6 @@ type rebalancer struct {
 	interval  time.Duration
 	highWater float64
 	capBytes  int64
-
-	stop chan struct{}
-	done chan struct{}
 
 	// testHookBeforeCommit, when set, runs after a (hot, dst) pair is
 	// selected but before the Promote/Demote commit — a seam for tests
@@ -51,22 +47,7 @@ func newRebalancer(c *Cluster, interval time.Duration, highWater float64, capByt
 		interval:  interval,
 		highWater: highWater,
 		capBytes:  capBytes,
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
 	}
-}
-
-func (rb *rebalancer) run() {
-	defer close(rb.done)
-	gate := simclock.GateFor(rb.c.clock)
-	for gate.Wait(rb.interval, rb.stop) < 0 {
-		rb.Sweep(rb.c.traceCtx(context.Background()))
-	}
-}
-
-func (rb *rebalancer) halt() {
-	close(rb.stop)
-	simclock.GateFor(rb.c.clock).Block(func() { <-rb.done })
 }
 
 // Sweep performs one rebalancing pass, returning how many migrations

@@ -33,9 +33,7 @@ type NodeRegistry struct {
 	nodes map[string]*Node
 	order []string
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
+	loop *simclock.Loop
 }
 
 // SetChaos installs (or removes) the fault injector. Every health probe
@@ -72,8 +70,6 @@ func NewNodeRegistry(clock simclock.Clock, reg *metrics.Registry, interval time.
 		missLimit: missLimit,
 		probe:     &http.Client{Timeout: 5 * time.Second},
 		nodes:     make(map[string]*Node),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
 	}
 }
 
@@ -113,23 +109,13 @@ func (r *NodeRegistry) Nodes() []*Node {
 // nodes that are already serving join immediately.
 func (r *NodeRegistry) Start() {
 	r.Sweep()
-	simclock.GateFor(r.clock).Go(r.run)
+	r.loop = simclock.Every(r.clock, r.interval, r.Sweep)
 }
 
 // Stop halts the heartbeat loop and waits for it to exit, shedding the
-// run token while the loop goroutine drains.
-func (r *NodeRegistry) Stop() {
-	r.stopOnce.Do(func() { close(r.stop) })
-	simclock.GateFor(r.clock).Block(func() { <-r.done })
-}
-
-func (r *NodeRegistry) run() {
-	defer close(r.done)
-	gate := simclock.GateFor(r.clock)
-	for gate.Wait(r.interval, r.stop) < 0 {
-		r.Sweep()
-	}
-}
+// run token while the loop goroutine drains. Safe to call repeatedly or
+// before Start.
+func (r *NodeRegistry) Stop() { r.loop.Stop() }
 
 // Sweep probes every node once and applies the state machine. Exported
 // so tests (and the gateway after a passive failure report) can force a

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"swapservellm/internal/config"
-	"swapservellm/internal/core"
 	"swapservellm/internal/models"
 	"swapservellm/internal/obs"
 	"swapservellm/internal/perfmodel"
@@ -25,7 +24,7 @@ type schedState struct {
 	pred    *sched.Predictor
 	adm     *sched.Admission // nil when admission is off
 	pw      *sched.Prewarmer // nil when prewarm is off
-	ttl     core.TTLPolicy   // nil when ttl_policy is unset
+	ttl     sched.TTLPolicy  // nil when ttl_policy is unset
 	classOf map[string]string
 }
 

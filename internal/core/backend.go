@@ -107,11 +107,6 @@ type Backend struct {
 	// of the preemption policy (nanoseconds since epoch).
 	lastAccessed atomic.Int64
 
-	// ewmaInterArrival is an exponentially weighted moving average of the
-	// gap between request arrivals (nanoseconds); the prefetcher's demand
-	// predictor.
-	ewmaInterArrival atomic.Int64
-
 	// requiredBytes is the GPU memory needed to resume this backend: the
 	// footprint recorded at swap-out time (§4.2 "saves the amount of GPU
 	// memory in use").
@@ -215,28 +210,16 @@ func (b *Backend) LastAccessed() time.Time {
 	return time.Unix(0, b.lastAccessed.Load())
 }
 
-// touch updates the last-accessed metadata (§4.1) and folds the observed
-// inter-arrival gap into the EWMA demand predictor.
-func (b *Backend) touch(t time.Time) {
+// touch advances the last-accessed metadata (§4.1) to t, reporting
+// false when t is not later than the recorded access.
+func (b *Backend) touch(t time.Time) bool {
 	for {
 		cur := b.lastAccessed.Load()
 		if t.UnixNano() <= cur {
-			return
+			return false
 		}
 		if b.lastAccessed.CompareAndSwap(cur, t.UnixNano()) {
-			if cur > 0 {
-				gap := t.UnixNano() - cur
-				old := b.ewmaInterArrival.Load()
-				var next int64
-				if old == 0 {
-					next = gap
-				} else {
-					// alpha = 1/4: responsive but stable.
-					next = old + (gap-old)/4
-				}
-				b.ewmaInterArrival.Store(next)
-			}
-			return
+			return true
 		}
 	}
 }

@@ -73,7 +73,7 @@ func (rt *router) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy
 	}
 
 	now := rt.s.clock.Now()
-	b.touch(now)
+	rt.s.observeArrival(b, now)
 	rt.s.reg.Counter("requests_total").Inc()
 	rt.s.reg.Counter("requests_" + b.name).Inc()
 

@@ -7,6 +7,7 @@ import (
 
 	"swapservellm/internal/metrics"
 	"swapservellm/internal/obs"
+	"swapservellm/internal/sched"
 	"swapservellm/internal/simclock"
 )
 
@@ -18,7 +19,7 @@ type Scheduler struct {
 	tm    *TaskManager
 	ctrl  *Controller
 	reg   *metrics.Registry
-	ttl   TTLPolicy
+	ttl   sched.TTLPolicy
 }
 
 // NewScheduler builds a scheduler.

@@ -20,6 +20,7 @@ import (
 	"swapservellm/internal/models"
 	"swapservellm/internal/obs"
 	"swapservellm/internal/perfmodel"
+	"swapservellm/internal/sched"
 	"swapservellm/internal/simclock"
 	"swapservellm/internal/storage"
 )
@@ -37,12 +38,6 @@ type Options struct {
 	// GPUCount overrides the topology size (default: large enough for the
 	// highest configured GPU index, at least the testbed's count).
 	GPUCount int
-	// HostSnapshotCapBytes bounds host memory for checkpoint images
-	// (default: the config's snapshot_host_cap_gib; 0 = unlimited).
-	HostSnapshotCapBytes int64
-	// SpillToDisk spills LRU checkpoint images to disk under host-memory
-	// pressure (default: the config's snapshot_spill).
-	SpillToDisk bool
 	// Chaos, when set, arms deterministic fault injection in every
 	// substrate layer (checkpoint driver, cgroup freezer, model store).
 	Chaos *chaos.Injector
@@ -53,11 +48,11 @@ type Options struct {
 	// started under this server install it on their contexts. Exported at
 	// /debug/trace as Chrome trace_event JSON.
 	Tracer *obs.Tracer
-	// TTL, when set, replaces the reaper's fixed keep-alive comparison
-	// with a scheduling policy (internal/sched provides fixed, adaptive,
-	// and predictive implementations). The reaper runs whenever TTL is
-	// set, even with keep_alive_sec unset.
-	TTL TTLPolicy
+	// TTL is the reaper's keep-alive policy (internal/sched provides
+	// fixed, adaptive, and predictive implementations). Default: a
+	// sched.FixedTTL of keep_alive_sec, or no reaping when that is unset.
+	// The reaper runs whenever a policy is in place.
+	TTL sched.TTLPolicy
 }
 
 // Server is the assembled SwapServeLLM deployment: substrates, backends,
@@ -79,15 +74,14 @@ type Server struct {
 	ctrl  *Controller
 	sched *Scheduler
 
-	ttl      TTLPolicy
+	ttl      sched.TTLPolicy // nil: nothing is reaped
+	demand   *sched.Predictor
 	chaosInj *chaos.Injector
 
 	mu        sync.Mutex
 	backends  map[string]*Backend // the model-name index of §3.2
 	workers   []*worker
-	reap      *reaper
-	prefetch  *prefetcher
-	gpumon    *gpuMonitorLoop
+	loops     []*simclock.Loop
 	initCache *engine.InitCache
 
 	httpServer *http.Server
@@ -126,12 +120,12 @@ func New(cfg config.Config, opts Options) (*Server, error) {
 
 	topo := gpu.NewTopology(tb.GPU, gpuCount, tb.GPUMemBytes)
 	freezer := cgroup.NewFreezer()
-	hostCap := opts.HostSnapshotCapBytes
-	if hostCap == 0 && cfg.Global.SnapshotHostCapGiB > 0 {
+	var hostCap int64
+	if cfg.Global.SnapshotHostCapGiB > 0 {
 		hostCap = int64(cfg.Global.SnapshotHostCapGiB * float64(int64(1)<<30))
 	}
 	driver := cudackpt.NewDriver(clock, tb, hostCap)
-	if opts.SpillToDisk || cfg.Global.SnapshotSpill {
+	if cfg.Global.SnapshotSpill {
 		driver.EnableSpill()
 	}
 	if cfg.Global.SwapChunkMiB > 0 {
@@ -176,7 +170,12 @@ func New(cfg config.Config, opts Options) (*Server, error) {
 	)
 	ctrl.SetPipelined(cfg.Global.PipelinedSwap)
 	tm.SetEvictor(ctrl)
-	sched := NewScheduler(clock, tm, ctrl, reg)
+	ttl := opts.TTL
+	if ttl == nil && cfg.KeepAlive() > 0 {
+		ttl = &sched.FixedTTL{TTL: cfg.KeepAlive()}
+	}
+	scheduler := NewScheduler(clock, tm, ctrl, reg)
+	scheduler.ttl = ttl
 	// Every checkpoint chunk that frees device capacity immediately
 	// re-runs the grant loop, so a pending reservation can be granted
 	// incrementally before the victim's checkpoint finishes.
@@ -199,12 +198,12 @@ func New(cfg config.Config, opts Options) (*Server, error) {
 		store:    store,
 		tm:       tm,
 		ctrl:     ctrl,
-		sched:    sched,
-		ttl:      opts.TTL,
+		sched:    scheduler,
+		ttl:      ttl,
+		demand:   sched.NewPredictor(0, 0),
 		chaosInj: opts.Chaos,
 		backends: make(map[string]*Backend),
 	}
-	sched.ttl = opts.TTL
 	if cfg.Global.CompileCache {
 		s.initCache = engine.NewInitCache()
 	}
@@ -317,33 +316,7 @@ func (s *Server) Start(ctx context.Context) error {
 		}
 	}
 
-	// Background loops spawn through the clock's gate so a Virtual clock
-	// accounts for them; on Real/Scaled clocks the gate is a plain `go`.
-	gate := simclock.GateFor(s.clock)
-
-	// Start the idle reaper when keep-alive is configured, a TTL policy
-	// is installed (the policy then owns the eviction choice), or
-	// second-level snapshot demotion is enabled.
-	if ka := s.cfg.KeepAlive(); ka > 0 || s.ttl != nil || s.cfg.Global.SnapshotDemoteSec > 0 {
-		interval := ka / 4
-		if interval < time.Second {
-			interval = time.Second
-		}
-		s.reap = newReaper(s, ka, interval)
-		gate.Go(s.reap.run)
-	}
-
-	// Start the predictive prefetcher when configured.
-	if s.cfg.Global.Prefetch {
-		s.prefetch = newPrefetcher(s, 250*time.Millisecond)
-		gate.Go(s.prefetch.run)
-	}
-
-	// Start the continuous GPU monitor when configured (§3.2).
-	if sec := s.cfg.Global.GPUMonitorSec; sec > 0 {
-		s.gpumon = newGPUMonitorLoop(s, time.Duration(sec*float64(time.Second)))
-		gate.Go(s.gpumon.run)
-	}
+	s.startLoops()
 
 	// Start the router.
 	ln, err := net.Listen("tcp", s.cfg.Listen)
@@ -409,7 +382,7 @@ func (s *Server) initBackend(ctx context.Context, mc *config.Model) error {
 		keepWarm:     mc.KeepWarm,
 	}
 	b.setState(BackendInitializing)
-	b.touch(s.clock.Now())
+	s.observeArrival(b, s.clock.Now())
 
 	s.mu.Lock()
 	s.backends[mc.Name] = b
@@ -466,20 +439,14 @@ func (s *Server) URL() string { return "http://" + s.Addr() }
 // Handler returns the router handler (usable without a listener).
 func (s *Server) Handler() http.Handler { return newRouter(s).handler() }
 
-// Shutdown stops the router, the reaper, the workers, and every
-// container.
+// Shutdown stops the router, the background loops, the workers, and
+// every container.
 func (s *Server) Shutdown() {
 	if s.httpServer != nil {
 		s.httpServer.Close()
 	}
-	if s.reap != nil {
-		s.reap.halt()
-	}
-	if s.prefetch != nil {
-		s.prefetch.halt()
-	}
-	if s.gpumon != nil {
-		s.gpumon.halt()
+	for _, l := range s.loops {
+		l.Stop()
 	}
 	s.mu.Lock()
 	workers := s.workers

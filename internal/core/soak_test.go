@@ -9,14 +9,15 @@ import (
 
 	"swapservellm/internal/config"
 	"swapservellm/internal/openai"
-	"swapservellm/internal/simclock"
 )
 
 // TestSoakRandomChurn drives a five-model deployment with randomized
 // concurrent traffic, explicit admin swaps, and memory pressure, then
 // checks the system's conservation invariants: no GPU or host-memory
 // leaks, consistent reservation accounting, and every backend settled in
-// a legal state.
+// a legal state. It runs on the Virtual clock: every client goroutine is
+// registered and crosses the wire through the gate, so simulated
+// latencies do not depend on host load.
 func TestSoakRandomChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
@@ -33,7 +34,14 @@ func TestSoakRandomChurn(t *testing.T) {
 	for _, name := range modelNames {
 		cfg.Models = append(cfg.Models, config.Model{Name: name, Engine: "ollama"})
 	}
-	s := startServer(t, cfg, Options{Clock: simclock.NewScaled(testEpoch, 2000)})
+	clock := virtualTestClock(t)
+	gate := clock.Gate()
+	s := startServer(t, cfg, Options{Clock: clock})
+	client := func() *openai.Client {
+		cli := openai.NewClient(s.URL())
+		cli.Clock = clock
+		return cli
+	}
 
 	// Memory pressure: leave ~35 GiB of headroom so evictions happen.
 	dev, _ := s.Topology().Device(0)
@@ -53,8 +61,8 @@ func TestSoakRandomChurn(t *testing.T) {
 		action := rng.Intn(10)
 		maxTokens := 1 + rng.Intn(8)
 		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, model string, action, maxTokens int) {
+		gate.Block(func() { sem <- struct{}{} })
+		gate.Go(func() {
 			defer wg.Done()
 			defer func() { <-sem }()
 			switch {
@@ -65,7 +73,7 @@ func TestSoakRandomChurn(t *testing.T) {
 				s.Controller().SwapOut(context.Background(), b)
 			default:
 				seed := int64(i)
-				_, err := openai.NewClient(s.URL()).ChatCompletion(context.Background(),
+				_, err := client().ChatCompletion(context.Background(),
 					&openai.ChatCompletionRequest{
 						Model:     model,
 						Messages:  []openai.Message{{Role: "user", Content: "soak"}},
@@ -80,16 +88,16 @@ func TestSoakRandomChurn(t *testing.T) {
 				}
 				mu.Unlock()
 			}
-		}(i, model, action, maxTokens)
+		})
 	}
-	wg.Wait()
+	gate.Block(wg.Wait)
 
 	if failed > 0 {
 		t.Errorf("%d/%d requests failed during churn", failed, served+failed)
 	}
 
 	// Let in-flight transitions settle (reaper sweeps, pending swaps).
-	deadline := time.Now().Add(5 * time.Second)
+	deadline := clock.Now().Add(10 * time.Minute)
 	settled := func() bool {
 		for _, b := range s.Backends() {
 			st := b.State()
@@ -103,14 +111,14 @@ func TestSoakRandomChurn(t *testing.T) {
 		return s.TaskManager().PendingCount() == 0
 	}
 	for !settled() {
-		if time.Now().After(deadline) {
+		if clock.Now().After(deadline) {
 			for _, b := range s.Backends() {
 				t.Logf("backend %s: state=%v pending=%d active=%d",
 					b.Name(), b.State(), b.Pending(), b.Active())
 			}
 			t.Fatal("system did not settle after churn")
 		}
-		time.Sleep(5 * time.Millisecond)
+		clock.Sleep(5 * time.Millisecond)
 	}
 
 	// Invariant 1: device accounting. Used = squatter + running backends.
@@ -148,7 +156,7 @@ func TestSoakRandomChurn(t *testing.T) {
 	// Invariant 4: every backend still serves.
 	for _, name := range modelNames {
 		seed := int64(7)
-		if _, err := openai.NewClient(s.URL()).ChatCompletion(context.Background(),
+		if _, err := client().ChatCompletion(context.Background(),
 			&openai.ChatCompletionRequest{
 				Model:     name,
 				Messages:  []openai.Message{{Role: "user", Content: "post-soak"}},

@@ -53,7 +53,10 @@ func TestSpillEvictsLRUImage(t *testing.T) {
 }
 
 func TestSpillRestoreFromDiskSlower(t *testing.T) {
-	d, dev, clock := newSpillDriver(t, 40*gib)
+	// Virtual time: the two restore durations are exact deadline sums,
+	// so host load cannot reorder them.
+	d, dev, clock := newVirtualDriver(t, 40*gib)
+	d.EnableSpill()
 	dev.Alloc("a", 30*gib)
 	dev.Alloc("b", 30*gib)
 	d.Register("a", dev, perfmodel.EngineOllama, gib)

@@ -122,6 +122,20 @@ func (p *Predictor) Rate(model string, at time.Time) float64 {
 	return hist
 }
 
+// NextArrival returns the recent-rate signal as a point forecast: the
+// model's last arrival plus its EWMA inter-arrival gap, and that gap.
+// ok is false until two arrivals with a positive gap have been observed.
+func (p *Predictor) NextArrival(model string) (at time.Time, gap time.Duration, ok bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	md, found := p.models[model]
+	if !found || md.ewmaGap <= 0 {
+		return time.Time{}, 0, false
+	}
+	gap = time.Duration(md.ewmaGap * float64(time.Second))
+	return md.last.Add(gap), gap, true
+}
+
 // ExpectedArrivals integrates the predicted rate over [from, to),
 // bucket by bucket, returning the expected number of requests.
 func (p *Predictor) ExpectedArrivals(model string, from, to time.Time) float64 {

@@ -114,3 +114,43 @@ func argmax(xs []float64) int {
 	}
 	return best
 }
+
+// TestPredictorNextArrival: the point forecast is untrained until two
+// arrivals, and for gaps under a quarter of the window it follows the
+// α = ¼ recurrence the node's prefetcher was built around.
+func TestPredictorNextArrival(t *testing.T) {
+	const model = "m"
+	p := NewPredictor(10*time.Minute, 15*time.Minute)
+	if _, _, ok := p.NextArrival(model); ok {
+		t.Fatal("forecast before any arrival")
+	}
+	at := monday
+	p.Observe(model, at)
+	if _, _, ok := p.NextArrival(model); ok {
+		t.Fatal("forecast after one arrival")
+	}
+
+	// Gaps up to 149 s stay under window/4 = 150 s.
+	gaps := []time.Duration{12 * time.Second, 3 * time.Second, 149 * time.Second,
+		7300 * time.Millisecond, time.Second, 90 * time.Second, 1234567 * time.Microsecond}
+	var want time.Duration
+	for i, gap := range gaps {
+		at = at.Add(gap)
+		p.Observe(model, at)
+		if i == 0 {
+			want = gap
+		} else {
+			want += (gap - want) / 4
+		}
+		next, got, ok := p.NextArrival(model)
+		if !ok {
+			t.Fatalf("arrival %d: no forecast", i+2)
+		}
+		if d := got - want; d < -time.Microsecond || d > time.Microsecond {
+			t.Fatalf("arrival %d: gap %v, want %v within 1µs", i+2, got, want)
+		}
+		if !next.Equal(at.Add(got)) {
+			t.Fatalf("arrival %d: next %v, want last arrival + gap %v", i+2, next, at.Add(got))
+		}
+	}
+}

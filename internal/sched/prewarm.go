@@ -37,9 +37,7 @@ type Prewarmer struct {
 	mu      sync.Mutex
 	pending map[string]time.Time // model -> hit deadline
 
-	clock simclock.Clock
-	halt  chan struct{}
-	done  chan struct{}
+	loop *simclock.Loop
 }
 
 // PrewarmConfig assembles a Prewarmer.
@@ -81,28 +79,13 @@ func NewPrewarmer(cfg PrewarmConfig) *Prewarmer {
 
 // Run starts the sweep loop on clock; Halt stops it.
 func (p *Prewarmer) Run(clock simclock.Clock) {
-	p.clock = clock
-	p.halt = make(chan struct{})
-	p.done = make(chan struct{})
-	gate := simclock.GateFor(clock)
-	gate.Go(func() {
-		defer close(p.done)
-		for gate.Wait(p.interval, p.halt) < 0 {
-			p.Sweep(clock.Now())
-		}
-	})
+	p.loop = simclock.Every(clock, p.interval, func() { p.Sweep(clock.Now()) })
 }
 
 // Halt stops the sweep loop and waits for it to exit, shedding the run
-// token while the loop goroutine drains.
-func (p *Prewarmer) Halt() {
-	if p.halt == nil {
-		return
-	}
-	close(p.halt)
-	simclock.GateFor(p.clock).Block(func() { <-p.done })
-	p.halt = nil
-}
+// token while the loop goroutine drains. Safe to call repeatedly or
+// before Run.
+func (p *Prewarmer) Halt() { p.loop.Stop() }
 
 // Sweep runs one pre-warm pass at time now. Models are visited in the
 // fixed construction order so a sweep is deterministic.

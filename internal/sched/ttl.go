@@ -6,13 +6,10 @@ import (
 )
 
 // TTLPolicy decides whether an idle backend's residency should be
-// reclaimed. It replaces the reactive reaper's fixed keep-alive
-// comparison; implementations are consulted by each node's reaper and
-// notified of evictions and of the accesses that follow them, so
+// reclaimed. It is the one keep-alive seam: each node's reaper consults
+// it (core.Options.TTL, defaulting to a FixedTTL of keep_alive_sec) and
+// notifies it of evictions and of the accesses that follow them, so
 // adaptive policies can learn from premature reclaims.
-//
-// The interface is structurally identical to core.TTLPolicy so sched
-// policies plug straight into core.Options without an import cycle.
 type TTLPolicy interface {
 	// Name identifies the policy in metrics and experiment rows.
 	Name() string
@@ -27,7 +24,7 @@ type TTLPolicy interface {
 }
 
 // FixedTTL evicts after a constant idle window — llama-swap's `ttl`
-// auto-unload and the pre-sched reaper behaviour, expressed as a policy.
+// auto-unload and the node reaper's keep_alive_sec default.
 type FixedTTL struct {
 	TTL time.Duration
 }
