@@ -22,7 +22,6 @@ package ckptstore
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 	"time"
@@ -62,16 +61,29 @@ func (t Tier) String() string {
 type ChunkID string
 
 // ChunkKey derives a ChunkID from identity components (model content
-// key, region tag, chunk index, dirt generation). FNV-64a stands in for
-// the payload hash the real system computes — the simulation addresses
-// content by provenance, which is exact for the regions it models.
+// key, region tag, chunk index, dirt generation). FNV-64a over the parts,
+// each NUL-terminated, stands in for the payload hash the real system
+// computes — the simulation addresses content by provenance, which is
+// exact for the regions it models. The hash is rendered as 16 lowercase
+// hex digits.
 func ChunkKey(parts ...string) ChunkID {
-	h := fnv.New64a()
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
 	for _, p := range parts {
-		h.Write([]byte(p))
-		h.Write([]byte{0})
+		for i := 0; i < len(p); i++ {
+			h = (h ^ uint64(p[i])) * prime64
+		}
+		h *= prime64 // the NUL terminator: h ^ 0 == h
 	}
-	return ChunkID(fmt.Sprintf("%016x", h.Sum64()))
+	var buf [16]byte
+	for i := len(buf) - 1; i >= 0; i-- {
+		buf[i] = "0123456789abcdef"[h&0xf]
+		h >>= 4
+	}
+	return ChunkID(buf[:])
 }
 
 // ChunkRef is one chunk of an image manifest, in image order.
@@ -359,6 +371,28 @@ func (s *Store) releaseLocked(m *manifest) {
 		if m.resident == TierHost {
 			c.hostRefs--
 		}
+	}
+}
+
+// Forget drops the listed chunks from every tier unless a live manifest
+// references them or an in-flight checkpoint pins them: content nobody
+// can ask for again, such as a process's dynamic chunks from a
+// superseded dirty generation.
+func (s *Store) Forget(ids []ChunkID) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, id := range ids {
+		c, ok := s.chunks[id]
+		if !ok || c.refs > 0 || c.pins > 0 {
+			continue
+		}
+		if c.inHost {
+			s.hostBytes -= c.bytes
+		}
+		if c.onDisk {
+			s.diskBytes -= c.bytes
+		}
+		delete(s.chunks, id)
 	}
 }
 

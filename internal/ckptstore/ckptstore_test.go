@@ -387,3 +387,65 @@ func TestRegistryCountersPublished(t *testing.T) {
 		t.Fatalf("PeerID = %q", s.PeerID())
 	}
 }
+
+// TestChunkKeyRendering pins ChunkKey's content addresses: FNV-64a over
+// the NUL-terminated parts, as 16 lowercase hex digits. Changing them
+// would orphan every chunk a running store caches.
+func TestChunkKeyRendering(t *testing.T) {
+	for _, c := range []struct {
+		parts []string
+		want  ChunkID
+	}{
+		{nil, "cbf29ce484222325"},
+		{[]string{""}, "af63bd4c8601b7df"},
+	} {
+		if got := ChunkKey(c.parts...); got != c.want || len(got) != 16 {
+			t.Errorf("ChunkKey(%q) = %s, want %s", c.parts, got, c.want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { ChunkKey("model", "d", "12", "1073741824", "3") }); n > 1 {
+		t.Errorf("ChunkKey allocates %v times, want at most 1", n)
+	}
+}
+
+// TestForgetDropsOnlyUnreferencedChunks checks Forget's guard: chunks
+// a live manifest references or an in-flight plan pins survive; an
+// unreferenced chunk leaves every tier it was in.
+func TestForgetDropsOnlyUnreferencedChunks(t *testing.T) {
+	const gib = int64(1) << 30
+	s := testStore(t)
+	live := refsFor("live", 2, gib)
+	dead := refsFor("dead", 2, gib)
+	checkpoint(s, "live", live)
+	checkpoint(s, "dead", dead)
+	if _, _, err := s.Demote(context.Background(), "dead"); err != nil {
+		t.Fatal(err)
+	}
+	s.Release("dead") // on disk only, unreferenced
+	pinned := refsFor("pinned", 1, gib)
+	checkpoint(s, "pinned", pinned)
+	s.Release("pinned")
+	s.PlanCheckpoint("again", pinned) // pins the cached chunk
+	before := s.Stats()
+
+	var ids []ChunkID
+	for _, r := range append(append(live, dead...), pinned...) {
+		ids = append(ids, r.ID)
+	}
+	s.Forget(append(ids, ChunkKey("never", "stored")))
+	mustSelfCheck(t, s)
+	st := s.Stats()
+	if st.Chunks != before.Chunks-2 {
+		t.Fatalf("chunks %d → %d, want the 2 dead ones dropped", before.Chunks, st.Chunks)
+	}
+	if st.DiskBytes != before.DiskBytes-2*gib || st.HostBytes != before.HostBytes {
+		t.Fatalf("tiers host %d → %d, disk %d → %d; want only the dead disk bytes gone",
+			before.HostBytes, st.HostBytes, before.DiskBytes, st.DiskBytes)
+	}
+	s.AbortCheckpoint("again")
+	s.Forget(ids)
+	mustSelfCheck(t, s)
+	if got := s.Stats().Chunks; got != 2 {
+		t.Fatalf("chunks after unpinning = %d, want only the live manifest's 2", got)
+	}
+}

@@ -280,7 +280,7 @@ func (c *Cluster) Start(ctx context.Context) error {
 	}
 	c.listener = ln
 	//swaplint:block reason=handler() only wires the mux; its route closures run on gateway serve goroutines, never under c.mu
-	c.httpServer = &http.Server{Handler: (&gateway{c: c, front: c.front}).handler()}
+	c.httpServer = &http.Server{Handler: simclock.Serve(c.clock, (&gateway{c: c, front: c.front}).handler())}
 	go c.httpServer.Serve(ln)
 	c.started = true
 	return nil

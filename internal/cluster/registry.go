@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"sort"
@@ -168,7 +169,14 @@ func (r *NodeRegistry) healthy(n *Node) bool {
 	}
 	var resp *http.Response
 	var err error
-	simclock.GateFor(r.clock).BlockIO(func() { resp, err = r.probe.Get(url + "/health") })
+	simclock.GateFor(r.clock).Send(context.Background(), func(ctx context.Context) {
+		var req *http.Request
+		if req, err = http.NewRequestWithContext(ctx, http.MethodGet, url+"/health", nil); err != nil {
+			return
+		}
+		simclock.Stamp(req)
+		resp, err = r.probe.Do(req)
+	})
 	if err != nil {
 		return false
 	}

@@ -281,7 +281,7 @@ func (rt *Runtime) Start(ctx context.Context, c *Container) (err error) {
 	if err != nil {
 		return fmt.Errorf("container: publishing port: %w", err)
 	}
-	srv := &http.Server{Handler: c.eng.Handler()}
+	srv := &http.Server{Handler: simclock.Serve(c.rt.clock, c.eng.Handler())}
 	go srv.Serve(ln)
 
 	ready := make(chan struct{})

@@ -41,9 +41,9 @@ type Controller struct {
 	evictSerialMu sync.Mutex
 	evictSerial   map[int]*sync.Mutex
 
-	// pipelined selects the full-duplex SwapExchange fast path: the
-	// target's restore starts as soon as the victim's checkpoint frees
-	// its first chunks, instead of after the checkpoint completes.
+	// pipelined selects the full-duplex swap-in: the target's restore
+	// starts at once and takes each chunk from its reservation as the
+	// victim's checkpoint frees it, instead of after the full grant.
 	pipelined bool
 }
 
@@ -119,9 +119,10 @@ func (ct *Controller) traceCtx(ctx context.Context) context.Context {
 	return ctx
 }
 
-// SetPipelined selects between the sequential swap path (checkpoint the
-// victim fully, then restore the target) and the pipelined full-duplex
-// path in SwapExchange. Sequential remains the A/B baseline.
+// SetPipelined selects between the sequential swap-in (restore once the
+// reservation is fully granted) and the pipelined full-duplex swap-in
+// (restore into the reservation as it grows). Sequential remains the
+// A/B baseline.
 func (ct *Controller) SetPipelined(on bool) {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
@@ -266,10 +267,11 @@ func (ct *Controller) drain(ctx context.Context, b *Backend) error {
 }
 
 // SwapIn resumes a swapped-out backend (§3.3 ⑨): restore the GPU state
-// from the host snapshot, thaw the cgroup, apply the engine wake-up, and
-// verify the engine API is live. The caller must hold a memory
-// reservation covering RequiredBytes.
-func (ct *Controller) SwapIn(ctx context.Context, b *Backend) (err error) {
+// from the host snapshot into res, thaw the cgroup, apply the engine
+// wake-up, and verify the engine API is live. res is the caller's memory
+// reservation for RequiredBytes; the restore takes each chunk from it as
+// it grows, and the wake-up runs once it is fully granted.
+func (ct *Controller) SwapIn(ctx context.Context, b *Backend, res *Reservation) (err error) {
 	ctx = ct.traceCtx(ctx)
 	ctx, span := obs.Start(ctx, "swap.in", obs.String("model", b.name))
 	defer func() { span.EndErr(err) }()
@@ -280,8 +282,13 @@ func (ct *Controller) SwapIn(ctx context.Context, b *Backend) (err error) {
 	t0 := ct.clock.Now()
 
 	// Restore device state and resume the CUDA process.
-	if err := ct.rt.Driver().Resume(ctx, b.ctr.ID()); err != nil {
+	if err := ct.rt.Driver().Resume(ctx, b.ctr.ID(), res); err != nil {
 		return ct.failBack(ctx, b, "restoring GPU state", err)
+	}
+	// A sleep-mode image is smaller than the footprint the wake-up grows
+	// back to, so a pipelined restore can land before its full grant.
+	if err := res.Wait(ctx); err != nil {
+		return ct.failBack(ctx, b, "reserving GPU memory", err)
 	}
 	return ct.resume(ctx, b, t0)
 }
@@ -400,27 +407,30 @@ func (ct *Controller) verifyAPI(ctx context.Context, b *Backend) error {
 
 // EvictOne implements Evictor: pick the policy's best candidate among
 // running backends on the device and swap it out.
-func (ct *Controller) EvictOne(ctx context.Context, gpuID int, exclude map[string]bool) (int64, bool) {
+func (ct *Controller) EvictOne(ctx context.Context, gpuID int, exclude map[string]bool, needed func() bool) (string, bool) {
 	lock := ct.evictLock(gpuID)
 	// Held across SwapOut's simulated transfer, so acquire through the
 	// gate: a waiter must not pin virtual time while the holder sleeps.
 	simclock.GateFor(ct.clock).Block(lock.Lock)
 	defer lock.Unlock()
+	if needed != nil && !needed() {
+		return "", false
+	}
 
 	cand, ok := ct.selectCandidate(gpuID, exclude)
 	if !ok {
-		return 0, false
+		return "", false
 	}
 	ct.mu.Lock()
 	b := ct.backends[cand.Name]
 	ct.mu.Unlock()
 	if b == nil {
-		return 0, false
+		return "", false
 	}
 	if err := ct.SwapOut(ctx, b); err != nil {
-		return 0, false
+		return "", false
 	}
-	return cand.FreeableBytes, true
+	return cand.Name, true
 }
 
 // selectCandidate builds the candidate list for a device and applies the

@@ -11,6 +11,7 @@ import (
 	"swapservellm/internal/openai"
 	"swapservellm/internal/proxy"
 	"swapservellm/internal/proxy/ir"
+	"swapservellm/internal/simclock"
 )
 
 // router is the OpenAI API router of §3.1 ①, grown into the same
@@ -108,6 +109,7 @@ func (rt *router) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy
 	// Queue-capacity check (§3.3 ②).
 	select {
 	case b.queue <- item:
+		simclock.GateFor(rt.s.clock).Wake(b.queue)
 	default:
 		rt.s.reg.Counter("rejected_queue_full").Inc()
 		span.Fail(fmt.Errorf("queue full"))

@@ -38,7 +38,7 @@ func (s *Scheduler) EnsureRunning(ctx context.Context, b *Backend) (err error) {
 	if b.State() == BackendRunning {
 		return nil
 	}
-	ctx, span := obs.Start(ctx, "ensure.running", obs.String("model", b.name))
+	ctx, span := obs.Start(s.ctrl.traceCtx(ctx), "ensure.running", obs.String("model", b.name))
 	defer func() { span.EndErr(err) }()
 	// The lock may be held by a peer that is asleep on the clock (a
 	// swap mid-flight); acquire through the gate so a virtual clock can
@@ -75,14 +75,44 @@ func (s *Scheduler) EnsureRunning(ctx context.Context, b *Backend) (err error) {
 	// RequiredBytes is the backend's total footprint; tensor-parallel
 	// backends need an even share on each device of their topology.
 	perDevice := b.RequiredBytes() / int64(len(b.gpus))
-	res, rerr := s.tm.Reserve(ctx, b.gpus, perDevice, b.name)
-	if rerr != nil {
-		return fmt.Errorf("core: reserving %d bytes for %s: %w", b.RequiredBytes(), b.name, rerr)
+	res, err := s.tm.enqueue(b.gpus, perDevice, b.name)
+	if err != nil {
+		return fmt.Errorf("core: reserving %d bytes for %s: %w", b.RequiredBytes(), b.name, err)
+	}
+	pipelined := s.ctrl.Pipelined()
+	if !isClosed(res.p.granted) {
+		// The claim does not fit: running backends must be evicted, so
+		// this swap-in is an exchange. The victims' swap-outs and the
+		// target's swap-in nest in one span.
+		var xspan *obs.Span
+		ctx, xspan = obs.Start(ctx, "swap.exchange",
+			obs.String("target", b.name), obs.Bool("pipelined", pipelined))
+		defer func() {
+			victims := res.victims()
+			for _, v := range victims {
+				xspan.SetAttr(obs.String("victim", v))
+			}
+			xspan.EndErr(err)
+			if err == nil && victims != nil {
+				s.reg.Histogram("swap_exchange_latency").Observe(s.clock.Since(t0))
+				s.reg.Counter("swap_exchanges").Inc()
+			}
+		}()
+	}
+	// Whatever headroom the restore did not allocate is handed back once
+	// the swap-in settled (scoped acquire-release, §6); a failed swap-in
+	// thereby also settles the evictions it started.
+	defer res.Release()
+	res.track(ctx)
+	// Sequential: the restore starts once the whole claim is granted.
+	// Pipelined: it starts at once, each chunk waiting until the claim
+	// covers it, so the target moves in while the victim moves out over
+	// the full-duplex link.
+	if !pipelined {
+		if err := res.Wait(ctx); err != nil {
+			return fmt.Errorf("core: reserving %d bytes for %s: %w", b.RequiredBytes(), b.name, err)
+		}
 	}
 	s.reg.Histogram("reservation_wait").Observe(s.clock.Since(t0))
-	// The reservation's headroom is handed back once the restore's real
-	// allocation has landed (scoped acquire-release, §6).
-	defer res.Release()
-
-	return s.ctrl.SwapIn(ctx, b)
+	return s.ctrl.SwapIn(ctx, b, res)
 }

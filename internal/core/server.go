@@ -324,7 +324,7 @@ func (s *Server) Start(ctx context.Context) error {
 		return fmt.Errorf("core: listening on %s: %w", s.cfg.Listen, err)
 	}
 	s.listener = ln
-	s.httpServer = &http.Server{Handler: newRouter(s).handler()}
+	s.httpServer = &http.Server{Handler: simclock.Serve(s.clock, newRouter(s).handler())}
 	go s.httpServer.Serve(ln)
 	return nil
 }

@@ -17,53 +17,109 @@ import (
 // engine controller implements it; the task manager invokes it when a
 // reservation cannot be satisfied from free memory (§3.5).
 type Evictor interface {
-	// EvictOne selects the best preemption candidate on the given device
-	// (excluding the named backends) and swaps it out, returning false when
-	// nothing is evictable.
-	EvictOne(ctx context.Context, gpuID int, exclude map[string]bool) (freed int64, ok bool)
+	// EvictOne waits for the device's eviction turn, then — unless
+	// needed (when non-nil) reports the memory is no longer wanted —
+	// selects the best preemption candidate on the device (excluding the
+	// named backends) and swaps it out, returning its name. It returns
+	// false when nothing was evicted.
+	EvictOne(ctx context.Context, gpuID int, exclude map[string]bool, needed func() bool) (victim string, ok bool)
 }
 
 // Reservation is a claim on GPU memory with scoped acquire-release
-// semantics (§6). Reserve hands it out granted: the holder performs its
-// swap-in, the actual device allocation replaces the claim, and Release
-// returns the claimed headroom to the pool. ReserveAsync hands it out
-// queued: it accrues freed capacity in FIFO order until Done closes.
+// semantics (§6). It queues in FIFO order and accrues freed capacity
+// chunk by chunk until it is fully granted; the restore it feeds takes
+// each chunk's bytes out of it (Take), and Release returns whatever
+// headroom is left.
 type Reservation struct {
-	tm *TaskManager
-	p  *pending
-
-	mu       sync.Mutex
-	released bool
+	tm      *TaskManager
+	p       *pending
+	release sync.Once
 }
 
-// Done is closed once the reservation has been fully granted.
-func (r *Reservation) Done() <-chan struct{} { return r.p.granted }
+// Wait blocks until the reservation is fully granted or ctx ends.
+func (r *Reservation) Wait(ctx context.Context) (err error) {
+	p := r.p
+	ready := func() bool { return isClosed(p.granted) }
+	simclock.GateFor(r.tm.clock).BlockOn(p.granted, ready, func() {
+		select {
+		case <-p.granted:
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
+	})
+	return err
+}
 
-// Release returns whatever the reservation holds — the full claim when
-// granted, the partial per-device claims otherwise, removing it from the
-// queue — and re-runs the grant loop. Safe to call once the restore's
-// device allocation has landed (or after a failed swap-in). Idempotent.
-func (r *Reservation) Release() {
-	r.mu.Lock()
-	if r.released {
-		r.mu.Unlock()
-		return
-	}
-	r.released = true
-	r.mu.Unlock()
-
+// Take implements cudackpt.Claim: it waits until the reservation holds
+// bytes of unallocated headroom on gpuID, then runs the restore's
+// allocation and converts that headroom into the allocation under one
+// lock, so no other claim ever sees the bytes as available. A fully
+// granted reservation never grows again: a restore needing more than it
+// holds allocates the remainder from free memory.
+func (r *Reservation) Take(ctx context.Context, gpuID int, bytes int64, alloc func() error) error {
 	tm, p := r.tm, r.p
-	tm.mu.Lock()
-	defer tm.mu.Unlock()
-	if !isClosed(p.granted) {
-		if p.index >= 0 && p.index < len(tm.queue) && tm.queue[p.index] == p {
-			heap.Remove(&tm.queue, p.index)
+	for {
+		tm.mu.Lock()
+		held := p.claimed[gpuID] - p.used[gpuID]
+		if held >= bytes || isClosed(p.granted) {
+			err := alloc()
+			if err == nil {
+				if p.used == nil {
+					p.used = make(map[int]int64)
+				}
+				p.used[gpuID] += min(bytes, held)
+				tm.reserved[gpuID] -= min(bytes, held)
+			}
+			tm.mu.Unlock()
+			return err
+		}
+		tm.mu.Unlock()
+		var err error
+		ready := func() bool { return len(p.grew) > 0 || isClosed(p.granted) }
+		simclock.GateFor(tm.clock).BlockOn(p.grew, ready, func() {
+			select {
+			case <-p.grew:
+			case <-p.granted:
+			case <-ctx.Done():
+				err = ctx.Err()
+			}
+		})
+		if err != nil {
+			return err
 		}
 	}
-	// A granted claim holds p.bytes on every device; a queued one holds
-	// whatever the grant loop carved out so far.
-	tm.returnClaimsLocked(p)
-	tm.grantLocked()
+}
+
+// Release hands back the headroom the reservation holds — the full claim
+// when granted, the partial claims otherwise — less what its restore
+// allocated, and re-runs the grant loop. Releasing a claim before its
+// grant also stops the evictions it drives and waits for the one in
+// flight to settle. Call it once the swap-in settled. Idempotent.
+func (r *Reservation) Release() {
+	r.release.Do(func() {
+		tm, p := r.tm, r.p
+		tm.mu.Lock()
+		stop := p.stopReclaim
+		if isClosed(p.granted) {
+			stop = nil
+		} else if p.index >= 0 && p.index < len(tm.queue) && tm.queue[p.index] == p {
+			heap.Remove(&tm.queue, p.index)
+		}
+		p.span.End()
+		tm.returnClaimsLocked(p)
+		tm.grantLocked()
+		tm.mu.Unlock()
+		if stop != nil {
+			stop()
+		}
+	})
+}
+
+// victims returns the backends the reservation's reclaim evicted.
+func (r *Reservation) victims() []string {
+	r.tm.mu.Lock()
+	defer r.tm.mu.Unlock()
+	return append([]string(nil), r.p.victims...)
 }
 
 // pending is one queued reservation request.
@@ -80,9 +136,17 @@ type pending struct {
 	// claims incrementally as memory frees — a pipelined swap-out
 	// releases capacity chunk by chunk, and each chunk lands here before
 	// a later request can steal it. The reservation is granted when
-	// claimed reaches bytes on every device; a cancelled or released
-	// reservation returns whatever it had claimed.
+	// claimed reaches bytes on every device. used tracks the claimed
+	// bytes the restore turned into device allocations: claimed-used is
+	// the headroom the reservation holds.
 	claimed map[int]int64
+	used    map[int]int64
+	grew    chan struct{} // signalled whenever the claim grows
+	span    *obs.Span     // "reserve", open until the grant or release
+	victims []string      // backends reclaim evicted for this claim
+	// stopReclaim cancels the preemption loop and waits for it to exit
+	// (nil when the claim fit at once).
+	stopReclaim func()
 }
 
 // pendingHeap orders reservations by arrival (FIFO grant order).
@@ -170,51 +234,19 @@ func (tm *TaskManager) PendingCount() int {
 // blocks — preempting running backends when needed — until the claim is
 // granted, the context is cancelled, or the claim is impossible.
 // owner names the requesting backend so preemption excludes it.
-func (tm *TaskManager) Reserve(ctx context.Context, gpus []int, bytes int64, owner string) (res *Reservation, err error) {
-	ctx, span := obs.Start(ctx, "reserve",
-		obs.String("owner", owner), obs.Int64("bytes", bytes))
-	defer func() { span.EndErr(err) }()
+func (tm *TaskManager) Reserve(ctx context.Context, gpus []int, bytes int64, owner string) (*Reservation, error) {
 	r, err := tm.enqueue(gpus, bytes, owner)
 	if err != nil {
 		return nil, err
 	}
-
-	// A waiter that was not granted immediately drives preemption for
-	// itself once it reaches the head of the queue; the evictor
-	// serializes actual evictions.
-	gate := simclock.GateFor(tm.clock)
-	if !isClosed(r.p.granted) && tm.evictor != nil {
-		gate.Go(func() { tm.reclaim(ctx, r.p) })
+	r.track(ctx)
+	if err := r.Wait(ctx); err != nil {
+		// Cancelled: hand back the partial claims, or the full claim if
+		// the grant raced the cancellation.
+		r.Release()
+		return nil, err
 	}
-
-	granted := false
-	gate.Block(func() {
-		select {
-		case <-r.p.granted:
-			granted = true
-		case <-ctx.Done():
-		}
-	})
-	if granted {
-		return r, nil
-	}
-	// Cancelled: hand back the partial claims, or the full claim if the
-	// grant raced the cancellation.
-	r.Release()
-	return nil, ctx.Err()
-}
-
-// ReserveAsync enqueues a reservation and returns immediately with a
-// handle; no preemption loop is spawned. The claim participates in the
-// normal FIFO grant order and accrues freed capacity incrementally like
-// any other waiter; Done reports the full grant. The caller must Release
-// it exactly as with Reserve. ctx carries the active trace span (the
-// enqueue is recorded as an event on it); the handle itself does not
-// block, so cancellation is the caller's to honor via Release.
-func (tm *TaskManager) ReserveAsync(ctx context.Context, gpus []int, bytes int64, owner string) (*Reservation, error) {
-	obs.AddEvent(ctx, "reserve.enqueue",
-		obs.String("owner", owner), obs.Int64("bytes", bytes))
-	return tm.enqueue(gpus, bytes, owner)
+	return r, nil
 }
 
 // enqueue validates a claim, queues it in FIFO order, and runs the
@@ -234,7 +266,8 @@ func (tm *TaskManager) enqueue(gpus []int, bytes int64, owner string) (*Reservat
 				ErrNoCapacity, bytes, id, d.Total())
 		}
 	}
-	p := &pending{gpus: gpus, bytes: bytes, owner: owner, granted: make(chan struct{})}
+	p := &pending{gpus: gpus, bytes: bytes, owner: owner,
+		granted: make(chan struct{}), grew: make(chan struct{}, 1)}
 	tm.mu.Lock()
 	tm.seq++
 	p.seq = tm.seq
@@ -242,6 +275,43 @@ func (tm *TaskManager) enqueue(gpus []int, bytes int64, owner string) (*Reservat
 	tm.grantLocked()
 	tm.mu.Unlock()
 	return &Reservation{tm: tm, p: p}, nil
+}
+
+// track opens the reservation's "reserve" span on ctx, which ends at the
+// full grant (or release), and starts the preemption loop for a claim
+// that did not fit at once: the evictions it drives nest in the span.
+func (r *Reservation) track(ctx context.Context) {
+	tm, p := r.tm, r.p
+	ctx, span := obs.Start(ctx, "reserve",
+		obs.String("owner", p.owner), obs.Int64("bytes", p.bytes))
+	tm.mu.Lock()
+	granted := isClosed(p.granted)
+	if !granted {
+		p.span = span
+	}
+	tm.mu.Unlock()
+	if granted {
+		span.End()
+		return
+	}
+	// A waiter that was not granted immediately drives preemption for
+	// itself once it reaches the head of the queue; the evictor
+	// serializes actual evictions. Releasing the claim before its grant
+	// stops the loop.
+	if tm.evictor != nil {
+		gate := simclock.GateFor(tm.clock)
+		rctx, cancel := context.WithCancel(ctx)
+		done := make(chan struct{})
+		stop := func() { cancel(); gate.Block(func() { <-done }) }
+		tm.mu.Lock()
+		p.stopReclaim = stop
+		tm.mu.Unlock()
+		gate.Go(func() {
+			defer close(done)
+			defer cancel()
+			tm.reclaim(rctx, p)
+		})
+	}
 }
 
 // normalizeGPUs sorts and deduplicates device indices (ordered
@@ -279,6 +349,12 @@ func (tm *TaskManager) grantLocked() {
 		}
 		heap.Pop(&tm.queue)
 		close(head.granted)
+		// Wake the grant's waiters: Wait parks on granted, a restore's
+		// Take on grew (it also returns on the grant).
+		gate := simclock.GateFor(tm.clock)
+		gate.Wake(head.granted)
+		gate.Wake(head.grew)
+		head.span.End()
 	}
 }
 
@@ -302,6 +378,11 @@ func (tm *TaskManager) claimHeadLocked(p *pending) bool {
 			}
 			p.claimed[id] += avail
 			tm.reserved[id] += avail
+			select {
+			case p.grew <- struct{}{}:
+			default:
+			}
+			simclock.GateFor(tm.clock).Wake(p.grew)
 		}
 		if p.claimed[id] < p.bytes {
 			done = false
@@ -310,12 +391,12 @@ func (tm *TaskManager) claimHeadLocked(p *pending) bool {
 	return done
 }
 
-// returnClaimsLocked hands back everything a reservation has claimed:
-// the full amount once granted, the partial claims while queued. Caller
-// holds tm.mu.
+// returnClaimsLocked hands back the headroom a reservation holds: what
+// it claimed (the full amount once granted, the partial claims while
+// queued) less what its restore allocated. Caller holds tm.mu.
 func (tm *TaskManager) returnClaimsLocked(p *pending) {
 	for id, c := range p.claimed {
-		tm.reserved[id] -= c
+		tm.reserved[id] -= c - p.used[id]
 		if tm.reserved[id] < 0 {
 			tm.reserved[id] = 0
 		}
@@ -379,7 +460,15 @@ func (tm *TaskManager) reclaim(ctx context.Context, p *pending) {
 			continue
 		}
 
-		if _, ok := tm.evictor.EvictOne(ctx, shortID, exclude); !ok {
+		// The eviction turn may come after the claim was filled by
+		// memory another eviction freed: re-check before evicting.
+		needed := func() bool {
+			tm.mu.Lock()
+			defer tm.mu.Unlock()
+			return tm.availableLocked(shortID) < p.bytes-p.claimed[shortID]
+		}
+		victim, ok := tm.evictor.EvictOne(ctx, shortID, exclude, needed)
+		if !ok {
 			// Nothing evictable right now (candidates busy or already
 			// swapping): retry after a short simulated backoff.
 			if !backoff() {
@@ -388,6 +477,7 @@ func (tm *TaskManager) reclaim(ctx context.Context, p *pending) {
 			continue
 		}
 		tm.mu.Lock()
+		p.victims = append(p.victims, victim)
 		tm.grantLocked()
 		tm.mu.Unlock()
 	}

@@ -238,16 +238,15 @@ type fakeEvictor struct {
 	refuse bool
 }
 
-func (f *fakeEvictor) EvictOne(ctx context.Context, gpuID int, exclude map[string]bool) (int64, bool) {
+func (f *fakeEvictor) EvictOne(ctx context.Context, gpuID int, exclude map[string]bool, needed func() bool) (string, bool) {
 	f.calls.Add(1)
 	if f.refuse {
-		return 0, false
+		return "", false
 	}
-	freed, err := f.dev.FreeOwner(f.owner)
-	if err != nil {
-		return 0, false
+	if _, err := f.dev.FreeOwner(f.owner); err != nil {
+		return "", false
 	}
-	return freed, true
+	return f.owner, true
 }
 
 func TestReservePreemptsViaEvictor(t *testing.T) {

@@ -16,7 +16,8 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden trace files")
 
 // tracedExchange boots the standard exchange fixture with a tracer,
-// runs one sequential swap-exchange, and returns the deterministic
+// serves one sequential swap-in that has to evict (an exchange), and
+// returns the deterministic
 // WriteTree rendering plus the raw span snapshot. Each call builds a
 // fresh server, clock, and tracer, so two calls are two independent
 // runs of the same seedless deterministic simulation.
@@ -24,8 +25,8 @@ func tracedExchange(t *testing.T) (string, []obs.SpanData) {
 	t.Helper()
 	clock := virtualTestClock(t)
 	tracer := obs.NewTracer(clock)
-	s, victim, target := exchangeServer(t, false, Options{Clock: clock, Tracer: tracer})
-	if err := s.Controller().SwapExchange(context.Background(), victim, target); err != nil {
+	s, _, target := exchangeServer(t, false, Options{Clock: clock, Tracer: tracer})
+	if err := serveExchange(context.Background(), s, target); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -87,8 +88,11 @@ func TestGoldenTraceDeterministic(t *testing.T) {
 
 // TestExchangePhaseDurationsSumToLatency checks the trace's core
 // accounting claim: the swap.exchange span's direct children are its
-// phases, and their durations account for (nearly) all of the measured
-// exchange latency — the trace explains where the time went.
+// phases — the reservation (nesting the victim's swap-out it drives)
+// and the target's swap-in — and together they cover (nearly) all of
+// the measured exchange latency: the trace explains where the time
+// went. The restore starts inside the victim's last chunks, so the
+// phases overlap and coverage is the union of their intervals.
 func TestExchangePhaseDurationsSumToLatency(t *testing.T) {
 	_, spans := tracedExchange(t)
 	var exch obs.SpanData
@@ -112,32 +116,52 @@ func TestExchangePhaseDurationsSumToLatency(t *testing.T) {
 		t.Fatalf("swap.exchange duration = %v", total)
 	}
 
-	var sum time.Duration
+	// Children arrive in start order, so one sweep merges their
+	// intervals.
+	var covered time.Duration
+	var reach time.Time
 	phases := map[string]time.Duration{}
+	var reserveID int64
 	for _, s := range spans {
 		if s.Parent != exch.ID {
 			continue
 		}
+		if s.Name == "reserve" {
+			reserveID = s.ID
+		}
 		if !s.Ended {
 			t.Fatalf("phase %s never ended", s.Name)
 		}
-		d := s.End.Sub(s.Start)
-		sum += d
-		phases[s.Name] += d
+		if s.Start.Before(exch.Start) || s.End.After(exch.End) {
+			t.Fatalf("phase %s [%v, %v] escapes the exchange [%v, %v]",
+				s.Name, s.Start, s.End, exch.Start, exch.End)
+		}
+		phases[s.Name] += s.End.Sub(s.Start)
+		start := s.Start
+		if start.Before(reach) {
+			start = reach
+		}
+		if s.End.After(start) {
+			covered += s.End.Sub(start)
+			reach = s.End
+		}
 	}
-	for _, want := range []string{"swap.out", "swap.in", "reserve"} {
+	for _, want := range []string{"swap.in", "reserve"} {
 		if _, ok := phases[want]; !ok {
 			t.Errorf("exchange has no %s phase; phases = %v", want, phases)
 		}
 	}
-	// Sequential phases cannot overlap, so they can never exceed the
-	// parent; the uncovered remainder (bookkeeping between phases) must
-	// stay under 10% of the exchange.
-	if sum > total {
-		t.Fatalf("phase durations sum to %v, more than the exchange's %v", sum, total)
+	evicted := false
+	for _, s := range spans {
+		evicted = evicted || (s.Name == "swap.out" && s.Parent == reserveID)
 	}
-	if gap := total - sum; gap > total/10 {
+	if !evicted {
+		t.Error("the reservation nests no victim swap.out")
+	}
+	// The uncovered remainder (bookkeeping between phases) must stay
+	// under 10% of the exchange.
+	if gap := total - covered; gap > total/10 {
 		t.Fatalf("phases cover only %v of the %v exchange (gap %v > 10%%); phases = %v",
-			sum, total, gap, phases)
+			covered, total, gap, phases)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net/http"
+	"strings"
 
 	"swapservellm/internal/metrics"
 	"swapservellm/internal/simclock"
@@ -38,19 +39,22 @@ func newWorker(b *Backend, sched *Scheduler, clock simclock.Clock, reg *metrics.
 }
 
 // run is the worker loop; terminate with close(w.stop). The queue wait
-// runs under the clock gate's Block so a Virtual clock knows the worker
-// is idle rather than computing.
+// runs under the clock gate's BlockOn so a Virtual clock knows the worker
+// is idle rather than computing, and the router's Wake after enqueueing
+// hands the worker its run token before the clock can move on.
 func (w *worker) run() {
 	defer close(w.done)
 	gate := simclock.GateFor(w.clock)
 	for {
 		var item *queuedRequest
 		stopped := false
-		gate.Block(func() {
+		queue := w.b.queue
+		ready := func() bool { return len(queue) > 0 }
+		gate.BlockOn(queue, ready, func() {
 			select {
 			case <-w.stop:
 				stopped = true
-			case item = <-w.b.queue:
+			case item = <-queue:
 			}
 		})
 		if stopped {
@@ -60,13 +64,13 @@ func (w *worker) run() {
 		// Verify the client is still connected before doing any work
 		// (§4.1: cancellations and timeouts are handled here).
 		if item.ctx.Err() != nil {
-			item.result <- forwardResult{err: item.ctx.Err()}
+			w.answer(item, forwardResult{err: item.ctx.Err()})
 			w.retire(item)
 			continue
 		}
 		if w.b.State() != BackendRunning {
 			if err := w.sched.EnsureRunning(item.ctx, w.b); err != nil {
-				item.result <- forwardResult{err: err}
+				w.answer(item, forwardResult{err: err})
 				w.retire(item)
 				continue
 			}
@@ -94,7 +98,7 @@ func (w *worker) forward(item *queuedRequest) {
 			// The backend was preempted between dequeue and forward;
 			// swap it back in and retry.
 			if err := w.sched.EnsureRunning(item.ctx, w.b); err != nil {
-				item.result <- forwardResult{err: err}
+				w.answer(item, forwardResult{err: err})
 				return
 			}
 			continue
@@ -111,7 +115,17 @@ func (w *worker) forward(item *queuedRequest) {
 		w.sched.ctrl.rt.Driver().MarkDirty(w.b.ctr.ID())
 		return
 	}
-	item.result <- forwardResult{err: fmt.Errorf("core: backend %s kept being preempted", w.b.name)}
+	w.answer(item, forwardResult{err: fmt.Errorf("core: backend %s kept being preempted", w.b.name)})
+}
+
+// answer hands the router its result. A buffered answer needs no more
+// simulated time, so it puts the client's ticket back on the wire: the
+// clock holds until the client has it. A stream is still generating.
+func (w *worker) answer(item *queuedRequest, res forwardResult) {
+	if res.resp == nil || !strings.HasPrefix(res.resp.Header.Get("Content-Type"), "text/event-stream") {
+		simclock.GateFor(w.clock).Dispatch(item.ctx)
+	}
+	item.result <- res
 }
 
 // retire ends the worker's accounting for a dequeued request and
@@ -131,7 +145,7 @@ func (w *worker) relay(item *queuedRequest) {
 	url := w.b.ctr.BaseURL() + item.path
 	req, err := http.NewRequestWithContext(item.ctx, http.MethodPost, url, bytes.NewReader(item.body))
 	if err != nil {
-		item.result <- forwardResult{err: err}
+		w.answer(item, forwardResult{err: err})
 		return
 	}
 	req.Header.Set("Content-Type", "application/json")
@@ -139,10 +153,10 @@ func (w *worker) relay(item *queuedRequest) {
 	var resp *http.Response
 	gate.BlockIO(func() { resp, err = w.client.Do(req) })
 	if err != nil {
-		item.result <- forwardResult{err: err}
+		w.answer(item, forwardResult{err: err})
 		return
 	}
-	item.result <- forwardResult{resp: resp}
+	w.answer(item, forwardResult{resp: resp})
 	// Remain "in flight" until the response body has been fully relayed,
 	// so eviction drains genuinely live streams.
 	gate.BlockIO(func() {

@@ -82,7 +82,7 @@ func TestRestoreCanceledBetweenChunks(t *testing.T) {
 			}
 		}
 	})
-	err := d.Resume(ctx, "p")
+	err := d.Resume(ctx, "p", nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Resume = %v, want context.Canceled", err)
 	}
@@ -99,7 +99,7 @@ func TestRestoreCanceledBetweenChunks(t *testing.T) {
 		t.Fatalf("host used after rollback = %d, want %d", d.HostUsed(), 6*gib)
 	}
 	// The image survives the abort and restores under a live ctx.
-	if err := d.Resume(context.Background(), "p"); err != nil {
+	if err := d.Resume(context.Background(), "p", nil); err != nil {
 		t.Fatalf("Resume retry after cancel: %v", err)
 	}
 	if st, _ := d.State("p"); st != StateRunning {

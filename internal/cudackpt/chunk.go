@@ -16,9 +16,10 @@ import (
 // transfer moves DefaultChunkBytes-sized chunks that release (D2H) or
 // claim (H2D) GPU capacity and host-image bytes incrementally, so a
 // concurrent restore can begin as soon as the first victim chunks land
-// — the pipelined full-duplex exchange the controller's SwapExchange
-// fast path builds on. Accounting is committed per chunk under the
-// driver lock, which keeps the conservation invariant
+// — the pipelined full-duplex exchange a served swap-in runs when its
+// reservation feeds the restore chunk by chunk (see Claim). Accounting
+// is committed per chunk under the driver lock, which keeps the
+// conservation invariant
 //
 //	device bytes + image bytes == transfer goal
 //
@@ -163,40 +164,37 @@ func drainDevices(p *proc, rem []int64, c int64) {
 	}
 }
 
-// claimChunk grows p's device allocations by c bytes in device order
-// toward the shard targets, keeping alloced in lockstep. On OOM the
-// partial growth from this call is undone before returning the error.
-// Caller holds d.mu.
-func claimChunk(p *proc, shard, alloced []int64, c int64) error {
-	type step struct {
-		i        int
-		newBytes int64
-	}
-	var steps []step
-	need := c
+// chunkStep is one device's share of a restore chunk: grow device i's
+// allocation by grow bytes.
+type chunkStep struct {
+	i    int
+	grow int64
+}
+
+// chunkSteps splits the next c bytes of the image across the devices in
+// device order (the image is a concatenation of the per-device shards),
+// toward the shard targets.
+func chunkSteps(shard, alloced []int64, c int64) []chunkStep {
+	var steps []chunkStep
 	for i := range shard {
-		if need == 0 {
+		if c == 0 {
 			break
 		}
-		room := shard[i] - alloced[i]
-		take := min(room, need)
-		if take > 0 {
-			steps = append(steps, step{i, alloced[i] + take})
-			need -= take
+		if take := min(shard[i]-alloced[i], c); take > 0 {
+			steps = append(steps, chunkStep{i, take})
+			c -= take
 		}
 	}
-	for k, s := range steps {
-		if err := p.devices[s.i].Resize(p.pid, s.newBytes); err != nil {
-			for _, u := range steps[:k] {
-				p.devices[u.i].Resize(p.pid, alloced[u.i])
-			}
-			return err
-		}
-	}
-	for _, s := range steps {
-		alloced[s.i] = s.newBytes
-	}
-	return nil
+	return steps
+}
+
+// freeMemory is the claim of a restore called without one: the image
+// was checked to fit the devices' free memory up front, and each chunk
+// allocates from whatever is free when it lands.
+type freeMemory struct{}
+
+func (freeMemory) Take(_ context.Context, _ int, _ int64, alloc func() error) error {
+	return alloc()
 }
 
 // rollbackCheckpoint attempts to undo a mid-pipeline checkpoint abort:
@@ -238,16 +236,20 @@ func (d *Driver) rollbackCheckpoint(p *proc, shard, rem []int64, done, bytes int
 }
 
 // rollbackRestore undoes a mid-pipeline restore abort: the device bytes
-// claimed so far are released and the transferred chunks are returned
-// to the host (or disk) image, leaving the process Checkpointed with
+// allocated so far (alloced, per device) are released and returned to
+// the host (or disk) image, leaving the process Checkpointed with
 // its full image. Unlike the checkpoint direction this always succeeds
 // — shrinking allocations cannot fail. Re-adding the image may
 // transiently exceed the host cap if another checkpoint moved into the
 // freed host memory meanwhile; the image pages were never physically
 // released, so the cap is treated as soft here.
-func (d *Driver) rollbackRestore(p *proc, done int64, fromDisk bool) {
+func (d *Driver) rollbackRestore(p *proc, alloced []int64, fromDisk bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	var done int64
+	for _, a := range alloced {
+		done += a
+	}
 	for _, dev := range p.devices {
 		dev.Resize(p.pid, 0)
 	}

@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"swapservellm/internal/chaos"
+	"swapservellm/internal/gpu"
 	"swapservellm/internal/perfmodel"
+	"swapservellm/internal/simclock"
 )
 
 // TestChunkedAccountingBalancedAtEveryBoundary audits the conservation
@@ -54,7 +56,7 @@ func TestChunkedAccountingBalancedAtEveryBoundary(t *testing.T) {
 	if _, err := d.Suspend(context.Background(), "p"); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Resume(context.Background(), "p"); err != nil {
+	if err := d.Resume(context.Background(), "p", nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -90,7 +92,7 @@ func TestMonolithicChunkSizeMatchesChunkedTiming(t *testing.T) {
 		if _, err := d.Suspend(context.Background(), "p"); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.Resume(context.Background(), "p"); err != nil {
+		if err := d.Resume(context.Background(), "p", nil); err != nil {
 			t.Fatal(err)
 		}
 		return clock.Now().Sub(start), events
@@ -164,7 +166,7 @@ func TestChunkFaultAbortsRestore(t *testing.T) {
 	d.SetChaos(chaos.NewInjector(chaos.Plan{Seed: 1, Rules: []chaos.Rule{
 		{Site: chaos.SiteCkptChunk, P: 1, After: 2},
 	}}))
-	err := d.Resume(context.Background(), "p")
+	err := d.Resume(context.Background(), "p", nil)
 	if !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("Resume = %v, want injected chunk fault", err)
 	}
@@ -182,7 +184,7 @@ func TestChunkFaultAbortsRestore(t *testing.T) {
 	}
 	// The image is still restorable once the fault clears.
 	d.SetChaos(nil)
-	if err := d.Resume(context.Background(), "p"); err != nil {
+	if err := d.Resume(context.Background(), "p", nil); err != nil {
 		t.Fatalf("Resume after rollback: %v", err)
 	}
 }
@@ -269,8 +271,8 @@ func TestPipelinedExchangeOverlapsTransfers(t *testing.T) {
 		_, err := d.Suspend(context.Background(), "victim")
 		suspendErr <- err
 	})
-	if err := d.RestoreWait(context.Background(), "target"); err != nil {
-		t.Fatalf("RestoreWait: %v", err)
+	if err := d.Restore(context.Background(), "target", newFreedClaim(clock, dev)); err != nil {
+		t.Fatalf("Restore: %v", err)
 	}
 	var serr error
 	gate.Block(func() { serr = <-suspendErr })
@@ -307,10 +309,11 @@ func TestPipelinedExchangeOverlapsTransfers(t *testing.T) {
 	}
 }
 
-// TestRestoreWaitCancelRollsBack cancels a capacity-starved RestoreWait
-// partway through and verifies the partial transfer rolls back cleanly.
-func TestRestoreWaitCancelRollsBack(t *testing.T) {
-	d, dev, _ := newDriver(t, 0)
+// TestRestoreClaimCancelRollsBack cancels a restore starved on its
+// claim partway through and verifies the partial transfer rolls back
+// cleanly.
+func TestRestoreClaimCancelRollsBack(t *testing.T) {
+	d, dev, clock := newDriver(t, 0)
 	if err := dev.Alloc("p", 72*gib); err != nil {
 		t.Fatal(err)
 	}
@@ -327,9 +330,9 @@ func TestRestoreWaitCancelRollsBack(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	err := d.RestoreWait(ctx, "p")
+	err := d.Restore(ctx, "p", newFreedClaim(clock, dev))
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("RestoreWait = %v, want deadline exceeded", err)
+		t.Fatalf("Restore = %v, want deadline exceeded", err)
 	}
 	if st, _ := d.State("p"); st != StateCheckpointed {
 		t.Fatalf("state after cancel = %v, want checkpointed", st)
@@ -343,6 +346,38 @@ func TestRestoreWaitCancelRollsBack(t *testing.T) {
 	if d.HostUsed() != 72*gib {
 		t.Fatalf("host used after cancel = %d, want %d", d.HostUsed(), 72*gib)
 	}
+}
+
+// freedClaim is a test Claim over one device's free memory: each chunk
+// waits until the device has room for it — a stand-in for a task-manager
+// reservation that grows as a concurrent checkpoint frees capacity.
+type freedClaim struct {
+	clock simclock.Clock
+	dev   *gpu.Device
+	freed chan struct{}
+}
+
+func newFreedClaim(clock simclock.Clock, dev *gpu.Device) *freedClaim {
+	c := &freedClaim{clock: clock, dev: dev, freed: make(chan struct{}, 1)}
+	dev.Watch(c.freed)
+	return c
+}
+
+func (c *freedClaim) Take(ctx context.Context, _ int, bytes int64, alloc func() error) error {
+	for c.dev.Free() < bytes {
+		var err error
+		simclock.GateFor(c.clock).Block(func() {
+			select {
+			case <-c.freed:
+			case <-ctx.Done():
+				err = ctx.Err()
+			}
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return alloc()
 }
 
 // TestSuspendUnlockRetryExhausted covers the retry-exhausted branch of

@@ -73,6 +73,10 @@ type proc struct {
 	transferGoal int64  // total bytes the in-flight transfer moves
 	ckey         string // content key for weight-chunk dedup (store.go)
 	dirtyGen     int64  // dynamic-region generation, bumped by MarkDirty
+	// dynIDs are the dynamic chunks of the last plan, at generation
+	// dynGen; a plan at a newer generation forgets them (store.go).
+	dynIDs []ckptstore.ChunkID
+	dynGen int64
 }
 
 // Driver simulates the per-node checkpoint driver. All methods are safe
@@ -384,9 +388,11 @@ func (d *Driver) Checkpoint(ctx context.Context, pid string) (bytes int64, err e
 		done += c
 		ci++
 		d.emitChunk(ChunkEvent{PID: pid, Dir: perfmodel.DirD2H, Done: done, Total: bytes})
-		span.Event("chunk",
-			obs.String("dir", perfmodel.DirD2H.String()),
-			obs.Int64("done_bytes", done), obs.Int64("total_bytes", bytes))
+		if span != nil {
+			span.Event("chunk",
+				obs.String("dir", perfmodel.DirD2H.String()),
+				obs.Int64("done_bytes", done), obs.Int64("total_bytes", bytes))
+		}
 	}
 	if bytes == 0 {
 		d.clock.Sleep(total + pcie)
@@ -412,30 +418,31 @@ func (d *Driver) Checkpoint(ctx context.Context, pid string) (bytes int64, err e
 	return bytes, nil
 }
 
+// Claim is the device capacity a restore allocates into. Each chunk
+// takes its bytes on every device it lands on from the claim before it
+// allocates them. The engine controller passes its task-manager
+// reservation: a pipelined swap-in's claim grows chunk by chunk as the
+// victim's checkpoint frees memory, so the target restores as fast as
+// the victim moves out, into capacity no other reservation holds.
+type Claim interface {
+	// Take blocks until the claim holds bytes of capacity on device
+	// gpuID that the restore has not allocated yet, or ctx ends. It then
+	// runs alloc — the restore's allocation of those bytes — and charges
+	// them to the claim in the same step.
+	Take(ctx context.Context, gpuID int, bytes int64, alloc func() error) error
+}
+
 // Restore re-allocates a checkpointed process's device memory and copies
 // its host image back (cuda-checkpoint --action restore), chunk by
-// chunk. The process is left Locked; call Unlock to resume it. Fails
-// fast with gpu.ErrOutOfMemory if the devices cannot fit the image at
-// call time — eviction policy belongs to the caller. Cancelling ctx
-// aborts at the next chunk boundary: the partial transfer rolls back
-// and the process stays Checkpointed.
-func (d *Driver) Restore(ctx context.Context, pid string) error {
-	return d.restore(ctx, pid, false)
-}
-
-// RestoreWait is the pipelined-exchange variant of Restore: instead of
-// failing fast when the devices cannot fit the image, each chunk waits
-// for device capacity to appear (typically a concurrent checkpoint
-// freeing memory chunk by chunk) or for ctx to be cancelled, in which
-// case the partial transfer rolls back and the process stays
-// Checkpointed.
-func (d *Driver) RestoreWait(ctx context.Context, pid string) error {
-	return d.restore(ctx, pid, true)
-}
-
-func (d *Driver) restore(ctx context.Context, pid string, wait bool) (err error) {
-	ctx, span := obs.Start(ctx, "ckpt.restore",
-		obs.String("pid", pid), obs.Bool("pipelined", wait))
+// chunk, taking each chunk's capacity from claim. The process is left
+// Locked; call Unlock to resume it. A nil claim restores into the
+// devices' free memory and fails fast with gpu.ErrOutOfMemory if the
+// image does not fit at call time — eviction policy belongs to the
+// caller. Cancelling ctx (including while a chunk awaits its claim)
+// aborts at the next chunk boundary: the partial transfer rolls back and
+// the process stays Checkpointed.
+func (d *Driver) Restore(ctx context.Context, pid string, claim Claim) (err error) {
+	ctx, span := obs.Start(ctx, "ckpt.restore", obs.String("pid", pid))
 	defer func() { span.EndErr(err) }()
 	d.mu.Lock()
 	p, err := d.get(pid)
@@ -458,7 +465,7 @@ func (d *Driver) restore(ctx context.Context, pid string, wait bool) (err error)
 	span.SetAttr(obs.Int64("bytes", bytes))
 	shard := append([]int64(nil), p.shardBytes...)
 	fromDisk := p.loc == LocDisk
-	if !wait {
+	if claim == nil {
 		for i, dev := range p.devices {
 			if free := dev.Free(); free < shard[i] {
 				d.mu.Unlock()
@@ -466,6 +473,7 @@ func (d *Driver) restore(ctx context.Context, pid string, wait bool) (err error)
 					gpu.ErrOutOfMemory, shard[i], free, dev.ID())
 			}
 		}
+		claim = freeMemory{}
 	}
 	p.transferring = true
 	p.transferGoal = bytes
@@ -507,15 +515,6 @@ func (d *Driver) restore(ctx context.Context, pid string, wait bool) (err error)
 		total += d.testbed.StorageReadTime(perfmodel.TierDisk, bytes)
 	}
 
-	var freed chan struct{}
-	if wait {
-		freed = make(chan struct{}, 1)
-		for _, dev := range p.devices {
-			dev.Watch(freed)
-			defer dev.Unwatch(freed)
-		}
-	}
-
 	alloced := make([]int64, len(shard))
 	var done int64
 	for done < bytes {
@@ -525,9 +524,8 @@ func (d *Driver) restore(ctx context.Context, pid string, wait bool) (err error)
 		if done == 0 {
 			extra = pcie
 		}
-		// The fault and cancellation checks run before the chunk claims
-		// capacity, so an aborted restore never leaves a half-claimed
-		// chunk behind.
+		// The fault and cancellation checks run before the chunk takes
+		// capacity from the claim.
 		ferr := ctx.Err()
 		if ferr == nil {
 			ferr = d.chunkFault(ctx, links, perfmodel.DirH2D, share)
@@ -538,55 +536,42 @@ func (d *Driver) restore(ctx context.Context, pid string, wait bool) (err error)
 			// with bounded-retry fallback under ckptstore.fetch faults).
 			ferr = sess.FetchRange(done, done+c)
 		}
-		if ferr != nil {
-			d.rollbackRestore(p, done, fromDisk)
-			return fmt.Errorf("cudackpt: restore of %q aborted at %d/%d bytes: %w",
-				pid, done, bytes, ferr)
-		}
-		for {
-			d.mu.Lock()
-			cerr := claimChunk(p, shard, alloced, c)
-			if cerr == nil {
-				// The chunk's bytes leave the host image the moment its
-				// device copy begins, keeping device+image conservation
-				// exact at every chunk boundary.
-				if fromDisk {
-					d.diskUsed -= c
-				} else {
-					d.hostUsed -= c
-				}
-				p.hostImage -= c
-				d.mu.Unlock()
+		for _, st := range chunkSteps(shard, alloced, c) {
+			if ferr != nil {
 				break
 			}
-			d.mu.Unlock()
-			if !wait {
-				d.rollbackRestore(p, done, fromDisk)
-				return fmt.Errorf("cudackpt: restore of %q aborted at %d/%d bytes: %w",
-					pid, done, bytes, cerr)
-			}
-			// Idle wait for a capacity release; under a Virtual clock the
-			// Block lets the concurrent suspend's chunk timers fire.
-			cancelled := false
-			simclock.GateFor(d.clock).Block(func() {
-				select {
-				case <-freed:
-				case <-ctx.Done():
-					cancelled = true
+			dev := p.devices[st.i]
+			ferr = claim.Take(ctx, dev.ID(), st.grow, func() error {
+				d.mu.Lock()
+				defer d.mu.Unlock()
+				if err := dev.Resize(p.pid, alloced[st.i]+st.grow); err != nil {
+					return err
 				}
+				alloced[st.i] += st.grow
+				// The bytes leave the image the moment their device copy
+				// begins, keeping device+image conservation exact.
+				if fromDisk {
+					d.diskUsed -= st.grow
+				} else {
+					d.hostUsed -= st.grow
+				}
+				p.hostImage -= st.grow
+				return nil
 			})
-			if cancelled {
-				d.rollbackRestore(p, done, fromDisk)
-				return fmt.Errorf("cudackpt: restore of %q cancelled at %d/%d bytes: %w",
-					pid, done, bytes, ctx.Err())
-			}
+		}
+		if ferr != nil {
+			d.rollbackRestore(p, alloced, fromDisk)
+			return fmt.Errorf("cudackpt: restore of %q aborted at %d/%d bytes: %w",
+				pid, done, bytes, ferr)
 		}
 		done += c
 		d.sleepContended(links, perfmodel.DirH2D, share+extra)
 		d.emitChunk(ChunkEvent{PID: pid, Dir: perfmodel.DirH2D, Done: done, Total: bytes})
-		span.Event("chunk",
-			obs.String("dir", perfmodel.DirH2D.String()),
-			obs.Int64("done_bytes", done), obs.Int64("total_bytes", bytes))
+		if span != nil {
+			span.Event("chunk",
+				obs.String("dir", perfmodel.DirH2D.String()),
+				obs.Int64("done_bytes", done), obs.Int64("total_bytes", bytes))
+		}
 	}
 	if bytes == 0 {
 		d.clock.Sleep(total + pcie)
@@ -645,11 +630,11 @@ func maxShard(shard []int64) int64 {
 }
 
 // Resume is the convenience sequence Restore + Unlock used by the engine
-// controller's swap-in path.
-func (d *Driver) Resume(ctx context.Context, pid string) (err error) {
+// controller's swap-in path; claim is passed to Restore.
+func (d *Driver) Resume(ctx context.Context, pid string, claim Claim) (err error) {
 	ctx, span := obs.Start(ctx, "ckpt.resume", obs.String("pid", pid))
 	defer func() { span.EndErr(err) }()
-	if err := d.Restore(ctx, pid); err != nil {
+	if err := d.Restore(ctx, pid, claim); err != nil {
 		return err
 	}
 	// The restore completed; a cancellation arriving now must not leave

@@ -99,7 +99,7 @@ func TestCheckpointRestoreCycle(t *testing.T) {
 	}
 
 	// Resume: host image moves back to GPU.
-	if err := d.Resume(context.Background(), "p1"); err != nil {
+	if err := d.Resume(context.Background(), "p1", nil); err != nil {
 		t.Fatalf("Resume: %v", err)
 	}
 	if dev.OwnerUsage("p1") != 30*gib {
@@ -122,7 +122,7 @@ func TestInvalidTransitions(t *testing.T) {
 	if _, err := d.Checkpoint(context.Background(), "p"); !errors.Is(err, ErrBadState) {
 		t.Fatalf("Checkpoint from running: %v", err)
 	}
-	if err := d.Restore(context.Background(), "p"); !errors.Is(err, ErrBadState) {
+	if err := d.Restore(context.Background(), "p", nil); !errors.Is(err, ErrBadState) {
 		t.Fatalf("Restore from running: %v", err)
 	}
 	if err := d.Unlock(context.Background(), "p"); !errors.Is(err, ErrBadState) {
@@ -155,7 +155,7 @@ func TestRestoreOOM(t *testing.T) {
 	if err := dev.Alloc("p2", 60*gib); err != nil {
 		t.Fatal(err)
 	}
-	err := d.Restore(context.Background(), "p1")
+	err := d.Restore(context.Background(), "p1", nil)
 	if !errors.Is(err, gpu.ErrOutOfMemory) {
 		t.Fatalf("expected OOM on restore, got %v", err)
 	}
@@ -168,7 +168,7 @@ func TestRestoreOOM(t *testing.T) {
 	}
 	// After the tenant leaves, restore succeeds.
 	dev.FreeOwner("p2")
-	if err := d.Resume(context.Background(), "p1"); err != nil {
+	if err := d.Resume(context.Background(), "p1", nil); err != nil {
 		t.Fatalf("Resume after space freed: %v", err)
 	}
 }
@@ -253,7 +253,7 @@ func TestConcurrentSuspendResume(t *testing.T) {
 				errs <- err
 				return
 			}
-			if err := d.Resume(context.Background(), pid); err != nil {
+			if err := d.Resume(context.Background(), pid, nil); err != nil {
 				errs <- err
 			}
 		}()
@@ -279,7 +279,7 @@ func TestZeroByteProcess(t *testing.T) {
 	if err != nil || img != 0 {
 		t.Fatalf("Suspend idle = %d, %v", img, err)
 	}
-	if err := d.Resume(context.Background(), "idle"); err != nil {
+	if err := d.Resume(context.Background(), "idle", nil); err != nil {
 		t.Fatalf("Resume idle: %v", err)
 	}
 }

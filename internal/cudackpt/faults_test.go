@@ -59,7 +59,7 @@ func TestChaosFaultLeavesStateIntact(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.SetChaos(chaos.FailNext(chaos.SiteCkptRestore, 1))
-	if err := d.Restore(context.Background(), "p"); !errors.Is(err, chaos.ErrInjected) {
+	if err := d.Restore(context.Background(), "p", nil); !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("Restore = %v, want injected", err)
 	}
 	if s, _ := d.State("p"); s != StateCheckpointed {
@@ -68,7 +68,7 @@ func TestChaosFaultLeavesStateIntact(t *testing.T) {
 	if img, _ := d.ImageBytes("p"); img != 10*gib {
 		t.Fatalf("image lost after restore fault: %d", img)
 	}
-	if err := d.Resume(context.Background(), "p"); err != nil {
+	if err := d.Resume(context.Background(), "p", nil); err != nil {
 		t.Fatalf("Resume after fault cleared: %v", err)
 	}
 }
@@ -103,7 +103,7 @@ func TestPCIeDelayStretchesTransfers(t *testing.T) {
 	if _, err := d.Suspend(context.Background(), "p"); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Resume(context.Background(), "p"); err != nil {
+	if err := d.Resume(context.Background(), "p", nil); err != nil {
 		t.Fatal(err)
 	}
 	base := clock.Since(t0)
@@ -116,7 +116,7 @@ func TestPCIeDelayStretchesTransfers(t *testing.T) {
 	if _, err := d.Suspend(context.Background(), "p"); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Resume(context.Background(), "p"); err != nil {
+	if err := d.Resume(context.Background(), "p", nil); err != nil {
 		t.Fatal(err)
 	}
 	// Tolerance absorbs the scaled clock's real-time measurement jitter.
@@ -141,7 +141,7 @@ func TestTraceRecordsTransitions(t *testing.T) {
 	if _, err := d.Suspend(context.Background(), "p"); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Resume(context.Background(), "p"); err != nil {
+	if err := d.Resume(context.Background(), "p", nil); err != nil {
 		t.Fatal(err)
 	}
 

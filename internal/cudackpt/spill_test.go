@@ -65,12 +65,12 @@ func TestSpillRestoreFromDiskSlower(t *testing.T) {
 	d.Suspend(context.Background(), "b") // spills a to disk
 
 	t0 := clock.Now()
-	if err := d.Resume(context.Background(), "a"); err != nil {
+	if err := d.Resume(context.Background(), "a", nil); err != nil {
 		t.Fatal(err)
 	}
 	diskRestore := clock.Since(t0)
 	t1 := clock.Now()
-	if err := d.Resume(context.Background(), "b"); err != nil {
+	if err := d.Resume(context.Background(), "b", nil); err != nil {
 		t.Fatal(err)
 	}
 	ramRestore := clock.Since(t1)

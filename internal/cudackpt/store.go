@@ -76,7 +76,9 @@ func (d *Driver) MarkDirty(pid string) {
 
 // chunkPlanLocked builds pid's content-addressed manifest for an image
 // of the given size, cut at the driver's transfer-chunk granularity.
-// Caller holds d.mu.
+// Planning at a new dirty generation re-keys every dynamic chunk, so the
+// previous generation's dynamic chunks can never match again: the store
+// forgets them rather than caching them forever. Caller holds d.mu.
 func (d *Driver) chunkPlanLocked(p *proc, bytes int64) []ckptstore.ChunkRef {
 	ckey := p.ckey
 	if ckey == "" {
@@ -84,6 +86,7 @@ func (d *Driver) chunkPlanLocked(p *proc, bytes int64) []ckptstore.ChunkRef {
 	}
 	gen := strconv.FormatInt(p.dirtyGen, 10)
 	var refs []ckptstore.ChunkRef
+	var dyn []ckptstore.ChunkID
 	var off int64
 	for i := 0; off < bytes; i++ {
 		c := min(d.chunkBytes, bytes-off)
@@ -97,9 +100,14 @@ func (d *Driver) chunkPlanLocked(p *proc, bytes int64) []ckptstore.ChunkRef {
 			id = ckptstore.ChunkKey(ckey, "z", idx, size)
 		default:
 			id = ckptstore.ChunkKey(p.pid, "d", idx, size, gen)
+			dyn = append(dyn, id)
 		}
 		refs = append(refs, ckptstore.ChunkRef{ID: id, Bytes: c})
 		off += c
 	}
+	if p.dirtyGen != p.dynGen {
+		d.store.Forget(p.dynIDs)
+	}
+	p.dynIDs, p.dynGen = dyn, p.dirtyGen
 	return refs
 }

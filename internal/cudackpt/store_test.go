@@ -84,7 +84,7 @@ func TestSpillKeepsSharedChunksResident(t *testing.T) {
 
 	// a's restore must fetch every byte from host RAM — no disk reads —
 	// even though the logical ledger says the image lives on disk.
-	if err := d.Resume(context.Background(), "a"); err != nil {
+	if err := d.Resume(context.Background(), "a", nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("ckpt_fetch_bytes_local_disk").Value(); got != 0 {
@@ -137,7 +137,7 @@ func TestSpillWritesOnlyExclusiveBytes(t *testing.T) {
 		t.Fatalf("a missing %d host bytes, want %d", got, 2*gib)
 	}
 
-	if err := d.Resume(context.Background(), "a"); err != nil {
+	if err := d.Resume(context.Background(), "a", nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("ckpt_fetch_bytes_local_disk").Value(); got != float64(2*gib) {
@@ -165,7 +165,7 @@ func TestDeltaRecheckpointSkipsCleanChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := clock.Since(t0)
-	if err := d.Resume(context.Background(), "a"); err != nil {
+	if err := d.Resume(context.Background(), "a", nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -181,7 +181,7 @@ func TestDeltaRecheckpointSkipsCleanChunks(t *testing.T) {
 	if got := reg.Counter("ckpt_new_bytes").Value(); got != float64(30*gib) {
 		t.Fatalf("re-checkpoint stored new bytes: total %v, want %v", got, float64(30*gib))
 	}
-	if err := d.Resume(context.Background(), "a"); err != nil {
+	if err := d.Resume(context.Background(), "a", nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -196,5 +196,51 @@ func TestDeltaRecheckpointSkipsCleanChunks(t *testing.T) {
 	}
 	if err := st.SelfCheck(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDirtyCyclesDoNotGrowStore is the regression test for dead dynamic
+// chunks: every dirty swap cycle re-keys the process's dynamic region,
+// and the superseded generation's chunks can never match again. On an
+// uncapped store (where cache trimming never runs) they must still be
+// dropped, so the chunk count and host footprint stay flat after the
+// first cycle.
+func TestDirtyCyclesDoNotGrowStore(t *testing.T) {
+	d, st, dev, _, _ := newStoreDriver(t, 0)
+	if err := dev.Alloc("a", 12*gib); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Register("a", dev, perfmodel.EngineVLLM, 8*gib); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.SetContentKey("a", "modelA"); err != nil {
+		t.Fatal(err)
+	}
+	var first ckptstore.Stats
+	for cycle := 0; cycle < 50; cycle++ {
+		d.MarkDirty("a")
+		if _, err := d.Suspend(context.Background(), "a"); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Resume(context.Background(), "a", nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.SelfCheck(); err != nil {
+			t.Fatalf("cycle %d: %v", cycle, err)
+		}
+		got := st.Stats()
+		if cycle == 0 {
+			first = got
+			continue
+		}
+		if got.Chunks != first.Chunks || got.HostBytes != first.HostBytes {
+			t.Fatalf("cycle %d: %d chunks / %d host bytes, want %d / %d as after the first cycle",
+				cycle, got.Chunks, got.HostBytes, first.Chunks, first.HostBytes)
+		}
+	}
+	// The flat footprint is the weight region plus one generation of
+	// dynamic chunks.
+	if first.HostBytes != 12*gib {
+		t.Fatalf("host bytes = %d, want %d", first.HostBytes, 12*gib)
 	}
 }

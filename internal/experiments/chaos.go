@@ -268,6 +268,7 @@ func ChaosClusterSoak(seed int64) (ChaosRow, error) {
 	}
 
 	invariant.CheckNodeTrace(&rep, tr)
+	drainNodes(c, clock)
 	for _, n := range c.Nodes() {
 		invariant.CheckServer(&rep, n.Server())
 	}
@@ -401,6 +402,7 @@ func ChaosSchedSoak(seed int64) (ChaosRow, error) {
 			"shed counters %d != observed 429s %d", int(counted), sheds429)
 	}
 
+	drainNodes(c, clock)
 	for _, n := range c.Nodes() {
 		invariant.CheckServer(&rep, n.Server())
 	}
@@ -412,14 +414,14 @@ func ChaosSchedSoak(seed int64) (ChaosRow, error) {
 // chatOnceHTTP issues one non-streaming request at the HTTP layer,
 // returning the status code and Retry-After header so shed responses
 // can be audited rather than folded into a client error. The round trip
-// is declared as external I/O to the virtual clock so the server's
-// handler goroutines can advance simulated time while this caller is
-// parked inside net/http.
+// is one Gate.Send exchange, so the server's handler goroutines can
+// advance simulated time while this caller is parked inside net/http,
+// but the hops themselves land at the instant they were sent.
 func chatOnceHTTP(url, model string, seed int64, clock simclock.Clock) (status int, retryAfter string, err error) {
-	simclock.GateFor(clock).BlockIO(func() {
+	simclock.GateFor(clock).Send(context.Background(), func(ctx context.Context) {
 		body := fmt.Sprintf(`{"model":%q,"messages":[{"role":"user","content":"soak"}],"max_tokens":4,"seed":%d}`, model, seed)
 		var resp *http.Response
-		resp, err = http.Post(url+"/v1/chat/completions", "application/json", strings.NewReader(body))
+		resp, err = postJSON(ctx, url+"/v1/chat/completions", body)
 		if err != nil {
 			return
 		}
@@ -513,12 +515,12 @@ func streamOnceNDJSON(url, model string, seed int64, clock simclock.Clock) (stri
 	var got strings.Builder
 	finished := false
 	var err error
-	simclock.GateFor(clock).BlockIO(func() {
+	simclock.GateFor(clock).Send(context.Background(), func(ctx context.Context) {
 		body := fmt.Sprintf(
 			`{"model":%q,"messages":[{"role":"user","content":"soak stream"}],"options":{"seed":%d,"num_predict":%d}}`,
 			model, seed, chaosStreamMax)
 		var resp *http.Response
-		resp, err = http.Post(url+"/api/chat", "application/json", strings.NewReader(body))
+		resp, err = postJSON(ctx, url+"/api/chat", body)
 		if err != nil {
 			return
 		}
@@ -597,6 +599,38 @@ func expectedStreamFramed(seed int64, ndjson bool) string {
 		want.WriteString(gen.Token(full, seed, i))
 	}
 	return want.String()
+}
+
+// drainNodes waits, in simulated time, until no node backend holds a
+// request: CheckServer audits a drained deployment, and a stream the
+// gateway cut over to another replica retires on its first node only
+// after the client has moved on. A request that never retires still
+// fails the audit once the bounded wait runs out.
+func drainNodes(c *cluster.Cluster, clock simclock.Clock) {
+	deadline := clock.Now().Add(time.Minute)
+	for clock.Now().Before(deadline) {
+		var pending int64
+		for _, n := range c.Nodes() {
+			for _, b := range n.Server().Backends() {
+				pending += b.Pending()
+			}
+		}
+		if pending == 0 {
+			return
+		}
+		clock.Sleep(10 * time.Millisecond)
+	}
+}
+
+// postJSON posts a JSON body on ctx, stamped with the ticket ctx carries.
+func postJSON(ctx context.Context, url, body string) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, strings.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	simclock.Stamp(req)
+	return http.DefaultClient.Do(req)
 }
 
 // retryUntilOK retries op up to five times, reporting whether it

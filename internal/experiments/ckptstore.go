@@ -136,7 +136,7 @@ func ckptStoreModelRow(name string, weights int64) (CkptStoreRow, error) {
 
 	// Idle delta re-swap-out: the restore releases the manifest but the
 	// chunk payloads stay cached, so the re-checkpoint skips every copy.
-	if err := local.driver.Resume(ctx, "p1"); err != nil {
+	if err := local.driver.Resume(ctx, "p1", nil); err != nil {
 		return row, err
 	}
 	t1 := r.clock.Now()
@@ -160,7 +160,7 @@ func ckptStoreModelRow(name string, weights int64) (CkptStoreRow, error) {
 
 	// Dirty re-swap-out: traffic re-keys the dynamic region; only those
 	// chunks transfer.
-	if err := local.driver.Resume(ctx, "p1"); err != nil {
+	if err := local.driver.Resume(ctx, "p1", nil); err != nil {
 		return row, err
 	}
 	local.driver.MarkDirty("p1")
@@ -218,7 +218,7 @@ func ckptStoreRestoreArm(r *rig, name string, weights int64, withPeer bool) (tim
 		return 0, err
 	}
 	t0 := r.clock.Now()
-	if err := local.driver.Resume(ctx, "p1"); err != nil {
+	if err := local.driver.Resume(ctx, "p1", nil); err != nil {
 		return 0, err
 	}
 	return r.clock.Since(t0), nil
@@ -346,7 +346,7 @@ func ChaosCkptStoreSoak(seed int64) (ChaosRow, error) {
 		} else {
 			switch rng.Intn(3) {
 			case 0:
-				op = func() error { return local.driver.Resume(ctx, pid) }
+				op = func() error { return local.driver.Resume(ctx, pid, nil) }
 			case 1:
 				op = func() error { return local.driver.Demote(ctx, pid) }
 			default:

@@ -97,7 +97,7 @@ func Figure5() ([]Fig5Row, error) {
 			}
 			eng.Gate().Pause()
 			t0 := r.clock.Now()
-			if err := r.driver.Resume(ctx, owner); err != nil {
+			if err := r.driver.Resume(ctx, owner, nil); err != nil {
 				return nil, err
 			}
 			eng.Gate().Resume()

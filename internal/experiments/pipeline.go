@@ -35,11 +35,13 @@ const pipelinePartner = "deepseek-r1:8b-fp16"
 
 // exchangeThroughServer builds a two-backend server (the target model,
 // snapshotted by the init sequence, plus the keep-warm partner victim)
-// and measures the median SwapExchange latency over repeated cycles,
-// with the pipelined fast path on or off. The server runs on the
-// caller's shared Virtual clock — one timeline across every trial, so a
-// shared tracer sees a single consistent timebase — and the caller's
-// goroutine must already be registered with that clock's gate.
+// and measures the median latency of the served swap-in that brings the
+// target in — Scheduler.EnsureRunning, which evicts the victim to make
+// room — over repeated cycles, with the pipelined fast path on or off.
+// The server runs on the caller's shared Virtual clock — one timeline
+// across every trial, so a shared tracer sees a single consistent
+// timebase — and the caller's goroutine must already be registered with
+// that clock's gate.
 func exchangeThroughServer(modelName string, pipelined bool, clock simclock.Clock, tracer *obs.Tracer) (latency time.Duration, gpuBytes int64, err error) {
 	cfg := config.Default()
 	cfg.Global.PipelinedSwap = pipelined
@@ -57,15 +59,15 @@ func exchangeThroughServer(modelName string, pipelined bool, clock simclock.Cloc
 	}
 	target, _ := s.Backend(modelName)
 	victim, _ := s.Backend(pipelinePartner)
-	ctrl := s.Controller()
+	sched := s.Scheduler()
 	ctx := context.Background()
 
 	// One untimed warm-up round trip absorbs process cold-start effects
 	// the simulation scale would otherwise magnify into seconds.
-	if err := ctrl.SwapExchange(ctx, victim, target); err != nil {
+	if err := sched.EnsureRunning(ctx, target); err != nil {
 		return 0, 0, fmt.Errorf("warm-up exchange %s: %w", modelName, err)
 	}
-	if err := ctrl.SwapExchange(ctx, target, victim); err != nil {
+	if err := sched.EnsureRunning(ctx, victim); err != nil {
 		return 0, 0, fmt.Errorf("warm-up re-arm %s: %w", modelName, err)
 	}
 
@@ -75,12 +77,12 @@ func exchangeThroughServer(modelName string, pipelined bool, clock simclock.Cloc
 	var samples []time.Duration
 	for rep := 0; rep < cycles; rep++ {
 		t0 := s.Clock().Now()
-		if err := ctrl.SwapExchange(ctx, victim, target); err != nil {
+		if err := sched.EnsureRunning(ctx, target); err != nil {
 			return 0, 0, fmt.Errorf("exchange %s: %w", modelName, err)
 		}
 		samples = append(samples, s.Clock().Since(t0))
 		gpuBytes = target.Container().Engine().GPUBytes()
-		if err := ctrl.SwapExchange(ctx, target, victim); err != nil {
+		if err := sched.EnsureRunning(ctx, victim); err != nil {
 			return 0, 0, fmt.Errorf("re-arm exchange %s: %w", modelName, err)
 		}
 	}

@@ -13,21 +13,21 @@ import (
 	"swapservellm/internal/simclock"
 )
 
-// TestExchangeCanceledMidRestoreLeavesConsistentState cancels a
-// sequential swap-exchange between the target's restore chunks and
-// checks the whole-system rollback contract with the same invariants
-// the chaos soak uses: the aborted swap-in rolls the target back to
-// SwappedOut, every driver/task-manager ledger balances at quiescence,
-// and a fresh ctx can still swap the target in. It lives here (not in
-// package core) because CheckServer would otherwise be an import cycle.
-func TestExchangeCanceledMidRestoreLeavesConsistentState(t *testing.T) {
+// exchangeServer boots a one-GPU deployment on a Virtual clock: a
+// swapped-out target and a keep-warm victim holding the device, so
+// serving the target is an exchange that must evict the victim.
+func exchangeServer(t *testing.T) (s *core.Server, victim, target *core.Backend) {
+	t.Helper()
 	cfg := config.Default()
 	cfg.Models = []config.Model{
 		{Name: "llama3.2:1b-fp16", Engine: "vllm"},
 		{Name: "llama3.2:3b-fp16", Engine: "vllm", KeepWarm: true},
 	}
-	epoch := time.Date(2025, 11, 16, 0, 0, 0, 0, time.UTC)
-	s, err := core.New(cfg, core.Options{Clock: simclock.NewScaled(epoch, 20000)})
+	clock := simclock.NewVirtual(time.Date(2025, 11, 16, 0, 0, 0, 0, time.UTC))
+	gate := clock.Gate()
+	gate.Enter() //swaplint:ignore gatecheck registration spans the test: t.Cleanup runs the matching Exit on the test goroutine
+	t.Cleanup(gate.Exit)
+	s, err := core.New(cfg, core.Options{Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,26 +37,39 @@ func TestExchangeCanceledMidRestoreLeavesConsistentState(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Shutdown)
-	target, _ := s.Backend("llama3.2:1b-fp16")
-	victim, _ := s.Backend("llama3.2:3b-fp16")
+	target, _ = s.Backend("llama3.2:1b-fp16")
+	victim, _ = s.Backend("llama3.2:3b-fp16")
+	return s, victim, target
+}
 
-	// Cancel after the target's second committed restore chunk: the
-	// victim's checkpoint has fully landed, the target's H2D transfer is
-	// mid-flight.
+// TestExchangeCanceledMidRestoreLeavesConsistentState cancels a
+// sequential served exchange between the target's restore chunks and
+// checks the whole-system rollback contract with the same invariants
+// the chaos soak uses: the aborted swap-in rolls the target back to
+// SwappedOut, every driver/task-manager ledger balances at quiescence,
+// and a fresh ctx can still swap the target in. It lives here (not in
+// package core) because CheckServer would otherwise be an import cycle.
+func TestExchangeCanceledMidRestoreLeavesConsistentState(t *testing.T) {
+	s, victim, target := exchangeServer(t)
+
+	// Cancel after the target's tenth committed restore chunk: the
+	// victim's checkpoint has fully landed (the restore starts with the
+	// grant, inside the victim's last eight chunks), the target's H2D
+	// transfer is mid-flight.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var restored int
 	s.Driver().OnChunk(func(ev cudackpt.ChunkEvent) {
 		if ev.PID == target.Container().ID() && ev.Dir == perfmodel.DirH2D {
 			restored++
-			if restored == 2 {
+			if restored == 10 {
 				cancel()
 			}
 		}
 	})
-	err = s.Controller().SwapExchange(ctx, victim, target)
+	err := s.Scheduler().EnsureRunning(ctx, target)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("SwapExchange = %v, want context.Canceled", err)
+		t.Fatalf("EnsureRunning = %v, want context.Canceled", err)
 	}
 	if st := target.State(); st != core.BackendSwappedOut {
 		t.Fatalf("target state after cancelled restore = %v, want swapped-out", st)
@@ -75,8 +88,8 @@ func TestExchangeCanceledMidRestoreLeavesConsistentState(t *testing.T) {
 
 	// The rollback is recoverable, not just consistent: a live ctx
 	// swaps the target in from its intact host image.
-	if err := s.Controller().SwapIn(context.Background(), target); err != nil {
-		t.Fatalf("SwapIn retry after cancel: %v", err)
+	if err := s.Scheduler().EnsureRunning(context.Background(), target); err != nil {
+		t.Fatalf("swap-in retry after cancel: %v", err)
 	}
 	if st := target.State(); st != core.BackendRunning {
 		t.Fatalf("target state after retry = %v, want running", st)
@@ -89,29 +102,13 @@ func TestExchangeCanceledMidRestoreLeavesConsistentState(t *testing.T) {
 }
 
 // TestExchangeCanceledMidCheckpointRecoversVictim cancels the exchange
-// while the victim's checkpoint is still draining. The sequential path
-// surfaces the cancellation from SwapOut; the rollback must return the
-// victim to Running (its device state never fully left) and the system
+// while the victim's checkpoint is still draining. The sequential swap-in
+// is still waiting for its grant, so it surfaces the cancellation while
+// the eviction its reservation started rolls back: the victim must
+// return to Running (its device state never fully left) and the system
 // must audit clean.
 func TestExchangeCanceledMidCheckpointRecoversVictim(t *testing.T) {
-	cfg := config.Default()
-	cfg.Models = []config.Model{
-		{Name: "llama3.2:1b-fp16", Engine: "vllm"},
-		{Name: "llama3.2:3b-fp16", Engine: "vllm", KeepWarm: true},
-	}
-	epoch := time.Date(2025, 11, 16, 0, 0, 0, 0, time.UTC)
-	s, err := core.New(cfg, core.Options{Clock: simclock.NewScaled(epoch, 20000)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	startCtx, cancelStart := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancelStart()
-	if err := s.Start(startCtx); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Shutdown)
-	target, _ := s.Backend("llama3.2:1b-fp16")
-	victim, _ := s.Backend("llama3.2:3b-fp16")
+	s, victim, target := exchangeServer(t)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -124,9 +121,9 @@ func TestExchangeCanceledMidCheckpointRecoversVictim(t *testing.T) {
 			}
 		}
 	})
-	err = s.Controller().SwapExchange(ctx, victim, target)
+	err := s.Scheduler().EnsureRunning(ctx, target)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("SwapExchange = %v, want context.Canceled", err)
+		t.Fatalf("EnsureRunning = %v, want context.Canceled", err)
 	}
 	if st := victim.State(); st != core.BackendRunning {
 		t.Fatalf("victim state after cancelled checkpoint = %v, want running", st)

@@ -153,7 +153,7 @@ func TestCheckDriverMidTransferConservation(t *testing.T) {
 	if _, err := d.Suspend(context.Background(), "p"); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Resume(context.Background(), "p"); err != nil {
+	if err := d.Resume(context.Background(), "p", nil); err != nil {
 		t.Fatal(err)
 	}
 	if boundaries < 20 {

@@ -456,6 +456,12 @@ func (w *walker) walkGateCall(call *ast.CallExpr, fn *types.Func, held *heldSet)
 		if len(call.Args) == 1 {
 			w.walkBlockArg(call.Args[0], held, fn.Name())
 		}
+	case "BlockOn":
+		if len(call.Args) == 3 {
+			w.walkExpr(call.Args[0], held)
+			w.walkExpr(call.Args[1], held)
+			w.walkBlockArg(call.Args[2], held, fn.Name())
+		}
 	}
 }
 
@@ -476,7 +482,7 @@ func (w *walker) walkGateArg(arg ast.Expr, held *heldSet, gated bool) {
 	w.walkExpr(arg, held)
 }
 
-// walkBlockArg handles Gate.Block / Gate.BlockIO arguments, the heart
+// walkBlockArg handles Gate.Block / BlockIO / BlockOn wait arguments, the heart
 // of the gate discipline:
 //
 //   - gate.Block(mu.Lock) is a gated acquisition that persists after

@@ -26,6 +26,7 @@ package obs
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -45,7 +46,7 @@ func String(key, value string) Attr { return Attr{Key: key, Value: value} }
 
 // Int64 builds an integer attribute.
 func Int64(key string, value int64) Attr {
-	return Attr{Key: key, Value: fmt.Sprintf("%d", value)}
+	return Attr{Key: key, Value: strconv.FormatInt(value, 10)}
 }
 
 // Int builds an integer attribute.
@@ -53,7 +54,7 @@ func Int(key string, value int) Attr { return Int64(key, int64(value)) }
 
 // Bool builds a boolean attribute.
 func Bool(key string, value bool) Attr {
-	return Attr{Key: key, Value: fmt.Sprintf("%t", value)}
+	return Attr{Key: key, Value: strconv.FormatBool(value)}
 }
 
 // Float64 builds a floating-point attribute (predicted rates,

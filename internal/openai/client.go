@@ -58,6 +58,7 @@ func (c *Client) post(ctx context.Context, path string, body interface{}) (*http
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
+	simclock.Stamp(req)
 	return c.httpClient().Do(req)
 }
 
@@ -72,12 +73,13 @@ func decodeError(resp *http.Response) error {
 }
 
 // ChatCompletion issues a blocking chat completion. The whole round trip
-// runs as gate-tracked IO on the installed clock: under a Virtual clock
-// simulated time may advance while the engine generates, which is what
-// simulates generation latency. With the default real clock the gate is
-// a no-op.
+// runs as one gate-tracked exchange (Gate.Send) on the installed clock:
+// under a Virtual clock simulated time may advance while the engine
+// generates, which is what simulates generation latency, but not while
+// the request or response crosses the wire. With the default real clock
+// the gate is a no-op.
 func (c *Client) ChatCompletion(ctx context.Context, req *ChatCompletionRequest) (out *ChatCompletionResponse, err error) {
-	simclock.GateFor(c.clock()).BlockIO(func() { out, err = c.chatCompletion(ctx, req) })
+	simclock.GateFor(c.clock()).Send(ctx, func(ctx context.Context) { out, err = c.chatCompletion(ctx, req) })
 	return out, err
 }
 
@@ -103,7 +105,7 @@ func (c *Client) chatCompletion(ctx context.Context, req *ChatCompletionRequest)
 // ChatCompletion, the request and the full stream consumption run as
 // gate-tracked IO on the installed clock.
 func (c *Client) ChatCompletionStream(ctx context.Context, req *ChatCompletionRequest, fn func(*ChatCompletionChunk) error) (err error) {
-	simclock.GateFor(c.clock()).BlockIO(func() { err = c.chatCompletionStream(ctx, req, fn) })
+	simclock.GateFor(c.clock()).Send(ctx, func(ctx context.Context) { err = c.chatCompletionStream(ctx, req, fn) })
 	return err
 }
 
@@ -158,12 +160,17 @@ func (c *Client) ListModels(ctx context.Context) (*ModelList, error) {
 func (c *Client) WaitHealthy(ctx context.Context, interval time.Duration) error {
 	gate := simclock.GateFor(c.clock())
 	for {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/health", nil)
-		if err != nil {
-			return err
-		}
 		var resp *http.Response
-		gate.BlockIO(func() { resp, err = c.httpClient().Do(req) })
+		var err error
+		gate.Send(ctx, func(ctx context.Context) {
+			var req *http.Request
+			req, err = http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/health", nil)
+			if err != nil {
+				return
+			}
+			simclock.Stamp(req)
+			resp, err = c.httpClient().Do(req)
+		})
 		if err == nil {
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {

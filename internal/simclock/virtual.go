@@ -62,6 +62,19 @@ type Virtual struct {
 	blocked   int
 	blockedIO int
 
+	// parked maps a Gate.BlockOn key to the registered goroutines blocked
+	// on it, so Gate.Wake can hand their run tokens back at the moment
+	// it makes their wait ready.
+	parked map[any][]*parkRec
+
+	// tickets are the open HTTP exchanges of registered clients (see
+	// Gate.Send); onWire counts those whose request or response is in
+	// flight. A settle does not commit while one holds the clock.
+	tickets   map[uint64]*ticket
+	ticketSeq uint64
+	onWire    int
+	wireFree  chan struct{} // closed when onWire drops to zero
+
 	// gen increments on every state change visible to the settle pass:
 	// waiter added, waiter fired, token acquired or released. The settle
 	// pass commits only after gen holds still across several yield
@@ -110,6 +123,8 @@ func NewVirtual(origin time.Time) *Virtual {
 	v := &Virtual{
 		now:       origin,
 		reg:       make(map[int64]int),
+		parked:    make(map[any][]*parkRec),
+		tickets:   make(map[uint64]*ticket),
 		wdTimeout: 5 * time.Second,
 	}
 	v.gate = &Gate{v: v, clock: v}
@@ -254,7 +269,7 @@ func (v *Virtual) advanceLoop() {
 // parked already, and the wakee needs CPU to re-acquire its token
 // before time moves), or unregistered goroutines using the clock.
 func (v *Virtual) needSettleLocked() bool {
-	return v.blocked > 0 || v.blockedIO > 0 || v.unregActive
+	return v.blocked > 0 || v.blockedIO > 0 || v.unregActive || v.onWire > 0
 }
 
 // settleLocked yields until the observable state (gen) holds still for
@@ -274,6 +289,26 @@ func (v *Virtual) settleLocked() bool {
 	for stable < 3 {
 		if v.running > 0 {
 			return false
+		}
+		if hold := v.wireHeldLocked(); hold > 0 {
+			// An exchange is on the wire: wait for it to land.
+			if v.wireFree == nil {
+				v.wireFree = make(chan struct{})
+			}
+			free := v.wireFree
+			v.mu.Unlock()
+			t := time.NewTimer(hold)
+			select {
+			case <-free:
+			case <-t.C:
+			}
+			t.Stop()
+			//swaplint:ignore lockcheck reacquisition of the caller-held lock; settleLocked returns with v.mu held
+			v.mu.Lock()
+			stable = 0
+			last = v.gen
+			sleep = 20 * time.Microsecond
+			continue
 		}
 		io := v.blockedIO > 0 && (v.unregOut > 0 || time.Now().Before(v.ioGraceUntil))
 		v.mu.Unlock()
@@ -410,12 +445,15 @@ func (h *vheap) Pop() any {
 //     goroutine (channel receive, WaitGroup.Wait, …) for fn's duration.
 //   - BlockIO(fn) marks the caller as waiting on work outside the
 //     token system — an HTTP round trip through net/http goroutines.
+//   - BlockOn(key, ready, fn) is Block for a wait whose waker calls
+//     Wake(key): the waker hands the token back itself, with no window
+//     in which the clock could advance past the hand-off.
 //   - Wait(d, done...) is the timer select: it parks on the clock like
 //     Sleep but also wakes on any done channel, returning -1 for the
 //     timer or the index of the channel that fired.
 //
 // Rules: a registered goroutine must not block on anything except via
-// Sleep, Block, BlockIO, or Wait — in particular it must not
+// Sleep, Block, BlockOn, BlockIO, or Wait — in particular it must not
 // naked-select on After. Violations freeze the virtual clock (the Go
 // test timeout's stack dump shows the offender); a system-under-test
 // deadlock while the clock is quiescent is caught by the watchdog
@@ -562,6 +600,98 @@ func (g *Gate) block(fn func(), io bool) {
 	v.running++
 	v.gen++
 	v.mu.Unlock()
+}
+
+// parkRec is one registered goroutine blocked in Gate.BlockOn: its
+// wait's ready check, and whether Gate.Wake already handed its run
+// token back.
+type parkRec struct {
+	ready func() bool
+	woken bool
+}
+
+// BlockOn is Block for a wait a peer ends by calling Wake(key): fn is
+// the blocking receive, ready reports (without blocking or taking locks
+// the waker may hold while calling Wake) whether it would return at
+// once. A ready wait keeps the caller's run token; otherwise the caller
+// parks on key and Wake grants its token back under the clock lock, so
+// virtual time cannot advance between the hand-off and the wakee
+// running again — a plain Block leaves that window to the settle pass,
+// which a descheduled wakee can outlast.
+func (g *Gate) BlockOn(key any, ready func() bool, fn func()) {
+	if g.v == nil {
+		fn()
+		return
+	}
+	id := gid()
+	v := g.v
+	v.mu.Lock()
+	if _, ok := v.reg[id]; !ok || ready() {
+		v.mu.Unlock()
+		fn()
+		return
+	}
+	rec := &parkRec{ready: ready}
+	v.parked[key] = append(v.parked[key], rec)
+	v.running--
+	v.blocked++
+	v.gen++
+	v.maybeAdvanceLocked()
+	v.mu.Unlock()
+
+	fn()
+
+	v.mu.Lock()
+	if !rec.woken {
+		recs := v.parked[key]
+		for i, r := range recs {
+			if r == rec {
+				recs = append(recs[:i], recs[i+1:]...)
+				break
+			}
+		}
+		if len(recs) == 0 {
+			delete(v.parked, key)
+		} else {
+			v.parked[key] = recs
+		}
+		v.blocked--
+		v.running++
+	}
+	v.gen++
+	v.mu.Unlock()
+}
+
+// Wake hands the run token back to every goroutine parked in BlockOn
+// on key whose wait is ready. Call it right after the channel operation
+// that makes their wait ready. The ready re-check matters: a Wake that
+// lands late, after the wakee already took what it waited for and
+// parked again, must not hand a token to a wait that still blocks —
+// that goroutine could not give it up, and virtual time would stop.
+func (g *Gate) Wake(key any) {
+	if g.v == nil {
+		return
+	}
+	v := g.v
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	recs := v.parked[key]
+	kept := recs[:0]
+	for _, r := range recs {
+		if !r.ready() {
+			kept = append(kept, r)
+			continue
+		}
+		r.woken = true
+		v.blocked--
+		v.running++
+		v.gen++
+	}
+	if len(kept) == 0 {
+		delete(v.parked, key)
+	} else {
+		v.parked[key] = kept
+	}
 }
 
 // Wait parks the caller for d of clock time, but wakes early if any of

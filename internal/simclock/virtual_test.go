@@ -350,3 +350,108 @@ func TestGateForSameGate(t *testing.T) {
 		t.Fatal("GateFor(Virtual) must return the clock's single gate")
 	}
 }
+
+// TestBlockOnWakeHandsTokenBack: Wake returns the parked goroutine's
+// run token under the clock lock, before the wakee is scheduled, so a
+// timer due right after the hand-off cannot fire ahead of the wakee's
+// next step; a wait that is already ready keeps its token.
+func TestBlockOnWakeHandsTokenBack(t *testing.T) {
+	v := NewVirtual(vEpoch)
+	g := v.Gate()
+	g.Enter()
+	defer g.Exit()
+
+	ch := make(chan struct{})
+	ready := func() bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+	var woke atomic.Int64 // virtual ns offset at which the wakee resumed
+	woke.Store(-1)
+	done := make(chan struct{})
+	g.Go(func() {
+		g.BlockOn(ch, ready, func() { <-ch })
+		woke.Store(int64(v.Since(vEpoch)))
+		close(done)
+	})
+	for {
+		v.mu.Lock()
+		n := len(v.parked[ch])
+		v.mu.Unlock()
+		if n == 1 {
+			break
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(ch)
+	g.Wake(ch)
+	v.mu.Lock()
+	running, blocked := v.running, v.blocked
+	v.mu.Unlock()
+	if running != 2 || blocked != 0 {
+		t.Fatalf("after Wake: running=%d blocked=%d, want 2 and 0", running, blocked)
+	}
+	// A timer due 1ms out must not fire before the wakee resumed.
+	v.Sleep(time.Millisecond)
+	g.Block(func() { <-done })
+	if got := woke.Load(); got != 0 {
+		t.Fatalf("wakee resumed at +%v, want +0", time.Duration(got))
+	}
+
+	// Already ready: the caller keeps its token throughout.
+	g.BlockOn(ch, ready, func() {
+		v.mu.Lock()
+		running := v.running
+		v.mu.Unlock()
+		if running != 1 {
+			t.Errorf("ready BlockOn released its token: running=%d", running)
+		}
+		<-ch
+	})
+}
+
+// TestWakeSkipsWaitThatStillBlocks: a Wake that arrives after the wakee
+// consumed what it waited for and parked again must leave it parked —
+// a token handed to a wait that still blocks would stop virtual time.
+func TestWakeSkipsWaitThatStillBlocks(t *testing.T) {
+	v := NewVirtual(vEpoch)
+	g := v.Gate()
+	g.Enter()
+	defer g.Exit()
+
+	queue := make(chan int, 1)
+	ready := func() bool { return len(queue) > 0 }
+	got := make(chan int, 1)
+	g.Go(func() {
+		var x int
+		g.BlockOn(queue, ready, func() { x = <-queue })
+		got <- x
+	})
+	for {
+		v.mu.Lock()
+		n := len(v.parked[queue])
+		v.mu.Unlock()
+		if n == 1 {
+			break
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	g.Wake(queue) // late or spurious: the queue is empty
+	v.mu.Lock()
+	running, parked := v.running, len(v.parked[queue])
+	v.mu.Unlock()
+	if running != 1 || parked != 1 {
+		t.Fatalf("Wake on an empty queue: running=%d parked=%d, want 1 and 1", running, parked)
+	}
+	queue <- 7
+	g.Wake(queue)
+	var x int
+	g.Block(func() { x = <-got })
+	if x != 7 {
+		t.Fatalf("wakee got %d, want 7", x)
+	}
+}
