@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"swapservellm/internal/openai"
+	"swapservellm/internal/proxy/ir"
 	"swapservellm/internal/workload"
 )
 
@@ -150,9 +151,9 @@ func replayTrace(path, addr string, conc, maxTok int, timescale float64) {
 			}
 			seedv := int64(i)
 			t0 := time.Now()
-			_, err := cli.ChatCompletion(context.Background(), &openai.ChatCompletionRequest{
+			_, err := cli.ChatCompletion(context.Background(), &ir.ChatCompletionRequest{
 				Model:     r.Model,
-				Messages:  []openai.Message{{Role: "user", Content: "trace replay"}},
+				Messages:  []ir.Message{{Role: "user", Content: "trace replay"}},
 				Seed:      &seedv,
 				MaxTokens: out,
 			})
@@ -192,9 +193,9 @@ func closedLoop(addr string, models []string, class workload.Class, requests, co
 			defer func() { <-sem }()
 			seedv := int64(i)
 			t0 := time.Now()
-			_, err := cli.ChatCompletion(context.Background(), &openai.ChatCompletionRequest{
+			_, err := cli.ChatCompletion(context.Background(), &ir.ChatCompletionRequest{
 				Model:     model,
-				Messages:  []openai.Message{{Role: "user", Content: "load generator request"}},
+				Messages:  []ir.Message{{Role: "user", Content: "load generator request"}},
 				Seed:      &seedv,
 				MaxTokens: outTok,
 			})

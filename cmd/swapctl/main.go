@@ -19,6 +19,7 @@ import (
 	"os"
 
 	"swapservellm/internal/openai"
+	"swapservellm/internal/proxy/ir"
 )
 
 func main() {
@@ -116,16 +117,16 @@ func cmdChat(base string, args []string) {
 		fatal(fmt.Errorf("chat: -model is required"))
 	}
 	temp := 0.0
-	req := &openai.ChatCompletionRequest{
+	req := &ir.ChatCompletionRequest{
 		Model:       *model,
-		Messages:    []openai.Message{{Role: "user", Content: *prompt}},
+		Messages:    []ir.Message{{Role: "user", Content: *prompt}},
 		MaxTokens:   *maxTok,
 		Temperature: &temp,
 		Seed:        seed,
 	}
 	cli := openai.NewClient(base)
 	if *stream {
-		err := cli.ChatCompletionStream(context.Background(), req, func(c *openai.ChatCompletionChunk) error {
+		err := cli.ChatCompletionStream(context.Background(), req, func(c *ir.ChatCompletionChunk) error {
 			if len(c.Choices) > 0 {
 				fmt.Print(c.Choices[0].Delta.Content)
 			}

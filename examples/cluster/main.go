@@ -17,6 +17,7 @@ import (
 	"swapservellm/internal/cluster"
 	"swapservellm/internal/config"
 	"swapservellm/internal/openai"
+	"swapservellm/internal/proxy/ir"
 	"swapservellm/internal/simclock"
 )
 
@@ -66,9 +67,9 @@ func main() {
 	// model is a warm hit on the same node.
 	for _, model := range []string{"llama3.1:8b-fp16", "llama3.1:8b-fp16", "gemma3:27b-fp16"} {
 		start := clock.Now()
-		resp, err := cli.ChatCompletion(context.Background(), &openai.ChatCompletionRequest{
+		resp, err := cli.ChatCompletion(context.Background(), &ir.ChatCompletionRequest{
 			Model:     model,
-			Messages:  []openai.Message{{Role: "user", Content: "identify yourself"}},
+			Messages:  []ir.Message{{Role: "user", Content: "identify yourself"}},
 			Seed:      &seed,
 			MaxTokens: 8,
 		})
@@ -96,9 +97,9 @@ func main() {
 		log.Fatal(err)
 	}
 	start := clock.Now()
-	_, err = cli.ChatCompletion(context.Background(), &openai.ChatCompletionRequest{
+	_, err = cli.ChatCompletion(context.Background(), &ir.ChatCompletionRequest{
 		Model:     "llama3.1:8b-fp16",
-		Messages:  []openai.Message{{Role: "user", Content: "still there?"}},
+		Messages:  []ir.Message{{Role: "user", Content: "still there?"}},
 		Seed:      &seed,
 		MaxTokens: 8,
 	})

@@ -16,6 +16,7 @@ import (
 	"swapservellm/internal/config"
 	"swapservellm/internal/core"
 	"swapservellm/internal/openai"
+	"swapservellm/internal/proxy/ir"
 	"swapservellm/internal/simclock"
 )
 
@@ -47,9 +48,9 @@ func main() {
 	for _, b := range srv.Backends() {
 		seed := int64(3)
 		start := clock.Now()
-		resp, err := cli.ChatCompletion(context.Background(), &openai.ChatCompletionRequest{
+		resp, err := cli.ChatCompletion(context.Background(), &ir.ChatCompletionRequest{
 			Model:     b.Name(),
-			Messages:  []openai.Message{{Role: "user", Content: "identify yourself"}},
+			Messages:  []ir.Message{{Role: "user", Content: "identify yourself"}},
 			Seed:      &seed,
 			MaxTokens: 8,
 		})

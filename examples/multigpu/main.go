@@ -15,6 +15,7 @@ import (
 	"swapservellm/internal/config"
 	"swapservellm/internal/core"
 	"swapservellm/internal/openai"
+	"swapservellm/internal/proxy/ir"
 	"swapservellm/internal/simclock"
 )
 
@@ -49,9 +50,9 @@ func main() {
 	cli := openai.NewClient(srv.URL())
 	ask := func(model string) {
 		seed := int64(5)
-		if _, err := cli.ChatCompletion(context.Background(), &openai.ChatCompletionRequest{
+		if _, err := cli.ChatCompletion(context.Background(), &ir.ChatCompletionRequest{
 			Model:     model,
-			Messages:  []openai.Message{{Role: "user", Content: "tp"}},
+			Messages:  []ir.Message{{Role: "user", Content: "tp"}},
 			Seed:      &seed,
 			MaxTokens: 6,
 		}); err != nil {

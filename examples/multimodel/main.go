@@ -16,6 +16,7 @@ import (
 	"swapservellm/internal/config"
 	"swapservellm/internal/core"
 	"swapservellm/internal/openai"
+	"swapservellm/internal/proxy/ir"
 	"swapservellm/internal/simclock"
 )
 
@@ -48,9 +49,9 @@ func main() {
 	cli := openai.NewClient(srv.URL())
 	ask := func(model string, tokens int) {
 		seed := int64(1)
-		if _, err := cli.ChatCompletion(context.Background(), &openai.ChatCompletionRequest{
+		if _, err := cli.ChatCompletion(context.Background(), &ir.ChatCompletionRequest{
 			Model:     model,
-			Messages:  []openai.Message{{Role: "user", Content: "burst"}},
+			Messages:  []ir.Message{{Role: "user", Content: "burst"}},
 			Seed:      &seed,
 			MaxTokens: tokens,
 		}); err != nil {

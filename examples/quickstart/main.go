@@ -15,6 +15,7 @@ import (
 	"swapservellm/internal/config"
 	"swapservellm/internal/core"
 	"swapservellm/internal/openai"
+	"swapservellm/internal/proxy/ir"
 	"swapservellm/internal/simclock"
 )
 
@@ -48,9 +49,9 @@ func main() {
 	seed := int64(7)
 	temp := 0.0
 	t0 := clock.Now()
-	resp, err := cli.ChatCompletion(context.Background(), &openai.ChatCompletionRequest{
+	resp, err := cli.ChatCompletion(context.Background(), &ir.ChatCompletionRequest{
 		Model:       "llama3.2:1b-fp16",
-		Messages:    []openai.Message{{Role: "user", Content: "Why hot-swap inference engines?"}},
+		Messages:    []ir.Message{{Role: "user", Content: "Why hot-swap inference engines?"}},
 		MaxTokens:   24,
 		Seed:        &seed,
 		Temperature: &temp,
@@ -63,9 +64,9 @@ func main() {
 
 	// The backend is now resident: the second request is served directly.
 	t1 := clock.Now()
-	if _, err := cli.ChatCompletion(context.Background(), &openai.ChatCompletionRequest{
+	if _, err := cli.ChatCompletion(context.Background(), &ir.ChatCompletionRequest{
 		Model:     "llama3.2:1b-fp16",
-		Messages:  []openai.Message{{Role: "user", Content: "And again?"}},
+		Messages:  []ir.Message{{Role: "user", Content: "And again?"}},
 		MaxTokens: 8,
 		Seed:      &seed,
 	}); err != nil {

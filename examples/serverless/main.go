@@ -16,6 +16,7 @@ import (
 	"swapservellm/internal/config"
 	"swapservellm/internal/core"
 	"swapservellm/internal/openai"
+	"swapservellm/internal/proxy/ir"
 	"swapservellm/internal/simclock"
 )
 
@@ -53,9 +54,9 @@ func main() {
 	ask := func(model string) time.Duration {
 		seed := int64(9)
 		t0 := clock.Now()
-		if _, err := cli.ChatCompletion(context.Background(), &openai.ChatCompletionRequest{
+		if _, err := cli.ChatCompletion(context.Background(), &ir.ChatCompletionRequest{
 			Model:     model,
-			Messages:  []openai.Message{{Role: "user", Content: "serverless"}},
+			Messages:  []ir.Message{{Role: "user", Content: "serverless"}},
 			Seed:      &seed,
 			MaxTokens: 4,
 		}); err != nil {

@@ -12,6 +12,7 @@ import (
 	"swapservellm/internal/engine"
 	"swapservellm/internal/invariant"
 	"swapservellm/internal/openai"
+	"swapservellm/internal/proxy/ir"
 	"swapservellm/internal/simclock"
 )
 
@@ -35,7 +36,7 @@ func startChaosCluster(t *testing.T, cfg config.Cluster, scale float64, inj *cha
 // expectedTranscript computes the deterministic stream a request
 // produces: identical on every replica, which is what makes skip-ahead
 // resumption exact.
-func expectedTranscript(req *openai.ChatCompletionRequest) (string, int) {
+func expectedTranscript(req *ir.ChatCompletionRequest) (string, int) {
 	var gen engine.Generator
 	full := engine.PromptText(req.Messages)
 	n := gen.CompletionLength(full, *req.Seed, 0)
@@ -66,9 +67,9 @@ func TestSSECutPointMatrix(t *testing.T) {
 			c := startChaosCluster(t, twoNodeConfig(model), 5000, inj, nil)
 
 			seed := seedForStream
-			req := &openai.ChatCompletionRequest{
+			req := &ir.ChatCompletionRequest{
 				Model:     model,
-				Messages:  []openai.Message{{Role: "user", Content: "stream across a cut"}},
+				Messages:  []ir.Message{{Role: "user", Content: "stream across a cut"}},
 				Seed:      &seed,
 				MinTokens: 30,
 			}
@@ -77,7 +78,7 @@ func TestSSECutPointMatrix(t *testing.T) {
 			var got strings.Builder
 			var chunks int
 			err := openai.NewClient(c.URL()).ChatCompletionStream(context.Background(), req,
-				func(ch *openai.ChatCompletionChunk) error {
+				func(ch *ir.ChatCompletionChunk) error {
 					chunks++
 					for _, choice := range ch.Choices {
 						got.WriteString(choice.Delta.Content)

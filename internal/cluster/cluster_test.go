@@ -12,6 +12,7 @@ import (
 	"swapservellm/internal/config"
 	"swapservellm/internal/engine"
 	"swapservellm/internal/openai"
+	"swapservellm/internal/proxy/ir"
 	"swapservellm/internal/simclock"
 )
 
@@ -48,12 +49,12 @@ func startCluster(t *testing.T, cfg config.Cluster, scale float64) *Cluster {
 	return c
 }
 
-func gatewayChat(t *testing.T, url, model string, maxTokens int) *openai.ChatCompletionResponse {
+func gatewayChat(t *testing.T, url, model string, maxTokens int) *ir.ChatCompletionResponse {
 	t.Helper()
 	seed := int64(7)
-	resp, err := openai.NewClient(url).ChatCompletion(context.Background(), &openai.ChatCompletionRequest{
+	resp, err := openai.NewClient(url).ChatCompletion(context.Background(), &ir.ChatCompletionRequest{
 		Model:     model,
-		Messages:  []openai.Message{{Role: "user", Content: "hello cluster"}},
+		Messages:  []ir.Message{{Role: "user", Content: "hello cluster"}},
 		Seed:      &seed,
 		MaxTokens: maxTokens,
 	})
@@ -263,9 +264,9 @@ func TestFailoverMidStream(t *testing.T) {
 	// (~320 KiB of SSE events), so the killed node cannot have finished
 	// writing ahead of the client: TCP backpressure guarantees the kill
 	// lands mid-stream regardless of goroutine scheduling.
-	req := &openai.ChatCompletionRequest{
+	req := &ir.ChatCompletionRequest{
 		Model:     model,
-		Messages:  []openai.Message{{Role: "user", Content: prompt}},
+		Messages:  []ir.Message{{Role: "user", Content: prompt}},
 		Seed:      &seed,
 		MinTokens: 2000,
 	}
@@ -288,7 +289,7 @@ func TestFailoverMidStream(t *testing.T) {
 	var chunks int
 	killed := false
 	err := openai.NewClient(c.URL()).ChatCompletionStream(context.Background(), req,
-		func(ch *openai.ChatCompletionChunk) error {
+		func(ch *ir.ChatCompletionChunk) error {
 			chunks++
 			for _, choice := range ch.Choices {
 				got.WriteString(choice.Delta.Content)
@@ -359,9 +360,9 @@ func TestGatewayMetricsEndpoints(t *testing.T) {
 func TestUnrouteableModel(t *testing.T) {
 	const model = "llama3.2:1b-fp16"
 	c := startCluster(t, twoNodeConfig(model), 5000)
-	_, err := openai.NewClient(c.URL()).ChatCompletion(context.Background(), &openai.ChatCompletionRequest{
+	_, err := openai.NewClient(c.URL()).ChatCompletion(context.Background(), &ir.ChatCompletionRequest{
 		Model:    "gemma:7b-fp16", // valid catalog model, deployed nowhere
-		Messages: []openai.Message{{Role: "user", Content: "hi"}},
+		Messages: []ir.Message{{Role: "user", Content: "hi"}},
 	})
 	if err == nil || !strings.Contains(err.Error(), "not available") {
 		t.Fatalf("expected not-available error, got %v", err)

@@ -50,9 +50,9 @@ func TestNDJSONCutPointMatrix(t *testing.T) {
 	// The deterministic transcript the canonicalized /api/chat request
 	// produces (no num_predict: the natural completion length).
 	seed := seedForStream
-	canonical := &openai.ChatCompletionRequest{
+	canonical := &ir.ChatCompletionRequest{
 		Model:    model,
-		Messages: []openai.Message{{Role: "user", Content: prompt}},
+		Messages: []ir.Message{{Role: "user", Content: prompt}},
 		Seed:     &seed,
 	}
 	want, n := expectedTranscript(canonical)
@@ -135,7 +135,7 @@ func TestGatewayCacheRevisionCorrectness(t *testing.T) {
 	if first.StatusCode != http.StatusOK || first.Header.Get("X-Cache") == "hit" {
 		t.Fatalf("first request: status %d, X-Cache %q", first.StatusCode, first.Header.Get("X-Cache"))
 	}
-	var miss openai.ChatCompletionResponse
+	var miss ir.ChatCompletionResponse
 	if err := json.NewDecoder(first.Body).Decode(&miss); err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestGatewayCacheRevisionCorrectness(t *testing.T) {
 	if second.Header.Get("X-Cache") != "hit" {
 		t.Fatal("identical request did not hit the cache")
 	}
-	var hit openai.ChatCompletionResponse
+	var hit ir.ChatCompletionResponse
 	if err := json.NewDecoder(second.Body).Decode(&hit); err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestGatewayListingsAndEncoders(t *testing.T) {
 	if embResp.StatusCode != http.StatusOK {
 		t.Fatalf("embeddings status = %d", embResp.StatusCode)
 	}
-	var emb openai.EmbeddingsResponse
+	var emb ir.EmbeddingsResponse
 	if err := json.NewDecoder(embResp.Body).Decode(&emb); err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestGatewayListingsAndEncoders(t *testing.T) {
 	if rrResp.StatusCode != http.StatusOK {
 		t.Fatalf("rerank status = %d", rrResp.StatusCode)
 	}
-	var rr openai.RerankResponse
+	var rr ir.RerankResponse
 	if err := json.NewDecoder(rrResp.Body).Decode(&rr); err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 
 	"swapservellm/internal/chaos"
 	"swapservellm/internal/obs"
-	"swapservellm/internal/openai"
 	"swapservellm/internal/proxy"
 	"swapservellm/internal/proxy/ir"
 )
@@ -85,7 +84,7 @@ func (g *gateway) translateFailed() { g.c.reg.Counter("gateway_translate_failure
 func (g *gateway) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy.Endpoint, req *ir.Request, canonical []byte) {
 	class, err := g.c.classFor(req.Model, r.Header.Get("X-Priority-Class"), ep.Class)
 	if err != nil {
-		openai.WriteError(w, http.StatusBadRequest, "invalid_request_error", err.Error())
+		ir.WriteError(w, http.StatusBadRequest, "invalid_request_error", err.Error())
 		return
 	}
 
@@ -137,7 +136,7 @@ func (g *gateway) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy
 					retry = 1
 				}
 				w.Header().Set("Retry-After", strconv.Itoa(retry))
-				openai.WriteError(w, http.StatusTooManyRequests, "rate_limit_exceeded",
+				ir.WriteError(w, http.StatusTooManyRequests, "rate_limit_exceeded",
 					fmt.Sprintf("class %q shed under load: predicted wait %s exceeds the class SLO; retry after %ds", class, wait.Round(time.Millisecond), retry))
 				return
 			}
@@ -210,7 +209,7 @@ func (g *gateway) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy
 		return
 	}
 	if len(tried) == 0 {
-		openai.WriteError(w, http.StatusNotFound, "invalid_request_error",
+		ir.WriteError(w, http.StatusNotFound, "invalid_request_error",
 			fmt.Sprintf("model %q is not available on any healthy node", req.Model))
 		return
 	}
@@ -218,7 +217,7 @@ func (g *gateway) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy
 	if lastErr != "" {
 		msg += ": " + lastErr
 	}
-	openai.WriteError(w, http.StatusServiceUnavailable, "no_available_node", msg)
+	ir.WriteError(w, http.StatusServiceUnavailable, "no_available_node", msg)
 }
 
 // place asks the policy for the next node, excluding already-tried
@@ -376,7 +375,7 @@ func (g *gateway) health(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if healthy == 0 {
-		openai.WriteError(w, http.StatusServiceUnavailable, "no_healthy_nodes", "no cluster node is healthy")
+		ir.WriteError(w, http.StatusServiceUnavailable, "no_healthy_nodes", "no cluster node is healthy")
 		return
 	}
 	w.WriteHeader(http.StatusOK)
@@ -393,14 +392,14 @@ func (g *gateway) status(w http.ResponseWriter, r *http.Request) {
 	for _, n := range g.c.registry.Nodes() {
 		out.Nodes = append(out.Nodes, n.Report())
 	}
-	openai.WriteJSON(w, http.StatusOK, out)
+	ir.WriteJSON(w, http.StatusOK, out)
 }
 
 // drain moves a node into (or out of) the draining state.
 func (g *gateway) drain(enter bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			openai.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST")
+			ir.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST")
 			return
 		}
 		id := r.URL.Query().Get("node")
@@ -411,11 +410,11 @@ func (g *gateway) drain(enter bool) http.HandlerFunc {
 			err = g.c.registry.Undrain(id)
 		}
 		if err != nil {
-			openai.WriteError(w, http.StatusNotFound, "invalid_request_error", err.Error())
+			ir.WriteError(w, http.StatusNotFound, "invalid_request_error", err.Error())
 			return
 		}
 		n, _ := g.c.registry.Node(id)
-		openai.WriteJSON(w, http.StatusOK, map[string]string{"node": id, "state": n.State().String()})
+		ir.WriteJSON(w, http.StatusOK, map[string]string{"node": id, "state": n.State().String()})
 	}
 }
 
@@ -424,14 +423,14 @@ func (g *gateway) drain(enter bool) http.HandlerFunc {
 // fine-tune under the same name must never serve predecessor answers).
 func (g *gateway) bumpRevision(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		openai.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST")
+		ir.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST")
 		return
 	}
 	model := r.URL.Query().Get("model")
 	if model == "" {
-		openai.WriteError(w, http.StatusBadRequest, "invalid_request_error", "model query parameter required")
+		ir.WriteError(w, http.StatusBadRequest, "invalid_request_error", "model query parameter required")
 		return
 	}
 	rev := g.front.BumpRevision(model)
-	openai.WriteJSON(w, http.StatusOK, map[string]interface{}{"model": model, "revision": rev})
+	ir.WriteJSON(w, http.StatusOK, map[string]interface{}{"model": model, "revision": rev})
 }

@@ -10,6 +10,7 @@ import (
 
 	"swapservellm/internal/chaos"
 	"swapservellm/internal/metrics"
+	"swapservellm/internal/openai"
 	"swapservellm/internal/simclock"
 )
 
@@ -167,21 +168,8 @@ func (r *NodeRegistry) healthy(n *Node) bool {
 	if url == "http://" || url == "" {
 		return false
 	}
-	var resp *http.Response
-	var err error
-	simclock.GateFor(r.clock).Send(context.Background(), func(ctx context.Context) {
-		var req *http.Request
-		if req, err = http.NewRequestWithContext(ctx, http.MethodGet, url+"/health", nil); err != nil {
-			return
-		}
-		simclock.Stamp(req)
-		resp, err = r.probe.Do(req)
-	})
-	if err != nil {
-		return false
-	}
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
+	probe := openai.Client{BaseURL: url, HTTPClient: r.probe, Clock: r.clock}
+	return probe.Healthy(context.Background())
 }
 
 // ReportFailure records a proxy-level connection failure against a

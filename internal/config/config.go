@@ -25,8 +25,6 @@ type Global struct {
 	ResponseTimeoutSec float64 `json:"response_timeout_sec"`
 	// QueueCapacity is the default per-backend request queue depth.
 	QueueCapacity int `json:"queue_capacity"`
-	// KVCacheType selects the engines' KV-cache dtype (informational).
-	KVCacheType string `json:"kv_cache_type"`
 	// AuthToken, when set, must be presented as a Bearer token.
 	AuthToken string `json:"auth_token"`
 	// UseSleepMode enables the vLLM sleep-mode fast path during swap-out
@@ -126,7 +124,6 @@ func Default() Config {
 		Global: Global{
 			ResponseTimeoutSec: 600,
 			QueueCapacity:      64,
-			KVCacheType:        "fp16",
 			StorageTier:        string(perfmodel.TierDisk),
 		},
 	}

@@ -13,6 +13,7 @@ import (
 	"swapservellm/internal/models"
 	"swapservellm/internal/openai"
 	"swapservellm/internal/perfmodel"
+	"swapservellm/internal/proxy/ir"
 	"swapservellm/internal/simclock"
 	"swapservellm/internal/storage"
 )
@@ -121,9 +122,9 @@ func TestStartServesEngineAPI(t *testing.T) {
 	}
 	cli := openai.NewClient(c.BaseURL())
 	seed := int64(1)
-	resp, err := cli.ChatCompletion(context.Background(), &openai.ChatCompletionRequest{
+	resp, err := cli.ChatCompletion(context.Background(), &ir.ChatCompletionRequest{
 		Model:     "llama3.2:1b-fp16",
-		Messages:  []openai.Message{{Role: "user", Content: "hello"}},
+		Messages:  []ir.Message{{Role: "user", Content: "hello"}},
 		Seed:      &seed,
 		MaxTokens: 4,
 	})
@@ -170,9 +171,9 @@ func TestPauseBlocksServing(t *testing.T) {
 	go func() {
 		seed := int64(1)
 		_, err := openai.NewClient(c.BaseURL()).ChatCompletion(context.Background(),
-			&openai.ChatCompletionRequest{
+			&ir.ChatCompletionRequest{
 				Model:     "llama3.2:1b-fp16",
-				Messages:  []openai.Message{{Role: "user", Content: "x"}},
+				Messages:  []ir.Message{{Role: "user", Content: "x"}},
 				Seed:      &seed,
 				MaxTokens: 2,
 			})

@@ -9,6 +9,7 @@ import (
 	"swapservellm/internal/config"
 	"swapservellm/internal/cudackpt"
 	"swapservellm/internal/openai"
+	"swapservellm/internal/proxy/ir"
 	"swapservellm/internal/simclock"
 )
 
@@ -22,9 +23,9 @@ func TestSwapInFailureRecovers(t *testing.T) {
 
 	seed := int64(1)
 	_, err := openai.NewClient(s.URL()).ChatCompletion(context.Background(),
-		&openai.ChatCompletionRequest{
+		&ir.ChatCompletionRequest{
 			Model:     "llama3.2:1b-fp16",
-			Messages:  []openai.Message{{Role: "user", Content: "x"}},
+			Messages:  []ir.Message{{Role: "user", Content: "x"}},
 			Seed:      &seed,
 			MaxTokens: 2,
 		})
@@ -114,9 +115,9 @@ func TestThawFaultDuringSwapIn(t *testing.T) {
 
 	seed := int64(1)
 	_, err := openai.NewClient(s.URL()).ChatCompletion(context.Background(),
-		&openai.ChatCompletionRequest{
+		&ir.ChatCompletionRequest{
 			Model:     "llama3.2:1b-fp16",
-			Messages:  []openai.Message{{Role: "user", Content: "x"}},
+			Messages:  []ir.Message{{Role: "user", Content: "x"}},
 			Seed:      &seed,
 			MaxTokens: 2,
 		})
@@ -180,9 +181,9 @@ func TestPreemptionSurvivesRestoreFault(t *testing.T) {
 	s.Driver().SetChaos(chaos.FailNext(chaos.SiteCkptRestore, 1))
 	seed := int64(1)
 	_, err = openai.NewClient(s.URL()).ChatCompletion(context.Background(),
-		&openai.ChatCompletionRequest{
+		&ir.ChatCompletionRequest{
 			Model:     "llama3.2:3b-fp16",
-			Messages:  []openai.Message{{Role: "user", Content: "x"}},
+			Messages:  []ir.Message{{Role: "user", Content: "x"}},
 			Seed:      &seed,
 			MaxTokens: 1,
 		})

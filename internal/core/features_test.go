@@ -9,6 +9,7 @@ import (
 	"swapservellm/internal/config"
 	"swapservellm/internal/cudackpt"
 	"swapservellm/internal/openai"
+	"swapservellm/internal/proxy/ir"
 	"swapservellm/internal/simclock"
 )
 
@@ -91,13 +92,13 @@ func TestReaperSkipsBusyBackend(t *testing.T) {
 	seed := int64(1)
 	var chunks int
 	err := openai.NewClient(s.URL()).ChatCompletionStream(context.Background(),
-		&openai.ChatCompletionRequest{
+		&ir.ChatCompletionRequest{
 			Model:     "deepseek-r1:14b-fp16",
-			Messages:  []openai.Message{{Role: "user", Content: "long"}},
+			Messages:  []ir.Message{{Role: "user", Content: "long"}},
 			Seed:      &seed,
 			MinTokens: 255,
 			MaxTokens: 255,
-		}, func(*openai.ChatCompletionChunk) error {
+		}, func(*ir.ChatCompletionChunk) error {
 			chunks++
 			return nil
 		})
@@ -116,9 +117,9 @@ func TestReaperSkipsBusyBackend(t *testing.T) {
 func TestCompletionsEndpoint(t *testing.T) {
 	s := testServer(t, 5000, ollamaModel("llama3.2:1b-fp16"))
 	seed := int64(11)
-	resp, err := openai.NewClient(s.URL()).Completion(context.Background(), &openai.CompletionRequest{
+	resp, err := openai.NewClient(s.URL()).Completion(context.Background(), &ir.CompletionRequest{
 		Model:     "llama3.2:1b-fp16",
-		Prompt:    openai.PromptField{"Once upon a time"},
+		Prompt:    ir.PromptField{"Once upon a time"},
 		MaxTokens: 6,
 		Seed:      &seed,
 	})
@@ -141,9 +142,9 @@ func TestCompletionsEndpoint(t *testing.T) {
 func TestCompletionsMultiPrompt(t *testing.T) {
 	s := testServer(t, 5000, ollamaModel("llama3.2:1b-fp16"))
 	seed := int64(2)
-	resp, err := openai.NewClient(s.URL()).Completion(context.Background(), &openai.CompletionRequest{
+	resp, err := openai.NewClient(s.URL()).Completion(context.Background(), &ir.CompletionRequest{
 		Model:     "llama3.2:1b-fp16",
-		Prompt:    openai.PromptField{"first prompt", "second prompt"},
+		Prompt:    ir.PromptField{"first prompt", "second prompt"},
 		MaxTokens: 3,
 		Seed:      &seed,
 	})
@@ -163,7 +164,7 @@ func TestCompletionsMultiPrompt(t *testing.T) {
 
 func TestCompletionsValidation(t *testing.T) {
 	s := testServer(t, 5000, ollamaModel("llama3.2:1b-fp16"))
-	_, err := openai.NewClient(s.URL()).Completion(context.Background(), &openai.CompletionRequest{
+	_, err := openai.NewClient(s.URL()).Completion(context.Background(), &ir.CompletionRequest{
 		Model: "llama3.2:1b-fp16",
 	})
 	if err == nil || !strings.Contains(err.Error(), "prompt") {

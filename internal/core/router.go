@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"swapservellm/internal/obs"
-	"swapservellm/internal/openai"
 	"swapservellm/internal/proxy"
 	"swapservellm/internal/proxy/ir"
 	"swapservellm/internal/simclock"
@@ -63,12 +62,12 @@ func (rt *router) handler() http.Handler {
 func (rt *router) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy.Endpoint, req *ir.Request, canonical []byte) {
 	b, ok := rt.s.Backend(req.Model)
 	if !ok {
-		openai.WriteError(w, http.StatusNotFound, "invalid_request_error",
+		ir.WriteError(w, http.StatusNotFound, "invalid_request_error",
 			fmt.Sprintf("model %q is not configured", req.Model))
 		return
 	}
 	if b.State() == BackendFailed {
-		openai.WriteError(w, http.StatusServiceUnavailable, "backend_failed",
+		ir.WriteError(w, http.StatusServiceUnavailable, "backend_failed",
 			fmt.Sprintf("backend for %q failed to initialize", req.Model))
 		return
 	}
@@ -113,7 +112,7 @@ func (rt *router) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy
 	default:
 		rt.s.reg.Counter("rejected_queue_full").Inc()
 		span.Fail(fmt.Errorf("queue full"))
-		openai.WriteError(w, http.StatusTooManyRequests, "queue_full",
+		ir.WriteError(w, http.StatusTooManyRequests, "queue_full",
 			fmt.Sprintf("request queue for %q is full", req.Model))
 		return
 	}
@@ -121,14 +120,14 @@ func (rt *router) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy
 	select {
 	case <-ctx.Done():
 		span.Fail(ctx.Err())
-		openai.WriteError(w, http.StatusGatewayTimeout, "timeout", "request timed out or was cancelled")
+		ir.WriteError(w, http.StatusGatewayTimeout, "timeout", "request timed out or was cancelled")
 		return
 	case res := <-item.result:
 		answered = true
 		if res.err != nil {
 			rt.s.reg.Counter("forward_errors").Inc()
 			span.Fail(res.err)
-			openai.WriteError(w, http.StatusBadGateway, "backend_error", res.err.Error())
+			ir.WriteError(w, http.StatusBadGateway, "backend_error", res.err.Error())
 			return
 		}
 		defer res.resp.Body.Close()
@@ -154,7 +153,7 @@ func (rt *router) relayResponse(w http.ResponseWriter, resp *http.Response, ep p
 	default:
 		full, err := io.ReadAll(resp.Body)
 		if err != nil {
-			openai.WriteError(w, http.StatusBadGateway, "backend_error", "reading backend response: "+err.Error())
+			ir.WriteError(w, http.StatusBadGateway, "backend_error", "reading backend response: "+err.Error())
 			return
 		}
 		// A translation failure is already answered 503; the node keeps
@@ -226,7 +225,7 @@ func (rt *router) adminStatus(w http.ResponseWriter, r *http.Request) {
 			Utilization: st.Utilization,
 		})
 	}
-	openai.WriteJSON(w, http.StatusOK, out)
+	ir.WriteJSON(w, http.StatusOK, out)
 }
 
 // adminSwap triggers an explicit swap-in or swap-out (§4.2: models swap
@@ -234,13 +233,13 @@ func (rt *router) adminStatus(w http.ResponseWriter, r *http.Request) {
 func (rt *router) adminSwap(in bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			openai.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST")
+			ir.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST")
 			return
 		}
 		name := r.URL.Query().Get("model")
 		b, ok := rt.s.Backend(name)
 		if !ok {
-			openai.WriteError(w, http.StatusNotFound, "invalid_request_error",
+			ir.WriteError(w, http.StatusNotFound, "invalid_request_error",
 				fmt.Sprintf("model %q is not configured", name))
 			return
 		}
@@ -251,15 +250,15 @@ func (rt *router) adminSwap(in bool) http.HandlerFunc {
 			err = rt.s.ctrl.SwapOut(r.Context(), b)
 		}
 		if err != nil {
-			openai.WriteError(w, http.StatusConflict, "swap_failed", err.Error())
+			ir.WriteError(w, http.StatusConflict, "swap_failed", err.Error())
 			return
 		}
-		openai.WriteJSON(w, http.StatusOK, b.Status())
+		ir.WriteJSON(w, http.StatusOK, b.Status())
 	}
 }
 
 // adminInventory reports the node-local backend/snapshot inventory the
 // cluster layer consumes for placement and rebalancing.
 func (rt *router) adminInventory(w http.ResponseWriter, r *http.Request) {
-	openai.WriteJSON(w, http.StatusOK, rt.s.Inventory())
+	ir.WriteJSON(w, http.StatusOK, rt.s.Inventory())
 }

@@ -26,13 +26,13 @@ func TestResponseTimeoutEndToEnd(t *testing.T) {
 
 	seed := int64(1)
 	_, err := openai.NewClient(s.URL()).ChatCompletion(context.Background(),
-		&openai.ChatCompletionRequest{
+		&ir.ChatCompletionRequest{
 			Model:     "deepseek-r1:14b-fp16",
-			Messages:  []openai.Message{{Role: "user", Content: "x"}},
+			Messages:  []ir.Message{{Role: "user", Content: "x"}},
 			Seed:      &seed,
 			MaxTokens: 2,
 		})
-	apiErr, ok := err.(*openai.APIError)
+	apiErr, ok := err.(*ir.APIError)
 	if !ok || apiErr.Type != "timeout" {
 		t.Fatalf("err = %v, want timeout", err)
 	}
@@ -51,9 +51,9 @@ func TestClientCancelBeforeDequeue(t *testing.T) {
 	go func() {
 		seed := int64(1)
 		_, err := openai.NewClient(s.URL()).ChatCompletion(context.Background(),
-			&openai.ChatCompletionRequest{
+			&ir.ChatCompletionRequest{
 				Model:     "deepseek-r1:14b-fp16",
-				Messages:  []openai.Message{{Role: "user", Content: "warm"}},
+				Messages:  []ir.Message{{Role: "user", Content: "warm"}},
 				Seed:      &seed,
 				MaxTokens: 1,
 			})
@@ -64,9 +64,9 @@ func TestClientCancelBeforeDequeue(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the worker can dequeue it
 	seed := int64(2)
-	_, err := openai.NewClient(s.URL()).ChatCompletion(ctx, &openai.ChatCompletionRequest{
+	_, err := openai.NewClient(s.URL()).ChatCompletion(ctx, &ir.ChatCompletionRequest{
 		Model:     "deepseek-r1:14b-fp16",
-		Messages:  []openai.Message{{Role: "user", Content: "x"}},
+		Messages:  []ir.Message{{Role: "user", Content: "x"}},
 		Seed:      &seed,
 		MaxTokens: 2,
 	})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 
 	"swapservellm/internal/config"
 	"swapservellm/internal/openai"
+	"swapservellm/internal/proxy/ir"
 	"swapservellm/internal/simclock"
 )
 
@@ -42,7 +44,7 @@ func vllmModel(name string) config.Model {
 	return config.Model{Name: name, Engine: "vllm"}
 }
 
-func doChat(t *testing.T, url, model string, maxTokens int) *openai.ChatCompletionResponse {
+func doChat(t *testing.T, url, model string, maxTokens int) *ir.ChatCompletionResponse {
 	t.Helper()
 	return chatVia(t, openai.NewClient(url), model, maxTokens)
 }
@@ -50,20 +52,20 @@ func doChat(t *testing.T, url, model string, maxTokens int) *openai.ChatCompleti
 // serverChat is doChat with the client on the server's clock, so a test
 // goroutine registered with a Virtual clock gives up its run token for
 // the round trip instead of freezing simulated time.
-func serverChat(t *testing.T, s *Server, model string, maxTokens int) *openai.ChatCompletionResponse {
+func serverChat(t *testing.T, s *Server, model string, maxTokens int) *ir.ChatCompletionResponse {
 	t.Helper()
 	cli := openai.NewClient(s.URL())
 	cli.Clock = s.Clock()
 	return chatVia(t, cli, model, maxTokens)
 }
 
-func chatVia(t *testing.T, cli *openai.Client, model string, maxTokens int) *openai.ChatCompletionResponse {
+func chatVia(t *testing.T, cli *openai.Client, model string, maxTokens int) *ir.ChatCompletionResponse {
 	t.Helper()
 	seed := int64(7)
 	temp := 0.0
-	resp, err := cli.ChatCompletion(context.Background(), &openai.ChatCompletionRequest{
+	resp, err := cli.ChatCompletion(context.Background(), &ir.ChatCompletionRequest{
 		Model:       model,
-		Messages:    []openai.Message{{Role: "user", Content: "hello from the test"}},
+		Messages:    []ir.Message{{Role: "user", Content: "hello from the test"}},
 		Seed:        &seed,
 		Temperature: &temp,
 		MaxTokens:   maxTokens,
@@ -220,12 +222,12 @@ func TestPaperScenario34(t *testing.T) {
 func TestUnknownModel404(t *testing.T) {
 	s := testServer(t, 5000, ollamaModel("llama3.2:1b-fp16"))
 	seed := int64(1)
-	_, err := openai.NewClient(s.URL()).ChatCompletion(context.Background(), &openai.ChatCompletionRequest{
+	_, err := openai.NewClient(s.URL()).ChatCompletion(context.Background(), &ir.ChatCompletionRequest{
 		Model:    "gpt-42",
-		Messages: []openai.Message{{Role: "user", Content: "x"}},
+		Messages: []ir.Message{{Role: "user", Content: "x"}},
 		Seed:     &seed,
 	})
-	apiErr, ok := err.(*openai.APIError)
+	apiErr, ok := err.(*ir.APIError)
 	if !ok || !strings.Contains(apiErr.Message, "not configured") {
 		t.Fatalf("err = %v", err)
 	}
@@ -282,13 +284,13 @@ func TestStreamingThroughRouter(t *testing.T) {
 	seed := int64(3)
 	var tokens []string
 	err := openai.NewClient(s.URL()).ChatCompletionStream(context.Background(),
-		&openai.ChatCompletionRequest{
+		&ir.ChatCompletionRequest{
 			Model:     "llama3.2:1b-fp16",
-			Messages:  []openai.Message{{Role: "user", Content: "stream through proxy"}},
+			Messages:  []ir.Message{{Role: "user", Content: "stream through proxy"}},
 			Seed:      &seed,
 			MaxTokens: 6,
 		},
-		func(c *openai.ChatCompletionChunk) error {
+		func(c *ir.ChatCompletionChunk) error {
 			if len(c.Choices) > 0 && c.Choices[0].Delta.Content != "" {
 				tokens = append(tokens, c.Choices[0].Delta.Content)
 			}
@@ -454,16 +456,16 @@ func TestQueueFull429(t *testing.T) {
 		gate.Go(func() {
 			defer wg.Done()
 			seed := int64(1)
-			body := openai.MarshalJSONString(openai.ChatCompletionRequest{
+			body, _ := json.Marshal(ir.ChatCompletionRequest{
 				Model:     "llama3.2:1b-fp16",
-				Messages:  []openai.Message{{Role: "user", Content: "x"}},
+				Messages:  []ir.Message{{Role: "user", Content: "x"}},
 				Seed:      &seed,
 				MaxTokens: 2,
 			})
 			var resp *http.Response
 			var err error
 			gate.BlockIO(func() {
-				resp, err = http.Post(s.URL()+"/v1/chat/completions", "application/json", strings.NewReader(body))
+				resp, err = http.Post(s.URL()+"/v1/chat/completions", "application/json", bytes.NewReader(body))
 				if err == nil {
 					resp.Body.Close()
 				}
@@ -553,9 +555,9 @@ func TestConcurrentRequestsSameModel(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			seed := int64(1)
-			_, err := openai.NewClient(s.URL()).ChatCompletion(context.Background(), &openai.ChatCompletionRequest{
+			_, err := openai.NewClient(s.URL()).ChatCompletion(context.Background(), &ir.ChatCompletionRequest{
 				Model:     "llama3.2:1b-fp16",
-				Messages:  []openai.Message{{Role: "user", Content: "concurrent"}},
+				Messages:  []ir.Message{{Role: "user", Content: "concurrent"}},
 				Seed:      &seed,
 				MaxTokens: 3,
 			})

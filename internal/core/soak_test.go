@@ -9,6 +9,7 @@ import (
 
 	"swapservellm/internal/config"
 	"swapservellm/internal/openai"
+	"swapservellm/internal/proxy/ir"
 )
 
 // TestSoakRandomChurn drives a five-model deployment with randomized
@@ -74,9 +75,9 @@ func TestSoakRandomChurn(t *testing.T) {
 			default:
 				seed := int64(i)
 				_, err := client().ChatCompletion(context.Background(),
-					&openai.ChatCompletionRequest{
+					&ir.ChatCompletionRequest{
 						Model:     model,
-						Messages:  []openai.Message{{Role: "user", Content: "soak"}},
+						Messages:  []ir.Message{{Role: "user", Content: "soak"}},
 						Seed:      &seed,
 						MaxTokens: maxTokens,
 					})
@@ -157,9 +158,9 @@ func TestSoakRandomChurn(t *testing.T) {
 	for _, name := range modelNames {
 		seed := int64(7)
 		if _, err := client().ChatCompletion(context.Background(),
-			&openai.ChatCompletionRequest{
+			&ir.ChatCompletionRequest{
 				Model:     name,
-				Messages:  []openai.Message{{Role: "user", Content: "post-soak"}},
+				Messages:  []ir.Message{{Role: "user", Content: "post-soak"}},
 				Seed:      &seed,
 				MaxTokens: 1,
 			}); err != nil {

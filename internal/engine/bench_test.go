@@ -4,7 +4,7 @@ import (
 	"context"
 	"testing"
 
-	"swapservellm/internal/openai"
+	"swapservellm/internal/proxy/ir"
 )
 
 func BenchmarkTokenizerCountText(b *testing.B) {
@@ -18,7 +18,7 @@ func BenchmarkTokenizerCountText(b *testing.B) {
 }
 
 func BenchmarkTokenizerCountMessages(b *testing.B) {
-	msgs := []openai.Message{
+	msgs := []ir.Message{
 		{Role: "system", Content: "You are a helpful assistant."},
 		{Role: "user", Content: "Explain transparent GPU checkpointing in two sentences."},
 	}

@@ -8,6 +8,7 @@ import (
 	"swapservellm/internal/models"
 	"swapservellm/internal/openai"
 	"swapservellm/internal/perfmodel"
+	"swapservellm/internal/proxy/ir"
 )
 
 // TestCrossEngineDeterminism: with temperature 0 and a fixed seed, every
@@ -31,9 +32,9 @@ func TestCrossEngineDeterminism(t *testing.T) {
 		seed := int64(1234)
 		temp := 0.0
 		resp, err := openai.NewClient(srv.URL).ChatCompletion(context.Background(),
-			&openai.ChatCompletionRequest{
+			&ir.ChatCompletionRequest{
 				Model:       "llama3.2:1b-fp16",
-				Messages:    []openai.Message{{Role: "user", Content: "deterministic?"}},
+				Messages:    []ir.Message{{Role: "user", Content: "deterministic?"}},
 				Seed:        &seed,
 				Temperature: &temp,
 				MaxTokens:   12,

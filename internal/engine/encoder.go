@@ -1,12 +1,10 @@
 package engine
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"sort"
 
-	"swapservellm/internal/openai"
+	"swapservellm/internal/proxy/ir"
 )
 
 // Encoder-only endpoints: POST /v1/embeddings and POST /v1/rerank.
@@ -14,50 +12,9 @@ import (
 // treats every model as multi-headed) with their own perfmodel compute
 // curves — a single batched forward pass instead of prefill + decode.
 
-// acceptEncode runs the shared request admission for an encoder
-// endpoint: model match and engine state. It returns false after
-// writing the error response.
-func (h *handler) acceptEncode(w http.ResponseWriter, model string) bool {
-	if model != h.b.cfg.Model.Name {
-		openai.WriteError(w, http.StatusNotFound, "invalid_request_error",
-			fmt.Sprintf("model %q is not served by this backend (serves %q)", model, h.b.cfg.Model.Name))
-		return false
-	}
-	if h.b.State() != StateReady {
-		openai.WriteError(w, http.StatusServiceUnavailable, "engine_not_ready",
-			fmt.Sprintf("engine state: %v", h.b.State()))
-		return false
-	}
-	return true
-}
-
-// embeddings implements POST /v1/embeddings: one batched encoder pass
+// embeddings serves POST /v1/embeddings: one batched encoder pass
 // over all inputs, then a deterministic vector per input.
-func (h *handler) embeddings(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		openai.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST")
-		return
-	}
-	var req openai.EmbeddingsRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		openai.WriteError(w, http.StatusBadRequest, "invalid_request_error", "malformed JSON: "+err.Error())
-		return
-	}
-	if err := req.Validate(); err != nil {
-		openai.WriteError(w, http.StatusBadRequest, "invalid_request_error", err.Error())
-		return
-	}
-	if !h.acceptEncode(w, req.Model) {
-		return
-	}
-
-	h.b.active.Add(1)
-	h.updateBusy()
-	defer func() {
-		h.b.active.Add(-1)
-		h.updateBusy()
-	}()
-
+func (h *handler) embeddings(w http.ResponseWriter, r *http.Request, req *ir.EmbeddingsRequest) {
 	var (
 		tok Tokenizer
 		gen Generator
@@ -71,46 +28,22 @@ func (h *handler) embeddings(w http.ResponseWriter, r *http.Request) {
 	}
 	h.b.cfg.Clock.Sleep(h.b.cfg.Testbed.EmbedTime(h.b.kind, h.b.cfg.Model, len(req.Input), total))
 
-	data := make([]openai.Embedding, len(req.Input))
+	data := make([]ir.Embedding, len(req.Input))
 	for i, text := range req.Input {
-		data[i] = openai.Embedding{Object: "embedding", Index: i, Embedding: gen.Embedding(text, EmbeddingDim)}
+		data[i] = ir.Embedding{Object: "embedding", Index: i, Embedding: gen.Embedding(text, EmbeddingDim)}
 	}
-	openai.WriteJSON(w, http.StatusOK, openai.EmbeddingsResponse{
+	ir.WriteJSON(w, http.StatusOK, ir.EmbeddingsResponse{
 		Object: "list",
 		Data:   data,
 		Model:  h.b.cfg.Model.Name,
-		Usage:  openai.Usage{PromptTokens: total, TotalTokens: total},
+		Usage:  ir.Usage{PromptTokens: total, TotalTokens: total},
 	})
 }
 
-// rerank implements POST /v1/rerank (the Cohere/Jina shape): one
+// rerank serves POST /v1/rerank (the Cohere/Jina shape): one
 // batched cross-encoder pass scoring every query-document pair, results
 // sorted by descending relevance.
-func (h *handler) rerank(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		openai.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST")
-		return
-	}
-	var req openai.RerankRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		openai.WriteError(w, http.StatusBadRequest, "invalid_request_error", "malformed JSON: "+err.Error())
-		return
-	}
-	if err := req.Validate(); err != nil {
-		openai.WriteError(w, http.StatusBadRequest, "invalid_request_error", err.Error())
-		return
-	}
-	if !h.acceptEncode(w, req.Model) {
-		return
-	}
-
-	h.b.active.Add(1)
-	h.updateBusy()
-	defer func() {
-		h.b.active.Add(-1)
-		h.updateBusy()
-	}()
-
+func (h *handler) rerank(w http.ResponseWriter, r *http.Request, req *ir.RerankRequest) {
 	var (
 		tok Tokenizer
 		gen Generator
@@ -125,9 +58,9 @@ func (h *handler) rerank(w http.ResponseWriter, r *http.Request) {
 	}
 	h.b.cfg.Clock.Sleep(h.b.cfg.Testbed.RerankTime(h.b.kind, h.b.cfg.Model, len(req.Documents), total))
 
-	results := make([]openai.RerankResult, len(req.Documents))
+	results := make([]ir.RerankResult, len(req.Documents))
 	for i, doc := range req.Documents {
-		results[i] = openai.RerankResult{Index: i, RelevanceScore: gen.RerankScore(req.Query, doc)}
+		results[i] = ir.RerankResult{Index: i, RelevanceScore: gen.RerankScore(req.Query, doc)}
 	}
 	sort.SliceStable(results, func(i, j int) bool {
 		if results[i].RelevanceScore != results[j].RelevanceScore {
@@ -138,9 +71,9 @@ func (h *handler) rerank(w http.ResponseWriter, r *http.Request) {
 	if req.TopN > 0 && req.TopN < len(results) {
 		results = results[:req.TopN]
 	}
-	openai.WriteJSON(w, http.StatusOK, openai.RerankResponse{
+	ir.WriteJSON(w, http.StatusOK, ir.RerankResponse{
 		Model:   h.b.cfg.Model.Name,
 		Results: results,
-		Usage:   openai.Usage{PromptTokens: total, TotalTokens: total},
+		Usage:   ir.Usage{PromptTokens: total, TotalTokens: total},
 	})
 }

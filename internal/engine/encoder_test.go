@@ -6,7 +6,7 @@ import (
 	"net/http"
 	"testing"
 
-	"swapservellm/internal/openai"
+	"swapservellm/internal/proxy/ir"
 )
 
 // postJSON posts a JSON body and decodes the JSON response into out.
@@ -27,7 +27,7 @@ func postJSON(t *testing.T, url string, body string, out interface{}) *http.Resp
 
 func TestEmbeddingsEndpoint(t *testing.T) {
 	_, srv, _ := readyEngine(t)
-	var got openai.EmbeddingsResponse
+	var got ir.EmbeddingsResponse
 	resp := postJSON(t, srv.URL+"/v1/embeddings",
 		`{"model":"llama3.2:1b-fp16","input":["first chunk","second chunk"]}`, &got)
 	if resp.StatusCode != http.StatusOK {
@@ -52,7 +52,7 @@ func TestEmbeddingsEndpoint(t *testing.T) {
 
 	// Determinism: the same input always embeds identically (the property
 	// the response cache and replayed traces rely on).
-	var again openai.EmbeddingsResponse
+	var again ir.EmbeddingsResponse
 	postJSON(t, srv.URL+"/v1/embeddings",
 		`{"model":"llama3.2:1b-fp16","input":["first chunk","second chunk"]}`, &again)
 	a, _ := json.Marshal(got)
@@ -68,7 +68,7 @@ func TestEmbeddingsEndpoint(t *testing.T) {
 
 func TestRerankEndpoint(t *testing.T) {
 	_, srv, _ := readyEngine(t)
-	var got openai.RerankResponse
+	var got ir.RerankResponse
 	resp := postJSON(t, srv.URL+"/v1/rerank",
 		`{"model":"llama3.2:1b-fp16","query":"swap latency","documents":["doc a","doc b","doc c"],"top_n":2}`, &got)
 	if resp.StatusCode != http.StatusOK {
@@ -89,7 +89,7 @@ func TestRerankEndpoint(t *testing.T) {
 		}
 	}
 
-	var again openai.RerankResponse
+	var again ir.RerankResponse
 	postJSON(t, srv.URL+"/v1/rerank",
 		`{"model":"llama3.2:1b-fp16","query":"swap latency","documents":["doc a","doc b","doc c"],"top_n":2}`, &again)
 	a, _ := json.Marshal(got)
@@ -118,7 +118,7 @@ func TestMultimodalChatCharging(t *testing.T) {
 	textOnly := `{"model":"llama3.2:1b-fp16","messages":[{"role":"user","content":"describe"}],"max_tokens":4}`
 	withImage := `{"model":"llama3.2:1b-fp16","messages":[{"role":"user","content":[{"type":"text","text":"describe"},{"type":"image_url","image_url":{"url":"data:image/png;base64,xyz"}}]}],"max_tokens":4}`
 
-	var plain, vision openai.ChatCompletionResponse
+	var plain, vision ir.ChatCompletionResponse
 	postJSON(t, srv.URL+"/v1/chat/completions", textOnly, &plain)
 	postJSON(t, srv.URL+"/v1/chat/completions", withImage, &vision)
 	if diff := vision.Usage.PromptTokens - plain.Usage.PromptTokens; diff != 576 {

@@ -3,7 +3,7 @@ package engine
 import (
 	"hash/fnv"
 
-	"swapservellm/internal/openai"
+	"swapservellm/internal/proxy/ir"
 )
 
 // vocabulary is the word list the deterministic generator draws from. The
@@ -98,7 +98,7 @@ func (Generator) RerankScore(query, doc string) float64 {
 
 // PromptText flattens a chat into the prompt string fed to the stream
 // state, mirroring a chat template.
-func PromptText(msgs []openai.Message) string {
+func PromptText(msgs []ir.Message) string {
 	var out string
 	for _, m := range msgs {
 		out += "<|" + m.Role + "|>" + m.Content

@@ -2,13 +2,13 @@ package engine
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 
-	"swapservellm/internal/openai"
 	"swapservellm/internal/perfmodel"
+	"swapservellm/internal/proxy/ir"
 )
 
 // handler serves the OpenAI-compatible interface for one engine instance.
@@ -24,10 +24,10 @@ func (b *base) handlerWith(extra func(mux *http.ServeMux)) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/health", h.health)
 	mux.HandleFunc("/v1/models", h.listModels)
-	mux.HandleFunc("/v1/chat/completions", h.chatCompletions)
-	mux.HandleFunc("/v1/completions", h.completions)
-	mux.HandleFunc("/v1/embeddings", h.embeddings)
-	mux.HandleFunc("/v1/rerank", h.rerank)
+	mux.HandleFunc("/v1/chat/completions", h.inference(ir.FamilyChat))
+	mux.HandleFunc("/v1/completions", h.inference(ir.FamilyCompletion))
+	mux.HandleFunc("/v1/embeddings", h.inference(ir.FamilyEmbeddings))
+	mux.HandleFunc("/v1/rerank", h.inference(ir.FamilyRerank))
 	if extra != nil {
 		extra(mux)
 	}
@@ -59,9 +59,9 @@ func (h *handler) health(w http.ResponseWriter, r *http.Request) {
 // listModels reports the single served model.
 func (h *handler) listModels(w http.ResponseWriter, r *http.Request) {
 	m := h.b.cfg.Model
-	openai.WriteJSON(w, http.StatusOK, openai.ModelList{
+	ir.WriteJSON(w, http.StatusOK, ir.ModelList{
 		Object: "list",
-		Data: []openai.ModelInfo{{
+		Data: []ir.ModelInfo{{
 			ID:      m.Name,
 			Object:  "model",
 			Created: h.b.cfg.Clock.Now().Unix(),
@@ -70,46 +70,65 @@ func (h *handler) listModels(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// chatCompletions implements POST /v1/chat/completions with both blocking
-// and SSE streaming responses, decoding tokens at the calibrated rate.
-func (h *handler) chatCompletions(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		openai.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST")
-		return
-	}
-	var req openai.ChatCompletionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		openai.WriteError(w, http.StatusBadRequest, "invalid_request_error", "malformed JSON: "+err.Error())
-		return
-	}
-	if err := req.Validate(); err != nil {
-		openai.WriteError(w, http.StatusBadRequest, "invalid_request_error", err.Error())
-		return
-	}
-	if req.Model != h.b.cfg.Model.Name {
-		openai.WriteError(w, http.StatusNotFound, "invalid_request_error",
-			fmt.Sprintf("model %q is not served by this backend (serves %q)", req.Model, h.b.cfg.Model.Name))
-		return
-	}
-	switch h.b.State() {
-	case StateReady:
-	case StateSleeping:
-		openai.WriteError(w, http.StatusServiceUnavailable, "engine_sleeping",
-			"engine is in sleep mode; wake it before serving")
-		return
-	default:
-		openai.WriteError(w, http.StatusServiceUnavailable, "engine_not_ready",
-			fmt.Sprintf("engine state: %v", h.b.State()))
-		return
-	}
+// inference is the prelude the four OpenAI POST endpoints share: it
+// decodes the body through the IR codec, checks the model and the
+// engine state, counts the request as in flight for the device's busy
+// share, and dispatches the decoded request by family.
+func (h *handler) inference(f ir.Family) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			ir.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST")
+			return
+		}
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			ir.WriteError(w, http.StatusBadRequest, "invalid_request_error", "reading body: "+err.Error())
+			return
+		}
+		req, err := ir.OpenAICodec{}.DecodeRequest(f, body)
+		if err != nil {
+			ir.WriteError(w, http.StatusBadRequest, "invalid_request_error", err.Error())
+			return
+		}
+		if req.Model != h.b.cfg.Model.Name {
+			ir.WriteError(w, http.StatusNotFound, "invalid_request_error",
+				fmt.Sprintf("model %q is not served by this backend (serves %q)", req.Model, h.b.cfg.Model.Name))
+			return
+		}
+		switch state := h.b.State(); state {
+		case StateReady:
+		case StateSleeping:
+			ir.WriteError(w, http.StatusServiceUnavailable, "engine_sleeping",
+				"engine is in sleep mode; wake it before serving")
+			return
+		default:
+			ir.WriteError(w, http.StatusServiceUnavailable, "engine_not_ready",
+				fmt.Sprintf("engine state: %v", state))
+			return
+		}
 
-	h.b.active.Add(1)
-	h.updateBusy()
-	defer func() {
-		h.b.active.Add(-1)
+		h.b.active.Add(1)
 		h.updateBusy()
-	}()
+		defer func() {
+			h.b.active.Add(-1)
+			h.updateBusy()
+		}()
+		switch f {
+		case ir.FamilyChat:
+			h.chat(w, r, req.Chat)
+		case ir.FamilyCompletion:
+			h.completion(w, r, req.Completion)
+		case ir.FamilyEmbeddings:
+			h.embeddings(w, r, req.Embeddings)
+		case ir.FamilyRerank:
+			h.rerank(w, r, req.Rerank)
+		}
+	}
+}
 
+// chat serves POST /v1/chat/completions with both blocking and SSE
+// streaming responses, decoding tokens at the calibrated rate.
+func (h *handler) chat(w http.ResponseWriter, r *http.Request, req *ir.ChatCompletionRequest) {
 	var (
 		tok  Tokenizer
 		gen  Generator
@@ -153,9 +172,14 @@ func (h *handler) chatCompletions(w http.ResponseWriter, r *http.Request) {
 
 	id := fmt.Sprintf("chatcmpl-%s-%d", h.b.cfg.Owner, h.b.reqSeq.Add(1))
 	created := tb0.Now().Unix()
+	usage := ir.Usage{
+		PromptTokens:     promptTokens,
+		CompletionTokens: n,
+		TotalTokens:      promptTokens + n,
+	}
 
 	if req.Stream {
-		h.streamCompletion(w, r, &req, id, created, prompt, seed, n, promptTokens, finish)
+		h.streamChat(w, r, id, created, prompt, seed, n, usage, finish)
 		return
 	}
 
@@ -164,57 +188,22 @@ func (h *handler) chatCompletions(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		return
 	}
-	openai.WriteJSON(w, http.StatusOK, openai.ChatCompletionResponse{
+	ir.WriteJSON(w, http.StatusOK, ir.ChatCompletionResponse{
 		ID:      id,
 		Object:  "chat.completion",
 		Created: created,
 		Model:   m.Name,
-		Choices: []openai.Choice{{
-			Message:      openai.Message{Role: "assistant", Content: content},
+		Choices: []ir.Choice{{
+			Message:      ir.Message{Role: "assistant", Content: content},
 			FinishReason: finish,
 		}},
-		Usage: openai.Usage{
-			PromptTokens:     promptTokens,
-			CompletionTokens: n,
-			TotalTokens:      promptTokens + n,
-		},
+		Usage: usage,
 	})
 }
 
-// completions implements the legacy POST /v1/completions endpoint:
+// completion serves the legacy POST /v1/completions endpoint:
 // plain-prompt generation with the same decode model as chat.
-func (h *handler) completions(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		openai.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST")
-		return
-	}
-	var req openai.CompletionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		openai.WriteError(w, http.StatusBadRequest, "invalid_request_error", "malformed JSON: "+err.Error())
-		return
-	}
-	if err := req.Validate(); err != nil {
-		openai.WriteError(w, http.StatusBadRequest, "invalid_request_error", err.Error())
-		return
-	}
-	if req.Model != h.b.cfg.Model.Name {
-		openai.WriteError(w, http.StatusNotFound, "invalid_request_error",
-			fmt.Sprintf("model %q is not served by this backend (serves %q)", req.Model, h.b.cfg.Model.Name))
-		return
-	}
-	if h.b.State() != StateReady {
-		openai.WriteError(w, http.StatusServiceUnavailable, "engine_not_ready",
-			fmt.Sprintf("engine state: %v", h.b.State()))
-		return
-	}
-
-	h.b.active.Add(1)
-	h.updateBusy()
-	defer func() {
-		h.b.active.Add(-1)
-		h.updateBusy()
-	}()
-
+func (h *handler) completion(w http.ResponseWriter, r *http.Request, req *ir.CompletionRequest) {
 	var (
 		tok  Tokenizer
 		gen  Generator
@@ -230,8 +219,8 @@ func (h *handler) completions(w http.ResponseWriter, r *http.Request) {
 	id := fmt.Sprintf("cmpl-%s-%d", h.b.cfg.Owner, h.b.reqSeq.Add(1))
 	created := clock.Now().Unix()
 
-	var choices []openai.CompletionChoice
-	var usage openai.Usage
+	var choices []ir.CompletionChoice
+	var usage ir.Usage
 	for idx, prompt := range req.Prompt {
 		promptTokens := tok.CountText(prompt)
 		n := gen.CompletionLength(prompt, seed, req.MaxTokens)
@@ -244,13 +233,12 @@ func (h *handler) completions(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return
 		}
-		fr := finish
-		choices = append(choices, openai.CompletionChoice{Text: text, Index: idx, FinishReason: &fr})
+		choices = append(choices, ir.CompletionChoice{Text: text, Index: idx, FinishReason: &finish})
 		usage.PromptTokens += promptTokens
 		usage.CompletionTokens += n
 	}
 	usage.TotalTokens = usage.PromptTokens + usage.CompletionTokens
-	openai.WriteJSON(w, http.StatusOK, openai.CompletionResponse{
+	ir.WriteJSON(w, http.StatusOK, ir.CompletionResponse{
 		ID:      id,
 		Object:  "text_completion",
 		Created: created,
@@ -260,38 +248,29 @@ func (h *handler) completions(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// streamCompletion emits SSE chunks token by token.
-func (h *handler) streamCompletion(w http.ResponseWriter, r *http.Request, req *openai.ChatCompletionRequest,
-	id string, created int64, prompt string, seed int64, n, promptTokens int, finish string) {
-	sw := openai.NewSSEWriter(w)
-	m := h.b.cfg.Model
-
-	// Role preamble chunk.
-	if err := sw.WriteChunk(&openai.ChatCompletionChunk{
-		ID: id, Object: "chat.completion.chunk", Created: created, Model: m.Name,
-		Choices: []openai.DeltaChoice{{Delta: openai.Message{Role: "assistant"}}},
-	}); err != nil {
+// streamChat emits SSE chunks token by token: a role preamble, one
+// chunk per token, then the finish chunk with usage and [DONE].
+func (h *handler) streamChat(w http.ResponseWriter, r *http.Request,
+	id string, created int64, prompt string, seed int64, n int, usage ir.Usage, finish string) {
+	sw := ir.NewSSEWriter(w)
+	chunk := func(delta ir.Message) *ir.ChatCompletionChunk {
+		return &ir.ChatCompletionChunk{
+			ID: id, Object: "chat.completion.chunk", Created: created, Model: h.b.cfg.Model.Name,
+			Choices: []ir.DeltaChoice{{Delta: delta}},
+		}
+	}
+	if err := sw.WriteEvent(&ir.StreamEvent{Chunk: chunk(ir.Message{Role: "assistant"})}); err != nil {
 		return
 	}
 	if err := h.decode(r.Context(), prompt, seed, n, func(tok string) error {
-		return sw.WriteChunk(&openai.ChatCompletionChunk{
-			ID: id, Object: "chat.completion.chunk", Created: created, Model: m.Name,
-			Choices: []openai.DeltaChoice{{Delta: openai.Message{Content: tok}}},
-		})
+		return sw.WriteEvent(&ir.StreamEvent{Chunk: chunk(ir.Message{Content: tok})})
 	}); err != nil {
 		return
 	}
-	fr := finish
-	sw.WriteChunk(&openai.ChatCompletionChunk{
-		ID: id, Object: "chat.completion.chunk", Created: created, Model: m.Name,
-		Choices: []openai.DeltaChoice{{Delta: openai.Message{}, FinishReason: &fr}},
-		Usage: &openai.Usage{
-			PromptTokens:     promptTokens,
-			CompletionTokens: n,
-			TotalTokens:      promptTokens + n,
-		},
-	})
-	sw.WriteDone()
+	last := chunk(ir.Message{})
+	last.Choices[0].FinishReason = &finish
+	last.Usage = &usage
+	sw.WriteEvent(&ir.StreamEvent{Chunk: last, Done: true})
 }
 
 // decode is the per-token loop every generation path shares: wait out

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"swapservellm/internal/openai"
+	"swapservellm/internal/proxy/ir"
 	"swapservellm/internal/simclock"
 	"swapservellm/internal/storage"
 )
@@ -30,12 +31,12 @@ func readyEngine(t *testing.T) (*Ollama, *httptest.Server, *testRig) {
 	return e, srv, r
 }
 
-func chatReq(model, text string) *openai.ChatCompletionRequest {
+func chatReq(model, text string) *ir.ChatCompletionRequest {
 	seed := int64(42)
 	temp := 0.0
-	return &openai.ChatCompletionRequest{
+	return &ir.ChatCompletionRequest{
 		Model:       model,
-		Messages:    []openai.Message{{Role: "user", Content: text}},
+		Messages:    []ir.Message{{Role: "user", Content: text}},
 		Seed:        &seed,
 		Temperature: &temp,
 		MaxTokens:   8,
@@ -100,9 +101,9 @@ func TestChatCompletionStreaming(t *testing.T) {
 	c := openai.NewClient(srv.URL)
 	var chunks []string
 	var sawFinish bool
-	var usage *openai.Usage
+	var usage *ir.Usage
 	err := c.ChatCompletionStream(context.Background(), chatReq("llama3.2:1b-fp16", "stream me"),
-		func(ch *openai.ChatCompletionChunk) error {
+		func(ch *ir.ChatCompletionChunk) error {
 			if len(ch.Choices) > 0 {
 				if ch.Choices[0].Delta.Content != "" {
 					chunks = append(chunks, ch.Choices[0].Delta.Content)
@@ -136,7 +137,7 @@ func TestStreamMatchesBlocking(t *testing.T) {
 	}
 	var sb strings.Builder
 	err = c.ChatCompletionStream(context.Background(), chatReq("llama3.2:1b-fp16", "same output"),
-		func(ch *openai.ChatCompletionChunk) error {
+		func(ch *ir.ChatCompletionChunk) error {
 			if len(ch.Choices) > 0 {
 				sb.WriteString(ch.Choices[0].Delta.Content)
 			}
@@ -154,7 +155,7 @@ func TestWrongModelRejected(t *testing.T) {
 	_, srv, _ := readyEngine(t)
 	c := openai.NewClient(srv.URL)
 	_, err := c.ChatCompletion(context.Background(), chatReq("gemma3:4b-fp16", "hi"))
-	apiErr, ok := err.(*openai.APIError)
+	apiErr, ok := err.(*ir.APIError)
 	if !ok || !strings.Contains(apiErr.Message, "not served") {
 		t.Fatalf("err = %v", err)
 	}
@@ -260,7 +261,7 @@ func TestFreezeMidDecodeStallsStream(t *testing.T) {
 	req.MaxTokens = 64
 	go func() {
 		var once sync.Once
-		done <- c.ChatCompletionStream(context.Background(), req, func(ch *openai.ChatCompletionChunk) error {
+		done <- c.ChatCompletionStream(context.Background(), req, func(ch *ir.ChatCompletionChunk) error {
 			mu.Lock()
 			count++
 			mu.Unlock()
@@ -302,7 +303,7 @@ func TestCancelledClientAbandonsDecode(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- openai.NewClient(srv.URL).ChatCompletionStream(ctx, req,
-			func(*openai.ChatCompletionChunk) error { return nil })
+			func(*ir.ChatCompletionChunk) error { return nil })
 	}()
 	time.Sleep(10 * time.Millisecond)
 	cancel()

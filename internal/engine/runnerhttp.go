@@ -7,7 +7,7 @@ import (
 	"io"
 	"net/http"
 
-	"swapservellm/internal/openai"
+	"swapservellm/internal/proxy/ir"
 )
 
 // Handler exposes the runner manager as an Ollama-style multi-model
@@ -32,28 +32,28 @@ func (rm *RunnerManager) Handler() http.Handler {
 // delegates the request to it.
 func (rm *RunnerManager) serveInference(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		openai.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST")
+		ir.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use POST")
 		return
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 	if err != nil {
-		openai.WriteError(w, http.StatusBadRequest, "invalid_request_error", "reading body: "+err.Error())
+		ir.WriteError(w, http.StatusBadRequest, "invalid_request_error", "reading body: "+err.Error())
 		return
 	}
 	var probe struct {
 		Model string `json:"model"`
 	}
 	if err := json.Unmarshal(body, &probe); err != nil {
-		openai.WriteError(w, http.StatusBadRequest, "invalid_request_error", "malformed JSON: "+err.Error())
+		ir.WriteError(w, http.StatusBadRequest, "invalid_request_error", "malformed JSON: "+err.Error())
 		return
 	}
 	if probe.Model == "" {
-		openai.WriteError(w, http.StatusBadRequest, "invalid_request_error", "missing required field: model")
+		ir.WriteError(w, http.StatusBadRequest, "invalid_request_error", "missing required field: model")
 		return
 	}
 	eng, err := rm.Acquire(r.Context(), probe.Model)
 	if err != nil {
-		openai.WriteError(w, http.StatusNotFound, "model_load_error", err.Error())
+		ir.WriteError(w, http.StatusNotFound, "model_load_error", err.Error())
 		return
 	}
 	// Delegate to the runner's own handler with the original body.
@@ -65,16 +65,16 @@ func (rm *RunnerManager) serveInference(w http.ResponseWriter, r *http.Request) 
 
 // serveModels lists every model the catalog can serve.
 func (rm *RunnerManager) serveModels(w http.ResponseWriter, r *http.Request) {
-	list := openai.ModelList{Object: "list"}
+	list := ir.ModelList{Object: "list"}
 	for _, name := range rm.catalog.Names() {
-		list.Data = append(list.Data, openai.ModelInfo{
+		list.Data = append(list.Data, ir.ModelInfo{
 			ID:      name,
 			Object:  "model",
 			Created: rm.clock.Now().Unix(),
 			OwnedBy: "ollama",
 		})
 	}
-	openai.WriteJSON(w, http.StatusOK, list)
+	ir.WriteJSON(w, http.StatusOK, list)
 }
 
 // psEntry mirrors `ollama ps` output: a resident runner and its memory.
@@ -109,5 +109,5 @@ func (rm *RunnerManager) servePS(w http.ResponseWriter, r *http.Request) {
 			SizeGiB:  float64(bytes) / (1 << 30),
 		})
 	}
-	openai.WriteJSON(w, http.StatusOK, out)
+	ir.WriteJSON(w, http.StatusOK, out)
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"swapservellm/internal/openai"
+	"swapservellm/internal/proxy/ir"
 )
 
 func runnerServer(t *testing.T, deviceBytes int64) (*RunnerManager, *httptest.Server) {
@@ -24,9 +25,9 @@ func TestRunnerHTTPChatLoadsOnDemand(t *testing.T) {
 	rm, srv := runnerServer(t, 80*gib)
 	seed := int64(5)
 	resp, err := openai.NewClient(srv.URL).ChatCompletion(context.Background(),
-		&openai.ChatCompletionRequest{
+		&ir.ChatCompletionRequest{
 			Model:     "llama3.2:1b-fp16",
-			Messages:  []openai.Message{{Role: "user", Content: "hello ollama"}},
+			Messages:  []ir.Message{{Role: "user", Content: "hello ollama"}},
 			Seed:      &seed,
 			MaxTokens: 4,
 		})
@@ -45,9 +46,9 @@ func TestRunnerHTTPLegacyCompletions(t *testing.T) {
 	_, srv := runnerServer(t, 80*gib)
 	seed := int64(5)
 	resp, err := openai.NewClient(srv.URL).Completion(context.Background(),
-		&openai.CompletionRequest{
+		&ir.CompletionRequest{
 			Model:     "deepseek-r1:1.5b-q4",
-			Prompt:    openai.PromptField{"complete me"},
+			Prompt:    ir.PromptField{"complete me"},
 			Seed:      &seed,
 			MaxTokens: 3,
 		})
@@ -66,9 +67,9 @@ func TestRunnerHTTPEvictionVisibleInPS(t *testing.T) {
 	ask := func(model string) {
 		seed := int64(1)
 		_, err := openai.NewClient(srv.URL).ChatCompletion(context.Background(),
-			&openai.ChatCompletionRequest{
+			&ir.ChatCompletionRequest{
 				Model:     model,
-				Messages:  []openai.Message{{Role: "user", Content: "x"}},
+				Messages:  []ir.Message{{Role: "user", Content: "x"}},
 				Seed:      &seed,
 				MaxTokens: 2,
 			})
@@ -113,9 +114,9 @@ func TestRunnerHTTPErrors(t *testing.T) {
 	// Unknown model.
 	seed := int64(1)
 	_, err := openai.NewClient(srv.URL).ChatCompletion(context.Background(),
-		&openai.ChatCompletionRequest{
+		&ir.ChatCompletionRequest{
 			Model:    "mystery:1b",
-			Messages: []openai.Message{{Role: "user", Content: "x"}},
+			Messages: []ir.Message{{Role: "user", Content: "x"}},
 			Seed:     &seed,
 		})
 	if err == nil || !strings.Contains(err.Error(), "unknown model") {

@@ -3,7 +3,7 @@ package engine
 import (
 	"strings"
 
-	"swapservellm/internal/openai"
+	"swapservellm/internal/proxy/ir"
 )
 
 // Tokenizer approximates LLM tokenization deterministically: whitespace
@@ -41,7 +41,7 @@ func (Tokenizer) CountText(s string) int {
 
 // CountMessages returns the prompt token count for a chat, including the
 // per-message template overhead (role markers and separators).
-func (t Tokenizer) CountMessages(msgs []openai.Message) int {
+func (t Tokenizer) CountMessages(msgs []ir.Message) int {
 	const perMessageOverhead = 4
 	total := 3 // chat template prefix
 	for _, m := range msgs {

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"swapservellm/internal/openai"
+	"swapservellm/internal/proxy/ir"
 )
 
 func TestCountTextBasics(t *testing.T) {
@@ -36,7 +36,7 @@ func TestCountTextWhitespaceKinds(t *testing.T) {
 
 func TestCountMessages(t *testing.T) {
 	var tok Tokenizer
-	msgs := []openai.Message{
+	msgs := []ir.Message{
 		{Role: "system", Content: "be brief"},
 		{Role: "user", Content: "hi"},
 	}
@@ -128,7 +128,7 @@ func TestTokenSeparators(t *testing.T) {
 }
 
 func TestPromptText(t *testing.T) {
-	got := PromptText([]openai.Message{{Role: "user", Content: "hello"}})
+	got := PromptText([]ir.Message{{Role: "user", Content: "hello"}})
 	if !strings.Contains(got, "user") || !strings.Contains(got, "hello") {
 		t.Fatalf("PromptText = %q", got)
 	}

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"net/http"
 
-	"swapservellm/internal/openai"
 	"swapservellm/internal/perfmodel"
+	"swapservellm/internal/proxy/ir"
 )
 
 // VLLM simulates the vLLM engine: PagedAttention-style pooled KV cache
@@ -55,14 +55,14 @@ func (v *VLLM) Handler() http.Handler {
 				level = 2
 			}
 			if err := v.Sleep(r.Context(), level); err != nil {
-				openai.WriteError(w, http.StatusConflict, "sleep_failed", err.Error())
+				ir.WriteError(w, http.StatusConflict, "sleep_failed", err.Error())
 				return
 			}
 			w.WriteHeader(http.StatusOK)
 		})
 		mux.HandleFunc("/wake_up", func(w http.ResponseWriter, r *http.Request) {
 			if err := v.Wake(r.Context()); err != nil {
-				openai.WriteError(w, http.StatusConflict, "wake_failed", err.Error())
+				ir.WriteError(w, http.StatusConflict, "wake_failed", err.Error())
 				return
 			}
 			w.WriteHeader(http.StatusOK)

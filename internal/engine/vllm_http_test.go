@@ -2,11 +2,14 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"swapservellm/internal/openai"
+	"swapservellm/internal/proxy/ir"
 )
 
 // vllmServer initializes a vLLM engine behind a test HTTP server.
@@ -42,9 +45,9 @@ func TestVLLMSleepEndpoint(t *testing.T) {
 	// Inference while sleeping is rejected with 503.
 	seed := int64(1)
 	_, err = openai.NewClient(srv.URL).ChatCompletion(context.Background(),
-		&openai.ChatCompletionRequest{
+		&ir.ChatCompletionRequest{
 			Model:    "llama3.2:1b-fp16",
-			Messages: []openai.Message{{Role: "user", Content: "x"}},
+			Messages: []ir.Message{{Role: "user", Content: "x"}},
 			Seed:     &seed,
 		})
 	if err == nil {
@@ -74,13 +77,42 @@ func TestVLLMSleepEndpoint(t *testing.T) {
 		t.Fatalf("state after wake = %v", e.State())
 	}
 	if _, err := openai.NewClient(srv.URL).ChatCompletion(context.Background(),
-		&openai.ChatCompletionRequest{
+		&ir.ChatCompletionRequest{
 			Model:     "llama3.2:1b-fp16",
-			Messages:  []openai.Message{{Role: "user", Content: "x"}},
+			Messages:  []ir.Message{{Role: "user", Content: "x"}},
 			Seed:      &seed,
 			MaxTokens: 2,
 		}); err != nil {
 		t.Fatalf("request after wake: %v", err)
+	}
+}
+
+// TestSleepingEngineRejectsEveryFamily: a slept engine answers every
+// inference endpoint 503 engine_sleeping, not just chat.
+func TestSleepingEngineRejectsEveryFamily(t *testing.T) {
+	e, srv := vllmServer(t)
+	resp, err := http.Post(srv.URL+"/sleep?level=1", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if e.State() != StateSleeping {
+		t.Fatalf("state = %v", e.State())
+	}
+	for _, c := range wireCases {
+		resp, err := http.Post(srv.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env ir.ErrorEnvelope
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: decoding error envelope: %v", c.name, err)
+		}
+		if resp.StatusCode != http.StatusServiceUnavailable || env.Error.Type != "engine_sleeping" {
+			t.Errorf("%s: %d %q, want 503 engine_sleeping", c.name, resp.StatusCode, env.Error.Type)
+		}
 	}
 }
 

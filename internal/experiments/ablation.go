@@ -10,8 +10,8 @@ import (
 	"swapservellm/internal/config"
 	"swapservellm/internal/core"
 	"swapservellm/internal/models"
-	"swapservellm/internal/openai"
 	"swapservellm/internal/perfmodel"
+	"swapservellm/internal/proxy/ir"
 	"swapservellm/internal/workload"
 )
 
@@ -95,8 +95,7 @@ func runPolicyTrial(policyName string, requests int, seed int64) (PolicyAblation
 	// sporadic requests rotate across the cold models and force
 	// evictions — the situation where demand-awareness matters.
 	gen := workload.NewGenerator(seed)
-	cli := openai.NewClient(s.URL())
-	cli.Clock = clock
+	cli := clientOn(s.URL(), clock)
 	var (
 		mu        sync.Mutex
 		latencies []time.Duration
@@ -114,9 +113,9 @@ func runPolicyTrial(policyName string, requests int, seed int64) (PolicyAblation
 	send := func(model string, outTok int) {
 		seedv := int64(1)
 		start := clock.Now()
-		_, err := cli.ChatCompletion(context.Background(), &openai.ChatCompletionRequest{
+		_, err := cli.ChatCompletion(context.Background(), &ir.ChatCompletionRequest{
 			Model:     model,
-			Messages:  []openai.Message{{Role: "user", Content: "ablation request"}},
+			Messages:  []ir.Message{{Role: "user", Content: "ablation request"}},
 			Seed:      &seedv,
 			MaxTokens: outTok,
 		})

@@ -135,8 +135,7 @@ func ChaosSoak(seed int64) (ChaosRow, error) {
 
 	row := ChaosRow{Scope: "node", Seed: seed}
 	led := invariant.NewLedger()
-	cli := openai.NewClient(s.URL())
-	cli.Clock = clock
+	cli := clientOn(s.URL(), clock)
 	var recoveries []time.Duration
 	for i := 0; i < chaosSoakRequests; i++ {
 		model := modelsUsed[i%len(modelsUsed)]
@@ -414,23 +413,19 @@ func ChaosSchedSoak(seed int64) (ChaosRow, error) {
 // chatOnceHTTP issues one non-streaming request at the HTTP layer,
 // returning the status code and Retry-After header so shed responses
 // can be audited rather than folded into a client error. The round trip
-// is one Gate.Send exchange, so the server's handler goroutines can
+// is one gate-tracked exchange, so the server's handler goroutines can
 // advance simulated time while this caller is parked inside net/http,
 // but the hops themselves land at the instant they were sent.
 func chatOnceHTTP(url, model string, seed int64, clock simclock.Clock) (status int, retryAfter string, err error) {
-	simclock.GateFor(clock).Send(context.Background(), func(ctx context.Context) {
-		body := fmt.Sprintf(`{"model":%q,"messages":[{"role":"user","content":"soak"}],"max_tokens":4,"seed":%d}`, model, seed)
-		var resp *http.Response
-		resp, err = postJSON(ctx, url+"/v1/chat/completions", body)
-		if err != nil {
-			return
-		}
-		defer resp.Body.Close()
-		if _, err = io.Copy(io.Discard, resp.Body); err != nil {
-			return
-		}
-		status, retryAfter = resp.StatusCode, resp.Header.Get("Retry-After")
-	})
+	body := fmt.Sprintf(`{"model":%q,"messages":[{"role":"user","content":"soak"}],"max_tokens":4,"seed":%d}`, model, seed)
+	err = clientOn(url, clock).Do(context.Background(), http.MethodPost, "/v1/chat/completions", []byte(body), nil,
+		func(resp *http.Response) error {
+			if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+				return err
+			}
+			status, retryAfter = resp.StatusCode, resp.Header.Get("Retry-After")
+			return nil
+		})
 	return status, retryAfter, err
 }
 
@@ -477,9 +472,9 @@ func ChaosClusterSweep(start int64, n int) ([]ChaosRow, error) {
 // chatOnce issues one non-streaming request.
 func chatOnce(cli *openai.Client, model string, seed int64) error {
 	s := seed
-	_, err := cli.ChatCompletion(context.Background(), &openai.ChatCompletionRequest{
+	_, err := cli.ChatCompletion(context.Background(), &ir.ChatCompletionRequest{
 		Model:     model,
-		Messages:  []openai.Message{{Role: "user", Content: "soak"}},
+		Messages:  []ir.Message{{Role: "user", Content: "soak"}},
 		Seed:      &s,
 		MaxTokens: 4,
 	})
@@ -514,41 +509,33 @@ func streamOnceFramed(url, model string, seed int64, clock simclock.Clock, ndjso
 func streamOnceNDJSON(url, model string, seed int64, clock simclock.Clock) (string, bool, error) {
 	var got strings.Builder
 	finished := false
-	var err error
-	simclock.GateFor(clock).Send(context.Background(), func(ctx context.Context) {
-		body := fmt.Sprintf(
-			`{"model":%q,"messages":[{"role":"user","content":"soak stream"}],"options":{"seed":%d,"num_predict":%d}}`,
-			model, seed, chaosStreamMax)
-		var resp *http.Response
-		resp, err = postJSON(ctx, url+"/api/chat", body)
-		if err != nil {
-			return
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			_, _ = io.Copy(io.Discard, resp.Body)
-			err = fmt.Errorf("stream request: HTTP %d", resp.StatusCode)
-			return
-		}
-		br := bufio.NewReader(resp.Body)
-		for {
-			line, rerr := ir.ReadNDJSONLine(br)
-			if line != "" {
-				var chunk ir.OllamaChatChunk
-				if jerr := json.Unmarshal([]byte(line), &chunk); jerr != nil {
-					err = fmt.Errorf("bad NDJSON line: %w", jerr)
-					return
+	body := fmt.Sprintf(
+		`{"model":%q,"messages":[{"role":"user","content":"soak stream"}],"options":{"seed":%d,"num_predict":%d}}`,
+		model, seed, chaosStreamMax)
+	err := clientOn(url, clock).Do(context.Background(), http.MethodPost, "/api/chat", []byte(body), nil,
+		func(resp *http.Response) error {
+			if resp.StatusCode != http.StatusOK {
+				_, _ = io.Copy(io.Discard, resp.Body)
+				return fmt.Errorf("stream request: HTTP %d", resp.StatusCode)
+			}
+			br := bufio.NewReader(resp.Body)
+			for {
+				line, rerr := ir.ReadNDJSONLine(br)
+				if line != "" {
+					var chunk ir.OllamaChatChunk
+					if jerr := json.Unmarshal([]byte(line), &chunk); jerr != nil {
+						return fmt.Errorf("bad NDJSON line: %w", jerr)
+					}
+					got.WriteString(chunk.Message.Content)
+					if chunk.Done {
+						finished = true
+					}
 				}
-				got.WriteString(chunk.Message.Content)
-				if chunk.Done {
-					finished = true
+				if rerr != nil {
+					return nil // EOF (clean or cut); finished tells which
 				}
 			}
-			if rerr != nil {
-				return // EOF (clean or cut); finished tells which
-			}
-		}
-	})
+		})
 	return got.String(), finished, err
 }
 
@@ -560,17 +547,15 @@ func streamOnce(url, model string, seed int64, clock simclock.Clock) (string, bo
 	s := seed
 	var got strings.Builder
 	finished := false
-	cli := openai.NewClient(url)
-	cli.Clock = clock
-	err := cli.ChatCompletionStream(context.Background(),
-		&openai.ChatCompletionRequest{
+	err := clientOn(url, clock).ChatCompletionStream(context.Background(),
+		&ir.ChatCompletionRequest{
 			Model:     model,
-			Messages:  []openai.Message{{Role: "user", Content: "soak stream"}},
+			Messages:  []ir.Message{{Role: "user", Content: "soak stream"}},
 			Seed:      &s,
 			MinTokens: chaosStreamMin,
 			MaxTokens: chaosStreamMax,
 		},
-		func(ch *openai.ChatCompletionChunk) error {
+		func(ch *ir.ChatCompletionChunk) error {
 			for _, choice := range ch.Choices {
 				got.WriteString(choice.Delta.Content)
 				if choice.FinishReason != nil && *choice.FinishReason != "" {
@@ -589,7 +574,7 @@ func streamOnce(url, model string, seed int64, clock simclock.Clock) (string, bo
 // Ollama wire has no such knob), so its floor is zero.
 func expectedStreamFramed(seed int64, ndjson bool) string {
 	var gen engine.Generator
-	full := engine.PromptText([]openai.Message{{Role: "user", Content: "soak stream"}})
+	full := engine.PromptText([]ir.Message{{Role: "user", Content: "soak stream"}})
 	n := gen.CompletionLength(full, seed, chaosStreamMax)
 	if !ndjson && n < chaosStreamMin {
 		n = chaosStreamMin
@@ -622,15 +607,12 @@ func drainNodes(c *cluster.Cluster, clock simclock.Clock) {
 	}
 }
 
-// postJSON posts a JSON body on ctx, stamped with the ticket ctx carries.
-func postJSON(ctx context.Context, url, body string) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, strings.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	simclock.Stamp(req)
-	return http.DefaultClient.Do(req)
+// clientOn returns a client for url whose exchanges are tracked on
+// clock's gate.
+func clientOn(url string, clock simclock.Clock) *openai.Client {
+	cli := openai.NewClient(url)
+	cli.Clock = clock
+	return cli
 }
 
 // retryUntilOK retries op up to five times, reporting whether it

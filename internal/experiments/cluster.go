@@ -10,7 +10,7 @@ import (
 
 	"swapservellm/internal/cluster"
 	"swapservellm/internal/config"
-	"swapservellm/internal/openai"
+	"swapservellm/internal/proxy/ir"
 	"swapservellm/internal/workload"
 )
 
@@ -183,8 +183,7 @@ func runClusterTrial(policy string, seed int64) (clusterTrialResult, error) {
 	defer c.Shutdown()
 
 	arrivals := clusterArrivals(seed)
-	cli := openai.NewClient(c.URL())
-	cli.Clock = clock
+	cli := clientOn(c.URL(), clock)
 	var (
 		mu    sync.Mutex
 		ttfts []time.Duration
@@ -204,12 +203,12 @@ func runClusterTrial(policy string, seed int64) (clusterTrialResult, error) {
 			seedv := seed
 			start := clock.Now()
 			first := true
-			err := cli.ChatCompletionStream(context.Background(), &openai.ChatCompletionRequest{
+			err := cli.ChatCompletionStream(context.Background(), &ir.ChatCompletionRequest{
 				Model:     a.model,
-				Messages:  []openai.Message{{Role: "user", Content: "diurnal trace request"}},
+				Messages:  []ir.Message{{Role: "user", Content: "diurnal trace request"}},
 				Seed:      &seedv,
 				MaxTokens: a.maxTokens,
-			}, func(ch *openai.ChatCompletionChunk) error {
+			}, func(ch *ir.ChatCompletionChunk) error {
 				if first {
 					first = false
 					ttft := clock.Since(start)

@@ -9,7 +9,7 @@ import (
 
 	"swapservellm/internal/config"
 	"swapservellm/internal/core"
-	"swapservellm/internal/openai"
+	"swapservellm/internal/proxy/ir"
 )
 
 // ElasticityRow quantifies the paper's cost-effectiveness claim for one
@@ -93,8 +93,7 @@ func runElasticityTrial(name string, keepWarm bool, keepAliveSec float64, prefet
 	// Periodic bursts: model i sends a burst of two requests every
 	// period_i, until the horizon.
 	periods := []time.Duration{10 * time.Second, 25 * time.Second, 50 * time.Second}
-	cli := openai.NewClient(s.URL())
-	cli.Clock = clock
+	cli := clientOn(s.URL(), clock)
 	var (
 		mu        sync.Mutex
 		latencies []time.Duration
@@ -110,9 +109,9 @@ func runElasticityTrial(name string, keepWarm bool, keepAliveSec float64, prefet
 				for r := 0; r < 2; r++ {
 					seedv := seed
 					t0 := clock.Now()
-					_, err := cli.ChatCompletion(context.Background(), &openai.ChatCompletionRequest{
+					_, err := cli.ChatCompletion(context.Background(), &ir.ChatCompletionRequest{
 						Model:     model,
-						Messages:  []openai.Message{{Role: "user", Content: "burst"}},
+						Messages:  []ir.Message{{Role: "user", Content: "burst"}},
 						Seed:      &seedv,
 						MaxTokens: 8,
 					})

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"swapservellm/internal/cluster"
@@ -229,35 +228,25 @@ func runProtomixArm(arm string, cacheOff bool, seed int64) ([]ProtomixRow, Proto
 
 // protomixDo issues one scripted request and fully consumes the
 // response (streamed or buffered), returning whether it was served
-// from the gateway's response cache. The round trip is declared as
-// external I/O so the virtual clock can advance while this caller is
-// parked inside net/http.
+// from the gateway's response cache. The round trip is one
+// gate-tracked exchange, so the virtual clock can advance while this
+// caller is parked inside net/http.
 func protomixDo(url, path, body string, noStore bool, clock simclock.Clock) (hit bool, err error) {
-	simclock.GateFor(clock).BlockIO(func() {
-		var req *http.Request
-		req, err = http.NewRequest(http.MethodPost, url+path, strings.NewReader(body))
-		if err != nil {
-			return
-		}
-		req.Header.Set("Content-Type", "application/json")
-		if noStore {
-			req.Header.Set("Cache-Control", "no-store")
-		}
-		var resp *http.Response
-		resp, err = http.DefaultClient.Do(req)
-		if err != nil {
-			return
-		}
-		defer resp.Body.Close()
-		if _, err = io.Copy(io.Discard, resp.Body); err != nil {
-			return
-		}
-		if resp.StatusCode != http.StatusOK {
-			err = fmt.Errorf("%s: HTTP %d", path, resp.StatusCode)
-			return
-		}
-		hit = resp.Header.Get("X-Cache") == "hit"
-	})
+	var header http.Header
+	if noStore {
+		header = http.Header{"Cache-Control": {"no-store"}}
+	}
+	err = clientOn(url, clock).Do(context.Background(), http.MethodPost, path, []byte(body), header,
+		func(resp *http.Response) error {
+			if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+				return err
+			}
+			if resp.StatusCode != http.StatusOK {
+				return fmt.Errorf("%s: HTTP %d", path, resp.StatusCode)
+			}
+			hit = resp.Header.Get("X-Cache") == "hit"
+			return nil
+		})
 	return hit, err
 }
 

@@ -2,57 +2,52 @@ package openai
 
 import (
 	"bytes"
-	"errors"
-	"io"
 	"testing"
+
+	"swapservellm/internal/proxy/ir"
 )
 
 func BenchmarkSSEWriteChunk(b *testing.B) {
 	var buf bytes.Buffer
-	w := NewSSEWriter(&buf)
-	chunk := &ChatCompletionChunk{
+	w := ir.NewSSEWriter(&buf)
+	ev := &ir.StreamEvent{Chunk: &ir.ChatCompletionChunk{
 		ID:      "chatcmpl-bench",
 		Object:  "chat.completion.chunk",
 		Model:   "llama3.2:1b-fp16",
-		Choices: []DeltaChoice{{Delta: Message{Content: " token"}}},
-	}
+		Choices: []ir.DeltaChoice{{Delta: ir.Message{Content: " token"}}},
+	}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		w.WriteChunk(chunk)
+		w.WriteEvent(ev)
 	}
 }
 
 func BenchmarkSSERoundTrip(b *testing.B) {
 	var buf bytes.Buffer
-	w := NewSSEWriter(&buf)
-	chunk := &ChatCompletionChunk{
+	w := ir.NewSSEWriter(&buf)
+	ev := &ir.StreamEvent{Chunk: &ir.ChatCompletionChunk{
 		ID:      "c",
-		Choices: []DeltaChoice{{Delta: Message{Content: " hello"}}},
-	}
+		Choices: []ir.DeltaChoice{{Delta: ir.Message{Content: " hello"}}},
+	}}
 	for i := 0; i < 64; i++ {
-		w.WriteChunk(chunk)
+		w.WriteEvent(ev)
 	}
-	w.WriteDone()
+	w.WriteEvent(&ir.StreamEvent{Done: true})
 	stream := buf.Bytes()
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r := NewSSEReader(bytes.NewReader(stream))
-		for {
-			if _, err := r.Next(); errors.Is(err, io.EOF) {
-				break
-			} else if err != nil {
-				b.Fatal(err)
-			}
+		if err := readStream(bytes.NewReader(stream), func(*ir.ChatCompletionChunk) error { return nil }); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkRequestValidate(b *testing.B) {
-	req := &ChatCompletionRequest{
+	req := &ir.ChatCompletionRequest{
 		Model: "llama3.1:8b-fp16",
-		Messages: []Message{
+		Messages: []ir.Message{
 			{Role: "system", Content: "be helpful"},
 			{Role: "user", Content: "summarize this document please"},
 		},

@@ -1,6 +1,13 @@
+// Package openai is the OpenAI-compatible HTTP client SwapServeLLM's
+// in-process callers use: the model workers verifying an engine's API,
+// the experiments and load generators driving the router and gateway,
+// and the registry's health probe. Every call is one gate-tracked
+// exchange (Client.Do). The wire types, their codec and the HTTP
+// response writers live in internal/proxy/ir.
 package openai
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -8,8 +15,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"time"
 
+	"swapservellm/internal/proxy/ir"
 	"swapservellm/internal/simclock"
 )
 
@@ -22,9 +31,10 @@ type Client struct {
 	// HTTPClient defaults to a client with no timeout (streams can be
 	// long-lived); set one to bound request duration.
 	HTTPClient *http.Client
-	// Clock paces health-check polling; defaults to the real clock. Tests
-	// and simulations inject a scaled clock so WaitHealthy intervals
-	// compress with the rest of the timeline.
+	// Clock paces health-check polling and tracks every exchange on its
+	// gate; defaults to the real clock. Tests and simulations inject a
+	// scaled or virtual clock so calls compress with the rest of the
+	// timeline.
 	Clock simclock.Clock
 }
 
@@ -47,138 +57,179 @@ func (c *Client) clock() simclock.Clock {
 	return simclock.Real{}
 }
 
-// post issues a JSON POST and returns the raw response.
-func (c *Client) post(ctx context.Context, path string, body interface{}) (*http.Response, error) {
-	b, err := json.Marshal(body)
+// Do runs one HTTP exchange against BaseURL+path as a single
+// gate-tracked round trip (simclock.Gate.Send) on the client's clock:
+// the request is built on the exchange's context and stamped with its
+// ticket, and read consumes the response before the exchange ends.
+// Under a Virtual clock simulated time may therefore advance while the
+// server works, which is what simulates generation latency, but not
+// while the request or response crosses the wire. With the default
+// real clock the gate is a no-op. A non-nil body is sent as JSON,
+// header adds request headers, and Do closes the response body.
+func (c *Client) Do(ctx context.Context, method, path string, body []byte, header http.Header,
+	read func(*http.Response) error) (err error) {
+	simclock.GateFor(c.clock()).Send(ctx, func(ctx context.Context) {
+		var rb io.Reader
+		if body != nil {
+			rb = bytes.NewReader(body)
+		}
+		var req *http.Request
+		if req, err = http.NewRequestWithContext(ctx, method, c.BaseURL+path, rb); err != nil {
+			return
+		}
+		if body != nil {
+			req.Header.Set("Content-Type", "application/json")
+		}
+		for k, v := range header {
+			req.Header[k] = v
+		}
+		simclock.Stamp(req)
+		var resp *http.Response
+		if resp, err = c.httpClient().Do(req); err != nil {
+			return
+		}
+		defer resp.Body.Close()
+		err = read(resp)
+	})
+	return err
+}
+
+// post sends in as JSON to path and hands a 200 response's body to
+// read; any other status is returned as the server's *ir.APIError.
+func (c *Client) post(ctx context.Context, path string, in interface{}, read func(io.Reader) error) error {
+	b, err := json.Marshal(in)
 	if err != nil {
-		return nil, fmt.Errorf("openai: marshal request: %w", err)
+		return fmt.Errorf("openai: marshal request: %w", err)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(b))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	simclock.Stamp(req)
-	return c.httpClient().Do(req)
+	return c.Do(ctx, http.MethodPost, path, b, nil, expectOK(read))
 }
 
-// decodeError converts a non-2xx response into an *APIError.
-func decodeError(resp *http.Response) error {
-	defer resp.Body.Close()
-	var env ErrorEnvelope
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || env.Error.Message == "" {
-		return fmt.Errorf("openai: http %d", resp.StatusCode)
+// expectOK adapts read to Do: a 200 response's body goes to read, and
+// any other status becomes the error its envelope carries.
+func expectOK(read func(io.Reader) error) func(*http.Response) error {
+	return func(resp *http.Response) error {
+		if resp.StatusCode != http.StatusOK {
+			var env ir.ErrorEnvelope
+			if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || env.Error.Message == "" {
+				return fmt.Errorf("openai: http %d", resp.StatusCode)
+			}
+			return &env.Error
+		}
+		return read(resp.Body)
 	}
-	return &env.Error
 }
 
-// ChatCompletion issues a blocking chat completion. The whole round trip
-// runs as one gate-tracked exchange (Gate.Send) on the installed clock:
-// under a Virtual clock simulated time may advance while the engine
-// generates, which is what simulates generation latency, but not while
-// the request or response crosses the wire. With the default real clock
-// the gate is a no-op.
-func (c *Client) ChatCompletion(ctx context.Context, req *ChatCompletionRequest) (out *ChatCompletionResponse, err error) {
-	simclock.GateFor(c.clock()).Send(ctx, func(ctx context.Context) { out, err = c.chatCompletion(ctx, req) })
-	return out, err
+// decodeInto returns a body reader that decodes one JSON value into
+// out.
+func decodeInto(out interface{}, what string) func(io.Reader) error {
+	return func(r io.Reader) error {
+		if err := json.NewDecoder(r).Decode(out); err != nil {
+			return fmt.Errorf("openai: decode %s: %w", what, err)
+		}
+		return nil
+	}
 }
 
-func (c *Client) chatCompletion(ctx context.Context, req *ChatCompletionRequest) (*ChatCompletionResponse, error) {
+// ChatCompletion issues a blocking chat completion.
+func (c *Client) ChatCompletion(ctx context.Context, req *ir.ChatCompletionRequest) (*ir.ChatCompletionResponse, error) {
 	req.Stream = false
-	resp, err := c.post(ctx, "/v1/chat/completions", req)
-	if err != nil {
+	var out ir.ChatCompletionResponse
+	if err := c.post(ctx, "/v1/chat/completions", req, decodeInto(&out, "response")); err != nil {
 		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	defer resp.Body.Close()
-	var out ChatCompletionResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("openai: decode response: %w", err)
 	}
 	return &out, nil
 }
 
 // ChatCompletionStream issues a streaming chat completion, invoking fn for
-// every chunk. It returns after the [DONE] sentinel or on error. As with
-// ChatCompletion, the request and the full stream consumption run as
-// gate-tracked IO on the installed clock.
-func (c *Client) ChatCompletionStream(ctx context.Context, req *ChatCompletionRequest, fn func(*ChatCompletionChunk) error) (err error) {
-	simclock.GateFor(c.clock()).Send(ctx, func(ctx context.Context) { err = c.chatCompletionStream(ctx, req, fn) })
-	return err
+// every chunk. It returns after the [DONE] sentinel or on error; the
+// whole stream is consumed inside the one exchange.
+func (c *Client) ChatCompletionStream(ctx context.Context, req *ir.ChatCompletionRequest, fn func(*ir.ChatCompletionChunk) error) error {
+	req.Stream = true
+	return c.post(ctx, "/v1/chat/completions", req, func(body io.Reader) error {
+		return readStream(body, fn)
+	})
 }
 
-func (c *Client) chatCompletionStream(ctx context.Context, req *ChatCompletionRequest, fn func(*ChatCompletionChunk) error) error {
-	req.Stream = true
-	resp, err := c.post(ctx, "/v1/chat/completions", req)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp)
-	}
-	defer resp.Body.Close()
-	r := NewSSEReader(resp.Body)
+// readStream decodes an SSE chunk stream with ir.ReadSSEEvent and the
+// OpenAI codec, handing each chunk to fn until the [DONE] sentinel or
+// the end of the stream. Events without a data line (comments,
+// keep-alives) are skipped.
+func readStream(r io.Reader, fn func(*ir.ChatCompletionChunk) error) error {
+	br := bufio.NewReader(r)
 	for {
-		chunk, err := r.Next()
-		if errors.Is(err, io.EOF) {
+		event, rerr := ir.ReadSSEEvent(br)
+		if data, ok := sseData(event); ok {
+			ev, err := ir.OpenAICodec{}.DecodeStreamEvent(ir.FamilyChat, []byte(data))
+			if err != nil {
+				return err
+			}
+			if ev.Done {
+				return nil
+			}
+			if err := fn(ev.Chunk); err != nil {
+				return err
+			}
+		}
+		if errors.Is(rerr, io.EOF) {
 			return nil
 		}
-		if err != nil {
-			return err
-		}
-		if err := fn(chunk); err != nil {
-			return err
+		if rerr != nil {
+			return rerr
 		}
 	}
+}
+
+// sseData returns the payload of an SSE event's data line, or false
+// when the event carries none.
+func sseData(event string) (string, bool) {
+	for event != "" {
+		var line string
+		line, event, _ = strings.Cut(event, "\n")
+		if data, ok := strings.CutPrefix(line, "data:"); ok {
+			return data, true
+		}
+	}
+	return "", false
+}
+
+// Completion issues a blocking legacy completion.
+func (c *Client) Completion(ctx context.Context, req *ir.CompletionRequest) (*ir.CompletionResponse, error) {
+	req.Stream = false
+	var out ir.CompletionResponse
+	if err := c.post(ctx, "/v1/completions", req, decodeInto(&out, "completion")); err != nil {
+		return nil, err
+	}
+	return &out, nil
 }
 
 // ListModels fetches GET /v1/models.
-func (c *Client) ListModels(ctx context.Context) (*ModelList, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/models", nil)
-	if err != nil {
+func (c *Client) ListModels(ctx context.Context) (*ir.ModelList, error) {
+	var out ir.ModelList
+	if err := c.Do(ctx, http.MethodGet, "/v1/models", nil, nil, expectOK(decodeInto(&out, "model list"))); err != nil {
 		return nil, err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	defer resp.Body.Close()
-	var out ModelList
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("openai: decode model list: %w", err)
 	}
 	return &out, nil
+}
+
+// Healthy probes GET /health once, reporting whether the server
+// answered 200.
+func (c *Client) Healthy(ctx context.Context) bool {
+	ok := false
+	err := c.Do(ctx, http.MethodGet, "/health", nil, nil, func(resp *http.Response) error {
+		ok = resp.StatusCode == http.StatusOK
+		return nil
+	})
+	return err == nil && ok
 }
 
 // WaitHealthy polls GET /health until the server responds 200, the context
 // is cancelled, or the deadline elapses.
 func (c *Client) WaitHealthy(ctx context.Context, interval time.Duration) error {
 	gate := simclock.GateFor(c.clock())
-	for {
-		var resp *http.Response
-		var err error
-		gate.Send(ctx, func(ctx context.Context) {
-			var req *http.Request
-			req, err = http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/health", nil)
-			if err != nil {
-				return
-			}
-			simclock.Stamp(req)
-			resp, err = c.httpClient().Do(req)
-		})
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
+	for !c.Healthy(ctx) {
 		if gate.Wait(interval, ctx.Done()) == 0 {
 			return ctx.Err()
 		}
 	}
+	return nil
 }

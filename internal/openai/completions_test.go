@@ -3,10 +3,12 @@ package openai
 import (
 	"encoding/json"
 	"testing"
+
+	"swapservellm/internal/proxy/ir"
 )
 
 func TestPromptFieldUnmarshalString(t *testing.T) {
-	var req CompletionRequest
+	var req ir.CompletionRequest
 	if err := json.Unmarshal([]byte(`{"model":"m","prompt":"hello"}`), &req); err != nil {
 		t.Fatal(err)
 	}
@@ -16,7 +18,7 @@ func TestPromptFieldUnmarshalString(t *testing.T) {
 }
 
 func TestPromptFieldUnmarshalArray(t *testing.T) {
-	var req CompletionRequest
+	var req ir.CompletionRequest
 	if err := json.Unmarshal([]byte(`{"model":"m","prompt":["a","b"]}`), &req); err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +28,7 @@ func TestPromptFieldUnmarshalArray(t *testing.T) {
 }
 
 func TestPromptFieldUnmarshalNullAndBad(t *testing.T) {
-	var req CompletionRequest
+	var req ir.CompletionRequest
 	if err := json.Unmarshal([]byte(`{"model":"m","prompt":null}`), &req); err != nil {
 		t.Fatal(err)
 	}
@@ -39,25 +41,25 @@ func TestPromptFieldUnmarshalNullAndBad(t *testing.T) {
 }
 
 func TestPromptFieldMarshal(t *testing.T) {
-	single, err := json.Marshal(PromptField{"one"})
+	single, err := json.Marshal(ir.PromptField{"one"})
 	if err != nil || string(single) != `"one"` {
 		t.Fatalf("single = %s, %v", single, err)
 	}
-	multi, err := json.Marshal(PromptField{"a", "b"})
+	multi, err := json.Marshal(ir.PromptField{"a", "b"})
 	if err != nil || string(multi) != `["a","b"]` {
 		t.Fatalf("multi = %s, %v", multi, err)
 	}
 }
 
 func TestCompletionRequestValidate(t *testing.T) {
-	valid := CompletionRequest{Model: "m", Prompt: PromptField{"p"}}
+	valid := ir.CompletionRequest{Model: "m", Prompt: ir.PromptField{"p"}}
 	if err := valid.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := []CompletionRequest{
-		{Prompt: PromptField{"p"}},
+	bad := []ir.CompletionRequest{
+		{Prompt: ir.PromptField{"p"}},
 		{Model: "m"},
-		{Model: "m", Prompt: PromptField{"p"}, MaxTokens: -1},
+		{Model: "m", Prompt: ir.PromptField{"p"}, MaxTokens: -1},
 	}
 	for i, r := range bad {
 		if err := r.Validate(); err == nil {
@@ -73,9 +75,9 @@ func TestCompletionRequestValidate(t *testing.T) {
 }
 
 func TestChatMinTokensValidate(t *testing.T) {
-	r := ChatCompletionRequest{
+	r := ir.ChatCompletionRequest{
 		Model:     "m",
-		Messages:  []Message{{Role: "user", Content: "x"}},
+		Messages:  []ir.Message{{Role: "user", Content: "x"}},
 		MinTokens: -1,
 	}
 	if err := r.Validate(); err == nil {

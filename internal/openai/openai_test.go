@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,32 +11,35 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"swapservellm/internal/proxy/ir"
+	"swapservellm/internal/simclock"
 )
 
 func f64(v float64) *float64 { return &v }
 
 func TestRequestValidate(t *testing.T) {
-	valid := ChatCompletionRequest{
+	valid := ir.ChatCompletionRequest{
 		Model:    "llama3.2:1b-fp16",
-		Messages: []Message{{Role: "user", Content: "hello"}},
+		Messages: []ir.Message{{Role: "user", Content: "hello"}},
 	}
 	if err := valid.Validate(); err != nil {
 		t.Fatalf("valid request rejected: %v", err)
 	}
 	cases := []struct {
 		name string
-		mut  func(*ChatCompletionRequest)
+		mut  func(*ir.ChatCompletionRequest)
 	}{
-		{"missing model", func(r *ChatCompletionRequest) { r.Model = "" }},
-		{"no messages", func(r *ChatCompletionRequest) { r.Messages = nil }},
-		{"bad role", func(r *ChatCompletionRequest) { r.Messages = []Message{{Role: "robot", Content: "x"}} }},
-		{"negative max_tokens", func(r *ChatCompletionRequest) { r.MaxTokens = -1 }},
-		{"temperature too high", func(r *ChatCompletionRequest) { r.Temperature = f64(3) }},
-		{"temperature negative", func(r *ChatCompletionRequest) { r.Temperature = f64(-0.1) }},
+		{"missing model", func(r *ir.ChatCompletionRequest) { r.Model = "" }},
+		{"no messages", func(r *ir.ChatCompletionRequest) { r.Messages = nil }},
+		{"bad role", func(r *ir.ChatCompletionRequest) { r.Messages = []ir.Message{{Role: "robot", Content: "x"}} }},
+		{"negative max_tokens", func(r *ir.ChatCompletionRequest) { r.MaxTokens = -1 }},
+		{"temperature too high", func(r *ir.ChatCompletionRequest) { r.Temperature = f64(3) }},
+		{"temperature negative", func(r *ir.ChatCompletionRequest) { r.Temperature = f64(-0.1) }},
 	}
 	for _, c := range cases {
 		r := valid
-		r.Messages = append([]Message(nil), valid.Messages...)
+		r.Messages = append([]ir.Message(nil), valid.Messages...)
 		c.mut(&r)
 		if err := r.Validate(); err == nil {
 			t.Errorf("%s: invalid request accepted", c.name)
@@ -47,41 +49,43 @@ func TestRequestValidate(t *testing.T) {
 
 func TestValidRoles(t *testing.T) {
 	for _, role := range []string{"system", "user", "assistant", "tool"} {
-		r := ChatCompletionRequest{Model: "m", Messages: []Message{{Role: role, Content: "x"}}}
+		r := ir.ChatCompletionRequest{Model: "m", Messages: []ir.Message{{Role: role, Content: "x"}}}
 		if err := r.Validate(); err != nil {
 			t.Errorf("role %s rejected: %v", role, err)
 		}
 	}
 }
 
+// collect reads a stream through the client's stream path.
+func collect(r io.Reader) ([]*ir.ChatCompletionChunk, error) {
+	var got []*ir.ChatCompletionChunk
+	err := readStream(r, func(c *ir.ChatCompletionChunk) error {
+		got = append(got, c)
+		return nil
+	})
+	return got, err
+}
+
 func TestSSERoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewSSEWriter(&buf)
-	chunks := []*ChatCompletionChunk{
-		{ID: "c1", Object: "chat.completion.chunk", Model: "m", Choices: []DeltaChoice{{Delta: Message{Role: "assistant"}}}},
-		{ID: "c1", Object: "chat.completion.chunk", Model: "m", Choices: []DeltaChoice{{Delta: Message{Content: "Hello"}}}},
-		{ID: "c1", Object: "chat.completion.chunk", Model: "m", Choices: []DeltaChoice{{Delta: Message{Content: " world"}}}},
+	w := ir.NewSSEWriter(&buf)
+	chunks := []*ir.ChatCompletionChunk{
+		{ID: "c1", Object: "chat.completion.chunk", Model: "m", Choices: []ir.DeltaChoice{{Delta: ir.Message{Role: "assistant"}}}},
+		{ID: "c1", Object: "chat.completion.chunk", Model: "m", Choices: []ir.DeltaChoice{{Delta: ir.Message{Content: "Hello"}}}},
+		{ID: "c1", Object: "chat.completion.chunk", Model: "m", Choices: []ir.DeltaChoice{{Delta: ir.Message{Content: " world"}}}},
 	}
 	for _, c := range chunks {
-		if err := w.WriteChunk(c); err != nil {
+		if err := w.WriteEvent(&ir.StreamEvent{Chunk: c}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.WriteDone(); err != nil {
+	if err := w.WriteEvent(&ir.StreamEvent{Done: true}); err != nil {
 		t.Fatal(err)
 	}
 
-	r := NewSSEReader(&buf)
-	var got []*ChatCompletionChunk
-	for {
-		c, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, c)
+	got, err := collect(&buf)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(got) != len(chunks) {
 		t.Fatalf("round-tripped %d chunks, want %d", len(got), len(chunks))
@@ -95,28 +99,23 @@ func TestSSERoundTrip(t *testing.T) {
 }
 
 func TestSSEReaderSkipsCommentsAndBlank(t *testing.T) {
-	input := ": keep-alive\n\n\ndata: {\"id\":\"x\"}\n\ndata: [DONE]\n\n"
-	r := NewSSEReader(strings.NewReader(input))
-	c, err := r.Next()
-	if err != nil || c.ID != "x" {
-		t.Fatalf("Next = %+v, %v", c, err)
-	}
-	if _, err := r.Next(); !errors.Is(err, io.EOF) {
-		t.Fatalf("expected EOF after [DONE], got %v", err)
+	input := ": keep-alive\n\n\ndata: {\"id\":\"x\"}\n\ndata: [DONE]\n\ndata: {\"id\":\"after\"}\n\n"
+	got, err := collect(strings.NewReader(input))
+	if err != nil || len(got) != 1 || got[0].ID != "x" {
+		t.Fatalf("stream = %+v, %v; want the one chunk before [DONE]", got, err)
 	}
 }
 
 func TestSSEReaderMalformed(t *testing.T) {
-	r := NewSSEReader(strings.NewReader("data: {not json}\n\n"))
-	if _, err := r.Next(); err == nil {
+	if _, err := collect(strings.NewReader("data: {not json}\n\n")); err == nil {
 		t.Fatal("malformed chunk accepted")
 	}
 }
 
 func TestSSEReaderEOFWithoutDone(t *testing.T) {
-	r := NewSSEReader(strings.NewReader(""))
-	if _, err := r.Next(); !errors.Is(err, io.EOF) {
-		t.Fatalf("empty stream: %v", err)
+	got, err := collect(strings.NewReader(""))
+	if err != nil || len(got) != 0 {
+		t.Fatalf("empty stream: %+v, %v", got, err)
 	}
 }
 
@@ -124,21 +123,20 @@ func TestSSEReaderEOFWithoutDone(t *testing.T) {
 func TestSSEChunkRoundTripProperty(t *testing.T) {
 	f := func(id, content string, idx uint8) bool {
 		// SSE is line-oriented; JSON escaping must keep newlines safe.
-		in := &ChatCompletionChunk{
+		in := &ir.ChatCompletionChunk{
 			ID:      id,
 			Object:  "chat.completion.chunk",
-			Choices: []DeltaChoice{{Index: int(idx), Delta: Message{Content: content}}},
+			Choices: []ir.DeltaChoice{{Index: int(idx), Delta: ir.Message{Content: content}}},
 		}
 		var buf bytes.Buffer
-		w := NewSSEWriter(&buf)
-		if err := w.WriteChunk(in); err != nil {
+		if err := ir.NewSSEWriter(&buf).WriteEvent(&ir.StreamEvent{Chunk: in, Done: true}); err != nil {
 			return false
 		}
-		w.WriteDone()
-		out, err := NewSSEReader(&buf).Next()
-		if err != nil {
+		got, err := collect(&buf)
+		if err != nil || len(got) != 1 {
 			return false
 		}
+		out := got[0]
 		return out.ID == in.ID && out.Choices[0].Delta.Content == content && out.Choices[0].Index == int(idx)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -147,7 +145,7 @@ func TestSSEChunkRoundTripProperty(t *testing.T) {
 }
 
 func TestAPIErrorError(t *testing.T) {
-	e := &APIError{Message: "model not found", Type: "invalid_request_error"}
+	e := &ir.APIError{Message: "model not found", Type: "invalid_request_error"}
 	if !strings.Contains(e.Error(), "model not found") {
 		t.Fatalf("Error() = %q", e.Error())
 	}
@@ -155,11 +153,11 @@ func TestAPIErrorError(t *testing.T) {
 
 func TestWriteErrorEnvelope(t *testing.T) {
 	rec := httptest.NewRecorder()
-	WriteError(rec, http.StatusNotFound, "invalid_request_error", "no such model")
+	ir.WriteError(rec, http.StatusNotFound, "invalid_request_error", "no such model")
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("status = %d", rec.Code)
 	}
-	var env ErrorEnvelope
+	var env ir.ErrorEnvelope
 	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
 		t.Fatal(err)
 	}
@@ -173,22 +171,22 @@ func TestClientChatCompletion(t *testing.T) {
 		if r.URL.Path != "/v1/chat/completions" {
 			t.Errorf("path = %s", r.URL.Path)
 		}
-		var req ChatCompletionRequest
+		var req ir.ChatCompletionRequest
 		json.NewDecoder(r.Body).Decode(&req)
-		WriteJSON(w, http.StatusOK, ChatCompletionResponse{
+		ir.WriteJSON(w, http.StatusOK, ir.ChatCompletionResponse{
 			ID:      "cmpl-1",
 			Object:  "chat.completion",
 			Model:   req.Model,
-			Choices: []Choice{{Message: Message{Role: "assistant", Content: "hi"}, FinishReason: "stop"}},
-			Usage:   Usage{PromptTokens: 3, CompletionTokens: 1, TotalTokens: 4},
+			Choices: []ir.Choice{{Message: ir.Message{Role: "assistant", Content: "hi"}, FinishReason: "stop"}},
+			Usage:   ir.Usage{PromptTokens: 3, CompletionTokens: 1, TotalTokens: 4},
 		})
 	}))
 	defer srv.Close()
 
 	c := NewClient(srv.URL)
-	resp, err := c.ChatCompletion(context.Background(), &ChatCompletionRequest{
+	resp, err := c.ChatCompletion(context.Background(), &ir.ChatCompletionRequest{
 		Model:    "llama3.2:1b-fp16",
-		Messages: []Message{{Role: "user", Content: "hello"}},
+		Messages: []ir.Message{{Role: "user", Content: "hello"}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -200,18 +198,18 @@ func TestClientChatCompletion(t *testing.T) {
 
 func TestClientStream(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sw := NewSSEWriter(w)
+		sw := ir.NewSSEWriter(w)
 		for _, tok := range []string{"a", "b", "c"} {
-			sw.WriteChunk(&ChatCompletionChunk{ID: "s1", Choices: []DeltaChoice{{Delta: Message{Content: tok}}}})
+			sw.WriteEvent(&ir.StreamEvent{Chunk: &ir.ChatCompletionChunk{ID: "s1", Choices: []ir.DeltaChoice{{Delta: ir.Message{Content: tok}}}}})
 		}
-		sw.WriteDone()
+		sw.WriteEvent(&ir.StreamEvent{Done: true})
 	}))
 	defer srv.Close()
 
 	var got []string
 	err := NewClient(srv.URL).ChatCompletionStream(context.Background(),
-		&ChatCompletionRequest{Model: "m", Messages: []Message{{Role: "user", Content: "x"}}},
-		func(c *ChatCompletionChunk) error {
+		&ir.ChatCompletionRequest{Model: "m", Messages: []ir.Message{{Role: "user", Content: "x"}}},
+		func(c *ir.ChatCompletionChunk) error {
 			got = append(got, c.Choices[0].Delta.Content)
 			return nil
 		})
@@ -225,14 +223,14 @@ func TestClientStream(t *testing.T) {
 
 func TestClientErrorEnvelope(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		WriteError(w, http.StatusNotFound, "invalid_request_error", "unknown model")
+		ir.WriteError(w, http.StatusNotFound, "invalid_request_error", "unknown model")
 	}))
 	defer srv.Close()
 
-	_, err := NewClient(srv.URL).ChatCompletion(context.Background(), &ChatCompletionRequest{
-		Model: "x", Messages: []Message{{Role: "user", Content: "y"}},
+	_, err := NewClient(srv.URL).ChatCompletion(context.Background(), &ir.ChatCompletionRequest{
+		Model: "x", Messages: []ir.Message{{Role: "user", Content: "y"}},
 	})
-	apiErr, ok := err.(*APIError)
+	apiErr, ok := err.(*ir.APIError)
 	if !ok {
 		t.Fatalf("error type %T: %v", err, err)
 	}
@@ -246,7 +244,7 @@ func TestClientListModels(t *testing.T) {
 		if r.URL.Path != "/v1/models" {
 			t.Errorf("path = %s", r.URL.Path)
 		}
-		WriteJSON(w, http.StatusOK, ModelList{Object: "list", Data: []ModelInfo{{ID: "m1", Object: "model"}}})
+		ir.WriteJSON(w, http.StatusOK, ir.ModelList{Object: "list", Data: []ir.ModelInfo{{ID: "m1", Object: "model"}}})
 	}))
 	defer srv.Close()
 	list, err := NewClient(srv.URL).ListModels(context.Background())
@@ -255,6 +253,41 @@ func TestClientListModels(t *testing.T) {
 	}
 	if len(list.Data) != 1 || list.Data[0].ID != "m1" {
 		t.Fatalf("list = %+v", list)
+	}
+}
+
+// TestListModelsInsideGate: ListModels is one gate-tracked exchange,
+// so a registered caller sheds its run token while the server works. A
+// server that sleeps on the virtual clock must therefore see that time
+// pass; a caller keeping its token would hold the clock still forever.
+func TestListModelsInsideGate(t *testing.T) {
+	epoch := time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC)
+	v := simclock.NewVirtual(epoch)
+	srv := httptest.NewServer(simclock.Serve(v, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		v.Sleep(time.Second)
+		ir.WriteJSON(w, http.StatusOK, ir.ModelList{Object: "list", Data: []ir.ModelInfo{{ID: "m1", Object: "model"}}})
+	})))
+	cli := NewClient(srv.URL)
+	cli.Clock = v
+
+	done := make(chan error, 1)
+	v.Gate().Go(func() {
+		_, err := cli.ListModels(context.Background())
+		done <- err
+	})
+	select {
+	case err := <-done:
+		srv.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		// The server is left open: Close would wait on the handler,
+		// which is parked on the held clock.
+		t.Fatal("ListModels kept its run token: the server's virtual sleep never ended")
+	}
+	if d := v.Since(epoch); d != time.Second {
+		t.Fatalf("virtual time advanced %v, want 1s", d)
 	}
 }
 
@@ -288,12 +321,5 @@ func TestWaitHealthyTimeout(t *testing.T) {
 	defer cancel()
 	if err := NewClient(srv.URL).WaitHealthy(ctx, 5*time.Millisecond); err == nil {
 		t.Fatal("expected timeout error")
-	}
-}
-
-func TestMarshalJSONString(t *testing.T) {
-	s := MarshalJSONString(Message{Role: "user", Content: "hi"})
-	if !strings.Contains(s, `"role":"user"`) {
-		t.Fatalf("marshal = %s", s)
 	}
 }

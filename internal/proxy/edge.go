@@ -12,7 +12,6 @@ import (
 	"swapservellm/internal/metrics"
 	"swapservellm/internal/models"
 	"swapservellm/internal/obs"
-	"swapservellm/internal/openai"
 	"swapservellm/internal/proxy/ir"
 )
 
@@ -58,7 +57,7 @@ func (d Door) Auth(next http.HandlerFunc) http.HandlerFunc {
 	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		if strings.TrimPrefix(r.Header.Get("Authorization"), "Bearer ") != d.Token {
-			openai.WriteError(w, http.StatusUnauthorized, "invalid_api_key", "invalid or missing API key")
+			ir.WriteError(w, http.StatusUnauthorized, "invalid_api_key", "invalid or missing API key")
 			return
 		}
 		next(w, r)
@@ -97,23 +96,23 @@ func (f *Front) Mux(d Door) *http.ServeMux {
 // client itself when that fails, and hands the result to the server.
 func (f *Front) serve(d Door, w http.ResponseWriter, r *http.Request, ep Endpoint) {
 	if r.Method != ep.Method {
-		openai.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use "+ep.Method)
+		ir.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use "+ep.Method)
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			openai.WriteError(w, http.StatusRequestEntityTooLarge, "invalid_request_error",
+			ir.WriteError(w, http.StatusRequestEntityTooLarge, "invalid_request_error",
 				fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes))
 			return
 		}
-		openai.WriteError(w, http.StatusBadRequest, "invalid_request_error", "reading body: "+err.Error())
+		ir.WriteError(w, http.StatusBadRequest, "invalid_request_error", "reading body: "+err.Error())
 		return
 	}
 	req, err := f.Decode(ep, body)
 	if err != nil && !errors.Is(err, ErrTranslate) {
-		openai.WriteError(w, http.StatusBadRequest, "invalid_request_error", err.Error())
+		ir.WriteError(w, http.StatusBadRequest, "invalid_request_error", err.Error())
 		return
 	}
 	var canonical []byte
@@ -125,7 +124,7 @@ func (f *Front) serve(d Door, w http.ResponseWriter, r *http.Request, ep Endpoin
 		if d.TranslateFailed != nil {
 			d.TranslateFailed()
 		}
-		openai.WriteError(w, http.StatusServiceUnavailable, "translate_failed", err.Error())
+		ir.WriteError(w, http.StatusServiceUnavailable, "translate_failed", err.Error())
 		return
 	}
 	d.Serve(w, r, ep, req, canonical)
@@ -138,16 +137,16 @@ func (f *Front) writeListing(w http.ResponseWriter, ep Endpoint, listed []Listed
 		for _, m := range listed {
 			tags.Models = append(tags.Models, tagFor(m.Name, m.Model))
 		}
-		openai.WriteJSON(w, http.StatusOK, tags)
+		ir.WriteJSON(w, http.StatusOK, tags)
 		return
 	}
 	var created int64
 	if f.clock != nil {
 		created = f.clock.Now().Unix()
 	}
-	list := openai.ModelList{Object: "list"}
+	list := ir.ModelList{Object: "list"}
 	for _, m := range listed {
-		list.Data = append(list.Data, openai.ModelInfo{
+		list.Data = append(list.Data, ir.ModelInfo{
 			ID:           m.Name,
 			Object:       "model",
 			Created:      created,
@@ -155,7 +154,7 @@ func (f *Front) writeListing(w http.ResponseWriter, ep Endpoint, listed []Listed
 			Capabilities: m.Model.Capabilities(),
 		})
 	}
-	openai.WriteJSON(w, http.StatusOK, list)
+	ir.WriteJSON(w, http.StatusOK, list)
 }
 
 // tagFor renders one catalog model as an Ollama GET /api/tags entry.
@@ -186,7 +185,7 @@ func (f *Front) WriteResponse(w http.ResponseWriter, ep Endpoint, resp *http.Res
 	}
 	out, err := f.TranslateResponse(ep, body)
 	if err != nil {
-		openai.WriteError(w, http.StatusServiceUnavailable, "translate_failed", err.Error())
+		ir.WriteError(w, http.StatusServiceUnavailable, "translate_failed", err.Error())
 		return err
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -9,9 +9,11 @@
 // entry and one deterministic engine transcript — which is also what
 // makes cross-protocol failover resume exact.
 //
-// The wire structs themselves (Message, ChatCompletionRequest, ...)
-// live here too; internal/openai re-exports them as type aliases for
-// compatibility with pre-IR callers.
+// The package is the one wire layer of every HTTP server in the
+// system: the wire structs (Message, ChatCompletionRequest, ...), the
+// codecs, the SSE frame writer the engines stream through
+// (SSEWriter) and the JSON and error-envelope response writers
+// (WriteJSON, WriteError) all live here.
 package ir
 
 import (

@@ -3,6 +3,8 @@ package ir
 import (
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"strings"
 )
 
@@ -157,14 +159,52 @@ func (OpenAICodec) EncodeStreamEvent(f Family, ev *StreamEvent) ([]byte, error) 
 		if err != nil {
 			return nil, fmt.Errorf("ir: encoding stream chunk: %w", err)
 		}
-		out = append(out, []byte("data: ")...)
-		out = append(out, b...)
-		out = append(out, []byte("\n\n")...)
+		out = make([]byte, 0, len(b)+len(sseDone)+len("data: \n\n"))
+		out = append(append(append(out, "data: "...), b...), "\n\n"...)
 	}
 	if ev.Done {
-		out = append(out, []byte("data: "+DoneSentinel+"\n\n")...)
+		out = append(out, sseDone...)
 	}
 	return out, nil
+}
+
+// sseDone is the terminal [DONE] frame.
+const sseDone = "data: " + DoneSentinel + "\n\n"
+
+// SSEWriter streams events to an OpenAI client as EncodeStreamEvent's
+// frames, flushing each so the stream stays real-time.
+type SSEWriter struct {
+	w       io.Writer
+	flusher http.Flusher
+}
+
+// NewSSEWriter prepares w for SSE streaming. If w is an
+// http.ResponseWriter the event-stream headers are set and every event
+// is flushed as soon as it is written.
+func NewSSEWriter(w io.Writer) *SSEWriter {
+	s := &SSEWriter{w: w}
+	if rw, ok := w.(http.ResponseWriter); ok {
+		rw.Header().Set("Content-Type", FramingSSE.ContentType())
+		rw.Header().Set("Cache-Control", "no-cache")
+		rw.Header().Set("Connection", "keep-alive")
+		s.flusher, _ = rw.(http.Flusher)
+	}
+	return s
+}
+
+// WriteEvent writes one event's frames.
+func (s *SSEWriter) WriteEvent(ev *StreamEvent) error {
+	frames, err := OpenAICodec{}.EncodeStreamEvent(FamilyChat, ev)
+	if err != nil {
+		return err
+	}
+	if _, err := s.w.Write(frames); err != nil {
+		return err
+	}
+	if s.flusher != nil {
+		s.flusher.Flush()
+	}
+	return nil
 }
 
 // trimDataPrefix strips an optional SSE "data:" prefix and surrounding

@@ -3,6 +3,7 @@ package ir
 import (
 	"encoding/json"
 	"fmt"
+	"net/http"
 )
 
 // ContentPart is one element of a multimodal message content array
@@ -422,8 +423,14 @@ type ErrorEnvelope struct {
 	Error APIError `json:"error"`
 }
 
-// NewErrorEnvelope builds an error envelope with the given type and
-// message.
-func NewErrorEnvelope(typ, msg string) ErrorEnvelope {
-	return ErrorEnvelope{Error: APIError{Message: msg, Type: typ}}
+// WriteJSON writes v to w as a JSON body with the given HTTP status.
+func WriteJSON(w http.ResponseWriter, status int, v interface{}) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(v)
+}
+
+// WriteError writes an error envelope with the given HTTP status.
+func WriteError(w http.ResponseWriter, status int, typ, msg string) {
+	WriteJSON(w, status, ErrorEnvelope{Error: APIError{Message: msg, Type: typ}})
 }
