@@ -3,10 +3,8 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"net"
 	"net/http"
 	"sync"
-	"time"
 
 	"swapservellm/internal/chaos"
 	"swapservellm/internal/ckptstore"
@@ -98,8 +96,7 @@ type Cluster struct {
 	sched      *schedState
 	retryLimit int
 
-	httpServer *http.Server
-	listener   net.Listener
+	httpServer *simclock.Server
 
 	mu      sync.Mutex
 	started bool
@@ -147,7 +144,7 @@ func New(cfg config.Cluster, options ...Option) (*Cluster, error) {
 		clock:      clock,
 		reg:        reg,
 		policy:     policy,
-		client:     &http.Client{},
+		client:     &http.Client{Transport: simclock.Transport(clock)},
 		chaosInj:   opts.Chaos,
 		tracer:     opts.Tracer,
 		retryLimit: cfg.Cluster.RetryLimit,
@@ -266,9 +263,8 @@ func (c *Cluster) Start(ctx context.Context) error {
 		c.sched.pw.Run(c.clock)
 	}
 
-	var ln net.Listener
-	var err error
-	gate.BlockIO(func() { ln, err = net.Listen("tcp", c.cfg.Listen) })
+	//swaplint:block reason=Listen binds a socket and returns; its handler runs on serve goroutines, never under c.mu
+	srv, err := simclock.Listen(c.clock, c.cfg.Listen, (&gateway{c: c, front: c.front}).handler())
 	if err != nil {
 		if c.sched != nil && c.sched.pw != nil {
 			c.sched.pw.Halt()
@@ -278,10 +274,7 @@ func (c *Cluster) Start(ctx context.Context) error {
 		c.shutdownNodesLocked()
 		return fmt.Errorf("cluster: gateway listen: %w", err)
 	}
-	c.listener = ln
-	//swaplint:block reason=handler() only wires the mux; its route closures run on gateway serve goroutines, never under c.mu
-	c.httpServer = &http.Server{Handler: simclock.Serve(c.clock, (&gateway{c: c, front: c.front}).handler())}
-	go c.httpServer.Serve(ln)
+	c.httpServer = srv
 	c.started = true
 	return nil
 }
@@ -294,9 +287,7 @@ func (c *Cluster) Shutdown() {
 		return
 	}
 	c.started = false
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	c.httpServer.Shutdown(ctx)
+	c.httpServer.Close()
 	if c.sched != nil && c.sched.pw != nil {
 		c.sched.pw.Halt()
 	}
@@ -313,10 +304,10 @@ func (c *Cluster) shutdownNodesLocked() {
 
 // Addr returns the gateway's bound address (empty before Start).
 func (c *Cluster) Addr() string {
-	if c.listener == nil {
+	if c.httpServer == nil {
 		return ""
 	}
-	return c.listener.Addr().String()
+	return c.httpServer.Addr()
 }
 
 // URL returns the gateway's base URL.

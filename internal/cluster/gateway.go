@@ -163,8 +163,16 @@ func (g *gateway) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy
 	}
 	tried := make(map[string]bool)
 	var lastErr string
+	var attempt int
+	// A resumed stream counts its failover before its terminal frame
+	// goes out, so a client that has read the whole stream sees it.
+	stream.Done = func() {
+		if attempt > 0 {
+			g.c.reg.Counter("failover_successes").Inc()
+		}
+	}
 
-	for attempt := 0; attempt < g.c.retryLimit; attempt++ {
+	for attempt = 0; attempt < g.c.retryLimit; attempt++ {
 		id, warm, ok := g.place(req.Model, tried)
 		if !ok {
 			break
@@ -187,7 +195,9 @@ func (g *gateway) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy
 		outcome, errMsg := g.forward(ctx, w, node, ep, req.Model, canonical, r.Header.Get("Authorization"), class, stream)
 		switch outcome {
 		case outcomeDone:
-			if attempt > 0 {
+			// A buffered response reaches the client only when the
+			// handler returns; a stream was counted by stream.Done.
+			if attempt > 0 && !stream.Started() {
 				g.c.reg.Counter("failover_successes").Inc()
 			}
 			return

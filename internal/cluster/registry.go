@@ -70,7 +70,7 @@ func NewNodeRegistry(clock simclock.Clock, reg *metrics.Registry, interval time.
 		reg:       reg,
 		interval:  interval,
 		missLimit: missLimit,
-		probe:     &http.Client{Timeout: 5 * time.Second},
+		probe:     &http.Client{Timeout: 5 * time.Second, Transport: simclock.Transport(clock)},
 		nodes:     make(map[string]*Node),
 	}
 }

@@ -3,8 +3,9 @@
 // (create/start/pause/unpause/stop/remove), cgroup-freezer-backed pause,
 // per-container network endpoints, and integration with the transparent
 // GPU checkpoint driver. Each container hosts a simulated inference
-// engine served over a real HTTP listener, so the SwapServeLLM router
-// proxies requests exactly as it would against Podman-published ports.
+// engine served over a real HTTP listener (in-process under a Virtual
+// clock, see simclock.Listen), so the SwapServeLLM router proxies
+// requests exactly as it would against Podman-published ports.
 package container
 
 import (
@@ -12,8 +13,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -69,14 +70,13 @@ type Container struct {
 
 	rt *Runtime
 
-	mu       sync.Mutex
-	state    State
-	eng      engine.Engine
-	server   *http.Server
-	listener net.Listener
-	port     int
-	ready    chan struct{} // closed when engine init finishes
-	initErr  error
+	mu      sync.Mutex
+	state   State
+	eng     engine.Engine
+	server  *simclock.Server
+	port    int
+	ready   chan struct{} // closed when engine init finishes
+	initErr error
 }
 
 // ID returns the container's unique identifier.
@@ -277,18 +277,16 @@ func (rt *Runtime) Start(ctx context.Context, c *Container) (err error) {
 	rt.clock.Sleep(rt.testbed.ContainerStart)
 	rt.clock.Sleep(time.Duration(float64(perfmodel.EngineBootOverhead(c.eng.Kind())) * rt.testbed.InitScale))
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	srv, err := simclock.Listen(rt.clock, "127.0.0.1:0", c.eng.Handler())
 	if err != nil {
 		return fmt.Errorf("container: publishing port: %w", err)
 	}
-	srv := &http.Server{Handler: simclock.Serve(c.rt.clock, c.eng.Handler())}
-	go srv.Serve(ln)
 
 	ready := make(chan struct{})
 	c.mu.Lock()
-	c.listener = ln
 	c.server = srv
-	c.port = ln.Addr().(*net.TCPAddr).Port
+	_, port, _ := net.SplitHostPort(srv.Addr())
+	c.port, _ = strconv.Atoi(port)
 	c.ready = ready
 	c.state = StateRunning
 	eng := c.eng
@@ -301,7 +299,7 @@ func (rt *Runtime) Start(ctx context.Context, c *Container) (err error) {
 		if err := drv.RegisterSharded(c.id, eng.Devices(), eng.Kind(), eng.Model().WeightBytes()); err != nil {
 			// Already registered (restart): acceptable.
 			if !errors.Is(err, cudackpt.ErrAlreadyExists) {
-				ln.Close()
+				srv.Close()
 				return err
 			}
 		}
@@ -390,7 +388,6 @@ func (rt *Runtime) Stop(ctx context.Context, c *Container) (err error) {
 	eng := c.eng
 	cg := c.cgPath
 	c.server = nil
-	c.listener = nil
 	c.mu.Unlock()
 
 	if wasPaused {

@@ -68,6 +68,9 @@ type Backend struct {
 
 	ctr   *container.Container
 	queue chan *queuedRequest
+	// queued counts items sent or about to be sent on queue and not yet
+	// taken by the worker: the ready check of the worker's queue wait.
+	queued atomic.Int64
 
 	state atomic.Int32 //swaplint:state allow=setState
 

@@ -758,14 +758,17 @@ func TestReclaimSkipsEvictionOnceClaimFilled(t *testing.T) {
 	victim, _ := s.Backend(v.Name)
 	outs := s.Registry().Counter("swap_outs").Value()
 
-	// Queue the small target first: the clock cannot advance while this
-	// goroutine spins, so its claim heads the queue before the other's.
+	// Queue the small target first: its goroutine starts once this one
+	// parks, and the second starts only after its claim is queued (or,
+	// with time moving meanwhile, already granted and landed).
 	gate := simclock.GateFor(s.Clock())
 	errs := make(chan error, 2)
 	gate.Go(func() { errs <- s.Scheduler().EnsureRunning(context.Background(), ta) })
-	for s.TaskManager().PendingCount() == 0 {
-		time.Sleep(100 * time.Microsecond)
-	}
+	gate.Block(func() {
+		for s.TaskManager().PendingCount() == 0 && ta.State() != BackendRunning {
+			time.Sleep(100 * time.Microsecond)
+		}
+	})
 	gate.Go(func() { errs <- s.Scheduler().EnsureRunning(context.Background(), tb) })
 	for i := 0; i < 2; i++ {
 		var err error

@@ -29,15 +29,19 @@ type queuedRequest struct {
 	body []byte
 	// arrivedAt is the arrival timestamp (simulated time).
 	arrivedAt time.Time
-	// result delivers exactly one forwardResult.
-	result chan forwardResult
+	// result is the worker's one answer, set before answered closes.
+	result forwardResult
+	// answered is closed by the worker once result is set. A closed
+	// channel, unlike a buffered send a parked receiver takes directly,
+	// stays observable to a gate BlockOn's ready check.
+	answered chan struct{}
 	// done is closed by the router when the response has been fully
 	// relayed to the client, ending the request's in-flight accounting.
 	done chan struct{}
 	// retired is closed by the worker once it has finished its own
-	// accounting (pending, in-flight) for a request it answered on
-	// result. The router waits for it before returning, so a client that
-	// has read the whole response never sees the request still pending.
+	// accounting (pending, in-flight) for a request it answered. The
+	// router waits for it before returning, so a client that has read
+	// the whole response never sees the request still pending.
 	retired chan struct{}
 }
 
@@ -48,7 +52,7 @@ func newQueuedRequest(ctx context.Context, path string, body []byte, now time.Ti
 		path:      path,
 		body:      body,
 		arrivedAt: now,
-		result:    make(chan forwardResult, 1),
+		answered:  make(chan struct{}),
 		done:      make(chan struct{}),
 		retired:   make(chan struct{}),
 	}

@@ -93,6 +93,9 @@ func (rt *router) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy
 	}
 
 	item := newQueuedRequest(ctx, ep.Upstream, canonical, now)
+	// The router and the request's worker hand the item back and forth
+	// through BlockOn waits keyed on it, each woken by the other's Wake.
+	gate := simclock.GateFor(rt.s.clock)
 	// A worker that answered owns the request until it retires it; wait
 	// for that before returning. The last bytes of a buffered response
 	// reach the client only when the handler returns, so the client can
@@ -100,16 +103,21 @@ func (rt *router) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy
 	answered := false
 	defer func() {
 		close(item.done)
+		gate.Wake(item)
 		if answered {
-			<-item.retired
+			gate.BlockOn(item, func() bool { return isClosed(item.retired) }, func() { <-item.retired })
 		}
 	}()
 
-	// Queue-capacity check (§3.3 ②).
+	// Queue-capacity check (§3.3 ②). queued counts the item before the
+	// send, since a worker parked on the queue takes it directly and
+	// len(b.queue) never shows it.
+	b.queued.Add(1)
 	select {
 	case b.queue <- item:
-		simclock.GateFor(rt.s.clock).Wake(b.queue)
+		gate.Wake(b.queue)
 	default:
+		b.queued.Add(-1)
 		rt.s.reg.Counter("rejected_queue_full").Inc()
 		span.Fail(fmt.Errorf("queue full"))
 		ir.WriteError(w, http.StatusTooManyRequests, "queue_full",
@@ -117,23 +125,27 @@ func (rt *router) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy
 		return
 	}
 
-	select {
-	case <-ctx.Done():
+	gate.BlockOn(item, func() bool { return isClosed(item.answered) || ctx.Err() != nil }, func() {
+		select {
+		case <-ctx.Done():
+		case <-item.answered:
+		}
+	})
+	if answered = isClosed(item.answered); !answered {
 		span.Fail(ctx.Err())
 		ir.WriteError(w, http.StatusGatewayTimeout, "timeout", "request timed out or was cancelled")
 		return
-	case res := <-item.result:
-		answered = true
-		if res.err != nil {
-			rt.s.reg.Counter("forward_errors").Inc()
-			span.Fail(res.err)
-			ir.WriteError(w, http.StatusBadGateway, "backend_error", res.err.Error())
-			return
-		}
-		defer res.resp.Body.Close()
-		rt.relayResponse(w, res.resp, ep)
-		rt.s.reg.Histogram("request_latency").Observe(rt.s.clock.Since(now))
 	}
+	res := item.result
+	if res.err != nil {
+		rt.s.reg.Counter("forward_errors").Inc()
+		span.Fail(res.err)
+		ir.WriteError(w, http.StatusBadGateway, "backend_error", res.err.Error())
+		return
+	}
+	defer res.resp.Body.Close()
+	rt.relayResponse(w, res.resp, ep)
+	rt.s.reg.Histogram("request_latency").Observe(rt.s.clock.Since(now))
 }
 
 // relayResponse delivers the backend response to the client in the

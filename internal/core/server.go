@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"net"
 	"net/http"
 	"sync"
 	"time"
@@ -84,8 +83,7 @@ type Server struct {
 	loops     []*simclock.Loop
 	initCache *engine.InitCache
 
-	httpServer *http.Server
-	listener   net.Listener
+	httpServer *simclock.Server
 	started    bool
 }
 
@@ -319,13 +317,11 @@ func (s *Server) Start(ctx context.Context) error {
 	s.startLoops()
 
 	// Start the router.
-	ln, err := net.Listen("tcp", s.cfg.Listen)
+	srv, err := simclock.Listen(s.clock, s.cfg.Listen, newRouter(s).handler())
 	if err != nil {
 		return fmt.Errorf("core: listening on %s: %w", s.cfg.Listen, err)
 	}
-	s.listener = ln
-	s.httpServer = &http.Server{Handler: simclock.Serve(s.clock, newRouter(s).handler())}
-	go s.httpServer.Serve(ln)
+	s.httpServer = srv
 	return nil
 }
 
@@ -427,10 +423,10 @@ func (s *Server) initBackend(ctx context.Context, mc *config.Model) error {
 
 // Addr returns the router's listen address (empty before Start).
 func (s *Server) Addr() string {
-	if s.listener == nil {
+	if s.httpServer == nil {
 		return ""
 	}
-	return s.listener.Addr().String()
+	return s.httpServer.Addr()
 }
 
 // URL returns the router's base URL.

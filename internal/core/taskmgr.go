@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"swapservellm/internal/gpu"
@@ -73,9 +74,12 @@ func (r *Reservation) Take(ctx context.Context, gpuID int, bytes int64, alloc fu
 			tm.mu.Unlock()
 			return err
 		}
+		seen := p.growth.Load()
 		tm.mu.Unlock()
 		var err error
-		ready := func() bool { return len(p.grew) > 0 || isClosed(p.granted) }
+		// A growth signal a parked Take receives directly never shows in
+		// len(p.grew), so readiness is read off the growth count.
+		ready := func() bool { return p.growth.Load() != seen || isClosed(p.granted) }
 		simclock.GateFor(tm.clock).BlockOn(p.grew, ready, func() {
 			select {
 			case <-p.grew:
@@ -142,6 +146,7 @@ type pending struct {
 	claimed map[int]int64
 	used    map[int]int64
 	grew    chan struct{} // signalled whenever the claim grows
+	growth  atomic.Int64  // counts the claim's growths, for Take's ready check
 	span    *obs.Span     // "reserve", open until the grant or release
 	victims []string      // backends reclaim evicted for this claim
 	// stopReclaim cancels the preemption loop and waits for it to exit
@@ -378,6 +383,7 @@ func (tm *TaskManager) claimHeadLocked(p *pending) bool {
 			}
 			p.claimed[id] += avail
 			tm.reserved[id] += avail
+			p.growth.Add(1)
 			select {
 			case p.grew <- struct{}{}:
 			default:

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"net/http"
-	"strings"
 
 	"swapservellm/internal/metrics"
 	"swapservellm/internal/simclock"
@@ -32,7 +31,7 @@ func newWorker(b *Backend, sched *Scheduler, clock simclock.Clock, reg *metrics.
 		sched:  sched,
 		clock:  clock,
 		reg:    reg,
-		client: &http.Client{},
+		client: &http.Client{Transport: simclock.Transport(clock)},
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
@@ -49,7 +48,7 @@ func (w *worker) run() {
 		var item *queuedRequest
 		stopped := false
 		queue := w.b.queue
-		ready := func() bool { return len(queue) > 0 }
+		ready := func() bool { return w.b.queued.Load() > 0 }
 		gate.BlockOn(queue, ready, func() {
 			select {
 			case <-w.stop:
@@ -60,6 +59,7 @@ func (w *worker) run() {
 		if stopped {
 			return
 		}
+		w.b.queued.Add(-1)
 		w.b.pending.Add(1)
 		// Verify the client is still connected before doing any work
 		// (§4.1: cancellations and timeouts are handled here).
@@ -118,14 +118,11 @@ func (w *worker) forward(item *queuedRequest) {
 	w.answer(item, forwardResult{err: fmt.Errorf("core: backend %s kept being preempted", w.b.name)})
 }
 
-// answer hands the router its result. A buffered answer needs no more
-// simulated time, so it puts the client's ticket back on the wire: the
-// clock holds until the client has it. A stream is still generating.
+// answer hands the router its result, waking it at once.
 func (w *worker) answer(item *queuedRequest, res forwardResult) {
-	if res.resp == nil || !strings.HasPrefix(res.resp.Header.Get("Content-Type"), "text/event-stream") {
-		simclock.GateFor(w.clock).Dispatch(item.ctx)
-	}
-	item.result <- res
+	item.result = res
+	close(item.answered)
+	simclock.GateFor(w.clock).Wake(item)
 }
 
 // retire ends the worker's accounting for a dequeued request and
@@ -133,14 +130,15 @@ func (w *worker) answer(item *queuedRequest, res forwardResult) {
 func (w *worker) retire(item *queuedRequest) {
 	w.b.pending.Add(-1)
 	close(item.retired)
+	simclock.GateFor(w.clock).Wake(item)
 }
 
 // relay performs the engine HTTP call and keeps the in-flight accounting
 // alive until the router finishes streaming the response to the client.
-// Both waits cross real HTTP into unregistered net/http goroutines, so
-// under a Virtual clock they run as BlockIO: the clock may advance while
-// the engine generates, which is exactly what simulates generation
-// latency.
+// Under a Virtual clock the engine answers in-process on a registered
+// goroutine (simclock.Listen), and the stream wait is a BlockOn the
+// router's Wake ends, so the clock advances only while the engine
+// generates — which is exactly what simulates generation latency.
 func (w *worker) relay(item *queuedRequest) {
 	url := w.b.ctr.BaseURL() + item.path
 	req, err := http.NewRequestWithContext(item.ctx, http.MethodPost, url, bytes.NewReader(item.body))
@@ -149,9 +147,7 @@ func (w *worker) relay(item *queuedRequest) {
 		return
 	}
 	req.Header.Set("Content-Type", "application/json")
-	gate := simclock.GateFor(w.clock)
-	var resp *http.Response
-	gate.BlockIO(func() { resp, err = w.client.Do(req) })
+	resp, err := w.client.Do(req)
 	if err != nil {
 		w.answer(item, forwardResult{err: err})
 		return
@@ -159,7 +155,8 @@ func (w *worker) relay(item *queuedRequest) {
 	w.answer(item, forwardResult{resp: resp})
 	// Remain "in flight" until the response body has been fully relayed,
 	// so eviction drains genuinely live streams.
-	gate.BlockIO(func() {
+	relayed := func() bool { return isClosed(item.done) || item.ctx.Err() != nil }
+	simclock.GateFor(w.clock).BlockOn(item, relayed, func() {
 		select {
 		case <-item.done:
 		case <-item.ctx.Done():

@@ -271,7 +271,7 @@ func TestPipelinedExchangeOverlapsTransfers(t *testing.T) {
 		_, err := d.Suspend(context.Background(), "victim")
 		suspendErr <- err
 	})
-	if err := d.Restore(context.Background(), "target", newFreedClaim(clock, dev)); err != nil {
+	if err := d.Restore(context.Background(), "target", newFreedClaim(clock, d, dev)); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
 	var serr error
@@ -330,7 +330,7 @@ func TestRestoreClaimCancelRollsBack(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	err := d.Restore(ctx, "p", newFreedClaim(clock, dev))
+	err := d.Restore(ctx, "p", newFreedClaim(clock, d, dev))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Restore = %v, want deadline exceeded", err)
 	}
@@ -350,16 +350,22 @@ func TestRestoreClaimCancelRollsBack(t *testing.T) {
 
 // freedClaim is a test Claim over one device's free memory: each chunk
 // waits until the device has room for it — a stand-in for a task-manager
-// reservation that grows as a concurrent checkpoint frees capacity.
+// reservation that grows as a concurrent checkpoint frees capacity. The
+// driver's chunk hook signals freed after every committed chunk.
 type freedClaim struct {
 	clock simclock.Clock
 	dev   *gpu.Device
 	freed chan struct{}
 }
 
-func newFreedClaim(clock simclock.Clock, dev *gpu.Device) *freedClaim {
+func newFreedClaim(clock simclock.Clock, d *Driver, dev *gpu.Device) *freedClaim {
 	c := &freedClaim{clock: clock, dev: dev, freed: make(chan struct{}, 1)}
-	dev.Watch(c.freed)
+	d.OnChunk(func(ChunkEvent) {
+		select {
+		case c.freed <- struct{}{}:
+		default:
+		}
+	})
 	return c
 }
 

@@ -185,6 +185,7 @@ func newBase(kind perfmodel.EngineKind, cfg Config) (*base, error) {
 		return nil, err
 	}
 	b := &base{cfg: cfg, kind: kind, gate: NewGate()}
+	b.gate.clock = cfg.Clock
 	b.state.Store(int32(StateCreated))
 	return b, nil
 }

@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"sync"
+
+	"swapservellm/internal/simclock"
 )
 
 // Gate models the effect of the cgroup freezer on a containerized engine
@@ -11,6 +13,8 @@ import (
 // The container runtime toggles the gate when freezing/thawing the
 // engine's cgroup.
 type Gate struct {
+	clock simclock.Clock // the engine's; nil waits outside any clock gate
+
 	mu     sync.Mutex
 	paused bool
 	resume chan struct{} // closed on resume; replaced on pause
@@ -37,12 +41,15 @@ func (g *Gate) Pause() {
 // Resume opens the gate, releasing all blocked waiters.
 func (g *Gate) Resume() {
 	g.mu.Lock()
-	defer g.mu.Unlock()
-	if !g.paused {
-		return
+	opened := g.paused
+	if opened {
+		g.paused = false
+		close(g.resume)
 	}
-	g.paused = false
-	close(g.resume)
+	g.mu.Unlock()
+	if opened {
+		simclock.GateFor(g.clock).Wake(g)
+	}
 }
 
 // Paused reports whether the gate is closed.
@@ -52,7 +59,9 @@ func (g *Gate) Paused() bool {
 	return g.paused
 }
 
-// Wait blocks until the gate is open or ctx is cancelled.
+// Wait blocks until the gate is open or ctx is cancelled. The wait is
+// a clock-gate BlockOn that Resume wakes, so a frozen engine's request
+// never holds a Virtual clock still.
 func (g *Gate) Wait(ctx context.Context) error {
 	for {
 		g.mu.Lock()
@@ -61,10 +70,22 @@ func (g *Gate) Wait(ctx context.Context) error {
 		if !paused {
 			return nil
 		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-resume:
+		open := func() bool {
+			select {
+			case <-resume:
+				return true
+			default:
+				return ctx.Err() != nil
+			}
+		}
+		simclock.GateFor(g.clock).BlockOn(g, open, func() {
+			select {
+			case <-ctx.Done():
+			case <-resume:
+			}
+		})
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 	}
 }

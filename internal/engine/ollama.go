@@ -11,8 +11,9 @@ import (
 // Ollama simulates the Ollama engine: a lightweight llama.cpp runner per
 // model that skips compilation and graph capture (fast loads, lower
 // decode throughput — §2.3), and allocates GPU memory proportional to the
-// model rather than preallocating a pool. The multi-model runner
-// scheduler with LRU unloading lives in RunnerManager.
+// model rather than preallocating a pool. Each instance serves one
+// model; SwapServeLLM's scheduler, not Ollama's own multi-model LRU
+// runner, decides which models stay loaded.
 type Ollama struct {
 	*base
 }

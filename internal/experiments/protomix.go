@@ -166,13 +166,6 @@ func runProtomixArm(arm string, cacheOff bool, seed int64) ([]ProtomixRow, Proto
 	if err := c.Start(context.Background()); err != nil {
 		return nil, ProtomixArm{}, err
 	}
-	// Start probed every node synchronously, so both nodes are healthy;
-	// halting the heartbeat loop here leaves the trial with zero pending
-	// virtual timers. The clock then advances only through request
-	// service time, which is what makes the measured latencies — and the
-	// committed artifact — byte-identical run to run.
-	c.NodeRegistry().Stop()
-
 	perKind := map[string]*ProtomixRow{}
 	var kindLats = map[string][]time.Duration{}
 	var allLats []time.Duration

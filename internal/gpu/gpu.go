@@ -30,10 +30,9 @@ type Device struct {
 	kind  perfmodel.GPUKind
 	total int64
 
-	mu       sync.Mutex
-	owners   map[string]int64   // owner -> allocated bytes
-	busy     map[string]float64 // owner -> compute utilization share [0,1]
-	watchers map[chan struct{}]struct{}
+	mu     sync.Mutex
+	owners map[string]int64   // owner -> allocated bytes
+	busy   map[string]float64 // owner -> compute utilization share [0,1]
 
 	// Usage-integral tracking (for cost accounting): byteSeconds
 	// accumulates Used()·dt exactly on every allocation change, avoiding
@@ -122,43 +121,7 @@ func (d *Device) FreeOwner(owner string) (int64, error) {
 	d.accumulateLocked()
 	delete(d.owners, owner)
 	delete(d.busy, owner)
-	if bytes > 0 {
-		d.notifyFreedLocked()
-	}
 	return bytes, nil
-}
-
-// Watch registers ch to receive a (non-blocking, coalescing) signal
-// whenever device memory is freed — an owner releases its allocation or
-// resizes it down. Callers that wait for capacity (the pipelined
-// restore path) pass a buffered channel and re-try their allocation on
-// every signal. The channel is never closed by the device.
-func (d *Device) Watch(ch chan struct{}) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.watchers == nil {
-		d.watchers = make(map[chan struct{}]struct{})
-	}
-	d.watchers[ch] = struct{}{}
-}
-
-// Unwatch removes a channel registered with Watch.
-func (d *Device) Unwatch(ch chan struct{}) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	delete(d.watchers, ch)
-}
-
-// notifyFreedLocked signals every watcher that capacity was released.
-// Sends never block: a watcher with a full buffer already has a pending
-// wakeup, which is sufficient for retry loops. Caller holds d.mu.
-func (d *Device) notifyFreedLocked() {
-	for ch := range d.watchers {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
 }
 
 // Resize adjusts owner's allocation to exactly bytes (used by engines that
@@ -179,9 +142,6 @@ func (d *Device) Resize(owner string, bytes int64) error {
 		delete(d.owners, owner)
 	} else {
 		d.owners[owner] = bytes
-	}
-	if bytes < cur {
-		d.notifyFreedLocked()
 	}
 	return nil
 }

@@ -1,9 +1,9 @@
 // Package openai is the OpenAI-compatible HTTP client SwapServeLLM's
 // in-process callers use: the model workers verifying an engine's API,
 // the experiments and load generators driving the router and gateway,
-// and the registry's health probe. Every call is one gate-tracked
-// exchange (Client.Do). The wire types, their codec and the HTTP
-// response writers live in internal/proxy/ir.
+// and the registry's health probe. Every call is one exchange
+// (Client.Do) over the clock's transport. The wire types, their codec
+// and the HTTP response writers live in internal/proxy/ir.
 package openai
 
 import (
@@ -29,25 +29,25 @@ type Client struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
 	// HTTPClient defaults to a client with no timeout (streams can be
-	// long-lived); set one to bound request duration.
+	// long-lived) on the clock's transport (simclock.Transport); set one
+	// to bound request duration.
 	HTTPClient *http.Client
-	// Clock paces health-check polling and tracks every exchange on its
-	// gate; defaults to the real clock. Tests and simulations inject a
-	// scaled or virtual clock so calls compress with the rest of the
-	// timeline.
+	// Clock paces health-check polling and picks the transport; defaults
+	// to the real clock. Tests and simulations inject a scaled or virtual
+	// clock so calls compress with the rest of the timeline.
 	Clock simclock.Clock
 }
 
 // NewClient returns a client for the given base URL.
 func NewClient(baseURL string) *Client {
-	return &Client{BaseURL: baseURL, HTTPClient: &http.Client{}}
+	return &Client{BaseURL: baseURL}
 }
 
 func (c *Client) httpClient() *http.Client {
 	if c.HTTPClient != nil {
 		return c.HTTPClient
 	}
-	return http.DefaultClient
+	return &http.Client{Transport: simclock.Transport(c.clock())}
 }
 
 func (c *Client) clock() simclock.Clock {
@@ -57,41 +57,35 @@ func (c *Client) clock() simclock.Clock {
 	return simclock.Real{}
 }
 
-// Do runs one HTTP exchange against BaseURL+path as a single
-// gate-tracked round trip (simclock.Gate.Send) on the client's clock:
-// the request is built on the exchange's context and stamped with its
-// ticket, and read consumes the response before the exchange ends.
-// Under a Virtual clock simulated time may therefore advance while the
-// server works, which is what simulates generation latency, but not
-// while the request or response crosses the wire. With the default
-// real clock the gate is a no-op. A non-nil body is sent as JSON,
-// header adds request headers, and Do closes the response body.
+// Do runs one HTTP exchange against BaseURL+path and hands the
+// response to read. Under a Virtual clock a server on the clock answers
+// in-process (simclock.Listen), so simulated time advances while the
+// server works, which is what simulates generation latency, but never
+// while the request or response is in flight. A non-nil body is sent as
+// JSON, header adds request headers, and Do closes the response body.
 func (c *Client) Do(ctx context.Context, method, path string, body []byte, header http.Header,
-	read func(*http.Response) error) (err error) {
-	simclock.GateFor(c.clock()).Send(ctx, func(ctx context.Context) {
-		var rb io.Reader
-		if body != nil {
-			rb = bytes.NewReader(body)
-		}
-		var req *http.Request
-		if req, err = http.NewRequestWithContext(ctx, method, c.BaseURL+path, rb); err != nil {
-			return
-		}
-		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		for k, v := range header {
-			req.Header[k] = v
-		}
-		simclock.Stamp(req)
-		var resp *http.Response
-		if resp, err = c.httpClient().Do(req); err != nil {
-			return
-		}
-		defer resp.Body.Close()
-		err = read(resp)
-	})
-	return err
+	read func(*http.Response) error) error {
+	var rb io.Reader
+	if body != nil {
+		rb = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rb)
+	if err != nil {
+		return err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	for k, v := range header {
+		req.Header[k] = v
+	}
+	//swaplint:block reason=under a Virtual clock the round trip runs on simclock's in-process transport, parked in a gate BlockOn until the registered handler answers
+	resp, err := c.httpClient().Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	return read(resp)
 }
 
 // post sends in as JSON to path and hands a 200 response's body to

@@ -256,18 +256,22 @@ func TestClientListModels(t *testing.T) {
 	}
 }
 
-// TestListModelsInsideGate: ListModels is one gate-tracked exchange,
-// so a registered caller sheds its run token while the server works. A
-// server that sleeps on the virtual clock must therefore see that time
-// pass; a caller keeping its token would hold the clock still forever.
+// TestListModelsInsideGate: ListModels runs on the clock's in-process
+// transport, so a registered caller sheds its run token while the
+// server works. A server that sleeps on the virtual clock must
+// therefore see that time pass; a caller keeping its token would hold
+// the clock still forever.
 func TestListModelsInsideGate(t *testing.T) {
 	epoch := time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC)
 	v := simclock.NewVirtual(epoch)
-	srv := httptest.NewServer(simclock.Serve(v, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv, err := simclock.Listen(v, "127.0.0.1:0", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		v.Sleep(time.Second)
 		ir.WriteJSON(w, http.StatusOK, ir.ModelList{Object: "list", Data: []ir.ModelInfo{{ID: "m1", Object: "model"}}})
-	})))
-	cli := NewClient(srv.URL)
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli := NewClient("http://" + srv.Addr())
 	cli.Clock = v
 
 	done := make(chan error, 1)
@@ -282,8 +286,6 @@ func TestListModelsInsideGate(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(10 * time.Second):
-		// The server is left open: Close would wait on the handler,
-		// which is parked on the held clock.
 		t.Fatal("ListModels kept its run token: the server's virtual sleep never ended")
 	}
 	if d := v.Since(epoch); d != time.Second {

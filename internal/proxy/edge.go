@@ -209,6 +209,10 @@ type StreamRelay struct {
 	// error abandons the upstream there, as if it died between two
 	// events, and Relay returns it wrapped in ErrStreamCut.
 	Cut func() error
+	// Done, when set, runs when the upstream's terminal event arrives,
+	// before the terminal frame is written: a client that has read the
+	// whole stream sees whatever Done recorded.
+	Done func()
 }
 
 // StreamRelay starts a relay into w in the endpoint's client framing.
@@ -253,6 +257,9 @@ func (s *StreamRelay) Relay(resp *http.Response) error {
 		frames, _, err := s.tr.Frames(event)
 		if err != nil {
 			return err
+		}
+		if done && s.Done != nil {
+			s.Done()
 		}
 		if len(frames) > 0 {
 			if _, err := s.w.Write(frames); err != nil {

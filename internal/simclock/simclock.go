@@ -13,9 +13,9 @@
 //     goroutines share the same compression factor.
 //   - Manual: a hand-advanced clock for deterministic unit tests.
 //   - Virtual: a discrete-event clock that jumps straight to the next
-//     deadline whenever the system is quiescent (see Gate). The
-//     experiment harness runs on it: zero wall waiting and
-//     byte-identical artifacts run-to-run.
+//     deadline whenever the system is quiescent (see Gate), with an
+//     in-process HTTP transport (see Listen). The experiment harness
+//     runs on it: zero wall waiting and byte-identical artifacts.
 package simclock
 
 import (

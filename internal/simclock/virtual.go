@@ -3,44 +3,34 @@ package simclock
 import (
 	"container/heap"
 	"fmt"
-	"os"
-	"reflect"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-var vtrace = os.Getenv("SIMCLOCK_TRACE") != ""
-
-// ioGrace is the wall window after a BlockIO entry or exit during which
-// the settle pass keeps using wall micro-sleeps: long enough for a
-// localhost TCP hand-off to come back through netpoll and the receiving
-// goroutine to reach its next clock interaction, short enough that a
-// multi-thousand-chunk transfer replay pays it only at request
-// boundaries.
+// ioGrace is the wall window after bytes leave on a real socket (a
+// BlockIO entry or exit, a socket request's flush or return) during
+// which a jump's settle pass first sleeps, so netpoll can hand them
+// over. In-process HTTP never needs it (see Listen).
 const ioGrace = 10 * time.Millisecond
 
 // Virtual is a concurrency-aware discrete-event clock: Sleep and After
 // park their callers on a deadline heap, and time jumps straight to the
-// next deadline once the system is quiescent — no wall-clock waiting at
-// all. It is the experiment harness's clock (à la Revati's time-warp
-// emulation): a month of simulated serving replays in however long the
-// bookkeeping takes, and the resulting simulated timestamps are a pure
-// function of the event deadlines, so repeated runs produce
-// byte-identical artifacts.
+// next deadline once the system is quiescent — no wall-clock waiting.
+// It is the experiment harness's clock (à la Revati's time-warp
+// emulation): simulated timestamps are a pure function of the event
+// deadlines, so repeated runs produce byte-identical artifacts.
 //
-// Quiescence is tracked by a token protocol (see Gate): every
-// *registered* goroutine owns a run token while it is executing, gives
-// the token up when it parks on the clock (Sleep / Gate.Wait) or blocks
-// on another goroutine (Gate.Block / Gate.BlockIO), and gets it back
-// when it resumes. When the outstanding-token count hits zero nothing
-// registered can make progress without time moving, so an advancer
-// fires the earliest deadline. Unregistered goroutines (net/http
-// serving goroutines, engine handlers) may also park on the clock;
-// their waiters carry no token, and the advancer runs a settle pass
-// (yield rounds, escalating to short wall sleeps while registered
-// goroutines are blocked in I/O) before each jump so late parkers are
-// not left behind.
+// Quiescence is tracked by a token protocol (see Gate): a *registered*
+// goroutine owns a run token while it executes and gives it up while it
+// parks on the clock or blocks on a peer. When no token is out, an
+// advancer starts the next spawned goroutine or fires the earliest
+// deadline, after a settle pass while any goroutine is blocked on a
+// peer. HTTP servers on the clock serve in-process callers on
+// registered goroutines (see Listen); an unregistered goroutine may
+// still Sleep, but its waiter carries no token and no ordering promise.
 type Virtual struct {
 	mu      sync.Mutex
 	now     time.Time
@@ -51,63 +41,38 @@ type Virtual struct {
 	// goroutines.
 	reg map[int64]int
 
-	// running counts registered goroutines that currently hold their run
-	// token (neither parked on the clock nor blocked). Time may only
-	// advance when it is zero.
+	// running counts registered goroutines holding their run token. Time
+	// may only advance when it is zero.
 	running int
-	// blocked / blockedIO count registered goroutines inside Gate.Block /
-	// Gate.BlockIO. blockedIO > 0 switches the settle pass to wall-clock
-	// micro-sleeps, since progress then depends on goroutines outside the
-	// Go scheduler's immediate run queue (real HTTP round trips).
+	// waking counts goroutines whose wait ended but which have not yet
+	// retaken mu to say so; the advancer yields to them.
+	waking atomic.Int32
+	// blocked counts registered goroutines inside Gate.Block, BlockOn or
+	// BlockIO; blockedIO counts those in BlockIO.
 	blocked   int
 	blockedIO int
 
-	// parked maps a Gate.BlockOn key to the registered goroutines blocked
-	// on it, so Gate.Wake can hand their run tokens back at the moment
-	// it makes their wait ready.
+	// parked maps a Gate.BlockOn key to the goroutines blocked on it, so
+	// Gate.Wake can hand their run tokens back.
 	parked map[any][]*parkRec
 
-	// tickets are the open HTTP exchanges of registered clients (see
-	// Gate.Send); onWire counts those whose request or response is in
-	// flight. A settle does not commit while one holds the clock.
-	tickets   map[uint64]*ticket
-	ticketSeq uint64
-	onWire    int
-	wireFree  chan struct{} // closed when onWire drops to zero
+	// starts holds the start signals of Gate.Go children not yet
+	// running, in spawn order.
+	starts []chan struct{}
 
-	// gen increments on every state change visible to the settle pass:
-	// waiter added, waiter fired, token acquired or released. The settle
-	// pass commits only after gen holds still across several yield
-	// rounds.
+	// routes maps a listener address to the in-process HTTP server
+	// registered under it (see Listen).
+	routes map[string]*Server
+
+	// gen increments on every state change; the settle pass commits only
+	// after it holds still across several yield rounds.
 	gen uint64
 
 	// advancing is true while an advancer goroutine is live.
 	advancing bool
 
-	// unregActive is set when an untokened waiter fires and cleared by a
-	// stable settle: it records that unregistered goroutines are
-	// interacting with the clock, so advances must settle even when
-	// nothing is blocked.
-	unregActive bool
-
-	// unregOut counts untokened waiters that have fired without a new
-	// untokened waiter being parked since: an estimate of how many
-	// unregistered goroutines are off the heap doing real work. While it
-	// is zero every known unregistered clock user is parked on a
-	// deadline, so a settle pass can commit on scheduler yields alone —
-	// the wall micro-sleeps that dominate a transfer's per-chunk cost are
-	// reserved for the moments (request boundaries, response hand-offs)
-	// when an unregistered goroutine really is in flight through netpoll.
-	unregOut int
-
-	// ioGraceUntil is a wall-clock deadline: settles stay in wall mode
-	// until it passes. It is armed at every Gate.BlockIO entry and exit —
-	// the moments when request or response bytes are in flight through
-	// netpoll toward an unregistered goroutine that has not yet touched
-	// the clock, so unregOut cannot know about it. Without the grace the
-	// advancer replays every pending periodic timer at memory speed while
-	// the kernel delivers the bytes, inflating simulated latencies by
-	// orders of magnitude.
+	// ioGraceUntil is a wall-clock deadline armed at every Gate.BlockIO
+	// entry and exit: settles stay in wall mode until it passes.
 	ioGraceUntil time.Time
 
 	wdArmed   bool
@@ -124,7 +89,7 @@ func NewVirtual(origin time.Time) *Virtual {
 		now:       origin,
 		reg:       make(map[int64]int),
 		parked:    make(map[any][]*parkRec),
-		tickets:   make(map[uint64]*ticket),
+		routes:    make(map[string]*Server),
 		wdTimeout: 5 * time.Second,
 	}
 	v.gate = &Gate{v: v, clock: v}
@@ -141,34 +106,14 @@ func (v *Virtual) Now() time.Time {
 // Since returns the virtual time elapsed since t.
 func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
 
-// Sleep parks the caller until virtual time advances by d. A registered
-// caller releases its run token for the duration; an unregistered
-// caller parks an untokened waiter (the advancer's settle pass keeps it
-// from being left behind).
-func (v *Virtual) Sleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	id := gid()
-	v.mu.Lock()
-	_, registered := v.reg[id]
-	w := v.addWaiterLocked(d, registered)
-	if registered {
-		v.running--
-		v.gen++
-	}
-	v.maybeAdvanceLocked()
-	v.mu.Unlock()
-	<-w.ch
-}
+// Sleep parks the caller until virtual time advances by d (Gate.Wait
+// with no done channel). A registered caller releases its run token for
+// the duration; an unregistered caller parks an untokened waiter.
+func (v *Virtual) Sleep(d time.Duration) { v.gate.Wait(d) }
 
 // After returns a channel that receives the virtual time once d has
-// elapsed. The waiter carries no run token even for registered callers,
-// because the caller does not necessarily block on it: registered code
-// that wants to select on a timer together with other channels must use
-// Gate.Wait, which does the token accounting. A registered goroutine
-// that naked-selects on After deadlocks the virtual clock (its token is
-// never released, so time cannot advance to fire the timer).
+// elapsed. Its waiter carries no run token: registered code selecting on
+// a timer must use Gate.Wait.
 func (v *Virtual) After(d time.Duration) <-chan time.Time {
 	ch := make(chan time.Time, 1)
 	if d <= 0 {
@@ -185,10 +130,9 @@ func (v *Virtual) After(d time.Duration) <-chan time.Time {
 // Gate returns the clock's token gate. All calls return the same gate.
 func (v *Virtual) Gate() *Gate { return v.gate }
 
-// SetDeadlockTimeout adjusts the wall-clock watchdog that fires when
-// every registered goroutine is blocked, no waiter is pending, and no
-// state change occurs for the given duration — a real deadlock in the
-// system under test. Zero disables the watchdog.
+// SetDeadlockTimeout adjusts the wall-clock watchdog that panics when
+// every registered goroutine stays blocked with no waiter pending for d
+// (a deadlock in the system under test). Zero disables it.
 func (v *Virtual) SetDeadlockTimeout(d time.Duration) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -205,17 +149,12 @@ func (v *Virtual) addWaiterLocked(d time.Duration, tokened bool) *vwaiter {
 	}
 	v.seq++
 	heap.Push(&v.waiters, w)
-	if !tokened && v.unregOut > 0 {
-		v.unregOut--
-	}
 	v.gen++
 	return w
 }
 
-// maybeAdvanceLocked spawns an advancer when the system may be
-// quiescent. The advancer is a dedicated short-lived goroutine, never a
-// participant, so it can settle and fire without starving its own
-// continuation.
+// maybeAdvanceLocked spawns an advancer, a short-lived goroutine that is
+// never a participant, when the system may be quiescent.
 func (v *Virtual) maybeAdvanceLocked() {
 	if v.advancing || v.running != 0 {
 		return
@@ -226,35 +165,36 @@ func (v *Virtual) maybeAdvanceLocked() {
 
 func (v *Virtual) advanceLoop() {
 	v.mu.Lock()
-	for v.running == 0 {
-		if v.needSettleLocked() {
+	for v.running == 0 && v.waking.Load() == 0 {
+		// A goroutine blocked on a peer may have been signalled by a
+		// waker that parked since, and needs CPU to take its token back.
+		if v.blocked > 0 {
 			//swaplint:ignore lockcheck settleLocked drops and reacquires v.mu around its yield rounds by design
 			if !v.settleLocked() {
 				break // a registered goroutine resumed during the settle
 			}
 		}
+		if len(v.starts) > 0 {
+			close(v.starts[0])
+			v.starts = v.starts[1:]
+			v.running++
+			v.gen++
+			continue
+		}
 		if v.waiters.Len() == 0 {
-			if v.blocked+v.blockedIO > 0 {
+			if v.blocked > 0 {
 				v.armWatchdogLocked()
 			}
 			break
 		}
 		w := heap.Pop(&v.waiters).(*vwaiter)
 		if w.deadline.After(v.now) {
-			if vtrace && w.deadline.Sub(v.now) > 100*time.Millisecond {
-				fmt.Printf("VTRACE jump %v -> %v (+%v) waiters=%d blocked=%d blockedIO=%d unregOut=%d tokened=%v\n",
-					v.now.Format("15:04:05.000"), w.deadline.Format("15:04:05.000"),
-					w.deadline.Sub(v.now), v.waiters.Len(), v.blocked, v.blockedIO, v.unregOut, w.tokened)
-			}
 			v.now = w.deadline
 		}
 		w.fired = true
 		v.gen++
 		if w.tokened {
 			v.running++
-		} else {
-			v.unregActive = true
-			v.unregOut++
 		}
 		w.ch <- v.now
 	}
@@ -262,61 +202,26 @@ func (v *Virtual) advanceLoop() {
 	v.mu.Unlock()
 }
 
-// needSettleLocked reports whether the next jump must wait for the
-// scheduler to quiesce first. Settling is needed whenever goroutines
-// may be between states the token accounting cannot see: registered
-// goroutines blocked on peers (their waker may have signalled and
-// parked already, and the wakee needs CPU to re-acquire its token
-// before time moves), or unregistered goroutines using the clock.
-func (v *Virtual) needSettleLocked() bool {
-	return v.blocked > 0 || v.blockedIO > 0 || v.unregActive || v.onWire > 0
-}
-
 // settleLocked yields until the observable state (gen) holds still for
-// three consecutive rounds with no run token outstanding. Rounds use
-// escalating wall micro-sleeps only while an unregistered goroutine is
-// off the heap (unregOut > 0) with registered callers blocked in I/O —
-// a real HTTP hand-off needs wall time to come back through netpoll.
-// In the transfer steady state (every unregistered actor parked on a
-// chunk deadline) plain scheduler yields suffice, which is what keeps a
-// multi-thousand-chunk checkpoint replay at microseconds per event.
-// Returns false if a registered goroutine re-acquired its token, in
-// which case the advance must abort.
+// three consecutive rounds with no run token outstanding. Before a jump
+// within ioGrace of a socket hand-off, the first round after each
+// change is a 200 µs wall sleep instead, about twice a loopback
+// hand-off on a loaded two-core host, so netpoll delivers bytes still
+// in flight (at 20 µs a seventh of perfbench's replayed requests
+// diverged). Returns false if a registered goroutine took its token
+// back, in which case the advance must abort.
 func (v *Virtual) settleLocked() bool {
 	stable := 0
 	last := v.gen
-	sleep := 20 * time.Microsecond
 	for stable < 3 {
-		if v.running > 0 {
+		if v.running > 0 || v.waking.Load() > 0 {
 			return false
 		}
-		if hold := v.wireHeldLocked(); hold > 0 {
-			// An exchange is on the wire: wait for it to land.
-			if v.wireFree == nil {
-				v.wireFree = make(chan struct{})
-			}
-			free := v.wireFree
-			v.mu.Unlock()
-			t := time.NewTimer(hold)
-			select {
-			case <-free:
-			case <-t.C:
-			}
-			t.Stop()
-			//swaplint:ignore lockcheck reacquisition of the caller-held lock; settleLocked returns with v.mu held
-			v.mu.Lock()
-			stable = 0
-			last = v.gen
-			sleep = 20 * time.Microsecond
-			continue
-		}
-		io := v.blockedIO > 0 && (v.unregOut > 0 || time.Now().Before(v.ioGraceUntil))
+		// A start does not move time, so only a jump waits on netpoll.
+		io := stable == 0 && v.blockedIO > 0 && len(v.starts) == 0 && time.Now().Before(v.ioGraceUntil)
 		v.mu.Unlock()
 		if io {
-			time.Sleep(sleep)
-			if sleep < 500*time.Microsecond {
-				sleep *= 2
-			}
+			time.Sleep(200 * time.Microsecond)
 		} else {
 			for i := 0; i < 32; i++ {
 				runtime.Gosched()
@@ -329,17 +234,7 @@ func (v *Virtual) settleLocked() bool {
 		} else {
 			stable = 0
 			last = v.gen
-			sleep = 20 * time.Microsecond
 		}
-	}
-	if v.blockedIO == 0 {
-		v.unregActive = false
-	} else {
-		// A wall-stable settle is the best evidence that no unregistered
-		// goroutine is about to park: reset the in-flight estimate so a
-		// handler that finished its response (fired its last timer and
-		// went back to netpoll) does not tax every later jump.
-		v.unregOut = 0
 	}
 	return v.running == 0
 }
@@ -360,7 +255,7 @@ func (v *Virtual) armWatchdogLocked() {
 		v.mu.Lock()
 		v.wdArmed = false
 		stuck := v.gen == snap && v.running == 0 && v.waiters.Len() == 0 &&
-			v.blocked+v.blockedIO > 0
+			v.blocked > 0
 		var dump string
 		if stuck {
 			dump = v.dumpLocked()
@@ -438,26 +333,20 @@ func (h *vheap) Pop() any {
 //
 //   - Enter / Exit bracket a goroutine that participates in virtual
 //     time (nestable; typically an experiment's main goroutine).
-//   - Go spawns a registered goroutine. The child's run token is
-//     reserved before the goroutine starts, so there is no window in
-//     which the clock could advance past a spawn.
+//   - Go spawns a registered goroutine, started in spawn order at the
+//     next quiescence, before time moves.
 //   - Block(fn) marks the caller as waiting on another registered
 //     goroutine (channel receive, WaitGroup.Wait, …) for fn's duration.
-//   - BlockIO(fn) marks the caller as waiting on work outside the
-//     token system — an HTTP round trip through net/http goroutines.
+//   - BlockIO(fn) marks the caller as waiting on a real socket.
 //   - BlockOn(key, ready, fn) is Block for a wait whose waker calls
-//     Wake(key): the waker hands the token back itself, with no window
-//     in which the clock could advance past the hand-off.
-//   - Wait(d, done...) is the timer select: it parks on the clock like
-//     Sleep but also wakes on any done channel, returning -1 for the
-//     timer or the index of the channel that fired.
+//     Wake(key), handing the token back with no window for time to move.
+//   - Wait(d, done...) parks on the clock like Sleep but also wakes on
+//     a done channel, returning -1 for the timer or the channel's index.
 //
-// Rules: a registered goroutine must not block on anything except via
-// Sleep, Block, BlockOn, BlockIO, or Wait — in particular it must not
-// naked-select on After. Violations freeze the virtual clock (the Go
-// test timeout's stack dump shows the offender); a system-under-test
-// deadlock while the clock is quiescent is caught by the watchdog
-// panic instead.
+// Rules: a registered goroutine blocks only via Sleep, Block, BlockOn,
+// BlockIO, or Wait, never on a naked After. A violation freezes the
+// clock (the Go test timeout's stack dump shows the offender); a
+// deadlock while the clock is quiescent trips the watchdog panic.
 type Gate struct {
 	v     *Virtual
 	clock Clock
@@ -509,43 +398,29 @@ func (g *Gate) Exit() {
 	v.mu.Unlock()
 }
 
-// Run registers the calling goroutine for the duration of fn.
-func (g *Gate) Run(fn func()) {
-	g.Enter()
-	defer g.Exit()
-	fn()
-}
-
-// Go runs fn on a new registered goroutine. The child's token is
-// reserved under the clock lock before the goroutine is spawned, so the
-// clock cannot advance between the spawn and the child's first
-// instruction.
+// Go runs fn on a new registered goroutine. The start is a zero-delay
+// event: children start one at a time, in spawn order, when the clock
+// is next quiescent and before any timer fires, so same-instant spawns
+// replay in one order however the Go scheduler runs their parents.
 func (g *Gate) Go(fn func()) {
 	if g.v == nil {
 		go fn()
 		return
 	}
 	v := g.v
+	start := make(chan struct{})
 	v.mu.Lock()
-	v.running++
+	v.starts = append(v.starts, start)
 	v.gen++
+	v.maybeAdvanceLocked()
 	v.mu.Unlock()
 	go func() {
+		<-start
 		id := gid()
 		v.mu.Lock()
 		v.reg[id]++
 		v.mu.Unlock()
-		defer func() {
-			v.mu.Lock()
-			v.reg[id]--
-			if v.reg[id] <= 0 {
-				delete(v.reg, id)
-			}
-			v.running--
-			v.gen++
-			v.maybeAdvanceLocked()
-			v.mu.Unlock()
-		}()
+		defer g.Exit()
 		fn()
 	}()
 }
@@ -553,62 +428,13 @@ func (g *Gate) Go(fn func()) {
 // Block runs fn with the caller's run token released, marking it as
 // waiting on another registered goroutine. Unregistered callers just
 // run fn.
-func (g *Gate) Block(fn func()) { g.block(fn, false) }
+func (g *Gate) Block(fn func()) { g.block(nil, nil, fn, false) }
 
 // BlockIO runs fn with the caller's run token released, marking it as
-// waiting on I/O outside the token system (an HTTP round trip whose
-// serving goroutines are unregistered). The advancer settles with wall
-// micro-sleeps while any BlockIO is outstanding.
-func (g *Gate) BlockIO(fn func()) { g.block(fn, true) }
-
-func (g *Gate) block(fn func(), io bool) {
-	if g.v == nil {
-		fn()
-		return
-	}
-	id := gid()
-	v := g.v
-	v.mu.Lock()
-	if _, ok := v.reg[id]; !ok {
-		v.mu.Unlock()
-		fn()
-		return
-	}
-	v.running--
-	if io {
-		v.blockedIO++
-		v.ioGraceUntil = time.Now().Add(ioGrace)
-	} else {
-		v.blocked++
-	}
-	v.gen++
-	v.maybeAdvanceLocked()
-	v.mu.Unlock()
-
-	fn()
-
-	v.mu.Lock()
-	if io {
-		v.blockedIO--
-		// The response hand-off back toward whoever is awaiting this
-		// round trip (another BlockIO caller, an unregistered proxy
-		// handler) is still in flight through netpoll.
-		v.ioGraceUntil = time.Now().Add(ioGrace)
-	} else {
-		v.blocked--
-	}
-	v.running++
-	v.gen++
-	v.mu.Unlock()
-}
-
-// parkRec is one registered goroutine blocked in Gate.BlockOn: its
-// wait's ready check, and whether Gate.Wake already handed its run
-// token back.
-type parkRec struct {
-	ready func() bool
-	woken bool
-}
+// waiting on I/O outside the process: the socket edge of a client
+// whose server is not in-process. The advancer settles with wall
+// micro-sleeps within ioGrace of its entry and exit.
+func (g *Gate) BlockIO(fn func()) { g.block(nil, nil, fn, true) }
 
 // BlockOn is Block for a wait a peer ends by calling Wake(key): fn is
 // the blocking receive, ready reports (without blocking or taking locks
@@ -618,47 +444,80 @@ type parkRec struct {
 // virtual time cannot advance between the hand-off and the wakee
 // running again — a plain Block leaves that window to the settle pass,
 // which a descheduled wakee can outlast.
-func (g *Gate) BlockOn(key any, ready func() bool, fn func()) {
+func (g *Gate) BlockOn(key any, ready func() bool, fn func()) { g.block(key, ready, fn, false) }
+
+// parkRec is one registered goroutine blocked in Gate.BlockOn: its
+// wait's ready check, and whether Gate.Wake already handed its run
+// token back.
+type parkRec struct {
+	ready func() bool
+	woken bool
+}
+
+func (g *Gate) block(key any, ready func() bool, fn func(), io bool) {
 	if g.v == nil {
 		fn()
 		return
 	}
+	g.v.park(g.v.registered(), key, ready, fn, io)
+}
+
+// registered reports whether the calling goroutine is registered.
+func (v *Virtual) registered() bool {
 	id := gid()
-	v := g.v
 	v.mu.Lock()
-	if _, ok := v.reg[id]; !ok || ready() {
+	defer v.mu.Unlock()
+	_, ok := v.reg[id]
+	return ok
+}
+
+// park is block for a caller whose registration is known.
+func (v *Virtual) park(reg bool, key any, ready func() bool, fn func(), io bool) {
+	v.mu.Lock()
+	if !reg || (ready != nil && ready()) {
 		v.mu.Unlock()
 		fn()
 		return
 	}
-	rec := &parkRec{ready: ready}
-	v.parked[key] = append(v.parked[key], rec)
+	var rec *parkRec
+	if ready != nil {
+		rec = &parkRec{ready: ready}
+		v.parked[key] = append(v.parked[key], rec)
+	}
 	v.running--
 	v.blocked++
+	if io {
+		// The request is leaving on a real socket.
+		v.blockedIO++
+		v.ioGraceUntil = time.Now().Add(ioGrace)
+	}
 	v.gen++
 	v.maybeAdvanceLocked()
 	v.mu.Unlock()
 
 	fn()
 
+	v.waking.Add(1)
 	v.mu.Lock()
-	if !rec.woken {
-		recs := v.parked[key]
-		for i, r := range recs {
-			if r == rec {
-				recs = append(recs[:i], recs[i+1:]...)
-				break
-			}
-		}
-		if len(recs) == 0 {
-			delete(v.parked, key)
-		} else {
-			v.parked[key] = recs
+	v.waking.Add(-1)
+	if rec == nil || !rec.woken {
+		if rec != nil {
+			v.unparkLocked(key, func(r *parkRec) bool { return r == rec })
 		}
 		v.blocked--
+		if io {
+			v.blockedIO--
+		}
 		v.running++
 	}
 	v.gen++
+	v.mu.Unlock()
+}
+
+// armGrace re-arms ioGrace: bytes are leaving on a real socket.
+func (v *Virtual) armGrace() {
+	v.mu.Lock()
+	v.ioGraceUntil = time.Now().Add(ioGrace)
 	v.mu.Unlock()
 }
 
@@ -675,22 +534,24 @@ func (g *Gate) Wake(key any) {
 	v := g.v
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	recs := v.parked[key]
-	kept := recs[:0]
-	for _, r := range recs {
+	v.unparkLocked(key, func(r *parkRec) bool {
 		if !r.ready() {
-			kept = append(kept, r)
-			continue
+			return false
 		}
 		r.woken = true
 		v.blocked--
 		v.running++
 		v.gen++
-	}
-	if len(kept) == 0 {
-		delete(v.parked, key)
+		return true
+	})
+}
+
+// unparkLocked drops the goroutines parked on key that match.
+func (v *Virtual) unparkLocked(key any, match func(*parkRec) bool) {
+	if recs := slices.DeleteFunc(v.parked[key], match); len(recs) > 0 {
+		v.parked[key] = recs
 	} else {
-		v.parked[key] = kept
+		delete(v.parked, key)
 	}
 }
 
@@ -722,18 +583,17 @@ func (g *Gate) Wait(d time.Duration, done ...<-chan struct{}) int {
 		// Woken by a done channel: retract the waiter. If the advancer
 		// fired it concurrently the token (if any) was already granted
 		// back, so only the un-fired case needs fixing up.
+		v.waking.Add(1)
 		v.mu.Lock()
+		v.waking.Add(-1)
 		if !w.fired {
 			heap.Remove(&v.waiters, w.index)
 			if w.tokened {
 				v.running++
-			} else {
-				// An unregistered waiter leaves the heap alive: it is in
-				// flight again as far as the settle pass can tell.
-				v.unregOut++
 			}
 			v.gen++
 		}
+		v.maybeAdvanceLocked()
 		v.mu.Unlock()
 	}
 	return idx
@@ -745,37 +605,22 @@ func waitFallback(clock Clock, d time.Duration, done []<-chan struct{}) int {
 	return selectTimer(clock.After(d), done)
 }
 
-// selectTimer selects between a timer channel and up to N done
-// channels, returning -1 for the timer and the done index otherwise.
+// selectTimer selects between a timer channel and up to two done
+// channels, returning -1 for the timer and the done index otherwise. A
+// nil channel never fires, so the missing ones stay nil.
 func selectTimer(timer <-chan time.Time, done []<-chan struct{}) int {
-	switch len(done) {
-	case 0:
-		<-timer
+	var d [2]<-chan struct{}
+	if copy(d[:], done) < len(done) {
+		panic("simclock: Wait takes at most two done channels")
+	}
+	select {
+	case <-timer:
 		return -1
-	case 1:
-		select {
-		case <-timer:
-			return -1
-		case <-done[0]:
-			return 0
-		}
-	case 2:
-		select {
-		case <-timer:
-			return -1
-		case <-done[0]:
-			return 0
-		case <-done[1]:
-			return 1
-		}
+	case <-d[0]:
+		return 0
+	case <-d[1]:
+		return 1
 	}
-	cases := make([]reflect.SelectCase, len(done)+1)
-	cases[0] = reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(timer)}
-	for i, ch := range done {
-		cases[i+1] = reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(ch)}
-	}
-	chosen, _, _ := reflect.Select(cases)
-	return chosen - 1
 }
 
 // gid returns the calling goroutine's id, parsed from the stack header

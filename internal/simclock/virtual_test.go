@@ -378,15 +378,18 @@ func TestBlockOnWakeHandsTokenBack(t *testing.T) {
 		woke.Store(int64(v.Since(vEpoch)))
 		close(done)
 	})
-	for {
-		v.mu.Lock()
-		n := len(v.parked[ch])
-		v.mu.Unlock()
-		if n == 1 {
-			break
+	// The child starts once this goroutine parks: wait for it to block.
+	g.Block(func() {
+		for {
+			v.mu.Lock()
+			n := len(v.parked[ch])
+			v.mu.Unlock()
+			if n == 1 {
+				return
+			}
+			time.Sleep(100 * time.Microsecond)
 		}
-		time.Sleep(100 * time.Microsecond)
-	}
+	})
 	close(ch)
 	g.Wake(ch)
 	v.mu.Lock()
@@ -431,15 +434,18 @@ func TestWakeSkipsWaitThatStillBlocks(t *testing.T) {
 		g.BlockOn(queue, ready, func() { x = <-queue })
 		got <- x
 	})
-	for {
-		v.mu.Lock()
-		n := len(v.parked[queue])
-		v.mu.Unlock()
-		if n == 1 {
-			break
+	// The child starts once this goroutine parks: wait for it to block.
+	g.Block(func() {
+		for {
+			v.mu.Lock()
+			n := len(v.parked[queue])
+			v.mu.Unlock()
+			if n == 1 {
+				return
+			}
+			time.Sleep(100 * time.Microsecond)
 		}
-		time.Sleep(100 * time.Microsecond)
-	}
+	})
 	g.Wake(queue) // late or spurious: the queue is empty
 	v.mu.Lock()
 	running, parked := v.running, len(v.parked[queue])
