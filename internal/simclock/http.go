@@ -88,9 +88,7 @@ func (s *Server) Close() error {
 // Transport returns the HTTP transport for clients on clock: under
 // Virtual, requests to an address a Server registered are served
 // in-process and any other address goes over TCP; other clocks get
-// nil, which http.Client reads as http.DefaultTransport. An in-process
-// response body must be read on goroutines registered exactly when the
-// one that sent the request was.
+// nil, which http.Client reads as http.DefaultTransport.
 func Transport(clock Clock) http.RoundTripper {
 	if v, ok := clock.(*Virtual); ok {
 		return transport{v}
@@ -110,7 +108,7 @@ func (t transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		return http.DefaultTransport.RoundTrip(req)
 	}
 	ctx, cancel := context.WithCancel(req.Context())
-	x := &exchange{v: v, reg: v.registered(), req: req, cancel: cancel, header: make(http.Header), signal: make(chan struct{}, 1)}
+	x := &exchange{v: v, req: req, cancel: cancel, header: make(http.Header), signal: make(chan struct{}, 1)}
 	sreq := req.Clone(ctx)
 	if sreq.Body == nil {
 		sreq.Body = http.NoBody
@@ -136,7 +134,6 @@ func (t transport) RoundTrip(req *http.Request) (*http.Response, error) {
 // on one side and, through body, the client's response on the other.
 type exchange struct {
 	v      *Virtual
-	reg    bool // whether the client is registered, read once: gid is costly deep in a stack
 	req    *http.Request
 	cancel context.CancelFunc // cancels the handler's request context
 	stop   func() bool        // ends the watch on the client's context
@@ -256,11 +253,11 @@ func (x *exchange) wait(ready func() bool) {
 		defer x.mu.Unlock()
 		return ready()
 	}
-	x.v.park(x.reg, x, locked, func() {
+	x.v.gate.BlockOn(x, locked, func() {
 		for !locked() {
 			<-x.signal
 		}
-	}, false)
+	})
 }
 
 // body is the client's side of an exchange.

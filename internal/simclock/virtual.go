@@ -37,9 +37,12 @@ type Virtual struct {
 	seq     uint64
 	waiters vheap
 
-	// reg maps goroutine id -> Enter nesting depth for registered
-	// goroutines.
-	reg map[int64]int
+	// reg maps a registered goroutine's identity (gid) to its Enter
+	// nesting depth.
+	reg map[uintptr]int
+
+	// free holds Gate.Wait's spent waiters, channels drained, for reuse.
+	free []*vwaiter
 
 	// running counts registered goroutines holding their run token. Time
 	// may only advance when it is zero.
@@ -68,8 +71,11 @@ type Virtual struct {
 	// after it holds still across several yield rounds.
 	gen uint64
 
-	// advancing is true while an advancer goroutine is live.
+	// advancing is true while an advancer goroutine is live; advance is
+	// advanceLoop as a func value, made once so spawning one allocates
+	// no closure.
 	advancing bool
+	advance   func()
 
 	// ioGraceUntil is a wall-clock deadline armed at every Gate.BlockIO
 	// entry and exit: settles stay in wall mode until it passes.
@@ -87,12 +93,13 @@ type Virtual struct {
 func NewVirtual(origin time.Time) *Virtual {
 	v := &Virtual{
 		now:       origin,
-		reg:       make(map[int64]int),
+		reg:       make(map[uintptr]int),
 		parked:    make(map[any][]*parkRec),
 		routes:    make(map[string]*Server),
 		wdTimeout: 5 * time.Second,
 	}
 	v.gate = &Gate{v: v, clock: v}
+	v.advance = v.advanceLoop
 	return v
 }
 
@@ -121,10 +128,10 @@ func (v *Virtual) After(d time.Duration) <-chan time.Time {
 		return ch
 	}
 	v.mu.Lock()
-	w := v.addWaiterLocked(d, false)
+	v.addWaiterLocked(&vwaiter{ch: ch}, d, false)
 	v.maybeAdvanceLocked()
 	v.mu.Unlock()
-	return w.ch
+	return ch
 }
 
 // Gate returns the clock's token gate. All calls return the same gate.
@@ -139,18 +146,15 @@ func (v *Virtual) SetDeadlockTimeout(d time.Duration) {
 	v.wdTimeout = d
 }
 
-// addWaiterLocked pushes a waiter expiring d from now.
-func (v *Virtual) addWaiterLocked(d time.Duration, tokened bool) *vwaiter {
-	w := &vwaiter{
-		deadline: v.now.Add(d),
-		seq:      v.seq,
-		ch:       make(chan time.Time, 1),
-		tokened:  tokened,
-	}
+// addWaiterLocked arms w, whose channel is empty, to expire d from now.
+func (v *Virtual) addWaiterLocked(w *vwaiter, d time.Duration, tokened bool) {
+	w.deadline = v.now.Add(d)
+	w.seq = v.seq
+	w.tokened = tokened
+	w.fired = false
 	v.seq++
 	heap.Push(&v.waiters, w)
 	v.gen++
-	return w
 }
 
 // maybeAdvanceLocked spawns an advancer, a short-lived goroutine that is
@@ -160,7 +164,7 @@ func (v *Virtual) maybeAdvanceLocked() {
 		return
 	}
 	v.advancing = true
-	go v.advanceLoop()
+	go v.advance()
 }
 
 func (v *Virtual) advanceLoop() {
@@ -280,7 +284,8 @@ func (v *Virtual) dumpLocked() string {
 // vwaiter is one parked deadline. tokened records whether the parked
 // goroutine gave up a run token that the advancer must grant back
 // before (well, atomically with) waking it; fired lets Gate.Wait tell a
-// cancelled waiter from one whose token was already returned.
+// cancelled waiter from one whose token was already returned and whose
+// time still sits in ch.
 type vwaiter struct {
 	deadline time.Time
 	seq      uint64
@@ -363,7 +368,9 @@ func GateFor(clock Clock) *Gate {
 }
 
 // Enter registers the calling goroutine. Calls nest; each Enter must be
-// matched by an Exit on the same goroutine.
+// matched by an Exit on the same goroutine before it returns: the gate
+// knows a goroutine by its runtime descriptor (gid), which a goroutine
+// started later may reuse.
 func (g *Gate) Enter() {
 	if g.v == nil {
 		return
@@ -455,26 +462,14 @@ type parkRec struct {
 }
 
 func (g *Gate) block(key any, ready func() bool, fn func(), io bool) {
-	if g.v == nil {
+	v := g.v
+	if v == nil {
 		fn()
 		return
 	}
-	g.v.park(g.v.registered(), key, ready, fn, io)
-}
-
-// registered reports whether the calling goroutine is registered.
-func (v *Virtual) registered() bool {
 	id := gid()
 	v.mu.Lock()
-	defer v.mu.Unlock()
-	_, ok := v.reg[id]
-	return ok
-}
-
-// park is block for a caller whose registration is known.
-func (v *Virtual) park(reg bool, key any, ready func() bool, fn func(), io bool) {
-	v.mu.Lock()
-	if !reg || (ready != nil && ready()) {
+	if _, reg := v.reg[id]; !reg || (ready != nil && ready()) {
 		v.mu.Unlock()
 		fn()
 		return
@@ -570,7 +565,13 @@ func (g *Gate) Wait(d time.Duration, done ...<-chan struct{}) int {
 	v := g.v
 	v.mu.Lock()
 	_, registered := v.reg[id]
-	w := v.addWaiterLocked(d, registered)
+	var w *vwaiter
+	if n := len(v.free); n > 0 {
+		w, v.free = v.free[n-1], v.free[:n-1]
+	} else {
+		w = &vwaiter{ch: make(chan time.Time, 1)}
+	}
+	v.addWaiterLocked(w, d, registered)
 	if registered {
 		v.running--
 		v.gen++
@@ -579,23 +580,31 @@ func (g *Gate) Wait(d time.Duration, done ...<-chan struct{}) int {
 	v.mu.Unlock()
 
 	idx := selectTimer(w.ch, done)
-	if idx >= 0 {
-		// Woken by a done channel: retract the waiter. If the advancer
-		// fired it concurrently the token (if any) was already granted
-		// back, so only the un-fired case needs fixing up.
-		v.waking.Add(1)
+	if idx < 0 {
 		v.mu.Lock()
-		v.waking.Add(-1)
-		if !w.fired {
-			heap.Remove(&v.waiters, w.index)
-			if w.tokened {
-				v.running++
-			}
-			v.gen++
-		}
-		v.maybeAdvanceLocked()
+		v.free = append(v.free, w)
 		v.mu.Unlock()
+		return idx
 	}
+	// Woken by a done channel: retract the waiter. If the advancer fired
+	// it concurrently the token (if any) was already granted back, so
+	// only the un-fired case needs fixing up; the fired one left its time
+	// in the channel, which must not wake the waiter's next user.
+	v.waking.Add(1)
+	v.mu.Lock()
+	v.waking.Add(-1)
+	if w.fired {
+		<-w.ch
+	} else {
+		heap.Remove(&v.waiters, w.index)
+		if w.tokened {
+			v.running++
+		}
+		v.gen++
+	}
+	v.free = append(v.free, w)
+	v.maybeAdvanceLocked()
+	v.mu.Unlock()
 	return idx
 }
 
@@ -621,22 +630,4 @@ func selectTimer(timer <-chan time.Time, done []<-chan struct{}) int {
 	case <-d[1]:
 		return 1
 	}
-}
-
-// gid returns the calling goroutine's id, parsed from the stack header
-// ("goroutine N [running]:"). Goroutine-local identity is all the gate
-// needs; the parse costs about a microsecond, far below the wall time
-// virtual scheduling saves.
-func gid() int64 {
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
-	const prefix = len("goroutine ")
-	var id int64
-	for _, c := range buf[prefix:n] {
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + int64(c-'0')
-	}
-	return id
 }

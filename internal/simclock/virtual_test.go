@@ -461,3 +461,38 @@ func TestWakeSkipsWaitThatStillBlocks(t *testing.T) {
 		t.Fatalf("wakee got %d, want 7", x)
 	}
 }
+
+// TestWaitReuseNoStaleWake drives Waits that return through their done
+// channel while the advancer fires their timer at the same instant. The
+// fire leaves the virtual time in the waiter's channel; reused without
+// a drain, that value would wake the next Wait at once.
+func TestWaitReuseNoStaleWake(t *testing.T) {
+	v := NewVirtual(vEpoch)
+	g := v.Gate()
+	g.Enter()
+	defer g.Exit()
+	raced := 0
+	for i := 0; i < 500; i++ {
+		done := make(chan struct{})
+		// The child readies done and then, at its Exit, frees the clock
+		// to fire the parent's timer, often before the parent runs.
+		g.Go(func() { close(done) })
+		t0 := v.Now()
+		// A parent descheduled before its select may see both ready and
+		// take the timer; that is a valid outcome too.
+		if g.Wait(time.Second, done) == 0 && v.Now().After(t0) {
+			raced++ // the timer fired too
+		}
+		t1 := v.Now()
+		if got := g.Wait(time.Second); got != -1 {
+			t.Fatalf("Wait = %d, want -1 (timer)", got)
+		}
+		if got := v.Since(t1); got != time.Second {
+			t.Fatalf("iteration %d: Wait(1s) returned after %v", i, got)
+		}
+	}
+	if raced == 0 {
+		t.Fatal("no Wait raced its timer; the test exercised nothing")
+	}
+	t.Logf("%d of 500 Waits raced their timer", raced)
+}
