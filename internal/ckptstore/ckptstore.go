@@ -23,6 +23,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -67,17 +68,42 @@ type ChunkID string
 // exact for the regions it models. The hash is rendered as 16 lowercase
 // hex digits.
 func ChunkKey(parts ...string) ChunkID {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	h := NewKeyHash()
 	for _, p := range parts {
-		for i := 0; i < len(p); i++ {
-			h = (h ^ uint64(p[i])) * prime64
-		}
-		h *= prime64 // the NUL terminator: h ^ 0 == h
+		h = h.Part(p)
 	}
+	return h.ID()
+}
+
+// KeyHash is ChunkKey computed part by part, so a caller keying many
+// chunks builds no part strings: h.Part(a).Int(n).ID() equals
+// ChunkKey(a, strconv.FormatInt(n, 10)).
+type KeyHash uint64
+
+const fnvPrime64 = 1099511628211
+
+// NewKeyHash returns the hash of no parts.
+func NewKeyHash() KeyHash { return 14695981039346656037 }
+
+// Part hashes one more part.
+func (h KeyHash) Part(p string) KeyHash {
+	for i := 0; i < len(p); i++ {
+		h = (h ^ KeyHash(p[i])) * fnvPrime64
+	}
+	return h * fnvPrime64 // the NUL terminator: h ^ 0 == h
+}
+
+// Int hashes the decimal rendering of n as one more part.
+func (h KeyHash) Int(n int64) KeyHash {
+	var buf [20]byte
+	for _, c := range strconv.AppendInt(buf[:0], n, 10) {
+		h = (h ^ KeyHash(c)) * fnvPrime64
+	}
+	return h * fnvPrime64
+}
+
+// ID renders the hash as a ChunkID.
+func (h KeyHash) ID() ChunkID {
 	var buf [16]byte
 	for i := len(buf) - 1; i >= 0; i-- {
 		buf[i] = "0123456789abcdef"[h&0xf]

@@ -3,6 +3,7 @@ package ckptstore
 import (
 	"context"
 	"errors"
+	"math"
 	"strconv"
 	"testing"
 	"time"
@@ -405,6 +406,22 @@ func TestChunkKeyRendering(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { ChunkKey("model", "d", "12", "1073741824", "3") }); n > 1 {
 		t.Errorf("ChunkKey allocates %v times, want at most 1", n)
+	}
+}
+
+// TestKeyHashMatchesChunkKey: hashing parts incrementally, integers
+// from their decimal digits, gives ChunkKey's IDs bit for bit, in one
+// allocation (the ID).
+func TestKeyHashMatchesChunkKey(t *testing.T) {
+	for _, n := range []int64{0, 7, -3, 12, 1 << 30, math.MaxInt64, math.MinInt64} {
+		want := ChunkKey("model", "d", strconv.FormatInt(n, 10), "1073741824")
+		if got := NewKeyHash().Part("model").Part("d").Int(n).Int(1 << 30).ID(); got != want {
+			t.Errorf("n=%d: KeyHash = %s, ChunkKey = %s", n, got, want)
+		}
+	}
+	prefix := NewKeyHash().Part("model").Part("d")
+	if n := testing.AllocsPerRun(100, func() { prefix.Int(12).Int(1 << 30).Int(3).ID() }); n > 1 {
+		t.Errorf("KeyHash allocates %v times per ID, want at most 1", n)
 	}
 }
 

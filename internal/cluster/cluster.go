@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"sync"
 
 	"swapservellm/internal/chaos"
 	"swapservellm/internal/ckptstore"
@@ -98,7 +97,7 @@ type Cluster struct {
 
 	httpServer *simclock.Server
 
-	mu      sync.Mutex
+	mu      simclock.Mutex
 	started bool
 }
 
@@ -228,24 +227,19 @@ func (c *Cluster) Start(ctx context.Context) error {
 	ctx = c.traceCtx(ctx)
 	gate := simclock.GateFor(c.clock)
 	// c.mu is held across clock waits (node boots, subsystem drains), so
-	// every acquisition must shed the run token.
-	gate.Block(c.mu.Lock)
+	// it is clock-aware: a waiter sheds its run token.
+	c.mu.Lock(gate)
 	defer c.mu.Unlock()
 	if c.started {
 		return fmt.Errorf("cluster: already started")
 	}
 
-	var wg sync.WaitGroup
+	boots := simclock.NewGroup(c.clock)
 	errs := make([]error, len(c.nodes))
 	for i, n := range c.nodes {
-		wg.Add(1)
-		i, n := i, n
-		gate.Go(func() {
-			defer wg.Done()
-			errs[i] = n.Server().Start(ctx)
-		})
+		boots.Go(func() { errs[i] = n.Server().Start(ctx) })
 	}
-	gate.Block(wg.Wait)
+	boots.Wait()
 	for i, err := range errs {
 		if err != nil {
 			c.shutdownNodesLocked()
@@ -281,7 +275,7 @@ func (c *Cluster) Start(ctx context.Context) error {
 
 // Shutdown stops the gateway, background loops, and every node.
 func (c *Cluster) Shutdown() {
-	simclock.GateFor(c.clock).Block(c.mu.Lock)
+	c.mu.Lock(simclock.GateFor(c.clock))
 	defer c.mu.Unlock()
 	if !c.started {
 		return

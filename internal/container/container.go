@@ -125,7 +125,8 @@ func (c *Container) WaitReady(ctx context.Context) error {
 		return fmt.Errorf("%w: container %s not started", ErrBadState, c.name)
 	}
 	cancelled := false
-	simclock.GateFor(c.rt.clock).Block(func() {
+	done := func() bool { return simclock.Closed(ready) || ctx.Err() != nil }
+	simclock.GateFor(c.rt.clock).BlockOn(ready, done, func() {
 		select {
 		case <-ctx.Done():
 			cancelled = true

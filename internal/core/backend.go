@@ -76,10 +76,11 @@ type Backend struct {
 
 	// evictMu is the per-backend write lock of §3.5: workers hold the read
 	// side while forwarding; the controller takes the write side during
-	// swap-out so no new requests reach a departing engine.
-	evictMu sync.RWMutex
+	// swap-out so no new requests reach a departing engine. Both locks
+	// are held across clock waits, so they are clock-aware.
+	evictMu simclock.RWMutex
 	// swapMu serializes swap-in attempts for this backend.
-	swapMu sync.Mutex
+	swapMu simclock.Mutex
 
 	// active counts in-flight requests (forwarded, response not finished).
 	active atomic.Int64
@@ -181,7 +182,8 @@ func (b *Backend) decActive() {
 // done. It is the event-driven replacement for polling Active() in a
 // sleep loop: the waiter channel is (re)armed under idleMu and re-checked
 // after each wake, so a request racing in between checks is caught. The
-// wait runs under gate.Block so a Virtual clock treats it as idle time.
+// wait is a gate BlockOn the clock probes, so a Virtual clock treats it
+// as idle time and hands the token back once the channel closes.
 func (b *Backend) awaitIdle(ctx context.Context, gate *simclock.Gate) error {
 	for {
 		b.idleMu.Lock()
@@ -195,7 +197,8 @@ func (b *Backend) awaitIdle(ctx context.Context, gate *simclock.Gate) error {
 		ch := b.idleWait
 		b.idleMu.Unlock()
 		cancelled := false
-		gate.Block(func() {
+		ready := func() bool { return simclock.Closed(ch) || ctx.Err() != nil }
+		gate.BlockOn(ch, ready, func() {
 			select {
 			case <-ch:
 			case <-ctx.Done():

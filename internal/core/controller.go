@@ -39,7 +39,7 @@ type Controller struct {
 	// loops on the same GPU do not stampede the same candidates, while
 	// evictions on unrelated devices proceed in parallel.
 	evictSerialMu sync.Mutex
-	evictSerial   map[int]*sync.Mutex
+	evictSerial   map[int]*simclock.Mutex
 
 	// pipelined selects the full-duplex swap-in: the target's restore
 	// starts at once and takes each chunk from its reservation as the
@@ -102,7 +102,7 @@ func NewController(clock simclock.Clock, opts ...ControllerOption) *Controller {
 		policy:      DemandAwarePolicy{},
 		reg:         metrics.NewRegistry(),
 		backends:    make(map[string]*Backend),
-		evictSerial: make(map[int]*sync.Mutex),
+		evictSerial: make(map[int]*simclock.Mutex),
 	}
 	for _, opt := range opts {
 		opt(ct)
@@ -140,12 +140,12 @@ func (ct *Controller) Pipelined() bool {
 // use.
 //
 //swaplint:lockclass core.Controller.evictSerial
-func (ct *Controller) evictLock(gpuID int) *sync.Mutex {
+func (ct *Controller) evictLock(gpuID int) *simclock.Mutex {
 	ct.evictSerialMu.Lock()
 	defer ct.evictSerialMu.Unlock()
 	m, ok := ct.evictSerial[gpuID]
 	if !ok {
-		m = &sync.Mutex{}
+		m = &simclock.Mutex{}
 		ct.evictSerial[gpuID] = m
 	}
 	return m
@@ -170,9 +170,9 @@ func (ct *Controller) SwapOut(ctx context.Context, b *Backend) (err error) {
 	ctx, span := obs.Start(ctx, "swap.out", obs.String("model", b.name))
 	defer func() { span.EndErr(err) }()
 	// The write lock stops workers from forwarding new requests (§3.5).
-	// Acquired through the gate: the current holder may be asleep on the
-	// clock, and a blocked write-lock waiter must not freeze virtual time.
-	simclock.GateFor(ct.clock).Block(b.evictMu.Lock)
+	// Clock-aware: the current holder may be asleep on the clock, and a
+	// blocked write-lock waiter must not freeze virtual time.
+	b.evictMu.Lock(simclock.GateFor(ct.clock))
 	defer b.evictMu.Unlock()
 
 	if err := ct.quiesce(ctx, b); err != nil {
@@ -409,9 +409,9 @@ func (ct *Controller) verifyAPI(ctx context.Context, b *Backend) error {
 // running backends on the device and swap it out.
 func (ct *Controller) EvictOne(ctx context.Context, gpuID int, exclude map[string]bool, needed func() bool) (string, bool) {
 	lock := ct.evictLock(gpuID)
-	// Held across SwapOut's simulated transfer, so acquire through the
-	// gate: a waiter must not pin virtual time while the holder sleeps.
-	simclock.GateFor(ct.clock).Block(lock.Lock)
+	// Held across SwapOut's simulated transfer, so clock-aware: a waiter
+	// must not pin virtual time while the holder sleeps.
+	lock.Lock(simclock.GateFor(ct.clock))
 	defer lock.Unlock()
 	if needed != nil && !needed() {
 		return "", false

@@ -154,7 +154,7 @@ func TestSwapExchangePipelinedOverlaps(t *testing.T) {
 		switch {
 		case ev.PID == victimPID && ev.Dir == perfmodel.DirD2H:
 			d2hOnce.Do(func() { close(d2h) })
-			gate.Block(func() {
+			gate.BlockOn(h2d, func() bool { return simclock.Closed(h2d) }, func() {
 				select {
 				case <-h2d:
 				case <-time.After(30 * time.Second):
@@ -163,7 +163,7 @@ func TestSwapExchangePipelinedOverlaps(t *testing.T) {
 			})
 		case ev.PID == targetPID && ev.Dir == perfmodel.DirH2D:
 			h2dOnce.Do(func() { close(h2d) })
-			gate.Block(func() {
+			gate.BlockOn(d2h, func() bool { return simclock.Closed(d2h) }, func() {
 				select {
 				case <-d2h:
 				case <-time.After(30 * time.Second):
@@ -456,7 +456,7 @@ func TestQueuedReservationBarrier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if isClosed(ar.p.granted) {
+	if simclock.Closed(ar.p.granted) {
 		t.Fatal("granted with zero free memory")
 	}
 
@@ -477,7 +477,7 @@ func TestQueuedReservationBarrier(t *testing.T) {
 		t.Fatal(err)
 	}
 	tm.NotifyFreed()
-	if !isClosed(ar.p.granted) {
+	if !simclock.Closed(ar.p.granted) {
 		t.Fatal("barrier not granted after enough memory freed")
 	}
 	if got := tm.Reserved(0); got != 40*gib {
@@ -713,7 +713,7 @@ func TestServedExchangeVictimFaultAfterTargetLandedSucceeds(t *testing.T) {
 	s.Driver().OnChunk(func(ev cudackpt.ChunkEvent) {
 		// The target's claim is full after the victim's 64th chunk.
 		if ev.PID == victimPID && ev.Dir == perfmodel.DirD2H && ev.Done == 66*gib {
-			gate.Block(func() { <-landed })
+			gate.BlockOn(landed, func() bool { return simclock.Closed(landed) }, func() { <-landed })
 		}
 	})
 	if err := serveExchange(context.Background(), s, target); err != nil {
@@ -764,8 +764,12 @@ func TestReclaimSkipsEvictionOnceClaimFilled(t *testing.T) {
 	gate := simclock.GateFor(s.Clock())
 	errs := make(chan error, 2)
 	gate.Go(func() { errs <- s.Scheduler().EnsureRunning(context.Background(), ta) })
-	gate.Block(func() {
-		for s.TaskManager().PendingCount() == 0 && ta.State() != BackendRunning {
+	// The ready check takes the task manager's lock, which only a
+	// goroutine holding its run token ever holds, so the clock's probe
+	// at quiescence never waits on it.
+	queued := func() bool { return s.TaskManager().PendingCount() > 0 || ta.State() == BackendRunning }
+	gate.BlockOn(ta, queued, func() {
+		for !queued() {
 			time.Sleep(100 * time.Microsecond)
 		}
 	})

@@ -263,15 +263,13 @@ func TestGPUMonitorRecordsSeries(t *testing.T) {
 	cfg := config.Default()
 	cfg.Global.GPUMonitorSec = 2
 	cfg.Models = []config.Model{ollamaModel("llama3.2:1b-fp16")}
-	s := startServer(t, cfg, Options{Clock: simclock.NewScaled(testEpoch, 2000)})
-	doChat(t, s.URL(), "llama3.2:1b-fp16", 2)
-	// Let a few simulated sampling periods elapse (2s sim = 1ms wall).
-	deadline := time.Now().Add(3 * time.Second)
-	for s.Registry().Series("gpu0_used_gib").Len() < 3 {
-		if time.Now().After(deadline) {
-			t.Fatal("GPU monitor recorded no samples")
-		}
-		time.Sleep(2 * time.Millisecond)
+	clock := virtualTestClock(t)
+	s := startServer(t, cfg, Options{Clock: clock})
+	serverChat(t, s, "llama3.2:1b-fp16", 2)
+	// Let three sampling periods elapse in simulated time.
+	clock.Sleep(3 * 2 * time.Second)
+	if n := s.Registry().Series("gpu0_used_gib").Len(); n < 3 {
+		t.Fatalf("GPU monitor recorded %d samples over three periods, want >= 3", n)
 	}
 	// At least one sample shows the resident backend's memory.
 	var sawMemory bool

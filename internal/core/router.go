@@ -105,7 +105,7 @@ func (rt *router) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy
 		close(item.done)
 		gate.Wake(item)
 		if answered {
-			gate.BlockOn(item, func() bool { return isClosed(item.retired) }, func() { <-item.retired })
+			gate.BlockOn(item, func() bool { return simclock.Closed(item.retired) }, func() { <-item.retired })
 		}
 	}()
 
@@ -125,13 +125,13 @@ func (rt *router) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy
 		return
 	}
 
-	gate.BlockOn(item, func() bool { return isClosed(item.answered) || ctx.Err() != nil }, func() {
+	gate.BlockOn(item, func() bool { return simclock.Closed(item.answered) || ctx.Err() != nil }, func() {
 		select {
 		case <-ctx.Done():
 		case <-item.answered:
 		}
 	})
-	if answered = isClosed(item.answered); !answered {
+	if answered = simclock.Closed(item.answered); !answered {
 		span.Fail(ctx.Err())
 		ir.WriteError(w, http.StatusGatewayTimeout, "timeout", "request timed out or was cancelled")
 		return

@@ -41,9 +41,9 @@ func (s *Scheduler) EnsureRunning(ctx context.Context, b *Backend) (err error) {
 	ctx, span := obs.Start(s.ctrl.traceCtx(ctx), "ensure.running", obs.String("model", b.name))
 	defer func() { span.EndErr(err) }()
 	// The lock may be held by a peer that is asleep on the clock (a
-	// swap mid-flight); acquire through the gate so a virtual clock can
-	// keep advancing while this worker waits.
-	simclock.GateFor(s.clock).Block(b.swapMu.Lock)
+	// swap mid-flight); the clock-aware lock lets a virtual clock keep
+	// advancing while this worker waits.
+	b.swapMu.Lock(simclock.GateFor(s.clock))
 	defer b.swapMu.Unlock()
 	// A reaper- or preemption-initiated swap-out may be mid-flight; wait
 	// for the transition to settle before deciding.
@@ -80,7 +80,7 @@ func (s *Scheduler) EnsureRunning(ctx context.Context, b *Backend) (err error) {
 		return fmt.Errorf("core: reserving %d bytes for %s: %w", b.RequiredBytes(), b.name, err)
 	}
 	pipelined := s.ctrl.Pipelined()
-	if !isClosed(res.p.granted) {
+	if !simclock.Closed(res.p.granted) {
 		// The claim does not fit: running backends must be evicted, so
 		// this swap-in is an exchange. The victims' swap-outs and the
 		// target's swap-in nest in one span.

@@ -457,7 +457,15 @@ func (s *Server) Shutdown() {
 	// between trials. The wait needs no clock advance (a closed stop
 	// channel makes every loop immediately runnable), but the receive
 	// still parks this goroutine, so shed the run token while draining.
-	simclock.GateFor(s.clock).Block(func() {
+	drained := func() bool {
+		for _, w := range workers {
+			if !simclock.Closed(w.done) {
+				return false
+			}
+		}
+		return true
+	}
+	simclock.GateFor(s.clock).BlockOn(s, drained, func() {
 		for _, w := range workers {
 			<-w.done
 		}

@@ -40,7 +40,7 @@ type Reservation struct {
 // Wait blocks until the reservation is fully granted or ctx ends.
 func (r *Reservation) Wait(ctx context.Context) (err error) {
 	p := r.p
-	ready := func() bool { return isClosed(p.granted) }
+	ready := func() bool { return simclock.Closed(p.granted) || ctx.Err() != nil }
 	simclock.GateFor(r.tm.clock).BlockOn(p.granted, ready, func() {
 		select {
 		case <-p.granted:
@@ -62,7 +62,7 @@ func (r *Reservation) Take(ctx context.Context, gpuID int, bytes int64, alloc fu
 	for {
 		tm.mu.Lock()
 		held := p.claimed[gpuID] - p.used[gpuID]
-		if held >= bytes || isClosed(p.granted) {
+		if held >= bytes || simclock.Closed(p.granted) {
 			err := alloc()
 			if err == nil {
 				if p.used == nil {
@@ -79,7 +79,7 @@ func (r *Reservation) Take(ctx context.Context, gpuID int, bytes int64, alloc fu
 		var err error
 		// A growth signal a parked Take receives directly never shows in
 		// len(p.grew), so readiness is read off the growth count.
-		ready := func() bool { return p.growth.Load() != seen || isClosed(p.granted) }
+		ready := func() bool { return p.growth.Load() != seen || simclock.Closed(p.granted) || ctx.Err() != nil }
 		simclock.GateFor(tm.clock).BlockOn(p.grew, ready, func() {
 			select {
 			case <-p.grew:
@@ -104,7 +104,7 @@ func (r *Reservation) Release() {
 		tm, p := r.tm, r.p
 		tm.mu.Lock()
 		stop := p.stopReclaim
-		if isClosed(p.granted) {
+		if simclock.Closed(p.granted) {
 			stop = nil
 		} else if p.index >= 0 && p.index < len(tm.queue) && tm.queue[p.index] == p {
 			heap.Remove(&tm.queue, p.index)
@@ -290,7 +290,7 @@ func (r *Reservation) track(ctx context.Context) {
 	ctx, span := obs.Start(ctx, "reserve",
 		obs.String("owner", p.owner), obs.Int64("bytes", p.bytes))
 	tm.mu.Lock()
-	granted := isClosed(p.granted)
+	granted := simclock.Closed(p.granted)
 	if !granted {
 		p.span = span
 	}
@@ -307,7 +307,10 @@ func (r *Reservation) track(ctx context.Context) {
 		gate := simclock.GateFor(tm.clock)
 		rctx, cancel := context.WithCancel(ctx)
 		done := make(chan struct{})
-		stop := func() { cancel(); gate.Block(func() { <-done }) }
+		stop := func() {
+			cancel()
+			gate.BlockOn(done, func() bool { return simclock.Closed(done) }, func() { <-done })
+		}
 		tm.mu.Lock()
 		p.stopReclaim = stop
 		tm.mu.Unlock()
@@ -408,16 +411,6 @@ func (tm *TaskManager) returnClaimsLocked(p *pending) {
 		}
 	}
 	p.claimed = nil
-}
-
-// isClosed reports whether a grant channel has been closed.
-func isClosed(ch chan struct{}) bool {
-	select {
-	case <-ch:
-		return true
-	default:
-		return false
-	}
 }
 
 // reclaim drives the demand-aware preemption loop for one blocked

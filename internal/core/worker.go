@@ -44,11 +44,11 @@ func newWorker(b *Backend, sched *Scheduler, clock simclock.Clock, reg *metrics.
 func (w *worker) run() {
 	defer close(w.done)
 	gate := simclock.GateFor(w.clock)
+	queue := w.b.queue
+	ready := func() bool { return w.b.queued.Load() > 0 || simclock.Closed(w.stop) }
 	for {
 		var item *queuedRequest
 		stopped := false
-		queue := w.b.queue
-		ready := func() bool { return w.b.queued.Load() > 0 }
 		gate.BlockOn(queue, ready, func() {
 			select {
 			case <-w.stop:
@@ -91,8 +91,8 @@ func (w *worker) forward(item *queuedRequest) {
 	const maxAttempts = 3
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		// A swap-out may hold the write lock while it sleeps on the
-		// clock; acquiring through the gate keeps virtual time moving.
-		gate.Block(w.b.evictMu.RLock)
+		// clock; the clock-aware lock keeps virtual time moving.
+		w.b.evictMu.RLock(gate)
 		if w.b.State() != BackendRunning {
 			w.b.evictMu.RUnlock()
 			// The backend was preempted between dequeue and forward;
@@ -155,7 +155,7 @@ func (w *worker) relay(item *queuedRequest) {
 	w.answer(item, forwardResult{resp: resp})
 	// Remain "in flight" until the response body has been fully relayed,
 	// so eviction drains genuinely live streams.
-	relayed := func() bool { return isClosed(item.done) || item.ctx.Err() != nil }
+	relayed := func() bool { return simclock.Closed(item.done) || item.ctx.Err() != nil }
 	simclock.GateFor(w.clock).BlockOn(item, relayed, func() {
 		select {
 		case <-item.done:

@@ -173,9 +173,9 @@ type chunkStep struct {
 
 // chunkSteps splits the next c bytes of the image across the devices in
 // device order (the image is a concatenation of the per-device shards),
-// toward the shard targets.
-func chunkSteps(shard, alloced []int64, c int64) []chunkStep {
-	var steps []chunkStep
+// toward the shard targets, appending the steps to steps[:0].
+func chunkSteps(steps []chunkStep, shard, alloced []int64, c int64) []chunkStep {
+	steps = steps[:0]
 	for i := range shard {
 		if c == 0 {
 			break

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -351,16 +352,20 @@ func TestRestoreClaimCancelRollsBack(t *testing.T) {
 // freedClaim is a test Claim over one device's free memory: each chunk
 // waits until the device has room for it — a stand-in for a task-manager
 // reservation that grows as a concurrent checkpoint frees capacity. The
-// driver's chunk hook signals freed after every committed chunk.
+// driver's chunk hook signals freed after every committed chunk, and
+// counts the signals in chunks (a signal a parked receiver takes never
+// shows in len(freed), so the wait's ready check reads the count).
 type freedClaim struct {
-	clock simclock.Clock
-	dev   *gpu.Device
-	freed chan struct{}
+	clock  simclock.Clock
+	dev    *gpu.Device
+	freed  chan struct{}
+	chunks atomic.Int64
 }
 
 func newFreedClaim(clock simclock.Clock, d *Driver, dev *gpu.Device) *freedClaim {
 	c := &freedClaim{clock: clock, dev: dev, freed: make(chan struct{}, 1)}
 	d.OnChunk(func(ChunkEvent) {
+		c.chunks.Add(1)
 		select {
 		case c.freed <- struct{}{}:
 		default:
@@ -372,7 +377,9 @@ func newFreedClaim(clock simclock.Clock, d *Driver, dev *gpu.Device) *freedClaim
 func (c *freedClaim) Take(ctx context.Context, _ int, bytes int64, alloc func() error) error {
 	for c.dev.Free() < bytes {
 		var err error
-		simclock.GateFor(c.clock).Block(func() {
+		seen := c.chunks.Load()
+		ready := func() bool { return c.chunks.Load() != seen || ctx.Err() != nil }
+		simclock.GateFor(c.clock).BlockOn(c, ready, func() {
 			select {
 			case <-c.freed:
 			case <-ctx.Done():

@@ -516,6 +516,7 @@ func (d *Driver) Restore(ctx context.Context, pid string, claim Claim) (err erro
 	}
 
 	alloced := make([]int64, len(shard))
+	steps := make([]chunkStep, 0, len(shard))
 	var done int64
 	for done < bytes {
 		c := min(chunk, bytes-done)
@@ -536,7 +537,8 @@ func (d *Driver) Restore(ctx context.Context, pid string, claim Claim) (err erro
 			// with bounded-retry fallback under ckptstore.fetch faults).
 			ferr = sess.FetchRange(done, done+c)
 		}
-		for _, st := range chunkSteps(shard, alloced, c) {
+		steps = chunkSteps(steps, shard, alloced, c)
+		for _, st := range steps {
 			if ferr != nil {
 				break
 			}

@@ -1,8 +1,6 @@
 package cudackpt
 
 import (
-	"strconv"
-
 	"swapservellm/internal/ckptstore"
 )
 
@@ -84,22 +82,23 @@ func (d *Driver) chunkPlanLocked(p *proc, bytes int64) []ckptstore.ChunkRef {
 	if ckey == "" {
 		ckey = p.pid
 	}
-	gen := strconv.FormatInt(p.dirtyGen, 10)
-	var refs []ckptstore.ChunkRef
+	// The region prefixes (content key or pid, then tag) are hashed
+	// once; each chunk adds its index and size (and the generation).
+	k := ckptstore.NewKeyHash()
+	weights, zeros, dirty := k.Part(ckey).Part("w"), k.Part(ckey).Part("z"), k.Part(p.pid).Part("d")
+	refs := make([]ckptstore.ChunkRef, 0, (bytes-1)/d.chunkBytes+1)
 	var dyn []ckptstore.ChunkID
 	var off int64
-	for i := 0; off < bytes; i++ {
+	for i := int64(0); off < bytes; i++ {
 		c := min(d.chunkBytes, bytes-off)
-		idx := strconv.Itoa(i)
-		size := strconv.FormatInt(c, 10)
 		var id ckptstore.ChunkID
 		switch {
 		case off+c <= p.weightBytes:
-			id = ckptstore.ChunkKey(ckey, "w", idx, size)
+			id = weights.Int(i).Int(c).ID()
 		case p.dirtyGen == 0:
-			id = ckptstore.ChunkKey(ckey, "z", idx, size)
+			id = zeros.Int(i).Int(c).ID()
 		default:
-			id = ckptstore.ChunkKey(p.pid, "d", idx, size, gen)
+			id = dirty.Int(i).Int(c).Int(p.dirtyGen).ID()
 			dyn = append(dyn, id)
 		}
 		refs = append(refs, ckptstore.ChunkRef{ID: id, Bytes: c})

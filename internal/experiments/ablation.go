@@ -12,6 +12,7 @@ import (
 	"swapservellm/internal/models"
 	"swapservellm/internal/perfmodel"
 	"swapservellm/internal/proxy/ir"
+	"swapservellm/internal/simclock"
 	"swapservellm/internal/workload"
 )
 
@@ -125,19 +126,15 @@ func runPolicyTrial(policyName string, requests int, seed int64) (PolicyAblation
 	hotN := requests / 2
 	coldN := requests - hotN
 	t0 := clock.Now()
-	var wg sync.WaitGroup
+	clients := simclock.NewGroup(clock)
 	for pump := 0; pump < 2; pump++ {
-		wg.Add(1)
-		gate.Go(func() {
-			defer wg.Done()
+		clients.Go(func() {
 			for i := 0; i < hotN/2; i++ {
 				send(ablationModels[0], 120)
 			}
 		})
 	}
-	wg.Add(1)
-	gate.Go(func() {
-		defer wg.Done()
+	clients.Go(func() {
 		for i := 0; i < coldN; i++ {
 			_, outTok := gen.Tokens(workload.ClassConversational)
 			if outTok > 32 {
@@ -146,7 +143,7 @@ func runPolicyTrial(policyName string, requests int, seed int64) (PolicyAblation
 			send(ablationModels[1+i%3], outTok)
 		}
 	})
-	gate.Block(wg.Wait)
+	clients.Wait()
 	elapsed := clock.Since(t0)
 
 	var swapIns, swapOuts, hotSwapOuts int64

@@ -11,6 +11,7 @@ import (
 	"swapservellm/internal/cluster"
 	"swapservellm/internal/config"
 	"swapservellm/internal/proxy/ir"
+	"swapservellm/internal/simclock"
 	"swapservellm/internal/workload"
 )
 
@@ -191,12 +192,10 @@ func runClusterTrial(policy string, seed int64) (clusterTrialResult, error) {
 	)
 
 	t0 := clock.Now()
-	var wg sync.WaitGroup
+	clients := simclock.NewGroup(clock)
 	for _, a := range arrivals {
-		wg.Add(1)
 		a := a
-		gate.Go(func() {
-			defer wg.Done()
+		clients.Go(func() {
 			// Open-loop arrivals: wait for this request's slot in the
 			// compressed day, then fire regardless of earlier completions.
 			clock.Sleep(a.offset - clock.Since(t0))
@@ -225,7 +224,7 @@ func runClusterTrial(policy string, seed int64) (clusterTrialResult, error) {
 			}
 		})
 	}
-	gate.Block(wg.Wait)
+	clients.Wait()
 
 	reg := c.Registry()
 	res := clusterTrialResult{

@@ -10,6 +10,7 @@ import (
 	"swapservellm/internal/config"
 	"swapservellm/internal/core"
 	"swapservellm/internal/proxy/ir"
+	"swapservellm/internal/simclock"
 )
 
 // ElasticityRow quantifies the paper's cost-effectiveness claim for one
@@ -98,13 +99,11 @@ func runElasticityTrial(name string, keepWarm bool, keepAliveSec float64, prefet
 		mu        sync.Mutex
 		latencies []time.Duration
 	)
-	var wg sync.WaitGroup
+	clients := simclock.NewGroup(clock)
 	var firstErr error
 	for i, model := range elasticityModels {
-		wg.Add(1)
 		model, period := model, periods[i]
-		gate.Go(func() {
-			defer wg.Done()
+		clients.Go(func() {
 			for clock.Now().Before(horizon) {
 				for r := 0; r < 2; r++ {
 					seedv := seed
@@ -131,7 +130,7 @@ func runElasticityTrial(name string, keepWarm bool, keepAliveSec float64, prefet
 			}
 		})
 	}
-	gate.Block(wg.Wait)
+	clients.Wait()
 	memIntegral := dev.UsageIntegral() / float64(1<<30) // GiB * simulated seconds
 	if firstErr != nil {
 		return ElasticityRow{}, firstErr

@@ -2,7 +2,7 @@
 // while inside a critical section: no channel send/receive, select,
 // sync.WaitGroup.Wait, network, or subprocess call may be reachable —
 // directly or through any call chain — while a mutex is held, unless
-// it runs under simclock.Gate.Block/BlockIO (which sheds the run
+// it runs under simclock.Gate.BlockOn/Block/BlockIO (which shed the run
 // token) or the site carries an explicit annotation:
 //
 //	//swaplint:block reason=<why this cannot stall the gate>
@@ -11,7 +11,7 @@
 // its token stalls virtual-time quiescence detection for the whole
 // process; one that parks while another goroutine needs its lock to
 // finish deadlocks the advancer. The interprocedural summaries come
-// from the facts package; blocking reached behind Gate.Block is
+// from the facts package; blocking reached behind the gate is
 // already reclassified as a sanctioned wait there and is gatecheck's
 // concern, not this analyzer's.
 package blockcheck
@@ -63,7 +63,7 @@ func analyze(prog *lint.Program) *global {
 					}
 					g.findings = append(g.findings, finding{
 						pos: op.Pos, pkg: ff.Pkg.Types,
-						msg: op.Detail + " while holding " + heldDesc(op.Held) + "; wrap it in gate.Block/BlockIO or annotate //swaplint:block reason=...",
+						msg: op.Detail + " while holding " + heldDesc(op.Held) + "; wrap it in gate.BlockOn or annotate //swaplint:block reason=...",
 					})
 				case facts.OpCall:
 					if op.Concurrent {

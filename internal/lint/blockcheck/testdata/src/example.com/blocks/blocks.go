@@ -49,10 +49,19 @@ func (b *box) recvFree() {
 
 // Gated blocking sheds the run token — sanctioned (the gate discipline
 // of the acquisition itself is gatecheck's concern, not blockcheck's).
-func (b *box) recvGated() {
+func (b *box) recvGated(done chan struct{}) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	simclock.GateFor(b.clock).Block(func() { <-b.ch })
+	simclock.GateFor(b.clock).BlockOn(done, func() bool { return simclock.Closed(done) }, func() { <-done })
+}
+
+// Acquiring a clock-aware mutex inside a critical section is an
+// acquisition, not a block: its waiters park through the gate.
+func (b *box) lockClockAware(m *simclock.Mutex) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	m.Lock(simclock.GateFor(b.clock))
+	m.Unlock()
 }
 
 // Annotated: the author certifies the send cannot stall the gate.

@@ -98,6 +98,13 @@ func mutexOpOf(fn *types.Func) (kind string, read bool, ok bool) {
 	return "", false, false
 }
 
+// isClockMutexOp reports whether fn is a method of simclock.Mutex or
+// simclock.RWMutex.
+func isClockMutexOp(fn *types.Func) bool {
+	sig, ok := fn.Type().(*types.Signature)
+	return ok && sig.Recv() != nil && lint.IsClockMutexType(sig.Recv().Type())
+}
+
 // recvNamed reports whether fn is a method on the named type
 // pkgSuffix.name (pointer receivers included).
 func recvNamed(fn *types.Func, pkgSuffix, name string) bool {

@@ -13,12 +13,13 @@
 //   - lock operations, resolved to module-wide lock classes like
 //     "core.Backend.swapMu" (owning named type + field, or package-level
 //     variable, or a //swaplint:lockclass annotation for helpers that
-//     return mutexes);
+//     return mutexes); a simclock.Mutex/RWMutex acquisition is gated
+//     (clock-aware);
 //   - intrinsic waits and blocks: simclock Clock.Sleep / Gate.Wait /
 //     <-After advance the simulated clock; channel operations,
 //     sync.WaitGroup.Wait, sync.Cond.Wait, network and subprocess calls
 //     block outside the Gate token protocol unless wrapped in
-//     Gate.Block / Gate.BlockIO;
+//     Gate.BlockOn / Block / BlockIO;
 //   - calls, resolved CHA-style through the callgraph package
 //     (interface calls widen to every implementing type in the
 //     program).
@@ -51,7 +52,8 @@ type OpKind int
 // Operation kinds.
 const (
 	// OpAcquire is a mutex Lock/RLock. Held is the lock set before the
-	// acquisition; Gated means it went through Gate.Block.
+	// acquisition; Gated means the mutex is clock-aware (simclock.Mutex
+	// or RWMutex), so a waiter sheds its run token.
 	OpAcquire OpKind = iota
 	// OpRelease is an explicit (non-deferred) Unlock/RUnlock.
 	OpRelease
@@ -60,7 +62,7 @@ const (
 	OpWait
 	// OpBlock parks the goroutine outside the clock: channel send/recv,
 	// select without default, WaitGroup.Wait, network or subprocess
-	// calls. Gated means it ran under Gate.Block/BlockIO and is
+	// calls. Gated means it ran under Gate.Block/BlockOn/BlockIO and is
 	// sanctioned (the run token was shed, so it counts as a wait).
 	OpBlock
 	// OpCall is a resolved call edge to an in-program function.
@@ -120,7 +122,7 @@ type Op struct {
 	Pos   token.Pos
 	Class Class // OpAcquire / OpRelease
 	Read  bool  // OpAcquire / OpRelease: RLock/RUnlock
-	Gated bool  // OpAcquire: via Gate.Block; OpBlock: sanctioned
+	Gated bool  // OpAcquire: clock-aware mutex; OpBlock: sanctioned
 	// Concurrent marks operations inside `go` / Gate.Go bodies: they
 	// run on a spawned goroutine, so they do not contribute to the
 	// enclosing function's summary (the caller does not wait on them).

@@ -377,8 +377,10 @@ func (w *walker) walkCallExpr(call *ast.CallExpr, held *heldSet) {
 			class := w.classOf(sel.X)
 			switch kind {
 			case "Lock":
-				w.emit(Op{Kind: OpAcquire, Pos: call.Pos(), Class: class, Read: read, Gated: w.gated, Held: held.snapshot()})
-				held.acquire(HeldLock{Class: class, Read: read, Gated: w.gated, Pos: call.Pos()})
+				// Only a clock-aware mutex's waiters shed their run token.
+				gated := isClockMutexOp(fn)
+				w.emit(Op{Kind: OpAcquire, Pos: call.Pos(), Class: class, Read: read, Gated: gated, Held: held.snapshot()})
+				held.acquire(HeldLock{Class: class, Read: read, Gated: gated, Pos: call.Pos()})
 			case "Unlock":
 				w.emit(Op{Kind: OpRelease, Pos: call.Pos(), Class: class, Read: read})
 				held.release(class)
@@ -387,8 +389,9 @@ func (w *walker) walkCallExpr(call *ast.CallExpr, held *heldSet) {
 		return
 	}
 
-	// Gate protocol calls.
-	if recvNamed(fn, "internal/simclock", "Gate") {
+	// Gate protocol calls; a simclock.Group spawns and joins like the
+	// gate it wraps.
+	if recvNamed(fn, "internal/simclock", "Gate") || recvNamed(fn, "internal/simclock", "Group") {
 		w.walkGateCall(call, fn, held)
 		return
 	}
@@ -433,6 +436,11 @@ func (w *walker) walkGateCall(call *ast.CallExpr, fn *types.Func, held *heldSet)
 	case "Exit":
 		w.emit(Op{Kind: OpGateExit, Pos: call.Pos()})
 	case "Wait":
+		if recvNamed(fn, "internal/simclock", "Group") {
+			// A sanctioned join: it parks through the gate.
+			w.emit(Op{Kind: OpBlock, Pos: call.Pos(), Detail: "Group.Wait", Gated: true, Held: held.snapshot()})
+			return
+		}
 		for _, arg := range call.Args {
 			w.walkExpr(arg, held)
 		}
@@ -485,9 +493,9 @@ func (w *walker) walkGateArg(arg ast.Expr, held *heldSet, gated bool) {
 // walkBlockArg handles Gate.Block / BlockIO / BlockOn wait arguments, the heart
 // of the gate discipline:
 //
-//   - gate.Block(mu.Lock) is a gated acquisition that persists after
-//     the call (the canonical "acquire a contended mutex while shedding
-//     the run token" idiom);
+//   - gate.Block(mu.Lock) is an acquisition that persists after the
+//     call; it is not clock-aware (gatecheck wants a simclock.Mutex for
+//     a lock held across a clock wait, whose waiters the clock can see);
 //   - gate.Block(wg.Wait) and friends are sanctioned blocks (waits);
 //   - gate.Block(func() { ... }) walks the closure inline with the
 //     SAME lock state (its acquisitions persist) under the gated flag.
@@ -506,8 +514,8 @@ func (w *walker) walkBlockArg(arg ast.Expr, held *heldSet, method string) {
 				class := w.classOf(sel.X)
 				switch kind {
 				case "Lock":
-					w.emit(Op{Kind: OpAcquire, Pos: arg.Pos(), Class: class, Read: read, Gated: true, Held: held.snapshot()})
-					held.acquire(HeldLock{Class: class, Read: read, Gated: true, Pos: arg.Pos()})
+					w.emit(Op{Kind: OpAcquire, Pos: arg.Pos(), Class: class, Read: read, Held: held.snapshot()})
+					held.acquire(HeldLock{Class: class, Read: read, Pos: arg.Pos()})
 				case "Unlock":
 					w.emit(Op{Kind: OpRelease, Pos: arg.Pos(), Class: class, Read: read})
 					held.release(class)

@@ -1,29 +1,35 @@
 // Package gatecheck enforces the virtual-time gate discipline
-// interprocedurally: any mutex that can be held while the simulated
-// clock advances — a clock.Sleep, Gate.Wait, <-clock.After, or
-// sanctioned Gate.Block blocking reached on any call path — must be
-// acquired through simclock.Gate.Block at EVERY acquisition site
-// module-wide, so goroutines contending on it shed their run token and
-// quiescence detection cannot stall. One ungated acquisition is enough
-// to deadlock the advancer: the waiter parks invisibly while holding
-// its token.
+// interprocedurally:
 //
-// The check is class-level: the facts package attributes each mutex to
-// a module-wide lock class (owning type + field); if wait-across-hold
-// evidence exists anywhere for a class, every ungated acquisition of
-// that class is reported, with a representative wait path naming the
-// call chain down to the sleep.
+//   - Any mutex that can be held while the simulated clock advances — a
+//     clock.Sleep, Gate.Wait, <-clock.After, or sanctioned gate blocking
+//     reached on any call path — must be a simclock.Mutex or
+//     simclock.RWMutex at EVERY acquisition site module-wide, so
+//     goroutines contending on it park through the gate, shed their run
+//     token, and get the lock in arrival order. One sync acquisition is
+//     enough to deadlock the advancer: the waiter parks invisibly while
+//     holding its token.
+//   - internal/ code outside tests makes no plain Gate.Block or
+//     Gate.BlockIO call: the clock cannot probe those waits, so each
+//     costs a settle pass. Waits use BlockOn with an exact ready check,
+//     simclock.Group, or a clock-aware mutex.
+//   - Gate.Enter must be followed by Gate.Exit (or a deferred Exit) in
+//     the same body.
 //
-// gatecheck also verifies Gate.Enter/Gate.Exit pairing within each
-// function: an Enter must be followed by an Exit (or a deferred Exit)
-// in the same body.
+// The mutex check is class-level: the facts package attributes each
+// mutex to a module-wide lock class (owning type + field); if
+// wait-across-hold evidence exists anywhere for a class, every
+// acquisition that is not clock-aware is reported, with a
+// representative wait path naming the call chain down to the sleep.
 package gatecheck
 
 import (
 	"fmt"
+	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 
 	"swapservellm/internal/lint"
 	"swapservellm/internal/lint/callgraph"
@@ -34,7 +40,7 @@ import (
 func New() *lint.Analyzer {
 	return &lint.Analyzer{
 		Name: "gatecheck",
-		Doc:  "mutexes held across simulated-clock waits must be acquired via simclock.Gate.Block at every site; Gate.Enter/Exit must pair",
+		Doc:  "mutexes held across simulated-clock waits must be simclock.Mutex/RWMutex at every site; no plain Gate.Block/BlockIO in internal code; Gate.Enter/Exit must pair",
 		Run:  run,
 	}
 }
@@ -124,11 +130,53 @@ func run(pass *lint.Pass) error {
 		if expr == "" {
 			expr = a.class
 		}
-		pass.Reportf(a.pos, "mutex %s can be held across a simulated-clock wait (%s at %s) but is acquired here without gate.Block; use simclock.GateFor(clock).Block(%s.Lock) so waiters shed their run token",
+		pass.Reportf(a.pos, "mutex %s can be held across a simulated-clock wait (%s at %s) but %s is not clock-aware; make it a simclock.Mutex or simclock.RWMutex so waiters shed their run token",
 			a.class, ev.path, shortPos(ev.pos), expr)
 	}
+	checkJoins(pass)
 	checkPairing(pass)
 	return nil
+}
+
+// checkJoins reports plain Gate.Block and Gate.BlockIO calls in the
+// non-test files of an internal/ package.
+func checkJoins(pass *lint.Pass) {
+	path := pass.Pkg.Path()
+	if !strings.HasPrefix(path, "internal/") && !strings.Contains(path, "/internal/") {
+		return
+	}
+	for _, f := range pass.Files {
+		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || (sel.Sel.Name != "Block" && sel.Sel.Name != "BlockIO") {
+				return true
+			}
+			if fn, ok := pass.Info.Uses[sel.Sel].(*types.Func); ok && isGateMethod(fn) {
+				pass.Reportf(call.Pos(), "plain Gate.%s in internal code: the clock cannot probe it, so every advance while it waits may pay a settle pass; use Gate.BlockOn with an exact ready check, simclock.Group, or a simclock.Mutex", sel.Sel.Name)
+			}
+			return true
+		})
+	}
+}
+
+// isGateMethod reports whether fn is a method of simclock.Gate.
+func isGateMethod(fn *types.Func) bool {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return false
+	}
+	t := sig.Recv().Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	return lint.NamedTypeIn(t, "internal/simclock", "Gate")
 }
 
 // checkPairing verifies Gate.Enter/Exit pairing per function body in

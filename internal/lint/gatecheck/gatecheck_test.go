@@ -7,5 +7,5 @@ import (
 )
 
 func TestGatecheck(t *testing.T) {
-	linttest.Run(t, "testdata", New(), "example.com/gates")
+	linttest.Run(t, "testdata", New(), "example.com/gates", "example.com/internal/joins")
 }

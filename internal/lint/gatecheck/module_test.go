@@ -58,10 +58,10 @@ func TestModuleClean(t *testing.T) {
 	}
 }
 
-// Deleting one gate.Block in internal/core must make gatecheck fail
-// with a diagnostic naming the mutex and the wait path — the mutation
-// check that proves the analyzer guards the invariant rather than
-// vacuously passing.
+// Turning swapMu in internal/core back into a sync.Mutex must make
+// gatecheck fail with a diagnostic naming the mutex and the wait path —
+// the mutation check that proves the analyzer guards the invariant
+// rather than vacuously passing.
 func TestMutationDetected(t *testing.T) {
 	if testing.Short() {
 		t.Skip("copies and loads the whole module")
@@ -71,19 +71,22 @@ func TestMutationDetected(t *testing.T) {
 	tmp := t.TempDir()
 	copyModule(t, root, tmp)
 
-	sched := filepath.Join(tmp, "internal", "core", "scheduler.go")
-	src, err := os.ReadFile(sched)
-	if err != nil {
-		t.Fatal(err)
+	mutate := func(file, from, to string) {
+		path := filepath.Join(tmp, "internal", "core", file)
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(src), from) {
+			t.Fatalf("%s no longer contains %q; update the mutation", file, from)
+		}
+		mutated := strings.Replace(string(src), from, to, 1)
+		if err := os.WriteFile(path, []byte(mutated), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	const gated = "simclock.GateFor(s.clock).Block(b.swapMu.Lock)"
-	if !strings.Contains(string(src), gated) {
-		t.Fatalf("scheduler.go no longer contains %q; update the mutation", gated)
-	}
-	mutated := strings.Replace(string(src), gated, "b.swapMu.Lock()", 1)
-	if err := os.WriteFile(sched, []byte(mutated), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	mutate("backend.go", "swapMu simclock.Mutex", "swapMu sync.Mutex")
+	mutate("scheduler.go", "b.swapMu.Lock(simclock.GateFor(s.clock))", "b.swapMu.Lock()")
 
 	diags := runAnalyzers(t, tmp, gatecheck.New())
 	var hit bool
@@ -98,7 +101,7 @@ func TestMutationDetected(t *testing.T) {
 		}
 	}
 	if !hit {
-		t.Fatalf("gatecheck did not flag the ungated swapMu acquisition; diagnostics: %v", diags)
+		t.Fatalf("gatecheck did not flag the sync swapMu acquisition; diagnostics: %v", diags)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package gates is gatecheck testdata: any mutex that can be held
-// across a simulated-clock wait must be acquired through
-// simclock.Gate.Block at every site module-wide, and Gate.Enter must
-// pair with Gate.Exit.
+// across a simulated-clock wait must be a clock-aware simclock.Mutex or
+// RWMutex at every site module-wide, and Gate.Enter must pair with
+// Gate.Exit.
 package gates
 
 import (
@@ -12,24 +12,29 @@ import (
 )
 
 type backend struct {
-	swapMu sync.Mutex
+	swapMu simclock.Mutex
 	clock  simclock.Clock
 }
 
 // runGated holds swapMu across a simulated sleep the sanctioned way:
-// the acquisition goes through the gate, so contending goroutines shed
-// their run token.
+// the mutex is clock-aware, so contending goroutines shed their run
+// token.
 func (b *backend) runGated() {
-	simclock.GateFor(b.clock).Block(b.swapMu.Lock)
+	b.swapMu.Lock(simclock.GateFor(b.clock))
 	defer b.swapMu.Unlock()
 	b.clock.Sleep(time.Millisecond)
 }
 
-// The pre-refactor regression pattern: the same class acquired with a
-// plain Lock and held across the sleep. One ungated site is enough to
-// park a waiter without shedding its token and stall the advancer.
-func (b *backend) runUngated() {
-	b.swapMu.Lock() // want `mutex gates\.backend\.swapMu can be held across a simulated-clock wait .*clock\.Sleep.* but is acquired here without gate\.Block`
+type legacy struct {
+	swapMu sync.Mutex
+	clock  simclock.Clock
+}
+
+// The pre-refactor regression pattern: a sync mutex held across the
+// sleep. One such site is enough to park a waiter without shedding its
+// token and stall the advancer.
+func (b *legacy) runUngated() {
+	b.swapMu.Lock() // want `mutex gates\.legacy\.swapMu can be held across a simulated-clock wait .*clock\.Sleep.* but b\.swapMu is not clock-aware`
 	defer b.swapMu.Unlock()
 	b.clock.Sleep(time.Millisecond)
 }
@@ -45,10 +50,10 @@ func (p *poller) pause() {
 }
 
 // tick never sleeps directly — the wait is reached through pause's
-// summary, so the ungated acquisition is still reported, with the call
-// path in the message.
+// summary, so the acquisition is still reported, with the call path in
+// the message.
 func (p *poller) tick() {
-	p.mu.Lock() // want `mutex gates\.poller\.mu can be held across a simulated-clock wait \(.*pause.*clock\.Sleep.*\) but is acquired here without gate\.Block`
+	p.mu.Lock() // want `mutex gates\.poller\.mu can be held across a simulated-clock wait \(.*pause.*clock\.Sleep.*\) but p\.mu is not clock-aware`
 	defer p.mu.Unlock()
 	p.pause()
 }
@@ -59,24 +64,26 @@ type looper struct {
 	stop  chan struct{}
 }
 
-// loopGated establishes Gate.Wait evidence for looper.mu (gated here).
-func (l *looper) loopGated() {
+// loopBlocked acquires a sync mutex through gate.Block, the retired
+// idiom: its waiters shed their token, but the clock cannot see when
+// the lock frees, so the class must still be clock-aware.
+func (l *looper) loopBlocked() {
 	gate := simclock.GateFor(l.clock)
-	gate.Block(l.mu.Lock)
+	gate.Block(l.mu.Lock) // want `mutex gates\.looper\.mu can be held across a simulated-clock wait`
 	defer l.mu.Unlock()
 	gate.Wait(time.Millisecond, l.stop)
 }
 
 // The check is class-level: this body never waits, but the class has
 // wait evidence elsewhere, so the plain Lock is still a hazard — the
-// holder in loopGated may be asleep on the clock while this waiter
+// holder in loopBlocked may be asleep on the clock while this waiter
 // parks with its token.
 func (l *looper) loopUngated() {
 	l.mu.Lock() // want `mutex gates\.looper\.mu can be held across a simulated-clock wait`
 	defer l.mu.Unlock()
 }
 
-// A class with no wait evidence anywhere needs no gating.
+// A class with no wait evidence anywhere needs no clock-aware lock.
 type counter struct {
 	mu sync.Mutex
 	n  int

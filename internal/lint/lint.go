@@ -293,8 +293,9 @@ func ExprString(e ast.Expr) string {
 	return ""
 }
 
-// IsMutexType reports whether t (or what it points to) is sync.Mutex or
-// sync.RWMutex.
+// IsMutexType reports whether t (or what it points to) is sync.Mutex,
+// sync.RWMutex, or one of their clock-aware counterparts (see
+// IsClockMutexType).
 func IsMutexType(t types.Type) bool {
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()
@@ -304,10 +305,20 @@ func IsMutexType(t types.Type) bool {
 		return false
 	}
 	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
+	if obj.Pkg() == nil || (obj.Pkg().Path() != "sync" && !PkgPathHasSuffix(obj.Pkg().Path(), "internal/simclock")) {
 		return false
 	}
 	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
+}
+
+// IsClockMutexType reports whether t (or what it points to) is
+// simclock.Mutex or simclock.RWMutex, whose contended Lock parks through
+// the clock's gate.
+func IsClockMutexType(t types.Type) bool {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	return NamedTypeIn(t, "internal/simclock", "Mutex") || NamedTypeIn(t, "internal/simclock", "RWMutex")
 }
 
 // PkgPathHasSuffix reports whether path equals suffix or ends with

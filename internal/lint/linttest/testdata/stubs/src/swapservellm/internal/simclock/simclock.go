@@ -46,3 +46,21 @@ func (g *Gate) Go(fn func())                                      { go fn() }
 func (g *Gate) Block(fn func())                                   { fn() }
 func (g *Gate) BlockIO(fn func())                                 { fn() }
 func (g *Gate) Wait(d time.Duration, done ...<-chan struct{}) int { return -1 }
+func (g *Gate) BlockOn(key any, ready func() bool, fn func())     { fn() }
+func (g *Gate) Wake(key any)                                      {}
+
+// Mutex and RWMutex are the clock-aware locks: a contended Lock parks
+// through the gate.
+type Mutex struct{}
+
+func (m *Mutex) Lock(g *Gate) {}
+func (m *Mutex) Unlock()      {}
+
+type RWMutex struct{}
+
+func (m *RWMutex) Lock(g *Gate)  {}
+func (m *RWMutex) Unlock()       {}
+func (m *RWMutex) RLock(g *Gate) {}
+func (m *RWMutex) RUnlock()      {}
+
+func Closed(ch <-chan struct{}) bool { return false }

@@ -180,28 +180,38 @@ func (d *dealer) UnlockViaClosure() {
 	d.count++
 }
 
-// --- gate-mediated acquisition ---
+// --- clock-aware acquisition ---
 
 type gated struct {
-	mu    sync.Mutex
+	mu    simclock.Mutex
 	clock simclock.Clock
 	n     int
 }
 
 func (g *gated) bumpLocked() { g.n++ }
 
-// gate.Block(mu.Lock) is an acquisition: the *Locked convention and
+// A simclock.Mutex Lock is an acquisition: the *Locked convention and
 // the pairing rule both see it.
 func (g *gated) Bump() {
-	simclock.GateFor(g.clock).Block(g.mu.Lock)
+	g.mu.Lock(simclock.GateFor(g.clock))
 	defer g.mu.Unlock()
 	g.bumpLocked()
 }
 
 // ... including when it leaks.
 func (g *gated) Leaky() {
-	simclock.GateFor(g.clock).Block(g.mu.Lock) // want `g.mu.Lock\(\) has no matching defer g.mu.Unlock\(\) or later Unlock\(\) in this function`
+	g.mu.Lock(simclock.GateFor(g.clock)) // want `g.mu.Lock\(\) has no matching defer g.mu.Unlock\(\) or later Unlock\(\) in this function`
 	g.n++
+}
+
+type blocked struct {
+	mu    sync.Mutex
+	clock simclock.Clock
+}
+
+// gate.Block(mu.Lock) is still an acquisition to the pairing rule.
+func (b *blocked) Leaky() {
+	simclock.GateFor(b.clock).Block(b.mu.Lock) // want `b.mu.Lock\(\) has no matching defer b.mu.Unlock\(\) or later Unlock\(\) in this function`
 }
 
 // Embedded mutex: the receiver itself is the lock.

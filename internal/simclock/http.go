@@ -109,6 +109,8 @@ func (t transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	ctx, cancel := context.WithCancel(req.Context())
 	x := &exchange{v: v, req: req, cancel: cancel, header: make(http.Header), signal: make(chan struct{}, 1)}
+	x.committed = x.cond(func() bool { return x.resp != nil || x.err != nil })
+	x.readable = x.cond(func() bool { return x.sent > 0 || x.err != nil })
 	sreq := req.Clone(ctx)
 	if sreq.Body == nil {
 		sreq.Body = http.NoBody
@@ -120,7 +122,7 @@ func (t transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		defer x.finish()
 		s.h.ServeHTTP(x, sreq)
 	})
-	x.wait(func() bool { return x.resp != nil || x.err != nil })
+	x.wait(x.committed)
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if x.resp == nil {
@@ -138,6 +140,9 @@ type exchange struct {
 	cancel context.CancelFunc // cancels the handler's request context
 	stop   func() bool        // ends the watch on the client's context
 	signal chan struct{}      // pinged after every change below
+
+	committed cond // the response committed or the exchange ended
+	readable  cond // flushed bytes wait or the exchange ended
 
 	mu     sync.Mutex
 	header http.Header    // the handler's, until the response commits
@@ -246,19 +251,30 @@ func (x *exchange) notify() {
 	x.v.gate.Wake(x)
 }
 
-// wait parks the client until ready, checked under x.mu, holds.
-func (x *exchange) wait(ready func() bool) {
-	locked := func() bool {
+// cond is one condition a client waits on: ready checks it under x.mu,
+// block waits until it holds. An exchange builds each once.
+type cond struct {
+	ready func() bool
+	block func()
+}
+
+// cond builds the wait for holds, which reads fields x.mu guards.
+func (x *exchange) cond(holds func() bool) cond {
+	c := cond{ready: func() bool {
 		x.mu.Lock()
 		defer x.mu.Unlock()
-		return ready()
-	}
-	x.v.gate.BlockOn(x, locked, func() {
-		for !locked() {
+		return holds()
+	}}
+	c.block = func() {
+		for !c.ready() {
 			<-x.signal
 		}
-	})
+	}
+	return c
 }
+
+// wait parks the client until c holds.
+func (x *exchange) wait(c cond) { x.v.gate.BlockOn(x, c.ready, c.block) }
 
 // body is the client's side of an exchange.
 type body struct{ x *exchange }
@@ -266,7 +282,7 @@ type body struct{ x *exchange }
 // take waits for flushed bytes and removes up to max of them from the
 // exchange; with none left it returns the exchange's end instead.
 func (x *exchange) take(max int) ([]byte, error) {
-	x.wait(func() bool { return x.sent > 0 || x.err != nil })
+	x.wait(x.readable)
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	n := min(max, x.sent)

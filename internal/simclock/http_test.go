@@ -127,7 +127,7 @@ func TestInProcessCancelReachesHandler(t *testing.T) {
 	handlerErr := make(chan error, 1)
 	srv := listen(t, v, func(w http.ResponseWriter, r *http.Request) {
 		w.(http.Flusher).Flush()
-		g.Block(func() { <-r.Context().Done() })
+		g.BlockOn(r, func() bool { return r.Context().Err() != nil }, func() { <-r.Context().Done() })
 		handlerErr <- r.Context().Err()
 	})
 	ctx, cancel := context.WithCancel(context.Background())

@@ -39,5 +39,16 @@ func (l *Loop) Stop() {
 		return
 	}
 	l.once.Do(func() { close(l.stop) })
-	GateFor(l.clock).Block(func() { <-l.done })
+	GateFor(l.clock).BlockOn(l, func() bool { return Closed(l.done) }, func() { <-l.done })
+}
+
+// Closed reports whether ch is closed: the ready check of a BlockOn on
+// a channel that is only ever closed.
+func Closed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
 }

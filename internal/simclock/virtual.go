@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,9 +25,13 @@ const ioGrace = 10 * time.Millisecond
 // Quiescence is tracked by a token protocol (see Gate): a *registered*
 // goroutine owns a run token while it executes and gives it up while it
 // parks on the clock or blocks on a peer. When no token is out, an
-// advancer starts the next spawned goroutine or fires the earliest
-// deadline, after a settle pass while any goroutine is blocked on a
-// peer. HTTP servers on the clock serve in-process callers on
+// advancer first probes the waits it can see into — a BlockOn whose
+// ready check holds, a Wait whose done channel is closed — and hands
+// those goroutines their tokens back; only when none is ready does it
+// start the next spawned goroutine or fire the earliest deadline. A
+// wait it cannot probe (a plain Block or a BlockIO) costs a settle pass
+// first, and only after an event that could have ended it (see
+// advanceLoop). HTTP servers on the clock serve in-process callers on
 // registered goroutines (see Listen); an unregistered goroutine may
 // still Sleep, but its waiter carries no token and no ordering promise.
 type Virtual struct {
@@ -50,14 +53,25 @@ type Virtual struct {
 	// waking counts goroutines whose wait ended but which have not yet
 	// retaken mu to say so; the advancer yields to them.
 	waking atomic.Int32
-	// blocked counts registered goroutines inside Gate.Block, BlockOn or
-	// BlockIO; blockedIO counts those in BlockIO.
-	blocked   int
+	// opaque counts registered goroutines inside Gate.Block or BlockIO,
+	// the waits the clock cannot probe; blockedIO counts those in
+	// BlockIO.
+	opaque    int
 	blockedIO int
+	// debt records an event that may have ended an opaque wait without
+	// the clock seeing it: an outermost Exit, a Block or BlockIO entry,
+	// or socket activity. The next advance settles before it moves on.
+	debt bool
 
-	// parked maps a Gate.BlockOn key to the goroutines blocked on it, so
-	// Gate.Wake can hand their run tokens back.
-	parked map[any][]*parkRec
+	// parked holds the goroutines blocked in Gate.BlockOn, probed at
+	// every quiescence and matched by key in Gate.Wake; parkFree holds
+	// spent records for reuse.
+	parked   []*parkRec
+	parkFree []*parkRec
+
+	// watched holds the tokened Gate.Wait waiters that have done
+	// channels, probed at every quiescence.
+	watched []*vwaiter
 
 	// starts holds the start signals of Gate.Go children not yet
 	// running, in spawn order.
@@ -78,8 +92,12 @@ type Virtual struct {
 	advance   func()
 
 	// ioGraceUntil is a wall-clock deadline armed at every Gate.BlockIO
-	// entry and exit: settles stay in wall mode until it passes.
+	// entry and socket request flush or return: settles stay in wall
+	// mode, and keep the debt, until it passes.
 	ioGraceUntil time.Time
+
+	// settles counts settle passes run (read by tests).
+	settles int
 
 	wdArmed   bool
 	wdTimeout time.Duration
@@ -94,7 +112,6 @@ func NewVirtual(origin time.Time) *Virtual {
 	v := &Virtual{
 		now:       origin,
 		reg:       make(map[uintptr]int),
-		parked:    make(map[any][]*parkRec),
 		routes:    make(map[string]*Server),
 		wdTimeout: 5 * time.Second,
 	}
@@ -152,6 +169,8 @@ func (v *Virtual) addWaiterLocked(w *vwaiter, d time.Duration, tokened bool) {
 	w.seq = v.seq
 	w.tokened = tokened
 	w.fired = false
+	w.done = [2]<-chan struct{}{}
+	w.watch = -1
 	v.seq++
 	heap.Push(&v.waiters, w)
 	v.gen++
@@ -167,16 +186,23 @@ func (v *Virtual) maybeAdvanceLocked() {
 	go v.advance()
 }
 
+// advanceLoop runs until a token is out or nothing is left to do. Each
+// step first pays the settle debt, if a wait the clock cannot probe is
+// outstanding, then probes the waits it can, and only then starts a
+// spawned goroutine or fires the earliest deadline.
 func (v *Virtual) advanceLoop() {
 	v.mu.Lock()
 	for v.running == 0 && v.waking.Load() == 0 {
-		// A goroutine blocked on a peer may have been signalled by a
-		// waker that parked since, and needs CPU to take its token back.
-		if v.blocked > 0 {
+		// An opaque waiter may have been signalled by a peer that parked
+		// since, and needs CPU to take its token back.
+		if v.opaque > 0 && v.debt {
 			//swaplint:ignore lockcheck settleLocked drops and reacquires v.mu around its yield rounds by design
 			if !v.settleLocked() {
 				break // a registered goroutine resumed during the settle
 			}
+		}
+		if v.probeLocked() {
+			break
 		}
 		if len(v.starts) > 0 {
 			close(v.starts[0])
@@ -186,7 +212,7 @@ func (v *Virtual) advanceLoop() {
 			continue
 		}
 		if v.waiters.Len() == 0 {
-			if v.blocked > 0 {
+			if v.opaque+len(v.parked) > 0 {
 				v.armWatchdogLocked()
 			}
 			break
@@ -196,6 +222,7 @@ func (v *Virtual) advanceLoop() {
 			v.now = w.deadline
 		}
 		w.fired = true
+		v.unwatchLocked(w)
 		v.gen++
 		if w.tokened {
 			v.running++
@@ -206,15 +233,42 @@ func (v *Virtual) advanceLoop() {
 	v.mu.Unlock()
 }
 
+// probeLocked applies Wake to every wait at once: it hands the run token
+// back to each parked BlockOn whose ready check holds and each tokened
+// Wait whose done channel is closed. It reports whether it handed any
+// out. A missed Wake or a context cancel therefore never lets time
+// move past a goroutine that could run.
+func (v *Virtual) probeLocked() bool {
+	n := v.running
+	// Backwards: a grant moves the last record into the slot it frees.
+	for i := len(v.parked) - 1; i >= 0; i-- {
+		if r := v.parked[i]; r.ready() {
+			v.grantLocked(r)
+		}
+	}
+	for i := len(v.watched) - 1; i >= 0; i-- {
+		if w := v.watched[i]; w.doneClosed() {
+			v.unwatchLocked(w)
+			w.tokened = false // its token goes back now, not at retraction
+			v.running++
+			v.gen++
+		}
+	}
+	return v.running > n
+}
+
 // settleLocked yields until the observable state (gen) holds still for
 // three consecutive rounds with no run token outstanding. Before a jump
 // within ioGrace of a socket hand-off, the first round after each
 // change is a 200 µs wall sleep instead, about twice a loopback
 // hand-off on a loaded two-core host, so netpoll delivers bytes still
 // in flight (at 20 µs a seventh of perfbench's replayed requests
-// diverged). Returns false if a registered goroutine took its token
-// back, in which case the advance must abort.
+// diverged). A settle that begins once ioGrace has passed pays the
+// debt. Returns false if a registered goroutine took its token back, in
+// which case the advance must abort.
 func (v *Virtual) settleLocked() bool {
+	v.settles++
+	paid := v.ioGraceUntil.IsZero() || !time.Now().Before(v.ioGraceUntil)
 	stable := 0
 	last := v.gen
 	for stable < 3 {
@@ -240,7 +294,13 @@ func (v *Virtual) settleLocked() bool {
 			last = v.gen
 		}
 	}
-	return v.running == 0
+	if v.running > 0 {
+		return false
+	}
+	if paid {
+		v.debt = false
+	}
+	return true
 }
 
 // armWatchdogLocked starts a wall timer that panics with a state dump
@@ -259,7 +319,7 @@ func (v *Virtual) armWatchdogLocked() {
 		v.mu.Lock()
 		v.wdArmed = false
 		stuck := v.gen == snap && v.running == 0 && v.waiters.Len() == 0 &&
-			v.blocked > 0
+			v.opaque+len(v.parked) > 0
 		var dump string
 		if stuck {
 			dump = v.dumpLocked()
@@ -274,25 +334,56 @@ func (v *Virtual) armWatchdogLocked() {
 }
 
 func (v *Virtual) dumpLocked() string {
-	head := fmt.Sprintf("virtual clock: now=%s registered=%d running=%d blocked=%d blockedIO=%d waiters=%d",
-		v.now.Format(time.RFC3339Nano), len(v.reg), v.running, v.blocked, v.blockedIO, v.waiters.Len())
+	head := fmt.Sprintf("virtual clock: now=%s registered=%d running=%d parked=%d opaque=%d blockedIO=%d waiters=%d",
+		v.now.Format(time.RFC3339Nano), len(v.reg), v.running, len(v.parked), v.opaque, v.blockedIO, v.waiters.Len())
 	buf := make([]byte, 1<<20)
 	n := runtime.Stack(buf, true)
 	return head + "\n" + string(buf[:n])
 }
 
 // vwaiter is one parked deadline. tokened records whether the parked
-// goroutine gave up a run token that the advancer must grant back
-// before (well, atomically with) waking it; fired lets Gate.Wait tell a
-// cancelled waiter from one whose token was already returned and whose
-// time still sits in ch.
+// goroutine still holds back a run token that must be granted with its
+// wake — by the advancer firing it or by a probe of its done channels;
+// fired lets Gate.Wait tell a cancelled waiter from one whose token was
+// already returned and whose time still sits in ch. watch is its slot
+// in Virtual.watched, -1 when not watched.
 type vwaiter struct {
 	deadline time.Time
 	seq      uint64
 	ch       chan time.Time
+	done     [2]<-chan struct{}
 	tokened  bool
 	fired    bool
 	index    int
+	watch    int
+}
+
+// doneClosed reports whether one of w's done channels is closed. Wait's
+// done channels are only ever closed, never sent on, so the receive
+// takes nothing from a peer.
+func (w *vwaiter) doneClosed() bool {
+	for _, d := range w.done {
+		select {
+		case <-d:
+			return true
+		default:
+		}
+	}
+	return false
+}
+
+// unwatchLocked drops w from the probed Waits, if it is there.
+func (v *Virtual) unwatchLocked(w *vwaiter) {
+	i := w.watch
+	if i < 0 {
+		return
+	}
+	last := len(v.watched) - 1
+	v.watched[i] = v.watched[last]
+	v.watched[i].watch = i
+	v.watched[last] = nil
+	v.watched = v.watched[:last]
+	w.watch = -1
 }
 
 // vheap orders waiters by deadline, ties broken by insertion sequence
@@ -340,17 +431,20 @@ func (h *vheap) Pop() any {
 //     time (nestable; typically an experiment's main goroutine).
 //   - Go spawns a registered goroutine, started in spawn order at the
 //     next quiescence, before time moves.
-//   - Block(fn) marks the caller as waiting on another registered
-//     goroutine (channel receive, WaitGroup.Wait, …) for fn's duration.
+//   - BlockOn(key, ready, fn) marks the caller as waiting on a peer for
+//     fn's duration. The clock probes ready at every quiescence, and a
+//     waker may call Wake(key) to hand the token back at once.
+//   - Block(fn) is a join: a wait the clock cannot probe, which must end
+//     only through another goroutine's Exit, Block or BlockIO (say, a
+//     WaitGroup whose goroutines are done when they exit).
 //   - BlockIO(fn) marks the caller as waiting on a real socket.
-//   - BlockOn(key, ready, fn) is Block for a wait whose waker calls
-//     Wake(key), handing the token back with no window for time to move.
 //   - Wait(d, done...) parks on the clock like Sleep but also wakes on
 //     a done channel, returning -1 for the timer or the channel's index.
+//   - Mutex and RWMutex are locks that may be held across clock waits.
 //
-// Rules: a registered goroutine blocks only via Sleep, Block, BlockOn,
-// BlockIO, or Wait, never on a naked After. A violation freezes the
-// clock (the Go test timeout's stack dump shows the offender); a
+// Rules: a registered goroutine blocks only via Sleep, BlockOn, Block,
+// BlockIO, Wait or a Mutex, never on a naked After. A violation freezes
+// the clock (the Go test timeout's stack dump shows the offender); a
 // deadlock while the clock is quiescent trips the watchdog panic.
 type Gate struct {
 	v     *Virtual
@@ -399,6 +493,7 @@ func (g *Gate) Exit() {
 	if v.reg[id] <= 0 {
 		delete(v.reg, id)
 		v.running--
+		v.debt = true
 		v.gen++
 		v.maybeAdvanceLocked()
 	}
@@ -432,33 +527,42 @@ func (g *Gate) Go(fn func()) {
 	}()
 }
 
-// Block runs fn with the caller's run token released, marking it as
-// waiting on another registered goroutine. Unregistered callers just
-// run fn.
+// Block runs fn with the caller's run token released, as a join: a
+// wait the clock cannot probe, which must end only through another
+// goroutine's Exit, Block or BlockIO — a WaitGroup of goroutines that
+// exit once done, say. Those events arm a settle pass that gives the
+// joiner the CPU before time moves; a signal followed by a clock wait
+// arms none, so such waits use BlockOn. Unregistered callers just run
+// fn.
 func (g *Gate) Block(fn func()) { g.block(nil, nil, fn, false) }
 
 // BlockIO runs fn with the caller's run token released, marking it as
 // waiting on I/O outside the process: the socket edge of a client
 // whose server is not in-process. The advancer settles with wall
-// micro-sleeps within ioGrace of its entry and exit.
+// micro-sleeps within ioGrace of its entry.
 func (g *Gate) BlockIO(fn func()) { g.block(nil, nil, fn, true) }
 
-// BlockOn is Block for a wait a peer ends by calling Wake(key): fn is
-// the blocking receive, ready reports (without blocking or taking locks
-// the waker may hold while calling Wake) whether it would return at
-// once. A ready wait keeps the caller's run token; otherwise the caller
-// parks on key and Wake grants its token back under the clock lock, so
-// virtual time cannot advance between the hand-off and the wakee
-// running again — a plain Block leaves that window to the settle pass,
-// which a descheduled wakee can outlast.
+// BlockOn runs fn, a blocking wait on a peer, with the caller's run
+// token released. ready reports whether fn would return at once, and it
+// must be exact: the clock calls it at every quiescence and hands the
+// token back when it holds, so a ready that is true while fn still
+// blocks would stop virtual time, and one that misses a way fn returns
+// lets time move before the caller runs again. ready runs under the
+// clock's lock, from Wake and from the probe, so it must not block or
+// take a lock whose holder may call into the clock. A ready wait keeps
+// the caller's token. A waker may call Wake(key) to hand the token back
+// at once; without it the hand-back waits for the next quiescence,
+// which still comes before time moves.
 func (g *Gate) BlockOn(key any, ready func() bool, fn func()) { g.block(key, ready, fn, false) }
 
-// parkRec is one registered goroutine blocked in Gate.BlockOn: its
-// wait's ready check, and whether Gate.Wake already handed its run
-// token back.
+// parkRec is one registered goroutine blocked in Gate.BlockOn: its key,
+// its wait's ready check, whether its run token was already handed
+// back, and its slot in Virtual.parked.
 type parkRec struct {
+	key   any
 	ready func() bool
 	woken bool
+	at    int
 }
 
 func (g *Gate) block(key any, ready func() bool, fn func(), io bool) {
@@ -476,16 +580,17 @@ func (g *Gate) block(key any, ready func() bool, fn func(), io bool) {
 	}
 	var rec *parkRec
 	if ready != nil {
-		rec = &parkRec{ready: ready}
-		v.parked[key] = append(v.parked[key], rec)
+		rec = v.parkLocked(key, ready)
+	} else {
+		v.opaque++
+		v.debt = true
+		if io {
+			// The request is leaving on a real socket.
+			v.blockedIO++
+			v.ioGraceUntil = time.Now().Add(ioGrace)
+		}
 	}
 	v.running--
-	v.blocked++
-	if io {
-		// The request is leaving on a real socket.
-		v.blockedIO++
-		v.ioGraceUntil = time.Now().Add(ioGrace)
-	}
 	v.gen++
 	v.maybeAdvanceLocked()
 	v.mu.Unlock()
@@ -495,33 +600,70 @@ func (g *Gate) block(key any, ready func() bool, fn func(), io bool) {
 	v.waking.Add(1)
 	v.mu.Lock()
 	v.waking.Add(-1)
-	if rec == nil || !rec.woken {
-		if rec != nil {
-			v.unparkLocked(key, func(r *parkRec) bool { return r == rec })
-		}
-		v.blocked--
+	switch {
+	case rec == nil:
+		v.opaque--
 		if io {
 			v.blockedIO--
 		}
 		v.running++
+	case !rec.woken:
+		v.unparkLocked(rec)
+		v.running++
+	}
+	if rec != nil {
+		*rec = parkRec{}
+		v.parkFree = append(v.parkFree, rec)
 	}
 	v.gen++
 	v.mu.Unlock()
+}
+
+// parkLocked records a BlockOn wait, reusing a spent record.
+func (v *Virtual) parkLocked(key any, ready func() bool) *parkRec {
+	var r *parkRec
+	if n := len(v.parkFree); n > 0 {
+		r, v.parkFree = v.parkFree[n-1], v.parkFree[:n-1]
+	} else {
+		r = new(parkRec)
+	}
+	r.key, r.ready, r.at = key, ready, len(v.parked)
+	v.parked = append(v.parked, r)
+	return r
+}
+
+// unparkLocked drops r from the parked waits.
+func (v *Virtual) unparkLocked(r *parkRec) {
+	last := len(v.parked) - 1
+	v.parked[r.at] = v.parked[last]
+	v.parked[r.at].at = r.at
+	v.parked[last] = nil
+	v.parked = v.parked[:last]
+}
+
+// grantLocked hands a parked goroutine its run token back.
+func (v *Virtual) grantLocked(r *parkRec) {
+	v.unparkLocked(r)
+	r.woken = true
+	v.running++
+	v.gen++
 }
 
 // armGrace re-arms ioGrace: bytes are leaving on a real socket.
 func (v *Virtual) armGrace() {
 	v.mu.Lock()
 	v.ioGraceUntil = time.Now().Add(ioGrace)
+	v.debt = true
 	v.mu.Unlock()
 }
 
 // Wake hands the run token back to every goroutine parked in BlockOn
-// on key whose wait is ready. Call it right after the channel operation
-// that makes their wait ready. The ready re-check matters: a Wake that
-// lands late, after the wakee already took what it waited for and
-// parked again, must not hand a token to a wait that still blocks —
-// that goroutine could not give it up, and virtual time would stop.
+// on key whose wait is ready: the fast path of the probe each
+// quiescence runs anyway. Call it right after the operation that makes
+// their wait ready. The ready re-check matters: a Wake that lands late,
+// after the wakee already took what it waited for and parked again,
+// must not hand a token to a wait that still blocks — that goroutine
+// could not give it up, and virtual time would stop.
 func (g *Gate) Wake(key any) {
 	if g.v == nil {
 		return
@@ -529,31 +671,21 @@ func (g *Gate) Wake(key any) {
 	v := g.v
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.unparkLocked(key, func(r *parkRec) bool {
-		if !r.ready() {
-			return false
+	// Backwards: a grant moves the last record into the slot it frees.
+	for i := len(v.parked) - 1; i >= 0; i-- {
+		if r := v.parked[i]; r.key == key && r.ready() {
+			v.grantLocked(r)
 		}
-		r.woken = true
-		v.blocked--
-		v.running++
-		v.gen++
-		return true
-	})
-}
-
-// unparkLocked drops the goroutines parked on key that match.
-func (v *Virtual) unparkLocked(key any, match func(*parkRec) bool) {
-	if recs := slices.DeleteFunc(v.parked[key], match); len(recs) > 0 {
-		v.parked[key] = recs
-	} else {
-		delete(v.parked, key)
 	}
 }
 
 // Wait parks the caller for d of clock time, but wakes early if any of
 // the done channels becomes ready. It returns -1 when the timer fired
 // and i when done[i] fired first. It is the registered replacement for
-// select { case <-stop: ...; case <-clock.After(d): ... } loops.
+// select { case <-stop: ...; case <-clock.After(d): ... } loops. A done
+// channel must only ever be closed, never sent on: the clock probes a
+// registered caller's done channels at every quiescence by receiving
+// from them.
 func (g *Gate) Wait(d time.Duration, done ...<-chan struct{}) int {
 	if g.v == nil {
 		return waitFallback(g.clock, d, done)
@@ -573,6 +705,11 @@ func (g *Gate) Wait(d time.Duration, done ...<-chan struct{}) int {
 	}
 	v.addWaiterLocked(w, d, registered)
 	if registered {
+		if len(done) > 0 {
+			copy(w.done[:], done)
+			w.watch = len(v.watched)
+			v.watched = append(v.watched, w)
+		}
 		v.running--
 		v.gen++
 	}
@@ -597,6 +734,7 @@ func (g *Gate) Wait(d time.Duration, done ...<-chan struct{}) int {
 		<-w.ch
 	} else {
 		heap.Remove(&v.waiters, w.index)
+		v.unwatchLocked(w)
 		if w.tokened {
 			v.running++
 		}

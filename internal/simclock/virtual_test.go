@@ -2,6 +2,7 @@ package simclock
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -361,15 +362,11 @@ func TestBlockOnWakeHandsTokenBack(t *testing.T) {
 	g.Enter()
 	defer g.Exit()
 
+	// The wait turns ready before its channel closes, so the wakee
+	// cannot run, and give its token up again, before the check below.
 	ch := make(chan struct{})
-	ready := func() bool {
-		select {
-		case <-ch:
-			return true
-		default:
-			return false
-		}
-	}
+	var open atomic.Bool
+	ready := open.Load
 	var woke atomic.Int64 // virtual ns offset at which the wakee resumed
 	woke.Store(-1)
 	done := make(chan struct{})
@@ -379,24 +376,15 @@ func TestBlockOnWakeHandsTokenBack(t *testing.T) {
 		close(done)
 	})
 	// The child starts once this goroutine parks: wait for it to block.
-	g.Block(func() {
-		for {
-			v.mu.Lock()
-			n := len(v.parked[ch])
-			v.mu.Unlock()
-			if n == 1 {
-				return
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-	})
-	close(ch)
+	awaitParked(v, ch)
+	open.Store(true)
 	g.Wake(ch)
 	v.mu.Lock()
-	running, blocked := v.running, v.blocked
+	running, parked := v.running, len(v.parked)
 	v.mu.Unlock()
-	if running != 2 || blocked != 0 {
-		t.Fatalf("after Wake: running=%d blocked=%d, want 2 and 0", running, blocked)
+	close(ch)
+	if running != 2 || parked != 0 {
+		t.Fatalf("after Wake: running=%d parked=%d, want 2 and 0", running, parked)
 	}
 	// A timer due 1ms out must not fire before the wakee resumed.
 	v.Sleep(time.Millisecond)
@@ -435,21 +423,12 @@ func TestWakeSkipsWaitThatStillBlocks(t *testing.T) {
 		got <- x
 	})
 	// The child starts once this goroutine parks: wait for it to block.
-	g.Block(func() {
-		for {
-			v.mu.Lock()
-			n := len(v.parked[queue])
-			v.mu.Unlock()
-			if n == 1 {
-				return
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-	})
+	awaitParked(v, queue)
 	g.Wake(queue) // late or spurious: the queue is empty
 	v.mu.Lock()
-	running, parked := v.running, len(v.parked[queue])
+	running := v.running
 	v.mu.Unlock()
+	parked := v.parkedOn(queue)
 	if running != 1 || parked != 1 {
 		t.Fatalf("Wake on an empty queue: running=%d parked=%d, want 1 and 1", running, parked)
 	}
@@ -465,21 +444,25 @@ func TestWakeSkipsWaitThatStillBlocks(t *testing.T) {
 // TestWaitReuseNoStaleWake drives Waits that return through their done
 // channel while the advancer fires their timer at the same instant. The
 // fire leaves the virtual time in the waiter's channel; reused without
-// a drain, that value would wake the next Wait at once.
+// a drain, that value would wake the next Wait at once. The waiting
+// goroutine is unregistered: a registered one's closed done channel is
+// probed before its timer can fire.
 func TestWaitReuseNoStaleWake(t *testing.T) {
 	v := NewVirtual(vEpoch)
 	g := v.Gate()
-	g.Enter()
-	defer g.Exit()
 	raced := 0
 	for i := 0; i < 500; i++ {
 		done := make(chan struct{})
-		// The child readies done and then, at its Exit, frees the clock
-		// to fire the parent's timer, often before the parent runs.
-		g.Go(func() { close(done) })
+		// The child holds the clock until the parent's timer is armed,
+		// readies done and then, at its Exit, frees the clock to fire
+		// that timer, often before the parent runs.
+		g.Go(func() {
+			for v.waiterCount() == 0 {
+				runtime.Gosched()
+			}
+			close(done)
+		})
 		t0 := v.Now()
-		// A parent descheduled before its select may see both ready and
-		// take the timer; that is a valid outcome too.
 		if g.Wait(time.Second, done) == 0 && v.Now().After(t0) {
 			raced++ // the timer fired too
 		}
