@@ -46,12 +46,6 @@ type Global struct {
 	// chunk from the cheapest tier (local RAM, peer RAM, local disk,
 	// peer disk).
 	CkptStore bool `json:"ckpt_store"`
-	// SnapshotDemoteSec demotes swapped-out backends whose snapshot has
-	// sat unused in host RAM for this many simulated seconds down to the
-	// disk tier (0 disables the second-level demotion). Requires
-	// CkptStore for chunk-aware demotion; shared chunks keep their host
-	// copy.
-	SnapshotDemoteSec float64 `json:"snapshot_demote_sec"`
 	// Prefetch enables the predictive prefetcher: backends whose next
 	// request is expected within their swap-in latency are proactively
 	// swapped in (§2.1's workload-metric autoscaling).
@@ -171,9 +165,6 @@ func (c *Config) Validate(catalog *models.Catalog) error {
 	}
 	if c.Global.SnapshotHostCapGiB < 0 {
 		return errors.New("config: snapshot_host_cap_gib must be non-negative")
-	}
-	if c.Global.SnapshotDemoteSec < 0 {
-		return errors.New("config: snapshot_demote_sec must be non-negative")
 	}
 	if c.Global.GPUMonitorSec < 0 {
 		return errors.New("config: gpu_monitor_sec must be non-negative")

@@ -14,8 +14,7 @@ import (
 // own simclock.Every loop; Shutdown stops them in start order.
 //
 //   - The reaper reclaims idle backends (Ollama's keep_alive, §2.3,
-//     generalised to every engine through a sched.TTLPolicy) and demotes
-//     cold snapshots to disk.
+//     generalised to every engine through a sched.TTLPolicy).
 //   - The prefetcher swaps backends in ahead of the demand the node's
 //     predictor forecasts (§2.1).
 //   - The GPU monitor samples every device's memory and compute
@@ -25,12 +24,9 @@ func (s *Server) startLoops() {
 		s.loops = append(s.loops, simclock.Every(s.clock, interval, sweep))
 	}
 	// The reaper runs when a TTL policy is installed (keep_alive_sec or
-	// Options.TTL) or second-level snapshot demotion is enabled.
-	if s.ttl != nil || s.cfg.Global.SnapshotDemoteSec > 0 {
-		every(max(s.cfg.KeepAlive()/4, time.Second), func() {
-			s.reapSweep()
-			s.demoteSweep()
-		})
+	// Options.TTL).
+	if s.ttl != nil {
+		every(max(s.cfg.KeepAlive()/4, time.Second), s.reapSweep)
 	}
 	if s.cfg.Global.Prefetch {
 		every(250*time.Millisecond, s.prefetchSweep)
@@ -43,11 +39,6 @@ func (s *Server) startLoops() {
 // reapSweep swaps out every running backend the TTL policy judges idle
 // for too long and which has no queued or in-flight work.
 func (s *Server) reapSweep() {
-	if s.ttl == nil {
-		// The reaper is running for demoteSweep only (snapshot_demote_sec
-		// without a keep-alive); nothing may be evicted.
-		return
-	}
 	now := s.clock.Now()
 	for _, b := range s.Backends() {
 		if b.State() != BackendRunning || b.keepWarm {
@@ -82,31 +73,6 @@ func (s *Server) reapSweep() {
 		if err := s.ctrl.SwapOut(context.Background(), b); err == nil {
 			s.reg.Counter("idle_reaps").Inc()
 			s.ttl.NoteEvict(b.name, now)
-		}
-	}
-}
-
-// demoteSweep is the second rung of the tier ladder: snapshots that the
-// first sweep already evicted to host RAM and that have then sat unused
-// for snapshot_demote_sec are pushed down to the disk tier, freeing host
-// memory for hotter images. With the checkpoint store attached the
-// demotion is chunk-aware — chunks shared with a still-resident image
-// keep their host copy — and the prefetcher promotes chunks back ahead
-// of predicted demand.
-func (s *Server) demoteSweep() {
-	sec := s.cfg.Global.SnapshotDemoteSec
-	if sec <= 0 {
-		return
-	}
-	after := time.Duration(sec * float64(time.Second))
-	now := s.clock.Now()
-	for _, snap := range s.driver.Snapshots() {
-		if snap.Loc != cudackpt.LocRAM || now.Sub(snap.LastUsed) < after {
-			continue
-		}
-		// Best effort: a demote racing a restore fails its state check.
-		if err := s.driver.Demote(context.Background(), snap.PID); err == nil {
-			s.reg.Counter("idle_demotions").Inc()
 		}
 	}
 }

@@ -23,18 +23,6 @@ func TestSanitizeName(t *testing.T) {
 	}
 }
 
-func TestSortStrings(t *testing.T) {
-	ss := []string{"c", "a", "b", "a"}
-	sortStrings(ss)
-	want := []string{"a", "a", "b", "c"}
-	for i := range want {
-		if ss[i] != want[i] {
-			t.Fatalf("sorted = %v", ss)
-		}
-	}
-	sortStrings(nil) // must not panic
-}
-
 func TestToWallScaling(t *testing.T) {
 	cfg := config.Default()
 	cfg.Models = []config.Model{ollamaModel("llama3.2:1b-fp16")}

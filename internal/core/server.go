@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -272,7 +273,7 @@ func (s *Server) Backends() []*Backend {
 	for n := range s.backends {
 		names = append(names, n)
 	}
-	sortStrings(names)
+	slices.Sort(names)
 	out := make([]*Backend, len(names))
 	for i, n := range names {
 		out[i] = s.backends[n]
@@ -500,14 +501,4 @@ func sanitizeName(model string) string {
 		}
 	}
 	return string(out)
-}
-
-// sortStrings is a tiny local sort to avoid importing sort twice across
-// files (kept for readability).
-func sortStrings(ss []string) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j] < ss[j-1]; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
-		}
-	}
 }

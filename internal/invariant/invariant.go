@@ -8,6 +8,7 @@ package invariant
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -255,7 +256,7 @@ func (l *Ledger) Check(r *Report) {
 	for id := range l.accepted {
 		ids = append(ids, id)
 	}
-	sortStrings(ids)
+	slices.Sort(ids)
 	for _, id := range ids {
 		if n := l.accepted[id]; n != 1 {
 			r.Addf("request.termination", id, "terminated %d times, want exactly 1", n)
@@ -263,14 +264,5 @@ func (l *Ledger) Check(r *Report) {
 	}
 	for _, id := range l.orphans {
 		r.Addf("request.termination", id, "terminated without being accepted")
-	}
-}
-
-// sortStrings is a dependency-free insertion sort (the ledger is small).
-func sortStrings(ss []string) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j] < ss[j-1]; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
-		}
 	}
 }

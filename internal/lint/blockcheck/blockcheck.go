@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"swapservellm/internal/lint"
 	"swapservellm/internal/lint/callgraph"
@@ -53,7 +52,8 @@ func analyze(prog *lint.Program) *global {
 		for _, ff := range f.Funcs {
 			for i := range ff.Ops {
 				op := &ff.Ops[i]
-				if len(op.Held) == 0 || op.Gated {
+				held := op.Acquired()
+				if len(held) == 0 || op.Gated {
 					continue
 				}
 				switch op.Kind {
@@ -63,7 +63,7 @@ func analyze(prog *lint.Program) *global {
 					}
 					g.findings = append(g.findings, finding{
 						pos: op.Pos, pkg: ff.Pkg.Types,
-						msg: op.Detail + " while holding " + heldDesc(op.Held) + "; wrap it in gate.BlockOn or annotate //swaplint:block reason=...",
+						msg: op.Detail + " while holding " + heldDesc(held) + "; wrap it in gate.BlockOn or annotate //swaplint:block reason=...",
 					})
 				case facts.OpCall:
 					if op.Concurrent {
@@ -79,7 +79,7 @@ func analyze(prog *lint.Program) *global {
 					t := sum.Block.Prepend(facts.Step{Func: callgraph.DisplayName(op.Callee), Pos: op.Pos})
 					g.findings = append(g.findings, finding{
 						pos: op.Pos, pkg: ff.Pkg.Types,
-						msg: "call may block (" + t.String() + " at " + shortPos(prog.Fset.Position(t.Pos)) + ") while holding " + heldDesc(op.Held) + "; gate the call or annotate //swaplint:block reason=...",
+						msg: "call may block (" + t.String() + " at " + lint.ShortPos(prog.Fset.Position(t.Pos)) + ") while holding " + heldDesc(held) + "; gate the call or annotate //swaplint:block reason=...",
 					})
 				}
 			}
@@ -97,7 +97,7 @@ func run(pass *lint.Pass) error {
 	}
 	f := facts.Of(pass.Program)
 	for _, pos := range f.MalformedBlockAnns {
-		if fileInPass(pass, pos) {
+		if pass.InFiles(pos) {
 			pass.Reportf(pos, "malformed directive: want //swaplint:block reason=<why this cannot stall the gate>")
 		}
 	}
@@ -115,22 +115,4 @@ func heldDesc(held []facts.HeldLock) string {
 		s += fmt.Sprintf(" (and %d other locks)", n)
 	}
 	return s
-}
-
-func fileInPass(pass *lint.Pass, pos token.Pos) bool {
-	name := pass.Fset.Position(pos).Filename
-	for _, f := range pass.Files {
-		if pass.Fset.Position(f.Pos()).Filename == name {
-			return true
-		}
-	}
-	return false
-}
-
-func shortPos(p token.Position) string {
-	name := p.Filename
-	if i := strings.LastIndex(name, "/"); i >= 0 {
-		name = name[i+1:]
-	}
-	return fmt.Sprintf("%s:%d", name, p.Line)
 }

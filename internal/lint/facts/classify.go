@@ -105,25 +105,6 @@ func isClockMutexOp(fn *types.Func) bool {
 	return ok && sig.Recv() != nil && lint.IsClockMutexType(sig.Recv().Type())
 }
 
-// recvNamed reports whether fn is a method on the named type
-// pkgSuffix.name (pointer receivers included).
-func recvNamed(fn *types.Func, pkgSuffix, name string) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if ptr, isPtr := t.(*types.Pointer); isPtr {
-		t = ptr.Elem()
-	}
-	return lint.NamedTypeIn(t, pkgSuffix, name)
-}
-
-// isGateMethod reports whether fn is simclock.Gate's method name.
-func isGateMethod(fn *types.Func, name string) bool {
-	return fn.Name() == name && recvNamed(fn, "internal/simclock", "Gate")
-}
-
 // recvInSimclock reports whether fn's receiver type is declared in a
 // simclock package (the Clock interface or any implementation).
 func recvInSimclock(fn *types.Func) bool {
@@ -171,10 +152,10 @@ func intrinsicOf(fn *types.Func) (detail string, kind OpKind, ok bool) {
 
 	// Raw blocking primitives.
 	if lint.PkgPathHasSuffix(pkgPath, "sync") {
-		if recvNamed(fn, "sync", "WaitGroup") && name == "Wait" {
+		if lint.RecvNamed(fn, "sync", "WaitGroup") && name == "Wait" {
 			return "WaitGroup.Wait", OpBlock, true
 		}
-		if recvNamed(fn, "sync", "Cond") && name == "Wait" {
+		if lint.RecvNamed(fn, "sync", "Cond") && name == "Wait" {
 			return "Cond.Wait", OpBlock, true
 		}
 	}

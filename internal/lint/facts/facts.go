@@ -1,14 +1,17 @@
-// Package facts computes interprocedural per-function summaries —
-// "may sleep on the clock", "may block outside the gate token
-// protocol", "acquires these lock classes" — for the whole program a
-// swaplint run loads, and exposes the raw per-function operation
-// streams (with the set of locks held at each operation) that the
-// gatecheck, blockcheck, and lockorder analyzers consume.
+// Package facts is swaplint's one lock-state walker. It walks every
+// function body the run loads once, records a per-function operation
+// stream with the set of locks held at each operation, and computes
+// interprocedural summaries — "may sleep on the clock", "may block
+// outside the gate token protocol", "acquires these lock classes" —
+// from it. lockcheck checks the streams one function at a time;
+// gatecheck, blockcheck and lockorder combine them with the summaries.
 //
-// Collection is a structural walk of every function body (mirroring
-// lockcheck's statement discipline: state updates in source order at
-// one nesting level, conditionally-executed blocks analyzed against a
-// copy), classifying three things at each step:
+// The walk is structural: statements at one nesting level update the
+// lock state in source order, conditionally-executed blocks are walked
+// against a copy, a function literal starts from a copy of the state
+// where it appears (a goroutine body from an empty one), and a
+// *Locked method starts with its receiver's mutexes held, as the
+// naming convention promises. It classifies three things at each step:
 //
 //   - lock operations, resolved to module-wide lock classes like
 //     "core.Backend.swapMu" (owning named type + field, or package-level
@@ -30,10 +33,11 @@
 // Gate.Block edge is sanctioned and becomes a wait. Mutual recursion
 // converges because an SCC's members share one combined summary.
 //
-// Test files and internal/simclock (the token protocol's own
-// implementation, which manipulates its mutex across waits by design)
-// are excluded from collection; intrinsic classification of simclock
-// calls does not depend on walking its body.
+// Functions in test files and in internal/simclock (the token
+// protocol's own implementation, which manipulates its mutex across
+// waits by design) are walked into Unsummarized: they feed no summary
+// and none of the interprocedural analyzers, and intrinsic
+// classification of simclock calls does not depend on their bodies.
 package facts
 
 import (
@@ -55,7 +59,8 @@ const (
 	// acquisition; Gated means the mutex is clock-aware (simclock.Mutex
 	// or RWMutex), so a waiter sheds its run token.
 	OpAcquire OpKind = iota
-	// OpRelease is an explicit (non-deferred) Unlock/RUnlock.
+	// OpRelease is an Unlock/RUnlock. A Deferred one leaves the lock
+	// held until the function returns.
 	OpRelease
 	// OpWait advances the simulated clock: clock.Sleep, Gate.Wait,
 	// <-clock.After, time.Sleep.
@@ -114,6 +119,9 @@ type HeldLock struct {
 	Read  bool
 	Gated bool
 	Pos   token.Pos // acquisition site
+	// Seeded marks a receiver mutex a *Locked method holds on entry by
+	// convention; seeded locks come first and have no acquisition site.
+	Seeded bool
 }
 
 // Op is one collected operation with its lock-state snapshot.
@@ -127,11 +135,29 @@ type Op struct {
 	// run on a spawned goroutine, so they do not contribute to the
 	// enclosing function's summary (the caller does not wait on them).
 	Concurrent bool
-	// Deferred marks `defer g.Exit()` for the pairing check.
+	// InLit marks operations inside a function literal, which may run
+	// at any point relative to the rest of the body, or not at all.
+	InLit bool
+	// Deferred marks `defer g.Exit()` and `defer mu.Unlock()` for the
+	// pairing checks.
 	Deferred bool
 	Callee   string // OpCall: callgraph key
-	Detail   string // OpWait / OpBlock: human label ("clock.Sleep", "channel send")
-	Held     []HeldLock
+	// Detail is the human label of an OpWait / OpBlock ("clock.Sleep",
+	// "channel send") and the rendered callee of an OpCall made by a
+	// call expression ("d.bumpLocked").
+	Detail string
+	Recv   string // OpCall of a method: the rendered receiver ("d")
+	Held   []HeldLock
+}
+
+// Acquired returns the locks held at op that a body acquired, without
+// the ones seeded by the *Locked convention.
+func (op *Op) Acquired() []HeldLock {
+	i := 0
+	for i < len(op.Held) && op.Held[i].Seeded {
+		i++
+	}
+	return op.Held[i:]
 }
 
 // FuncFacts is the operation stream of one function body (function
@@ -139,6 +165,7 @@ type Op struct {
 type FuncFacts struct {
 	Key     string
 	Display string
+	Recv    string // receiver identifier; "" for functions
 	Pkg     *lint.Package
 	Pos     token.Pos
 	Ops     []Op
@@ -148,9 +175,12 @@ type FuncFacts struct {
 type Facts struct {
 	fset *token.FileSet
 
-	// Funcs lists every walked function in deterministic order
+	// Funcs lists the summarized functions in deterministic order
 	// (package, then file, then declaration order).
 	Funcs []*FuncFacts
+	// Unsummarized lists, in the same order, the functions of test
+	// files and internal/simclock.
+	Unsummarized []*FuncFacts
 	// Summaries maps function keys to their propagated summaries.
 	Summaries map[string]*Summary
 	// LockClasses maps annotated function keys to the class their
@@ -257,12 +287,14 @@ func compute(prog *lint.Program) *Facts {
 
 	res := callgraph.NewResolver(prog)
 	for _, pkg := range prog.Packages {
-		if pkg.Types == nil || pkg.Info == nil || excludedPkg(pkg.Types.Path()) {
+		if pkg.Types == nil || pkg.Info == nil {
 			continue
 		}
+		excluded := excludedPkg(pkg.Types.Path())
 		for _, file := range pkg.Files {
-			if isTestFile(prog.Fset, file) {
-				continue
+			list := &f.Funcs
+			if excluded || isTestFile(prog.Fset, file) {
+				list = &f.Unsummarized
 			}
 			for _, decl := range file.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
@@ -280,17 +312,53 @@ func compute(prog *lint.Program) *Facts {
 					Pkg:     pkg,
 					Pos:     fd.Pos(),
 				}
+				if fd.Recv != nil && len(fd.Recv.List) > 0 && len(fd.Recv.List[0].Names) > 0 {
+					ff.Recv = fd.Recv.List[0].Names[0].Name
+				}
 				w := &walker{
 					facts: f, prog: prog, pkg: pkg, res: res, ff: ff,
 					localClass: make(map[types.Object]Class),
 				}
-				w.walkBody(fd.Body, newHeldSet())
-				f.Funcs = append(f.Funcs, ff)
+				w.walkBody(fd.Body, heldOnEntry(obj, ff.Recv))
+				*list = append(*list, ff)
 			}
 		}
 	}
 	f.propagate()
 	return f
+}
+
+// heldOnEntry returns the lock set a function starts with: empty, or,
+// for a *Locked method, every mutex field of its receiver (the
+// receiver itself for an embedded mutex), held by the caller under the
+// naming convention.
+func heldOnEntry(fn *types.Func, recv string) *heldSet {
+	held := newHeldSet()
+	if recv == "" || !strings.HasSuffix(fn.Name(), "Locked") {
+		return held
+	}
+	t := fn.Type().(*types.Signature).Recv().Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	st, isStruct := t.Underlying().(*types.Struct)
+	if !ok || !isStruct || named.Obj().Pkg() == nil {
+		return held
+	}
+	owner := shortPkg(named.Obj().Pkg().Path()) + "." + named.Obj().Name()
+	for i := 0; i < st.NumFields(); i++ {
+		field := st.Field(i)
+		if !lint.IsMutexType(field.Type()) {
+			continue
+		}
+		c := Class{Name: owner + "." + field.Name(), Expr: recv + "." + field.Name()}
+		if field.Embedded() {
+			c = Class{Name: owner, Expr: recv}
+		}
+		held.acquire(HeldLock{Class: c, Gated: lint.IsClockMutexType(field.Type()), Seeded: true})
+	}
+	return held
 }
 
 // isTestFile reports whether the file is a _test.go file.

@@ -58,3 +58,50 @@ func TestInterfaceWidening(t *testing.T) {
 		t.Errorf("direct calls only the calm implementation: %+v", direct)
 	}
 }
+
+// Test-file functions are walked into Unsummarized only; a *Locked
+// method's receiver mutex is held on entry but is not an acquisition;
+// a deferred unlock is a deferred release that leaves the lock held.
+func TestOneWalkTwoAudiences(t *testing.T) {
+	f := load(t, "example.com/split")
+	if s := f.Summaries["example.com/split.drain"]; s != nil {
+		t.Errorf("test function drain has a summary: %+v", s)
+	}
+	byKey := map[string]*facts.FuncFacts{}
+	for _, ff := range f.Funcs {
+		byKey[ff.Key] = ff
+	}
+	if len(f.Unsummarized) != 1 || f.Unsummarized[0].Key != "example.com/split.drain" {
+		t.Fatalf("Unsummarized = %v, want just drain", f.Unsummarized)
+	}
+	if byKey["example.com/split.drain"] != nil {
+		t.Error("drain is listed among the summarized functions")
+	}
+
+	sendLocked := byKey["(*example.com/split.box).sendLocked"]
+	if sendLocked == nil || len(sendLocked.Ops) != 1 {
+		t.Fatalf("sendLocked ops = %+v, want one channel send", sendLocked)
+	}
+	op := &sendLocked.Ops[0]
+	if len(op.Held) != 1 || !op.Held[0].Seeded || op.Held[0].Class.Expr != "b.mu" || op.Held[0].Class.Name != "split.box.mu" {
+		t.Errorf("sendLocked's send holds %+v, want the seeded b.mu", op.Held)
+	}
+	if acq := op.Acquired(); len(acq) != 0 {
+		t.Errorf("Acquired() = %+v, want no acquisition", acq)
+	}
+
+	var kinds []facts.OpKind
+	send := byKey["(*example.com/split.box).Send"]
+	for _, op := range send.Ops {
+		kinds = append(kinds, op.Kind)
+	}
+	if len(kinds) != 3 || kinds[0] != facts.OpAcquire || kinds[1] != facts.OpRelease || kinds[2] != facts.OpBlock {
+		t.Fatalf("Send ops = %v, want acquire, deferred release, block", kinds)
+	}
+	if rel := send.Ops[1]; !rel.Deferred || rel.Class.Expr != "b.mu" {
+		t.Errorf("release = %+v, want a deferred b.mu unlock", rel)
+	}
+	if held := send.Ops[2].Acquired(); len(held) != 1 || held[0].Class.Name != "split.box.mu" {
+		t.Errorf("the send after the deferred unlock holds %+v, want split.box.mu", held)
+	}
+}

@@ -58,6 +58,9 @@ type walker struct {
 
 	gated      bool
 	concurrent bool
+	// inLit is set while walking a function literal's body, which may
+	// run at any point relative to the enclosing body.
+	inLit bool
 
 	// localClass remembers lock classes flowing through local
 	// variables: `lock := ct.evictLock(id)` with an annotated helper,
@@ -69,6 +72,7 @@ func (w *walker) info() *types.Info { return w.pkg.Info }
 
 func (w *walker) emit(op Op) {
 	op.Concurrent = op.Concurrent || w.concurrent
+	op.InLit = w.inLit
 	w.ff.Ops = append(w.ff.Ops, op)
 }
 
@@ -82,9 +86,27 @@ func (w *walker) walkBody(body *ast.BlockStmt, held *heldSet) {
 	}
 }
 
-// walkStmt mirrors lockcheck's discipline: statements at one nesting
-// level update held in source order; conditionally-executed blocks are
-// walked against a copy so their acquisitions do not leak out.
+// walkLit walks a function literal's body against held.
+func (w *walker) walkLit(lit *ast.FuncLit, held *heldSet) {
+	prev := w.inLit
+	w.inLit = true
+	w.walkBody(lit.Body, held)
+	w.inLit = prev
+}
+
+// walkConcurrentLit walks a function literal spawned on its own
+// goroutine: it starts with no locks held and does not contribute to
+// the enclosing function's summary.
+func (w *walker) walkConcurrentLit(lit *ast.FuncLit) {
+	prev := w.concurrent
+	w.concurrent = true
+	w.walkLit(lit, newHeldSet())
+	w.concurrent = prev
+}
+
+// walkStmt updates held in source order for statements at one nesting
+// level; conditionally-executed blocks are walked against a copy so
+// their acquisitions do not leak out.
 func (w *walker) walkStmt(stmt ast.Stmt, held *heldSet) {
 	switch s := stmt.(type) {
 	case *ast.ExprStmt:
@@ -259,25 +281,26 @@ func commRecv(comm ast.Stmt) *ast.UnaryExpr {
 	return nil
 }
 
-// walkDefer records deferred gate exits and treats other deferred
-// calls as running with the lock state at the defer statement — an
-// approximation that keeps unlock pairing out of scope (lockcheck owns
-// pairing; held locks simply persist past deferred unlocks here, which
-// is the sound direction for wait/block evidence).
+// walkDefer records deferred gate exits and unlocks, and treats other
+// deferred calls as running with the lock state at the defer
+// statement. A deferred unlock leaves held as it is: the lock stays
+// held until the function returns, which is the sound direction for
+// wait/block evidence.
 func (w *walker) walkDefer(s *ast.DeferStmt, held *heldSet) {
 	if fn := w.calleeOf(s.Call); fn != nil {
-		if isGateMethod(fn, "Exit") {
+		if lint.IsGateMethod(fn, "Exit") {
 			w.emit(Op{Kind: OpGateExit, Pos: s.Call.Pos(), Deferred: true})
 			return
 		}
-		if kind, read, ok := mutexOpOf(fn); ok && (kind == "Unlock") {
-			_ = read
-			// Deferred unlock: held persists until return; nothing to emit.
+		if kind, read, ok := mutexOpOf(fn); ok && kind == "Unlock" {
+			if sel, ok := s.Call.Fun.(*ast.SelectorExpr); ok {
+				w.emit(Op{Kind: OpRelease, Pos: s.Pos(), Class: w.classOf(sel.X), Read: read, Deferred: true})
+			}
 			return
 		}
 	}
 	if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-		w.walkBody(lit.Body, held.copyHeld())
+		w.walkLit(lit, held.copyHeld())
 		return
 	}
 	w.walkCallExpr(s.Call, held)
@@ -291,15 +314,23 @@ func (w *walker) walkConcurrentCall(call *ast.CallExpr, held *heldSet) {
 		w.walkExpr(arg, held)
 	}
 	if lit, ok := call.Fun.(*ast.FuncLit); ok {
-		prevConc := w.concurrent
-		w.concurrent = true
-		w.walkBody(lit.Body, newHeldSet())
-		w.concurrent = prevConc
+		w.walkConcurrentLit(lit)
 		return
 	}
 	w.walkExpr(call.Fun, held)
+	w.emitCalls(call, Op{Concurrent: true})
+}
+
+// emitCalls records one OpCall per resolved callee of call, each
+// carrying op's flags and lock state.
+func (w *walker) emitCalls(call *ast.CallExpr, op Op) {
+	op.Kind, op.Pos, op.Detail = OpCall, call.Pos(), lint.ExprString(call.Fun)
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && w.info().Selections[sel] != nil {
+		op.Recv = lint.ExprString(sel.X)
+	}
 	for _, key := range w.resolveCallees(call) {
-		w.emit(Op{Kind: OpCall, Pos: call.Pos(), Callee: key, Concurrent: true})
+		op.Callee = key
+		w.emit(op)
 	}
 }
 
@@ -315,7 +346,7 @@ func (w *walker) walkExpr(expr ast.Expr, held *heldSet) {
 		// A literal not consumed by a recognized construct: assume it
 		// may run synchronously wherever it flows, against a copy of the
 		// current lock state.
-		w.walkBody(e.Body, held.copyHeld())
+		w.walkLit(e, held.copyHeld())
 	case *ast.UnaryExpr:
 		if e.Op == token.ARROW {
 			if call, ok := e.X.(*ast.CallExpr); ok && w.isClockAfter(call) {
@@ -391,7 +422,7 @@ func (w *walker) walkCallExpr(call *ast.CallExpr, held *heldSet) {
 
 	// Gate protocol calls; a simclock.Group spawns and joins like the
 	// gate it wraps.
-	if recvNamed(fn, "internal/simclock", "Gate") || recvNamed(fn, "internal/simclock", "Group") {
+	if lint.RecvNamed(fn, "internal/simclock", "Gate") || lint.RecvNamed(fn, "internal/simclock", "Group") {
 		w.walkGateCall(call, fn, held)
 		return
 	}
@@ -418,9 +449,7 @@ func (w *walker) walkCallExpr(call *ast.CallExpr, held *heldSet) {
 	for _, arg := range call.Args {
 		w.walkExpr(arg, held)
 	}
-	for _, key := range w.resolveCallees(call) {
-		w.emit(Op{Kind: OpCall, Pos: call.Pos(), Callee: key, Gated: w.gated, Held: held.snapshot()})
-	}
+	w.emitCalls(call, Op{Gated: w.gated, Held: held.snapshot()})
 }
 
 // walkGateCall handles the simclock.Gate protocol methods.
@@ -436,7 +465,7 @@ func (w *walker) walkGateCall(call *ast.CallExpr, fn *types.Func, held *heldSet)
 	case "Exit":
 		w.emit(Op{Kind: OpGateExit, Pos: call.Pos()})
 	case "Wait":
-		if recvNamed(fn, "internal/simclock", "Group") {
+		if lint.RecvNamed(fn, "internal/simclock", "Group") {
 			// A sanctioned join: it parks through the gate.
 			w.emit(Op{Kind: OpBlock, Pos: call.Pos(), Detail: "Group.Wait", Gated: true, Held: held.snapshot()})
 			return
@@ -452,10 +481,7 @@ func (w *walker) walkGateCall(call *ast.CallExpr, fn *types.Func, held *heldSet)
 	case "Go":
 		if len(call.Args) == 1 {
 			if lit, ok := call.Args[0].(*ast.FuncLit); ok {
-				prevConc := w.concurrent
-				w.concurrent = true
-				w.walkBody(lit.Body, newHeldSet())
-				w.concurrent = prevConc
+				w.walkConcurrentLit(lit)
 			} else if key, ok := w.funcValueKey(call.Args[0]); ok {
 				w.emit(Op{Kind: OpCall, Pos: call.Pos(), Callee: key, Concurrent: true})
 			}
@@ -479,7 +505,7 @@ func (w *walker) walkGateArg(arg ast.Expr, held *heldSet, gated bool) {
 	if lit, ok := arg.(*ast.FuncLit); ok {
 		prev := w.gated
 		w.gated = w.gated || gated
-		w.walkBody(lit.Body, held.copyHeld())
+		w.walkLit(lit, held.copyHeld())
 		w.gated = prev
 		return
 	}
@@ -503,7 +529,7 @@ func (w *walker) walkBlockArg(arg ast.Expr, held *heldSet, method string) {
 	if lit, ok := arg.(*ast.FuncLit); ok {
 		prev := w.gated
 		w.gated = true
-		w.walkBody(lit.Body, held)
+		w.walkLit(lit, held)
 		w.gated = prev
 		return
 	}

@@ -24,7 +24,6 @@
 package gatecheck
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -91,10 +90,10 @@ func analyze(prog *lint.Program) *global {
 						})
 					}
 				case facts.OpWait:
-					record(op.Held, ff.Display+" → "+op.Detail, op.Pos)
+					record(op.Acquired(), ff.Display+" → "+op.Detail, op.Pos)
 				case facts.OpBlock:
 					if op.Gated {
-						record(op.Held, ff.Display+" → "+op.Detail, op.Pos)
+						record(op.Acquired(), ff.Display+" → "+op.Detail, op.Pos)
 					}
 				case facts.OpCall:
 					sum := f.Summaries[op.Callee]
@@ -104,10 +103,10 @@ func analyze(prog *lint.Program) *global {
 					step := facts.Step{Func: callgraph.DisplayName(op.Callee), Pos: op.Pos}
 					if sum.Wait != nil {
 						t := sum.Wait.Prepend(step)
-						record(op.Held, ff.Display+" → "+t.String(), t.Pos)
+						record(op.Acquired(), ff.Display+" → "+t.String(), t.Pos)
 					} else if op.Gated && sum.Block != nil {
 						t := sum.Block.Prepend(step)
-						record(op.Held, ff.Display+" → "+t.String(), t.Pos)
+						record(op.Acquired(), ff.Display+" → "+t.String(), t.Pos)
 					}
 				}
 			}
@@ -130,8 +129,8 @@ func run(pass *lint.Pass) error {
 		if expr == "" {
 			expr = a.class
 		}
-		pass.Reportf(a.pos, "mutex %s can be held across a simulated-clock wait (%s at %s) but %s is not clock-aware; make it a simclock.Mutex or simclock.RWMutex so waiters shed their run token",
-			a.class, ev.path, shortPos(ev.pos), expr)
+		pass.Reportf(a.pos, "mutex %s can be held across a simulated-clock wait (%s at %s:%d) but %s is not clock-aware; make it a simclock.Mutex or simclock.RWMutex so waiters shed their run token",
+			a.class, ev.path, ev.pos.Filename, ev.pos.Line, expr)
 	}
 	checkJoins(pass)
 	checkPairing(pass)
@@ -146,7 +145,7 @@ func checkJoins(pass *lint.Pass) {
 		return
 	}
 	for _, f := range pass.Files {
-		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
+		if pass.IsTestFile(f.Pos()) {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -155,28 +154,15 @@ func checkJoins(pass *lint.Pass) {
 				return true
 			}
 			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || (sel.Sel.Name != "Block" && sel.Sel.Name != "BlockIO") {
+			if !ok {
 				return true
 			}
-			if fn, ok := pass.Info.Uses[sel.Sel].(*types.Func); ok && isGateMethod(fn) {
+			if fn, ok := pass.Info.Uses[sel.Sel].(*types.Func); ok && lint.IsGateMethod(fn, "Block", "BlockIO") {
 				pass.Reportf(call.Pos(), "plain Gate.%s in internal code: the clock cannot probe it, so every advance while it waits may pay a settle pass; use Gate.BlockOn with an exact ready check, simclock.Group, or a simclock.Mutex", sel.Sel.Name)
 			}
 			return true
 		})
 	}
-}
-
-// isGateMethod reports whether fn is a method of simclock.Gate.
-func isGateMethod(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	return lint.NamedTypeIn(t, "internal/simclock", "Gate")
 }
 
 // checkPairing verifies Gate.Enter/Exit pairing per function body in
@@ -226,8 +212,4 @@ func checkPairing(pass *lint.Pass) {
 			}
 		}
 	}
-}
-
-func shortPos(p token.Position) string {
-	return fmt.Sprintf("%s:%d", p.Filename, p.Line)
 }

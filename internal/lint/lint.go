@@ -31,6 +31,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -139,6 +140,17 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 // IsTestFile reports whether pos lies in a _test.go file.
 func (p *Pass) IsTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
+}
+
+// InFiles reports whether pos lies in one of the pass's files.
+func (p *Pass) InFiles(pos token.Pos) bool {
+	name := p.Fset.Position(pos).Filename
+	for _, f := range p.Files {
+		if p.Fset.Position(f.Pos()).Filename == name {
+			return true
+		}
+	}
+	return false
 }
 
 // ignoreDirective is one parsed //swaplint:ignore comment.
@@ -319,6 +331,36 @@ func IsClockMutexType(t types.Type) bool {
 		t = ptr.Elem()
 	}
 	return NamedTypeIn(t, "internal/simclock", "Mutex") || NamedTypeIn(t, "internal/simclock", "RWMutex")
+}
+
+// RecvNamed reports whether fn is a method on the named type
+// pkgSuffix.name (pointer receivers included).
+func RecvNamed(fn *types.Func, pkgSuffix, name string) bool {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return false
+	}
+	t := sig.Recv().Type()
+	if ptr, isPtr := t.(*types.Pointer); isPtr {
+		t = ptr.Elem()
+	}
+	return NamedTypeIn(t, pkgSuffix, name)
+}
+
+// IsGateMethod reports whether fn is the simclock.Gate method of one of
+// the given names.
+func IsGateMethod(fn *types.Func, names ...string) bool {
+	for _, name := range names {
+		if fn.Name() == name {
+			return RecvNamed(fn, "internal/simclock", "Gate")
+		}
+	}
+	return false
+}
+
+// ShortPos renders a position as "file.go:line", without the directory.
+func ShortPos(p token.Position) string {
+	return fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
 }
 
 // PkgPathHasSuffix reports whether path equals suffix or ends with

@@ -36,8 +36,14 @@ type listPackage struct {
 // in-package test files — and type-checks it against compiler export
 // data, entirely offline. External (package foo_test) test files are
 // not loaded; the conventions swaplint enforces bind implementations,
-// and in-package tests, which share their state.
+// and in-package tests, which share their state. A -overlay file named
+// in GOFLAGS applies to the parsed sources as it does to the go
+// command's builds.
 func Load(dir string, patterns []string) (*token.FileSet, []*Package, error) {
+	overlay, err := goflagsOverlay()
+	if err != nil {
+		return nil, nil, err
+	}
 	args := append([]string{"list", "-e", "-deps", "-test", "-export", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -91,7 +97,14 @@ func Load(dir string, patterns []string) (*token.FileSet, []*Package, error) {
 		names = append(names, t.TestGoFiles...)
 		var files []*ast.File
 		for _, name := range names {
-			af, perr := parser.ParseFile(fset, filepath.Join(t.Dir, name), nil, parser.ParseComments)
+			path := filepath.Join(t.Dir, name)
+			var src interface{}
+			if replacement, ok := overlay[path]; ok {
+				if src, err = os.ReadFile(replacement); err != nil {
+					return nil, nil, fmt.Errorf("lint: overlay: %w", err)
+				}
+			}
+			af, perr := parser.ParseFile(fset, path, src, parser.ParseComments)
 			if perr != nil {
 				return nil, nil, fmt.Errorf("lint: %w", perr)
 			}
@@ -114,4 +127,25 @@ func Load(dir string, patterns []string) (*token.FileSet, []*Package, error) {
 		pkgs = append(pkgs, pkg)
 	}
 	return fset, pkgs, nil
+}
+
+// goflagsOverlay reads the Replace map (keyed by absolute path) of the
+// -overlay file GOFLAGS names, if any.
+func goflagsOverlay() (map[string]string, error) {
+	for _, flag := range strings.Fields(os.Getenv("GOFLAGS")) {
+		file, ok := strings.CutPrefix(strings.TrimLeft(flag, "-"), "overlay=")
+		if !ok {
+			continue
+		}
+		data, err := os.ReadFile(file)
+		if err != nil {
+			return nil, fmt.Errorf("lint: overlay: %w", err)
+		}
+		var o struct{ Replace map[string]string }
+		if err := json.Unmarshal(data, &o); err != nil {
+			return nil, fmt.Errorf("lint: overlay %s: %w", file, err)
+		}
+		return o.Replace, nil
+	}
+	return nil, nil
 }

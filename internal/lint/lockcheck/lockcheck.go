@@ -5,612 +5,182 @@
 //     caller already holds the relevant mutex. Calling one without a
 //     preceding mu.Lock()/RLock() in scope (or from within another
 //     *Locked function) is a forgotten-lock bug.
-//   - Conversely, calling a non-Locked method that itself acquires the
-//     receiver's mutex while that mutex is already held is a guaranteed
-//     deadlock (sync.Mutex is not reentrant) — the static double-lock.
+//   - Conversely, calling a method that itself acquires the receiver's
+//     mutex while that mutex is already held is a guaranteed deadlock
+//     (sync.Mutex is not reentrant) — the static double-lock.
 //   - Every mu.Lock()/RLock() must be paired with a defer mu.Unlock()
 //     or an explicit unlock later in the same function; a function that
 //     can return with the mutex held wedges every future locker.
 //
-// The lock-state tracking is a per-function structural walk: locks and
-// unlocks at one nesting level update the state in source order, while
-// changes inside conditionally-executed blocks (if/for/switch/select
-// bodies) are checked with a copy and discarded — the common
-// lock-check-unlock-early-return shape analyzes exactly; exotic flows
-// can annotate //swaplint:ignore lockcheck <reason>.
+// The rules read the per-function operation streams of the facts
+// package, whose walk supplies the lock state at every call: locks
+// taken in a conditionally-executed block do not outlive it, a
+// function literal inherits a copy of the state where it appears, a
+// goroutine body starts with nothing held, and a *Locked method starts
+// with its receiver's mutexes held. Mutexes are matched by their
+// source expression ("d.mu"), so the rules hold within one function;
+// exotic flows can annotate //swaplint:ignore lockcheck <reason>.
 //
-// Goroutine bodies (`go func(){...}` and `go x.f()`) never inherit the
-// caller's lock state.
+// Unlike the interprocedural analyzers, lockcheck also covers test
+// files and internal/simclock.
 package lockcheck
 
 import (
-	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 
 	"swapservellm/internal/lint"
+	"swapservellm/internal/lint/facts"
 )
 
 // New returns the lockcheck analyzer.
 func New() *lint.Analyzer {
-	a := &lint.Analyzer{
+	return &lint.Analyzer{
 		Name: "lockcheck",
 		Doc:  "enforce the *Locked suffix convention, detect double locks, and require Lock/Unlock pairing",
+		Run:  run,
 	}
-	a.Run = run
-	return a
 }
-
-// mutexOp classifies one sync.(RW)Mutex method call.
-type mutexOp int
-
-const (
-	opNone mutexOp = iota
-	opLock
-	opRLock
-	opUnlock
-	opRUnlock
-)
-
-var opByName = map[string]mutexOp{
-	"Lock":    opLock,
-	"RLock":   opRLock,
-	"Unlock":  opUnlock,
-	"RUnlock": opRUnlock,
-}
-
-// acquireKey identifies which mutex a method acquires, relative to its
-// receiver: "field:mu" (receiver field), "self" (embedded mutex locked
-// via the receiver), or "global:mu" (package-level mutex variable).
-type acquireKey = string
 
 func run(pass *lint.Pass) error {
-	s := &scanner{pass: pass, acquires: collectAcquires(pass)}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
+	f := facts.Of(pass.Program)
+	byKey := funcsByKey(pass.Program, f)
+	for _, list := range [][]*facts.FuncFacts{f.Funcs, f.Unsummarized} {
+		for _, ff := range list {
+			if ff.Pkg.Types != pass.Pkg {
 				continue
 			}
-			s.scanFunc(fd)
+			lockedFn := strings.HasSuffix(ff.Key, "Locked")
+			for i := range ff.Ops {
+				op := &ff.Ops[i]
+				if op.Kind == facts.OpCall {
+					checkLockedCall(pass, op, lockedFn)
+					checkDoubleLock(pass, op, byKey[op.Callee])
+				}
+			}
+			checkPairing(pass, ff)
 		}
 	}
 	return nil
 }
 
-// collectAcquires maps every function in the package to the mutexes its
-// body (excluding nested function literals) acquires.
-func collectAcquires(pass *lint.Pass) map[*types.Func][]acquireKey {
-	out := make(map[*types.Func][]acquireKey)
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, ok := pass.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			recv := receiverName(fd)
-			var keys []acquireKey
-			seen := map[acquireKey]bool{}
-			inspectSkippingFuncLits(fd.Body, func(n ast.Node) {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return
+// funcsByKey indexes every walked function by its call-graph key.
+func funcsByKey(prog *lint.Program, f *facts.Facts) map[string]*facts.FuncFacts {
+	return prog.Cached("lockcheck.funcs", func() interface{} {
+		m := make(map[string]*facts.FuncFacts, len(f.Funcs)+len(f.Unsummarized))
+		for _, list := range [][]*facts.FuncFacts{f.Funcs, f.Unsummarized} {
+			for _, ff := range list {
+				if _, dup := m[ff.Key]; !dup {
+					m[ff.Key] = ff
 				}
-				key, op := lockCall(pass, call)
-				if key == "" || (op != opLock && op != opRLock) {
-					return
-				}
-				var ak acquireKey
-				switch {
-				case recv != "" && key == recv:
-					ak = "self"
-				case recv != "" && strings.HasPrefix(key, recv+"."):
-					ak = "field:" + strings.TrimPrefix(key, recv+".")
-				case isGlobalMutex(pass, key):
-					ak = "global:" + key
-				default:
-					return
-				}
-				if !seen[ak] {
-					seen[ak] = true
-					keys = append(keys, ak)
-				}
-			})
-			if len(keys) > 0 {
-				out[obj] = keys
 			}
 		}
-	}
-	return out
+		return m
+	}).(map[string]*facts.FuncFacts)
 }
 
-// isGlobalMutex reports whether key names a package-level mutex var.
-func isGlobalMutex(pass *lint.Pass, key string) bool {
-	if strings.Contains(key, ".") {
-		return false
+// checkLockedCall enforces that *Locked callees see their mutex held: a
+// method needs a mutex of its receiver held, a function any mutex (or a
+// *Locked caller on the same goroutine).
+func checkLockedCall(pass *lint.Pass, op *facts.Op, lockedFn bool) {
+	if !strings.HasSuffix(op.Detail, "Locked") {
+		return
 	}
-	obj := pass.Pkg.Scope().Lookup(key)
-	v, ok := obj.(*types.Var)
-	return ok && lint.IsMutexType(v.Type())
-}
-
-// lockCall classifies call as a mutex operation, returning the rendered
-// mutex expression ("d.mu"; the container for promoted embedded calls)
-// and the operation. Both direct calls (mu.Lock()) and the gated
-// idiom (gate.Block(mu.Lock), which acquires while shedding the run
-// token) are recognized.
-func lockCall(pass *lint.Pass, call *ast.CallExpr) (string, mutexOp) {
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if key, op := mutexMethodSel(pass, sel); op != opNone {
-			return key, op
+	if op.Recv == "" {
+		if (lockedFn && !op.Concurrent) || len(op.Held) > 0 {
+			return
 		}
-		if isGateBlock(pass, sel) && len(call.Args) == 1 {
-			if argSel, ok := call.Args[0].(*ast.SelectorExpr); ok {
-				return mutexMethodSel(pass, argSel)
-			}
+		pass.Reportf(op.Pos,
+			"call to %s without any mutex held: the *Locked suffix requires the caller to hold the lock", op.Detail)
+		return
+	}
+	for _, h := range op.Held {
+		if h.Class.Expr == op.Recv || strings.HasPrefix(h.Class.Expr, op.Recv+".") {
+			return
 		}
 	}
-	return "", opNone
+	pass.Reportf(op.Pos,
+		"call to %s without holding %s's mutex: the *Locked suffix requires the caller to hold it",
+		op.Detail, op.Recv)
 }
 
-// mutexMethodSel classifies a selector denoting (a value of) a mutex
-// method — the Fun of a direct call or a method-value argument.
-func mutexMethodSel(pass *lint.Pass, sel *ast.SelectorExpr) (string, mutexOp) {
-	op, ok := opByName[sel.Sel.Name]
-	if !ok {
-		return "", opNone
+// checkDoubleLock flags a call into a function that acquires a mutex
+// the caller already holds. The callee's acquisitions are translated
+// to the call site: its receiver (an embedded mutex) or a mutex field
+// of it becomes the same expression on the call's receiver, and a
+// package-level mutex stays itself.
+func checkDoubleLock(pass *lint.Pass, op *facts.Op, callee *facts.FuncFacts) {
+	if len(op.Held) == 0 || callee == nil {
+		return
 	}
-	// The selected method must belong to sync.Mutex / sync.RWMutex —
-	// via the selection's receiver (covers embedded promotion) or the
-	// type of the selected expression.
-	isMutexMethod := false
-	if selInfo, ok := pass.Info.Selections[sel]; ok {
-		if fn, ok := selInfo.Obj().(*types.Func); ok {
-			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && lint.IsMutexType(recv.Type()) {
-				isMutexMethod = true
-			}
-		}
-	}
-	if !isMutexMethod {
-		if tv, ok := pass.Info.Types[sel.X]; ok && tv.Type != nil && lint.IsMutexType(tv.Type) {
-			isMutexMethod = true
-		}
-	}
-	if !isMutexMethod {
-		return "", opNone
-	}
-	return lint.ExprString(sel.X), op
-}
-
-// isGateBlock reports whether sel selects simclock.Gate's Block or
-// BlockIO method.
-func isGateBlock(pass *lint.Pass, sel *ast.SelectorExpr) bool {
-	if sel.Sel.Name != "Block" && sel.Sel.Name != "BlockIO" {
-		return false
-	}
-	var fn *types.Func
-	if selInfo, ok := pass.Info.Selections[sel]; ok {
-		fn, _ = selInfo.Obj().(*types.Func)
-	} else if f, ok := pass.Info.Uses[sel.Sel].(*types.Func); ok {
-		fn = f
-	}
-	if fn == nil {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	return lint.NamedTypeIn(t, "internal/simclock", "Gate")
-}
-
-// inspectSkippingFuncLits visits every node under root except the
-// bodies of nested function literals.
-func inspectSkippingFuncLits(root ast.Node, fn func(ast.Node)) {
-	ast.Inspect(root, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok && n != root {
-			return false
-		}
-		fn(n)
-		return true
-	})
-}
-
-// lockEvent records one Lock/RLock for the pairing check.
-type lockEvent struct {
-	key  string
-	read bool
-	pos  token.Pos
-}
-
-type scanner struct {
-	pass     *lint.Pass
-	acquires map[*types.Func][]acquireKey
-
-	// per-function state
-	lockedFn bool
-	recv     string
-	locks    []lockEvent
-	unlocks  []lockEvent // explicit unlocks (pos = unlock site)
-	deferred []lockEvent // deferred unlocks (incl. inside deferred closures)
-}
-
-// scanFunc analyzes one function declaration.
-func (s *scanner) scanFunc(fd *ast.FuncDecl) {
-	s.lockedFn = strings.HasSuffix(fd.Name.Name, "Locked")
-	s.recv = receiverName(fd)
-	s.locks, s.unlocks, s.deferred = nil, nil, nil
-
-	held := make(map[string]bool)
-	if s.lockedFn && s.recv != "" {
-		for _, key := range receiverMutexKeys(s.pass, fd, s.recv) {
-			held[key] = true
-		}
-	}
-	s.scanStmts(fd.Body.List, held)
-	s.checkPairing()
-}
-
-// scanFuncLit analyzes a nested function literal as an independent
-// function (it may run on any goroutine at any time): no inherited lock
-// state, its own pairing scope. Pairing that the literal cannot settle
-// on its own is handed to the enclosing function: its unlocks may
-// satisfy an enclosing lock (`defer func() { ...; mu.Unlock() }()`),
-// and a lock it leaves held may be released by the enclosing function
-// when the closure is assigned and invoked synchronously there.
-func (s *scanner) scanFuncLit(lit *ast.FuncLit) {
-	saved := *s
-	s.lockedFn = false
-	s.locks, s.unlocks, s.deferred = nil, nil, nil
-	s.scanStmts(lit.Body.List, make(map[string]bool))
-	litLocks := s.unpairedLocks()
-	litUnlocks := append(s.unlocks, s.deferred...)
-	s.lockedFn, s.recv = saved.lockedFn, saved.recv
-	s.locks, s.unlocks, s.deferred = saved.locks, saved.unlocks, saved.deferred
-	s.deferred = append(s.deferred, litUnlocks...)
-	s.locks = append(s.locks, litLocks...)
-}
-
-// receiverName returns the receiver identifier of a method ("" for
-// functions and anonymous receivers).
-func receiverName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
-		return ""
-	}
-	return fd.Recv.List[0].Names[0].Name
-}
-
-// receiverMutexKeys lists the held-state keys a *Locked method's
-// convention implies: one per mutex field of the receiver's struct
-// ("r.mu"), plus "r" itself for an embedded mutex.
-func receiverMutexKeys(pass *lint.Pass, fd *ast.FuncDecl, recv string) []string {
-	obj, ok := pass.Info.Defs[fd.Name].(*types.Func)
-	if !ok {
-		return nil
-	}
-	sig := obj.Type().(*types.Signature)
-	if sig.Recv() == nil {
-		return nil
-	}
-	t := sig.Recv().Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	st, ok := t.Underlying().(*types.Struct)
-	if !ok {
-		return nil
-	}
-	var keys []string
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		if !lint.IsMutexType(f.Type()) {
+	name := op.Callee[strings.LastIndex(op.Callee, ".")+1:]
+	seen := make(map[string]bool)
+	for i := range callee.Ops {
+		acq := &callee.Ops[i]
+		if acq.Kind != facts.OpAcquire || acq.InLit {
 			continue
 		}
-		if f.Embedded() {
-			keys = append(keys, recv)
-		} else {
-			keys = append(keys, recv+"."+f.Name())
-		}
-	}
-	return keys
-}
-
-// scanStmts walks one statement list, updating held in source order.
-// Conditionally-executed nested blocks are scanned against a copy.
-func (s *scanner) scanStmts(stmts []ast.Stmt, held map[string]bool) {
-	for _, stmt := range stmts {
-		s.scanStmt(stmt, held)
-	}
-}
-
-func copyHeld(held map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(held))
-	for k, v := range held {
-		out[k] = v
-	}
-	return out
-}
-
-func (s *scanner) scanStmt(stmt ast.Stmt, held map[string]bool) {
-	switch stmt := stmt.(type) {
-	case *ast.ExprStmt:
-		if call, ok := stmt.X.(*ast.CallExpr); ok {
-			if key, op := lockCall(s.pass, call); key != "" && op != opNone {
-				switch op {
-				case opLock, opRLock:
-					held[key] = true
-					s.locks = append(s.locks, lockEvent{key: key, read: op == opRLock, pos: call.Pos()})
-				case opUnlock, opRUnlock:
-					delete(held, key)
-					s.unlocks = append(s.unlocks, lockEvent{key: key, read: op == opRUnlock, pos: call.Pos()})
-				}
-				// Arguments of mutex calls are trivial; done.
-				return
-			}
-		}
-		s.checkExpr(stmt.X, held)
-	case *ast.DeferStmt:
-		if key, op := lockCall(s.pass, stmt.Call); key != "" && (op == opUnlock || op == opRUnlock) {
-			s.deferred = append(s.deferred, lockEvent{key: key, read: op == opRUnlock, pos: stmt.Pos()})
-			return
-		}
-		s.checkExpr(stmt.Call, held)
-	case *ast.GoStmt:
-		// A spawned goroutine does not inherit the caller's lock state.
-		s.checkExpr(stmt.Call, make(map[string]bool))
-	case *ast.IfStmt:
-		if stmt.Init != nil {
-			s.scanStmt(stmt.Init, held)
-		}
-		s.checkExpr(stmt.Cond, held)
-		s.scanStmts(stmt.Body.List, copyHeld(held))
-		if stmt.Else != nil {
-			s.scanStmt(stmt.Else, copyHeld(held))
-		}
-	case *ast.ForStmt:
-		if stmt.Init != nil {
-			s.scanStmt(stmt.Init, held)
-		}
-		if stmt.Cond != nil {
-			s.checkExpr(stmt.Cond, held)
-		}
-		inner := copyHeld(held)
-		if stmt.Post != nil {
-			s.scanStmt(stmt.Post, inner)
-		}
-		s.scanStmts(stmt.Body.List, inner)
-	case *ast.RangeStmt:
-		s.checkExpr(stmt.X, held)
-		s.scanStmts(stmt.Body.List, copyHeld(held))
-	case *ast.SwitchStmt:
-		if stmt.Init != nil {
-			s.scanStmt(stmt.Init, held)
-		}
-		if stmt.Tag != nil {
-			s.checkExpr(stmt.Tag, held)
-		}
-		for _, clause := range stmt.Body.List {
-			if cc, ok := clause.(*ast.CaseClause); ok {
-				for _, e := range cc.List {
-					s.checkExpr(e, held)
-				}
-				s.scanStmts(cc.Body, copyHeld(held))
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		if stmt.Init != nil {
-			s.scanStmt(stmt.Init, held)
-		}
-		for _, clause := range stmt.Body.List {
-			if cc, ok := clause.(*ast.CaseClause); ok {
-				s.scanStmts(cc.Body, copyHeld(held))
-			}
-		}
-	case *ast.SelectStmt:
-		for _, clause := range stmt.Body.List {
-			if cc, ok := clause.(*ast.CommClause); ok {
-				if cc.Comm != nil {
-					s.scanStmt(cc.Comm, copyHeld(held))
-				}
-				s.scanStmts(cc.Body, copyHeld(held))
-			}
-		}
-	case *ast.BlockStmt:
-		s.scanStmts(stmt.List, held)
-	case *ast.LabeledStmt:
-		s.scanStmt(stmt.Stmt, held)
-	case *ast.AssignStmt:
-		for _, e := range stmt.Rhs {
-			s.checkExpr(e, held)
-		}
-		for _, e := range stmt.Lhs {
-			s.checkExpr(e, held)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range stmt.Results {
-			s.checkExpr(e, held)
-		}
-	case *ast.DeclStmt:
-		s.checkExpr(stmt.Decl, held)
-	case *ast.SendStmt:
-		s.checkExpr(stmt.Chan, held)
-		s.checkExpr(stmt.Value, held)
-	case *ast.IncDecStmt:
-		s.checkExpr(stmt.X, held)
-	}
-}
-
-// checkExpr inspects an expression (or decl) subtree for calls, applying
-// the *Locked-convention and double-lock checks against held. Function
-// literals are analyzed independently.
-func (s *scanner) checkExpr(root ast.Node, held map[string]bool) {
-	if root == nil {
-		return
-	}
-	ast.Inspect(root, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			s.scanFuncLit(lit)
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		// Expression-position lock calls (rare) still update held so
-		// subsequent statements see them.
-		if key, op := lockCall(s.pass, call); key != "" && op != opNone {
-			switch op {
-			case opLock, opRLock:
-				held[key] = true
-				s.locks = append(s.locks, lockEvent{key: key, read: op == opRLock, pos: call.Pos()})
-			case opUnlock, opRUnlock:
-				delete(held, key)
-				s.unlocks = append(s.unlocks, lockEvent{key: key, read: op == opRUnlock, pos: call.Pos()})
-			}
-			return true
-		}
-		s.checkLockedCall(call, held)
-		s.checkDoubleLock(call, held)
-		return true
-	})
-}
-
-// checkLockedCall enforces that *Locked callees see their mutex held.
-func (s *scanner) checkLockedCall(call *ast.CallExpr, held map[string]bool) {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		if !strings.HasSuffix(fun.Name, "Locked") {
-			return
-		}
-		if s.lockedFn || len(held) > 0 {
-			return
-		}
-		s.pass.Reportf(call.Pos(),
-			"call to %s without any mutex held: the *Locked suffix requires the caller to hold the lock", fun.Name)
-	case *ast.SelectorExpr:
-		if !strings.HasSuffix(fun.Sel.Name, "Locked") {
-			return
-		}
-		// Package-qualified call: treat like a plain function call.
-		if id, ok := fun.X.(*ast.Ident); ok {
-			if _, isPkg := s.pass.Info.Uses[id].(*types.PkgName); isPkg {
-				if s.lockedFn || len(held) > 0 {
-					return
-				}
-				s.pass.Reportf(call.Pos(),
-					"call to %s without any mutex held: the *Locked suffix requires the caller to hold the lock",
-					lint.ExprString(fun))
-				return
-			}
-		}
-		recvStr := lint.ExprString(fun.X)
-		if recvStr == "" {
-			return // dynamic receiver; out of scope
-		}
-		if held[recvStr] {
-			return
-		}
-		for key := range held {
-			if strings.HasPrefix(key, recvStr+".") {
-				return
-			}
-		}
-		// A *Locked method calling a sibling *Locked method on its own
-		// receiver is covered by the seeded held keys; reaching here
-		// means no lock on recvStr's mutexes is in scope.
-		s.pass.Reportf(call.Pos(),
-			"call to %s.%s without holding %s's mutex: the *Locked suffix requires the caller to hold it",
-			recvStr, fun.Sel.Name, recvStr)
-	}
-}
-
-// checkDoubleLock flags calls into methods that acquire a mutex the
-// caller already holds.
-func (s *scanner) checkDoubleLock(call *ast.CallExpr, held map[string]bool) {
-	if len(held) == 0 {
-		return
-	}
-	var calleeObj types.Object
-	var recvStr string
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		calleeObj = s.pass.Info.Uses[fun]
-	case *ast.SelectorExpr:
-		calleeObj = s.pass.Info.Uses[fun.Sel]
-		recvStr = lint.ExprString(fun.X)
-	}
-	fn, ok := calleeObj.(*types.Func)
-	if !ok {
-		return
-	}
-	for _, ak := range s.acquires[fn] {
-		var key string
+		expr, key, global := acq.Class.Expr, "", false
 		switch {
-		case ak == "self":
-			key = recvStr
-		case strings.HasPrefix(ak, "field:"):
-			if recvStr == "" {
-				continue
+		case callee.Recv != "" && expr == callee.Recv:
+			key = op.Recv
+		case callee.Recv != "" && strings.HasPrefix(expr, callee.Recv+"."):
+			if op.Recv != "" {
+				key = op.Recv + strings.TrimPrefix(expr, callee.Recv)
 			}
-			key = recvStr + "." + strings.TrimPrefix(ak, "field:")
-		case strings.HasPrefix(ak, "global:"):
-			key = strings.TrimPrefix(ak, "global:")
+		case isPkgMutex(callee.Pkg.Types, expr) && acq.Class.Known():
+			key, global = expr, true
 		}
-		if key != "" && held[key] {
-			s.pass.Reportf(call.Pos(),
-				"%s acquires %s which is already held here: guaranteed deadlock (sync mutexes are not reentrant)",
-				fn.Name(), key)
+		if key == "" || seen[key] {
+			continue
 		}
-	}
-}
-
-// unpairedLocks returns the recorded Lock/RLock events with no
-// matching deferred or later explicit unlock in the current scope.
-func (s *scanner) unpairedLocks() []lockEvent {
-	var out []lockEvent
-	for _, l := range s.locks {
-		ok := false
-		for _, d := range s.deferred {
-			if d.key == l.key && d.read == l.read {
-				ok = true
+		seen[key] = true
+		for _, h := range op.Held {
+			if (global && h.Class.Name == acq.Class.Name) || (!global && h.Class.Expr == key) {
+				pass.Reportf(op.Pos,
+					"%s acquires %s which is already held here: guaranteed deadlock (sync mutexes are not reentrant)",
+					name, key)
 				break
 			}
 		}
-		if !ok {
-			for _, u := range s.unlocks {
-				if u.key == l.key && u.read == l.read && u.pos > l.pos {
-					ok = true
-					break
-				}
-			}
-		}
-		if !ok {
-			out = append(out, l)
-		}
 	}
-	return out
 }
 
-// checkPairing requires every recorded Lock/RLock to have a matching
-// deferred or later explicit unlock in the same function.
-func (s *scanner) checkPairing() {
-	for _, l := range s.unpairedLocks() {
-		verb := "Lock"
-		unlock := "Unlock"
-		if l.read {
+// isPkgMutex reports whether name is a package-level mutex of pkg.
+func isPkgMutex(pkg *types.Package, name string) bool {
+	if strings.Contains(name, ".") {
+		return false
+	}
+	v, ok := pkg.Scope().Lookup(name).(*types.Var)
+	return ok && lint.IsMutexType(v.Type())
+}
+
+// checkPairing requires every Lock/RLock to have a matching RUnlock or
+// Unlock in the same function: a deferred one, one inside a function
+// literal, or an explicit one after it.
+func checkPairing(pass *lint.Pass, ff *facts.FuncFacts) {
+	for i := range ff.Ops {
+		l := &ff.Ops[i]
+		if l.Kind != facts.OpAcquire || l.Class.Expr == "" {
+			continue
+		}
+		paired := false
+		for j := range ff.Ops {
+			u := &ff.Ops[j]
+			if u.Kind == facts.OpRelease && u.Class.Expr == l.Class.Expr && u.Read == l.Read && (u.Deferred || u.InLit || u.Pos > l.Pos) {
+				paired = true
+				break
+			}
+		}
+		if paired {
+			continue
+		}
+		verb, unlock := "Lock", "Unlock"
+		if l.Read {
 			verb, unlock = "RLock", "RUnlock"
 		}
-		s.pass.Reportf(l.pos,
+		pass.Reportf(l.Pos,
 			"%s.%s() has no matching defer %s.%s() or later %s() in this function: a return path leaks the lock",
-			l.key, verb, l.key, unlock, unlock)
+			l.Class.Expr, verb, l.Class.Expr, unlock, unlock)
 	}
 }

@@ -7,5 +7,5 @@ import (
 )
 
 func TestLockcheck(t *testing.T) {
-	linttest.Run(t, "testdata", New(), "example.com/locks")
+	linttest.Run(t, "testdata", New(), "example.com/locks", "example.com/internal/simclock")
 }

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"sort"
 	"strings"
 
@@ -82,7 +83,7 @@ func analyze(prog *lint.Program) *global {
 					if !op.Class.Known() {
 						continue
 					}
-					for _, h := range op.Held {
+					for _, h := range op.Acquired() {
 						if !h.Class.Known() {
 							continue
 						}
@@ -92,7 +93,7 @@ func analyze(prog *lint.Program) *global {
 						add(&edge{from: h.Class.Name, to: op.Class.Name, pos: op.Pos, pkg: ff.Pkg.Types})
 					}
 				case facts.OpCall:
-					if op.Concurrent || len(op.Held) == 0 {
+					if op.Concurrent || len(op.Acquired()) == 0 {
 						continue
 					}
 					sum := f.Summaries[op.Callee]
@@ -101,7 +102,7 @@ func analyze(prog *lint.Program) *global {
 					}
 					for _, name := range sortedNames(sum.Acquires) {
 						acq := sum.Acquires[name]
-						for _, h := range op.Held {
+						for _, h := range op.Acquired() {
 							if !h.Class.Known() {
 								continue
 							}
@@ -188,7 +189,7 @@ func run(pass *lint.Pass) error {
 			if e == nil {
 				continue
 			}
-			sites = append(sites, fmt.Sprintf("%s acquired while %s held at %s", e.to, e.from, shortPos(pass.Fset.Position(e.pos))))
+			sites = append(sites, fmt.Sprintf("%s acquired while %s held at %s", e.to, e.from, lint.ShortPos(pass.Fset.Position(e.pos))))
 		}
 		pass.Reportf(rep.pos, "potential deadlock: lock-order cycle %s → %s (%s)",
 			strings.Join(cyc, " → "), cyc[0], strings.Join(sites, "; "))
@@ -209,7 +210,7 @@ func reportDecls(pass *lint.Pass, f *facts.Facts) {
 	}
 	sort.Strings(fileNames)
 	for _, d := range f.LockOrderDecls {
-		if !fileInPass(pass, d.Pos) {
+		if !pass.InFiles(d.Pos) {
 			continue
 		}
 		if d.Bad {
@@ -217,7 +218,7 @@ func reportDecls(pass *lint.Pass, f *facts.Facts) {
 			continue
 		}
 		if len(fileNames) > 1 && d.File != fileNames[0] {
-			pass.Reportf(d.Pos, "lock order must be declared in a single source-of-truth file; it is already declared in %s", shortFile(fileNames[0]))
+			pass.Reportf(d.Pos, "lock order must be declared in a single source-of-truth file; it is already declared in %s", filepath.Base(fileNames[0]))
 		}
 	}
 }
@@ -282,25 +283,4 @@ func sortedNames(m map[string]*facts.Acquire) []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-func fileInPass(pass *lint.Pass, pos token.Pos) bool {
-	name := pass.Fset.Position(pos).Filename
-	for _, f := range pass.Files {
-		if pass.Fset.Position(f.Pos()).Filename == name {
-			return true
-		}
-	}
-	return false
-}
-
-func shortPos(p token.Position) string {
-	return fmt.Sprintf("%s:%d", shortFile(p.Filename), p.Line)
-}
-
-func shortFile(name string) string {
-	if i := strings.LastIndex(name, "/"); i >= 0 {
-		return name[i+1:]
-	}
-	return name
 }

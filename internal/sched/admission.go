@@ -33,6 +33,9 @@ type classState struct {
 	tokens   float64
 	refilled time.Time
 	inflight int
+	// done counts finished requests and withinSLO those whose latency
+	// met the class SLO: the SLO-attainment gauge is their ratio.
+	done, withinSLO int
 }
 
 // Decision is the outcome of one admission check.
@@ -181,26 +184,27 @@ func (a *Admission) NoteStart(class string) {
 // per-class latency histogram, and the class's SLO-attainment gauge.
 func (a *Admission) NoteDone(class string, latency time.Duration) {
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	st, ok := a.classes[class]
-	if ok {
-		if st.inflight > 0 {
-			st.inflight--
-		}
-		const alpha = 0.2
-		if a.service == 0 {
-			a.service = latency.Seconds()
-		} else {
-			a.service += alpha * (latency.Seconds() - a.service)
-		}
-	}
-	a.mu.Unlock()
-	if !ok || a.reg == nil {
+	if !ok {
 		return
 	}
-	h := a.reg.Histogram("sched_latency_" + class)
-	h.Observe(latency)
-	if n := h.Count(); n > 0 {
-		att := float64(h.CountBelow(st.cfg.SLO())) / float64(n)
-		a.reg.Gauge("sched_slo_attainment_" + class).Set(att)
+	if st.inflight > 0 {
+		st.inflight--
 	}
+	const alpha = 0.2
+	if a.service == 0 {
+		a.service = latency.Seconds()
+	} else {
+		a.service += alpha * (latency.Seconds() - a.service)
+	}
+	st.done++
+	if latency <= st.cfg.SLO() {
+		st.withinSLO++
+	}
+	if a.reg == nil {
+		return
+	}
+	a.reg.Histogram("sched_latency_" + class).Observe(latency)
+	a.reg.Gauge("sched_slo_attainment_" + class).Set(float64(st.withinSLO) / float64(st.done))
 }

@@ -158,3 +158,48 @@ func TestAdmissionChaosFlip(t *testing.T) {
 		t.Fatalf("second decision %+v, want normal admit", d2)
 	}
 }
+
+// TestAdmissionSLOAttainmentGauge: the attainment gauge is the share of
+// finished requests within their class SLO, checked after every finish
+// against a brute-force count over the latencies seen so far —
+// including ones exactly at the SLO, which count as met.
+func TestAdmissionSLOAttainmentGauge(t *testing.T) {
+	reg := metrics.NewRegistry()
+	adm, err := NewAdmission(testClasses(), reg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slo := map[string]time.Duration{"interactive": time.Second, "standard": 5 * time.Second}
+	seen := map[string][]time.Duration{}
+	for i := 0; i < 400; i++ {
+		class := "interactive"
+		if i%3 == 0 {
+			class = "standard"
+		}
+		// Spread latencies from 0 to twice the SLO in quarter steps, so
+		// the SLO itself recurs.
+		latency := slo[class] * time.Duration((i*7)%9) / 4
+		adm.NoteStart(class)
+		adm.NoteDone(class, latency)
+		seen[class] = append(seen[class], latency)
+
+		within := 0
+		for _, l := range seen[class] {
+			if l <= slo[class] {
+				within++
+			}
+		}
+		want := float64(within) / float64(len(seen[class]))
+		if got := reg.Gauge("sched_slo_attainment_" + class).Value(); got != want {
+			t.Fatalf("finish %d (%s): gauge %v, brute force %v", i, class, got, want)
+		}
+	}
+	for class, lats := range seen {
+		if got := reg.Histogram("sched_latency_" + class).Count(); got != len(lats) {
+			t.Errorf("%s histogram holds %d observations, want %d", class, got, len(lats))
+		}
+	}
+	if got := reg.Gauge("sched_slo_attainment_batch").Value(); got != 0 {
+		t.Errorf("batch finished nothing but its gauge reads %v", got)
+	}
+}
