@@ -89,7 +89,7 @@ func (g *gateway) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy
 	}
 
 	g.c.reg.Counter("gateway_requests_total").Inc()
-	g.c.reg.Counter("gateway_requests_" + ep.MetricName()).Inc()
+	g.c.reg.Counter(ep.RequestsCounter()).Inc()
 
 	ctx := g.c.traceCtx(r.Context())
 	var span *obs.Span

@@ -65,12 +65,20 @@ func NewNodeRegistry(clock simclock.Clock, reg *metrics.Registry, interval time.
 	if missLimit <= 0 {
 		missLimit = 3
 	}
+	// A probe over a real socket needs a wall-clock timeout. Under
+	// Virtual the probe runs in-process, where a wall-clock timer would
+	// make a virtual-time run depend on host speed; the clock's deadlock
+	// watchdog bounds it instead.
+	probe := &http.Client{Transport: simclock.Transport(clock)}
+	if probe.Transport == nil {
+		probe.Timeout = 5 * time.Second
+	}
 	return &NodeRegistry{
 		clock:     clock,
 		reg:       reg,
 		interval:  interval,
 		missLimit: missLimit,
-		probe:     &http.Client{Timeout: 5 * time.Second, Transport: simclock.Transport(clock)},
+		probe:     probe,
 		nodes:     make(map[string]*Node),
 	}
 }

@@ -85,6 +85,7 @@ type Server struct {
 	initCache *engine.InitCache
 
 	httpServer *simclock.Server
+	url        string // "http://" + httpServer.Addr(), set with httpServer
 	started    bool
 }
 
@@ -323,6 +324,7 @@ func (s *Server) Start(ctx context.Context) error {
 		return fmt.Errorf("core: listening on %s: %w", s.cfg.Listen, err)
 	}
 	s.httpServer = srv
+	s.url = "http://" + srv.Addr()
 	return nil
 }
 
@@ -430,8 +432,13 @@ func (s *Server) Addr() string {
 	return s.httpServer.Addr()
 }
 
-// URL returns the router's base URL.
-func (s *Server) URL() string { return "http://" + s.Addr() }
+// URL returns the router's base URL ("http://" before Start).
+func (s *Server) URL() string {
+	if s.url == "" {
+		return "http://"
+	}
+	return s.url
+}
 
 // Handler returns the router handler (usable without a listener).
 func (s *Server) Handler() http.Handler { return newRouter(s).handler() }

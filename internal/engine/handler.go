@@ -249,28 +249,33 @@ func (h *handler) completion(w http.ResponseWriter, r *http.Request, req *ir.Com
 }
 
 // streamChat emits SSE chunks token by token: a role preamble, one
-// chunk per token, then the finish chunk with usage and [DONE].
+// chunk per token, then the finish chunk with usage and [DONE]. One
+// chunk is rewritten in place for every event, since the writer
+// encodes each before it returns.
 func (h *handler) streamChat(w http.ResponseWriter, r *http.Request,
 	id string, created int64, prompt string, seed int64, n int, usage ir.Usage, finish string) {
 	sw := ir.NewSSEWriter(w)
-	chunk := func(delta ir.Message) *ir.ChatCompletionChunk {
-		return &ir.ChatCompletionChunk{
-			ID: id, Object: "chat.completion.chunk", Created: created, Model: h.b.cfg.Model.Name,
-			Choices: []ir.DeltaChoice{{Delta: delta}},
-		}
+	chunk := &ir.ChatCompletionChunk{
+		ID: id, Object: "chat.completion.chunk", Created: created, Model: h.b.cfg.Model.Name,
+		Choices: []ir.DeltaChoice{{Delta: ir.Message{Role: "assistant"}}},
 	}
-	if err := sw.WriteEvent(&ir.StreamEvent{Chunk: chunk(ir.Message{Role: "assistant"})}); err != nil {
+	ev := &ir.StreamEvent{Chunk: chunk}
+	if err := sw.WriteEvent(ev); err != nil {
 		return
 	}
+	delta := &chunk.Choices[0].Delta
+	delta.Role = ""
 	if err := h.decode(r.Context(), prompt, seed, n, func(tok string) error {
-		return sw.WriteEvent(&ir.StreamEvent{Chunk: chunk(ir.Message{Content: tok})})
+		delta.Content = tok
+		return sw.WriteEvent(ev)
 	}); err != nil {
 		return
 	}
-	last := chunk(ir.Message{})
-	last.Choices[0].FinishReason = &finish
-	last.Usage = &usage
-	sw.WriteEvent(&ir.StreamEvent{Chunk: last, Done: true})
+	delta.Content = ""
+	chunk.Choices[0].FinishReason = &finish
+	chunk.Usage = &usage
+	ev.Done = true
+	sw.WriteEvent(ev)
 }
 
 // decode is the per-token loop every generation path shares: wait out

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -115,7 +114,7 @@ func TestEngineWireGolden(t *testing.T) {
 
 // TestEngineWireRoundTrip: every engine response decodes through the
 // IR's OpenAI codec — buffered bodies with DecodeResponse, stream
-// frames with ReadSSEEvent and DecodeStreamEvent — so the front door
+// frames with SSEReader and DecodeStreamEvent — so the front door
 // can translate whatever an engine says.
 func TestEngineWireRoundTrip(t *testing.T) {
 	codec := ir.OpenAICodec{}
@@ -131,18 +130,18 @@ func TestEngineWireRoundTrip(t *testing.T) {
 			}
 			continue
 		}
-		br := bufio.NewReader(bytes.NewReader(rec.Body.Bytes()))
+		events := ir.NewSSEReader(bytes.NewReader(rec.Body.Bytes()))
 		var chunks int
 		done := false
 		for !done {
-			frame, err := ir.ReadSSEEvent(br)
+			frame, err := events.Next()
 			if errors.Is(err, io.EOF) {
 				t.Fatalf("%s: stream ended after %d chunks without [DONE]", c.name, chunks)
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			ev, err := codec.DecodeStreamEvent(c.family, []byte(frame))
+			ev, err := codec.DecodeStreamEvent(c.family, frame)
 			if err != nil {
 				t.Fatalf("%s: frame %q: %v", c.name, frame, err)
 			}
@@ -155,7 +154,7 @@ func TestEngineWireRoundTrip(t *testing.T) {
 		if want := 1 + 4 + 1; chunks != want {
 			t.Fatalf("%s: %d chunks before [DONE], want %d", c.name, chunks, want)
 		}
-		if rest, _ := io.ReadAll(br); len(rest) != 0 {
+		if rest, err := events.Next(); len(rest) != 0 || !errors.Is(err, io.EOF) || !bytes.HasSuffix(rec.Body.Bytes(), []byte("\n\n")) {
 			t.Fatalf("%s: bytes after [DONE]: %q", c.name, rest)
 		}
 	}

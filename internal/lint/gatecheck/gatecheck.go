@@ -129,8 +129,8 @@ func run(pass *lint.Pass) error {
 		if expr == "" {
 			expr = a.class
 		}
-		pass.Reportf(a.pos, "mutex %s can be held across a simulated-clock wait (%s at %s:%d) but %s is not clock-aware; make it a simclock.Mutex or simclock.RWMutex so waiters shed their run token",
-			a.class, ev.path, ev.pos.Filename, ev.pos.Line, expr)
+		pass.Reportf(a.pos, "mutex %s can be held across a simulated-clock wait (%s at %s) but %s is not clock-aware; make it a simclock.Mutex or simclock.RWMutex so waiters shed their run token",
+			a.class, ev.path, lint.ShortPos(ev.pos), expr)
 	}
 	checkJoins(pass)
 	checkPairing(pass)

@@ -7,7 +7,6 @@
 package openai
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -15,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"swapservellm/internal/proxy/ir"
@@ -144,16 +142,16 @@ func (c *Client) ChatCompletionStream(ctx context.Context, req *ir.ChatCompletio
 	})
 }
 
-// readStream decodes an SSE chunk stream with ir.ReadSSEEvent and the
+// readStream decodes an SSE chunk stream with ir.SSEReader and the
 // OpenAI codec, handing each chunk to fn until the [DONE] sentinel or
 // the end of the stream. Events without a data line (comments,
 // keep-alives) are skipped.
 func readStream(r io.Reader, fn func(*ir.ChatCompletionChunk) error) error {
-	br := bufio.NewReader(r)
+	events := ir.NewSSEReader(r)
 	for {
-		event, rerr := ir.ReadSSEEvent(br)
+		event, rerr := events.Next()
 		if data, ok := sseData(event); ok {
-			ev, err := ir.OpenAICodec{}.DecodeStreamEvent(ir.FamilyChat, []byte(data))
+			ev, err := ir.OpenAICodec{}.DecodeStreamEvent(ir.FamilyChat, data)
 			if err != nil {
 				return err
 			}
@@ -175,15 +173,15 @@ func readStream(r io.Reader, fn func(*ir.ChatCompletionChunk) error) error {
 
 // sseData returns the payload of an SSE event's data line, or false
 // when the event carries none.
-func sseData(event string) (string, bool) {
-	for event != "" {
-		var line string
-		line, event, _ = strings.Cut(event, "\n")
-		if data, ok := strings.CutPrefix(line, "data:"); ok {
+func sseData(event []byte) ([]byte, bool) {
+	for len(event) > 0 {
+		var line []byte
+		line, event, _ = bytes.Cut(event, []byte("\n"))
+		if data, ok := bytes.CutPrefix(line, []byte("data:")); ok {
 			return data, true
 		}
 	}
-	return "", false
+	return nil, false
 }
 
 // Completion issues a blocking legacy completion.

@@ -2,8 +2,7 @@ package proxy
 
 import (
 	"container/list"
-	"fmt"
-	"hash/fnv"
+	"strconv"
 	"sync"
 )
 
@@ -43,14 +42,24 @@ func newCache(max int) *cache {
 }
 
 // key derives the cache key for one request: endpoint-family-scoped,
-// model-revision-scoped, content-addressed by the canonical body.
+// model-revision-scoped, content-addressed by the canonical body's
+// FNV-1a hash — "<upstream>|<model>|r<rev>|<16 hex digits>".
 func (c *cache) key(upstream, model string, canonical []byte) string {
 	c.mu.Lock()
 	rev := c.revs[model]
 	c.mu.Unlock()
-	h := fnv.New64a()
-	h.Write(canonical)
-	return fmt.Sprintf("%s|%s|r%d|%016x", upstream, model, rev, h.Sum64())
+	h := uint64(14695981039346656037) // FNV-1a 64 offset basis
+	for _, b := range canonical {
+		h = (h ^ uint64(b)) * 1099511628211
+	}
+	var buf [128]byte
+	k := append(append(append(append(buf[:0], upstream...), '|'), model...), "|r"...)
+	k = append(strconv.AppendUint(k, rev, 10), '|')
+	const hex = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		k = append(k, hex[h>>shift&0xf])
+	}
+	return string(k)
 }
 
 // get returns the cached response for key, refreshing its recency.

@@ -1,7 +1,6 @@
 package proxy
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -205,6 +204,8 @@ type StreamRelay struct {
 	tr        *StreamTranslator
 	started   bool
 	delivered int
+	buf       []byte // the frames of one event, reused
+
 	// Cut, when set, is consulted after each upstream event is read; an
 	// error abandons the upstream there, as if it died between two
 	// events, and Relay returns it wrapped in ErrStreamCut.
@@ -235,10 +236,10 @@ func (s *StreamRelay) Relay(resp *http.Response) error {
 		s.started = true
 	}
 	flusher, _ := s.w.(http.Flusher)
-	br := bufio.NewReader(resp.Body)
+	events := ir.NewSSEReader(resp.Body)
 	skip := s.delivered
 	for {
-		event, err := ir.ReadSSEEvent(br)
+		event, err := events.Next()
 		if err == nil && s.Cut != nil {
 			err = s.Cut()
 		}
@@ -254,10 +255,11 @@ func (s *StreamRelay) Relay(resp *http.Response) error {
 		}
 		// The upstream is our own deterministic engine output, so a
 		// translation failure would recur on any replica.
-		frames, _, err := s.tr.Frames(event)
+		frames, _, err := s.tr.AppendFrames(s.buf[:0], event)
 		if err != nil {
 			return err
 		}
+		s.buf = frames
 		if done && s.Done != nil {
 			s.Done()
 		}

@@ -75,9 +75,9 @@ func New(opts ...Option) *Front {
 			opt(&o)
 		}
 	}
-	table := o.Table
-	if table == nil {
-		table = DefaultTable()
+	table := DefaultTable()
+	if o.Table != nil {
+		table = append([]Endpoint(nil), o.Table...)
 	}
 	f := &Front{
 		table:  table,
@@ -91,8 +91,9 @@ func New(opts ...Option) *Front {
 		reg:   o.Registry,
 		clock: o.Clock,
 	}
-	for _, ep := range table {
-		f.byPath[ep.Path] = ep
+	for i := range table {
+		table[i].names = newRowNames(table[i].Path)
+		f.byPath[table[i].Path] = table[i]
 	}
 	return f
 }
@@ -179,8 +180,8 @@ func (f *Front) Translator(ep Endpoint) *StreamTranslator {
 		codec = ir.OpenAICodec{}
 	}
 	return &StreamTranslator{
-		family:      ep.Family,
 		out:         codec,
+		re:          ir.NewReframer(codec, ep.Family),
 		passthrough: ep.Protocol == ProtocolOpenAI,
 	}
 }
@@ -208,21 +209,21 @@ func (f *Front) CacheLookup(ep Endpoint, model string, canonical []byte, noStore
 		return nil, false
 	}
 	if noStore {
-		f.countCache(ep, "bypass")
+		f.countCache(ep, cacheBypass)
 		return nil, false
 	}
 	if out := f.inj.At(chaos.SiteProxyCache); out.Err != nil || out.Delay > 0 {
 		f.sleep(out)
 		if out.Err != nil {
-			f.countCache(ep, "bypass")
+			f.countCache(ep, cacheBypass)
 			return nil, false
 		}
 	}
 	body, ok := f.cache.get(f.cache.key(ep.Upstream, model, canonical))
 	if ok {
-		f.countCache(ep, "hits")
+		f.countCache(ep, cacheHit)
 	} else {
-		f.countCache(ep, "misses")
+		f.countCache(ep, cacheMiss)
 	}
 	return body, ok
 }
@@ -259,25 +260,35 @@ func (f *Front) Revision(model string) uint64 {
 	return f.cache.revision(model)
 }
 
+// Cache lookup outcomes, indexing cacheTotals and rowNames.cache.
+const (
+	cacheHit = iota
+	cacheMiss
+	cacheBypass
+)
+
+// cacheTotals are the cache counters summed over every endpoint.
+var cacheTotals = [...]string{"proxy_cache_hits", "proxy_cache_misses", "proxy_cache_bypass"}
+
 // countCache bumps one per-endpoint cache counter and refreshes the
 // hit-ratio gauges (hits over decided lookups; bypasses excluded).
 // Gauges registered here surface in both the Prometheus /metrics
 // exposition and the deterministic CSV export automatically.
-func (f *Front) countCache(ep Endpoint, outcome string) {
+func (f *Front) countCache(ep Endpoint, outcome int) {
 	if f.reg == nil {
 		return
 	}
-	name := ep.MetricName()
-	f.reg.Counter("proxy_cache_" + outcome).Inc()
-	f.reg.Counter("proxy_cache_" + outcome + "_" + name).Inc()
-	hits := f.reg.Counter("proxy_cache_hits").Value()
-	misses := f.reg.Counter("proxy_cache_misses").Value()
+	names := ep.rowNames()
+	f.reg.Counter(cacheTotals[outcome]).Inc()
+	f.reg.Counter(names.cache[outcome]).Inc()
+	hits := f.reg.Counter(cacheTotals[cacheHit]).Value()
+	misses := f.reg.Counter(cacheTotals[cacheMiss]).Value()
 	if total := hits + misses; total > 0 {
 		f.reg.Gauge("proxy_cache_hit_ratio").Set(hits / total)
 	}
-	epHits := f.reg.Counter("proxy_cache_hits_" + name).Value()
-	epMisses := f.reg.Counter("proxy_cache_misses_" + name).Value()
+	epHits := f.reg.Counter(names.cache[cacheHit]).Value()
+	epMisses := f.reg.Counter(names.cache[cacheMiss]).Value()
 	if total := epHits + epMisses; total > 0 {
-		f.reg.Gauge("proxy_cache_hit_ratio_" + name).Set(epHits / total)
+		f.reg.Gauge(names.ratio).Set(epHits / total)
 	}
 }

@@ -18,8 +18,10 @@ package ir
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 )
 
@@ -175,25 +177,106 @@ type Codec interface {
 	EncodeStreamEvent(f Family, ev *StreamEvent) ([]byte, error)
 }
 
-// ReadSSEEvent reads one blank-line-delimited SSE event from br
-// (without the trailing blank line). A non-nil error may accompany a
-// final partial event.
-func ReadSSEEvent(br *bufio.Reader) (string, error) {
-	var lines []string
+// SSEReader reads blank-line-delimited SSE events into one buffer
+// reused from event to event.
+type SSEReader struct {
+	br  *bufio.Reader
+	buf []byte
+}
+
+// NewSSEReader reads events from r.
+func NewSSEReader(r io.Reader) *SSEReader {
+	return &SSEReader{br: bufio.NewReader(r)}
+}
+
+// Next returns the next event without its trailing blank line, its
+// lines stripped of their line endings and joined by "\n". The bytes
+// stay valid until the next call. A non-nil error may accompany the
+// complete lines of a final partial event; a final line cut off
+// without its newline is dropped.
+func (r *SSEReader) Next() ([]byte, error) {
+	r.buf = r.buf[:0]
 	for {
-		line, err := br.ReadString('\n')
-		line = strings.TrimRight(line, "\r\n")
-		if err != nil {
-			return strings.Join(lines, "\n"), err
-		}
-		if line == "" {
-			if len(lines) == 0 {
-				continue // leading keep-alive blank line
+		n := len(r.buf)
+		var err error
+		for {
+			var frag []byte
+			frag, err = r.br.ReadSlice('\n')
+			r.buf = append(r.buf, frag...)
+			if !errors.Is(err, bufio.ErrBufferFull) {
+				break
 			}
-			return strings.Join(lines, "\n"), nil
 		}
-		lines = append(lines, line)
+		line := bytes.TrimRight(r.buf[n:], "\r\n")
+		switch {
+		case err != nil:
+			return r.buf[:max(n-1, 0)], err
+		case len(line) > 0:
+			r.buf = append(r.buf[:n+len(line)], '\n')
+		case n > 0:
+			return r.buf[:n-1], nil
+		default:
+			r.buf = r.buf[:0] // leading keep-alive blank line
+		}
 	}
+}
+
+// Reframer renders canonical upstream SSE events in a client codec's
+// stream framing, one event at a time. It keeps its decode scratch
+// between events, so each stream needs its own.
+type Reframer struct {
+	out    Codec
+	family Family
+	s      scanner
+	v      chunkView
+}
+
+// NewReframer renders family f's events for out's clients.
+func NewReframer(out Codec, f Family) *Reframer {
+	return &Reframer{out: out, family: f}
+}
+
+// AppendFrames decodes one canonical SSE event (its data line, without
+// the blank line that ends it), appends the frames out's
+// EncodeStreamEvent renders for it to dst, and reports whether the
+// event was the terminal [DONE]. An Ollama line renders straight from
+// the event's bytes, allocating nothing beyond dst.
+func (r *Reframer) AppendFrames(dst, event []byte) ([]byte, bool, error) {
+	if _, ok := r.out.(OllamaCodec); ok && (r.family == FamilyChat || r.family == FamilyGenerate) {
+		payload := trimDataPrefix(event)
+		if string(payload) == DoneSentinel {
+			return dst, true, nil
+		}
+		r.s.reset(payload)
+		if r.s.chunk(&r.v); r.s.done() {
+			return r.v.appendOllama(dst, r.family), false, nil
+		}
+	}
+	ev, err := OpenAICodec{}.DecodeStreamEvent(r.family, event)
+	if err != nil {
+		return dst, false, err
+	}
+	frames, err := r.out.EncodeStreamEvent(r.family, ev)
+	if err != nil {
+		return dst, false, err
+	}
+	return append(dst, frames...), ev.Done, nil
+}
+
+// appendOllama appends the NDJSON line OllamaCodec.EncodeStreamEvent
+// renders for the chunk v holds.
+func (v *chunkView) appendOllama(dst []byte, f Family) []byte {
+	var d deltaView
+	if len(v.choices) > 0 {
+		d = v.choices[0]
+	}
+	if !d.finishSet {
+		dst = appendOllamaLine(dst, f, v.model, v.created, d.role, d.content, false, nil, 0, 0)
+	} else {
+		dst = appendOllamaLine(dst, f, v.model, v.created, nil, d.content, true, d.finish,
+			v.usage.PromptTokens, v.usage.CompletionTokens)
+	}
+	return append(dst, '\n')
 }
 
 // ReadNDJSONLine reads one NDJSON frame (without the trailing newline).

@@ -231,14 +231,8 @@ func (OllamaCodec) EncodeRequest(req *Request) ([]byte, error) {
 	return nil, fmt.Errorf("%w: ollama codec cannot encode %q", ErrUnsupported, req.Family)
 }
 
-// formatCreatedAt renders a canonical created timestamp (unix seconds)
-// as Ollama's RFC 3339 created_at.
-func formatCreatedAt(created int64) string {
-	return time.Unix(created, 0).UTC().Format(time.RFC3339)
-}
-
-// parseCreatedAt inverts formatCreatedAt, tolerating sub-second
-// precision.
+// parseCreatedAt reads Ollama's RFC 3339 created_at as unix seconds,
+// tolerating sub-second precision.
 func parseCreatedAt(s string) (int64, error) {
 	if s == "" {
 		return 0, nil
@@ -303,9 +297,10 @@ func (OllamaCodec) DecodeResponse(f Family, body []byte) (*Response, error) {
 	return nil, fmt.Errorf("%w: ollama codec cannot decode %q response", ErrUnsupported, f)
 }
 
-// EncodeResponse implements Codec.
+// EncodeResponse implements Codec: the response renders as the done
+// line of its family.
 func (OllamaCodec) EncodeResponse(resp *Response) ([]byte, error) {
-	if resp.Chat == nil {
+	if resp.Chat == nil || (resp.Family != FamilyChat && resp.Family != FamilyGenerate) {
 		return nil, fmt.Errorf("%w: ollama codec cannot encode %q response", ErrUnsupported, resp.Family)
 	}
 	r := resp.Chat
@@ -314,36 +309,9 @@ func (OllamaCodec) EncodeResponse(resp *Response) ([]byte, error) {
 		content = r.Choices[0].Message.Content
 		reason = r.Choices[0].FinishReason
 	}
-	var v interface{}
-	switch resp.Family {
-	case FamilyChat:
-		v = OllamaChatChunk{
-			Model:           r.Model,
-			CreatedAt:       formatCreatedAt(r.Created),
-			Message:         OllamaMessage{Role: "assistant", Content: content},
-			Done:            true,
-			DoneReason:      doneReasonOrStop(reason),
-			PromptEvalCount: r.Usage.PromptTokens,
-			EvalCount:       r.Usage.CompletionTokens,
-		}
-	case FamilyGenerate:
-		v = OllamaGenerateChunk{
-			Model:           r.Model,
-			CreatedAt:       formatCreatedAt(r.Created),
-			Response:        content,
-			Done:            true,
-			DoneReason:      doneReasonOrStop(reason),
-			PromptEvalCount: r.Usage.PromptTokens,
-			EvalCount:       r.Usage.CompletionTokens,
-		}
-	default:
-		return nil, fmt.Errorf("%w: ollama codec cannot encode %q response", ErrUnsupported, resp.Family)
-	}
-	b, err := json.Marshal(v)
-	if err != nil {
-		return nil, fmt.Errorf("ir: encoding ollama %s response: %w", resp.Family, err)
-	}
-	return b, nil
+	b := make([]byte, 0, 160+len(r.Model)+len(content))
+	return appendOllamaLine(b, resp.Family, r.Model, r.Created, "", content, true, reason,
+		r.Usage.PromptTokens, r.Usage.CompletionTokens), nil
 }
 
 // doneReasonOrStop defaults an absent finish reason to "stop".
@@ -423,69 +391,20 @@ func (OllamaCodec) EncodeStreamEvent(f Family, ev *StreamEvent) ([]byte, error) 
 		delta = c.Choices[0].Delta
 		finish = c.Choices[0].FinishReason
 	}
-	done := ev.Done || finish != nil
-	var v interface{}
-	switch {
-	case f == FamilyChat && done:
-		v = OllamaChatChunk{
-			Model:     c.Model,
-			CreatedAt: formatCreatedAt(c.Created),
-			Message:   OllamaMessage{Role: "assistant", Content: delta.Content},
-			Done:      true, DoneReason: doneReasonFromFinish(finish),
-			PromptEvalCount: usagePrompt(c.Usage), EvalCount: usageCompletion(c.Usage),
-		}
-	case f == FamilyChat:
-		v = OllamaChatChunk{
-			Model:     c.Model,
-			CreatedAt: formatCreatedAt(c.Created),
-			Message:   OllamaMessage{Role: deltaRoleOrAssistant(delta.Role), Content: delta.Content},
-		}
-	case done:
-		v = OllamaGenerateChunk{
-			Model:     c.Model,
-			CreatedAt: formatCreatedAt(c.Created),
-			Response:  delta.Content,
-			Done:      true, DoneReason: doneReasonFromFinish(finish),
-			PromptEvalCount: usagePrompt(c.Usage), EvalCount: usageCompletion(c.Usage),
-		}
-	default:
-		v = OllamaGenerateChunk{
-			Model:     c.Model,
-			CreatedAt: formatCreatedAt(c.Created),
-			Response:  delta.Content,
-		}
+	b := make([]byte, 0, 128+len(c.Model)+len(delta.Content))
+	if !ev.Done && finish == nil {
+		b = appendOllamaLine(b, f, c.Model, c.Created, delta.Role, delta.Content, false, "", 0, 0)
+		return append(b, '\n'), nil
 	}
-	b, err := json.Marshal(v)
-	if err != nil {
-		return nil, fmt.Errorf("ir: encoding ollama %s stream line: %w", f, err)
+	var reason string
+	if finish != nil {
+		reason = *finish
 	}
+	var usage Usage
+	if c.Usage != nil {
+		usage = *c.Usage
+	}
+	b = appendOllamaLine(b, f, c.Model, c.Created, "", delta.Content, true, reason,
+		usage.PromptTokens, usage.CompletionTokens)
 	return append(b, '\n'), nil
-}
-
-func doneReasonFromFinish(finish *string) string {
-	if finish == nil {
-		return "stop"
-	}
-	return doneReasonOrStop(*finish)
-}
-
-func deltaRoleOrAssistant(role string) string {
-	if role == "" {
-		return "assistant"
-	}
-	return role
-}
-
-func usagePrompt(u *Usage) int {
-	if u == nil {
-		return 0
-	}
-	return u.PromptTokens
-}
-
-func usageCompletion(u *Usage) int {
-	if u == nil {
-		return 0
-	}
-	return u.CompletionTokens
 }

@@ -1,11 +1,11 @@
 package ir
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 )
 
 // OpenAICodec translates the OpenAI wire protocol (/v1/*, SSE
@@ -26,11 +26,11 @@ func (OpenAICodec) DecodeRequest(f Family, body []byte) (*Request, error) {
 	req := &Request{Family: f}
 	switch f {
 	case FamilyChat:
-		var p ChatCompletionRequest
-		if err := json.Unmarshal(body, &p); err != nil {
+		p, err := decodeChatRequest(body)
+		if err != nil {
 			return nil, fmt.Errorf("%w: malformed JSON: %w", ErrDecode, err)
 		}
-		req.Chat, req.Model, req.Stream = &p, p.Model, p.Stream
+		req.Chat, req.Model, req.Stream = p, p.Model, p.Stream
 	case FamilyCompletion:
 		var p CompletionRequest
 		if err := json.Unmarshal(body, &p); err != nil {
@@ -62,20 +62,20 @@ func (OpenAICodec) DecodeRequest(f Family, body []byte) (*Request, error) {
 // FamilyGenerate request encodes as its canonical chat payload, so the
 // upstream node and engine see one protocol.
 func (OpenAICodec) EncodeRequest(req *Request) ([]byte, error) {
-	var v interface{}
+	var b []byte
+	var err error
 	switch req.Family {
 	case FamilyChat, FamilyGenerate:
-		v = req.Chat
+		b, err = marshalChatRequest(req.Chat)
 	case FamilyCompletion:
-		v = req.Completion
+		b, err = json.Marshal(req.Completion)
 	case FamilyEmbeddings:
-		v = req.Embeddings
+		b, err = json.Marshal(req.Embeddings)
 	case FamilyRerank:
-		v = req.Rerank
+		b, err = json.Marshal(req.Rerank)
 	default:
 		return nil, fmt.Errorf("%w: openai codec cannot encode %q", ErrUnsupported, req.Family)
 	}
-	b, err := json.Marshal(v)
 	if err != nil {
 		return nil, fmt.Errorf("ir: encoding %s request: %w", req.Family, err)
 	}
@@ -88,9 +88,7 @@ func (OpenAICodec) DecodeResponse(f Family, body []byte) (*Response, error) {
 	var err error
 	switch f {
 	case FamilyChat, FamilyGenerate:
-		var p ChatCompletionResponse
-		err = json.Unmarshal(body, &p)
-		resp.Chat = &p
+		resp.Chat, err = decodeChatResponse(body)
 	case FamilyCompletion:
 		var p CompletionResponse
 		err = json.Unmarshal(body, &p)
@@ -114,20 +112,20 @@ func (OpenAICodec) DecodeResponse(f Family, body []byte) (*Response, error) {
 
 // EncodeResponse implements Codec.
 func (OpenAICodec) EncodeResponse(resp *Response) ([]byte, error) {
-	var v interface{}
+	var b []byte
+	var err error
 	switch resp.Family {
 	case FamilyChat, FamilyGenerate:
-		v = resp.Chat
+		b, err = marshalChatResponse(resp.Chat)
 	case FamilyCompletion:
-		v = resp.Completion
+		b, err = json.Marshal(resp.Completion)
 	case FamilyEmbeddings:
-		v = resp.Embeddings
+		b, err = json.Marshal(resp.Embeddings)
 	case FamilyRerank:
-		v = resp.Rerank
+		b, err = json.Marshal(resp.Rerank)
 	default:
 		return nil, fmt.Errorf("%w: openai codec cannot encode %q response", ErrUnsupported, resp.Family)
 	}
-	b, err := json.Marshal(v)
 	if err != nil {
 		return nil, fmt.Errorf("ir: encoding %s response: %w", resp.Family, err)
 	}
@@ -137,15 +135,15 @@ func (OpenAICodec) EncodeResponse(resp *Response) ([]byte, error) {
 // DecodeStreamEvent implements Codec: frame is one SSE data payload
 // (the text after "data:", trimmed of framing).
 func (OpenAICodec) DecodeStreamEvent(f Family, frame []byte) (*StreamEvent, error) {
-	payload := trimDataPrefix(string(frame))
-	if payload == DoneSentinel {
+	payload := trimDataPrefix(frame)
+	if string(payload) == DoneSentinel {
 		return &StreamEvent{Done: true}, nil
 	}
-	var chunk ChatCompletionChunk
-	if err := json.Unmarshal([]byte(payload), &chunk); err != nil {
+	chunk, err := decodeChunk(payload)
+	if err != nil {
 		return nil, fmt.Errorf("%w: malformed stream chunk: %w", ErrDecode, err)
 	}
-	return &StreamEvent{Chunk: &chunk}, nil
+	return &StreamEvent{Chunk: chunk}, nil
 }
 
 // EncodeStreamEvent implements Codec: each event renders as one
@@ -153,29 +151,37 @@ func (OpenAICodec) DecodeStreamEvent(f Family, frame []byte) (*StreamEvent, erro
 // chunk (the NDJSON folded finish line) renders as two frames — the
 // finish chunk followed by the [DONE] sentinel.
 func (OpenAICodec) EncodeStreamEvent(f Family, ev *StreamEvent) ([]byte, error) {
-	var out []byte
+	if ev.Chunk == nil && !ev.Done {
+		return nil, nil
+	}
+	return appendSSE(make([]byte, 0, 256), ev)
+}
+
+// appendSSE appends EncodeStreamEvent's frames for ev to dst.
+func appendSSE(dst []byte, ev *StreamEvent) ([]byte, error) {
 	if ev.Chunk != nil {
-		b, err := json.Marshal(ev.Chunk)
-		if err != nil {
+		var err error
+		if dst, err = appendChunk(append(dst, "data: "...), ev.Chunk); err != nil {
 			return nil, fmt.Errorf("ir: encoding stream chunk: %w", err)
 		}
-		out = make([]byte, 0, len(b)+len(sseDone)+len("data: \n\n"))
-		out = append(append(append(out, "data: "...), b...), "\n\n"...)
+		dst = append(dst, "\n\n"...)
 	}
 	if ev.Done {
-		out = append(out, sseDone...)
+		dst = append(dst, sseDone...)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // sseDone is the terminal [DONE] frame.
 const sseDone = "data: " + DoneSentinel + "\n\n"
 
 // SSEWriter streams events to an OpenAI client as EncodeStreamEvent's
-// frames, flushing each so the stream stays real-time.
+// frames, flushing each so the stream stays real-time. Frames are
+// built in one buffer reused across events.
 type SSEWriter struct {
 	w       io.Writer
 	flusher http.Flusher
+	buf     []byte
 }
 
 // NewSSEWriter prepares w for SSE streaming. If w is an
@@ -194,10 +200,11 @@ func NewSSEWriter(w io.Writer) *SSEWriter {
 
 // WriteEvent writes one event's frames.
 func (s *SSEWriter) WriteEvent(ev *StreamEvent) error {
-	frames, err := OpenAICodec{}.EncodeStreamEvent(FamilyChat, ev)
+	frames, err := appendSSE(s.buf[:0], ev)
 	if err != nil {
 		return err
 	}
+	s.buf = frames
 	if _, err := s.w.Write(frames); err != nil {
 		return err
 	}
@@ -209,10 +216,10 @@ func (s *SSEWriter) WriteEvent(ev *StreamEvent) error {
 
 // trimDataPrefix strips an optional SSE "data:" prefix and surrounding
 // whitespace from an event payload.
-func trimDataPrefix(s string) string {
-	s = strings.TrimSpace(s)
-	if rest, ok := strings.CutPrefix(s, "data:"); ok {
-		s = strings.TrimSpace(rest)
+func trimDataPrefix(b []byte) []byte {
+	b = bytes.TrimSpace(b)
+	if rest, ok := bytes.CutPrefix(b, []byte("data:")); ok {
+		b = bytes.TrimSpace(rest)
 	}
-	return s
+	return b
 }

@@ -42,6 +42,16 @@ type Message struct {
 // MarshalJSON renders content as a plain string, or as the multimodal
 // part array when Parts is set (byte-preserving for decoded requests).
 func (m Message) MarshalJSON() ([]byte, error) {
+	w := writer{b: make([]byte, 0, 32+len(m.Role)+len(m.Content))}
+	if w.message(&m); !w.bad {
+		return w.b, nil
+	}
+	return m.marshalReflect()
+}
+
+// marshalReflect is MarshalJSON through encoding/json: the oracle of
+// the fast path, and its fallback.
+func (m Message) marshalReflect() ([]byte, error) {
 	if len(m.Parts) == 0 {
 		return json.Marshal(struct {
 			Role    string `json:"role"`
@@ -57,6 +67,19 @@ func (m Message) MarshalJSON() ([]byte, error) {
 // UnmarshalJSON accepts content as either a string or a multimodal part
 // array.
 func (m *Message) UnmarshalJSON(b []byte) error {
+	var s scanner
+	s.reset(b)
+	var fast Message
+	if s.message(&fast); s.done() {
+		*m = fast
+		return nil
+	}
+	return m.unmarshalReflect(b)
+}
+
+// unmarshalReflect is UnmarshalJSON through encoding/json: the oracle
+// of the fast path, and its fallback.
+func (m *Message) unmarshalReflect(b []byte) error {
 	var wire struct {
 		Role    string          `json:"role"`
 		Content json.RawMessage `json:"content"`
@@ -423,10 +446,24 @@ type ErrorEnvelope struct {
 	Error APIError `json:"error"`
 }
 
-// WriteJSON writes v to w as a JSON body with the given HTTP status.
+// WriteJSON writes v to w as a JSON body with the given HTTP status,
+// byte for byte as json.Encoder would.
 func WriteJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
+	var r *ChatCompletionResponse
+	switch v := v.(type) {
+	case ChatCompletionResponse:
+		r = &v
+	case *ChatCompletionResponse:
+		r = v
+	}
+	if r != nil {
+		if b, err := marshalChatResponse(r); err == nil {
+			w.Write(append(b, '\n'))
+			return
+		}
+	}
 	json.NewEncoder(w).Encode(v)
 }
 

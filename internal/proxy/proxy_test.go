@@ -2,6 +2,8 @@ package proxy
 
 import (
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -247,14 +249,14 @@ func TestStreamTranslatorPassthrough(t *testing.T) {
 		t.Fatalf("openai translator = passthrough %v, %q", tr.Passthrough(), tr.ContentType())
 	}
 	event := `data: {"object":"chat.completion.chunk","choices":[{"index":0,"delta":{"role":"","content":"x"},"finish_reason":null}]}`
-	frames, done, err := tr.Frames(event)
+	frames, done, err := tr.AppendFrames(nil, []byte(event))
 	if err != nil || done {
-		t.Fatalf("Frames: %v done=%v", err, done)
+		t.Fatalf("AppendFrames: %v done=%v", err, done)
 	}
 	if string(frames) != event+"\n\n" {
 		t.Fatalf("passthrough must re-frame verbatim, got %q", frames)
 	}
-	frames, done, err = tr.Frames("data: [DONE]")
+	frames, done, err = tr.AppendFrames(nil, []byte("data: [DONE]"))
 	if err != nil || !done {
 		t.Fatalf("[DONE]: %v done=%v", err, done)
 	}
@@ -270,7 +272,7 @@ func TestStreamTranslatorNDJSON(t *testing.T) {
 	if tr.Passthrough() || tr.ContentType() != "application/x-ndjson" {
 		t.Fatalf("ollama translator = passthrough %v, %q", tr.Passthrough(), tr.ContentType())
 	}
-	frames, done, err := tr.Frames(`data: {"model":"m","object":"chat.completion.chunk","choices":[{"index":0,"delta":{"role":"assistant","content":"x"},"finish_reason":null}]}`)
+	frames, done, err := tr.AppendFrames(nil, []byte(`data: {"model":"m","object":"chat.completion.chunk","choices":[{"index":0,"delta":{"role":"assistant","content":"x"},"finish_reason":null}]}`))
 	if err != nil || done {
 		t.Fatalf("content frame: %v done=%v", err, done)
 	}
@@ -279,7 +281,7 @@ func TestStreamTranslatorNDJSON(t *testing.T) {
 	}
 	// The [DONE] sentinel emits nothing (the done line already closed the
 	// stream) but still reports done so the relay stops.
-	frames, done, err = tr.Frames("data: [DONE]")
+	frames, done, err = tr.AppendFrames(nil, []byte("data: [DONE]"))
 	if err != nil || !done {
 		t.Fatalf("[DONE]: %v done=%v", err, done)
 	}
@@ -292,5 +294,36 @@ func TestCodecUnknownProtocol(t *testing.T) {
 	f := New()
 	if _, err := f.Codec(Protocol("grpc")); !errors.Is(err, ErrUnknownProtocol) {
 		t.Fatalf("want ErrUnknownProtocol, got %v", err)
+	}
+}
+
+// TestCacheKeyFormat pins the key's layout: upstream, model, revision
+// and the canonical body's FNV-1a hash as 16 hex digits.
+func TestCacheKeyFormat(t *testing.T) {
+	c := newCache(8)
+	body := []byte(`{"model":"m","messages":[]}`)
+	h := fnv.New64a()
+	h.Write(body)
+	c.bumpRevision("m")
+	want := fmt.Sprintf("/v1/chat/completions|m|r1|%016x", h.Sum64())
+	if got := c.key("/v1/chat/completions", "m", body); got != want {
+		t.Fatalf("key = %q, want %q", got, want)
+	}
+}
+
+// TestFramesAllocBudget pins the cost of translating one canonical SSE
+// event into an Ollama NDJSON line: into a fresh buffer the buffer is
+// the only allocation, and into a reused one there is none.
+func TestFramesAllocBudget(t *testing.T) {
+	f := New()
+	ep, _ := f.Endpoint("/api/chat")
+	tr := f.Translator(ep)
+	event := []byte(`data: {"id":"chatcmpl-n1-7","object":"chat.completion.chunk","created":1700000000,"model":"llama3.2:3b","choices":[{"index":0,"delta":{"role":"","content":" token"},"finish_reason":null}]}`)
+	if got := testing.AllocsPerRun(100, func() { tr.AppendFrames(make([]byte, 0, 256), event) }); got > 1 {
+		t.Errorf("AppendFrames into a fresh buffer: %v allocations, budget 1", got)
+	}
+	buf := make([]byte, 0, 512)
+	if got := testing.AllocsPerRun(100, func() { tr.AppendFrames(buf[:0], event) }); got > 0 {
+		t.Errorf("AppendFrames into a reused buffer: %v allocations, budget 0", got)
 	}
 }

@@ -1,8 +1,8 @@
 package proxy
 
 import (
+	"bytes"
 	"fmt"
-	"strings"
 
 	"swapservellm/internal/proxy/ir"
 )
@@ -13,10 +13,11 @@ import (
 // event re-encoded as an NDJSON line. Because the mapping is 1:1 per
 // upstream event, the gateway's delivered-event counter means the same
 // thing under both framings — which is what lets exact-resume failover
-// generalize from SSE to NDJSON without new bookkeeping.
+// generalize from SSE to NDJSON without new bookkeeping. A translator
+// reuses its decode scratch between events, so it serves one stream.
 type StreamTranslator struct {
-	family      ir.Family
 	out         ir.Codec
+	re          *ir.Reframer
 	passthrough bool
 }
 
@@ -31,28 +32,24 @@ func (t *StreamTranslator) ContentType() string {
 	return t.out.Framing().ContentType()
 }
 
-// Frames translates one upstream SSE event (the "data: ..." payload
-// line, without the trailing blank line) into zero or more client
-// frames. done reports that the upstream stream is complete; the
-// caller must stop relaying after it. A passthrough translator echoes
-// the event verbatim in SSE framing.
-func (t *StreamTranslator) Frames(event string) (frames []byte, done bool, err error) {
+// AppendFrames translates one upstream SSE event (the "data: ..."
+// payload line, without the trailing blank line) into zero or more
+// client frames appended to dst. done reports that the upstream stream
+// is complete; the caller must stop relaying after it. A passthrough
+// translator echoes the event verbatim in SSE framing.
+func (t *StreamTranslator) AppendFrames(dst, event []byte) (frames []byte, done bool, err error) {
 	if t.passthrough {
-		return []byte(event + "\n\n"), isDone(event), nil
+		return append(append(dst, event...), "\n\n"...), isDone(event), nil
 	}
-	ev, err := (ir.OpenAICodec{}).DecodeStreamEvent(t.family, []byte(event))
+	frames, done, err = t.re.AppendFrames(dst, event)
 	if err != nil {
 		return nil, false, fmt.Errorf("%w: stream event: %w", ErrTranslate, err)
 	}
-	frames, err = t.out.EncodeStreamEvent(t.family, ev)
-	if err != nil {
-		return nil, false, fmt.Errorf("%w: stream event: %w", ErrTranslate, err)
-	}
-	return frames, ev.Done, nil
+	return frames, done, nil
 }
 
 // isDone reports whether an upstream SSE event is the terminal [DONE]
 // sentinel.
-func isDone(event string) bool {
-	return strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(event), "data:")) == ir.DoneSentinel
+func isDone(event []byte) bool {
+	return string(bytes.TrimSpace(bytes.TrimPrefix(bytes.TrimSpace(event), []byte("data:")))) == ir.DoneSentinel
 }

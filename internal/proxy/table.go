@@ -45,6 +45,45 @@ type Endpoint struct {
 	// Upstream is the canonical node/engine path the request forwards
 	// to (empty for endpoints the gateway answers itself).
 	Upstream string
+
+	// names are the row's metric names, formatted once by New; nil on
+	// an endpoint built outside a Front's table.
+	names *rowNames
+}
+
+// rowNames are one table row's metric names, formatted once when the
+// table is built so that serving a request formats none.
+type rowNames struct {
+	metric   string                   // MetricName
+	requests string                   // RequestsCounter
+	cache    [len(cacheTotals)]string // cacheTotals[i] + "_" + metric
+	ratio    string                   // the row's cache hit-ratio gauge
+}
+
+// metricNameReplacer maps a path's separators to metric-name
+// underscores.
+var metricNameReplacer = strings.NewReplacer("/", "_", ".", "_", "-", "_")
+
+func newRowNames(path string) *rowNames {
+	metric := metricNameReplacer.Replace(strings.TrimPrefix(path, "/"))
+	n := &rowNames{
+		metric:   metric,
+		requests: "gateway_requests_" + metric,
+		ratio:    "proxy_cache_hit_ratio_" + metric,
+	}
+	for i, total := range cacheTotals {
+		n.cache[i] = total + "_" + metric
+	}
+	return n
+}
+
+// rowNames returns the names New formatted for the row, or formats
+// them for an endpoint built by hand.
+func (e Endpoint) rowNames() *rowNames {
+	if e.names != nil {
+		return e.names
+	}
+	return newRowNames(e.Path)
 }
 
 // Streaming reports whether the endpoint can stream.
@@ -52,10 +91,11 @@ func (e Endpoint) Streaming() bool { return e.Framing != "" }
 
 // MetricName renders the endpoint path as a metric-name fragment
 // ("/v1/chat/completions" → "v1_chat_completions").
-func (e Endpoint) MetricName() string {
-	name := strings.TrimPrefix(e.Path, "/")
-	return strings.NewReplacer("/", "_", ".", "_", "-", "_").Replace(name)
-}
+func (e Endpoint) MetricName() string { return e.rowNames().metric }
+
+// RequestsCounter names the gateway's per-row request counter
+// ("gateway_requests_" + MetricName).
+func (e Endpoint) RequestsCounter() string { return e.rowNames().requests }
 
 // DefaultTable returns the front door's endpoint table: the OpenAI
 // family (/v1/*, SSE framing) and the Ollama family (/api/*, NDJSON

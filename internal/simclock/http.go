@@ -27,6 +27,7 @@ var errReset = errors.New("simclock: connection reset")
 type Server struct {
 	http   *http.Server
 	ln     net.Listener
+	addr   string             // ln's address, formatted once
 	v      *Virtual           // nil off Virtual
 	h      http.Handler       // the handler in-process exchanges run
 	closed context.Context    // done once Close breaks the in-process exchanges
@@ -39,7 +40,7 @@ func Listen(clock Clock, addr string, h http.Handler) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{ln: ln, http: &http.Server{Handler: h}, h: h}
+	s := &Server{ln: ln, addr: ln.Addr().String(), http: &http.Server{Handler: h}, h: h}
 	if v, ok := clock.(*Virtual); ok {
 		s.v = v
 		s.closed, s.close = context.WithCancel(context.Background())
@@ -70,7 +71,7 @@ func (w edgeWriter) Flush() {
 }
 
 // Addr returns the listener's address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.addr }
 
 // Close stops the server at once. In-process exchanges in flight break
 // as reset connections would: the client reads an error and the
