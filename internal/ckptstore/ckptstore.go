@@ -181,6 +181,9 @@ type Store struct {
 	nodeID string
 	reg    *metrics.Registry
 	inj    *chaos.Injector
+	// fetchBytes counts the bytes fetched from each Source
+	// ("ckpt_fetch_bytes_" + source).
+	fetchBytes [SrcPeerDisk + 1]*metrics.Handle[metrics.Counter]
 
 	mu        sync.Mutex
 	chunks    map[ChunkID]*chunk
@@ -233,6 +236,9 @@ func New(clock simclock.Clock, tb perfmodel.Testbed, opts ...Option) *Store {
 	}
 	if s.reg == nil {
 		s.reg = metrics.NewRegistry()
+	}
+	for src := range s.fetchBytes {
+		s.fetchBytes[src] = s.reg.CounterHandle("ckpt_fetch_bytes_" + Source(src).String())
 	}
 	return s
 }

@@ -77,10 +77,13 @@ type chunkState struct {
 	onDisk bool
 }
 
-// planChunk ranks the reachable sources for one chunk, cheapest first.
-// st is the local snapshot; peer lookups run without the store lock.
-func (s *Store) planChunk(r ChunkRef, st chunkState, peers []Peer) []candidate {
-	var cands []candidate
+// planChunk appends the reachable sources for one chunk to dst, ranked
+// cheapest first, and returns the extended slice; dst's own entries are
+// left as they were. st is the local snapshot; peer lookups run without
+// the store lock.
+func (s *Store) planChunk(dst []candidate, r ChunkRef, st chunkState, peers []Peer) []candidate {
+	base := len(dst)
+	cands := dst
 	if st.inHost {
 		cands = append(cands, candidate{src: SrcHostRAM})
 	}
@@ -97,8 +100,8 @@ func (s *Store) planChunk(r ChunkRef, st chunkState, peers []Peer) []candidate {
 	}
 	// Stable insertion order makes ties deterministic: equal-cost
 	// sources resolve by the Source ordering, then peer list order.
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0; j-- {
+	for i := base + 1; i < len(cands); i++ {
+		for j := i; j > base; j-- {
 			a, b := cands[j-1], cands[j]
 			if b.cost < a.cost || (b.cost == a.cost && b.src < a.src) {
 				cands[j-1], cands[j] = b, a
@@ -180,7 +183,7 @@ func (s *Store) commitFetch(r ChunkRef, src Source) {
 	c.seq = s.seq
 	s.trimCacheLocked()
 	s.mu.Unlock()
-	s.reg.Counter("ckpt_fetch_bytes_" + src.String()).Add(float64(r.Bytes))
+	s.fetchBytes[src].Get().Add(float64(r.Bytes))
 }
 
 // RestoreSession is one planned restore of a manifest: per-chunk ranked
@@ -232,11 +235,16 @@ func (s *Store) OpenRestore(ctx context.Context, key string) (*RestoreSession, e
 	}
 	var off int64
 	var total int64
+	// Every chunk's sources come from one backing array, sized for the
+	// most any chunk can have: local RAM, local disk and one per peer.
+	all := make([]candidate, 0, len(refs)*(2+len(peers)))
 	for i, r := range refs {
 		rs.starts[i] = off
 		off += r.Bytes
 		total += r.Bytes
-		rs.cands[i] = s.planChunk(r, states[i], peers)
+		n := len(all)
+		all = s.planChunk(all, r, states[i], peers)
+		rs.cands[i] = all[n:len(all):len(all)]
 		if len(rs.cands[i]) == 0 {
 			span.EndErr(fmt.Errorf("%w %s", ErrNoSource, r.ID))
 			return nil, fmt.Errorf("%w %s (%d bytes) of manifest %q", ErrNoSource, r.ID, r.Bytes, key)
@@ -319,12 +327,14 @@ func (s *Store) Promote(ctx context.Context, key string) (moved, dedup int64, er
 	peers := s.peers
 	s.mu.Unlock()
 
+	// One chunk is fetched at a time, so its sources reuse one slice.
+	var cands []candidate
 	for i, r := range refs {
 		if states[i].inHost {
 			dedup += r.Bytes
 			continue
 		}
-		cands := s.planChunk(r, states[i], peers)
+		cands = s.planChunk(cands[:0], r, states[i], peers)
 		if len(cands) == 0 {
 			return moved, dedup, fmt.Errorf("%w %s (%d bytes) of manifest %q", ErrNoSource, r.ID, r.Bytes, key)
 		}

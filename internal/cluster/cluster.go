@@ -83,7 +83,7 @@ type Cluster struct {
 	clock    simclock.Clock
 	reg      *metrics.Registry
 	policy   Policy
-	client   *http.Client
+	rt       http.RoundTripper // the clock's transport, driven directly
 	chaosInj *chaos.Injector
 	tracer   *obs.Tracer
 	front    *proxy.Front
@@ -143,7 +143,7 @@ func New(cfg config.Cluster, options ...Option) (*Cluster, error) {
 		clock:      clock,
 		reg:        reg,
 		policy:     policy,
-		client:     &http.Client{Transport: simclock.Transport(clock)},
+		rt:         simclock.Transport(clock),
 		chaosInj:   opts.Chaos,
 		tracer:     opts.Tracer,
 		retryLimit: cfg.Cluster.RetryLimit,

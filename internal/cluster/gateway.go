@@ -15,6 +15,7 @@ import (
 	"swapservellm/internal/obs"
 	"swapservellm/internal/proxy"
 	"swapservellm/internal/proxy/ir"
+	"swapservellm/internal/simclock"
 )
 
 // gateway is the cluster's multi-protocol front door. Every inference
@@ -180,17 +181,15 @@ func (g *gateway) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy
 		tried[id] = true
 		span.Event("place", obs.String("node", id),
 			obs.Bool("warm", warm), obs.Int("attempt", attempt))
+		// Placement only offers registered nodes, and none leaves.
+		node, _ := g.c.registry.Node(id)
 		if attempt == 0 {
-			g.recordPlacement(id, warm)
+			g.recordPlacement(node, warm)
 			if sc := g.c.sched; sc != nil && sc.pw != nil {
 				sc.pw.NotePlacement(req.Model, warm, g.c.clock.Now())
 			}
 		} else {
 			g.c.reg.Counter("cross_node_retries").Inc()
-		}
-		node, ok := g.c.registry.Node(id)
-		if !ok {
-			continue
 		}
 		outcome, errMsg := g.forward(ctx, w, node, ep, req.Model, canonical, r.Header.Get("Authorization"), class, stream)
 		switch outcome {
@@ -256,7 +255,7 @@ func (g *gateway) place(model string, tried map[string]bool) (string, bool, bool
 
 // recordPlacement updates the placement-quality metrics for a
 // first-attempt routing decision.
-func (g *gateway) recordPlacement(nodeID string, warm bool) {
+func (g *gateway) recordPlacement(node *Node, warm bool) {
 	total := g.c.reg.Counter("placement_total")
 	hits := g.c.reg.Counter("placement_hits")
 	total.Inc()
@@ -265,7 +264,7 @@ func (g *gateway) recordPlacement(nodeID string, warm bool) {
 	} else {
 		g.c.reg.Counter("placement_misses").Inc()
 	}
-	g.c.reg.Counter("placement_node_" + nodeID).Inc()
+	node.metrics.placements.Get().Inc()
 	if t := total.Value(); t > 0 {
 		g.c.reg.Gauge("placement_hit_ratio").Set(hits.Value() / t)
 	}
@@ -275,19 +274,23 @@ func (g *gateway) recordPlacement(nodeID string, warm bool) {
 // relays its response. The error string is only meaningful for
 // outcomeRetry.
 func (g *gateway) forward(ctx context.Context, w http.ResponseWriter, node *Node, ep proxy.Endpoint, model string, canonical []byte, authHeader, class string, stream *proxy.StreamRelay) (proxyOutcome, string) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, node.URL()+ep.Upstream, bytes.NewReader(canonical))
-	if err != nil {
-		return outcomeRetry, err.Error()
+	base := node.Server().Endpoint()
+	if base == nil {
+		return outcomeRetry, fmt.Sprintf("node %s: not serving", node.ID())
 	}
-	req.Header.Set("Content-Type", "application/json")
-	if authHeader != "" {
-		req.Header.Set("Authorization", authHeader)
+	header := simclock.JSONHeader
+	if authHeader != "" || class != "" {
+		header = http.Header{"Content-Type": header["Content-Type"]}
+		if authHeader != "" {
+			header["Authorization"] = []string{authHeader}
+		}
+		if class != "" {
+			// Thread the resolved priority class through the request
+			// envelope so node-side tooling can attribute work to classes.
+			header["X-Priority-Class"] = []string{class}
+		}
 	}
-	if class != "" {
-		// Thread the resolved priority class through the request
-		// envelope so node-side tooling can attribute work to classes.
-		req.Header.Set("X-Priority-Class", class)
-	}
+	req := simclock.NewRequest(ctx, http.MethodPost, base, ep.Upstream, canonical, header)
 	// An injected proxy fault is indistinguishable from a refused
 	// connection: fence the node and try a replica. A delay-only outcome
 	// models a slow upstream link.
@@ -301,7 +304,7 @@ func (g *gateway) forward(ctx context.Context, w http.ResponseWriter, node *Node
 			return outcomeRetry, fmt.Sprintf("node %s: %v", node.ID(), out.Err)
 		}
 	}
-	resp, err := g.c.client.Do(req)
+	resp, err := simclock.Send(g.c.rt, req)
 	if err != nil {
 		if ctx.Err() != nil {
 			return outcomeFatal, ctx.Err().Error()

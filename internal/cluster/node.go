@@ -17,6 +17,7 @@ import (
 
 	"swapservellm/internal/chaos"
 	"swapservellm/internal/core"
+	"swapservellm/internal/metrics"
 )
 
 // NodeState is a cluster member's lifecycle state.
@@ -72,6 +73,35 @@ type Node struct {
 	// snapshotCapBytes mirrors the node's host snapshot cap so the
 	// rebalancer can compute RAM pressure without re-deriving config.
 	snapshotCapBytes int64
+
+	// metrics holds the node's per-node metric handles, built when the
+	// registry adds it.
+	metrics *nodeMetrics
+}
+
+// nodeMetrics are one node's metrics, each named once: the registry's
+// gauges, which every heartbeat sweep refreshes, and the gateway's
+// first-placement counter.
+type nodeMetrics struct {
+	state, load, swapIns, swapOuts, snapshotRAM, freeGPU *metrics.Handle[metrics.Gauge]
+	chunkHost, chunkDisk, chunkDedupSaved                *metrics.Handle[metrics.Gauge]
+	placements                                           *metrics.Handle[metrics.Counter]
+}
+
+// newNodeMetrics names node id's metrics in reg.
+func newNodeMetrics(reg *metrics.Registry, id string) *nodeMetrics {
+	return &nodeMetrics{
+		state:           reg.GaugeHandle("node_state_" + id),
+		load:            reg.GaugeHandle("node_load_" + id),
+		swapIns:         reg.GaugeHandle("node_swap_ins_" + id),
+		swapOuts:        reg.GaugeHandle("node_swap_outs_" + id),
+		snapshotRAM:     reg.GaugeHandle("node_snapshot_ram_bytes_" + id),
+		freeGPU:         reg.GaugeHandle("node_free_gpu_bytes_" + id),
+		chunkHost:       reg.GaugeHandle("node_chunk_host_bytes_" + id),
+		chunkDisk:       reg.GaugeHandle("node_chunk_disk_bytes_" + id),
+		chunkDedupSaved: reg.GaugeHandle("node_chunk_dedup_saved_bytes_" + id),
+		placements:      reg.CounterHandle("placement_node_" + id),
+	}
 }
 
 // newNode wraps a built (not yet started) server.

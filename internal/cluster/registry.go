@@ -10,7 +10,6 @@ import (
 
 	"swapservellm/internal/chaos"
 	"swapservellm/internal/metrics"
-	"swapservellm/internal/openai"
 	"swapservellm/internal/simclock"
 )
 
@@ -26,7 +25,8 @@ type NodeRegistry struct {
 	reg       *metrics.Registry
 	interval  time.Duration
 	missLimit int
-	probe     *http.Client
+	rt        http.RoundTripper // the clock's transport, driven directly
+	probe     *http.Client      // nil under Virtual; see NewNodeRegistry
 
 	chaosInj *chaos.Injector
 	trace    *chaos.Trace
@@ -69,15 +69,16 @@ func NewNodeRegistry(clock simclock.Clock, reg *metrics.Registry, interval time.
 	// Virtual the probe runs in-process, where a wall-clock timer would
 	// make a virtual-time run depend on host speed; the clock's deadlock
 	// watchdog bounds it instead.
-	probe := &http.Client{Transport: simclock.Transport(clock)}
-	if probe.Transport == nil {
-		probe.Timeout = 5 * time.Second
+	var probe *http.Client
+	if _, virtual := clock.(*simclock.Virtual); !virtual {
+		probe = &http.Client{Timeout: 5 * time.Second}
 	}
 	return &NodeRegistry{
 		clock:     clock,
 		reg:       reg,
 		interval:  interval,
 		missLimit: missLimit,
+		rt:        simclock.Transport(clock),
 		probe:     probe,
 		nodes:     make(map[string]*Node),
 	}
@@ -91,6 +92,7 @@ func (r *NodeRegistry) Add(n *Node) {
 		return
 	}
 	n.trace = r.trace
+	n.metrics = newNodeMetrics(r.reg, n.ID())
 	r.nodes[n.ID()] = n
 	r.order = append(r.order, n.ID())
 	sort.Strings(r.order)
@@ -172,12 +174,25 @@ func (r *NodeRegistry) healthy(n *Node) bool {
 	if in.At(chaos.SiteHeartbeat).Err != nil {
 		return false
 	}
-	url := n.URL()
-	if url == "http://" || url == "" {
+	base := n.srv.Endpoint()
+	if base == nil {
 		return false
 	}
-	probe := openai.Client{BaseURL: url, HTTPClient: r.probe, Clock: r.clock}
-	return probe.Healthy(context.Background())
+	req := simclock.NewRequest(context.Background(), http.MethodGet, base, "/health", nil, nil)
+	var resp *http.Response
+	var err error
+	if r.probe != nil {
+		//swaplint:block reason=off a Virtual clock the probe is a socket round trip bounded by the client's 5 s timeout
+		resp, err = r.probe.Do(req)
+	} else {
+		//swaplint:block reason=under a Virtual clock the probe runs on simclock's in-process transport, parked in a gate BlockOn until the registered handler answers
+		resp, err = simclock.Send(r.rt, req)
+	}
+	if err != nil {
+		return false
+	}
+	resp.Body.Close()
+	return resp.StatusCode == http.StatusOK
 }
 
 // ReportFailure records a proxy-level connection failure against a
@@ -255,19 +270,19 @@ func (r *NodeRegistry) publish() {
 		if n.State() == NodeHealthy {
 			healthy++
 		}
-		id := n.ID()
-		r.reg.Gauge("node_state_" + id).Set(float64(n.State()))
-		r.reg.Gauge("node_load_" + id).Set(float64(rep.Load))
-		r.reg.Gauge("node_swap_ins_" + id).Set(float64(rep.SwapIns))
-		r.reg.Gauge("node_swap_outs_" + id).Set(float64(rep.SwapOuts))
-		r.reg.Gauge("node_snapshot_ram_bytes_" + id).Set(float64(rep.SnapshotRAMBytes))
-		r.reg.Gauge("node_free_gpu_bytes_" + id).Set(float64(rep.FreeGPUBytes))
+		m := n.metrics
+		m.state.Get().Set(float64(n.State()))
+		m.load.Get().Set(float64(rep.Load))
+		m.swapIns.Get().Set(float64(rep.SwapIns))
+		m.swapOuts.Get().Set(float64(rep.SwapOuts))
+		m.snapshotRAM.Get().Set(float64(rep.SnapshotRAMBytes))
+		m.freeGPU.Get().Set(float64(rep.FreeGPUBytes))
 		if rep.ChunkStore {
 			// The chunk inventory the node advertises: deduplicated tier
 			// footprints plus what content addressing is saving.
-			r.reg.Gauge("node_chunk_host_bytes_" + id).Set(float64(rep.ChunkHostBytes))
-			r.reg.Gauge("node_chunk_disk_bytes_" + id).Set(float64(rep.ChunkDiskBytes))
-			r.reg.Gauge("node_chunk_dedup_saved_bytes_" + id).Set(float64(rep.ChunkDedupSavedBytes))
+			m.chunkHost.Get().Set(float64(rep.ChunkHostBytes))
+			m.chunkDisk.Get().Set(float64(rep.ChunkDiskBytes))
+			m.chunkDedupSaved.Get().Set(float64(rep.ChunkDedupSavedBytes))
 		}
 	}
 	r.reg.Gauge("cluster_nodes_healthy").Set(float64(healthy))

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/url"
 	"sort"
 	"strconv"
 	"sync"
@@ -75,6 +76,8 @@ type Container struct {
 	eng     engine.Engine
 	server  *simclock.Server
 	port    int
+	baseURL string        // the engine API's root, set with port
+	base    *url.URL      // baseURL parsed
 	ready   chan struct{} // closed when engine init finishes
 	initErr error
 }
@@ -98,7 +101,21 @@ func (c *Container) Port() int {
 
 // BaseURL returns the http endpoint of the published engine API.
 func (c *Container) BaseURL() string {
-	return fmt.Sprintf("http://127.0.0.1:%d", c.Port())
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.baseURL == "" {
+		return "http://127.0.0.1:0"
+	}
+	return c.baseURL
+}
+
+// Endpoint returns the engine API's root URL, parsed once when the
+// container started (nil before). Callers share it and must not write
+// to it.
+func (c *Container) Endpoint() *url.URL {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.base
 }
 
 // State returns the lifecycle state.
@@ -288,6 +305,8 @@ func (rt *Runtime) Start(ctx context.Context, c *Container) (err error) {
 	c.server = srv
 	_, port, _ := net.SplitHostPort(srv.Addr())
 	c.port, _ = strconv.Atoi(port)
+	c.baseURL = "http://127.0.0.1:" + port
+	c.base = &url.URL{Scheme: "http", Host: "127.0.0.1:" + port}
 	c.ready = ready
 	c.state = StateRunning
 	eng := c.eng

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"swapservellm/internal/container"
+	"swapservellm/internal/metrics"
 	"swapservellm/internal/models"
 	"swapservellm/internal/perfmodel"
 	"swapservellm/internal/simclock"
@@ -68,6 +69,9 @@ type Backend struct {
 
 	ctr   *container.Container
 	queue chan *queuedRequest
+	// requests counts the requests routed to the backend
+	// ("requests_" + name).
+	requests *metrics.Handle[metrics.Counter]
 	// queued counts items sent or about to be sent on queue and not yet
 	// taken by the worker: the ready check of the worker's queue wait.
 	queued atomic.Int64

@@ -396,13 +396,30 @@ func (ct *Controller) wakeIfSlept(ctx context.Context, b *Backend) {
 	b.sleepUsed.Store(false)
 }
 
-// verifyAPI polls the engine's health endpoint until it responds.
+// verifyAPI polls the engine's health endpoint every 2 ms of clock time
+// until it responds, giving up after 10 s. Under Virtual those are 10 s
+// of virtual time, checked between polls: a wall-clock timer would make
+// a virtual-time run depend on host speed. On other clocks they are a
+// wall-clock deadline on the context, which also bounds a hung probe.
 func (ct *Controller) verifyAPI(ctx context.Context, b *Backend) error {
-	cli := openai.NewClient(b.ctr.BaseURL())
-	cli.Clock = ct.clock
-	hctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	return cli.WaitHealthy(hctx, 2*time.Millisecond)
+	const limit, interval = 10 * time.Second, 2 * time.Millisecond
+	cli := openai.Client{BaseURL: b.ctr.BaseURL(), Clock: ct.clock}
+	if _, virtual := ct.clock.(*simclock.Virtual); !virtual {
+		hctx, cancel := context.WithTimeout(ctx, limit)
+		defer cancel()
+		return cli.WaitHealthy(hctx, interval)
+	}
+	gate := simclock.GateFor(ct.clock)
+	start := ct.clock.Now()
+	for !cli.Healthy(ctx) {
+		if ct.clock.Since(start) >= limit {
+			return context.DeadlineExceeded
+		}
+		if gate.Wait(interval, ctx.Done()) == 0 {
+			return ctx.Err()
+		}
+	}
+	return nil
 }
 
 // EvictOne implements Evictor: pick the policy's best candidate among

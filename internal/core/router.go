@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"maps"
@@ -75,7 +76,7 @@ func (rt *router) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy
 	now := rt.s.clock.Now()
 	rt.s.observeArrival(b, now)
 	rt.s.reg.Counter("requests_total").Inc()
-	rt.s.reg.Counter("requests_" + b.name).Inc()
+	b.requests.Get().Inc()
 
 	ctx := rt.s.traceCtx(r.Context())
 	var span *obs.Span
@@ -83,14 +84,10 @@ func (rt *router) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy
 		obs.String("model", req.Model), obs.String("path", ep.Path),
 		obs.String("protocol", string(ep.Protocol)))
 	defer span.End()
-	if timeout := rt.s.cfg.ResponseTimeout(); timeout > 0 {
-		// The response timeout is expressed in simulated seconds; convert
-		// to wall time via the clock scale for the context deadline.
-		wall := rt.s.toWall(timeout)
-		var cancel func()
-		ctx, cancel = contextWithTimeout(ctx, wall)
-		defer cancel()
-	}
+	// The response timeout runs on the clock, in simulated time: it ends
+	// the wait for the worker's answer below. The handler then returns,
+	// which cancels r.Context() and with it the item.
+	timeout := rt.s.cfg.ResponseTimeout()
 
 	item := newQueuedRequest(ctx, ep.Upstream, canonical, now)
 	// The router and the request's worker hand the item back and forth
@@ -125,14 +122,25 @@ func (rt *router) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy
 		return
 	}
 
-	gate.BlockOn(item, func() bool { return simclock.Closed(item.answered) || ctx.Err() != nil }, func() {
-		select {
-		case <-ctx.Done():
-		case <-item.answered:
-		}
-	})
+	var expired bool
+	if timeout > 0 {
+		// Nothing since the arrival at now waited on the clock, so the
+		// whole timeout remains.
+		expired = gate.WaitOn(item, timeout, item.answered, ctx.Done()) < 0
+	} else {
+		gate.BlockOn(item, func() bool { return simclock.Closed(item.answered) || ctx.Err() != nil }, func() {
+			select {
+			case <-ctx.Done():
+			case <-item.answered:
+			}
+		})
+	}
 	if answered = simclock.Closed(item.answered); !answered {
-		span.Fail(ctx.Err())
+		err := ctx.Err()
+		if expired {
+			err = context.DeadlineExceeded
+		}
+		span.Fail(err)
 		ir.WriteError(w, http.StatusGatewayTimeout, "timeout", "request timed out or was cancelled")
 		return
 	}

@@ -41,6 +41,34 @@ func TestResponseTimeoutEndToEnd(t *testing.T) {
 	}
 }
 
+// TestResponseTimeoutOnVirtualClock: the response timeout is simulated
+// time on every clock. On the Virtual clock a request whose backend
+// cannot answer within it (the 14B model's swap-in takes about 4.7 s)
+// gets the 504 at exactly +1 s of virtual time.
+func TestResponseTimeoutOnVirtualClock(t *testing.T) {
+	cfg := config.Default()
+	cfg.Global.ResponseTimeoutSec = 1
+	cfg.Models = []config.Model{ollamaModel("deepseek-r1:14b-fp16")}
+	clock := virtualTestClock(t)
+	s := startServer(t, cfg, Options{Clock: clock})
+
+	start := clock.Now()
+	seed := int64(1)
+	cli := openai.Client{BaseURL: s.URL(), Clock: clock}
+	_, err := cli.ChatCompletion(context.Background(), &ir.ChatCompletionRequest{
+		Model:     "deepseek-r1:14b-fp16",
+		Messages:  []ir.Message{{Role: "user", Content: "x"}},
+		Seed:      &seed,
+		MaxTokens: 2,
+	})
+	if apiErr, ok := err.(*ir.APIError); !ok || apiErr.Type != "timeout" {
+		t.Fatalf("err = %v, want the 504 timeout", err)
+	}
+	if d := clock.Since(start); d != time.Second {
+		t.Fatalf("the timeout answered at +%v of virtual time, want +1s", d)
+	}
+}
+
 // TestClientCancelBeforeDequeue: a request cancelled while queued is
 // discarded by the worker's liveness check without touching the engine.
 func TestClientCancelBeforeDequeue(t *testing.T) {

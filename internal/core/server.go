@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"net/url"
 	"slices"
 	"sync"
 	"time"
@@ -85,7 +86,8 @@ type Server struct {
 	initCache *engine.InitCache
 
 	httpServer *simclock.Server
-	url        string // "http://" + httpServer.Addr(), set with httpServer
+	url        string   // "http://" + httpServer.Addr(), set with httpServer
+	base       *url.URL // url parsed
 	started    bool
 }
 
@@ -325,6 +327,7 @@ func (s *Server) Start(ctx context.Context) error {
 	}
 	s.httpServer = srv
 	s.url = "http://" + srv.Addr()
+	s.base = &url.URL{Scheme: "http", Host: srv.Addr()}
 	return nil
 }
 
@@ -377,6 +380,7 @@ func (s *Server) initBackend(ctx context.Context, mc *config.Model) error {
 		gpus:         gpus,
 		ctr:          ctr,
 		queue:        make(chan *queuedRequest, mc.QueueCapacity),
+		requests:     s.reg.CounterHandle("requests_" + mc.Name),
 		useSleepMode: s.cfg.Global.UseSleepMode,
 		keepWarm:     mc.KeepWarm,
 	}
@@ -439,6 +443,10 @@ func (s *Server) URL() string {
 	}
 	return s.url
 }
+
+// Endpoint returns the router's base URL parsed (nil before Start).
+// Callers share it and must not write to it.
+func (s *Server) Endpoint() *url.URL { return s.base }
 
 // Handler returns the router handler (usable without a listener).
 func (s *Server) Handler() http.Handler { return newRouter(s).handler() }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"net/http"
 
@@ -19,21 +18,21 @@ type worker struct {
 	clock simclock.Clock
 	reg   *metrics.Registry
 
-	client *http.Client
-	stop   chan struct{}
-	done   chan struct{}
+	rt   http.RoundTripper // the clock's transport, driven directly
+	stop chan struct{}
+	done chan struct{}
 }
 
 // newWorker builds a worker for b.
 func newWorker(b *Backend, sched *Scheduler, clock simclock.Clock, reg *metrics.Registry) *worker {
 	return &worker{
-		b:      b,
-		sched:  sched,
-		clock:  clock,
-		reg:    reg,
-		client: &http.Client{Transport: simclock.Transport(clock)},
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+		b:     b,
+		sched: sched,
+		clock: clock,
+		reg:   reg,
+		rt:    simclock.Transport(clock),
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
 	}
 }
 
@@ -140,14 +139,13 @@ func (w *worker) retire(item *queuedRequest) {
 // router's Wake ends, so the clock advances only while the engine
 // generates — which is exactly what simulates generation latency.
 func (w *worker) relay(item *queuedRequest) {
-	url := w.b.ctr.BaseURL() + item.path
-	req, err := http.NewRequestWithContext(item.ctx, http.MethodPost, url, bytes.NewReader(item.body))
-	if err != nil {
-		w.answer(item, forwardResult{err: err})
+	base := w.b.ctr.Endpoint()
+	if base == nil {
+		w.answer(item, forwardResult{err: fmt.Errorf("core: backend %s has no engine endpoint", w.b.name)})
 		return
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.client.Do(req)
+	req := simclock.NewRequest(item.ctx, http.MethodPost, base, item.path, item.body, simclock.JSONHeader)
+	resp, err := simclock.Send(w.rt, req)
 	if err != nil {
 		w.answer(item, forwardResult{err: err})
 		return

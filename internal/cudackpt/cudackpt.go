@@ -517,6 +517,26 @@ func (d *Driver) Restore(ctx context.Context, pid string, claim Claim) (err erro
 
 	alloced := make([]int64, len(shard))
 	steps := make([]chunkStep, 0, len(shard))
+	// alloc grows the claimed device by the current step's bytes; it is
+	// built once per restore and reads the step from cur.
+	var cur chunkStep
+	alloc := func() error {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		if err := p.devices[cur.i].Resize(p.pid, alloced[cur.i]+cur.grow); err != nil {
+			return err
+		}
+		alloced[cur.i] += cur.grow
+		// The bytes leave the image the moment their device copy
+		// begins, keeping device+image conservation exact.
+		if fromDisk {
+			d.diskUsed -= cur.grow
+		} else {
+			d.hostUsed -= cur.grow
+		}
+		p.hostImage -= cur.grow
+		return nil
+	}
 	var done int64
 	for done < bytes {
 		c := min(chunk, bytes-done)
@@ -538,28 +558,11 @@ func (d *Driver) Restore(ctx context.Context, pid string, claim Claim) (err erro
 			ferr = sess.FetchRange(done, done+c)
 		}
 		steps = chunkSteps(steps, shard, alloced, c)
-		for _, st := range steps {
+		for _, cur = range steps {
 			if ferr != nil {
 				break
 			}
-			dev := p.devices[st.i]
-			ferr = claim.Take(ctx, dev.ID(), st.grow, func() error {
-				d.mu.Lock()
-				defer d.mu.Unlock()
-				if err := dev.Resize(p.pid, alloced[st.i]+st.grow); err != nil {
-					return err
-				}
-				alloced[st.i] += st.grow
-				// The bytes leave the image the moment their device copy
-				// begins, keeping device+image conservation exact.
-				if fromDisk {
-					d.diskUsed -= st.grow
-				} else {
-					d.hostUsed -= st.grow
-				}
-				p.hostImage -= st.grow
-				return nil
-			})
+			ferr = claim.Take(ctx, p.devices[cur.i].ID(), cur.grow, alloc)
 		}
 		if ferr != nil {
 			d.rollbackRestore(p, alloced, fromDisk)

@@ -159,9 +159,16 @@ func intrinsicOf(fn *types.Func) (detail string, kind OpKind, ok bool) {
 			return "Cond.Wait", OpBlock, true
 		}
 	}
+	// simclock.Send drives a transport directly, as internal callers
+	// do instead of http.Client.
+	if lint.PkgPathHasSuffix(pkgPath, "internal/simclock") && name == "Send" {
+		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() == nil {
+			return "HTTP round trip", OpBlock, true
+		}
+	}
 	if lint.PkgPathHasSuffix(pkgPath, "net/http") {
 		switch name {
-		case "Do", "Get", "Post", "PostForm", "Head":
+		case "Do", "Get", "Post", "PostForm", "Head", "RoundTrip":
 			return "HTTP round trip", OpBlock, true
 		case "ListenAndServe", "ListenAndServeTLS", "Serve":
 			return "HTTP serve", OpBlock, true

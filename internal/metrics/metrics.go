@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -257,6 +258,43 @@ func (r *Registry) Series(name string) *Series {
 		r.series[name] = s
 	}
 	return s
+}
+
+// Handle finds one named metric of a registry once, for a hot path
+// that would otherwise build and hash its name on every update. The
+// first Get creates the metric as the registry's accessor does, so a
+// metric nothing has touched stays out of every export; later calls
+// return the same pointer. Build one per name, at setup, with
+// CounterHandle, GaugeHandle or HistogramHandle.
+type Handle[T any] struct {
+	find func(string) *T
+	name string
+	m    atomic.Pointer[T]
+}
+
+// Get returns the metric, creating it on first use.
+func (h *Handle[T]) Get() *T {
+	if m := h.m.Load(); m != nil {
+		return m
+	}
+	m := h.find(h.name)
+	h.m.Store(m)
+	return m
+}
+
+// CounterHandle returns a handle on the named counter.
+func (r *Registry) CounterHandle(name string) *Handle[Counter] {
+	return &Handle[Counter]{find: r.Counter, name: name}
+}
+
+// GaugeHandle returns a handle on the named gauge.
+func (r *Registry) GaugeHandle(name string) *Handle[Gauge] {
+	return &Handle[Gauge]{find: r.Gauge, name: name}
+}
+
+// HistogramHandle returns a handle on the named histogram.
+func (r *Registry) HistogramHandle(name string) *Handle[Histogram] {
+	return &Handle[Histogram]{find: r.Histogram, name: name}
 }
 
 // sortedKeys returns a map's keys in sorted order, so every exporter

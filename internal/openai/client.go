@@ -13,7 +13,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
+	"net/url"
 	"time"
 
 	"swapservellm/internal/proxy/ir"
@@ -26,9 +28,10 @@ import (
 type Client struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
-	// HTTPClient defaults to a client with no timeout (streams can be
-	// long-lived) on the clock's transport (simclock.Transport); set one
-	// to bound request duration.
+	// HTTPClient, when set, runs every exchange (set one to bound
+	// request duration). By default exchanges go straight to the clock's
+	// transport (simclock.Transport) with no timeout, as streams can be
+	// long-lived.
 	HTTPClient *http.Client
 	// Clock paces health-check polling and picks the transport; defaults
 	// to the real clock. Tests and simulations inject a scaled or virtual
@@ -39,13 +42,6 @@ type Client struct {
 // NewClient returns a client for the given base URL.
 func NewClient(baseURL string) *Client {
 	return &Client{BaseURL: baseURL}
-}
-
-func (c *Client) httpClient() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	return &http.Client{Transport: simclock.Transport(c.clock())}
 }
 
 func (c *Client) clock() simclock.Clock {
@@ -63,22 +59,28 @@ func (c *Client) clock() simclock.Clock {
 // JSON, header adds request headers, and Do closes the response body.
 func (c *Client) Do(ctx context.Context, method, path string, body []byte, header http.Header,
 	read func(*http.Response) error) error {
-	var rb io.Reader
-	if body != nil {
-		rb = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rb)
+	u, err := url.Parse(c.BaseURL + path)
 	if err != nil {
 		return err
 	}
+	h := header
 	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		h = simclock.JSONHeader
+		if len(header) > 0 {
+			h = make(http.Header, 1+len(header))
+			h["Content-Type"] = simclock.JSONHeader["Content-Type"]
+			maps.Copy(h, header)
+		}
 	}
-	for k, v := range header {
-		req.Header[k] = v
+	req := simclock.NewRequest(ctx, method, u, "", body, h)
+	var resp *http.Response
+	if c.HTTPClient != nil {
+		//swaplint:block reason=the caller's client bounds its round trip: a timeout on a socket, or simclock's in-process transport under a Virtual clock
+		resp, err = c.HTTPClient.Do(req)
+	} else {
+		//swaplint:block reason=under a Virtual clock the round trip runs on simclock's in-process transport, parked in a gate BlockOn until the registered handler answers
+		resp, err = simclock.Send(simclock.Transport(c.clock()), req)
 	}
-	//swaplint:block reason=under a Virtual clock the round trip runs on simclock's in-process transport, parked in a gate BlockOn until the registered handler answers
-	resp, err := c.httpClient().Do(req)
 	if err != nil {
 		return err
 	}

@@ -36,6 +36,11 @@ type classState struct {
 	// done counts finished requests and withinSLO those whose latency
 	// met the class SLO: the SLO-attainment gauge is their ratio.
 	done, withinSLO int
+
+	// The class's metrics, each named once; nil without a registry.
+	admitted, shed *metrics.Handle[metrics.Counter]
+	latency        *metrics.Handle[metrics.Histogram]
+	attainment     *metrics.Handle[metrics.Gauge]
 }
 
 // Decision is the outcome of one admission check.
@@ -59,7 +64,14 @@ func NewAdmission(cfg config.SchedCfg, reg *metrics.Registry, inj *chaos.Injecto
 	}
 	a := &Admission{inj: inj, reg: reg, classes: make(map[string]*classState, len(cfg.Classes))}
 	for _, c := range cfg.Classes {
-		a.classes[c.Name] = &classState{cfg: c, tokens: c.Burst}
+		st := &classState{cfg: c, tokens: c.Burst}
+		if reg != nil {
+			st.admitted = reg.CounterHandle("sched_admitted_" + c.Name)
+			st.shed = reg.CounterHandle("sched_shed_" + c.Name)
+			st.latency = reg.HistogramHandle("sched_latency_" + c.Name)
+			st.attainment = reg.GaugeHandle("sched_slo_attainment_" + c.Name)
+		}
+		a.classes[c.Name] = st
 	}
 	return a, nil
 }
@@ -136,9 +148,9 @@ func (a *Admission) Decide(class string, predictedWait time.Duration, now time.T
 	}
 	if a.reg != nil {
 		if d.Admit {
-			a.reg.Counter("sched_admitted_" + class).Inc()
+			st.admitted.Get().Inc()
 		} else {
-			a.reg.Counter("sched_shed_" + class).Inc()
+			st.shed.Get().Inc()
 		}
 	}
 	return d
@@ -205,6 +217,6 @@ func (a *Admission) NoteDone(class string, latency time.Duration) {
 	if a.reg == nil {
 		return
 	}
-	a.reg.Histogram("sched_latency_" + class).Observe(latency)
-	a.reg.Gauge("sched_slo_attainment_" + class).Set(float64(st.withinSLO) / float64(st.done))
+	st.latency.Get().Observe(latency)
+	st.attainment.Get().Set(float64(st.withinSLO) / float64(st.done))
 }

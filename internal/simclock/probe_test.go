@@ -63,6 +63,41 @@ func TestProbeWakesWaitOnClosedDone(t *testing.T) {
 	}
 }
 
+// TestWakeEndsWaitOn: a peer that closes a WaitOn's done channel and
+// wakes its key ends the wait at that instant, and the waiter's token
+// is counted once, whether the Wake or the waiter's own retraction
+// hands it back.
+func TestWakeEndsWaitOn(t *testing.T) {
+	v := NewVirtual(vEpoch)
+	g := v.Gate()
+	g.Enter()
+	defer g.Exit()
+	for i := 0; i < 50; i++ {
+		key, done := new(int), make(chan struct{})
+		returned := make(chan int, 1)
+		start := v.Now()
+		g.Go(func() { returned <- g.WaitOn(key, time.Hour, done) })
+		v.Sleep(time.Second) // the child starts and parks first
+		close(done)
+		g.Wake(key)
+		var got int
+		g.BlockOn(returned, func() bool { return len(returned) > 0 }, func() { got = <-returned })
+		if got != 0 {
+			t.Fatalf("WaitOn = %d, want 0 (done)", got)
+		}
+		v.Sleep(time.Millisecond) // the child exits
+		if d := v.Since(start); d != time.Second+time.Millisecond {
+			t.Fatalf("round %d took %v of virtual time, want 1.001s", i, d)
+		}
+		v.mu.Lock()
+		running := v.running
+		v.mu.Unlock()
+		if running != 1 {
+			t.Fatalf("round %d: %d run tokens out after the wait, want this goroutine's 1", i, running)
+		}
+	}
+}
+
 // TestJoinResumesBeforeTimeMoves: a Block(wg.Wait) over Gate.Go
 // children is a join: their exits arm a settle, so the joiner resumes
 // at the instant the last child finished, ahead of a later timer.

@@ -73,13 +73,20 @@ type Virtual struct {
 	// channels, probed at every quiescence.
 	watched []*vwaiter
 
-	// starts holds the start signals of Gate.Go children not yet
-	// running, in spawn order.
-	starts []chan struct{}
+	// starts[started:] holds the functions of Gate.Go children not yet
+	// running, in spawn order; next holds the one the advancer just
+	// made a goroutine for, until that goroutine takes it. child is
+	// runChild as a func value, made once so a start allocates nothing.
+	starts  []func()
+	started int
+	next    func()
+	child   func()
 
 	// routes maps a listener address to the in-process HTTP server
-	// registered under it (see Listen).
+	// registered under it (see Listen); xfree holds spent in-process
+	// exchanges for reuse.
 	routes map[string]*Server
+	xfree  []*exchange
 
 	// gen increments on every state change; the settle pass commits only
 	// after it holds still across several yield rounds.
@@ -117,6 +124,7 @@ func NewVirtual(origin time.Time) *Virtual {
 	}
 	v.gate = &Gate{v: v, clock: v}
 	v.advance = v.advanceLoop
+	v.child = v.runChild
 	return v
 }
 
@@ -170,6 +178,7 @@ func (v *Virtual) addWaiterLocked(w *vwaiter, d time.Duration, tokened bool) {
 	w.tokened = tokened
 	w.fired = false
 	w.done = [2]<-chan struct{}{}
+	w.key = nil
 	w.watch = -1
 	v.seq++
 	heap.Push(&v.waiters, w)
@@ -204,11 +213,15 @@ func (v *Virtual) advanceLoop() {
 		if v.probeLocked() {
 			break
 		}
-		if len(v.starts) > 0 {
-			close(v.starts[0])
-			v.starts = v.starts[1:]
+		if v.started < len(v.starts) {
+			v.next = v.starts[v.started]
+			v.starts[v.started] = nil
+			if v.started++; v.started == len(v.starts) {
+				v.starts, v.started = v.starts[:0], 0
+			}
 			v.running++
 			v.gen++
+			go v.child()
 			continue
 		}
 		if v.waiters.Len() == 0 {
@@ -248,13 +261,19 @@ func (v *Virtual) probeLocked() bool {
 	}
 	for i := len(v.watched) - 1; i >= 0; i-- {
 		if w := v.watched[i]; w.doneClosed() {
-			v.unwatchLocked(w)
-			w.tokened = false // its token goes back now, not at retraction
-			v.running++
-			v.gen++
+			v.grantWaitLocked(w)
 		}
 	}
 	return v.running > n
+}
+
+// grantWaitLocked hands a tokened Wait whose done channel closed its run
+// token back now, not at its retraction.
+func (v *Virtual) grantWaitLocked(w *vwaiter) {
+	v.unwatchLocked(w)
+	w.tokened = false
+	v.running++
+	v.gen++
 }
 
 // settleLocked yields until the observable state (gen) holds still for
@@ -276,7 +295,7 @@ func (v *Virtual) settleLocked() bool {
 			return false
 		}
 		// A start does not move time, so only a jump waits on netpoll.
-		io := stable == 0 && v.blockedIO > 0 && len(v.starts) == 0 && time.Now().Before(v.ioGraceUntil)
+		io := stable == 0 && v.blockedIO > 0 && v.started == len(v.starts) && time.Now().Before(v.ioGraceUntil)
 		v.mu.Unlock()
 		if io {
 			time.Sleep(200 * time.Microsecond)
@@ -346,12 +365,14 @@ func (v *Virtual) dumpLocked() string {
 // wake — by the advancer firing it or by a probe of its done channels;
 // fired lets Gate.Wait tell a cancelled waiter from one whose token was
 // already returned and whose time still sits in ch. watch is its slot
-// in Virtual.watched, -1 when not watched.
+// in Virtual.watched, -1 when not watched; key is the Gate.WaitOn key
+// Wake matches it by.
 type vwaiter struct {
 	deadline time.Time
 	seq      uint64
 	ch       chan time.Time
 	done     [2]<-chan struct{}
+	key      any
 	tokened  bool
 	fired    bool
 	index    int
@@ -440,6 +461,7 @@ func (h *vheap) Pop() any {
 //   - BlockIO(fn) marks the caller as waiting on a real socket.
 //   - Wait(d, done...) parks on the clock like Sleep but also wakes on
 //     a done channel, returning -1 for the timer or the channel's index.
+//     WaitOn(key, d, done...) is a Wait that Wake(key) also ends.
 //   - Mutex and RWMutex are locks that may be held across clock waits.
 //
 // Rules: a registered goroutine blocks only via Sleep, BlockOn, Block,
@@ -503,28 +525,34 @@ func (g *Gate) Exit() {
 // Go runs fn on a new registered goroutine. The start is a zero-delay
 // event: children start one at a time, in spawn order, when the clock
 // is next quiescent and before any timer fires, so same-instant spawns
-// replay in one order however the Go scheduler runs their parents.
+// replay in one order however the Go scheduler runs their parents. The
+// goroutine itself is made at the start, by the advancer.
 func (g *Gate) Go(fn func()) {
 	if g.v == nil {
 		go fn()
 		return
 	}
 	v := g.v
-	start := make(chan struct{})
 	v.mu.Lock()
-	v.starts = append(v.starts, start)
+	v.starts = append(v.starts, fn)
 	v.gen++
 	v.maybeAdvanceLocked()
 	v.mu.Unlock()
-	go func() {
-		<-start
-		id := gid()
-		v.mu.Lock()
-		v.reg[id]++
-		v.mu.Unlock()
-		defer g.Exit()
-		fn()
-	}()
+}
+
+// runChild is a Gate.Go child's goroutine: it registers, holding the
+// run token the advancer counted for it, and runs next. The advancer
+// starts one child per quiescence, and that child's token keeps the
+// clock from the next one until it has run, so next is its own.
+func (v *Virtual) runChild() {
+	id := gid()
+	v.mu.Lock()
+	fn := v.next
+	v.next = nil
+	v.reg[id]++
+	v.mu.Unlock()
+	defer v.gate.Exit()
+	fn()
 }
 
 // Block runs fn with the caller's run token released, as a join: a
@@ -658,9 +686,9 @@ func (v *Virtual) armGrace() {
 }
 
 // Wake hands the run token back to every goroutine parked in BlockOn
-// on key whose wait is ready: the fast path of the probe each
-// quiescence runs anyway. Call it right after the operation that makes
-// their wait ready. The ready re-check matters: a Wake that lands late,
+// on key whose wait is ready, and in WaitOn on key whose done channel
+// is closed: the fast path of the probe each quiescence runs anyway.
+// Call it right after the operation that makes their wait ready. The ready re-check matters: a Wake that lands late,
 // after the wakee already took what it waited for and parked again,
 // must not hand a token to a wait that still blocks — that goroutine
 // could not give it up, and virtual time would stop.
@@ -677,6 +705,11 @@ func (g *Gate) Wake(key any) {
 			v.grantLocked(r)
 		}
 	}
+	for i := len(v.watched) - 1; i >= 0; i-- {
+		if w := v.watched[i]; w.key == key && w.doneClosed() {
+			v.grantWaitLocked(w)
+		}
+	}
 }
 
 // Wait parks the caller for d of clock time, but wakes early if any of
@@ -687,6 +720,17 @@ func (g *Gate) Wake(key any) {
 // registered caller's done channels at every quiescence by receiving
 // from them.
 func (g *Gate) Wait(d time.Duration, done ...<-chan struct{}) int {
+	return g.wait(nil, d, done)
+}
+
+// WaitOn is Wait for a caller whose done channels a peer closes and
+// then Wakes key, as it would for a BlockOn on key: the Wake hands the
+// caller its run token back at once instead of at the next quiescence.
+func (g *Gate) WaitOn(key any, d time.Duration, done ...<-chan struct{}) int {
+	return g.wait(key, d, done)
+}
+
+func (g *Gate) wait(key any, d time.Duration, done []<-chan struct{}) int {
 	if g.v == nil {
 		return waitFallback(g.clock, d, done)
 	}
@@ -707,6 +751,7 @@ func (g *Gate) Wait(d time.Duration, done ...<-chan struct{}) int {
 	if registered {
 		if len(done) > 0 {
 			copy(w.done[:], done)
+			w.key = key
 			w.watch = len(v.watched)
 			v.watched = append(v.watched, w)
 		}
