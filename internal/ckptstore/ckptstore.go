@@ -20,9 +20,10 @@
 package ckptstore
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -58,15 +59,25 @@ func (t Tier) String() string {
 }
 
 // ChunkID is a content address: equal IDs mean equal chunk payloads, so
-// the store keeps one copy however many images reference it.
-type ChunkID string
+// the store keeps one copy however many images reference it. The ID is
+// the 64-bit hash itself; String renders it as text.
+type ChunkID uint64
+
+// String renders the ID as 16 lowercase hex digits.
+func (id ChunkID) String() string {
+	var buf [16]byte
+	for i := len(buf) - 1; i >= 0; i-- {
+		buf[i] = "0123456789abcdef"[id&0xf]
+		id >>= 4
+	}
+	return string(buf[:])
+}
 
 // ChunkKey derives a ChunkID from identity components (model content
 // key, region tag, chunk index, dirt generation). FNV-64a over the parts,
 // each NUL-terminated, stands in for the payload hash the real system
 // computes — the simulation addresses content by provenance, which is
-// exact for the regions it models. The hash is rendered as 16 lowercase
-// hex digits.
+// exact for the regions it models.
 func ChunkKey(parts ...string) ChunkID {
 	h := NewKeyHash()
 	for _, p := range parts {
@@ -102,15 +113,8 @@ func (h KeyHash) Int(n int64) KeyHash {
 	return h * fnvPrime64
 }
 
-// ID renders the hash as a ChunkID.
-func (h KeyHash) ID() ChunkID {
-	var buf [16]byte
-	for i := len(buf) - 1; i >= 0; i-- {
-		buf[i] = "0123456789abcdef"[h&0xf]
-		h >>= 4
-	}
-	return ChunkID(buf[:])
-}
+// ID returns the hash as a ChunkID.
+func (h KeyHash) ID() ChunkID { return ChunkID(h) }
 
 // ChunkRef is one chunk of an image manifest, in image order.
 type ChunkRef struct {
@@ -118,7 +122,10 @@ type ChunkRef struct {
 	Bytes int64
 }
 
-// chunk is the store's record of one content-addressed payload.
+// chunk is the store's record of one content-addressed payload. A
+// *chunk never escapes s.mu: a record dropped from Store.chunks goes to
+// Store.free and comes back, zeroed, as some other payload's record, so
+// one held past Unlock could name a different chunk by then.
 type chunk struct {
 	id    ChunkID
 	bytes int64
@@ -139,7 +146,8 @@ type chunk struct {
 }
 
 // manifest is one live checkpoint image: an ordered chunk list plus the
-// tier its restore reads from by default.
+// tier its restore reads from by default. chunks is never modified once
+// committed, so a restore may keep reading it after s.mu is released.
 type manifest struct {
 	key      string
 	chunks   []ChunkRef
@@ -169,8 +177,8 @@ type Peer interface {
 // pending is an in-flight checkpoint plan: the chunk set the driver is
 // transferring, with the clean (transfer-skipped) chunks pinned.
 type pending struct {
-	refs   []ChunkRef
-	pinned []ChunkID
+	refs  []ChunkRef
+	clean []bool // clean[i]: refs[i] is pinned
 }
 
 // Store is one node's checkpoint store. All methods are safe for
@@ -188,12 +196,17 @@ type Store struct {
 	mu        sync.Mutex
 	chunks    map[ChunkID]*chunk
 	manifests map[string]*manifest
-	pendings  map[string]*pending
+	pendings  map[string]pending
 	peers     []Peer
 	hostCap   int64
 	hostBytes int64 // physical bytes resident in host RAM
 	diskBytes int64 // physical bytes resident on disk
 	seq       int64
+	// free holds dropped chunk records for reuse (see chunk). It never
+	// outgrows the peak number of live chunks.
+	free []*chunk
+	// victims is trimCacheLocked's scratch list, kept for its array.
+	victims []*chunk
 }
 
 // Option configures a Store.
@@ -229,7 +242,7 @@ func New(clock simclock.Clock, tb perfmodel.Testbed, opts ...Option) *Store {
 		nodeID:    "local",
 		chunks:    make(map[ChunkID]*chunk),
 		manifests: make(map[string]*manifest),
-		pendings:  make(map[string]*pending),
+		pendings:  make(map[string]pending),
 	}
 	for _, o := range opts {
 		o(s)
@@ -277,21 +290,21 @@ func (s *Store) SetChaos(inj *chaos.Injector) {
 // the driver skips the D2H transfer for those (delta checkpoint). Clean
 // chunks are pinned so concurrent demotion or cache trimming cannot drop
 // their host copy before the checkpoint commits. Every plan must be
-// closed by CommitCheckpoint or AbortCheckpoint.
+// closed by CommitCheckpoint or AbortCheckpoint. The store takes
+// ownership of refs, and keeps the returned slice until then: the caller
+// must modify neither.
 func (s *Store) PlanCheckpoint(key string, refs []ChunkRef) []bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p := &pending{refs: append([]ChunkRef(nil), refs...)}
 	clean := make([]bool, len(refs))
 	for i, r := range refs {
 		c, ok := s.chunks[r.ID]
 		if ok && c.inHost {
 			clean[i] = true
 			c.pins++
-			p.pinned = append(p.pinned, r.ID)
 		}
 	}
-	s.pendings[key] = p
+	s.pendings[key] = pending{refs: refs, clean: clean}
 	return clean
 }
 
@@ -308,9 +321,9 @@ func (s *Store) abortLocked(key string) {
 	if !ok {
 		return
 	}
-	for _, id := range p.pinned {
-		if c, ok := s.chunks[id]; ok {
-			c.pins--
+	for i, r := range p.refs {
+		if p.clean[i] {
+			s.chunks[r.ID].pins-- // a pinned chunk is never dropped
 		}
 	}
 	delete(s.pendings, key)
@@ -334,11 +347,8 @@ func (s *Store) CommitCheckpoint(ctx context.Context, key string) PutStats {
 	_, span := obs.Start(ctx, "ckpt.dedup",
 		obs.String("key", key), obs.String("node", s.nodeID))
 	s.mu.Lock()
-	p, ok := s.pendings[key]
-	if !ok {
-		// Put without a plan: treat every chunk as new.
-		p = &pending{}
-	}
+	// Without a plan, p is empty: the commit stores an empty manifest.
+	p := s.pendings[key]
 	s.abortLocked(key)
 	if old, ok := s.manifests[key]; ok {
 		s.releaseLocked(old)
@@ -349,8 +359,7 @@ func (s *Store) CommitCheckpoint(ctx context.Context, key string) PutStats {
 	for _, r := range p.refs {
 		c, ok := s.chunks[r.ID]
 		if !ok {
-			c = &chunk{id: r.ID, bytes: r.Bytes}
-			s.chunks[r.ID] = c
+			c = s.newChunkLocked(r)
 		}
 		if c.inHost {
 			st.DedupBytes += r.Bytes
@@ -365,13 +374,15 @@ func (s *Store) CommitCheckpoint(ctx context.Context, key string) PutStats {
 		s.seq++
 		c.seq = s.seq
 	}
-	s.manifests[key] = &manifest{key: key, chunks: append([]ChunkRef(nil), p.refs...), resident: TierHost}
+	s.manifests[key] = &manifest{key: key, chunks: p.refs, resident: TierHost}
 	s.trimCacheLocked()
 	s.mu.Unlock()
-	span.SetAttr(
-		obs.Int64("new_bytes", st.NewBytes),
-		obs.Int64("dedup_bytes", st.DedupBytes),
-		obs.Int("chunks", st.Chunks))
+	if span != nil {
+		span.SetAttr(
+			obs.Int64("new_bytes", st.NewBytes),
+			obs.Int64("dedup_bytes", st.DedupBytes),
+			obs.Int("chunks", st.Chunks))
+	}
 	span.End()
 	s.reg.Counter("ckpt_dedup_bytes").Add(float64(st.DedupBytes))
 	s.reg.Counter("ckpt_new_bytes").Add(float64(st.NewBytes))
@@ -424,8 +435,31 @@ func (s *Store) Forget(ids []ChunkID) {
 		if c.onDisk {
 			s.diskBytes -= c.bytes
 		}
-		delete(s.chunks, id)
+		s.dropChunkLocked(c)
 	}
+}
+
+// newChunkLocked registers a record for r's payload, resident in no
+// tier, reusing a dropped record when there is one. Caller holds s.mu.
+func (s *Store) newChunkLocked(r ChunkRef) *chunk {
+	var c *chunk
+	if n := len(s.free); n > 0 {
+		c = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		c = new(chunk)
+	}
+	*c = chunk{id: r.ID, bytes: r.Bytes}
+	s.chunks[r.ID] = c
+	return c
+}
+
+// dropChunkLocked removes c from the store and zeroes it onto the free
+// list. Caller holds s.mu.
+func (s *Store) dropChunkLocked(c *chunk) {
+	delete(s.chunks, c.id)
+	*c = chunk{}
+	s.free = append(s.free, c)
 }
 
 // Demote moves key's manifest residency from host RAM to disk, dropping
@@ -571,18 +605,21 @@ func (s *Store) trimCacheLocked() {
 	if s.hostCap <= 0 || s.hostBytes <= s.hostCap {
 		return
 	}
-	var victims []*chunk
+	victims := s.victims[:0]
 	for _, c := range s.chunks {
 		if c.inHost && c.refs == 0 && c.pins == 0 {
 			victims = append(victims, c)
 		}
 	}
-	sort.Slice(victims, func(i, j int) bool {
-		if !victims[i].lastUsed.Equal(victims[j].lastUsed) {
-			return victims[i].lastUsed.Before(victims[j].lastUsed)
+	// seq is unique per record, so the order is total: map iteration
+	// order cannot leak into which chunks go.
+	slices.SortFunc(victims, func(a, b *chunk) int {
+		if c := a.lastUsed.Compare(b.lastUsed); c != 0 {
+			return c
 		}
-		return victims[i].seq < victims[j].seq
+		return cmp.Compare(a.seq, b.seq)
 	})
+	s.victims = victims
 	for _, c := range victims {
 		if s.hostBytes <= s.hostCap {
 			return
@@ -591,7 +628,7 @@ func (s *Store) trimCacheLocked() {
 		s.hostBytes -= c.bytes
 		s.reg.Counter("ckpt_cache_evicted_bytes").Add(float64(c.bytes))
 		if !c.onDisk {
-			delete(s.chunks, c.id)
+			s.dropChunkLocked(c)
 		}
 	}
 }

@@ -390,28 +390,33 @@ func TestRegistryCountersPublished(t *testing.T) {
 }
 
 // TestChunkKeyRendering pins ChunkKey's content addresses: FNV-64a over
-// the NUL-terminated parts, as 16 lowercase hex digits. Changing them
-// would orphan every chunk a running store caches.
+// the NUL-terminated parts, rendered by String as 16 lowercase hex
+// digits. Changing them would orphan every chunk a running store
+// caches.
 func TestChunkKeyRendering(t *testing.T) {
 	for _, c := range []struct {
 		parts []string
-		want  ChunkID
+		want  string
 	}{
 		{nil, "cbf29ce484222325"},
 		{[]string{""}, "af63bd4c8601b7df"},
+		{[]string{"model", "w", "0"}, "c62da9abdb5b0879"},
 	} {
-		if got := ChunkKey(c.parts...); got != c.want || len(got) != 16 {
+		if got := ChunkKey(c.parts...).String(); got != c.want {
 			t.Errorf("ChunkKey(%q) = %s, want %s", c.parts, got, c.want)
 		}
 	}
-	if n := testing.AllocsPerRun(100, func() { ChunkKey("model", "d", "12", "1073741824", "3") }); n > 1 {
-		t.Errorf("ChunkKey allocates %v times, want at most 1", n)
+	if got := ChunkID(0xf).String(); got != "000000000000000f" {
+		t.Errorf("ChunkID(0xf) = %s, want zero-padded 000000000000000f", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { ChunkKey("model", "d", "12", "1073741824", "3") }); n > 0 {
+		t.Errorf("ChunkKey allocates %v times, want 0", n)
 	}
 }
 
 // TestKeyHashMatchesChunkKey: hashing parts incrementally, integers
-// from their decimal digits, gives ChunkKey's IDs bit for bit, in one
-// allocation (the ID).
+// from their decimal digits, gives ChunkKey's IDs bit for bit, without
+// allocating.
 func TestKeyHashMatchesChunkKey(t *testing.T) {
 	for _, n := range []int64{0, 7, -3, 12, 1 << 30, math.MaxInt64, math.MinInt64} {
 		want := ChunkKey("model", "d", strconv.FormatInt(n, 10), "1073741824")
@@ -420,8 +425,8 @@ func TestKeyHashMatchesChunkKey(t *testing.T) {
 		}
 	}
 	prefix := NewKeyHash().Part("model").Part("d")
-	if n := testing.AllocsPerRun(100, func() { prefix.Int(12).Int(1 << 30).Int(3).ID() }); n > 1 {
-		t.Errorf("KeyHash allocates %v times per ID, want at most 1", n)
+	if n := testing.AllocsPerRun(100, func() { prefix.Int(12).Int(1 << 30).Int(3).ID() }); n > 0 {
+		t.Errorf("KeyHash allocates %v times per ID, want 0", n)
 	}
 }
 
@@ -464,5 +469,96 @@ func TestForgetDropsOnlyUnreferencedChunks(t *testing.T) {
 	mustSelfCheck(t, s)
 	if got := s.Stats().Chunks; got != 2 {
 		t.Fatalf("chunks after unpinning = %d, want only the live manifest's 2", got)
+	}
+}
+
+// TestChunkRecordRecycling churns dirty generations of two processes
+// through a host cap smaller than both images, so Forget (a superseded
+// generation) and the cache trim (LRU eviction) both drop chunk
+// records onto the free list and commits and fetches take them back.
+// After every step the store self-checks, and every free record is
+// zeroed and unreachable from the chunk map: a recycled record never
+// carries refs, pins or tier flags into its next payload.
+func TestChunkRecordRecycling(t *testing.T) {
+	const mib = int64(1) << 20
+	s := testStore(t, WithHostCap(20*mib), WithRegistry(metrics.NewRegistry()))
+	ctx := context.Background()
+	seen := make(map[*chunk]bool) // every record the store ever held
+	peak := 0                     // most chunks live at once
+	check := func(step int, what string) {
+		t.Helper()
+		if err := s.SelfCheck(); err != nil {
+			t.Fatalf("step %d, after %s: %v", step, what, err)
+		}
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		peak = max(peak, len(s.chunks))
+		live := make(map[*chunk]bool, len(s.chunks))
+		for id, c := range s.chunks {
+			if c.id != id {
+				t.Fatalf("step %d, after %s: chunk %s holds the record of %s", step, what, id, c.id)
+			}
+			live[c] = true
+			seen[c] = true
+		}
+		for _, c := range s.free {
+			if *c != (chunk{}) {
+				t.Fatalf("step %d, after %s: free record carries %+v", step, what, *c)
+			}
+			if live[c] {
+				t.Fatalf("step %d, after %s: free record %p is still in the chunk map", step, what, c)
+			}
+		}
+	}
+	dyn := make(map[string][]ChunkID)
+	forgot := 0
+	for step := 0; step < 120; step++ {
+		key := [...]string{"a", "b"}[step%2]
+		gen := strconv.Itoa(step/2 + 1)
+		refs := refsFor(key, 4, mib) // weights: the same every generation
+		var ids []ChunkID
+		for i := 0; i < 8; i++ {
+			id := ChunkKey(key, "d", strconv.Itoa(i), gen)
+			refs = append(refs, ChunkRef{ID: id, Bytes: mib})
+			ids = append(ids, id)
+		}
+		// The driver's order: forget the superseded generation at plan time.
+		free := len(s.free)
+		s.Forget(dyn[key])
+		if len(s.free) > free {
+			forgot++
+		}
+		dyn[key] = ids
+		check(step, "forget")
+		checkpoint(s, key, refs)
+		check(step, "commit")
+		if step%5 == 0 {
+			if _, _, err := s.Demote(ctx, key); err != nil {
+				t.Fatal(err)
+			}
+			check(step, "demote")
+		}
+		sess, err := s.OpenRestore(ctx, key)
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		ferr := sess.FetchRange(0, 12*mib)
+		sess.Close(ferr)
+		if ferr != nil {
+			t.Fatalf("step %d: %v", step, ferr)
+		}
+		check(step, "restore")
+		s.Release(key)
+		check(step, "release")
+	}
+	if forgot == 0 {
+		t.Fatal("Forget never dropped a record")
+	}
+	if got := s.reg.Counter("ckpt_cache_evicted_bytes").Value(); got == 0 {
+		t.Fatal("the cache trim never ran")
+	}
+	t.Logf("%d chunk records, at most %d chunks live at once", len(seen), peak)
+	if len(seen) > 2*peak {
+		t.Fatalf("the store made %d chunk records for at most %d live at once: records are not recycled", len(seen), peak)
 	}
 }

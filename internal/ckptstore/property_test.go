@@ -76,8 +76,8 @@ func fullRestore(s *Store, im *imageModel) error {
 	if got != total {
 		return fmt.Errorf("restore of %q reassembled %d bytes, manifest is %d", im.key, got, total)
 	}
-	for i, f := range sess.fetched {
-		if !f {
+	for i, sc := range sess.chunks {
+		if !sc.fetched {
 			return fmt.Errorf("restore of %q left chunk %d unfetched", im.key, i)
 		}
 	}

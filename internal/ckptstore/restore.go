@@ -3,6 +3,7 @@ package ckptstore
 import (
 	"context"
 	"fmt"
+	"sort"
 	"time"
 
 	"swapservellm/internal/chaos"
@@ -48,6 +49,15 @@ func (s Source) String() string {
 		return "peer_disk"
 	}
 }
+
+// bytesAttr names the ckpt.fetch span attribute carrying each source's
+// byte count ("bytes_" + source).
+var bytesAttr = func() (names [SrcPeerDisk + 1]string) {
+	for src := range names {
+		names[src] = "bytes_" + Source(src).String()
+	}
+	return names
+}()
 
 // candidate is one reachable source for one chunk, with its modelled
 // read cost.
@@ -171,8 +181,7 @@ func (s *Store) commitFetch(r ChunkRef, src Source) {
 	c, ok := s.chunks[r.ID]
 	if !ok {
 		// A peer-sourced chunk the local store had never seen.
-		c = &chunk{id: r.ID, bytes: r.Bytes}
-		s.chunks[r.ID] = c
+		c = s.newChunkLocked(r)
 	}
 	if !c.inHost {
 		c.inHost = true
@@ -194,12 +203,18 @@ type RestoreSession struct {
 	s        *Store
 	ctx      context.Context
 	key      string
-	refs     []ChunkRef
-	starts   []int64 // image offset of each chunk
-	cands    [][]candidate
-	fetched  []bool
+	refs     []ChunkRef     // the manifest's chunks, shared with it
+	chunks   []sessionChunk // refs[i]'s plan
 	span     *obs.Span
-	bySource map[Source]int64
+	bySource [SrcPeerDisk + 1]int64
+}
+
+// sessionChunk is a restore session's plan for one chunk.
+type sessionChunk struct {
+	start   int64      // image offset
+	state   chunkState // local tiers at open time
+	cands   []candidate
+	fetched bool
 }
 
 // OpenRestore plans a restore of key's manifest: every chunk gets a
@@ -213,11 +228,11 @@ func (s *Store) OpenRestore(ctx context.Context, key string) (*RestoreSession, e
 		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrUnknownManifest, key)
 	}
-	refs := append([]ChunkRef(nil), m.chunks...)
-	states := make([]chunkState, len(refs))
-	for i, r := range refs {
+	rs := &RestoreSession{s: s, key: key, refs: m.chunks,
+		chunks: make([]sessionChunk, len(m.chunks))}
+	for i, r := range rs.refs {
 		if c, ok := s.chunks[r.ID]; ok {
-			states[i] = chunkState{inHost: c.inHost, onDisk: c.onDisk}
+			rs.chunks[i].state = chunkState{inHost: c.inHost, onDisk: c.onDisk}
 		}
 	}
 	peers := s.peers
@@ -225,32 +240,26 @@ func (s *Store) OpenRestore(ctx context.Context, key string) (*RestoreSession, e
 
 	ctx, span := obs.Start(ctx, "ckpt.fetch",
 		obs.String("key", key), obs.String("node", s.nodeID))
-	rs := &RestoreSession{
-		s: s, ctx: ctx, key: key, refs: refs,
-		starts:   make([]int64, len(refs)),
-		cands:    make([][]candidate, len(refs)),
-		fetched:  make([]bool, len(refs)),
-		span:     span,
-		bySource: make(map[Source]int64),
-	}
+	rs.ctx, rs.span = ctx, span
 	var off int64
-	var total int64
 	// Every chunk's sources come from one backing array, sized for the
 	// most any chunk can have: local RAM, local disk and one per peer.
-	all := make([]candidate, 0, len(refs)*(2+len(peers)))
-	for i, r := range refs {
-		rs.starts[i] = off
+	all := make([]candidate, 0, len(rs.refs)*(2+len(peers)))
+	for i, r := range rs.refs {
+		sc := &rs.chunks[i]
+		sc.start = off
 		off += r.Bytes
-		total += r.Bytes
 		n := len(all)
-		all = s.planChunk(all, r, states[i], peers)
-		rs.cands[i] = all[n:len(all):len(all)]
-		if len(rs.cands[i]) == 0 {
+		all = s.planChunk(all, r, sc.state, peers)
+		sc.cands = all[n:len(all):len(all)]
+		if len(sc.cands) == 0 {
 			span.EndErr(fmt.Errorf("%w %s", ErrNoSource, r.ID))
 			return nil, fmt.Errorf("%w %s (%d bytes) of manifest %q", ErrNoSource, r.ID, r.Bytes, key)
 		}
 	}
-	span.SetAttr(obs.Int64("bytes", total), obs.Int("chunks", len(refs)))
+	if span != nil {
+		span.SetAttr(obs.Int64("bytes", off), obs.Int("chunks", len(rs.refs)))
+	}
 	return rs, nil
 }
 
@@ -259,15 +268,18 @@ func (s *Store) OpenRestore(ctx context.Context, key string) (*RestoreSession, e
 // this ahead of each H2D chunk so fetch time lands on the restore's
 // critical path exactly where the bytes are needed.
 func (rs *RestoreSession) FetchRange(from, to int64) error {
-	for i, r := range rs.refs {
-		if rs.fetched[i] || rs.starts[i] < from || rs.starts[i] >= to {
+	// Chunks are in image order: start at the first one at or past from.
+	i := sort.Search(len(rs.chunks), func(i int) bool { return rs.chunks[i].start >= from })
+	for ; i < len(rs.chunks) && rs.chunks[i].start < to; i++ {
+		sc, r := &rs.chunks[i], rs.refs[i]
+		if sc.fetched {
 			continue
 		}
-		src, err := rs.s.fetchChunk(rs.ctx, chaos.SiteCkptFetch, r, rs.cands[i])
+		src, err := rs.s.fetchChunk(rs.ctx, chaos.SiteCkptFetch, r, sc.cands)
 		if err != nil {
 			return err
 		}
-		rs.fetched[i] = true
+		sc.fetched = true
 		rs.bySource[src] += r.Bytes
 	}
 	return nil
@@ -277,9 +289,9 @@ func (rs *RestoreSession) FetchRange(from, to int64) error {
 // sources — the perfmodel estimate a scheduler can use before starting.
 func (rs *RestoreSession) PlanTime() time.Duration {
 	var d time.Duration
-	for i := range rs.refs {
-		if len(rs.cands[i]) > 0 {
-			d += rs.cands[i][0].cost
+	for _, sc := range rs.chunks {
+		if len(sc.cands) > 0 {
+			d += sc.cands[0].cost
 		}
 	}
 	return d
@@ -288,9 +300,11 @@ func (rs *RestoreSession) PlanTime() time.Duration {
 // Close ends the session's ckpt.fetch span, recording the per-source
 // byte split. err is the restore's outcome (nil on success).
 func (rs *RestoreSession) Close(err error) {
-	for _, src := range []Source{SrcHostRAM, SrcPeerRAM, SrcLocalDisk, SrcPeerDisk} {
-		if n := rs.bySource[src]; n > 0 {
-			rs.span.SetAttr(obs.Int64("bytes_"+src.String(), n))
+	if rs.span != nil {
+		for src, n := range rs.bySource {
+			if n > 0 {
+				rs.span.SetAttr(obs.Int64(bytesAttr[src], n))
+			}
 		}
 	}
 	rs.span.EndErr(err)
@@ -317,7 +331,7 @@ func (s *Store) Promote(ctx context.Context, key string) (moved, dedup int64, er
 		s.mu.Unlock()
 		return 0, 0, nil
 	}
-	refs := append([]ChunkRef(nil), m.chunks...)
+	refs := m.chunks
 	states := make([]chunkState, len(refs))
 	for i, r := range refs {
 		if c, ok := s.chunks[r.ID]; ok {

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/url"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -81,6 +82,7 @@ type Server struct {
 
 	mu        sync.Mutex
 	backends  map[string]*Backend // the model-name index of §3.2
+	sorted    []*Backend          // backends by name, replaced whole on each add
 	workers   []*worker
 	loops     []*simclock.Loop
 	initCache *engine.InitCache
@@ -268,20 +270,12 @@ func (s *Server) Backend(model string) (*Backend, bool) {
 	return b, ok
 }
 
-// Backends returns all backends sorted by name.
+// Backends returns all backends sorted by name. The slice is shared:
+// callers must not modify it.
 func (s *Server) Backends() []*Backend {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.backends))
-	for n := range s.backends {
-		names = append(names, n)
-	}
-	slices.Sort(names)
-	out := make([]*Backend, len(names))
-	for i, n := range names {
-		out[i] = s.backends[n]
-	}
-	return out
+	return s.sorted
 }
 
 // Start runs the initialization sequence of §3.2: stage weights, create
@@ -389,6 +383,10 @@ func (s *Server) initBackend(ctx context.Context, mc *config.Model) error {
 
 	s.mu.Lock()
 	s.backends[mc.Name] = b
+	// Copy on write: a slice handed out by Backends is never modified.
+	sorted := append(slices.Clip(s.sorted), b)
+	slices.SortFunc(sorted, func(x, y *Backend) int { return strings.Compare(x.name, y.name) })
+	s.sorted = sorted
 	s.mu.Unlock()
 	s.ctrl.RegisterBackend(b)
 

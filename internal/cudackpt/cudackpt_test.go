@@ -26,7 +26,7 @@ func newDriver(t *testing.T, hostCap int64) (*Driver, *gpu.Device, *simclock.Sca
 // test goroutine registered on its gate until the test's cleanups
 // finish: simulated durations are then exact deadline arithmetic, free
 // of the wall-clock slop a scaled clock adds under host load.
-func newVirtualDriver(t *testing.T, hostCap int64) (*Driver, *gpu.Device, *simclock.Virtual) {
+func newVirtualDriver(t testing.TB, hostCap int64) (*Driver, *gpu.Device, *simclock.Virtual) {
 	t.Helper()
 	clock := simclock.NewVirtual(time.Date(2025, 11, 16, 0, 0, 0, 0, time.UTC))
 	gate := clock.Gate()

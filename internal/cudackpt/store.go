@@ -87,7 +87,11 @@ func (d *Driver) chunkPlanLocked(p *proc, bytes int64) []ckptstore.ChunkRef {
 	k := ckptstore.NewKeyHash()
 	weights, zeros, dirty := k.Part(ckey).Part("w"), k.Part(ckey).Part("z"), k.Part(p.pid).Part("d")
 	refs := make([]ckptstore.ChunkRef, 0, (bytes-1)/d.chunkBytes+1)
-	var dyn []ckptstore.ChunkID
+	if p.dirtyGen != p.dynGen {
+		d.store.Forget(p.dynIDs)
+	}
+	// Forget has consumed the last plan's IDs: reuse their array.
+	dyn := p.dynIDs[:0]
 	var off int64
 	for i := int64(0); off < bytes; i++ {
 		c := min(d.chunkBytes, bytes-off)
@@ -103,9 +107,6 @@ func (d *Driver) chunkPlanLocked(p *proc, bytes int64) []ckptstore.ChunkRef {
 		}
 		refs = append(refs, ckptstore.ChunkRef{ID: id, Bytes: c})
 		off += c
-	}
-	if p.dirtyGen != p.dynGen {
-		d.store.Forget(p.dynIDs)
 	}
 	p.dynIDs, p.dynGen = dyn, p.dirtyGen
 	return refs

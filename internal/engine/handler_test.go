@@ -5,13 +5,13 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"swapservellm/internal/openai"
 	"swapservellm/internal/proxy/ir"
 	"swapservellm/internal/simclock"
-	"swapservellm/internal/storage"
 )
 
 // readyEngine initializes a small Ollama engine and returns it with a test
@@ -317,44 +317,61 @@ func TestCancelledClientAbandonsDecode(t *testing.T) {
 	}
 }
 
+// TestBusyTrackingDuringDecode: the device reads busy while a decode
+// runs and idle once it has ended. The engine serves in-process on a
+// Virtual clock and a registered poller samples Utilization once per
+// token interval, so every sample lands at an exact virtual instant.
 func TestBusyTrackingDuringDecode(t *testing.T) {
-	// A mildly-scaled clock keeps the decode slow enough to observe.
-	r := newRig(t)
-	r.clock = simclock.NewScaled(testEpoch, 50)
-	r.store = storage.NewModelStore(r.clock, r.tb)
-	e, err := NewOllama(r.config(t, "busy-test", "llama3.2:1b-fp16"))
+	r := newVirtualRig(t)
+	cfg := r.config(t, "busy-test", "llama3.2:1b-fp16")
+	e, err := NewOllama(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Init(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(e.Handler())
-	defer srv.Close()
-	req := chatReq("llama3.2:1b-fp16", "busy test")
-	req.MaxTokens = 200
-	done := make(chan error, 1)
-	go func() {
-		_, err := openai.NewClient(srv.URL).ChatCompletion(context.Background(), req)
-		done <- err
-	}()
-	// Utilization must rise above zero while decoding.
-	deadline := time.After(5 * time.Second)
-	for r.device.Utilization() == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("device never became busy")
-		case err := <-done:
-			t.Fatalf("request finished before busy observed: %v", err)
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
-	if err := <-done; err != nil {
+	srv, err := simclock.Listen(r.clock, "127.0.0.1:0", e.Handler())
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer srv.Close()
+	cli := openai.NewClient("http://" + srv.Addr())
+	cli.Clock = r.clock
+	req := chatReq("llama3.2:1b-fp16", "busy test")
+	req.MaxTokens = 200
+	tick := r.tb.TokenTime(e.Kind(), cfg.Model, 1)
+
+	var done atomic.Bool
+	var resp *ir.ChatCompletionResponse
+	var reqErr error
+	busy := 0 // samples that saw the device busy
+	g := simclock.NewGroup(r.clock)
+	g.Go(func() {
+		resp, reqErr = cli.ChatCompletion(context.Background(), req)
+		done.Store(true)
+	})
+	g.Go(func() {
+		for !done.Load() {
+			if r.device.Utilization() > 0 {
+				busy++
+			}
+			r.clock.Sleep(tick)
+		}
+	})
+	g.Wait()
+	if reqErr != nil {
+		t.Fatal(reqErr)
+	}
+	t.Logf("busy in %d samples; %d tokens", busy, resp.Usage.CompletionTokens)
+	// Utilization must rise above zero while decoding: the decode spans
+	// one interval per token, so at least half the samples see it.
+	if n := resp.Usage.CompletionTokens; busy < n/2 {
+		t.Fatalf("device busy in %d samples, want at least %d of the %d-token decode", busy, n/2, n)
+	}
+	// The clock moves only once the handler has returned.
+	r.clock.Sleep(tick)
 	if u := r.device.Utilization(); u != 0 {
 		t.Fatalf("utilization after decode = %v", u)
 	}
-	_ = e
 }

@@ -37,12 +37,9 @@ func (t *Topology) Device(id int) (*Device, error) {
 	return t.devices[id], nil
 }
 
-// Devices returns all devices in index order.
-func (t *Topology) Devices() []*Device {
-	out := make([]*Device, len(t.devices))
-	copy(out, t.devices)
-	return out
-}
+// Devices returns all devices in index order. The set is fixed at
+// construction and the slice is shared: callers must not modify it.
+func (t *Topology) Devices() []*Device { return t.devices }
 
 // Len returns the number of devices.
 func (t *Topology) Len() int { return len(t.devices) }
