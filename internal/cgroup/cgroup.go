@@ -160,7 +160,7 @@ func (f *Freezer) setState(ctx context.Context, path string, s SelfState) (err e
 	if s == Thawed {
 		site = chaos.SiteCgroupThaw
 	}
-	if ferr := f.chaosInj.At(site).Err; ferr != nil {
+	if ferr := f.chaosInj.AtFor(site, p).Err; ferr != nil {
 		obs.AnnotateFault(ctx, string(site), ferr)
 		return fmt.Errorf("cgroup: writing %v to %s: %w", s, p, ferr)
 	}

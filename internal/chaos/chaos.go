@@ -5,18 +5,17 @@
 // restore / unlock transitions and PCIe transfers, the cgroup freezer,
 // the model store, and the cluster's heartbeat / proxy / SSE paths).
 //
-// Decisions are a pure function of (seed, site, occurrence index), so a
-// failing schedule replays exactly from its seed regardless of how
-// goroutines interleave across sites: the n-th checkpoint at a site
-// fails (or stalls) on every run with that seed. This replaces the
-// ad-hoc one-shot InjectFault mechanism that previously lived in
-// internal/cudackpt.
+// Decisions are a pure function of (seed, site, subject, occurrence
+// index), so a failing schedule replays exactly from its seed regardless
+// of how goroutines interleave: the n-th checkpoint of a process at a
+// site fails (or stalls) on every run with that seed, whichever other
+// process reached the site first. This replaces the ad-hoc one-shot
+// InjectFault mechanism that previously lived in internal/cudackpt.
 package chaos
 
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 	"time"
@@ -143,6 +142,14 @@ type Injector struct {
 	rules map[Site][]*ruleState
 	seen  map[Site]int
 	fired map[Site]int
+	// subjectSeen counts occurrences per (site, subject) for AtFor.
+	subjectSeen map[subjectKey]int
+}
+
+// subjectKey names one subject's occurrence sequence at a site.
+type subjectKey struct {
+	site    Site
+	subject string
 }
 
 // NewInjector builds an injector executing plan.
@@ -152,6 +159,8 @@ func NewInjector(plan Plan) *Injector {
 		rules: make(map[Site][]*ruleState),
 		seen:  make(map[Site]int),
 		fired: make(map[Site]int),
+
+		subjectSeen: make(map[subjectKey]int),
 	}
 	for _, r := range plan.Rules {
 		in.rules[r.Site] = append(in.rules[r.Site], &ruleState{rule: r})
@@ -167,8 +176,24 @@ func FailNext(site Site, n int) *Injector {
 
 // At records one occurrence at site and returns the injection decision.
 // With multiple rules for a site the first that fires wins; error rules
-// and delay rules may both be armed on one site.
+// and delay rules may both be armed on one site. The draw is keyed by
+// the site's occurrence index, so it is only replay-stable where the
+// site's callers are ordered among themselves; AtFor keys it by subject
+// instead.
 func (in *Injector) At(site Site) Outcome {
+	return in.AtFor(site, "")
+}
+
+// AtFor is At for an occurrence that belongs to subject — a process, a
+// cgroup, a blob. Its probability draw is keyed by (site, subject, the
+// subject's own occurrence index), so it does not depend on how
+// concurrent subjects interleave at the site: two processes whose
+// transfers step at the same simulated instants draw the same faults
+// whichever the host scheduler runs first. A rule's after= and times=
+// still count occurrences and firings across the whole site, as
+// documented on Rule. An injected error names the occurrence index the
+// draw used. An empty subject is exactly At.
+func (in *Injector) AtFor(site Site, subject string) Outcome {
 	if in == nil {
 		return Outcome{}
 	}
@@ -176,6 +201,12 @@ func (in *Injector) At(site Site) Outcome {
 	defer in.mu.Unlock()
 	occ := in.seen[site]
 	in.seen[site] = occ + 1
+	drawOcc := occ
+	if subject != "" {
+		k := subjectKey{site, subject}
+		drawOcc = in.subjectSeen[k]
+		in.subjectSeen[k] = drawOcc + 1
+	}
 	for idx, rs := range in.rules[site] {
 		r := rs.rule
 		if occ < r.After {
@@ -184,7 +215,7 @@ func (in *Injector) At(site Site) Outcome {
 		if r.Times > 0 && rs.fired >= r.Times {
 			continue
 		}
-		if p := r.probability(); p < 1 && in.draw(site, idx, occ) >= p {
+		if p := r.probability(); p < 1 && in.draw(site, subject, idx, drawOcc) >= p {
 			continue
 		}
 		rs.fired++
@@ -192,7 +223,7 @@ func (in *Injector) At(site Site) Outcome {
 		if r.Delay > 0 {
 			return Outcome{Delay: r.Delay}
 		}
-		return Outcome{Err: fmt.Errorf("%w: %s (occurrence %d)", ErrInjected, site, occ)}
+		return Outcome{Err: fmt.Errorf("%w: %s (occurrence %d)", ErrInjected, site, drawOcc)}
 	}
 	return Outcome{}
 }
@@ -235,15 +266,30 @@ func (in *Injector) Seed() int64 {
 }
 
 // draw produces a deterministic uniform value in [0,1) for the given
-// (site, rule, occurrence) coordinate under the injector's seed.
-func (in *Injector) draw(site Site, ruleIdx, occ int) float64 {
-	h := fnv.New64a()
-	h.Write([]byte(site))
-	x := uint64(in.seed) ^ h.Sum64() ^ (uint64(ruleIdx+1) << 48) ^ uint64(occ)*0x9e3779b97f4a7c15
+// (site, subject, rule, occurrence) coordinate under the injector's
+// seed. An empty subject hashes exactly as the site alone.
+func (in *Injector) draw(site Site, subject string, ruleIdx, occ int) float64 {
+	h := fnv64a(fnvOffset64, string(site))
+	if subject != "" {
+		h = fnv64a(h, "\x00"+subject)
+	}
+	x := uint64(in.seed) ^ h ^ (uint64(ruleIdx+1) << 48) ^ uint64(occ)*0x9e3779b97f4a7c15
 	// splitmix64 finalizer: decorrelates the coordinate bits.
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	x ^= x >> 31
 	return float64(x>>11) / float64(1<<53)
+}
+
+// fnvOffset64 is the FNV-1a 64-bit offset basis.
+const fnvOffset64 = 14695981039346656037
+
+// fnv64a folds s into the FNV-1a 64-bit hash h.
+func fnv64a(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
 }

@@ -111,6 +111,82 @@ func TestDeterministicAcrossInterleavings(t *testing.T) {
 	}
 }
 
+// TestSubjectDrawsIgnoreInterleaving: AtFor's decisions for one subject
+// depend only on that subject's own occurrences, however other
+// subjects' consultations of the same site interleave with them — the
+// property that makes a victim's checkpoint and a target's restore,
+// stepping their chunks at the same instants, replay exactly.
+func TestSubjectDrawsIgnoreInterleaving(t *testing.T) {
+	plan := MustParsePlan("seed=99; cudackpt.chunk: p=0.3")
+	sequence := func(in *Injector, interleave bool) []bool {
+		var out []bool
+		for i := 0; i < 200; i++ {
+			if interleave && i%3 != 1 {
+				in.AtFor(SiteCkptChunk, "target")
+			}
+			out = append(out, in.AtFor(SiteCkptChunk, "victim").Err != nil)
+		}
+		return out
+	}
+	alone := sequence(NewInjector(plan), false)
+	mixed := sequence(NewInjector(plan), true)
+	fired := 0
+	for i := range alone {
+		if alone[i] != mixed[i] {
+			t.Fatalf("occurrence %d: victim's decision changed when the target interleaved", i)
+		}
+		if alone[i] {
+			fired++
+		}
+	}
+	if fired < 30 || fired > 90 {
+		t.Fatalf("p=0.3 fired %d/200 times", fired)
+	}
+	// Subjects draw distinct schedules, and an empty subject is At.
+	in, other := NewInjector(plan), NewInjector(plan)
+	same := true
+	for i := 0; i < 200; i++ {
+		if (in.AtFor(SiteCkptChunk, "target").Err != nil) != alone[i] {
+			same = false
+		}
+		if (in.At(SiteCkptLock).Err != nil) != (other.AtFor(SiteCkptLock, "").Err != nil) {
+			t.Fatalf("occurrence %d: AtFor with no subject differs from At", i)
+		}
+	}
+	if same {
+		t.Fatal("subjects victim and target drew identical schedules")
+	}
+}
+
+// TestAfterAndTimesCountAcrossSubjects: after= and times= keep their
+// per-site meaning under AtFor — FailNext fails the site's next n
+// occurrences whichever subjects they belong to, and after=k skips the
+// site's first k.
+func TestAfterAndTimesCountAcrossSubjects(t *testing.T) {
+	in := FailNext(SiteCkptRestore, 2)
+	for i, subject := range []string{"p1", "p2"} {
+		if out := in.AtFor(SiteCkptRestore, subject); !errors.Is(out.Err, ErrInjected) {
+			t.Fatalf("occurrence %d (%s): err = %v, want injected", i, subject, out.Err)
+		}
+	}
+	if out := in.AtFor(SiteCkptRestore, "p3"); out.Err != nil {
+		t.Fatalf("third occurrence fired: %v", out.Err)
+	}
+
+	in = NewInjector(Plan{Seed: 9, Rules: []Rule{{Site: SiteCkptChunk, After: 2, Times: 1}}})
+	for i, subject := range []string{"p1", "p2"} {
+		if out := in.AtFor(SiteCkptChunk, subject); out.Err != nil {
+			t.Fatalf("occurrence %d (%s) fired early: %v", i, subject, out.Err)
+		}
+	}
+	if out := in.AtFor(SiteCkptChunk, "p1"); !errors.Is(out.Err, ErrInjected) {
+		t.Fatalf("site occurrence 2 did not fire: %v", out.Err)
+	}
+	if out := in.AtFor(SiteCkptChunk, "p2"); out.Err != nil {
+		t.Fatalf("times=1 rule fired twice: %v", out.Err)
+	}
+}
+
 // TestConcurrentUse: the injector is safe under concurrent consultation
 // and the total occurrence accounting stays exact.
 func TestConcurrentUse(t *testing.T) {

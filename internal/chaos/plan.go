@@ -16,10 +16,12 @@ type Rule struct {
 	// P is the per-occurrence firing probability in [0,1]; zero means 1
 	// (always fire) so one-shot rules read naturally.
 	P float64
-	// After skips the first After occurrences at the site before the
-	// rule becomes eligible (deterministic mid-stream cut points).
+	// After skips the first After occurrences at the site, counted
+	// across every subject, before the rule becomes eligible
+	// (deterministic mid-stream cut points).
 	After int
-	// Times bounds the total number of firings (0 = unlimited).
+	// Times bounds the total number of firings at the site, across every
+	// subject (0 = unlimited).
 	Times int
 	// Delay, when positive, turns the fault into a latency injection of
 	// that much simulated time instead of an error.

@@ -123,20 +123,22 @@ func (s *Store) planChunk(dst []candidate, r ChunkRef, st chunkState, peers []Pe
 	return cands
 }
 
-// injAt consults the fault injector without holding the store lock
-// across the injector's own lock.
-func (s *Store) injAt(site chaos.Site) chaos.Outcome {
+// injAt consults the fault injector for manifest key without holding
+// the store lock across the injector's own lock. Draws are keyed by the
+// manifest, so concurrent restores draw independently of their order.
+func (s *Store) injAt(site chaos.Site, key string) chaos.Outcome {
 	s.mu.Lock()
 	inj := s.inj
 	s.mu.Unlock()
-	return inj.At(site)
+	return inj.AtFor(site, key)
 }
 
 // fetchChunk executes one chunk fetch against its ranked candidates:
 // bounded retries per source (a faulted attempt burns its read time),
 // then fallback to the next-best source. On success the chunk's bytes
-// are cached in local host RAM. Returns the source that served it.
-func (s *Store) fetchChunk(ctx context.Context, site chaos.Site, r ChunkRef, cands []candidate) (Source, error) {
+// are cached in local host RAM. Returns the source that served it. key
+// is the manifest the chunk is fetched for.
+func (s *Store) fetchChunk(ctx context.Context, site chaos.Site, key string, r ChunkRef, cands []candidate) (Source, error) {
 	var lastErr error
 	for _, cand := range cands {
 		if cand.src == SrcHostRAM || cand.src == SrcLocalDisk {
@@ -155,7 +157,7 @@ func (s *Store) fetchChunk(ctx context.Context, site chaos.Site, r ChunkRef, can
 			return SrcHostRAM, nil
 		}
 		for attempt := 0; attempt < fetchRetries; attempt++ {
-			out := s.injAt(site)
+			out := s.injAt(site, key)
 			if out.Err != nil {
 				lastErr = out.Err
 				obs.AnnotateFault(ctx, string(site), out.Err)
@@ -275,7 +277,7 @@ func (rs *RestoreSession) FetchRange(from, to int64) error {
 		if sc.fetched {
 			continue
 		}
-		src, err := rs.s.fetchChunk(rs.ctx, chaos.SiteCkptFetch, r, sc.cands)
+		src, err := rs.s.fetchChunk(rs.ctx, chaos.SiteCkptFetch, rs.key, r, sc.cands)
 		if err != nil {
 			return err
 		}
@@ -352,7 +354,7 @@ func (s *Store) Promote(ctx context.Context, key string) (moved, dedup int64, er
 		if len(cands) == 0 {
 			return moved, dedup, fmt.Errorf("%w %s (%d bytes) of manifest %q", ErrNoSource, r.ID, r.Bytes, key)
 		}
-		if _, ferr := s.fetchChunk(ctx, chaos.SiteCkptPromote, r, cands); ferr != nil {
+		if _, ferr := s.fetchChunk(ctx, chaos.SiteCkptPromote, key, r, cands); ferr != nil {
 			return moved, dedup, ferr
 		}
 		moved += r.Bytes

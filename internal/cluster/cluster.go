@@ -19,8 +19,8 @@ import (
 
 // Options tunes cluster construction.
 type Options struct {
-	// Clock is the shared simulation clock for every node (default: a
-	// Scaled clock at simclock.DefaultScale starting now).
+	// Clock is the shared simulation clock for every node (required,
+	// set with WithClock).
 	Clock simclock.Clock
 	// Registry collects cluster/gateway metrics; each node keeps its own
 	// registry (default: a fresh registry).
@@ -119,7 +119,7 @@ func New(cfg config.Cluster, options ...Option) (*Cluster, error) {
 	}
 	clock := opts.Clock
 	if clock == nil {
-		clock = simclock.NewScaledFromWall(simclock.DefaultScale)
+		return nil, fmt.Errorf("cluster: %w (WithClock)", core.ErrNoClock)
 	}
 	reg := opts.Registry
 	if reg == nil {

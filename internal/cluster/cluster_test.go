@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"swapservellm/internal/config"
+	"swapservellm/internal/core"
 	"swapservellm/internal/engine"
 	"swapservellm/internal/openai"
 	"swapservellm/internal/proxy/ir"
@@ -30,6 +32,20 @@ func twoNodeConfig(model string) config.Cluster {
 		{Name: "node-b", Models: []config.Model{{Name: model, Engine: "ollama"}}},
 	}
 	return cfg
+}
+
+// TestNewRequiresClock: a valid cluster config without a clock is
+// rejected, not silently given a wall-driven one.
+func TestNewRequiresClock(t *testing.T) {
+	cfg := twoNodeConfig("llama3.2:1b-fp16")
+	if _, err := New(cfg); !errors.Is(err, core.ErrNoClock) {
+		t.Fatalf("New without a clock: err = %v, want core.ErrNoClock", err)
+	}
+	c, err := New(cfg, WithClock(simclock.NewVirtual(testEpoch)))
+	if err != nil {
+		t.Fatalf("New with a clock: %v", err)
+	}
+	c.Shutdown()
 }
 
 // startCluster builds and starts a cluster, tearing it down with the

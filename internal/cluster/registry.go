@@ -33,7 +33,10 @@ type NodeRegistry struct {
 
 	mu    sync.RWMutex
 	nodes map[string]*Node
-	order []string
+	// sorted holds every member sorted by ID. It is copy-on-write: Add
+	// builds a new slice under mu, so a slice Nodes handed out is never
+	// mutated and callers range over it without a copy.
+	sorted []*Node
 
 	loop *simclock.Loop
 }
@@ -94,8 +97,10 @@ func (r *NodeRegistry) Add(n *Node) {
 	n.trace = r.trace
 	n.metrics = newNodeMetrics(r.reg, n.ID())
 	r.nodes[n.ID()] = n
-	r.order = append(r.order, n.ID())
-	sort.Strings(r.order)
+	sorted := make([]*Node, 0, len(r.sorted)+1)
+	sorted = append(append(sorted, r.sorted...), n)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID() < sorted[j].ID() })
+	r.sorted = sorted
 }
 
 // Node looks up a member by ID.
@@ -106,15 +111,12 @@ func (r *NodeRegistry) Node(id string) (*Node, bool) {
 	return n, ok
 }
 
-// Nodes returns every member sorted by ID.
+// Nodes returns every member sorted by ID. The slice is shared and
+// read-only: callers range over it and must not modify it.
 func (r *NodeRegistry) Nodes() []*Node {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]*Node, 0, len(r.order))
-	for _, id := range r.order {
-		out = append(out, r.nodes[id])
-	}
-	return out
+	return r.sorted
 }
 
 // Start launches the heartbeat loop. It probes once synchronously so

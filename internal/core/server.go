@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -27,11 +28,11 @@ import (
 	"swapservellm/internal/storage"
 )
 
-// Options carries optional overrides for Server construction; zero values
-// select defaults.
+// Options carries the Server's clock and optional overrides for its
+// construction; zero values of the other fields select defaults.
 type Options struct {
-	// Clock overrides the simulation clock (default: a Scaled clock at
-	// simclock.DefaultScale starting now).
+	// Clock is the simulation clock (required): Virtual for experiments
+	// and tests, Scaled or Real for the daemons.
 	Clock simclock.Clock
 	// Registry collects metrics (default: a fresh registry).
 	Registry *metrics.Registry
@@ -93,6 +94,11 @@ type Server struct {
 	started    bool
 }
 
+// ErrNoClock rejects a Server or cluster built without a clock: which
+// timeline a deployment runs on is the caller's choice, never a silent
+// wall-driven default.
+var ErrNoClock = errors.New("no simulation clock given")
+
 // New validates the configuration and assembles a server. Call Start to
 // initialize backends and begin serving.
 func New(cfg config.Config, opts Options) (*Server, error) {
@@ -103,7 +109,7 @@ func New(cfg config.Config, opts Options) (*Server, error) {
 
 	clock := opts.Clock
 	if clock == nil {
-		clock = simclock.NewScaledFromWall(simclock.DefaultScale)
+		return nil, fmt.Errorf("core: %w (Options.Clock)", ErrNoClock)
 	}
 	reg := opts.Registry
 	if reg == nil {

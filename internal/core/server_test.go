@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"strings"
 	"sync"
@@ -503,6 +504,21 @@ func TestServerBadConfig(t *testing.T) {
 	if _, err := New(cfg, Options{}); err == nil {
 		t.Fatal("empty model list accepted")
 	}
+}
+
+// TestNewRequiresClock: a valid config without a clock is rejected, not
+// silently given a wall-driven one.
+func TestNewRequiresClock(t *testing.T) {
+	cfg := config.Default()
+	cfg.Models = []config.Model{ollamaModel("llama3.2:1b-fp16")}
+	if _, err := New(cfg, Options{}); !errors.Is(err, ErrNoClock) {
+		t.Fatalf("New without a clock: err = %v, want ErrNoClock", err)
+	}
+	s, err := New(cfg, Options{Clock: simclock.NewVirtual(testEpoch)})
+	if err != nil {
+		t.Fatalf("New with a clock: %v", err)
+	}
+	s.Shutdown()
 }
 
 func TestVLLMSleepModeSwapPath(t *testing.T) {

@@ -130,10 +130,10 @@ func (d *Driver) sleepContended(links []*perfmodel.PCIeLink, dir perfmodel.Direc
 // shows the retries, not just the final abort. Returns the last fault
 // when retries are exhausted — the caller aborts the transfer and rolls
 // back.
-func (d *Driver) chunkFault(ctx context.Context, links []*perfmodel.PCIeLink, dir perfmodel.Direction, share time.Duration) error {
+func (d *Driver) chunkFault(ctx context.Context, pid string, links []*perfmodel.PCIeLink, dir perfmodel.Direction, share time.Duration) error {
 	for attempt := 0; ; attempt++ {
 		d.mu.Lock()
-		err := d.takeFaultLocked(chaos.SiteCkptChunk)
+		err := d.takeFaultLocked(chaos.SiteCkptChunk, pid)
 		d.mu.Unlock()
 		if err == nil {
 			return nil

@@ -227,7 +227,7 @@ func (d *Driver) Lock(ctx context.Context, pid string) (err error) {
 		d.mu.Unlock()
 		return fmt.Errorf("%w: lock from %v", ErrBadState, st)
 	}
-	if ferr := d.takeFaultLocked(chaos.SiteCkptLock); ferr != nil {
+	if ferr := d.takeFaultLocked(chaos.SiteCkptLock, pid); ferr != nil {
 		d.mu.Unlock()
 		obs.AnnotateFault(ctx, string(chaos.SiteCkptLock), ferr)
 		return ferr
@@ -251,7 +251,7 @@ func (d *Driver) Unlock(ctx context.Context, pid string) (err error) {
 	if p.state != StateLocked {
 		return fmt.Errorf("%w: unlock from %v", ErrBadState, p.state)
 	}
-	if ferr := d.takeFaultLocked(chaos.SiteCkptUnlock); ferr != nil {
+	if ferr := d.takeFaultLocked(chaos.SiteCkptUnlock, pid); ferr != nil {
 		obs.AnnotateFault(ctx, string(chaos.SiteCkptUnlock), ferr)
 		return ferr
 	}
@@ -284,12 +284,12 @@ func (d *Driver) Checkpoint(ctx context.Context, pid string) (bytes int64, err e
 		d.mu.Unlock()
 		return 0, fmt.Errorf("%w: checkpoint from %v", ErrBadState, st)
 	}
-	if ferr := d.takeFaultLocked(chaos.SiteCkptCheckpoint); ferr != nil {
+	if ferr := d.takeFaultLocked(chaos.SiteCkptCheckpoint, pid); ferr != nil {
 		d.mu.Unlock()
 		obs.AnnotateFault(ctx, string(chaos.SiteCkptCheckpoint), ferr)
 		return 0, ferr
 	}
-	pcie := d.pcieDelayLocked()
+	pcie := d.pcieDelayLocked(pid)
 	shard := make([]int64, len(p.devices))
 	for i, dev := range p.devices {
 		shard[i] = dev.OwnerUsage(p.pid)
@@ -352,13 +352,21 @@ func (d *Driver) Checkpoint(ctx context.Context, pid string) (bytes int64, err e
 			extra = pcie
 			pcieCharged = true
 		}
-		if !rollForward {
-			// A cancelled ctx aborts exactly like a chunk fault: before
-			// this chunk commits any accounting. A delta-skipped chunk
-			// crosses no link, so it consults no transfer fault site.
-			ferr := ctx.Err()
-			if ferr == nil && !skip {
-				ferr = d.chunkFault(ctx, links, perfmodel.DirD2H, share)
+		// A cancelled ctx aborts exactly like a chunk fault: before this
+		// chunk commits any accounting. The ctx is read once the chunk's
+		// transfer time has passed, when this goroutine is the one the
+		// clock just woke. Read right after the previous commit instead,
+		// it would race the restore that commit woke: a cancel the
+		// restore causes at that instant could land on either side of
+		// the read. A delta-skipped chunk crosses no link and takes no
+		// time, so it consults no transfer fault site and reads no ctx.
+		moved := skip
+		if !rollForward && !skip {
+			ferr := d.chunkFault(ctx, pid, links, perfmodel.DirD2H, share)
+			if ferr == nil {
+				d.sleepContended(links, perfmodel.DirD2H, share+extra)
+				moved = true
+				ferr = ctx.Err()
 			}
 			if ferr != nil {
 				if d.rollbackCheckpoint(p, shard, rem, done, bytes) {
@@ -373,10 +381,9 @@ func (d *Driver) Checkpoint(ctx context.Context, pid string) (bytes int64, err e
 				// given back: roll forward and finish the checkpoint,
 				// skipping further fault consultation.
 				rollForward = true
-				continue
 			}
 		}
-		if !skip {
+		if !moved {
 			d.sleepContended(links, perfmodel.DirD2H, share+extra)
 		}
 		d.mu.Lock()
@@ -455,12 +462,12 @@ func (d *Driver) Restore(ctx context.Context, pid string, claim Claim) (err erro
 		d.mu.Unlock()
 		return fmt.Errorf("%w: restore from %v", ErrBadState, st)
 	}
-	if ferr := d.takeFaultLocked(chaos.SiteCkptRestore); ferr != nil {
+	if ferr := d.takeFaultLocked(chaos.SiteCkptRestore, pid); ferr != nil {
 		d.mu.Unlock()
 		obs.AnnotateFault(ctx, string(chaos.SiteCkptRestore), ferr)
 		return ferr
 	}
-	pcie := d.pcieDelayLocked()
+	pcie := d.pcieDelayLocked(pid)
 	bytes := p.hostImage
 	span.SetAttr(obs.Int64("bytes", bytes))
 	shard := append([]int64(nil), p.shardBytes...)
@@ -549,7 +556,7 @@ func (d *Driver) Restore(ctx context.Context, pid string, claim Claim) (err erro
 		// capacity from the claim.
 		ferr := ctx.Err()
 		if ferr == nil {
-			ferr = d.chunkFault(ctx, links, perfmodel.DirH2D, share)
+			ferr = d.chunkFault(ctx, pid, links, perfmodel.DirH2D, share)
 		}
 		if ferr == nil && sess != nil {
 			// Pull this chunk's bytes to local host RAM from the planned

@@ -36,17 +36,20 @@ func (d *Driver) SetTrace(t *chaos.Trace) {
 	d.trace = t
 }
 
-// takeFaultLocked consults the injector for op, returning the error to
-// raise or nil. Caller holds d.mu; the injector has its own lock and
-// never calls back into the driver.
-func (d *Driver) takeFaultLocked(site chaos.Site) error {
-	return d.chaosInj.At(site).Err
+// takeFaultLocked consults the injector for op on process pid,
+// returning the error to raise or nil. Draws are keyed by pid, so a
+// victim's checkpoint and a target's restore stepping their chunks at
+// the same simulated instants draw the same faults in either order.
+// Caller holds d.mu; the injector has its own lock and never calls back
+// into the driver.
+func (d *Driver) takeFaultLocked(site chaos.Site, pid string) error {
+	return d.chaosInj.AtFor(site, pid).Err
 }
 
-// pcieDelayLocked returns any injected PCIe latency for the next
+// pcieDelayLocked returns any injected PCIe latency for pid's next
 // transfer. Caller holds d.mu; the sleep itself happens outside it.
-func (d *Driver) pcieDelayLocked() time.Duration {
-	return d.chaosInj.At(chaos.SiteCkptPCIe).Delay
+func (d *Driver) pcieDelayLocked(pid string) time.Duration {
+	return d.chaosInj.AtFor(chaos.SiteCkptPCIe, pid).Delay
 }
 
 // recordLocked appends a successful transition to the audit trace.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -72,16 +73,12 @@ func runPolicyTrial(policyName string, requests int, seed int64) (PolicyAblation
 	for _, name := range ablationModels {
 		cfg.Models = append(cfg.Models, config.Model{Name: name, Engine: "ollama"})
 	}
-	clock, gate := virtualClock()
-	defer gate.Exit()
-	s, err := core.New(cfg, core.Options{Clock: clock, Policy: policy})
+	s, stop, err := startServer(cfg, core.Options{Policy: policy})
 	if err != nil {
 		return PolicyAblationRow{}, err
 	}
-	defer s.Shutdown()
-	if err := s.Start(context.Background()); err != nil {
-		return PolicyAblationRow{}, err
-	}
+	defer stop()
+	clock := s.Clock()
 
 	// Constrain memory so two of the four models are co-resident but a
 	// third always forces an eviction — the policy must then choose
@@ -175,12 +172,8 @@ func quantile(ds []time.Duration, q float64) float64 {
 	if len(ds) == 0 {
 		return 0
 	}
-	sorted := append([]time.Duration(nil), ds...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
+	sorted := slices.Clone(ds)
+	slices.Sort(sorted)
 	idx := int(q*float64(len(sorted)-1) + 0.5)
 	return sorted[idx].Seconds()
 }
@@ -224,16 +217,12 @@ func runSleepModeTrial(sleep bool) (SleepModeAblationRow, error) {
 	cfg := config.Default()
 	cfg.Global.UseSleepMode = sleep
 	cfg.Models = []config.Model{{Name: "llama3.1:8b-fp16", Engine: "vllm"}}
-	clock, gate := virtualClock()
-	defer gate.Exit()
-	s, err := core.New(cfg, core.Options{Clock: clock})
+	s, stop, err := startServer(cfg, core.Options{})
 	if err != nil {
 		return SleepModeAblationRow{}, err
 	}
-	defer s.Shutdown()
-	if err := s.Start(context.Background()); err != nil {
-		return SleepModeAblationRow{}, err
-	}
+	defer stop()
+	clock := s.Clock()
 	b, _ := s.Backend("llama3.1:8b-fp16")
 	ctx := context.Background()
 

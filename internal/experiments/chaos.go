@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -97,17 +98,12 @@ func ChaosSoak(seed int64) (ChaosRow, error) {
 		cfg.Models = append(cfg.Models, config.Model{Name: m, Engine: "vllm"})
 	}
 
-	clock, gate := virtualClock()
-	defer gate.Exit()
 	tr := chaos.NewTrace()
-	s, err := core.New(cfg, core.Options{Clock: clock, Trace: tr})
+	s, stop, err := startServer(cfg, core.Options{Trace: tr})
 	if err != nil {
 		return ChaosRow{}, err
 	}
-	defer s.Shutdown()
-	if err := s.Start(context.Background()); err != nil {
-		return ChaosRow{}, err
-	}
+	defer stop()
 
 	// Arm the injector only after startup so the schedule measures fault
 	// tolerance of the serving path, not of initialization, and so seed
@@ -133,35 +129,17 @@ func ChaosSoak(seed int64) (ChaosRow, error) {
 		}
 	})
 
-	row := ChaosRow{Scope: "node", Seed: seed}
-	led := invariant.NewLedger()
-	cli := clientOn(s.URL(), clock)
-	var recoveries []time.Duration
+	tally := newSoakTally("node", seed, s.Clock())
+	cli := clientOn(s.URL(), s.Clock())
 	for i := 0; i < chaosSoakRequests; i++ {
 		model := modelsUsed[i%len(modelsUsed)]
-		id := fmt.Sprintf("req-%d", i)
-		led.Accept(id)
-		row.Requests++
-		if chatOnce(cli, model, seed) == nil {
-			led.Finish(id)
-			continue
-		}
-		row.Failed++
-		tFail := clock.Now()
-		if retryUntilOK(func() error { return chatOnce(cli, model, seed) }) {
-			row.Recovered++
-			recoveries = append(recoveries, clock.Since(tFail))
-		} else {
-			row.Unrecovered++
-		}
-		led.Finish(id)
+		op := func() error { return chatOnce(cli, model, seed) }
+		tally.request(fmt.Sprintf("req-%d", i), op, op)
 	}
 
 	invariant.CheckServer(&rep, s)
 	invariant.CheckCkptTrace(&rep, tr)
-	led.Check(&rep)
-	fillChaosRow(&row, &rep, inj, recoveries)
-	return row, nil
+	return tally.finish(&rep, inj), nil
 }
 
 // ChaosClusterSoak runs one seeded cluster trial: a protocol-mixed
@@ -182,32 +160,24 @@ func ChaosClusterSoak(seed int64) (ChaosRow, error) {
 		{Name: "node-b", Models: []config.Model{{Name: model, Engine: "ollama"}}},
 	}
 
-	clock, gate := virtualClock()
-	defer gate.Exit()
 	tr := chaos.NewTrace()
 	inj := chaos.NewInjector(chaos.MustParsePlan(ClusterChaosRules).WithSeed(seed))
 	// The plan has only cluster.* and proxy.* rules, so arming at
 	// construction is safe: node startup consults none of them (the
 	// front-door sites fire per request, never during startup).
-	c, err := cluster.New(cfg, cluster.WithClock(clock), cluster.WithChaos(inj), cluster.WithTrace(tr))
+	c, stop, err := startCluster(cfg, cluster.WithChaos(inj), cluster.WithTrace(tr))
 	if err != nil {
 		return ChaosRow{}, err
 	}
-	defer c.Shutdown()
-	if err := c.Start(context.Background()); err != nil {
-		return ChaosRow{}, err
-	}
+	defer stop()
+	clock := c.Clock()
 
-	row := ChaosRow{Scope: "cluster", Seed: seed}
+	tally := newSoakTally("cluster", seed, clock)
 	var rep invariant.Report
-	led := invariant.NewLedger()
-	var recoveries []time.Duration
 	reqSeed := seed
 	for i := 0; i < chaosSoakRequests; i++ {
 		c.NodeRegistry().Sweep() // exercise heartbeat faults between requests
 		id := fmt.Sprintf("stream-%d", i)
-		led.Accept(id)
-		row.Requests++
 		// The workload mixes protocols: SSE, NDJSON, SSE, then one
 		// non-stream request per cycle. The non-stream requests are
 		// byte-identical, so after the first every repeat is a cache hit
@@ -245,25 +215,12 @@ func ChaosClusterSoak(seed int64) (ChaosRow, error) {
 			}
 			return nil
 		}
-		if attempt() == nil {
-			led.Finish(id)
-			continue
-		}
-		row.Failed++
-		tFail := clock.Now()
-		recovered := retryUntilOK(func() error {
+		tally.request(id, attempt, func() error {
 			// A downed node needs a clean probe to rejoin before it can
 			// absorb retries.
 			c.NodeRegistry().Sweep()
 			return attempt()
 		})
-		if recovered {
-			row.Recovered++
-			recoveries = append(recoveries, clock.Since(tFail))
-		} else {
-			row.Unrecovered++
-		}
-		led.Finish(id)
 	}
 
 	invariant.CheckNodeTrace(&rep, tr)
@@ -271,9 +228,7 @@ func ChaosClusterSoak(seed int64) (ChaosRow, error) {
 	for _, n := range c.Nodes() {
 		invariant.CheckServer(&rep, n.Server())
 	}
-	led.Check(&rep)
-	fillChaosRow(&row, &rep, inj, recoveries)
-	return row, nil
+	return tally.finish(&rep, inj), nil
 }
 
 // ChaosSchedSoak runs one seeded scheduling-subsystem trial: a two-node
@@ -309,24 +264,18 @@ func ChaosSchedSoak(seed int64) (ChaosRow, error) {
 		{Name: "node-b", Models: nodeModels},
 	}
 
-	clock, gate := virtualClock()
-	defer gate.Exit()
 	inj := chaos.NewInjector(chaos.MustParsePlan(SchedChaosRules).WithSeed(seed))
 	// The plan has only sched.* rules: startup consults none of them
 	// (the reaper and pre-warm loops begin with Start, after arming).
-	c, err := cluster.New(cfg, cluster.WithClock(clock), cluster.WithChaos(inj))
+	c, stop, err := startCluster(cfg, cluster.WithChaos(inj))
 	if err != nil {
 		return ChaosRow{}, err
 	}
-	defer c.Shutdown()
-	if err := c.Start(context.Background()); err != nil {
-		return ChaosRow{}, err
-	}
+	defer stop()
+	clock := c.Clock()
 
-	row := ChaosRow{Scope: "sched", Seed: seed}
+	tally := newSoakTally("sched", seed, clock)
 	var rep invariant.Report
-	led := invariant.NewLedger()
-	var recoveries []time.Duration
 	sheds429 := 0
 	attempt := func(model string) error {
 		status, retryAfter, err := chatOnceHTTP(c.URL(), model, seed, clock)
@@ -349,22 +298,8 @@ func ChaosSchedSoak(seed int64) (ChaosRow, error) {
 	}
 	for i := 0; i < chaosSoakRequests; i++ {
 		model := modelsUsed[i%len(modelsUsed)]
-		id := fmt.Sprintf("sched-req-%d", i)
-		led.Accept(id)
-		row.Requests++
-		if attempt(model) == nil {
-			led.Finish(id)
-			continue
-		}
-		row.Failed++
-		tFail := clock.Now()
-		if retryUntilOK(func() error { return attempt(model) }) {
-			row.Recovered++
-			recoveries = append(recoveries, clock.Since(tFail))
-		} else {
-			row.Unrecovered++
-		}
-		led.Finish(id)
+		op := func() error { return attempt(model) }
+		tally.request(fmt.Sprintf("sched-req-%d", i), op, op)
 	}
 
 	// Quiesce before the audit: halt the pre-warm loop (with requests
@@ -405,9 +340,7 @@ func ChaosSchedSoak(seed int64) (ChaosRow, error) {
 	for _, n := range c.Nodes() {
 		invariant.CheckServer(&rep, n.Server())
 	}
-	led.Check(&rep)
-	fillChaosRow(&row, &rep, inj, recoveries)
-	return row, nil
+	return tally.finish(&rep, inj), nil
 }
 
 // chatOnceHTTP issues one non-streaming request at the HTTP layer,
@@ -427,46 +360,6 @@ func chatOnceHTTP(url, model string, seed int64, clock simclock.Clock) (status i
 			return nil
 		})
 	return status, retryAfter, err
-}
-
-// ChaosSchedSweep runs the scheduling soak over n consecutive seeds.
-func ChaosSchedSweep(start int64, n int) ([]ChaosRow, error) {
-	var rows []ChaosRow
-	for seed := start; seed < start+int64(n); seed++ {
-		row, err := ChaosSchedSoak(seed)
-		if err != nil {
-			return rows, fmt.Errorf("seed %d: %w", seed, err)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// ChaosSweep runs the single-node soak over n consecutive seeds
-// starting at start — the property-style loop: same rules, swept seed.
-func ChaosSweep(start int64, n int) ([]ChaosRow, error) {
-	var rows []ChaosRow
-	for seed := start; seed < start+int64(n); seed++ {
-		row, err := ChaosSoak(seed)
-		if err != nil {
-			return rows, fmt.Errorf("seed %d: %w", seed, err)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// ChaosClusterSweep runs the cluster soak over n consecutive seeds.
-func ChaosClusterSweep(start int64, n int) ([]ChaosRow, error) {
-	var rows []ChaosRow
-	for seed := start; seed < start+int64(n); seed++ {
-		row, err := ChaosClusterSoak(seed)
-		if err != nil {
-			return rows, fmt.Errorf("seed %d: %w", seed, err)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }
 
 // chatOnce issues one non-streaming request.
@@ -626,24 +519,54 @@ func retryUntilOK(op func() error) bool {
 	return false
 }
 
-// fillChaosRow finalizes a trial row from the invariant report,
-// injector stats, and measured recovery latencies.
-func fillChaosRow(row *ChaosRow, rep *invariant.Report, inj *chaos.Injector, recoveries []time.Duration) {
+// soakTally books a soak's requests: each is accepted on the ledger,
+// tried once and, if that fails, retried a bounded number of times. A
+// recovery's latency runs from the first failure to the retry that
+// succeeds.
+type soakTally struct {
+	row        ChaosRow
+	led        *invariant.Ledger
+	clock      simclock.Clock
+	recoveries []time.Duration
+}
+
+func newSoakTally(scope string, seed int64, clock simclock.Clock) *soakTally {
+	return &soakTally{row: ChaosRow{Scope: scope, Seed: seed}, led: invariant.NewLedger(), clock: clock}
+}
+
+// request runs one request: first, then retry until it succeeds.
+func (t *soakTally) request(id string, first, retry func() error) {
+	t.led.Accept(id)
+	t.row.Requests++
+	if first() != nil {
+		t.row.Failed++
+		tFail := t.clock.Now()
+		if retryUntilOK(retry) {
+			t.row.Recovered++
+			t.recoveries = append(t.recoveries, t.clock.Since(tFail))
+		} else {
+			t.row.Unrecovered++
+		}
+	}
+	t.led.Finish(id)
+}
+
+// finish audits the ledger into rep and returns the trial's row,
+// finalized from the invariant report, the injector's stats and the
+// measured recovery latencies.
+func (t *soakTally) finish(rep *invariant.Report, inj *chaos.Injector) ChaosRow {
+	t.led.Check(rep)
+	row := t.row
 	row.FaultsInjected = inj.TotalFired()
 	row.Violations = len(rep.Violations)
 	if row.Violations > 0 {
 		row.ViolationText = rep.String()
 	}
-	if len(recoveries) > 0 {
-		row.RecoveryP50Sec = quantile(recoveries, 0.50)
-		var max time.Duration
-		for _, d := range recoveries {
-			if d > max {
-				max = d
-			}
-		}
-		row.RecoveryMaxSec = max.Seconds()
+	if len(t.recoveries) > 0 {
+		row.RecoveryP50Sec = quantile(t.recoveries, 0.50)
+		row.RecoveryMaxSec = slices.Max(t.recoveries).Seconds()
 	}
+	return row
 }
 
 // PrintChaos renders a chaos sweep, one row per seed, plus totals.

@@ -256,14 +256,10 @@ func CkptStoreBenchJSON(res *CkptStoreResult) string {
 	out += "  \"testbed\": \"h100\",\n"
 	out += "  \"command\": \"go run ./cmd/swapbench -exp ckptstore\",\n"
 	out += "  \"rows\": [\n"
-	for i, r := range res.Rows {
-		comma := ","
-		if i == len(res.Rows)-1 {
-			comma = ""
-		}
-		out += fmt.Sprintf("    {\"model\": %q, \"image_gib\": %.1f, \"full_swap_out_s\": %.4f, \"delta_swap_out_s\": %.4f, \"dirty_swap_out_s\": %.4f, \"delta_speedup_x\": %.2f, \"dedup_ratio\": %.3f, \"local_disk_restore_s\": %.4f, \"peer_ram_restore_s\": %.4f, \"peer_speedup_x\": %.3f}%s\n",
-			r.Model, r.ImageGiB, r.FullSec, r.DeltaSec, r.DirtySec, r.SpeedupX, r.Dedup, r.DiskSec, r.PeerSec, r.PeerGainX, comma)
-	}
+	out += jsonList(res.Rows, func(r CkptStoreRow) string {
+		return fmt.Sprintf("{\"model\": %q, \"image_gib\": %.1f, \"full_swap_out_s\": %.4f, \"delta_swap_out_s\": %.4f, \"dirty_swap_out_s\": %.4f, \"delta_speedup_x\": %.2f, \"dedup_ratio\": %.3f, \"local_disk_restore_s\": %.4f, \"peer_ram_restore_s\": %.4f, \"peer_speedup_x\": %.3f}",
+			r.Model, r.ImageGiB, r.FullSec, r.DeltaSec, r.DirtySec, r.SpeedupX, r.Dedup, r.DiskSec, r.PeerSec, r.PeerGainX)
+	})
 	out += "  ]\n}\n"
 	return out
 }
@@ -323,9 +319,8 @@ func ChaosCkptStoreSoak(seed int64) (ChaosRow, error) {
 	local.driver.SetChaos(inj)
 	local.store.SetChaos(inj)
 
-	row := ChaosRow{Scope: "ckptstore", Seed: seed}
+	tally := newSoakTally("ckptstore", seed, r.clock)
 	var rep invariant.Report
-	var recoveries []time.Duration
 	audit := func() {
 		if err := local.store.SelfCheck(); err != nil {
 			rep.Addf("ckptstore.selfcheck", "store", "%v", err)
@@ -353,26 +348,15 @@ func ChaosCkptStoreSoak(seed int64) (ChaosRow, error) {
 				op = func() error { return local.driver.Promote(ctx, pid) }
 			}
 		}
-		row.Requests++
-		err := op()
-		if errors.Is(err, cudackpt.ErrHostMemory) {
+		tally.request(fmt.Sprintf("op-%d", i), func() error {
 			// A capacity-refused promote is the spill cap working as
 			// designed, not a fault — legal refusal, no retry.
-			err = nil
-		}
-		if err == nil {
-			audit()
-		} else {
-			row.Failed++
-			tFail := r.clock.Now()
-			if retryUntilOK(op) {
-				row.Recovered++
-				recoveries = append(recoveries, r.clock.Since(tFail))
-			} else {
-				row.Unrecovered++
+			if err := op(); !errors.Is(err, cudackpt.ErrHostMemory) {
+				return err
 			}
-			audit()
-		}
+			return nil
+		}, op)
+		audit()
 		// Refresh the state map from the driver, not the op outcome: a
 		// failed promote leaves the image checkpointed on disk, a failed
 		// suspend rolls back to running.
@@ -381,20 +365,5 @@ func ChaosCkptStoreSoak(seed int64) (ChaosRow, error) {
 		}
 	}
 	audit()
-	fillChaosRow(&row, &rep, inj, recoveries)
-	return row, nil
-}
-
-// ChaosCkptStoreSweep runs the checkpoint-store soak over n consecutive
-// seeds starting at start.
-func ChaosCkptStoreSweep(start int64, n int) ([]ChaosRow, error) {
-	var rows []ChaosRow
-	for seed := start; seed < start+int64(n); seed++ {
-		row, err := ChaosCkptStoreSoak(seed)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+	return tally.finish(&rep, inj), nil
 }

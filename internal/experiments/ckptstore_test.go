@@ -1,26 +1,15 @@
 package experiments
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
-// TestCkptStoreDeterministic runs the ablation twice and requires
-// byte-identical artifacts plus the headline properties the issue pins:
+// TestCkptStoreProperties requires the ablation's headline properties:
 // idle delta re-swap-out at least 2× faster than the full one, and the
 // peer-RAM restore beating the local-disk restore for every model.
-func TestCkptStoreDeterministic(t *testing.T) {
+// TestExperimentGoldens pins the artifact's bytes.
+func TestCkptStoreProperties(t *testing.T) {
 	first, err := AblationCheckpointStore()
 	if err != nil {
 		t.Fatal(err)
-	}
-	second, err := AblationCheckpointStore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	j1, j2 := CkptStoreBenchJSON(first), CkptStoreBenchJSON(second)
-	if j1 != j2 {
-		t.Fatalf("two runs produced different artifacts:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", j1, j2)
 	}
 	if len(first.Rows) != len(ckptStoreModels) {
 		t.Fatalf("got %d rows, want %d", len(first.Rows), len(ckptStoreModels))
@@ -40,15 +29,6 @@ func TestCkptStoreDeterministic(t *testing.T) {
 		if r.DirtySec <= r.DeltaSec || r.DirtySec >= r.FullSec {
 			t.Errorf("%s: dirty re-swap %.4fs should sit between delta %.4fs and full %.4fs",
 				r.Model, r.DirtySec, r.DeltaSec, r.FullSec)
-		}
-	}
-	for _, must := range []string{
-		"\"benchmark\": \"AblationCheckpointStore\"",
-		"\"command\": \"go run ./cmd/swapbench -exp ckptstore\"",
-		"peer_speedup_x",
-	} {
-		if !strings.Contains(j1, must) {
-			t.Errorf("artifact missing %q", must)
 		}
 	}
 }

@@ -172,16 +172,12 @@ type clusterTrialResult struct {
 // placement policy and measures streaming TTFT at the first chunk.
 func runClusterTrial(policy string, seed int64) (clusterTrialResult, error) {
 	cfg := clusterTrialConfig(policy)
-	clock, gate := virtualClock()
-	defer gate.Exit()
-	c, err := cluster.New(cfg, cluster.WithClock(clock), cluster.WithSeed(seed))
+	c, stop, err := startCluster(cfg, cluster.WithSeed(seed))
 	if err != nil {
 		return clusterTrialResult{}, err
 	}
-	if err := c.Start(context.Background()); err != nil {
-		return clusterTrialResult{}, err
-	}
-	defer c.Shutdown()
+	defer stop()
+	clock := c.Clock()
 
 	arrivals := clusterArrivals(seed)
 	cli := clientOn(c.URL(), clock)

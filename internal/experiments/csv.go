@@ -2,37 +2,24 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
+	"strings"
 )
 
-// csvWrite writes rows (already formatted as comma-separated strings,
-// header first) to w.
-func csvWrite(w io.Writer, header string, rows []string) error {
-	if _, err := fmt.Fprintln(w, header); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if _, err := fmt.Fprintln(w, r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteCSVFile writes the header and rows to path, creating parent
-// directories — the artifact's "extract measurements into CSV" step.
+// WriteCSVFile writes the header and rows (already formatted as
+// comma-separated lines) to path, creating parent directories — the
+// artifact's "extract measurements into CSV" step.
 func WriteCSVFile(path, header string, rows []string) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+	var b strings.Builder
+	b.WriteString(header + "\n")
+	for _, r := range rows {
+		b.WriteString(r + "\n")
 	}
-	defer f.Close()
-	return csvWrite(f, header, rows)
+	return os.WriteFile(path, []byte(b.String()), 0o666)
 }
 
 // Table1CSV renders Table 1 rows as CSV lines.

@@ -70,16 +70,12 @@ func runElasticityTrial(name string, keepWarm bool, keepAliveSec float64, prefet
 	for _, m := range elasticityModels {
 		cfg.Models = append(cfg.Models, config.Model{Name: m, Engine: "ollama", KeepWarm: keepWarm})
 	}
-	clock, gate := virtualClock()
-	defer gate.Exit()
-	s, err := core.New(cfg, core.Options{Clock: clock})
+	s, stop, err := startServer(cfg, core.Options{})
 	if err != nil {
 		return ElasticityRow{}, err
 	}
-	defer s.Shutdown()
-	if err := s.Start(context.Background()); err != nil {
-		return ElasticityRow{}, err
-	}
+	defer stop()
+	clock := s.Clock()
 	dev, _ := s.Topology().Device(0)
 
 	// Fixed integration horizon so every strategy is charged over the
@@ -184,16 +180,12 @@ func AblationSnapshotTiering() ([]TieringRow, error) {
 	for _, m := range modelsUsed {
 		cfg.Models = append(cfg.Models, config.Model{Name: m, Engine: "ollama"})
 	}
-	clock, gate := virtualClock()
-	defer gate.Exit()
-	s, err := core.New(cfg, core.Options{Clock: clock})
+	s, stop, err := startServer(cfg, core.Options{})
 	if err != nil {
 		return nil, err
 	}
-	defer s.Shutdown()
-	if err := s.Start(context.Background()); err != nil {
-		return nil, err
-	}
+	defer stop()
+	clock := s.Clock()
 
 	// Measure each backend's swap-in from wherever its image landed after
 	// the init sequence, leaving it resident so the tiers are not

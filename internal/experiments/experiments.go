@@ -7,16 +7,23 @@
 // goroutine is idle, so the suite spends no wall time sleeping and the
 // direct-measurement experiments are byte-identical run to run.
 //
-// The per-experiment index in DESIGN.md maps each function here to the
-// paper element it reproduces; EXPERIMENTS.md records paper-vs-measured.
+// All is the registry of every experiment; swapbench runs it and
+// TestExperimentGoldens pins each entry's output. The per-experiment
+// index in DESIGN.md maps each function here to the paper element it
+// reproduces; EXPERIMENTS.md records paper-vs-measured.
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"swapservellm/internal/cgroup"
+	"swapservellm/internal/cluster"
+	"swapservellm/internal/config"
+	"swapservellm/internal/core"
 	"swapservellm/internal/cudackpt"
 	"swapservellm/internal/engine"
 	"swapservellm/internal/gpu"
@@ -76,6 +83,46 @@ func virtualClock() (*simclock.Virtual, *simclock.Gate) {
 	return clock, gate
 }
 
+// startServer builds and starts a live server for cfg, the rig of
+// every server-driven trial. Unless opts.Clock is set, the server runs
+// on its own Virtual clock with the calling goroutine registered.
+// Callers defer stop, which shuts the server down and then deregisters
+// the caller.
+func startServer(cfg config.Config, opts core.Options) (s *core.Server, stop func(), err error) {
+	exit := func() {}
+	if opts.Clock == nil {
+		clock, gate := virtualClock()
+		opts.Clock, exit = clock, gate.Exit
+	}
+	if s, err = core.New(cfg, opts); err != nil {
+		exit()
+		return nil, nil, err
+	}
+	stop = func() { s.Shutdown(); exit() }
+	if err := s.Start(context.Background()); err != nil {
+		stop()
+		return nil, nil, err
+	}
+	return s, stop, nil
+}
+
+// startCluster is startServer for a cluster: it builds and starts one
+// for cfg on its own Virtual clock, with the calling goroutine
+// registered. Callers defer stop.
+func startCluster(cfg config.Cluster, opts ...cluster.Option) (c *cluster.Cluster, stop func(), err error) {
+	clock, gate := virtualClock()
+	if c, err = cluster.New(cfg, append(opts, cluster.WithClock(clock))...); err != nil {
+		gate.Exit()
+		return nil, nil, err
+	}
+	stop = func() { c.Shutdown(); gate.Exit() }
+	if err := c.Start(context.Background()); err != nil {
+		stop()
+		return nil, nil, err
+	}
+	return c, stop, nil
+}
+
 // stage places a model's weights on the given tier, replacing any
 // existing blob.
 func (r *rig) stage(m models.Model, tier perfmodel.StorageTier) {
@@ -112,6 +159,20 @@ func mean(ds []time.Duration) float64 {
 
 // gib converts bytes to GiB.
 func gib(b int64) float64 { return float64(b) / float64(1<<30) }
+
+// jsonList renders items as the rows of a BENCH artifact's JSON array:
+// one object per line at the artifacts' indentation, comma-separated.
+func jsonList[T any](items []T, object func(T) string) string {
+	var b strings.Builder
+	for i, it := range items {
+		b.WriteString("    " + object(it))
+		if i < len(items)-1 {
+			b.WriteString(",")
+		}
+		b.WriteString("\n")
+	}
+	return b.String()
+}
 
 // fprintf writes a formatted row, ignoring errors (experiment output is
 // best-effort console text).

@@ -214,31 +214,6 @@ func TestHeadlineClaims(t *testing.T) {
 	}
 }
 
-// TestHeadlineDeterministic: the headline claims derive from Virtual-
-// clock trials, so two full runs must agree to the byte — not merely
-// within a band.
-func TestHeadlineDeterministic(t *testing.T) {
-	render := func() string {
-		a, err := Figure6a()
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Figure6b()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sb strings.Builder
-		PrintFigure6a(&sb, a)
-		PrintFigure6b(&sb, b)
-		PrintHeadline(&sb, Headline(a, b))
-		return sb.String()
-	}
-	first, second := render(), render()
-	if first != second {
-		t.Fatalf("headline output diverged across identical runs:\n%s\n--- vs ---\n%s", first, second)
-	}
-}
-
 func TestFigure1Shape(t *testing.T) {
 	series := Figure1(42)
 	if len(series) != 2 {

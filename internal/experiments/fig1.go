@@ -106,7 +106,7 @@ func PrintFigure1(w io.Writer, series []Fig1Series) {
 		fprintf(w, "%-15s total_in=%dM total_out=%dM in:out=%.1f peak:trough=%.0fx business_share=%.0f%% weekend_drop=%.0f%%\n",
 			s.Class,
 			sum.TotalInput/1e6, sum.TotalOutput/1e6,
-			float64(sum.TotalInput)/float64(max64(sum.TotalOutput, 1)),
+			float64(sum.TotalInput)/float64(max(sum.TotalOutput, 1)),
 			sum.PeakTroughRatio, 100*sum.BusinessShare, 100*sum.WeekendReduction)
 		// Daily totals give the weekly silhouette.
 		daily := make(map[string]int64)
@@ -123,11 +123,4 @@ func PrintFigure1(w io.Writer, series []Fig1Series) {
 			fprintf(w, "  %s %6.1fM tokens\n", day[len(day)-3:], float64(daily[day])/1e6)
 		}
 	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

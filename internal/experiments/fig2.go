@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"swapservellm/internal/container"
@@ -100,12 +101,8 @@ func median(ds []time.Duration) time.Duration {
 	if len(ds) == 0 {
 		return 0
 	}
-	sorted := append([]time.Duration(nil), ds...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
+	sorted := slices.Clone(ds)
+	slices.Sort(sorted)
 	return sorted[len(sorted)/2]
 }
 
@@ -133,5 +130,3 @@ func PrintFigure2(w io.Writer, rows []Fig2Row) {
 		fprintf(w, "\n")
 	}
 }
-
-var _ = time.Second

@@ -47,18 +47,13 @@ var Figure6Models = []string{
 // own Virtual clock, so the measured cycle is pure deadline arithmetic
 // and identical on every run.
 func swapInThroughServer(engineKind string, modelName string) (swapIn time.Duration, gpuBytes int64, err error) {
-	clock, gate := virtualClock()
-	defer gate.Exit()
 	cfg := config.Default()
 	cfg.Models = []config.Model{{Name: modelName, Engine: engineKind}}
-	s, err := core.New(cfg, core.Options{Clock: clock})
+	s, stop, err := startServer(cfg, core.Options{})
 	if err != nil {
 		return 0, 0, err
 	}
-	defer s.Shutdown()
-	if err := s.Start(context.Background()); err != nil {
-		return 0, 0, err
-	}
+	defer stop()
 	b, _ := s.Backend(modelName)
 	ctx := context.Background()
 
@@ -86,12 +81,7 @@ func swapInThroughServer(engineKind string, modelName string) (swapIn time.Durat
 			return 0, 0, fmt.Errorf("swap-out %s: %w", modelName, err)
 		}
 	}
-	for i := 1; i < len(samples); i++ {
-		for j := i; j > 0 && samples[j] < samples[j-1]; j-- {
-			samples[j], samples[j-1] = samples[j-1], samples[j]
-		}
-	}
-	return samples[len(samples)/2], gpuBytes, nil
+	return median(samples), gpuBytes, nil
 }
 
 // Figure6a reproduces Figure 6a: swap-in latency of vLLM backends

@@ -49,14 +49,11 @@ func exchangeThroughServer(modelName string, pipelined bool, clock simclock.Cloc
 		{Name: modelName, Engine: "vllm"},
 		{Name: pipelinePartner, Engine: "vllm", KeepWarm: true},
 	}
-	s, err := core.New(cfg, core.Options{Clock: clock, Tracer: tracer})
+	s, stop, err := startServer(cfg, core.Options{Clock: clock, Tracer: tracer})
 	if err != nil {
 		return 0, 0, err
 	}
-	defer s.Shutdown()
-	if err := s.Start(context.Background()); err != nil {
-		return 0, 0, err
-	}
+	defer stop()
 	target, _ := s.Backend(modelName)
 	victim, _ := s.Backend(pipelinePartner)
 	sched := s.Scheduler()
@@ -86,12 +83,7 @@ func exchangeThroughServer(modelName string, pipelined bool, clock simclock.Cloc
 			return 0, 0, fmt.Errorf("re-arm exchange %s: %w", modelName, err)
 		}
 	}
-	for i := 1; i < len(samples); i++ {
-		for j := i; j > 0 && samples[j] < samples[j-1]; j-- {
-			samples[j], samples[j-1] = samples[j-1], samples[j]
-		}
-	}
-	return samples[len(samples)/2], gpuBytes, nil
+	return median(samples), gpuBytes, nil
 }
 
 // AblationPipelinedSwap measures the full-duplex pipelined exchange
@@ -180,15 +172,11 @@ func PipelineBenchJSON(rows []PipelineRow) string {
 	out += "  \"command\": \"go run ./cmd/swapbench -exp pipeline\",\n"
 	out += "  \"rows\": [\n"
 	var sum float64
-	for i, r := range rows {
-		comma := ","
-		if i == len(rows)-1 {
-			comma = ""
-		}
-		out += fmt.Sprintf("    {\"model\": %q, \"display\": %q, \"gpu_mem_gib\": %.1f, \"sequential_s\": %.2f, \"pipelined_s\": %.2f, \"improvement_pct\": %.1f}%s\n",
-			r.Model, r.DisplayName, r.GPUMemGiB, r.SequentialSec, r.PipelinedSec, r.ImprovementPct, comma)
+	out += jsonList(rows, func(r PipelineRow) string {
 		sum += r.ImprovementPct
-	}
+		return fmt.Sprintf("{\"model\": %q, \"display\": %q, \"gpu_mem_gib\": %.1f, \"sequential_s\": %.2f, \"pipelined_s\": %.2f, \"improvement_pct\": %.1f}",
+			r.Model, r.DisplayName, r.GPUMemGiB, r.SequentialSec, r.PipelinedSec, r.ImprovementPct)
+	})
 	out += "  ],\n"
 	mean := 0.0
 	if len(rows) > 0 {

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"time"
 
-	"swapservellm/internal/cluster"
 	"swapservellm/internal/config"
 	"swapservellm/internal/simclock"
 )
@@ -156,16 +155,12 @@ func runProtomixArm(arm string, cacheOff bool, seed int64) ([]ProtomixRow, Proto
 		{Name: "node-b", Models: []config.Model{{Name: protomixModel, Engine: "ollama"}}},
 	}
 
-	clock, gate := virtualClock()
-	defer gate.Exit()
-	c, err := cluster.New(cfg, cluster.WithClock(clock))
+	c, stop, err := startCluster(cfg)
 	if err != nil {
 		return nil, ProtomixArm{}, err
 	}
-	defer c.Shutdown()
-	if err := c.Start(context.Background()); err != nil {
-		return nil, ProtomixArm{}, err
-	}
+	defer stop()
+	clock := c.Clock()
 	perKind := map[string]*ProtomixRow{}
 	var kindLats = map[string][]time.Duration{}
 	var allLats []time.Duration
@@ -281,24 +276,16 @@ func ProtomixBenchJSON(res *ProtomixResult) string {
 	out += "  \"testbed\": \"h100\",\n"
 	out += "  \"command\": \"go run ./cmd/swapbench -exp protomix\",\n"
 	out += "  \"rows\": [\n"
-	for i, r := range res.Rows {
-		comma := ","
-		if i == len(res.Rows)-1 {
-			comma = ""
-		}
-		out += fmt.Sprintf("    {\"arm\": %q, \"endpoint\": %q, \"protocol\": %q, \"requests\": %d, \"ok\": %d, \"cache_hits\": %d, \"mean_s\": %.3f}%s\n",
-			r.Arm, r.Kind, r.Protocol, r.Requests, r.OK, r.CacheHits, r.MeanSec, comma)
-	}
+	out += jsonList(res.Rows, func(r ProtomixRow) string {
+		return fmt.Sprintf("{\"arm\": %q, \"endpoint\": %q, \"protocol\": %q, \"requests\": %d, \"ok\": %d, \"cache_hits\": %d, \"mean_s\": %.3f}",
+			r.Arm, r.Kind, r.Protocol, r.Requests, r.OK, r.CacheHits, r.MeanSec)
+	})
 	out += "  ],\n"
 	out += "  \"arms\": [\n"
-	for i, a := range res.Arms {
-		comma := ","
-		if i == len(res.Arms)-1 {
-			comma = ""
-		}
-		out += fmt.Sprintf("    {\"arm\": %q, \"requests\": %d, \"cache_hits\": %d, \"cache_misses\": %d, \"cache_bypass\": %d, \"placements\": %d, \"mean_s\": %.3f, \"elapsed_s\": %.3f}%s\n",
-			a.Arm, a.Requests, a.CacheHits, a.CacheMisses, a.CacheBypass, a.Placements, a.MeanSec, a.ElapsedS, comma)
-	}
+	out += jsonList(res.Arms, func(a ProtomixArm) string {
+		return fmt.Sprintf("{\"arm\": %q, \"requests\": %d, \"cache_hits\": %d, \"cache_misses\": %d, \"cache_bypass\": %d, \"placements\": %d, \"mean_s\": %.3f, \"elapsed_s\": %.3f}",
+			a.Arm, a.Requests, a.CacheHits, a.CacheMisses, a.CacheBypass, a.Placements, a.MeanSec, a.ElapsedS)
+	})
 	out += "  ]\n}\n"
 	return out
 }

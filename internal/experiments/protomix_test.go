@@ -2,11 +2,9 @@ package experiments
 
 import "testing"
 
-// TestProtocolMixAblation runs the protocol-mix ablation twice and
-// asserts the properties the committed artifact depends on: the trial
-// is fully deterministic (the rendered JSON is byte-identical run to
-// run), the cache-off arm records no cache activity, and the cache-on
-// arm converts repeats — including the cross-protocol /api/generate
+// TestProtocolMixAblation asserts the properties the committed artifact
+// depends on (TestExperimentGoldens pins its bytes): the cache-off arm
+// records no cache activity, and the cache-on arm converts repeats — including the cross-protocol /api/generate
 // twin of the OpenAI chat request — into hits without losing a single
 // request.
 func TestProtocolMixAblation(t *testing.T) {
@@ -62,15 +60,5 @@ func TestProtocolMixAblation(t *testing.T) {
 	// Streams are never cached.
 	if perKind["chat-sse"].CacheHits != 0 || perKind["chat-ndjson"].CacheHits != 0 {
 		t.Fatal("a streaming request reported a cache hit")
-	}
-
-	// Byte-identical regeneration is what lets CI assert the committed
-	// BENCH_protomix.json is current.
-	again, err := AblationProtocolMix(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ProtomixBenchJSON(res) != ProtomixBenchJSON(again) {
-		t.Fatal("two runs rendered different BENCH_protomix.json bytes")
 	}
 }

@@ -488,34 +488,22 @@ func SLOBenchJSON(res *SLOResult) string {
 	out += "  \"testbed\": \"h100\",\n"
 	out += "  \"command\": \"go run ./cmd/swapbench -exp slo\",\n"
 	out += "  \"classes\": [\n"
-	for i, c := range cfg.Classes {
-		comma := ","
-		if i == len(cfg.Classes)-1 {
-			comma = ""
-		}
-		out += fmt.Sprintf("    {\"name\": %q, \"priority\": %d, \"slo_s\": %.1f, \"guaranteed_rate_per_s\": %.3f}%s\n",
-			c.Name, c.Priority, c.SLOSec, c.RatePerSec, comma)
-	}
+	out += jsonList(cfg.Classes, func(c config.SchedClass) string {
+		return fmt.Sprintf("{\"name\": %q, \"priority\": %d, \"slo_s\": %.1f, \"guaranteed_rate_per_s\": %.3f}",
+			c.Name, c.Priority, c.SLOSec, c.RatePerSec)
+	})
 	out += "  ],\n"
 	out += "  \"rows\": [\n"
-	for i, r := range res.Rows {
-		comma := ","
-		if i == len(res.Rows)-1 {
-			comma = ""
-		}
-		out += fmt.Sprintf("    {\"arm\": %q, \"class\": %q, \"offered\": %d, \"admitted\": %d, \"shed\": %d, \"mean_s\": %.3f, \"p99_s\": %.3f, \"slo_attainment_pct\": %.2f}%s\n",
-			r.Arm, r.Class, r.Offered, r.Admitted, r.Shed, r.MeanSec, r.P99Sec, r.AttainPct, comma)
-	}
+	out += jsonList(res.Rows, func(r SLOClassRow) string {
+		return fmt.Sprintf("{\"arm\": %q, \"class\": %q, \"offered\": %d, \"admitted\": %d, \"shed\": %d, \"mean_s\": %.3f, \"p99_s\": %.3f, \"slo_attainment_pct\": %.2f}",
+			r.Arm, r.Class, r.Offered, r.Admitted, r.Shed, r.MeanSec, r.P99Sec, r.AttainPct)
+	})
 	out += "  ],\n"
 	out += "  \"arms\": [\n"
-	for i, a := range res.Arms {
-		comma := ","
-		if i == len(res.Arms)-1 {
-			comma = ""
-		}
-		out += fmt.Sprintf("    {\"arm\": %q, \"restores\": %d, \"evictions\": %d, \"prefetch_issued\": %d, \"prefetch_hits\": %d, \"prefetch_misses\": %d}%s\n",
-			a.Arm, a.Restores, a.Evictions, a.PrefetchIssued, a.PrefetchHits, a.PrefetchMisses, comma)
-	}
+	out += jsonList(res.Arms, func(a SLOArmSummary) string {
+		return fmt.Sprintf("{\"arm\": %q, \"restores\": %d, \"evictions\": %d, \"prefetch_issued\": %d, \"prefetch_hits\": %d, \"prefetch_misses\": %d}",
+			a.Arm, a.Restores, a.Evictions, a.PrefetchIssued, a.PrefetchHits, a.PrefetchMisses)
+	})
 	out += "  ]\n}\n"
 	return out
 }

@@ -8,7 +8,8 @@ import (
 // TestSLOAblationProperties checks the acceptance properties of the SLO
 // ablation: the predictive arm must beat the reactive baseline on
 // high-priority SLO attainment, shedding must be confined to the lowest
-// class, and the whole run must be deterministic.
+// class, and the whole run must be deterministic at full precision
+// (TestExperimentGoldens pins the artifact's rounded bytes).
 func TestSLOAblationProperties(t *testing.T) {
 	res := SLOAblation(42)
 
@@ -71,13 +72,8 @@ func TestSLOAblationProperties(t *testing.T) {
 		}
 	}
 
-	// Determinism: an identical second run yields identical rows, and the
-	// rendered artifact is byte-identical.
-	res2 := SLOAblation(42)
-	if !reflect.DeepEqual(res, res2) {
+	// Determinism: an identical second run yields identical rows.
+	if res2 := SLOAblation(42); !reflect.DeepEqual(res, res2) {
 		t.Error("two SLOAblation(42) runs differ")
-	}
-	if SLOBenchJSON(res) != SLOBenchJSON(res2) {
-		t.Error("BENCH_slo.json bytes differ between identical runs")
 	}
 }

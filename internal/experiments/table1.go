@@ -73,6 +73,3 @@ func PrintTable1(w io.Writer, rows []Table1Row) {
 			r.DisplayName, r.TotalSec, r.LoadSec, r.CompileSec, r.CGSec, r.MeasuredTotalSec)
 	}
 }
-
-// ensure time import stays (used in row math upstream).
-var _ = time.Second

@@ -18,11 +18,10 @@
 //
 // The experiment harness carries one further rule, enforced in test
 // files too: internal/experiments must not construct scaled clocks
-// (simclock.NewScaled, simclock.NewScaledFromWall). Experiments run on
-// simclock.NewVirtual — the discrete-event clock whose runs are
-// deterministic and race-clean — and a scaled clock smuggled into one
-// trial reintroduces wall-clock waiting and timing-dependent results
-// for the whole suite. A genuinely exceptional site can carry a
+// (simclock.NewScaled). Experiments run on simclock.NewVirtual — the
+// discrete-event clock whose runs are deterministic and race-clean —
+// and a scaled clock smuggled into one trial reintroduces wall-clock
+// waiting and timing-dependent results for the whole suite. A genuinely exceptional site can carry a
 // //swaplint:ignore clockcheck <reason> directive.
 package clockcheck
 
@@ -66,8 +65,7 @@ var virtualOnlyPkgs = []string{
 // scaledCtors lists the simclock constructors banned in virtual-only
 // packages.
 var scaledCtors = map[string]bool{
-	"NewScaled":         true,
-	"NewScaledFromWall": true,
+	"NewScaled": true,
 }
 
 // forbidden lists the wall-clock entry points of package time.

@@ -12,8 +12,7 @@ import (
 var epoch = time.Time{}
 
 func bad() {
-	_ = simclock.NewScaled(epoch, 4000)  // want `scaled clock simclock\.NewScaled in virtual-only package`
-	_ = simclock.NewScaledFromWall(4000) // want `scaled clock simclock\.NewScaledFromWall in virtual-only package`
+	_ = simclock.NewScaled(epoch, 4000) // want `scaled clock simclock\.NewScaled in virtual-only package`
 }
 
 func good() {

@@ -19,7 +19,6 @@ func (*Scaled) After(time.Duration) <-chan time.Time { return nil }
 func (*Scaled) Since(time.Time) time.Duration        { return 0 }
 
 func NewScaled(origin time.Time, factor float64) *Scaled { return &Scaled{} }
-func NewScaledFromWall(factor float64) *Scaled           { return &Scaled{} }
 
 type Virtual struct{}
 

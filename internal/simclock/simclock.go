@@ -91,14 +91,6 @@ func NewScaled(origin time.Time, scale float64) *Scaled {
 	return &Scaled{origin: origin, start: time.Now(), scale: scale}
 }
 
-// NewScaledFromWall returns a Scaled clock whose simulated timeline
-// starts at the current wall time. It exists so deterministic packages
-// can obtain a default clock without calling time.Now themselves (which
-// swaplint's clockcheck forbids there).
-func NewScaledFromWall(scale float64) *Scaled {
-	return NewScaled(time.Now(), scale)
-}
-
 // Now implements Clock: origin plus the scaled wall-clock elapsed time.
 func (c *Scaled) Now() time.Time {
 	elapsed := time.Since(c.start)

@@ -75,7 +75,7 @@ func (s *ModelStore) Put(name string, bytes int64, tier perfmodel.StorageTier) e
 	if prev, dup := s.blobs[name]; dup && !prev.Torn {
 		return fmt.Errorf("%w: %s", ErrExists, name)
 	}
-	if err := s.chaosInj.At(chaos.SiteStorageWrite).Err; err != nil {
+	if err := s.chaosInj.AtFor(chaos.SiteStorageWrite, name).Err; err != nil {
 		// Torn write: the partial file occupies the name but is useless.
 		s.blobs[name] = Blob{Name: name, Bytes: bytes, Tier: tier, Torn: true}
 		return fmt.Errorf("storage: writing %s: %w", name, errors.Join(ErrTorn, err))
@@ -107,7 +107,7 @@ func (s *ModelStore) Read(name string) (Blob, error) {
 		return Blob{}, fmt.Errorf("%w: %s", ErrTorn, name)
 	}
 	s.mu.RLock()
-	out := s.chaosInj.At(chaos.SiteStorageRead)
+	out := s.chaosInj.AtFor(chaos.SiteStorageRead, name)
 	s.mu.RUnlock()
 	if out.Err != nil {
 		return Blob{}, fmt.Errorf("storage: reading %s: %w", name, out.Err)
