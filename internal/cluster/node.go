@@ -12,12 +12,16 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
+	"net/http"
+	"net/url"
 	"sync/atomic"
 
 	"swapservellm/internal/chaos"
 	"swapservellm/internal/core"
 	"swapservellm/internal/metrics"
+	"swapservellm/internal/simclock"
 )
 
 // NodeState is a cluster member's lifecycle state.
@@ -77,6 +81,33 @@ type Node struct {
 	// metrics holds the node's per-node metric handles, built when the
 	// registry adds it.
 	metrics *nodeMetrics
+
+	// health is the registry's /health probe of the node, built once per
+	// endpoint (see healthRequest).
+	health atomic.Pointer[healthProbe]
+}
+
+// healthProbe is a node's /health request and the endpoint it was
+// built on.
+type healthProbe struct {
+	base *url.URL
+	req  *http.Request
+}
+
+// healthRequest returns the /health request of the node's router, or
+// nil before the router listens. Its context is Background, so every
+// probe sends the same request; a transport only reads it.
+func (n *Node) healthRequest() *http.Request {
+	base := n.srv.Endpoint()
+	if base == nil {
+		return nil
+	}
+	if h := n.health.Load(); h != nil && h.base == base {
+		return h.req
+	}
+	req := simclock.NewRequest(context.Background(), http.MethodGet, base, "/health", nil, nil)
+	n.health.Store(&healthProbe{base: base, req: req})
+	return req
 }
 
 // nodeMetrics are one node's metrics, each named once: the registry's
@@ -203,8 +234,13 @@ type Report struct {
 }
 
 // Report samples the node's current capacity, load, and inventory.
-func (n *Node) Report() Report {
-	inv := n.srv.Inventory()
+func (n *Node) Report() Report { return n.report(nil) }
+
+// report is Report with the inventory appended to inv: a caller that
+// reads the report before its next one can hand the last report's
+// Models back.
+func (n *Node) report(inv []core.ModelInventory) Report {
+	inv = n.srv.AppendInventory(inv)
 	rep := Report{
 		ID:               n.id,
 		State:            n.State().String(),

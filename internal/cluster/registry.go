@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"sort"
@@ -9,6 +8,7 @@ import (
 	"time"
 
 	"swapservellm/internal/chaos"
+	"swapservellm/internal/core"
 	"swapservellm/internal/metrics"
 	"swapservellm/internal/simclock"
 )
@@ -39,6 +39,15 @@ type NodeRegistry struct {
 	sorted []*Node
 
 	loop *simclock.Loop
+
+	// The per-sweep metrics, resolved once.
+	probes     *metrics.Handle[metrics.Counter] // cluster_heartbeat_probes
+	healthyNow *metrics.Handle[metrics.Gauge]   // cluster_nodes_healthy
+
+	// pubMu serializes publish, whose inventory buffer inv is reused by
+	// every report it samples.
+	pubMu sync.Mutex
+	inv   []core.ModelInventory
 }
 
 // SetChaos installs (or removes) the fault injector. Every health probe
@@ -77,13 +86,15 @@ func NewNodeRegistry(clock simclock.Clock, reg *metrics.Registry, interval time.
 		probe = &http.Client{Timeout: 5 * time.Second}
 	}
 	return &NodeRegistry{
-		clock:     clock,
-		reg:       reg,
-		interval:  interval,
-		missLimit: missLimit,
-		rt:        simclock.Transport(clock),
-		probe:     probe,
-		nodes:     make(map[string]*Node),
+		clock:      clock,
+		reg:        reg,
+		interval:   interval,
+		missLimit:  missLimit,
+		rt:         simclock.Transport(clock),
+		probe:      probe,
+		nodes:      make(map[string]*Node),
+		probes:     reg.CounterHandle("cluster_heartbeat_probes"),
+		healthyNow: reg.GaugeHandle("cluster_nodes_healthy"),
 	}
 }
 
@@ -143,7 +154,7 @@ func (r *NodeRegistry) Sweep() {
 
 // probeNode performs one health check and advances n's state machine.
 func (r *NodeRegistry) probeNode(n *Node) {
-	r.reg.Counter("cluster_heartbeat_probes").Inc()
+	r.probes.Get().Inc()
 	alive := r.healthy(n)
 	switch {
 	case alive:
@@ -176,11 +187,10 @@ func (r *NodeRegistry) healthy(n *Node) bool {
 	if in.At(chaos.SiteHeartbeat).Err != nil {
 		return false
 	}
-	base := n.srv.Endpoint()
-	if base == nil {
+	req := n.healthRequest()
+	if req == nil {
 		return false
 	}
-	req := simclock.NewRequest(context.Background(), http.MethodGet, base, "/health", nil, nil)
 	var resp *http.Response
 	var err error
 	if r.probe != nil {
@@ -266,9 +276,12 @@ func (r *NodeRegistry) Candidates(model string) []Candidate {
 
 // publish refreshes the per-node gauges after a sweep or state change.
 func (r *NodeRegistry) publish() {
+	r.pubMu.Lock()
+	defer r.pubMu.Unlock()
 	var healthy int64
 	for _, n := range r.Nodes() {
-		rep := n.Report()
+		rep := n.report(r.inv[:0])
+		r.inv = rep.Models
 		if n.State() == NodeHealthy {
 			healthy++
 		}
@@ -287,5 +300,5 @@ func (r *NodeRegistry) publish() {
 			m.chunkDedupSaved.Get().Set(float64(rep.ChunkDedupSavedBytes))
 		}
 	}
-	r.reg.Gauge("cluster_nodes_healthy").Set(float64(healthy))
+	r.healthyNow.Get().Set(float64(healthy))
 }

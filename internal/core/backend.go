@@ -16,6 +16,7 @@ import (
 	"swapservellm/internal/container"
 	"swapservellm/internal/metrics"
 	"swapservellm/internal/models"
+	"swapservellm/internal/openai"
 	"swapservellm/internal/perfmodel"
 	"swapservellm/internal/simclock"
 )
@@ -72,6 +73,12 @@ type Backend struct {
 	// requests counts the requests routed to the backend
 	// ("requests_" + name).
 	requests *metrics.Handle[metrics.Counter]
+	// snapshotBytes is the size of the backend's last checkpoint image
+	// ("snapshot_bytes_" + name), named when the controller registers it.
+	snapshotBytes *metrics.Handle[metrics.Gauge]
+	// api is the client of the container's engine API, rebuilt only when
+	// its base URL changes (see apiClient).
+	api atomic.Pointer[openai.Client]
 	// queued counts items sent or about to be sent on queue and not yet
 	// taken by the worker: the ready check of the worker's queue wait.
 	queued atomic.Int64
@@ -133,6 +140,19 @@ type Backend struct {
 	// swapIns / swapOuts count hot-swap operations for metrics.
 	swapIns  atomic.Int64
 	swapOuts atomic.Int64
+}
+
+// apiClient returns a client of the engine API the backend's container
+// publishes. One client serves every probe, so its base URL is parsed
+// once.
+func (b *Backend) apiClient(clock simclock.Clock) *openai.Client {
+	base := b.ctr.BaseURL()
+	if cli := b.api.Load(); cli != nil && cli.BaseURL == base {
+		return cli
+	}
+	cli := &openai.Client{BaseURL: base, Clock: clock}
+	b.api.Store(cli)
+	return cli
 }
 
 // Name returns the backend's model name.

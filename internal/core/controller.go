@@ -11,7 +11,6 @@ import (
 	"swapservellm/internal/engine"
 	"swapservellm/internal/metrics"
 	"swapservellm/internal/obs"
-	"swapservellm/internal/openai"
 	"swapservellm/internal/perfmodel"
 	"swapservellm/internal/retry"
 	"swapservellm/internal/simclock"
@@ -32,8 +31,10 @@ type Controller struct {
 	tracer  *obs.Tracer
 
 	// backends enumerates swap candidates; installed by the server.
+	// cands is selectCandidate's buffer, reused by every selection.
 	mu       sync.Mutex
 	backends map[string]*Backend
+	cands    []Candidate
 
 	// evictSerial serializes evictions per device so concurrent reclaim
 	// loops on the same GPU do not stampede the same candidates, while
@@ -156,6 +157,7 @@ func (ct *Controller) RegisterBackend(b *Backend) {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
 	ct.backends[b.name] = b
+	b.snapshotBytes = ct.reg.GaugeHandle("snapshot_bytes_" + b.name)
 }
 
 // Policy returns the active preemption policy.
@@ -252,7 +254,7 @@ func (ct *Controller) abortSwapOut(ctx context.Context, b *Backend, stage string
 func (ct *Controller) swappedOut(b *Backend, saved int64, latency time.Duration) {
 	ct.reg.Histogram("swap_out_latency").Observe(latency)
 	ct.reg.Counter("swap_outs").Inc()
-	ct.reg.Gauge("snapshot_bytes_" + b.name).Set(float64(saved))
+	b.snapshotBytes.Get().Set(float64(saved))
 	b.setState(BackendSwappedOut)
 	b.swapOuts.Add(1)
 	ct.tm.NotifyFreed()
@@ -403,7 +405,7 @@ func (ct *Controller) wakeIfSlept(ctx context.Context, b *Backend) {
 // wall-clock deadline on the context, which also bounds a hung probe.
 func (ct *Controller) verifyAPI(ctx context.Context, b *Backend) error {
 	const limit, interval = 10 * time.Second, 2 * time.Millisecond
-	cli := openai.Client{BaseURL: b.ctr.BaseURL(), Clock: ct.clock}
+	cli := b.apiClient(ct.clock)
 	if _, virtual := ct.clock.(*simclock.Virtual); !virtual {
 		hctx, cancel := context.WithTimeout(ctx, limit)
 		defer cancel()
@@ -424,7 +426,7 @@ func (ct *Controller) verifyAPI(ctx context.Context, b *Backend) error {
 
 // EvictOne implements Evictor: pick the policy's best candidate among
 // running backends on the device and swap it out.
-func (ct *Controller) EvictOne(ctx context.Context, gpuID int, exclude map[string]bool, needed func() bool) (string, bool) {
+func (ct *Controller) EvictOne(ctx context.Context, gpuID int, exclude string, needed func() bool) (string, bool) {
 	lock := ct.evictLock(gpuID)
 	// Held across SwapOut's simulated transfer, so clock-aware: a waiter
 	// must not pin virtual time while the holder sleeps.
@@ -452,12 +454,12 @@ func (ct *Controller) EvictOne(ctx context.Context, gpuID int, exclude map[strin
 
 // selectCandidate builds the candidate list for a device and applies the
 // policy.
-func (ct *Controller) selectCandidate(gpuID int, exclude map[string]bool) (Candidate, bool) {
+func (ct *Controller) selectCandidate(gpuID int, exclude string) (Candidate, bool) {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	var cands []Candidate
+	cands := ct.cands[:0]
 	for name, b := range ct.backends {
-		if exclude[name] || b.State() != BackendRunning {
+		if name == exclude || b.State() != BackendRunning {
 			continue
 		}
 		if !backendOnGPU(b, gpuID) {
@@ -472,6 +474,7 @@ func (ct *Controller) selectCandidate(gpuID int, exclude map[string]bool) (Candi
 			FreeableBytes:     b.ctr.Engine().GPUBytes(),
 		})
 	}
+	ct.cands = cands
 	return ct.policy.Select(cands)
 }
 

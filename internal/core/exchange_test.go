@@ -289,11 +289,11 @@ func TestEvictionsOverlapAcrossDevices(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		_, results[0] = s.Controller().EvictOne(context.Background(), 0, nil, nil)
+		_, results[0] = s.Controller().EvictOne(context.Background(), 0, "", nil)
 	}()
 	go func() {
 		defer wg.Done()
-		_, results[1] = s.Controller().EvictOne(context.Background(), 1, nil, nil)
+		_, results[1] = s.Controller().EvictOne(context.Background(), 1, "", nil)
 	}()
 	wg.Wait()
 	if !results[0] || !results[1] {
@@ -333,11 +333,11 @@ func TestSameDeviceEvictionsSerialize(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		_, results[0] = s.Controller().EvictOne(context.Background(), 0, map[string]bool{b.Name: true}, nil)
+		_, results[0] = s.Controller().EvictOne(context.Background(), 0, b.Name, nil)
 	}()
 	go func() {
 		defer wg.Done()
-		_, results[1] = s.Controller().EvictOne(context.Background(), 0, map[string]bool{a.Name: true}, nil)
+		_, results[1] = s.Controller().EvictOne(context.Background(), 0, a.Name, nil)
 	}()
 	wg.Wait()
 	if !results[0] || !results[1] {

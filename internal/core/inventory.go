@@ -45,9 +45,14 @@ func (mi ModelInventory) Load() int {
 // placement, sorted by model name. This is the node-local inventory the
 // cluster's placement engine and rebalancer consume.
 func (s *Server) Inventory() []ModelInventory {
-	backends := s.Backends()
-	out := make([]ModelInventory, 0, len(backends))
-	for _, b := range backends {
+	return s.AppendInventory(make([]ModelInventory, 0, len(s.Backends())))
+}
+
+// AppendInventory appends Inventory's entries to dst, so a caller that
+// samples the inventory repeatedly can reuse one buffer.
+func (s *Server) AppendInventory(dst []ModelInventory) []ModelInventory {
+	out := dst
+	for _, b := range s.Backends() {
 		mi := ModelInventory{
 			Model:         b.name,
 			Engine:        string(b.engine),

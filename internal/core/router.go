@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strings"
 
+	"swapservellm/internal/metrics"
 	"swapservellm/internal/obs"
 	"swapservellm/internal/proxy"
 	"swapservellm/internal/proxy/ir"
@@ -25,6 +26,10 @@ import (
 type router struct {
 	s     *Server
 	front *proxy.Front
+	// The per-request metrics, resolved once.
+	requests      *metrics.Handle[metrics.Counter]   // requests_total
+	forwardErrors *metrics.Handle[metrics.Counter]   // forward_errors
+	latency       *metrics.Handle[metrics.Histogram] // request_latency
 }
 
 // newRouter wires the front door: the node keeps no response cache
@@ -32,7 +37,11 @@ type router struct {
 // cross-node stream resume) and no chaos sites (proxy.translate and
 // proxy.cache are gateway-level).
 func newRouter(s *Server) *router {
-	return &router{s: s, front: proxy.New(proxy.WithClock(s.clock))}
+	return &router{s: s, front: proxy.New(proxy.WithClock(s.clock)),
+		requests:      s.reg.CounterHandle("requests_total"),
+		forwardErrors: s.reg.CounterHandle("forward_errors"),
+		latency:       s.reg.HistogramHandle("request_latency"),
+	}
 }
 
 // handler builds the router's http.Handler: the proxy edge serves the
@@ -75,7 +84,7 @@ func (rt *router) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy
 
 	now := rt.s.clock.Now()
 	rt.s.observeArrival(b, now)
-	rt.s.reg.Counter("requests_total").Inc()
+	rt.requests.Get().Inc()
 	b.requests.Get().Inc()
 
 	ctx := rt.s.traceCtx(r.Context())
@@ -146,14 +155,14 @@ func (rt *router) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy
 	}
 	res := item.result
 	if res.err != nil {
-		rt.s.reg.Counter("forward_errors").Inc()
+		rt.forwardErrors.Get().Inc()
 		span.Fail(res.err)
 		ir.WriteError(w, http.StatusBadGateway, "backend_error", res.err.Error())
 		return
 	}
 	defer res.resp.Body.Close()
 	rt.relayResponse(w, res.resp, ep)
-	rt.s.reg.Histogram("request_latency").Observe(rt.s.clock.Since(now))
+	rt.latency.Get().Observe(rt.s.clock.Since(now))
 }
 
 // relayResponse delivers the backend response to the client in the

@@ -88,12 +88,13 @@ func (s *Scheduler) EnsureRunning(ctx context.Context, b *Backend) (err error) {
 		ctx, xspan = obs.Start(ctx, "swap.exchange",
 			obs.String("target", b.name), obs.Bool("pipelined", pipelined))
 		defer func() {
-			victims := res.victims()
-			for _, v := range victims {
-				xspan.SetAttr(obs.String("victim", v))
+			if xspan != nil {
+				for _, v := range res.victims() {
+					xspan.SetAttr(obs.String("victim", v))
+				}
 			}
 			xspan.EndErr(err)
-			if err == nil && victims != nil {
+			if err == nil && res.evicted() {
 				s.reg.Histogram("swap_exchange_latency").Observe(s.clock.Since(t0))
 				s.reg.Counter("swap_exchanges").Inc()
 			}

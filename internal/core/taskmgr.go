@@ -20,28 +20,33 @@ import (
 type Evictor interface {
 	// EvictOne waits for the device's eviction turn, then — unless
 	// needed (when non-nil) reports the memory is no longer wanted —
-	// selects the best preemption candidate on the device (excluding the
-	// named backends) and swaps it out, returning its name. It returns
-	// false when nothing was evicted.
-	EvictOne(ctx context.Context, gpuID int, exclude map[string]bool, needed func() bool) (victim string, ok bool)
+	// selects the best preemption candidate on the device other than the
+	// backend named exclude ("" excludes none) and swaps it out,
+	// returning its name. It returns false when nothing was evicted.
+	EvictOne(ctx context.Context, gpuID int, exclude string, needed func() bool) (victim string, ok bool)
 }
 
 // Reservation is a claim on GPU memory with scoped acquire-release
 // semantics (§6). It queues in FIFO order and accrues freed capacity
 // chunk by chunk until it is fully granted; the restore it feeds takes
 // each chunk's bytes out of it (Take), and Release returns whatever
-// headroom is left.
+// headroom is left. Its owner drives it from one goroutine at a time:
+// Wait and Take reuse the reservation's ready checks.
 type Reservation struct {
 	tm      *TaskManager
 	p       *pending
 	release sync.Once
+	pend    pending // p's storage: one allocation holds both
 }
 
 // Wait blocks until the reservation is fully granted or ctx ends.
 func (r *Reservation) Wait(ctx context.Context) (err error) {
 	p := r.p
-	ready := func() bool { return simclock.Closed(p.granted) || ctx.Err() != nil }
-	simclock.GateFor(r.tm.clock).BlockOn(p.granted, ready, func() {
+	p.waitDone = ctx.Done()
+	if p.waitReady == nil {
+		p.waitReady = func() bool { return simclock.Closed(p.granted) || simclock.Closed(p.waitDone) }
+	}
+	simclock.GateFor(r.tm.clock).BlockOn(p.granted, p.waitReady, func() {
 		select {
 		case <-p.granted:
 		case <-ctx.Done():
@@ -59,28 +64,35 @@ func (r *Reservation) Wait(ctx context.Context) (err error) {
 // holds allocates the remainder from free memory.
 func (r *Reservation) Take(ctx context.Context, gpuID int, bytes int64, alloc func() error) error {
 	tm, p := r.tm, r.p
+	dc := p.dev(gpuID)
 	for {
 		tm.mu.Lock()
-		held := p.claimed[gpuID] - p.used[gpuID]
+		var held int64
+		if dc != nil {
+			held = dc.claimed - dc.used
+		}
 		if held >= bytes || simclock.Closed(p.granted) {
 			err := alloc()
-			if err == nil {
-				if p.used == nil {
-					p.used = make(map[int]int64)
-				}
-				p.used[gpuID] += min(bytes, held)
+			if err == nil && dc != nil {
+				dc.used += min(bytes, held)
 				tm.reserved[gpuID] -= min(bytes, held)
 			}
 			tm.mu.Unlock()
 			return err
 		}
-		seen := p.growth.Load()
+		p.takeSeen = p.growth.Load()
 		tm.mu.Unlock()
+		p.takeDone = ctx.Done()
+		if p.takeReady == nil {
+			// A growth signal a parked Take receives directly never
+			// shows in len(p.grew), so readiness is read off the growth
+			// count.
+			p.takeReady = func() bool {
+				return p.growth.Load() != p.takeSeen || simclock.Closed(p.granted) || simclock.Closed(p.takeDone)
+			}
+		}
 		var err error
-		// A growth signal a parked Take receives directly never shows in
-		// len(p.grew), so readiness is read off the growth count.
-		ready := func() bool { return p.growth.Load() != seen || simclock.Closed(p.granted) || ctx.Err() != nil }
-		simclock.GateFor(tm.clock).BlockOn(p.grew, ready, func() {
+		simclock.GateFor(tm.clock).BlockOn(p.grew, p.takeReady, func() {
 			select {
 			case <-p.grew:
 			case <-p.granted:
@@ -103,18 +115,19 @@ func (r *Reservation) Release() {
 	r.release.Do(func() {
 		tm, p := r.tm, r.p
 		tm.mu.Lock()
-		stop := p.stopReclaim
-		if simclock.Closed(p.granted) {
-			stop = nil
-		} else if p.index >= 0 && p.index < len(tm.queue) && tm.queue[p.index] == p {
+		stop := p.reclaimDone != nil && !simclock.Closed(p.granted)
+		if !simclock.Closed(p.granted) && p.index >= 0 && p.index < len(tm.queue) && tm.queue[p.index] == p {
 			heap.Remove(&tm.queue, p.index)
 		}
 		p.span.End()
 		tm.returnClaimsLocked(p)
 		tm.grantLocked()
 		tm.mu.Unlock()
-		if stop != nil {
-			stop()
+		if stop {
+			// Stop the preemption loop and wait for it to exit.
+			p.cancelReclaim()
+			done := p.reclaimDone
+			simclock.GateFor(tm.clock).BlockOn(done, func() bool { return simclock.Closed(done) }, func() { <-done })
 		}
 	})
 }
@@ -126,32 +139,67 @@ func (r *Reservation) victims() []string {
 	return append([]string(nil), r.p.victims...)
 }
 
+// evicted reports whether the reservation's reclaim evicted anything.
+func (r *Reservation) evicted() bool {
+	r.tm.mu.Lock()
+	defer r.tm.mu.Unlock()
+	return len(r.p.victims) > 0
+}
+
 // pending is one queued reservation request.
 type pending struct {
-	gpus    []int
+	// devs holds the claim's state on each of its devices, in device
+	// order; one backs it for a single-device claim.
+	devs    []devClaim
+	one     [1]devClaim
 	bytes   int64
 	owner   string
 	seq     int64
 	granted chan struct{}
 	index   int
 
-	// claimed tracks, per device, the bytes the grant loop has already
-	// carved out of the free pool for this reservation. The queue head
-	// claims incrementally as memory frees — a pipelined swap-out
-	// releases capacity chunk by chunk, and each chunk lands here before
-	// a later request can steal it. The reservation is granted when
-	// claimed reaches bytes on every device. used tracks the claimed
-	// bytes the restore turned into device allocations: claimed-used is
-	// the headroom the reservation holds.
-	claimed map[int]int64
-	used    map[int]int64
 	grew    chan struct{} // signalled whenever the claim grows
 	growth  atomic.Int64  // counts the claim's growths, for Take's ready check
 	span    *obs.Span     // "reserve", open until the grant or release
 	victims []string      // backends reclaim evicted for this claim
-	// stopReclaim cancels the preemption loop and waits for it to exit
-	// (nil when the claim fit at once).
-	stopReclaim func()
+
+	// The ready checks of Wait and Take, each built at its first park
+	// and reused by every later one, with what they read: the done
+	// channel of the caller's context, and the growth count Take saw.
+	waitReady, takeReady func() bool
+	waitDone, takeDone   <-chan struct{}
+	takeSeen             int64
+
+	// The preemption loop of a claim that did not fit at once (nil
+	// otherwise): cancelReclaim stops it, and reclaimDone closes when
+	// it has exited.
+	cancelReclaim context.CancelFunc
+	reclaimDone   chan struct{}
+}
+
+// devClaim is a reservation's state on one device. claimed is what the
+// grant loop has already carved out of the free pool for it: the queue
+// head claims incrementally as memory frees (a pipelined swap-out
+// releases capacity chunk by chunk, and each chunk lands here before a
+// later request can steal it), and the reservation is granted when
+// claimed reaches bytes on every device. used is the claimed bytes the
+// restore turned into device allocations: claimed-used is the headroom
+// the reservation holds.
+type devClaim struct {
+	gpu     int
+	claimed int64
+	used    int64
+}
+
+// dev returns the claim's state on gpuID, or nil when the claim does
+// not span it.
+func (p *pending) dev(gpuID int) *devClaim {
+	for i := range p.devs {
+		if p.devs[i].gpu == gpuID {
+			return &p.devs[i]
+		}
+	}
+	return nil
 }
 
 // pendingHeap orders reservations by arrival (FIFO grant order).
@@ -271,15 +319,22 @@ func (tm *TaskManager) enqueue(gpus []int, bytes int64, owner string) (*Reservat
 				ErrNoCapacity, bytes, id, d.Total())
 		}
 	}
-	p := &pending{gpus: gpus, bytes: bytes, owner: owner,
-		granted: make(chan struct{}), grew: make(chan struct{}, 1)}
+	r := &Reservation{tm: tm}
+	p := &r.pend
+	r.p = p
+	p.bytes, p.owner = bytes, owner
+	p.granted, p.grew = make(chan struct{}), make(chan struct{}, 1)
+	p.devs = p.one[:0]
+	for _, id := range gpus {
+		p.devs = append(p.devs, devClaim{gpu: id})
+	}
 	tm.mu.Lock()
 	tm.seq++
 	p.seq = tm.seq
 	heap.Push(&tm.queue, p)
 	tm.grantLocked()
 	tm.mu.Unlock()
-	return &Reservation{tm: tm, p: p}, nil
+	return r, nil
 }
 
 // track opens the reservation's "reserve" span on ctx, which ends at the
@@ -304,17 +359,12 @@ func (r *Reservation) track(ctx context.Context) {
 	// serializes actual evictions. Releasing the claim before its grant
 	// stops the loop.
 	if tm.evictor != nil {
-		gate := simclock.GateFor(tm.clock)
 		rctx, cancel := context.WithCancel(ctx)
 		done := make(chan struct{})
-		stop := func() {
-			cancel()
-			gate.BlockOn(done, func() bool { return simclock.Closed(done) }, func() { <-done })
-		}
 		tm.mu.Lock()
-		p.stopReclaim = stop
+		p.cancelReclaim, p.reclaimDone = cancel, done
 		tm.mu.Unlock()
-		gate.Go(func() {
+		simclock.GateFor(tm.clock).Go(func() {
 			defer close(done)
 			defer cancel()
 			tm.reclaim(rctx, p)
@@ -324,9 +374,18 @@ func (r *Reservation) track(ctx context.Context) {
 
 // normalizeGPUs sorts and deduplicates device indices (ordered
 // acquisition prevents deadlock between concurrent multi-GPU claims).
+// A slice already sorted and free of duplicates, such as a backend's,
+// is returned as is.
 func normalizeGPUs(gpus []int) []int {
 	if len(gpus) == 0 {
 		return []int{0}
+	}
+	normal := true
+	for i := 1; i < len(gpus) && normal; i++ {
+		normal = gpus[i-1] < gpus[i]
+	}
+	if normal {
+		return gpus
 	}
 	out := append([]int(nil), gpus...)
 	sort.Ints(out)
@@ -371,21 +430,19 @@ func (tm *TaskManager) grantLocked() {
 // claimed. Caller holds tm.mu.
 func (tm *TaskManager) claimHeadLocked(p *pending) bool {
 	done := true
-	for _, id := range p.gpus {
-		need := p.bytes - p.claimed[id]
+	for i := range p.devs {
+		dc := &p.devs[i]
+		need := p.bytes - dc.claimed
 		if need <= 0 {
 			continue
 		}
-		avail := tm.availableLocked(id)
+		avail := tm.availableLocked(dc.gpu)
 		if avail > need {
 			avail = need
 		}
 		if avail > 0 {
-			if p.claimed == nil {
-				p.claimed = make(map[int]int64)
-			}
-			p.claimed[id] += avail
-			tm.reserved[id] += avail
+			dc.claimed += avail
+			tm.reserved[dc.gpu] += avail
 			p.growth.Add(1)
 			select {
 			case p.grew <- struct{}{}:
@@ -393,7 +450,7 @@ func (tm *TaskManager) claimHeadLocked(p *pending) bool {
 			}
 			simclock.GateFor(tm.clock).Wake(p.grew)
 		}
-		if p.claimed[id] < p.bytes {
+		if dc.claimed < p.bytes {
 			done = false
 		}
 	}
@@ -404,13 +461,17 @@ func (tm *TaskManager) claimHeadLocked(p *pending) bool {
 // it claimed (the full amount once granted, the partial claims while
 // queued) less what its restore allocated. Caller holds tm.mu.
 func (tm *TaskManager) returnClaimsLocked(p *pending) {
-	for id, c := range p.claimed {
-		tm.reserved[id] -= c - p.used[id]
-		if tm.reserved[id] < 0 {
-			tm.reserved[id] = 0
+	for i := range p.devs {
+		dc := &p.devs[i]
+		if dc.claimed == 0 {
+			continue
 		}
+		tm.reserved[dc.gpu] -= dc.claimed - dc.used
+		if tm.reserved[dc.gpu] < 0 {
+			tm.reserved[dc.gpu] = 0
+		}
+		dc.claimed = 0
 	}
-	p.claimed = nil
 }
 
 // reclaim drives the demand-aware preemption loop for one blocked
@@ -419,40 +480,37 @@ func (tm *TaskManager) returnClaimsLocked(p *pending) {
 // or cancelled (§3.5). Non-head waiters idle — the head's reclaim makes
 // progress for everyone.
 func (tm *TaskManager) reclaim(ctx context.Context, p *pending) {
-	exclude := map[string]bool{p.owner: true}
 	gate := simclock.GateFor(tm.clock)
 	backoff := func() bool {
 		// Simulated-time backoff, cut short by a grant or cancellation.
 		return gate.Wait(20*time.Millisecond, p.granted, ctx.Done()) < 0
 	}
 	for {
-		select {
-		case <-p.granted:
+		// Err, not a select on Done: a loop that never backs off never
+		// makes ctx's done channel.
+		if simclock.Closed(p.granted) || ctx.Err() != nil {
 			return
-		case <-ctx.Done():
-			return
-		default:
 		}
 
 		// Only the queue head drives eviction (strict FIFO grants).
 		tm.mu.Lock()
 		isHead := len(tm.queue) > 0 && tm.queue[0] == p
-		shortID := -1
+		var short *devClaim
 		if isHead {
-			for _, id := range p.gpus {
+			for i := range p.devs {
 				// Incremental claims shrink the outstanding need.
-				if tm.availableLocked(id) < p.bytes-p.claimed[id] {
-					shortID = id
+				if dc := &p.devs[i]; tm.availableLocked(dc.gpu) < p.bytes-dc.claimed {
+					short = dc
 					break
 				}
 			}
-			if shortID == -1 {
+			if short == nil {
 				tm.grantLocked()
 			}
 		}
 		tm.mu.Unlock()
 
-		if !isHead || shortID == -1 {
+		if short == nil {
 			if !backoff() {
 				return
 			}
@@ -464,9 +522,9 @@ func (tm *TaskManager) reclaim(ctx context.Context, p *pending) {
 		needed := func() bool {
 			tm.mu.Lock()
 			defer tm.mu.Unlock()
-			return tm.availableLocked(shortID) < p.bytes-p.claimed[shortID]
+			return tm.availableLocked(short.gpu) < p.bytes-short.claimed
 		}
-		victim, ok := tm.evictor.EvictOne(ctx, shortID, exclude, needed)
+		victim, ok := tm.evictor.EvictOne(ctx, short.gpu, p.owner, needed)
 		if !ok {
 			// Nothing evictable right now (candidates busy or already
 			// swapping): retry after a short simulated backoff.

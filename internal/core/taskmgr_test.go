@@ -238,7 +238,7 @@ type fakeEvictor struct {
 	refuse bool
 }
 
-func (f *fakeEvictor) EvictOne(ctx context.Context, gpuID int, exclude map[string]bool, needed func() bool) (string, bool) {
+func (f *fakeEvictor) EvictOne(ctx context.Context, gpuID int, exclude string, needed func() bool) (string, bool) {
 	f.calls.Add(1)
 	if f.refuse {
 		return "", false

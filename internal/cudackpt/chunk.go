@@ -78,18 +78,22 @@ func (d *Driver) emitChunk(ev ChunkEvent) {
 }
 
 // linksLocked returns (creating on demand) the PCIe links of p's
-// devices. Caller holds d.mu.
+// devices, looked up at p's first transfer: its devices never change.
+// Caller holds d.mu.
 func (d *Driver) linksLocked(p *proc) []*perfmodel.PCIeLink {
-	out := make([]*perfmodel.PCIeLink, len(p.devices))
+	if p.links != nil {
+		return p.links
+	}
+	p.links = make([]*perfmodel.PCIeLink, len(p.devices))
 	for i, dev := range p.devices {
 		l, ok := d.links[dev.ID()]
 		if !ok {
 			l = &perfmodel.PCIeLink{}
 			d.links[dev.ID()] = l
 		}
-		out[i] = l
+		p.links[i] = l
 	}
-	return out
+	return p.links
 }
 
 // chunkShare returns the slice of the calibrated full-transfer duration

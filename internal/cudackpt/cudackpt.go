@@ -77,6 +77,26 @@ type proc struct {
 	// dynGen; a plan at a newer generation forgets them (store.go).
 	dynIDs []ckptstore.ChunkID
 	dynGen int64
+	// links are the PCIe links of devices, looked up once (linksLocked).
+	links []*perfmodel.PCIeLink
+	// xfer is the scratch of the transfer in flight, reused by every
+	// checkpoint and restore: transferring admits one at a time.
+	xfer xfer
+}
+
+// xfer is a proc's per-transfer scratch. rem holds a checkpoint's bytes
+// still on each device; alloced a restore's bytes allocated so far on
+// each, and steps the current chunk's per-device steps, of which alloc
+// (allocStep, bound once) runs cur.
+type xfer struct {
+	d        *Driver
+	p        *proc
+	rem      []int64
+	alloced  []int64
+	steps    []chunkStep
+	cur      chunkStep
+	fromDisk bool
+	alloc    func() error
 }
 
 // Driver simulates the per-node checkpoint driver. All methods are safe
@@ -138,7 +158,13 @@ func (d *Driver) RegisterSharded(pid string, devices []*gpu.Device, engine perfm
 		devices:     devices,
 		engine:      engine,
 		weightBytes: weightBytes,
+		shardBytes:  make([]int64, len(devices)),
 	}
+	p.xfer = xfer{d: d, p: p,
+		rem:     make([]int64, len(devices)),
+		alloced: make([]int64, len(devices)),
+		steps:   make([]chunkStep, 0, len(devices))}
+	p.xfer.alloc = p.xfer.allocStep
 	p.state = StateRunning
 	d.procs[pid] = p
 	return nil
@@ -290,7 +316,10 @@ func (d *Driver) Checkpoint(ctx context.Context, pid string) (bytes int64, err e
 		return 0, ferr
 	}
 	pcie := d.pcieDelayLocked(pid)
-	shard := make([]int64, len(p.devices))
+	// shard is what the devices hold now: the image's shard sizes once
+	// it commits (only a Checkpointed process's are read), and the
+	// rollback's target until then.
+	shard := p.shardBytes
 	for i, dev := range p.devices {
 		shard[i] = dev.OwnerUsage(p.pid)
 		bytes += shard[i]
@@ -319,6 +348,7 @@ func (d *Driver) Checkpoint(ctx context.Context, pid string) (bytes int64, err e
 	total := d.testbed.CheckpointSave(maxShard(shard)) - d.testbed.CkptLock
 	chunk := d.chunkBytes
 	links := d.linksLocked(p)
+	rem := append(p.xfer.rem[:0], shard...)
 	// With a store attached, plan the image's content-addressed chunks:
 	// chunks whose content is already host-resident (unchanged weights,
 	// pristine or unchanged KV regions) skip their D2H copy entirely —
@@ -338,7 +368,6 @@ func (d *Driver) Checkpoint(ctx context.Context, pid string) (bytes int64, err e
 	// full-transfer duration, which chunkShare splits across chunks by
 	// byte share. Injected PCIe congestion charges on the first chunk
 	// that actually crosses the link.
-	rem := append([]int64(nil), shard...)
 	var done int64
 	ci := 0
 	pcieCharged := false
@@ -410,7 +439,6 @@ func (d *Driver) Checkpoint(ctx context.Context, pid string) (bytes int64, err e
 		// Clear any zero-byte owner entry left behind by the engine.
 		dev.Resize(p.pid, 0)
 	}
-	p.shardBytes = shard
 	d.transitionLocked(p, StateLocked, StateCheckpointed)
 	p.transferring = false
 	p.transferGoal = 0
@@ -470,7 +498,9 @@ func (d *Driver) Restore(ctx context.Context, pid string, claim Claim) (err erro
 	pcie := d.pcieDelayLocked(pid)
 	bytes := p.hostImage
 	span.SetAttr(obs.Int64("bytes", bytes))
-	shard := append([]int64(nil), p.shardBytes...)
+	// A Checkpointed process's shard sizes hold still until its next
+	// checkpoint, which waits for this restore to leave it Locked.
+	shard := p.shardBytes
 	fromDisk := p.loc == LocDisk
 	if claim == nil {
 		for i, dev := range p.devices {
@@ -522,28 +552,9 @@ func (d *Driver) Restore(ctx context.Context, pid string, claim Claim) (err erro
 		total += d.testbed.StorageReadTime(perfmodel.TierDisk, bytes)
 	}
 
-	alloced := make([]int64, len(shard))
-	steps := make([]chunkStep, 0, len(shard))
-	// alloc grows the claimed device by the current step's bytes; it is
-	// built once per restore and reads the step from cur.
-	var cur chunkStep
-	alloc := func() error {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		if err := p.devices[cur.i].Resize(p.pid, alloced[cur.i]+cur.grow); err != nil {
-			return err
-		}
-		alloced[cur.i] += cur.grow
-		// The bytes leave the image the moment their device copy
-		// begins, keeping device+image conservation exact.
-		if fromDisk {
-			d.diskUsed -= cur.grow
-		} else {
-			d.hostUsed -= cur.grow
-		}
-		p.hostImage -= cur.grow
-		return nil
-	}
+	x := &p.xfer
+	clear(x.alloced)
+	x.fromDisk = fromDisk
 	var done int64
 	for done < bytes {
 		c := min(chunk, bytes-done)
@@ -564,15 +575,15 @@ func (d *Driver) Restore(ctx context.Context, pid string, claim Claim) (err erro
 			// with bounded-retry fallback under ckptstore.fetch faults).
 			ferr = sess.FetchRange(done, done+c)
 		}
-		steps = chunkSteps(steps, shard, alloced, c)
-		for _, cur = range steps {
+		x.steps = chunkSteps(x.steps, shard, x.alloced, c)
+		for _, x.cur = range x.steps {
 			if ferr != nil {
 				break
 			}
-			ferr = claim.Take(ctx, p.devices[cur.i].ID(), cur.grow, alloc)
+			ferr = claim.Take(ctx, p.devices[x.cur.i].ID(), x.cur.grow, x.alloc)
 		}
 		if ferr != nil {
-			d.rollbackRestore(p, alloced, fromDisk)
+			d.rollbackRestore(p, x.alloced, fromDisk)
 			return fmt.Errorf("cudackpt: restore of %q aborted at %d/%d bytes: %w",
 				pid, done, bytes, ferr)
 		}
@@ -603,6 +614,27 @@ func (d *Driver) Restore(ctx context.Context, pid string, claim Claim) (err erro
 		// delta-skips every chunk whose content they still match.
 		st.Release(pid)
 	}
+	return nil
+}
+
+// allocStep is a restore's allocation of the current step, x.cur: it
+// grows the claimed device by the step's bytes.
+func (x *xfer) allocStep() error {
+	d, p := x.d, x.p
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := p.devices[x.cur.i].Resize(p.pid, x.alloced[x.cur.i]+x.cur.grow); err != nil {
+		return err
+	}
+	x.alloced[x.cur.i] += x.cur.grow
+	// The bytes leave the image the moment their device copy begins,
+	// keeping device+image conservation exact.
+	if x.fromDisk {
+		d.diskUsed -= x.cur.grow
+	} else {
+		d.hostUsed -= x.cur.grow
+	}
+	p.hostImage -= x.cur.grow
 	return nil
 }
 
@@ -650,6 +682,7 @@ func (d *Driver) Resume(ctx context.Context, pid string, claim Claim) (err error
 		return err
 	}
 	// The restore completed; a cancellation arriving now must not leave
-	// the process wedged in Locked, so the unlock ignores it.
-	return d.Unlock(context.WithoutCancel(ctx), pid)
+	// the process wedged in Locked. Unlock never reads ctx's
+	// cancellation (it models one short ioctl), only its span.
+	return d.Unlock(ctx, pid)
 }

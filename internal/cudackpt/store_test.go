@@ -285,14 +285,16 @@ func checkpointCycle(t testing.TB, d *Driver) {
 // allocates, driver and store together. Before chunk IDs were 64-bit
 // values and chunk records were recycled, the same cycle measured 173
 // allocations: one ID string per chunk and one record per dirty chunk.
-// It is 19 now; the budget leaves room for the driver's own slices.
+// It measured 19 until the driver kept its per-transfer scratch and
+// PCIe links on the process, and integer span attributes stopped
+// formatting for untraced spans; it is 6 now.
 func TestCheckpointCycleAllocs(t *testing.T) {
 	d, st := cycleDriver(t)
 	checkpointCycle(t, d)
 	got := testing.AllocsPerRun(50, func() { checkpointCycle(t, d) })
 	t.Logf("checkpoint cycle: %v allocations", got)
-	if got > 40 {
-		t.Errorf("checkpoint cycle allocates %v times, budget 40", got)
+	if got > 12 {
+		t.Errorf("checkpoint cycle allocates %v times, budget 12", got)
 	}
 	if err := st.SelfCheck(); err != nil {
 		t.Fatal(err)

@@ -58,17 +58,50 @@ func (Generator) CompletionLength(prompt string, seed int64, maxTokens int) int 
 }
 
 // Token returns the i-th output token (with a leading space separator
-// after the first token).
-func (Generator) Token(prompt string, seed int64, i int) string {
-	state := hashSeed(prompt, seed)
-	for k := 0; k <= i; k++ {
-		state = step(state)
+// after the first token). It walks the stream from the start, so a
+// caller reading a whole completion takes a TokenStream instead.
+func (g Generator) Token(prompt string, seed int64, i int) string {
+	s := g.Stream(prompt, seed)
+	tok := s.Next()
+	for k := 0; k < i; k++ {
+		tok = s.Next()
 	}
-	w := vocabulary[state%uint64(len(vocabulary))]
-	if i == 0 {
-		return w
+	return tok
+}
+
+// spacedVocabulary is vocabulary with each word's leading separator,
+// so a token after the first costs no concatenation.
+var spacedVocabulary = func() []string {
+	out := make([]string, len(vocabulary))
+	for i, w := range vocabulary {
+		out[i] = " " + w
 	}
-	return " " + w
+	return out
+}()
+
+// TokenStream is one completion's token sequence, read in order: each
+// Next is one SplitMix step past the last, where Token re-walks the
+// stream from its seed.
+type TokenStream struct {
+	state uint64
+	next  int // index of the token Next returns
+}
+
+// Stream starts the token sequence of prompt and seed: its i-th Next
+// returns Token(prompt, seed, i).
+func (Generator) Stream(prompt string, seed int64) TokenStream {
+	return TokenStream{state: hashSeed(prompt, seed)}
+}
+
+// Next returns the stream's next token.
+func (s *TokenStream) Next() string {
+	s.state = step(s.state)
+	w := s.state % uint64(len(vocabulary))
+	s.next++
+	if s.next == 1 {
+		return vocabulary[w]
+	}
+	return spacedVocabulary[w]
 }
 
 // EmbeddingDim is the simulated embedding width. Real embedding models

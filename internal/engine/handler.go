@@ -283,12 +283,13 @@ func (h *handler) streamChat(w http.ResponseWriter, r *http.Request,
 // emit. It stops at the first error from the gate or from emit.
 func (h *handler) decode(ctx context.Context, prompt string, seed int64, n int, emit func(tok string) error) error {
 	var gen Generator
+	toks := gen.Stream(prompt, seed)
 	for i := 0; i < n; i++ {
 		if err := h.b.gate.Wait(ctx); err != nil {
 			return err
 		}
 		h.b.cfg.Clock.Sleep(h.b.cfg.Testbed.TokenTime(h.b.kind, h.b.cfg.Model, 1))
-		if err := emit(gen.Token(prompt, seed, i)); err != nil {
+		if err := emit(toks.Next()); err != nil {
 			return err
 		}
 	}

@@ -127,6 +127,40 @@ func TestTokenSeparators(t *testing.T) {
 	}
 }
 
+// TestTokenStreamMatchesRewalk checks TokenStream and Token against the
+// definition the stream replaces: token i is the vocabulary word at
+// i+1 SplitMix steps from the prompt and seed's state, with a space
+// before every token after the first. Reading on costs no allocation.
+func TestTokenStreamMatchesRewalk(t *testing.T) {
+	var g Generator
+	for _, c := range []struct {
+		prompt string
+		seed   int64
+	}{{"p", 1}, {"<|user|>hello from the test", 42}, {"", -7}} {
+		s := g.Stream(c.prompt, c.seed)
+		for i := 0; i < 300; i++ {
+			state := hashSeed(c.prompt, c.seed)
+			for k := 0; k <= i; k++ {
+				state = step(state)
+			}
+			want := vocabulary[state%uint64(len(vocabulary))]
+			if i > 0 {
+				want = " " + want
+			}
+			if got := s.Next(); got != want {
+				t.Fatalf("%q seed %d: stream token %d = %q, want %q", c.prompt, c.seed, i, got, want)
+			}
+			if got := g.Token(c.prompt, c.seed, i); got != want {
+				t.Fatalf("%q seed %d: Token(%d) = %q, want %q", c.prompt, c.seed, i, got, want)
+			}
+		}
+	}
+	s := g.Stream("p", 1)
+	if a := testing.AllocsPerRun(100, func() { s.Next() }); a != 0 {
+		t.Errorf("TokenStream.Next allocates %v times, want 0", a)
+	}
+}
+
 func TestPromptText(t *testing.T) {
 	got := PromptText([]ir.Message{{Role: "user", Content: "hello"}})
 	if !strings.Contains(got, "user") || !strings.Contains(got, "hello") {

@@ -473,8 +473,9 @@ func expectedStreamFramed(seed int64, ndjson bool) string {
 		n = chaosStreamMin
 	}
 	var want strings.Builder
+	toks := gen.Stream(full, seed)
 	for i := 0; i < n; i++ {
-		want.WriteString(gen.Token(full, seed, i))
+		want.WriteString(toks.Next())
 	}
 	return want.String()
 }

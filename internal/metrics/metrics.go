@@ -15,10 +15,10 @@ import (
 	"time"
 )
 
-// Counter is a monotonically increasing count.
+// Counter is a monotonically increasing count. It is lock-free: the
+// value is a float64's bits in an atomic word.
 type Counter struct {
-	mu sync.Mutex
-	v  float64
+	bits atomic.Uint64
 }
 
 // Add increases the counter by delta (negative deltas are ignored).
@@ -26,40 +26,30 @@ func (c *Counter) Add(delta float64) {
 	if delta < 0 {
 		return
 	}
-	c.mu.Lock()
-	c.v += delta
-	c.mu.Unlock()
+	for {
+		old := c.bits.Load()
+		if c.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
+			return
+		}
+	}
 }
 
 // Inc increases the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
 // Value returns the current count.
-func (c *Counter) Value() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.v
-}
+func (c *Counter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
 
-// Gauge is an instantaneous value.
+// Gauge is an instantaneous value, lock-free as Counter is.
 type Gauge struct {
-	mu sync.Mutex
-	v  float64
+	bits atomic.Uint64
 }
 
 // Set stores v.
-func (g *Gauge) Set(v float64) {
-	g.mu.Lock()
-	g.v = v
-	g.mu.Unlock()
-}
+func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Value returns the stored value.
-func (g *Gauge) Value() float64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.v
-}
+func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram accumulates duration observations and reports summary
 // statistics. Observations are retained (the experiment scale is modest)

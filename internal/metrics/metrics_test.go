@@ -163,3 +163,32 @@ func TestWriteCSVEmpty(t *testing.T) {
 		t.Fatalf("empty CSV = %q", sb.String())
 	}
 }
+
+// TestCounterGaugeConcurrent drives one counter and one gauge from
+// several goroutines at once: the lock-free counter loses no increment,
+// and the gauge holds one of the values stored.
+func TestCounterGaugeConcurrent(t *testing.T) {
+	var c Counter
+	var g Gauge
+	var wg sync.WaitGroup
+	const workers, adds = 8, 1000
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < adds; i++ {
+				c.Inc()
+				c.Add(0.5)
+				g.Set(float64(w))
+				_ = g.Value()
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got, want := c.Value(), 1.5*workers*adds; got != want {
+		t.Errorf("counter = %v, want %v", got, want)
+	}
+	if v := g.Value(); v < 0 || v >= workers || v != float64(int(v)) {
+		t.Errorf("gauge = %v, not a value any worker stored", v)
+	}
+}

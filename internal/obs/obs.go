@@ -26,6 +26,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -35,10 +36,14 @@ import (
 )
 
 // Attr is one key/value annotation on a span or event. Values are
-// strings; use the typed constructors for other kinds.
+// strings; use the typed constructors for other kinds. An integer
+// attribute keeps its int64 until a recording span stores it, so a call
+// site whose span is nil (tracing off) formats nothing.
 type Attr struct {
 	Key   string `json:"key"`
 	Value string `json:"value"`
+	num   int64
+	isNum bool // Value is num, not yet formatted
 }
 
 // String builds a string attribute.
@@ -46,7 +51,7 @@ func String(key, value string) Attr { return Attr{Key: key, Value: value} }
 
 // Int64 builds an integer attribute.
 func Int64(key string, value int64) Attr {
-	return Attr{Key: key, Value: strconv.FormatInt(value, 10)}
+	return Attr{Key: key, num: value, isNum: true}
 }
 
 // Int builds an integer attribute.
@@ -61,6 +66,19 @@ func Bool(key string, value bool) Attr {
 // attainment ratios). %g keeps the rendering compact and stable.
 func Float64(key string, value float64) Attr {
 	return Attr{Key: key, Value: fmt.Sprintf("%g", value)}
+}
+
+// appendAttrs appends attrs to dst with every integer value formatted:
+// what a span stores and exports is plain key/value strings.
+func appendAttrs(dst, attrs []Attr) []Attr {
+	dst = slices.Grow(dst, len(attrs))
+	for _, a := range attrs {
+		if a.isNum {
+			a = Attr{Key: a.Key, Value: strconv.FormatInt(a.num, 10)}
+		}
+		dst = append(dst, a)
+	}
+	return dst
 }
 
 // Event is a point-in-time annotation inside a span (a committed
@@ -162,7 +180,7 @@ func (t *Tracer) start(parent int64, name string, attrs []Attr) *Span {
 		parent: parent,
 		name:   name,
 		start:  now,
-		attrs:  append([]Attr(nil), attrs...),
+		attrs:  appendAttrs(nil, attrs),
 	}
 	t.spans = append(t.spans, s)
 	t.mu.Unlock()
@@ -209,7 +227,7 @@ func (s *Span) SetAttr(attrs ...Attr) {
 		return
 	}
 	s.mu.Lock()
-	s.attrs = append(s.attrs, attrs...)
+	s.attrs = appendAttrs(s.attrs, attrs)
 	s.mu.Unlock()
 }
 
@@ -220,7 +238,7 @@ func (s *Span) Event(name string, attrs ...Attr) {
 	}
 	now := s.t.clock.Now()
 	s.mu.Lock()
-	s.events = append(s.events, Event{Name: name, Time: now, Attrs: append([]Attr(nil), attrs...)})
+	s.events = append(s.events, Event{Name: name, Time: now, Attrs: appendAttrs(nil, attrs)})
 	s.mu.Unlock()
 }
 

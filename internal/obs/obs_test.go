@@ -281,3 +281,49 @@ func TestAnnotateFault(t *testing.T) {
 		t.Fatalf("fault events wrong: %+v", d.Events)
 	}
 }
+
+// TestIntAttrsExportFormatted checks that integer attributes, which stay
+// unformatted until a recording span stores them, export the same JSON
+// and tree bytes as their decimal strings did, and that an untraced call
+// site formats nothing.
+func TestIntAttrsExportFormatted(t *testing.T) {
+	record := func(num func(string, int64) Attr) (string, string) {
+		tr, clk := newTestTracer()
+		ctx := WithTracer(context.Background(), tr)
+		rctx, root := Start(ctx, "reserve", String("owner", "m"), num("bytes", 72<<30))
+		root.SetAttr(num("dedup_bytes", 0), num("new_bytes", -3))
+		_, child := Start(rctx, "ckpt.restore", num("bytes", 1<<30))
+		child.Event("chunk", String("dir", "h2d"), num("done_bytes", 1<<30), num("total_bytes", 1<<30))
+		clk.Advance(time.Millisecond)
+		child.End()
+		root.End()
+		var js, tree bytes.Buffer
+		if err := tr.WriteTraceEvents(&js); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.WriteTree(&tree); err != nil {
+			t.Fatal(err)
+		}
+		return js.String(), tree.String()
+	}
+	gotJS, gotTree := record(Int64)
+	wantJS, wantTree := record(func(k string, v int64) Attr { return String(k, fmt.Sprint(v)) })
+	if gotJS != wantJS {
+		t.Errorf("trace JSON differs:\n got %s\nwant %s", gotJS, wantJS)
+	}
+	if gotTree != wantTree {
+		t.Errorf("span tree differs:\n got %s\nwant %s", gotTree, wantTree)
+	}
+	if !strings.Contains(gotJS, `"bytes": "77309411328"`) || !strings.Contains(gotJS, `"new_bytes": "-3"`) {
+		t.Errorf("integer attributes missing from the export:\n%s", gotJS)
+	}
+
+	var untraced *Span
+	n := int64(1 << 30)
+	if a := testing.AllocsPerRun(100, func() {
+		untraced.SetAttr(Int64("bytes", n), Int("chunks", 72))
+		untraced.Event("chunk", Int64("done_bytes", n))
+	}); a != 0 {
+		t.Errorf("untraced integer attributes allocate %v times, want 0", a)
+	}
+}

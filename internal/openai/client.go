@@ -16,6 +16,8 @@ import (
 	"maps"
 	"net/http"
 	"net/url"
+	"strings"
+	"sync/atomic"
 	"time"
 
 	"swapservellm/internal/proxy/ir"
@@ -37,6 +39,60 @@ type Client struct {
 	// to the real clock. Tests and simulations inject a scaled or virtual
 	// clock so calls compress with the rest of the timeline.
 	Clock simclock.Clock
+
+	// base is BaseURL parsed, kept for as long as BaseURL stays the
+	// string it was parsed from.
+	base atomic.Pointer[parsedBase]
+}
+
+// parsedBase is a parsed BaseURL and the string it came from.
+type parsedBase struct {
+	raw string
+	u   *url.URL
+}
+
+// target returns the URL of BaseURL+path as NewRequest takes it: a
+// base URL and the path to set on a copy of it. When BaseURL is a bare
+// server root (no path, query or fragment) and path a plain absolute
+// path, that is the root, parsed once, and path, which is the URL
+// parsing the joined string gives. Any other pair is parsed joined,
+// with no path left to set.
+func (c *Client) target(path string) (*url.URL, string, error) {
+	if !plainPath(path) {
+		u, err := url.Parse(c.BaseURL + path)
+		return u, "", err
+	}
+	pb := c.base.Load()
+	if pb == nil || pb.raw != c.BaseURL {
+		u, err := url.Parse(c.BaseURL)
+		if err != nil {
+			return nil, "", err
+		}
+		pb = &parsedBase{raw: c.BaseURL, u: u}
+		c.base.Store(pb)
+	}
+	if pb.u.Path != "" || pb.u.RawPath != "" || pb.u.RawQuery != "" || pb.u.ForceQuery || pb.u.Fragment != "" || pb.u.Opaque != "" {
+		u, err := url.Parse(c.BaseURL + path)
+		return u, "", err
+	}
+	return pb.u, path, nil
+}
+
+// plainPath reports whether path is absolute and made of characters a
+// URL path carries unescaped.
+func plainPath(path string) bool {
+	if !strings.HasPrefix(path, "/") {
+		return false
+	}
+	for i := 0; i < len(path); i++ {
+		switch c := path[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9':
+		case c == '/', c == '-', c == '_', c == '.', c == '~':
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // NewClient returns a client for the given base URL.
@@ -59,7 +115,7 @@ func (c *Client) clock() simclock.Clock {
 // JSON, header adds request headers, and Do closes the response body.
 func (c *Client) Do(ctx context.Context, method, path string, body []byte, header http.Header,
 	read func(*http.Response) error) error {
-	u, err := url.Parse(c.BaseURL + path)
+	u, path, err := c.target(path)
 	if err != nil {
 		return err
 	}
@@ -72,7 +128,7 @@ func (c *Client) Do(ctx context.Context, method, path string, body []byte, heade
 			maps.Copy(h, header)
 		}
 	}
-	req := simclock.NewRequest(ctx, method, u, "", body, h)
+	req := simclock.NewRequest(ctx, method, u, path, body, h)
 	var resp *http.Response
 	if c.HTTPClient != nil {
 		//swaplint:block reason=the caller's client bounds its round trip: a timeout on a socket, or simclock's in-process transport under a Virtual clock

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -323,5 +324,48 @@ func TestWaitHealthyTimeout(t *testing.T) {
 	defer cancel()
 	if err := NewClient(srv.URL).WaitHealthy(ctx, 5*time.Millisecond); err == nil {
 		t.Fatal("expected timeout error")
+	}
+}
+
+// TestClientTargetMatchesJoinedParse checks the parsed-once base URL
+// against what parsing BaseURL+path gives, for bare roots (reused) and
+// for bases or paths the reuse does not cover (parsed joined).
+func TestClientTargetMatchesJoinedParse(t *testing.T) {
+	for _, c := range []struct {
+		base, path string
+		reuse      bool
+	}{
+		{"http://127.0.0.1:8080", "/health", true},
+		{"http://127.0.0.1:8080", "/v1/chat/completions", true},
+		{"http://user@host:1", "/api/tags", true},
+		{"http://127.0.0.1:8080/", "/health", false},
+		{"http://h/prefix", "/v1/models", false},
+		{"http://h", "/admin/v1/models/revision?model=a", false},
+		{"http://h", "/a%20b", false},
+	} {
+		cli := NewClient(c.base)
+		for i := 0; i < 2; i++ { // the second call reads the cached root
+			u, rest, err := cli.target(c.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reuse := rest != ""; reuse != c.reuse {
+				t.Errorf("%s + %s: reuse = %v, want %v", c.base, c.path, reuse, c.reuse)
+			}
+			if rest != "" {
+				cp := *u
+				cp.Path = rest
+				u = &cp
+			}
+			want, _ := url.Parse(c.base + c.path)
+			if u.String() != want.String() || u.Path != want.Path || u.RawPath != want.RawPath {
+				t.Errorf("%s + %s: URL %#v, want %#v", c.base, c.path, *u, *want)
+			}
+		}
+	}
+	cli := NewClient("http://127.0.0.1:8080")
+	cli.target("/health")
+	if a := testing.AllocsPerRun(100, func() { cli.target("/health") }); a != 0 {
+		t.Errorf("target on a parsed root allocates %v times, want 0", a)
 	}
 }

@@ -15,6 +15,10 @@ import (
 // over. In-process HTTP never needs it (see Listen).
 const ioGrace = 10 * time.Millisecond
 
+// settleNap is the wall sleep of a settle round within ioGrace (see
+// settleLocked).
+const settleNap = 200 * time.Microsecond
+
 // Virtual is a concurrency-aware discrete-event clock: Sleep and After
 // park their callers on a deadline heap, and time jumps straight to the
 // next deadline once the system is quiescent — no wall-clock waiting.
@@ -105,6 +109,12 @@ type Virtual struct {
 
 	// settles counts settle passes run (read by tests).
 	settles int
+	// nap is the settle's wall-clock timer, made at the first socket
+	// settle and reused by every later one. Only the advancer, of which
+	// one is live at a time, touches it. A time.Sleep would run on the
+	// short-lived advancer goroutine, and the runtime allocates the
+	// timer of a goroutine's first sleep.
+	nap *time.Timer
 
 	wdArmed   bool
 	wdTimeout time.Duration
@@ -296,9 +306,16 @@ func (v *Virtual) settleLocked() bool {
 		}
 		// A start does not move time, so only a jump waits on netpoll.
 		io := stable == 0 && v.blockedIO > 0 && v.started == len(v.starts) && time.Now().Before(v.ioGraceUntil)
+		if io {
+			if v.nap == nil {
+				v.nap = time.NewTimer(settleNap)
+			} else {
+				v.nap.Reset(settleNap)
+			}
+		}
 		v.mu.Unlock()
 		if io {
-			time.Sleep(200 * time.Microsecond)
+			<-v.nap.C
 		} else {
 			for i := 0; i < 32; i++ {
 				runtime.Gosched()

@@ -479,3 +479,38 @@ func TestWaitReuseNoStaleWake(t *testing.T) {
 	}
 	t.Logf("%d of 500 Waits raced their timer", raced)
 }
+
+// TestSettleAllocs checks that a settle pass within ioGrace of a
+// BlockIO, the one that naps on the wall clock while netpoll delivers,
+// allocates nothing: it naps on the clock's own timer, not in a
+// time.Sleep on the fresh advancer goroutine, whose first sleep would
+// allocate that goroutine's runtime timer every time.
+func TestSettleAllocs(t *testing.T) {
+	v := NewVirtual(vEpoch)
+	g := v.Gate()
+	g.Enter()
+	defer g.Exit()
+	release := make(chan struct{})
+	wg := NewGroup(v)
+	wg.Go(func() { g.BlockIO(func() { <-release }) })
+	v.Sleep(time.Millisecond) // the child enters its BlockIO
+
+	const runs = 20
+	settles, start := v.settleCount(), time.Now()
+	allocs := testing.AllocsPerRun(runs, func() {
+		v.armGrace() // each advance below settles with a nap
+		v.Sleep(time.Millisecond)
+	})
+	wall := time.Since(start)
+	if n := v.settleCount() - settles; n != runs+1 {
+		t.Fatalf("%d settle passes over %d advances", n, runs+1)
+	}
+	if wall < (runs+1)*settleNap {
+		t.Fatalf("%d settles took %v of wall time: they did not nap", runs+1, wall)
+	}
+	if allocs != 0 {
+		t.Errorf("a settle within ioGrace allocates %v times, want 0", allocs)
+	}
+	close(release)
+	wg.Wait()
+}
