@@ -1,95 +1,57 @@
-// Command swaplint runs the repository's custom static-analysis suite
-// (internal/lint): clockcheck, ctxcheck, lockcheck, sitecheck,
-// statecheck, errwrap, and the interprocedural trio gatecheck,
-// blockcheck, and lockorder.
-//
-// Standalone:
+// Command swaplint runs the repository's static-analysis suite
+// (internal/lint): clockcheck, sitecheck, gatecheck and lockorder.
 //
 //	go run ./cmd/swaplint ./...
 //	go run ./cmd/swaplint -json ./...            # machine-readable findings
-//	go run ./cmd/swaplint -only gatecheck ./...  # restrict the analyzer set
+//	go run ./cmd/swaplint -only gatecheck ./...  # report one analyzer's findings
 //
 // exits 0 when clean, 1 when findings are reported, 2 on usage or load
-// errors. The interprocedural analyzers see the whole module in
-// standalone mode; under vet's one-unit-at-a-time protocol they only
-// see one package's bodies and are correspondingly weaker. As a vet
-// tool:
-//
-//	go vet -vettool=$(which swaplint) ./...
-//
-// it speaks the cmd/vet unit-checker protocol: -V=full for the build
-// cache key, -flags for flag discovery, and a single *.cfg argument per
-// package, analyzing just that compilation unit against the export data
-// the go command already built.
+// errors. One run loads every package the patterns name, so the
+// interprocedural analyzers see the whole module. Every run checks the
+// //swaplint directives against the whole suite; -only narrows the
+// analyzers' findings, not that check.
 package main
 
 import (
 	"encoding/json"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"swapservellm/internal/lint"
-	"swapservellm/internal/lint/blockcheck"
 	"swapservellm/internal/lint/clockcheck"
-	"swapservellm/internal/lint/ctxcheck"
-	"swapservellm/internal/lint/errwrap"
 	"swapservellm/internal/lint/gatecheck"
-	"swapservellm/internal/lint/lockcheck"
 	"swapservellm/internal/lint/lockorder"
 	"swapservellm/internal/lint/sitecheck"
-	"swapservellm/internal/lint/statecheck"
 )
 
-const version = "v3"
-
-func analyzers() []*lint.Analyzer {
-	return []*lint.Analyzer{
-		clockcheck.New(),
-		ctxcheck.New(),
-		lockcheck.New(),
-		sitecheck.New(),
-		statecheck.New(),
-		errwrap.New(),
-		gatecheck.New(),
-		blockcheck.New(),
-		lockorder.New(),
-	}
-}
-
-// selectAnalyzers filters the suite to the comma-separated names in
-// only ("" keeps everything).
-func selectAnalyzers(only string) ([]*lint.Analyzer, error) {
-	all := analyzers()
+// selectAnalyzers parses the comma-separated names in only into the
+// set of analyzers whose findings to report (nil reports all).
+func selectAnalyzers(all []*lint.Analyzer, only string) (map[string]bool, error) {
 	if only == "" {
-		return all, nil
+		return nil, nil
 	}
-	byName := make(map[string]*lint.Analyzer, len(all))
+	known := make(map[string]bool, len(all))
 	for _, a := range all {
-		byName[a.Name] = a
+		known[a.Name] = true
 	}
-	var out []*lint.Analyzer
+	out := make(map[string]bool)
 	for _, name := range strings.Split(only, ",") {
 		name = strings.TrimSpace(name)
 		if name == "" {
 			continue
 		}
-		a, ok := byName[name]
-		if !ok {
+		if !known[name] {
 			return nil, fmt.Errorf("unknown analyzer %q", name)
 		}
-		out = append(out, a)
+		out[name] = true
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("-only selected no analyzers")
 	}
+	// Directive findings do not belong to any one analyzer.
+	out["swaplint"] = true
 	return out, nil
 }
 
@@ -104,23 +66,6 @@ type jsonDiagnostic struct {
 
 func main() {
 	args := os.Args[1:]
-
-	// Vet-tool protocol entry points.
-	if len(args) == 1 {
-		switch {
-		case args[0] == "-V=full" || args[0] == "--V=full":
-			// The go command hashes this line into the build cache key.
-			fmt.Printf("swaplint version %s\n", version)
-			return
-		case args[0] == "-flags" || args[0] == "--flags":
-			// No tool-specific flags.
-			fmt.Println("[]")
-			return
-		case strings.HasSuffix(args[0], ".cfg"):
-			os.Exit(runVet(args[0]))
-		}
-	}
-
 	jsonOut := false
 	only := ""
 	var patterns []string
@@ -149,7 +94,8 @@ func main() {
 		patterns = []string{"./..."}
 	}
 
-	selected, err := selectAnalyzers(only)
+	all := []*lint.Analyzer{clockcheck.New(), sitecheck.New(), gatecheck.New(), lockorder.New()}
+	selected, err := selectAnalyzers(all, only)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "swaplint: %v\n", err)
 		os.Exit(2)
@@ -160,7 +106,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "swaplint: %v\n", err)
 		os.Exit(2)
 	}
-	diags := lint.NewRunner(selected...).Run(fset, pkgs)
+	var diags []lint.Diagnostic
+	for _, d := range lint.NewRunner(all...).Run(fset, pkgs) {
+		if selected == nil || selected[d.Analyzer] {
+			diags = append(diags, d)
+		}
+	}
 	if jsonOut {
 		records := make([]jsonDiagnostic, 0, len(diags))
 		for _, d := range diags {
@@ -181,7 +132,7 @@ func main() {
 		}
 	} else {
 		for _, d := range diags {
-			fmt.Println(relativize(d))
+			fmt.Println(rel(d))
 		}
 	}
 	if len(diags) > 0 {
@@ -189,7 +140,8 @@ func main() {
 	}
 }
 
-// rel is relativize without the rendering.
+// rel shortens an absolute filename to the working directory for
+// readable output.
 func rel(d lint.Diagnostic) lint.Diagnostic {
 	if wd, err := os.Getwd(); err == nil && d.Pos.Filename != "" {
 		if r, rerr := filepath.Rel(wd, d.Pos.Filename); rerr == nil && !strings.HasPrefix(r, "..") {
@@ -197,113 +149,4 @@ func rel(d lint.Diagnostic) lint.Diagnostic {
 		}
 	}
 	return d
-}
-
-// relativize shortens absolute filenames to the working directory for
-// readable output.
-func relativize(d lint.Diagnostic) string {
-	return rel(d).String()
-}
-
-// vetConfig is the JSON the go command hands a vet tool for one
-// compilation unit (see cmd/go/internal/work and
-// x/tools/go/analysis/unitchecker for the de-facto schema).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// runVet analyzes the single package described by cfgPath and returns
-// the process exit code.
-func runVet(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "swaplint: %v\n", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "swaplint: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-
-	// swaplint keeps no cross-package facts; the vetx output only needs
-	// to exist for the build cache.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
-			fmt.Fprintf(os.Stderr, "swaplint: %v\n", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		if !filepath.IsAbs(name) {
-			name = filepath.Join(cfg.Dir, name)
-		}
-		af, perr := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if perr != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return 0
-			}
-			fmt.Fprintf(os.Stderr, "swaplint: %v\n", perr)
-			return 1
-		}
-		files = append(files, af)
-	}
-
-	lookup := func(path string) (io.ReadCloser, error) {
-		if canonical, ok := cfg.ImportMap[path]; ok {
-			path = canonical
-		}
-		f, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(f)
-	}
-	pkg := &lint.Package{ImportPath: cfg.ImportPath, Dir: cfg.Dir, Files: files}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}
-	conf := types.Config{
-		Importer: importer.ForCompiler(fset, cfg.Compiler, lookup),
-		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
-	}
-	tpkg, cerr := conf.Check(cfg.ImportPath, fset, files, info)
-	if cerr != nil && tpkg == nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "swaplint: typecheck %s: %v\n", cfg.ImportPath, cerr)
-		return 1
-	}
-	pkg.Types = tpkg
-	pkg.Info = info
-
-	// Single-unit mode: whole-program Finish checks (dead fault sites)
-	// run only in standalone mode, where every package is visible.
-	diags := lint.NewRunner(analyzers()...).Run(fset, []*lint.Package{pkg})
-	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, d.String())
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
 }

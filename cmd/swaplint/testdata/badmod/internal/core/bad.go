@@ -4,41 +4,13 @@
 package core
 
 import (
-	"errors"
-	"fmt"
-	"sync"
 	"time"
 
 	"example.com/badmod/internal/chaos"
 )
 
-var errBoom = errors.New("boom")
-
-type machine struct {
-	mu    sync.Mutex
-	state int //swaplint:state allow=transition
-}
-
-func (m *machine) transition(to int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.state = to
-}
-
 // Stamp trips clockcheck.
 func Stamp() int64 { return time.Now().UnixNano() }
-
-// Wrap trips errwrap.
-func Wrap() error { return fmt.Errorf("core: %v", errBoom) }
-
-// Leak trips lockcheck's pairing rule.
-func (m *machine) Leak() {
-	m.mu.Lock()
-	m.state = 1
-}
-
-// Poke trips statecheck.
-func (m *machine) Poke() { m.state = 2 }
 
 // Fire trips sitecheck: a literal where a declared constant exists.
 func Fire() chaos.Site {

@@ -20,8 +20,8 @@ func (w *waiter) Nap() {
 	w.clock.Sleep(time.Millisecond)
 }
 
-// pipe trips blockcheck: an ungated, unannotated channel receive
-// inside the critical section.
+// pipe trips gatecheck's blocking rule: an ungated, unannotated
+// channel receive inside the critical section.
 type pipe struct {
 	mu sync.Mutex
 	ch chan int

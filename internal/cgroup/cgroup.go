@@ -40,7 +40,7 @@ type Freezer struct {
 	mu sync.RWMutex
 	// groups mutates only through the lifecycle entry points that
 	// validate the hierarchy (parent exists, no orphaned children).
-	groups   map[string]SelfState //swaplint:state allow=NewFreezer,Create,Remove,setState
+	groups   map[string]SelfState
 	chaosInj *chaos.Injector
 }
 

@@ -2,8 +2,8 @@ package cluster
 
 import "errors"
 
-// The package's error vocabulary, consolidated so callers (and the
-// swaplint errwrap analyzer) have canonical errors.Is targets:
+// The package's error vocabulary, consolidated so callers have
+// canonical errors.Is targets:
 //
 //   - ErrUnknownNode: the named node is not a cluster member. Returned
 //     by lookup-style operations (drain, undrain, kill); the gateway's

@@ -67,7 +67,7 @@ type Node struct {
 
 	// state advances only via transition (legal-edge CAS + trace record)
 	// after the initial Store in newNode.
-	state  atomic.Int32 //swaplint:state allow=newNode,transition
+	state  atomic.Int32
 	missed atomic.Int32
 
 	// trace, when set, receives every committed state transition as a

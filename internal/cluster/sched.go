@@ -75,8 +75,6 @@ func buildSched(cfg config.Cluster, catalog *models.Catalog, c *Cluster) (*sched
 	switch sc.TTLPolicy {
 	case "fixed":
 		st.ttl = &sched.FixedTTL{TTL: sc.TTL()}
-	case "adaptive":
-		st.ttl = sched.NewAdaptiveTTL(sc.TTL())
 	case "predictive":
 		st.ttl = sched.NewPredictiveTTL(st.pred, restore)
 	}

@@ -48,6 +48,9 @@ func TestClusterValidateRejects(t *testing.T) {
 		{"bad model", func(c *Cluster) { c.Nodes[0].Models[0].Name = "nope" }, "not in catalog"},
 		{"missing name", func(c *Cluster) { c.Nodes[0].Name = "" }, "missing name"},
 		{"bad highwater", func(c *Cluster) { c.Cluster.RebalanceHighWater = 1.5 }, "rebalance_high_water"},
+		{"adaptive ttl policy", func(c *Cluster) {
+			c.Scheduling = SchedCfg{Classes: []SchedClass{{Name: "std", SLOSec: 10, RatePerSec: 1}}, TTLPolicy: "adaptive"}
+		}, `unknown ttl_policy "adaptive"`},
 	}
 	for _, tc := range cases {
 		c := validCluster()

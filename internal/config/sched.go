@@ -63,12 +63,12 @@ type SchedCfg struct {
 	// horizon that triggers a pre-warm (default 0.5).
 	PrewarmThreshold float64 `json:"prewarm_threshold,omitempty"`
 	// TTLPolicy selects the keep-alive eviction policy consulted by the
-	// node reapers: "fixed" (plain idle TTL), "adaptive" (hit-rate
-	// adaptive TTL), or "predictive" (demand-predictor informed). Empty
-	// keeps the reactive keep_alive_sec reaper unchanged.
+	// node reapers: "fixed" (plain idle TTL) or "predictive"
+	// (demand-predictor informed). Empty keeps the reactive
+	// keep_alive_sec reaper unchanged.
 	TTLPolicy string `json:"ttl_policy,omitempty"`
-	// TTLSec is the base TTL for the fixed and adaptive policies in
-	// simulated seconds (default: the global keep_alive_sec, else 300).
+	// TTLSec is the TTL of the fixed policy in simulated seconds
+	// (default: the global keep_alive_sec, else 300).
 	TTLSec float64 `json:"ttl_sec,omitempty"`
 }
 
@@ -182,9 +182,9 @@ func (s *SchedCfg) validate(fallbackTTLSec float64) error {
 		s.PrewarmThreshold = 0.5
 	}
 	switch s.TTLPolicy {
-	case "", "fixed", "adaptive", "predictive":
+	case "", "fixed", "predictive":
 	default:
-		return fmt.Errorf("config: unknown ttl_policy %q (want fixed, adaptive, or predictive)", s.TTLPolicy)
+		return fmt.Errorf("config: unknown ttl_policy %q (want fixed or predictive)", s.TTLPolicy)
 	}
 	if s.TTLSec < 0 {
 		return errors.New("config: ttl_sec must be non-negative")

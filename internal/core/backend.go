@@ -83,7 +83,7 @@ type Backend struct {
 	// taken by the worker: the ready check of the worker's queue wait.
 	queued atomic.Int64
 
-	state atomic.Int32 //swaplint:state allow=setState
+	state atomic.Int32
 
 	// evictMu is the per-backend write lock of §3.5: workers hold the read
 	// side while forwarding; the controller takes the write side during

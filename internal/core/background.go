@@ -72,7 +72,6 @@ func (s *Server) reapSweep() {
 		// the backend back in.
 		if err := s.ctrl.SwapOut(context.Background(), b); err == nil {
 			s.reg.Counter("idle_reaps").Inc()
-			s.ttl.NoteEvict(b.name, now)
 		}
 	}
 }

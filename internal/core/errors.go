@@ -2,8 +2,8 @@ package core
 
 import "errors"
 
-// The package's error vocabulary, consolidated so callers (and the
-// swaplint errwrap analyzer) have canonical errors.Is targets:
+// The package's error vocabulary, consolidated so callers have
+// canonical errors.Is targets:
 //
 //   - ErrNoCapacity: a reservation exceeds a device's total capacity —
 //     no amount of preemption can grant it. Permanent for the given

@@ -78,7 +78,7 @@ func virtualTestClock(t *testing.T) *simclock.Virtual {
 	t.Helper()
 	clock := simclock.NewVirtual(testEpoch)
 	gate := clock.Gate()
-	gate.Enter() //swaplint:ignore gatecheck registration spans the test: t.Cleanup runs the matching Exit on the test goroutine
+	gate.Enter()
 	t.Cleanup(gate.Exit)
 	return clock
 }

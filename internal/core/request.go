@@ -20,7 +20,6 @@ type queuedRequest struct {
 	// Carrying it in the queue item is the same exception the standard
 	// library makes for http.Request: the struct IS the call, handed
 	// across a channel to the worker that executes it.
-	//swaplint:ignore ctxcheck queuedRequest is a per-call envelope crossing the worker queue, not long-lived state
 	ctx context.Context
 	// path is the engine API path the request targets
 	// (/v1/chat/completions or /v1/completions).

@@ -7,7 +7,6 @@ import (
 
 	"swapservellm/internal/metrics"
 	"swapservellm/internal/obs"
-	"swapservellm/internal/sched"
 	"swapservellm/internal/simclock"
 )
 
@@ -19,7 +18,6 @@ type Scheduler struct {
 	tm    *TaskManager
 	ctrl  *Controller
 	reg   *metrics.Registry
-	ttl   sched.TTLPolicy
 }
 
 // NewScheduler builds a scheduler.
@@ -62,13 +60,6 @@ func (s *Scheduler) EnsureRunning(ctx context.Context, b *Backend) (err error) {
 		return errBackendFailed
 	case BackendInitializing:
 		return fmt.Errorf("core: backend %s still initializing", b.name)
-	}
-
-	// This is a reactive swap-in: demand arrived while the backend was
-	// cold. Adaptive TTL policies learn from exactly this signal — an
-	// access shortly after an eviction means the TTL was too short.
-	if s.ttl != nil {
-		s.ttl.NoteAccess(b.name, s.clock.Now())
 	}
 
 	t0 := s.clock.Now()

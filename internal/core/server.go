@@ -52,9 +52,9 @@ type Options struct {
 	// /debug/trace as Chrome trace_event JSON.
 	Tracer *obs.Tracer
 	// TTL is the reaper's keep-alive policy (internal/sched provides
-	// fixed, adaptive, and predictive implementations). Default: a
-	// sched.FixedTTL of keep_alive_sec, or no reaping when that is unset.
-	// The reaper runs whenever a policy is in place.
+	// fixed and predictive implementations). Default: a sched.FixedTTL
+	// of keep_alive_sec, or no reaping when that is unset. The reaper
+	// runs whenever a policy is in place.
 	TTL sched.TTLPolicy
 }
 
@@ -185,7 +185,6 @@ func New(cfg config.Config, opts Options) (*Server, error) {
 		ttl = &sched.FixedTTL{TTL: cfg.KeepAlive()}
 	}
 	scheduler := NewScheduler(clock, tm, ctrl, reg)
-	scheduler.ttl = ttl
 	// Every checkpoint chunk that frees device capacity immediately
 	// re-runs the grant loop, so a pending reservation can be granted
 	// incrementally before the victim's checkpoint finishes.

@@ -64,7 +64,7 @@ type proc struct {
 	weightBytes int64
 	// state only changes through transitionLocked so every edge lands
 	// in the audit trace.
-	state        State   //swaplint:state allow=transitionLocked,RegisterSharded
+	state        State
 	hostImage    int64   // bytes currently held in the host image
 	shardBytes   []int64 // per-device bytes captured at checkpoint time
 	loc          ImageLocation

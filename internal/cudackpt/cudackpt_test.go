@@ -30,7 +30,7 @@ func newVirtualDriver(t testing.TB, hostCap int64) (*Driver, *gpu.Device, *simcl
 	t.Helper()
 	clock := simclock.NewVirtual(time.Date(2025, 11, 16, 0, 0, 0, 0, time.UTC))
 	gate := clock.Gate()
-	gate.Enter() //swaplint:ignore gatecheck registration spans the test: t.Cleanup runs the matching Exit on the test goroutine
+	gate.Enter()
 	t.Cleanup(gate.Exit)
 	dev := gpu.NewDevice(0, perfmodel.GPUH100, 80*gib)
 	return NewDriver(clock, perfmodel.H100(), hostCap), dev, clock

@@ -3,9 +3,8 @@ package cudackpt
 import "errors"
 
 // The driver's error vocabulary. Every error returned by this package
-// wraps exactly one of these sentinels (swaplint's errwrap analyzer
-// enforces the wrapping), so callers branch with errors.Is rather than
-// string matching:
+// wraps exactly one of these sentinels, so callers branch with
+// errors.Is rather than string matching:
 //
 //   - ErrUnknownProcess: the pid was never registered (or already
 //     unregistered). Retrying cannot help; the caller holds a stale

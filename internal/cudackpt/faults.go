@@ -58,9 +58,8 @@ func (d *Driver) recordLocked(pid string, from, to State) {
 	d.trace.Record("ckpt", pid, from.String(), to.String())
 }
 
-// transitionLocked is the sole mutator of a process's lifecycle state
-// (statecheck-enforced): it moves p from -> to and records the edge in
-// the audit trace. Caller holds d.mu and has validated the edge.
+// transitionLocked is the sole mutator of a process's lifecycle state:
+// it moves p from -> to and records the edge in the audit trace. Caller holds d.mu and has validated the edge.
 func (d *Driver) transitionLocked(p *proc, from, to State) {
 	p.state = to
 	d.recordLocked(p.pid, from, to)

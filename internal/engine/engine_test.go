@@ -37,7 +37,7 @@ func newVirtualRig(t *testing.T) *testRig {
 	t.Helper()
 	clock := simclock.NewVirtual(testEpoch)
 	gate := clock.Gate()
-	gate.Enter() //swaplint:ignore gatecheck registration spans the test: t.Cleanup runs the matching Exit on the test goroutine
+	gate.Enter()
 	t.Cleanup(gate.Exit)
 	return rigOn(clock)
 }

@@ -231,7 +231,6 @@ func (s *sloSim) evict(model string, t time.Time) {
 	s.used -= s.weights[model]
 	s.warm[model] = false
 	delete(s.warmAt, model)
-	s.ttl.NoteEvict(model, t)
 	s.evictions++
 }
 
@@ -376,7 +375,6 @@ func runSLOArm(arm string, predictive bool, training [][]time.Time, measured []s
 		}
 
 		if !sim.warm[m.name] {
-			sim.ttl.NoteAccess(m.name, t) // reactive swap-in signal
 			finish := sim.restore(m.name, t)
 			wait = finish.Sub(t)
 		} else if wa := sim.warmAt[m.name]; wa.After(t) {

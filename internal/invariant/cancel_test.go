@@ -25,7 +25,7 @@ func exchangeServer(t *testing.T) (s *core.Server, victim, target *core.Backend)
 	}
 	clock := simclock.NewVirtual(time.Date(2025, 11, 16, 0, 0, 0, 0, time.UTC))
 	gate := clock.Gate()
-	gate.Enter() //swaplint:ignore gatecheck registration spans the test: t.Cleanup runs the matching Exit on the test goroutine
+	gate.Enter()
 	t.Cleanup(gate.Exit)
 	s, err := core.New(cfg, core.Options{Clock: clock})
 	if err != nil {

@@ -1,5 +1,5 @@
 // Package callgraph builds the interprocedural call graph the
-// gatecheck, blockcheck, and lockorder analyzers share. Resolution is
+// gatecheck and lockorder analyzers share. Resolution is
 // CHA-style (class-hierarchy analysis): static calls resolve to their
 // single callee, while a call through an interface method widens
 // conservatively to every named type in the program — source packages

@@ -3,15 +3,14 @@
 // stream with the set of locks held at each operation, and computes
 // interprocedural summaries — "may sleep on the clock", "may block
 // outside the gate token protocol", "acquires these lock classes" —
-// from it. lockcheck checks the streams one function at a time;
-// gatecheck, blockcheck and lockorder combine them with the summaries.
+// from it. gatecheck and lockorder combine the streams with the
+// summaries.
 //
 // The walk is structural: statements at one nesting level update the
 // lock state in source order, conditionally-executed blocks are walked
-// against a copy, a function literal starts from a copy of the state
-// where it appears (a goroutine body from an empty one), and a
-// *Locked method starts with its receiver's mutexes held, as the
-// naming convention promises. It classifies three things at each step:
+// against a copy, and a function literal starts from a copy of the
+// state where it appears (a goroutine body from an empty one). It
+// classifies three things at each step:
 //
 //   - lock operations, resolved to module-wide lock classes like
 //     "core.Backend.swapMu" (owning named type + field, or package-level
@@ -33,11 +32,10 @@
 // Gate.Block edge is sanctioned and becomes a wait. Mutual recursion
 // converges because an SCC's members share one combined summary.
 //
-// Functions in test files and in internal/simclock (the token
-// protocol's own implementation, which manipulates its mutex across
-// waits by design) are walked into Unsummarized: they feed no summary
-// and none of the interprocedural analyzers, and intrinsic
-// classification of simclock calls does not depend on their bodies.
+// Test files and internal/simclock (the token protocol's own
+// implementation, which manipulates its mutex across waits by design)
+// are not walked; intrinsic classification of simclock calls does not
+// depend on their bodies.
 package facts
 
 import (
@@ -59,9 +57,6 @@ const (
 	// acquisition; Gated means the mutex is clock-aware (simclock.Mutex
 	// or RWMutex), so a waiter sheds its run token.
 	OpAcquire OpKind = iota
-	// OpRelease is an Unlock/RUnlock. A Deferred one leaves the lock
-	// held until the function returns.
-	OpRelease
 	// OpWait advances the simulated clock: clock.Sleep, Gate.Wait,
 	// <-clock.After, time.Sleep.
 	OpWait
@@ -119,45 +114,24 @@ type HeldLock struct {
 	Read  bool
 	Gated bool
 	Pos   token.Pos // acquisition site
-	// Seeded marks a receiver mutex a *Locked method holds on entry by
-	// convention; seeded locks come first and have no acquisition site.
-	Seeded bool
 }
 
 // Op is one collected operation with its lock-state snapshot.
 type Op struct {
 	Kind  OpKind
 	Pos   token.Pos
-	Class Class // OpAcquire / OpRelease
-	Read  bool  // OpAcquire / OpRelease: RLock/RUnlock
+	Class Class // OpAcquire
+	Read  bool  // OpAcquire: RLock
 	Gated bool  // OpAcquire: clock-aware mutex; OpBlock: sanctioned
 	// Concurrent marks operations inside `go` / Gate.Go bodies: they
 	// run on a spawned goroutine, so they do not contribute to the
 	// enclosing function's summary (the caller does not wait on them).
 	Concurrent bool
-	// InLit marks operations inside a function literal, which may run
-	// at any point relative to the rest of the body, or not at all.
-	InLit bool
-	// Deferred marks `defer g.Exit()` and `defer mu.Unlock()` for the
-	// pairing checks.
+	// Deferred marks `defer g.Exit()` for the pairing check.
 	Deferred bool
 	Callee   string // OpCall: callgraph key
-	// Detail is the human label of an OpWait / OpBlock ("clock.Sleep",
-	// "channel send") and the rendered callee of an OpCall made by a
-	// call expression ("d.bumpLocked").
-	Detail string
-	Recv   string // OpCall of a method: the rendered receiver ("d")
-	Held   []HeldLock
-}
-
-// Acquired returns the locks held at op that a body acquired, without
-// the ones seeded by the *Locked convention.
-func (op *Op) Acquired() []HeldLock {
-	i := 0
-	for i < len(op.Held) && op.Held[i].Seeded {
-		i++
-	}
-	return op.Held[i:]
+	Detail   string // OpWait / OpBlock: human label ("clock.Sleep", "channel send")
+	Held     []HeldLock
 }
 
 // FuncFacts is the operation stream of one function body (function
@@ -165,9 +139,7 @@ func (op *Op) Acquired() []HeldLock {
 type FuncFacts struct {
 	Key     string
 	Display string
-	Recv    string // receiver identifier; "" for functions
 	Pkg     *lint.Package
-	Pos     token.Pos
 	Ops     []Op
 }
 
@@ -175,12 +147,9 @@ type FuncFacts struct {
 type Facts struct {
 	fset *token.FileSet
 
-	// Funcs lists the summarized functions in deterministic order
+	// Funcs lists every walked function in deterministic order
 	// (package, then file, then declaration order).
 	Funcs []*FuncFacts
-	// Unsummarized lists, in the same order, the functions of test
-	// files and internal/simclock.
-	Unsummarized []*FuncFacts
 	// Summaries maps function keys to their propagated summaries.
 	Summaries map[string]*Summary
 	// LockClasses maps annotated function keys to the class their
@@ -190,7 +159,7 @@ type Facts struct {
 	// //swaplint:block reason=... directives.
 	BlockAnnotations map[string]map[int]bool
 	// MalformedBlockAnns lists //swaplint:block directives without a
-	// reason, for blockcheck to report.
+	// reason, for gatecheck to report.
 	MalformedBlockAnns []token.Pos
 	// LockOrderDecls lists parsed //swaplint:lockorder declarations.
 	LockOrderDecls []LockOrderDecl
@@ -287,14 +256,12 @@ func compute(prog *lint.Program) *Facts {
 
 	res := callgraph.NewResolver(prog)
 	for _, pkg := range prog.Packages {
-		if pkg.Types == nil || pkg.Info == nil {
+		if pkg.Types == nil || pkg.Info == nil || excludedPkg(pkg.Types.Path()) {
 			continue
 		}
-		excluded := excludedPkg(pkg.Types.Path())
 		for _, file := range pkg.Files {
-			list := &f.Funcs
-			if excluded || isTestFile(prog.Fset, file) {
-				list = &f.Unsummarized
+			if isTestFile(prog.Fset, file) {
+				continue
 			}
 			for _, decl := range file.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
@@ -310,55 +277,18 @@ func compute(prog *lint.Program) *Facts {
 					Key:     key,
 					Display: callgraph.DisplayName(key),
 					Pkg:     pkg,
-					Pos:     fd.Pos(),
-				}
-				if fd.Recv != nil && len(fd.Recv.List) > 0 && len(fd.Recv.List[0].Names) > 0 {
-					ff.Recv = fd.Recv.List[0].Names[0].Name
 				}
 				w := &walker{
 					facts: f, prog: prog, pkg: pkg, res: res, ff: ff,
 					localClass: make(map[types.Object]Class),
 				}
-				w.walkBody(fd.Body, heldOnEntry(obj, ff.Recv))
-				*list = append(*list, ff)
+				w.walkBody(fd.Body, newHeldSet())
+				f.Funcs = append(f.Funcs, ff)
 			}
 		}
 	}
 	f.propagate()
 	return f
-}
-
-// heldOnEntry returns the lock set a function starts with: empty, or,
-// for a *Locked method, every mutex field of its receiver (the
-// receiver itself for an embedded mutex), held by the caller under the
-// naming convention.
-func heldOnEntry(fn *types.Func, recv string) *heldSet {
-	held := newHeldSet()
-	if recv == "" || !strings.HasSuffix(fn.Name(), "Locked") {
-		return held
-	}
-	t := fn.Type().(*types.Signature).Recv().Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	st, isStruct := t.Underlying().(*types.Struct)
-	if !ok || !isStruct || named.Obj().Pkg() == nil {
-		return held
-	}
-	owner := shortPkg(named.Obj().Pkg().Path()) + "." + named.Obj().Name()
-	for i := 0; i < st.NumFields(); i++ {
-		field := st.Field(i)
-		if !lint.IsMutexType(field.Type()) {
-			continue
-		}
-		c := Class{Name: owner + "." + field.Name(), Expr: recv + "." + field.Name()}
-		if field.Embedded() {
-			c = Class{Name: owner, Expr: recv}
-		}
-		held.acquire(HeldLock{Class: c, Gated: lint.IsClockMutexType(field.Type()), Seeded: true})
-	}
-	return held
 }
 
 // isTestFile reports whether the file is a _test.go file.

@@ -1,7 +1,6 @@
-// Package split is facts testdata: one walk serves both lockcheck and
-// the summaries, but test-file functions stay out of the summaries,
-// and the locks a *Locked method holds by convention stay out of every
-// interprocedural consumer.
+// Package split is facts testdata: test-file functions are not
+// walked, a *Locked method starts with nothing held, and a deferred
+// unlock leaves its lock held.
 package split
 
 import "sync"

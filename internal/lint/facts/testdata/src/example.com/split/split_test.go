@@ -1,6 +1,6 @@
 package split
 
-// drain blocks, but as a test function it feeds no summary.
+// drain blocks, but as a test function it is not walked.
 func drain(b *box) {
 	<-b.ch
 }

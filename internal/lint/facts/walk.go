@@ -58,9 +58,6 @@ type walker struct {
 
 	gated      bool
 	concurrent bool
-	// inLit is set while walking a function literal's body, which may
-	// run at any point relative to the enclosing body.
-	inLit bool
 
 	// localClass remembers lock classes flowing through local
 	// variables: `lock := ct.evictLock(id)` with an annotated helper,
@@ -72,7 +69,6 @@ func (w *walker) info() *types.Info { return w.pkg.Info }
 
 func (w *walker) emit(op Op) {
 	op.Concurrent = op.Concurrent || w.concurrent
-	op.InLit = w.inLit
 	w.ff.Ops = append(w.ff.Ops, op)
 }
 
@@ -86,21 +82,13 @@ func (w *walker) walkBody(body *ast.BlockStmt, held *heldSet) {
 	}
 }
 
-// walkLit walks a function literal's body against held.
-func (w *walker) walkLit(lit *ast.FuncLit, held *heldSet) {
-	prev := w.inLit
-	w.inLit = true
-	w.walkBody(lit.Body, held)
-	w.inLit = prev
-}
-
 // walkConcurrentLit walks a function literal spawned on its own
 // goroutine: it starts with no locks held and does not contribute to
 // the enclosing function's summary.
 func (w *walker) walkConcurrentLit(lit *ast.FuncLit) {
 	prev := w.concurrent
 	w.concurrent = true
-	w.walkLit(lit, newHeldSet())
+	w.walkBody(lit.Body, newHeldSet())
 	w.concurrent = prev
 }
 
@@ -281,26 +269,23 @@ func commRecv(comm ast.Stmt) *ast.UnaryExpr {
 	return nil
 }
 
-// walkDefer records deferred gate exits and unlocks, and treats other
-// deferred calls as running with the lock state at the defer
-// statement. A deferred unlock leaves held as it is: the lock stays
-// held until the function returns, which is the sound direction for
-// wait/block evidence.
+// walkDefer records deferred gate exits and treats other deferred
+// calls as running with the lock state at the defer statement. A
+// deferred unlock leaves held as it is: the lock stays held until the
+// function returns, which is the sound direction for wait/block
+// evidence.
 func (w *walker) walkDefer(s *ast.DeferStmt, held *heldSet) {
 	if fn := w.calleeOf(s.Call); fn != nil {
 		if lint.IsGateMethod(fn, "Exit") {
 			w.emit(Op{Kind: OpGateExit, Pos: s.Call.Pos(), Deferred: true})
 			return
 		}
-		if kind, read, ok := mutexOpOf(fn); ok && kind == "Unlock" {
-			if sel, ok := s.Call.Fun.(*ast.SelectorExpr); ok {
-				w.emit(Op{Kind: OpRelease, Pos: s.Pos(), Class: w.classOf(sel.X), Read: read, Deferred: true})
-			}
+		if kind, _, ok := mutexOpOf(fn); ok && kind == "Unlock" {
 			return
 		}
 	}
 	if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-		w.walkLit(lit, held.copyHeld())
+		w.walkBody(lit.Body, held.copyHeld())
 		return
 	}
 	w.walkCallExpr(s.Call, held)
@@ -324,10 +309,7 @@ func (w *walker) walkConcurrentCall(call *ast.CallExpr, held *heldSet) {
 // emitCalls records one OpCall per resolved callee of call, each
 // carrying op's flags and lock state.
 func (w *walker) emitCalls(call *ast.CallExpr, op Op) {
-	op.Kind, op.Pos, op.Detail = OpCall, call.Pos(), lint.ExprString(call.Fun)
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && w.info().Selections[sel] != nil {
-		op.Recv = lint.ExprString(sel.X)
-	}
+	op.Kind, op.Pos = OpCall, call.Pos()
 	for _, key := range w.resolveCallees(call) {
 		op.Callee = key
 		w.emit(op)
@@ -346,7 +328,7 @@ func (w *walker) walkExpr(expr ast.Expr, held *heldSet) {
 		// A literal not consumed by a recognized construct: assume it
 		// may run synchronously wherever it flows, against a copy of the
 		// current lock state.
-		w.walkLit(e, held.copyHeld())
+		w.walkBody(e.Body, held.copyHeld())
 	case *ast.UnaryExpr:
 		if e.Op == token.ARROW {
 			if call, ok := e.X.(*ast.CallExpr); ok && w.isClockAfter(call) {
@@ -413,7 +395,6 @@ func (w *walker) walkCallExpr(call *ast.CallExpr, held *heldSet) {
 				w.emit(Op{Kind: OpAcquire, Pos: call.Pos(), Class: class, Read: read, Gated: gated, Held: held.snapshot()})
 				held.acquire(HeldLock{Class: class, Read: read, Gated: gated, Pos: call.Pos()})
 			case "Unlock":
-				w.emit(Op{Kind: OpRelease, Pos: call.Pos(), Class: class, Read: read})
 				held.release(class)
 			}
 		}
@@ -505,7 +486,7 @@ func (w *walker) walkGateArg(arg ast.Expr, held *heldSet, gated bool) {
 	if lit, ok := arg.(*ast.FuncLit); ok {
 		prev := w.gated
 		w.gated = w.gated || gated
-		w.walkLit(lit, held.copyHeld())
+		w.walkBody(lit.Body, held.copyHeld())
 		w.gated = prev
 		return
 	}
@@ -529,7 +510,7 @@ func (w *walker) walkBlockArg(arg ast.Expr, held *heldSet, method string) {
 	if lit, ok := arg.(*ast.FuncLit); ok {
 		prev := w.gated
 		w.gated = true
-		w.walkLit(lit, held)
+		w.walkBody(lit.Body, held)
 		w.gated = prev
 		return
 	}
@@ -543,7 +524,6 @@ func (w *walker) walkBlockArg(arg ast.Expr, held *heldSet, method string) {
 					w.emit(Op{Kind: OpAcquire, Pos: arg.Pos(), Class: class, Read: read, Held: held.snapshot()})
 					held.acquire(HeldLock{Class: class, Read: read, Pos: arg.Pos()})
 				case "Unlock":
-					w.emit(Op{Kind: OpRelease, Pos: arg.Pos(), Class: class, Read: read})
 					held.release(class)
 				}
 				return

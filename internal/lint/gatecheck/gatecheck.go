@@ -1,5 +1,7 @@
 // Package gatecheck enforces the virtual-time gate discipline
-// interprocedurally:
+// interprocedurally. Its rules share one aim: a goroutine never parks
+// out of the clock's sight, whether across a clock wait or inside a
+// critical section.
 //
 //   - Any mutex that can be held while the simulated clock advances — a
 //     clock.Sleep, Gate.Wait, <-clock.After, or sanctioned gate blocking
@@ -9,6 +11,14 @@
 //     token, and get the lock in arrival order. One sync acquisition is
 //     enough to deadlock the advancer: the waiter parks invisibly while
 //     holding its token.
+//   - No channel send/receive, select, sync.WaitGroup.Wait, network or
+//     subprocess call may be reachable, directly or through any call
+//     chain, while a mutex is held, unless it runs under
+//     Gate.BlockOn/Block/BlockIO (which shed the run token) or the site
+//     carries a //swaplint:block annotation (below). A goroutine that
+//     parks inside a critical section without shedding its token stalls
+//     quiescence detection for the whole process; one that parks while
+//     another goroutine needs its lock to finish deadlocks the advancer.
 //   - internal/ code outside tests makes no plain Gate.Block or
 //     Gate.BlockIO call: the clock cannot probe those waits, so each
 //     costs a settle pass. Waits use BlockOn with an exact ready check,
@@ -21,9 +31,15 @@
 // wait-across-hold evidence exists anywhere for a class, every
 // acquisition that is not clock-aware is reported, with a
 // representative wait path naming the call chain down to the sleep.
+//
+// A blocking site whose author certifies it cannot stall the gate is
+// annotated on its line or the line above; the reason is mandatory:
+//
+//	//swaplint:block reason=<why this cannot stall the gate>
 package gatecheck
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -39,7 +55,7 @@ import (
 func New() *lint.Analyzer {
 	return &lint.Analyzer{
 		Name: "gatecheck",
-		Doc:  "mutexes held across simulated-clock waits must be simclock.Mutex/RWMutex at every site; no plain Gate.Block/BlockIO in internal code; Gate.Enter/Exit must pair",
+		Doc:  "mutexes held across simulated-clock waits must be simclock.Mutex/RWMutex at every site; no plain Gate.Block/BlockIO in internal code; Gate.Enter/Exit must pair; no ungated blocking inside a critical section unless annotated //swaplint:block reason=...",
 		Run:  run,
 	}
 }
@@ -59,9 +75,18 @@ type acqSite struct {
 	expr  string
 }
 
+// blockSite is one ungated, unannotated block inside a critical
+// section.
+type blockSite struct {
+	pos token.Pos
+	pkg *types.Package
+	msg string
+}
+
 type global struct {
 	evidence map[string]*waitEvidence
 	acquires []acqSite
+	blocks   []blockSite
 }
 
 func analyze(prog *lint.Program) *global {
@@ -90,10 +115,13 @@ func analyze(prog *lint.Program) *global {
 						})
 					}
 				case facts.OpWait:
-					record(op.Acquired(), ff.Display+" → "+op.Detail, op.Pos)
+					record(op.Held, ff.Display+" → "+op.Detail, op.Pos)
 				case facts.OpBlock:
 					if op.Gated {
-						record(op.Acquired(), ff.Display+" → "+op.Detail, op.Pos)
+						record(op.Held, ff.Display+" → "+op.Detail, op.Pos)
+					} else if len(op.Held) > 0 && !f.BlockAnnotated(prog.Fset, op.Pos) {
+						g.blocks = append(g.blocks, blockSite{pos: op.Pos, pkg: ff.Pkg.Types,
+							msg: op.Detail + " while holding " + heldDesc(op.Held) + "; wrap it in gate.BlockOn or annotate //swaplint:block reason=..."})
 					}
 				case facts.OpCall:
 					sum := f.Summaries[op.Callee]
@@ -103,10 +131,15 @@ func analyze(prog *lint.Program) *global {
 					step := facts.Step{Func: callgraph.DisplayName(op.Callee), Pos: op.Pos}
 					if sum.Wait != nil {
 						t := sum.Wait.Prepend(step)
-						record(op.Acquired(), ff.Display+" → "+t.String(), t.Pos)
+						record(op.Held, ff.Display+" → "+t.String(), t.Pos)
 					} else if op.Gated && sum.Block != nil {
 						t := sum.Block.Prepend(step)
-						record(op.Acquired(), ff.Display+" → "+t.String(), t.Pos)
+						record(op.Held, ff.Display+" → "+t.String(), t.Pos)
+					}
+					if sum.Block != nil && !op.Gated && !op.Concurrent && len(op.Held) > 0 && !f.BlockAnnotated(prog.Fset, op.Pos) {
+						t := sum.Block.Prepend(step)
+						g.blocks = append(g.blocks, blockSite{pos: op.Pos, pkg: ff.Pkg.Types,
+							msg: "call may block (" + t.String() + " at " + lint.ShortPos(prog.Fset.Position(t.Pos)) + ") while holding " + heldDesc(op.Held) + "; gate the call or annotate //swaplint:block reason=..."})
 					}
 				}
 			}
@@ -132,9 +165,31 @@ func run(pass *lint.Pass) error {
 		pass.Reportf(a.pos, "mutex %s can be held across a simulated-clock wait (%s at %s) but %s is not clock-aware; make it a simclock.Mutex or simclock.RWMutex so waiters shed their run token",
 			a.class, ev.path, lint.ShortPos(ev.pos), expr)
 	}
+	for _, b := range g.blocks {
+		if b.pkg == pass.Pkg {
+			pass.Reportf(b.pos, "%s", b.msg)
+		}
+	}
+	for _, pos := range facts.Of(pass.Program).MalformedBlockAnns {
+		if pass.InFiles(pos) {
+			pass.Reportf(pos, "malformed directive: want //swaplint:block reason=<why this cannot stall the gate>")
+		}
+	}
 	checkJoins(pass)
 	checkPairing(pass)
 	return nil
+}
+
+// heldDesc names the most recently acquired lock of the critical
+// section.
+func heldDesc(held []facts.HeldLock) string {
+	s := held[len(held)-1].Class.String()
+	if n := len(held) - 1; n == 1 {
+		s += " (and 1 other lock)"
+	} else if n > 1 {
+		s += fmt.Sprintf(" (and %d other locks)", n)
+	}
+	return s
 }
 
 // checkJoins reports plain Gate.Block and Gate.BlockIO calls in the

@@ -10,9 +10,10 @@ import (
 	"testing"
 
 	"swapservellm/internal/lint"
-	"swapservellm/internal/lint/blockcheck"
+	"swapservellm/internal/lint/clockcheck"
 	"swapservellm/internal/lint/gatecheck"
 	"swapservellm/internal/lint/lockorder"
+	"swapservellm/internal/lint/sitecheck"
 )
 
 // moduleRoot locates the repository root relative to this source file.
@@ -45,15 +46,17 @@ func runAnalyzers(t *testing.T, dir, pattern string, analyzers ...*lint.Analyzer
 	return lint.NewRunner(analyzers...).Run(fset, pkgs)
 }
 
-// The tree must stay clean under the interprocedural analyzers: every
-// wait-across-hold is gated, nothing blocks ungated inside a critical
-// section, and the observed lock order matches the declaration.
+// The tree must stay clean under the whole suite: no wall clock in a
+// deterministic package, every fault site registered, every
+// wait-across-hold gated, nothing blocking ungated inside a critical
+// section, the observed lock order matching the declaration, and no
+// stale //swaplint directive.
 func TestModuleClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module")
 	}
 	requireGo(t)
-	diags := runAnalyzers(t, moduleRoot(t), "./...", gatecheck.New(), blockcheck.New(), lockorder.New())
+	diags := runAnalyzers(t, moduleRoot(t), "./...", clockcheck.New(), sitecheck.New(), gatecheck.New(), lockorder.New())
 	for _, d := range diags {
 		t.Errorf("unexpected finding: %s", d)
 	}

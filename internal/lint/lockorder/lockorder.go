@@ -83,7 +83,7 @@ func analyze(prog *lint.Program) *global {
 					if !op.Class.Known() {
 						continue
 					}
-					for _, h := range op.Acquired() {
+					for _, h := range op.Held {
 						if !h.Class.Known() {
 							continue
 						}
@@ -93,7 +93,7 @@ func analyze(prog *lint.Program) *global {
 						add(&edge{from: h.Class.Name, to: op.Class.Name, pos: op.Pos, pkg: ff.Pkg.Types})
 					}
 				case facts.OpCall:
-					if op.Concurrent || len(op.Acquired()) == 0 {
+					if op.Concurrent || len(op.Held) == 0 {
 						continue
 					}
 					sum := f.Summaries[op.Callee]
@@ -102,7 +102,7 @@ func analyze(prog *lint.Program) *global {
 					}
 					for _, name := range sortedNames(sum.Acquires) {
 						acq := sum.Acquires[name]
-						for _, h := range op.Acquired() {
+						for _, h := range op.Held {
 							if !h.Class.Known() {
 								continue
 							}

@@ -1,26 +1,16 @@
 package sched
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // TTLPolicy decides whether an idle backend's residency should be
 // reclaimed. It is the one keep-alive seam: each node's reaper consults
-// it (core.Options.TTL, defaulting to a FixedTTL of keep_alive_sec) and
-// notifies it of evictions and of the accesses that follow them, so
-// adaptive policies can learn from premature reclaims.
+// it (core.Options.TTL, defaulting to a FixedTTL of keep_alive_sec).
 type TTLPolicy interface {
 	// Name identifies the policy in metrics and experiment rows.
 	Name() string
 	// ShouldEvict reports whether a backend for model, idle for idleFor
 	// at time now, may be swapped out.
 	ShouldEvict(model string, idleFor time.Duration, now time.Time) bool
-	// NoteEvict records that model was evicted at now.
-	NoteEvict(model string, now time.Time)
-	// NoteAccess records that model was demanded while not resident
-	// (a reactive swap-in) at now.
-	NoteAccess(model string, now time.Time)
 }
 
 // FixedTTL evicts after a constant idle window — llama-swap's `ttl`
@@ -35,97 +25,6 @@ func (f *FixedTTL) Name() string { return "fixed" }
 // ShouldEvict implements TTLPolicy.
 func (f *FixedTTL) ShouldEvict(model string, idleFor time.Duration, now time.Time) bool {
 	return idleFor >= f.TTL
-}
-
-// NoteEvict implements TTLPolicy.
-func (f *FixedTTL) NoteEvict(model string, now time.Time) {}
-
-// NoteAccess implements TTLPolicy.
-func (f *FixedTTL) NoteAccess(model string, now time.Time) {}
-
-// AdaptiveTTL adjusts each model's TTL from its post-eviction hit rate:
-// a demand arriving shortly after an eviction (a "premature reclaim")
-// doubles the model's TTL; an eviction that stays cold decays it back
-// toward Base. Models with sticky demand earn long residency; one-shot
-// models fall back quickly.
-type AdaptiveTTL struct {
-	// Base is the starting TTL for unseen models.
-	Base time.Duration
-	// Min/Max clamp the per-model TTL (defaults: Base/4 and 8×Base).
-	Min, Max time.Duration
-	// RefetchWindow classifies a post-eviction access as premature
-	// (default: Base).
-	RefetchWindow time.Duration
-
-	mu        sync.Mutex
-	ttl       map[string]time.Duration
-	lastEvict map[string]time.Time
-}
-
-// NewAdaptiveTTL returns an adaptive policy around the base TTL.
-func NewAdaptiveTTL(base time.Duration) *AdaptiveTTL {
-	return &AdaptiveTTL{
-		Base:          base,
-		Min:           base / 4,
-		Max:           8 * base,
-		RefetchWindow: base,
-		ttl:           make(map[string]time.Duration),
-		lastEvict:     make(map[string]time.Time),
-	}
-}
-
-// Name implements TTLPolicy.
-func (a *AdaptiveTTL) Name() string { return "adaptive" }
-
-// TTLFor returns the model's current TTL.
-func (a *AdaptiveTTL) TTLFor(model string) time.Duration {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.ttlLocked(model)
-}
-
-func (a *AdaptiveTTL) ttlLocked(model string) time.Duration {
-	if ttl, ok := a.ttl[model]; ok {
-		return ttl
-	}
-	return a.Base
-}
-
-// ShouldEvict implements TTLPolicy.
-func (a *AdaptiveTTL) ShouldEvict(model string, idleFor time.Duration, now time.Time) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return idleFor >= a.ttlLocked(model)
-}
-
-// NoteEvict implements TTLPolicy: decay the TTL toward Min — if the
-// eviction was wrong, the refetch that follows will correct it upward.
-func (a *AdaptiveTTL) NoteEvict(model string, now time.Time) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	ttl := a.ttlLocked(model) * 3 / 4
-	if ttl < a.Min {
-		ttl = a.Min
-	}
-	a.ttl[model] = ttl
-	a.lastEvict[model] = now
-}
-
-// NoteAccess implements TTLPolicy: a cold demand soon after an eviction
-// means the TTL was too short — double it.
-func (a *AdaptiveTTL) NoteAccess(model string, now time.Time) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	ev, ok := a.lastEvict[model]
-	if !ok || now.Sub(ev) > a.RefetchWindow {
-		return
-	}
-	ttl := a.ttlLocked(model) * 2
-	if ttl > a.Max {
-		ttl = a.Max
-	}
-	a.ttl[model] = ttl
-	delete(a.lastEvict, model)
 }
 
 // PredictiveTTL keeps a model resident while the demand predictor
@@ -182,10 +81,3 @@ func (p *PredictiveTTL) ShouldEvict(model string, idleFor time.Duration, now tim
 	}
 	return gap > time.Duration(p.Slack*float64(restore))
 }
-
-// NoteEvict implements TTLPolicy.
-func (p *PredictiveTTL) NoteEvict(model string, now time.Time) {}
-
-// NoteAccess implements TTLPolicy: the predictor already sees every
-// arrival via Observe; nothing extra to learn here.
-func (p *PredictiveTTL) NoteAccess(model string, now time.Time) {}

@@ -16,68 +16,6 @@ func TestFixedTTL(t *testing.T) {
 	}
 }
 
-// TestAdaptiveTTLLearnsFromRefetch: an access shortly after an eviction
-// (a premature reclaim) must lengthen the model's TTL; evictions that
-// stay cold must decay it back down.
-func TestAdaptiveTTLLearnsFromRefetch(t *testing.T) {
-	a := NewAdaptiveTTL(100 * time.Second)
-	now := monday
-
-	if !a.ShouldEvict("m", 100*time.Second, now) {
-		t.Fatal("base TTL not honoured")
-	}
-	a.NoteEvict("m", now)
-	// The decayed post-eviction TTL (75s) doubles on the premature
-	// refetch 50s later.
-	a.NoteAccess("m", now.Add(50*time.Second))
-	if got := a.TTLFor("m"); got != 150*time.Second {
-		t.Fatalf("TTL after premature refetch = %s, want 150s", got)
-	}
-	if a.ShouldEvict("m", 120*time.Second, now.Add(time.Minute)) {
-		t.Fatal("evicted below the lengthened TTL")
-	}
-
-	// An access far outside the refetch window teaches nothing.
-	a.NoteEvict("m", now.Add(10*time.Minute))
-	a.NoteAccess("m", now.Add(30*time.Minute))
-	if got := a.TTLFor("m"); got >= 150*time.Second {
-		t.Fatalf("TTL did not decay on a cold eviction: %s", got)
-	}
-
-	// Repeated premature refetches saturate at Max.
-	for i := 0; i < 10; i++ {
-		at := now.Add(time.Duration(i) * time.Hour)
-		a.NoteEvict("m", at)
-		a.NoteAccess("m", at.Add(time.Second))
-	}
-	if got := a.TTLFor("m"); got != a.Max {
-		t.Fatalf("TTL cap = %s, want %s", got, a.Max)
-	}
-}
-
-// TestAdaptiveTTLEvictionOrder: under the same idle time, the model
-// with the colder history is evicted first — the policy orders
-// evictions by learned stickiness.
-func TestAdaptiveTTLEvictionOrder(t *testing.T) {
-	a := NewAdaptiveTTL(100 * time.Second)
-	now := monday
-	// "hot" was reclaimed prematurely twice; "cold" was evicted twice
-	// with no refetch.
-	for i := 0; i < 2; i++ {
-		at := now.Add(time.Duration(i) * time.Hour)
-		a.NoteEvict("hot", at)
-		a.NoteAccess("hot", at.Add(10*time.Second))
-		a.NoteEvict("cold", at)
-	}
-	idle := 90 * time.Second
-	if !a.ShouldEvict("cold", idle, now.Add(3*time.Hour)) {
-		t.Fatal("cold model survived an idle window beyond its decayed TTL")
-	}
-	if a.ShouldEvict("hot", idle, now.Add(3*time.Hour)) {
-		t.Fatal("hot model evicted despite its lengthened TTL")
-	}
-}
-
 // TestPredictiveTTLOrder: with equal idle times the predictor-informed
 // policy keeps the model whose next arrival is due before a cold
 // swap-in would pay off, and reclaims the one with no forecast demand.

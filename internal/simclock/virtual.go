@@ -215,7 +215,6 @@ func (v *Virtual) advanceLoop() {
 		// An opaque waiter may have been signalled by a peer that parked
 		// since, and needs CPU to take its token back.
 		if v.opaque > 0 && v.debt {
-			//swaplint:ignore lockcheck settleLocked drops and reacquires v.mu around its yield rounds by design
 			if !v.settleLocked() {
 				break // a registered goroutine resumed during the settle
 			}
@@ -321,7 +320,6 @@ func (v *Virtual) settleLocked() bool {
 				runtime.Gosched()
 			}
 		}
-		//swaplint:ignore lockcheck reacquisition of the caller-held lock; settleLocked returns with v.mu held
 		v.mu.Lock()
 		if v.gen == last {
 			stable++
