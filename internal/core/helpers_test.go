@@ -1,10 +1,13 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"testing"
 	"time"
 
 	"swapservellm/internal/config"
+	"swapservellm/internal/perfmodel"
 	"swapservellm/internal/simclock"
 )
 
@@ -23,24 +26,54 @@ func TestSanitizeName(t *testing.T) {
 	}
 }
 
-func TestToWallScaling(t *testing.T) {
-	cfg := config.Default()
-	cfg.Models = []config.Model{ollamaModel("llama3.2:1b-fp16")}
-	s, err := New(cfg, Options{Clock: simclock.NewScaled(testEpoch, 1000)})
+// TestInitTimeoutOnServerClock: init_timeout_sec bounds engine
+// initialization in simulated time. Under Virtual an init longer than
+// the limit fails at exactly the limit's instant, counted from the
+// start of the wait for the engine, and one within it succeeds.
+func TestInitTimeoutOnServerClock(t *testing.T) {
+	start := func(limitSec float64) (*Server, time.Duration, error) {
+		cfg := config.Default()
+		m := ollamaModel("llama3.2:1b-fp16")
+		m.KeepWarm = true // Start returns once the engine is ready
+		m.InitTimeoutSec = limitSec
+		cfg.Models = []config.Model{m}
+		clock := virtualTestClock(t)
+		s, err := New(cfg, Options{Clock: clock})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Shutdown)
+		t0 := clock.Now()
+		err = s.Start(context.Background())
+		return s, clock.Since(t0), err
+	}
+	s, ready, err := start(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.toWall(10 * time.Second); got != 10*time.Millisecond {
-		t.Fatalf("toWall(10s) at 1000x = %v, want 10ms", got)
+	tb := s.Testbed()
+	waitFrom := tb.ContainerCreate + tb.ContainerStart +
+		time.Duration(float64(perfmodel.EngineBootOverhead(perfmodel.EngineOllama))*tb.InitScale)
+	initTook := ready - waitFrom
+	if initTook <= 0 {
+		t.Fatalf("engine ready %v after Start, before its wait began at %v", ready, waitFrom)
 	}
 
-	// Unscaled clocks pass through.
-	s2, err := New(cfg, Options{Clock: simclock.NewReal()})
-	if err != nil {
-		t.Fatal(err)
+	short := config.Model{InitTimeoutSec: initTook.Seconds() / 2}
+	_, failed, err := start(short.InitTimeoutSec)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("init of %v under a %v limit: err = %v, want a deadline error", initTook, short.InitTimeout(), err)
 	}
-	if got := s2.toWall(time.Second); got != time.Second {
-		t.Fatalf("toWall on real clock = %v", got)
+	if want := waitFrom + short.InitTimeout(); failed != want {
+		t.Fatalf("init timed out %v after Start, want the limit's instant %v", failed, want)
+	}
+
+	_, took, err := start(2 * initTook.Seconds())
+	if err != nil {
+		t.Fatalf("init of %v under a %v limit: %v", initTook, 2*initTook, err)
+	}
+	if took != ready {
+		t.Fatalf("init under a limit took %v, without one %v", took, ready)
 	}
 }
 

@@ -399,14 +399,17 @@ func (s *Server) initBackend(ctx context.Context, mc *config.Model) error {
 		b.setState(BackendFailed)
 		return err
 	}
-	initCtx := ctx
+	initCtx, stop := ctx, func() {}
 	if t := mc.InitTimeout(); t > 0 {
-		var cancel func()
-		initCtx, cancel = contextWithTimeout(ctx, s.toWall(t))
-		defer cancel()
+		initCtx, stop = clockTimeout(ctx, s.clock, t)
 	}
-	if err := ctr.WaitReady(initCtx); err != nil {
+	err = ctr.WaitReady(initCtx)
+	stop()
+	if err != nil {
 		b.setState(BackendFailed)
+		if cause := context.Cause(initCtx); errors.Is(cause, context.DeadlineExceeded) {
+			err = fmt.Errorf("engine not ready within init_timeout_sec (%v): %w", mc.InitTimeout(), cause)
+		}
 		return err
 	}
 	b.setState(BackendRunning)
@@ -492,19 +495,23 @@ func (s *Server) Shutdown() {
 	s.rt.Shutdown()
 }
 
-// toWall converts a simulated duration to wall time using the clock's
-// scale (identity for unscaled clocks).
-func (s *Server) toWall(d time.Duration) time.Duration {
-	if sc, ok := s.clock.(*simclock.Scaled); ok {
-		return time.Duration(float64(d) / sc.Scale())
+// clockTimeout returns a child of ctx that is cancelled, with cause
+// context.DeadlineExceeded, once d has passed on clock, and a stop
+// function that releases it. The limit is a registered wait on the
+// clock, so under Virtual it falls at an exact virtual instant.
+func clockTimeout(ctx context.Context, clock simclock.Clock, d time.Duration) (context.Context, func()) {
+	ctx, cancel := context.WithCancelCause(ctx)
+	stopped := make(chan struct{})
+	gate := simclock.GateFor(clock)
+	gate.Go(func() {
+		if gate.Wait(d, stopped, ctx.Done()) < 0 {
+			cancel(context.DeadlineExceeded)
+		}
+	})
+	return ctx, func() {
+		close(stopped)
+		cancel(nil)
 	}
-	return d
-}
-
-// contextWithTimeout is context.WithTimeout, indirected for clarity at
-// call sites that mix simulated and wall durations.
-func contextWithTimeout(parent context.Context, d time.Duration) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(parent, d)
 }
 
 // sanitizeName converts a model name into a container-safe name.

@@ -2,11 +2,9 @@ package engine
 
 import (
 	"context"
-	"net/http/httptest"
 	"testing"
 
 	"swapservellm/internal/models"
-	"swapservellm/internal/openai"
 	"swapservellm/internal/perfmodel"
 	"swapservellm/internal/proxy/ir"
 )
@@ -28,10 +26,9 @@ func TestCrossEngineDeterminism(t *testing.T) {
 		if _, err := e.Init(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		srv := httptest.NewServer(e.Handler())
 		seed := int64(1234)
 		temp := 0.0
-		resp, err := openai.NewClient(srv.URL).ChatCompletion(context.Background(),
+		resp, err := r.client(r.serve(t, e.Handler())).ChatCompletion(context.Background(),
 			&ir.ChatCompletionRequest{
 				Model:       "llama3.2:1b-fp16",
 				Messages:    []ir.Message{{Role: "user", Content: "deterministic?"}},
@@ -39,7 +36,6 @@ func TestCrossEngineDeterminism(t *testing.T) {
 				Temperature: &temp,
 				MaxTokens:   12,
 			})
-		srv.Close()
 		e.Shutdown()
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)

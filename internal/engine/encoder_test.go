@@ -9,10 +9,11 @@ import (
 	"swapservellm/internal/proxy/ir"
 )
 
-// postJSON posts a JSON body and decodes the JSON response into out.
-func postJSON(t *testing.T, url string, body string, out interface{}) *http.Response {
+// postJSON posts a JSON body on the rig's clock and decodes the JSON
+// response into out.
+func postJSON(t *testing.T, r *testRig, url string, body string, out interface{}) *http.Response {
 	t.Helper()
-	resp, err := http.Post(url, "application/json", bytes.NewReader([]byte(body)))
+	resp, err := r.httpClient().Post(url, "application/json", bytes.NewReader([]byte(body)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,9 +27,9 @@ func postJSON(t *testing.T, url string, body string, out interface{}) *http.Resp
 }
 
 func TestEmbeddingsEndpoint(t *testing.T) {
-	_, srv, _ := readyEngine(t)
+	_, url, r := readyEngine(t)
 	var got ir.EmbeddingsResponse
-	resp := postJSON(t, srv.URL+"/v1/embeddings",
+	resp := postJSON(t, r, url+"/v1/embeddings",
 		`{"model":"llama3.2:1b-fp16","input":["first chunk","second chunk"]}`, &got)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
@@ -53,7 +54,7 @@ func TestEmbeddingsEndpoint(t *testing.T) {
 	// Determinism: the same input always embeds identically (the property
 	// the response cache and replayed traces rely on).
 	var again ir.EmbeddingsResponse
-	postJSON(t, srv.URL+"/v1/embeddings",
+	postJSON(t, r, url+"/v1/embeddings",
 		`{"model":"llama3.2:1b-fp16","input":["first chunk","second chunk"]}`, &again)
 	a, _ := json.Marshal(got)
 	b, _ := json.Marshal(again)
@@ -67,9 +68,9 @@ func TestEmbeddingsEndpoint(t *testing.T) {
 }
 
 func TestRerankEndpoint(t *testing.T) {
-	_, srv, _ := readyEngine(t)
+	_, url, r := readyEngine(t)
 	var got ir.RerankResponse
-	resp := postJSON(t, srv.URL+"/v1/rerank",
+	resp := postJSON(t, r, url+"/v1/rerank",
 		`{"model":"llama3.2:1b-fp16","query":"swap latency","documents":["doc a","doc b","doc c"],"top_n":2}`, &got)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
@@ -90,7 +91,7 @@ func TestRerankEndpoint(t *testing.T) {
 	}
 
 	var again ir.RerankResponse
-	postJSON(t, srv.URL+"/v1/rerank",
+	postJSON(t, r, url+"/v1/rerank",
 		`{"model":"llama3.2:1b-fp16","query":"swap latency","documents":["doc a","doc b","doc c"],"top_n":2}`, &again)
 	a, _ := json.Marshal(got)
 	b, _ := json.Marshal(again)
@@ -100,12 +101,12 @@ func TestRerankEndpoint(t *testing.T) {
 }
 
 func TestEncoderEndpointsRejectWrongModel(t *testing.T) {
-	_, srv, _ := readyEngine(t)
-	resp := postJSON(t, srv.URL+"/v1/embeddings", `{"model":"nonesuch","input":"x"}`, nil)
+	_, url, r := readyEngine(t)
+	resp := postJSON(t, r, url+"/v1/embeddings", `{"model":"nonesuch","input":"x"}`, nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("embeddings wrong model status = %d", resp.StatusCode)
 	}
-	resp = postJSON(t, srv.URL+"/v1/rerank", `{"model":"nonesuch","query":"q","documents":["d"]}`, nil)
+	resp = postJSON(t, r, url+"/v1/rerank", `{"model":"nonesuch","query":"q","documents":["d"]}`, nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("rerank wrong model status = %d", resp.StatusCode)
 	}
@@ -114,13 +115,13 @@ func TestEncoderEndpointsRejectWrongModel(t *testing.T) {
 func TestMultimodalChatCharging(t *testing.T) {
 	// An attached image must charge the prompt budget with the projector
 	// tokens (576/image) on top of the text tokens.
-	_, srv, _ := readyEngine(t)
+	_, url, r := readyEngine(t)
 	textOnly := `{"model":"llama3.2:1b-fp16","messages":[{"role":"user","content":"describe"}],"max_tokens":4}`
 	withImage := `{"model":"llama3.2:1b-fp16","messages":[{"role":"user","content":[{"type":"text","text":"describe"},{"type":"image_url","image_url":{"url":"data:image/png;base64,xyz"}}]}],"max_tokens":4}`
 
 	var plain, vision ir.ChatCompletionResponse
-	postJSON(t, srv.URL+"/v1/chat/completions", textOnly, &plain)
-	postJSON(t, srv.URL+"/v1/chat/completions", withImage, &vision)
+	postJSON(t, r, url+"/v1/chat/completions", textOnly, &plain)
+	postJSON(t, r, url+"/v1/chat/completions", withImage, &vision)
 	if diff := vision.Usage.PromptTokens - plain.Usage.PromptTokens; diff != 576 {
 		t.Fatalf("image charged %d prompt tokens, want 576 (plain %d, vision %d)",
 			diff, plain.Usage.PromptTokens, vision.Usage.PromptTokens)

@@ -25,15 +25,10 @@ type testRig struct {
 	store  *storage.ModelStore
 }
 
-func newRig(t *testing.T) *testRig {
-	t.Helper()
-	return rigOn(simclock.NewScaled(testEpoch, 2000)) // fast: unit tests only check behaviour
-}
-
-// newVirtualRig is newRig on a Virtual clock with the test goroutine
+// newRig returns a rig on a Virtual clock with the test goroutine
 // registered on its gate until the test's cleanups finish, so simulated
-// timings are exact instead of scaled wall time.
-func newVirtualRig(t *testing.T) *testRig {
+// timings are exact and cost no wall time.
+func newRig(t *testing.T) *testRig {
 	t.Helper()
 	clock := simclock.NewVirtual(testEpoch)
 	gate := clock.Gate()
@@ -219,12 +214,17 @@ func TestInitCancellation(t *testing.T) {
 	r := newRig(t)
 	e, _ := NewVLLM(r.config(t, "v-cancel", "llama3.1:8b-fp16"))
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
+	defer cancel()
+	var err error
+	g := simclock.NewGroup(r.clock)
+	g.Go(func() { _, err = e.Init(ctx) })
+	g.Go(func() {
 		// Cancel partway through the (simulated ~87s) init.
-		time.Sleep(5 * time.Millisecond)
+		r.clock.Sleep(5 * time.Second)
 		cancel()
-	}()
-	if _, err := e.Init(ctx); err == nil {
+	})
+	g.Wait()
+	if err == nil {
 		t.Fatal("cancelled init returned nil error")
 	}
 	if e.State() != StateStopped {
@@ -382,7 +382,7 @@ func TestStageWeightsIdempotent(t *testing.T) {
 }
 
 func TestInitCacheSkipsCompile(t *testing.T) {
-	r := newVirtualRig(t)
+	r := newRig(t)
 	cache := NewInitCache()
 	cfg := r.config(t, "cache-1", "llama3.1:8b-fp16")
 	cfg.InitCache = cache

@@ -18,16 +18,18 @@ type Gate struct {
 	mu     sync.Mutex
 	paused bool
 	resume chan struct{} // closed on resume; replaced on pause
+	freeze chan struct{} // closed on pause; replaced on resume
 }
 
 // NewGate returns an open (running) gate.
 func NewGate() *Gate {
-	g := &Gate{resume: make(chan struct{})}
+	g := &Gate{resume: make(chan struct{}), freeze: make(chan struct{})}
 	close(g.resume)
 	return g
 }
 
-// Pause closes the gate: subsequent Wait calls block.
+// Pause closes the gate: subsequent Wait calls block, and the channel
+// pausing returned is closed.
 func (g *Gate) Pause() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -36,6 +38,7 @@ func (g *Gate) Pause() {
 	}
 	g.paused = true
 	g.resume = make(chan struct{})
+	close(g.freeze)
 }
 
 // Resume opens the gate, releasing all blocked waiters.
@@ -45,6 +48,7 @@ func (g *Gate) Resume() {
 	if opened {
 		g.paused = false
 		close(g.resume)
+		g.freeze = make(chan struct{})
 	}
 	g.mu.Unlock()
 	if opened {
@@ -57,6 +61,15 @@ func (g *Gate) Paused() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.paused
+}
+
+// pausing returns a channel that is closed once the gate pauses: at
+// once if it is paused now, else at the next Pause. A decode run waits
+// on it, so a freeze ends the run at the token in flight.
+func (g *Gate) pausing() <-chan struct{} {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.freeze
 }
 
 // Wait blocks until the gate is open or ctx is cancelled. The wait is

@@ -5,10 +5,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
+	"time"
 
 	"swapservellm/internal/perfmodel"
 	"swapservellm/internal/proxy/ir"
+	"swapservellm/internal/simclock"
 )
 
 // handler serves the OpenAI-compatible interface for one engine instance.
@@ -170,7 +173,7 @@ func (h *handler) chat(w http.ResponseWriter, r *http.Request, req *ir.ChatCompl
 	}
 	tb0.Sleep(tb.PrefillTime(kind, m, promptTokens))
 
-	id := fmt.Sprintf("chatcmpl-%s-%d", h.b.cfg.Owner, h.b.reqSeq.Add(1))
+	id := h.requestID("chatcmpl-")
 	created := tb0.Now().Unix()
 	usage := ir.Usage{
 		PromptTokens:     promptTokens,
@@ -216,7 +219,7 @@ func (h *handler) completion(w http.ResponseWriter, r *http.Request, req *ir.Com
 		seed = *req.Seed
 	}
 	clock := h.b.cfg.Clock
-	id := fmt.Sprintf("cmpl-%s-%d", h.b.cfg.Owner, h.b.reqSeq.Add(1))
+	id := h.requestID("cmpl-")
 	created := clock.Now().Unix()
 
 	var choices []ir.CompletionChoice
@@ -265,7 +268,7 @@ func (h *handler) streamChat(w http.ResponseWriter, r *http.Request,
 	}
 	delta := &chunk.Choices[0].Delta
 	delta.Role = ""
-	if err := h.decode(r.Context(), prompt, seed, n, func(tok string) error {
+	if err := h.decode(r.Context(), prompt, seed, n, true, func(tok string) error {
 		delta.Content = tok
 		return sw.WriteEvent(ev)
 	}); err != nil {
@@ -278,33 +281,81 @@ func (h *handler) streamChat(w http.ResponseWriter, r *http.Request,
 	sw.WriteEvent(ev)
 }
 
-// decode is the per-token loop every generation path shares: wait out
-// a freeze, charge one token's decode time, then hand the token to
-// emit. It stops at the first error from the gate or from emit.
-func (h *handler) decode(ctx context.Context, prompt string, seed int64, n int, emit func(tok string) error) error {
+// decode is the loop every generation path shares. It charges decode
+// time one run of tokens at a time, a run ending at the next token
+// someone can observe: every token when flush is set (a stream sends
+// each as it decodes), else only the last. It waits out a freeze before
+// each run and hands the run's tokens to emit at its end, stopping at
+// the first error from the gate or from emit.
+//
+// On a Scaled clock every token is its own run all the same: a timer
+// wait there overshoots by the host's timer granularity times the
+// scale, while Sleep spins its last stretch.
+func (h *handler) decode(ctx context.Context, prompt string, seed int64, n int, flush bool, emit func(tok string) error) error {
 	var gen Generator
 	toks := gen.Stream(prompt, seed)
-	for i := 0; i < n; i++ {
+	tt := h.b.cfg.Testbed.TokenTime(h.b.kind, h.b.cfg.Model, 1)
+	_, scaled := h.b.cfg.Clock.(*simclock.Scaled)
+	for i := 0; i < n; {
 		if err := h.b.gate.Wait(ctx); err != nil {
 			return err
 		}
-		h.b.cfg.Clock.Sleep(h.b.cfg.Testbed.TokenTime(h.b.kind, h.b.cfg.Model, 1))
-		if err := emit(toks.Next()); err != nil {
-			return err
+		run := n - i
+		if flush || scaled {
+			run = 1
+		}
+		for end := i + h.sleepRun(ctx, tt, run); i < end; i++ {
+			if err := emit(toks.Next()); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
+}
+
+// sleepRun charges run tokens of tt each on one clock wait and returns
+// how many it charged. A freeze or a client cancel that lands inside
+// the run ends it early: the token in flight still finishes at its own
+// boundary, as it would decoding token by token, and only the tokens
+// through it count. One that lands exactly on a boundary finds the next
+// token started, since the run passed the gate there. A one-token run
+// cannot end early, so it waits on nothing but the clock.
+func (h *handler) sleepRun(ctx context.Context, tt time.Duration, run int) int {
+	clock := h.b.cfg.Clock
+	if run == 1 {
+		clock.Sleep(tt)
+		return 1
+	}
+	start := clock.Now()
+	if simclock.GateFor(clock).Wait(time.Duration(run)*tt, h.b.gate.pausing(), ctx.Done()) < 0 {
+		return run
+	}
+	elapsed := clock.Since(start)
+	k := min(run, int(elapsed/tt)+1)
+	clock.Sleep(time.Duration(k)*tt - elapsed)
+	return k
 }
 
 // decodeText decodes n tokens into one buffered completion, giving up
 // once the client has.
 func (h *handler) decodeText(ctx context.Context, prompt string, seed int64, n int) (string, error) {
 	var text strings.Builder
-	err := h.decode(ctx, prompt, seed, n, func(tok string) error {
+	err := h.decode(ctx, prompt, seed, n, false, func(tok string) error {
 		text.WriteString(tok)
 		return ctx.Err()
 	})
 	return text.String(), err
+}
+
+// requestID names the next response prefix + owner + "-" + sequence
+// number, building it in a stack buffer so the string is its only
+// allocation.
+func (h *handler) requestID(prefix string) string {
+	var buf [64]byte
+	b := append(buf[:0], prefix...)
+	b = append(b, h.b.cfg.Owner...)
+	b = append(b, '-')
+	return string(strconv.AppendInt(b, h.b.reqSeq.Add(1), 10))
 }
 
 // updateBusy reflects in-flight request count in the device's compute

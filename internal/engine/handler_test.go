@@ -2,9 +2,8 @@ package engine
 
 import (
 	"context"
-	"net/http/httptest"
+	"net/http"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,9 +13,9 @@ import (
 	"swapservellm/internal/simclock"
 )
 
-// readyEngine initializes a small Ollama engine and returns it with a test
-// HTTP server.
-func readyEngine(t *testing.T) (*Ollama, *httptest.Server, *testRig) {
+// readyEngine initializes a small Ollama engine and serves it on the
+// rig's Virtual clock, returning the server's base URL.
+func readyEngine(t *testing.T) (*Ollama, string, *testRig) {
 	t.Helper()
 	r := newRig(t)
 	e, err := NewOllama(r.config(t, "h-test", "llama3.2:1b-fp16"))
@@ -26,9 +25,31 @@ func readyEngine(t *testing.T) (*Ollama, *httptest.Server, *testRig) {
 	if _, err := e.Init(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(e.Handler())
-	t.Cleanup(srv.Close)
-	return e, srv, r
+	return e, r.serve(t, e.Handler()), r
+}
+
+// serve serves h on the rig's clock until the test ends and returns
+// its base URL. Clients on the clock reach it in-process.
+func (r *testRig) serve(t *testing.T, h http.Handler) string {
+	t.Helper()
+	srv, err := simclock.Listen(r.clock, "127.0.0.1:0", h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return "http://" + srv.Addr()
+}
+
+// client returns an OpenAI client for url on the rig's clock.
+func (r *testRig) client(url string) *openai.Client {
+	c := openai.NewClient(url)
+	c.Clock = r.clock
+	return c
+}
+
+// httpClient returns a plain HTTP client on the rig's clock.
+func (r *testRig) httpClient() *http.Client {
+	return &http.Client{Transport: simclock.Transport(r.clock)}
 }
 
 func chatReq(model, text string) *ir.ChatCompletionRequest {
@@ -44,8 +65,8 @@ func chatReq(model, text string) *ir.ChatCompletionRequest {
 }
 
 func TestChatCompletionBlocking(t *testing.T) {
-	_, srv, _ := readyEngine(t)
-	c := openai.NewClient(srv.URL)
+	_, url, r := readyEngine(t)
+	c := r.client(url)
 	resp, err := c.ChatCompletion(context.Background(), chatReq("llama3.2:1b-fp16", "Hello there"))
 	if err != nil {
 		t.Fatal(err)
@@ -63,8 +84,8 @@ func TestChatCompletionBlocking(t *testing.T) {
 
 func TestChatCompletionDeterministic(t *testing.T) {
 	// §5.1: temperature 0 and a fixed seed must give identical outputs.
-	_, srv, _ := readyEngine(t)
-	c := openai.NewClient(srv.URL)
+	_, url, r := readyEngine(t)
+	c := r.client(url)
 	var outs []string
 	for i := 0; i < 2; i++ {
 		resp, err := c.ChatCompletion(context.Background(), chatReq("llama3.2:1b-fp16", "determinism test"))
@@ -79,8 +100,8 @@ func TestChatCompletionDeterministic(t *testing.T) {
 }
 
 func TestChatCompletionDifferentSeeds(t *testing.T) {
-	_, srv, _ := readyEngine(t)
-	c := openai.NewClient(srv.URL)
+	_, url, r := readyEngine(t)
+	c := r.client(url)
 	get := func(seed int64) string {
 		req := chatReq("llama3.2:1b-fp16", "seed test")
 		req.Seed = &seed
@@ -97,8 +118,8 @@ func TestChatCompletionDifferentSeeds(t *testing.T) {
 }
 
 func TestChatCompletionStreaming(t *testing.T) {
-	_, srv, _ := readyEngine(t)
-	c := openai.NewClient(srv.URL)
+	_, url, r := readyEngine(t)
+	c := r.client(url)
 	var chunks []string
 	var sawFinish bool
 	var usage *ir.Usage
@@ -129,8 +150,8 @@ func TestChatCompletionStreaming(t *testing.T) {
 }
 
 func TestStreamMatchesBlocking(t *testing.T) {
-	_, srv, _ := readyEngine(t)
-	c := openai.NewClient(srv.URL)
+	_, url, r := readyEngine(t)
+	c := r.client(url)
 	blocking, err := c.ChatCompletion(context.Background(), chatReq("llama3.2:1b-fp16", "same output"))
 	if err != nil {
 		t.Fatal(err)
@@ -152,8 +173,8 @@ func TestStreamMatchesBlocking(t *testing.T) {
 }
 
 func TestWrongModelRejected(t *testing.T) {
-	_, srv, _ := readyEngine(t)
-	c := openai.NewClient(srv.URL)
+	_, url, r := readyEngine(t)
+	c := r.client(url)
 	_, err := c.ChatCompletion(context.Background(), chatReq("gemma3:4b-fp16", "hi"))
 	apiErr, ok := err.(*ir.APIError)
 	if !ok || !strings.Contains(apiErr.Message, "not served") {
@@ -164,32 +185,37 @@ func TestWrongModelRejected(t *testing.T) {
 func TestNotReadyRejected(t *testing.T) {
 	r := newRig(t)
 	e, _ := NewOllama(r.config(t, "h-notready", "llama3.2:1b-fp16"))
-	srv := httptest.NewServer(e.Handler())
-	defer srv.Close()
-	c := openai.NewClient(srv.URL)
+	c := r.client(r.serve(t, e.Handler()))
 	if _, err := c.ChatCompletion(context.Background(), chatReq("llama3.2:1b-fp16", "hi")); err == nil {
 		t.Fatal("request to uninitialized engine accepted")
 	}
-	// Health must also be unavailable.
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	// Health must also be unavailable, for a whole simulated second of
+	// polling.
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if err := c.WaitHealthy(ctx, 5*time.Millisecond); err == nil {
+	var err error
+	g := simclock.NewGroup(r.clock)
+	g.Go(func() { err = c.WaitHealthy(ctx, 5*time.Millisecond) })
+	g.Go(func() {
+		r.clock.Sleep(time.Second)
+		cancel()
+	})
+	g.Wait()
+	if err == nil {
 		t.Fatal("health check passed for uninitialized engine")
 	}
 }
 
 func TestHealthWhenReady(t *testing.T) {
-	_, srv, _ := readyEngine(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	if err := openai.NewClient(srv.URL).WaitHealthy(ctx, time.Millisecond); err != nil {
-		t.Fatal(err)
+	_, url, r := readyEngine(t)
+	if !r.client(url).Healthy(context.Background()) {
+		t.Fatal("ready engine reports unhealthy")
 	}
 }
 
 func TestListModels(t *testing.T) {
-	_, srv, _ := readyEngine(t)
-	list, err := openai.NewClient(srv.URL).ListModels(context.Background())
+	_, url, r := readyEngine(t)
+	list, err := r.client(url).ListModels(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,9 +225,10 @@ func TestListModels(t *testing.T) {
 }
 
 func TestMalformedRequests(t *testing.T) {
-	_, srv, _ := readyEngine(t)
+	_, url, r := readyEngine(t)
+	hc := r.httpClient()
 	// Malformed JSON body.
-	resp, err := srv.Client().Post(srv.URL+"/v1/chat/completions", "application/json",
+	resp, err := hc.Post(url+"/v1/chat/completions", "application/json",
 		strings.NewReader("{oops"))
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +238,7 @@ func TestMalformedRequests(t *testing.T) {
 		t.Fatalf("malformed JSON status = %d", resp.StatusCode)
 	}
 	// GET instead of POST.
-	resp, err = srv.Client().Get(srv.URL + "/v1/chat/completions")
+	resp, err = hc.Get(url + "/v1/chat/completions")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,99 +248,98 @@ func TestMalformedRequests(t *testing.T) {
 	}
 }
 
+// TestFrozenEngineBlocksRequests: a request to a frozen engine makes no
+// progress however long the freeze lasts, and completes after the thaw.
 func TestFrozenEngineBlocksRequests(t *testing.T) {
-	e, srv, _ := readyEngine(t)
+	e, url, r := readyEngine(t)
 	e.Gate().Pause()
 
-	done := make(chan error, 1)
-	go func() {
-		_, err := openai.NewClient(srv.URL).ChatCompletion(context.Background(),
-			chatReq("llama3.2:1b-fp16", "frozen"))
-		done <- err
-	}()
-
-	select {
-	case err := <-done:
-		t.Fatalf("request to frozen engine completed: %v", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-
-	e.Gate().Resume()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("request after thaw failed: %v", err)
+	var done atomic.Bool
+	var reqErr error
+	g := simclock.NewGroup(r.clock)
+	g.Go(func() {
+		_, reqErr = r.client(url).ChatCompletion(context.Background(), chatReq("llama3.2:1b-fp16", "frozen"))
+		done.Store(true)
+	})
+	g.Go(func() {
+		r.clock.Sleep(time.Minute)
+		if done.Load() {
+			t.Errorf("request to frozen engine completed: %v", reqErr)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("request did not complete after thaw")
+		e.Gate().Resume()
+	})
+	g.Wait()
+	if reqErr != nil {
+		t.Fatalf("request after thaw failed: %v", reqErr)
 	}
 }
 
+// TestFreezeMidDecodeStallsStream: a freeze landing mid-stream stalls
+// it after at most the token in flight, for as long as the freeze
+// lasts, and the stream completes after the thaw.
 func TestFreezeMidDecodeStallsStream(t *testing.T) {
-	e, srv, _ := readyEngine(t)
-	c := openai.NewClient(srv.URL)
-
-	var mu sync.Mutex
-	var count int
-	started := make(chan struct{})
-	done := make(chan error, 1)
+	const freezeAfter = 10
+	e, url, r := readyEngine(t)
+	c := r.client(url)
 	req := chatReq("llama3.2:1b-fp16", "long stream")
 	req.MaxTokens = 64
-	go func() {
-		var once sync.Once
-		done <- c.ChatCompletionStream(context.Background(), req, func(ch *ir.ChatCompletionChunk) error {
-			mu.Lock()
-			count++
-			mu.Unlock()
-			once.Do(func() { close(started) })
+
+	var count atomic.Int32
+	var frozenAt int32
+	var streamErr error
+	frozen := make(chan struct{})
+	g := simclock.NewGroup(r.clock)
+	g.Go(func() {
+		streamErr = c.ChatCompletionStream(context.Background(), req, func(*ir.ChatCompletionChunk) error {
+			if count.Add(1) == freezeAfter {
+				e.Gate().Pause()
+				close(frozen)
+			}
 			return nil
 		})
-	}()
-
-	<-started
-	e.Gate().Pause()
-	time.Sleep(30 * time.Millisecond)
-	mu.Lock()
-	frozenAt := count
-	mu.Unlock()
-	time.Sleep(50 * time.Millisecond)
-	mu.Lock()
-	stillAt := count
-	mu.Unlock()
-	// Allow one in-flight chunk to land after the freeze, but no more.
-	if stillAt > frozenAt+1 {
-		t.Fatalf("stream advanced while frozen: %d -> %d", frozenAt, stillAt)
+	})
+	g.Go(func() {
+		r.clock.Sleep(time.Minute)
+		if simclock.Closed(frozen) {
+			frozenAt = count.Load()
+		}
+		e.Gate().Resume()
+	})
+	g.Wait()
+	// One chunk may land after the freeze: the token then in flight.
+	if frozenAt < freezeAfter || frozenAt > freezeAfter+1 {
+		t.Fatalf("a minute into a freeze after chunk %d, the stream had %d chunks", freezeAfter, frozenAt)
 	}
-	e.Gate().Resume()
-	if err := <-done; err != nil {
-		t.Fatalf("stream failed after thaw: %v", err)
+	if streamErr != nil {
+		t.Fatalf("stream failed after thaw: %v", streamErr)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if count < 64 {
-		t.Fatalf("stream delivered %d chunks, want >= 64", count)
+	if n := count.Load(); n < 64 {
+		t.Fatalf("stream delivered %d chunks, want >= 64", n)
 	}
 }
 
+// TestCancelledClientAbandonsDecode: a client that cancels mid-stream
+// gets its error back, and the engine stops decoding for it.
 func TestCancelledClientAbandonsDecode(t *testing.T) {
-	_, srv, _ := readyEngine(t)
+	e, url, r := readyEngine(t)
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	req := chatReq("llama3.2:1b-fp16", "cancel me")
 	req.MaxTokens = 0 // natural length: decent number of tokens
-	done := make(chan error, 1)
-	go func() {
-		done <- openai.NewClient(srv.URL).ChatCompletionStream(ctx, req,
-			func(*ir.ChatCompletionChunk) error { return nil })
-	}()
-	time.Sleep(10 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Log("stream completed before cancellation (fast decode); acceptable")
+	chunks := 0
+	err := r.client(url).ChatCompletionStream(ctx, req, func(*ir.ChatCompletionChunk) error {
+		if chunks++; chunks == 3 {
+			cancel()
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled stream did not return")
+		return nil
+	})
+	if err == nil {
+		t.Fatal("cancelled stream completed")
+	}
+	// The handler returns at the end of the token in flight.
+	r.clock.Sleep(time.Second)
+	if n := e.active.Load(); n != 0 {
+		t.Fatalf("%d requests still in flight after the client cancelled", n)
 	}
 }
 
@@ -322,7 +348,7 @@ func TestCancelledClientAbandonsDecode(t *testing.T) {
 // Virtual clock and a registered poller samples Utilization once per
 // token interval, so every sample lands at an exact virtual instant.
 func TestBusyTrackingDuringDecode(t *testing.T) {
-	r := newVirtualRig(t)
+	r := newRig(t)
 	cfg := r.config(t, "busy-test", "llama3.2:1b-fp16")
 	e, err := NewOllama(cfg)
 	if err != nil {
@@ -331,13 +357,7 @@ func TestBusyTrackingDuringDecode(t *testing.T) {
 	if _, err := e.Init(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := simclock.Listen(r.clock, "127.0.0.1:0", e.Handler())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cli := openai.NewClient("http://" + srv.Addr())
-	cli.Clock = r.clock
+	cli := r.client(r.serve(t, e.Handler()))
 	req := chatReq("llama3.2:1b-fp16", "busy test")
 	req.MaxTokens = 200
 	tick := r.tb.TokenTime(e.Kind(), cfg.Model, 1)

@@ -4,16 +4,15 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
-	"swapservellm/internal/openai"
 	"swapservellm/internal/proxy/ir"
 )
 
-// vllmServer initializes a vLLM engine behind a test HTTP server.
-func vllmServer(t *testing.T) (*VLLM, *httptest.Server) {
+// vllmServer initializes a vLLM engine and serves it on the rig's
+// clock, returning the server's base URL and a client that reaches it.
+func vllmServer(t *testing.T) (*VLLM, string, *http.Client, *testRig) {
 	t.Helper()
 	r := newRig(t)
 	e, err := NewVLLM(r.config(t, "vllm-http", "llama3.2:1b-fp16"))
@@ -23,14 +22,12 @@ func vllmServer(t *testing.T) (*VLLM, *httptest.Server) {
 	if _, err := e.Init(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(e.Handler())
-	t.Cleanup(srv.Close)
-	return e, srv
+	return e, r.serve(t, e.Handler()), r.httpClient(), r
 }
 
 func TestVLLMSleepEndpoint(t *testing.T) {
-	e, srv := vllmServer(t)
-	resp, err := http.Post(srv.URL+"/sleep?level=1", "", nil)
+	e, url, hc, r := vllmServer(t)
+	resp, err := hc.Post(url+"/sleep?level=1", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +41,7 @@ func TestVLLMSleepEndpoint(t *testing.T) {
 
 	// Inference while sleeping is rejected with 503.
 	seed := int64(1)
-	_, err = openai.NewClient(srv.URL).ChatCompletion(context.Background(),
+	_, err = r.client(url).ChatCompletion(context.Background(),
 		&ir.ChatCompletionRequest{
 			Model:    "llama3.2:1b-fp16",
 			Messages: []ir.Message{{Role: "user", Content: "x"}},
@@ -55,7 +52,7 @@ func TestVLLMSleepEndpoint(t *testing.T) {
 	}
 
 	// Health still answers (the process is alive in sleep mode).
-	hr, err := http.Get(srv.URL + "/health")
+	hr, err := hc.Get(url + "/health")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +62,7 @@ func TestVLLMSleepEndpoint(t *testing.T) {
 	}
 
 	// Wake up and serve again.
-	resp, err = http.Post(srv.URL+"/wake_up", "", nil)
+	resp, err = hc.Post(url+"/wake_up", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +73,7 @@ func TestVLLMSleepEndpoint(t *testing.T) {
 	if e.State() != StateReady {
 		t.Fatalf("state after wake = %v", e.State())
 	}
-	if _, err := openai.NewClient(srv.URL).ChatCompletion(context.Background(),
+	if _, err := r.client(url).ChatCompletion(context.Background(),
 		&ir.ChatCompletionRequest{
 			Model:     "llama3.2:1b-fp16",
 			Messages:  []ir.Message{{Role: "user", Content: "x"}},
@@ -90,8 +87,8 @@ func TestVLLMSleepEndpoint(t *testing.T) {
 // TestSleepingEngineRejectsEveryFamily: a slept engine answers every
 // inference endpoint 503 engine_sleeping, not just chat.
 func TestSleepingEngineRejectsEveryFamily(t *testing.T) {
-	e, srv := vllmServer(t)
-	resp, err := http.Post(srv.URL+"/sleep?level=1", "", nil)
+	e, url, hc, _ := vllmServer(t)
+	resp, err := hc.Post(url+"/sleep?level=1", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +97,7 @@ func TestSleepingEngineRejectsEveryFamily(t *testing.T) {
 		t.Fatalf("state = %v", e.State())
 	}
 	for _, c := range wireCases {
-		resp, err := http.Post(srv.URL+c.path, "application/json", strings.NewReader(c.body))
+		resp, err := hc.Post(url+c.path, "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,8 +114,8 @@ func TestSleepingEngineRejectsEveryFamily(t *testing.T) {
 }
 
 func TestVLLMSleepEndpointLevel2(t *testing.T) {
-	e, srv := vllmServer(t)
-	resp, err := http.Post(srv.URL+"/sleep?level=2", "", nil)
+	e, url, hc, _ := vllmServer(t)
+	resp, err := hc.Post(url+"/sleep?level=2", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,9 +129,9 @@ func TestVLLMSleepEndpointLevel2(t *testing.T) {
 }
 
 func TestVLLMSleepEndpointConflict(t *testing.T) {
-	_, srv := vllmServer(t)
+	_, url, hc, _ := vllmServer(t)
 	// Wake without sleep: 409.
-	resp, err := http.Post(srv.URL+"/wake_up", "", nil)
+	resp, err := hc.Post(url+"/wake_up", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +140,8 @@ func TestVLLMSleepEndpointConflict(t *testing.T) {
 		t.Fatalf("wake while ready = %d", resp.StatusCode)
 	}
 	// Double sleep: 409 on the second.
-	http.Post(srv.URL+"/sleep?level=1", "", nil)
-	resp, err = http.Post(srv.URL+"/sleep?level=1", "", nil)
+	hc.Post(url+"/sleep?level=1", "", nil)
+	resp, err = hc.Post(url+"/sleep?level=1", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ var wireCases = []wireCase{
 // Virtual clock, so IDs and timestamps are exact.
 func wireResponses(t *testing.T) []*httptest.ResponseRecorder {
 	t.Helper()
-	r := newVirtualRig(t)
+	r := newRig(t)
 	e, err := NewOllama(r.config(t, "wire", wireModel))
 	if err != nil {
 		t.Fatal(err)

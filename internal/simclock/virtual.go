@@ -15,8 +15,9 @@ import (
 // over. In-process HTTP never needs it (see Listen).
 const ioGrace = 10 * time.Millisecond
 
-// settleNap is the wall sleep of a settle round within ioGrace (see
-// settleLocked).
+// settleNap is the wall sleep a settle round within ioGrace asks for
+// (see settleLocked). It takes about 1.06 ms: Go's netpoll timer rounds
+// a sub-millisecond sleep up to a millisecond.
 const settleNap = 200 * time.Microsecond
 
 // Virtual is a concurrency-aware discrete-event clock: Sleep and After
@@ -288,10 +289,13 @@ func (v *Virtual) grantWaitLocked(w *vwaiter) {
 // settleLocked yields until the observable state (gen) holds still for
 // three consecutive rounds with no run token outstanding. Before a jump
 // within ioGrace of a socket hand-off, the first round after each
-// change is a 200 µs wall sleep instead, about twice a loopback
-// hand-off on a loaded two-core host, so netpoll delivers bytes still
-// in flight (at 20 µs a seventh of perfbench's replayed requests
-// diverged). A settle that begins once ioGrace has passed pays the
+// change is a settleNap wall sleep instead, so netpoll delivers bytes
+// still in flight (at 20 µs a seventh of perfbench's replayed requests
+// diverged). The nap asks for 200 µs, about twice a loopback hand-off
+// on a loaded two-core host, but lasts about 1.06 ms, since Go's
+// netpoll timer rounds it up to a millisecond. Every clock event inside
+// the window costs one nap, so the count of events sets the wall rate
+// of a socket-driven run such as perfbench. A settle that begins once ioGrace has passed pays the
 // debt. Returns false if a registered goroutine took its token back, in
 // which case the advance must abort.
 func (v *Virtual) settleLocked() bool {
