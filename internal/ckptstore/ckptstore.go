@@ -145,22 +145,15 @@ type chunk struct {
 	seq      int64 // LRU tiebreak, deterministic under the virtual clock
 }
 
-// manifest is one live checkpoint image: an ordered chunk list plus the
-// tier its restore reads from by default. chunks is never modified once
-// committed, so a restore may keep reading it after s.mu is released.
+// manifest is one live checkpoint image: an ordered chunk list, its
+// logical size (the chunks' bytes summed) and the tier its restore reads
+// from by default. chunks is never modified once committed, so a
+// restore may keep reading it after s.mu is released.
 type manifest struct {
 	key      string
 	chunks   []ChunkRef
+	size     int64
 	resident Tier
-}
-
-// bytesTotal sums the manifest's logical size.
-func (m *manifest) bytesTotal() int64 {
-	var n int64
-	for _, c := range m.chunks {
-		n += c.Bytes
-	}
-	return n
 }
 
 // Peer is a remote restore source: another node's store (or any stand-in
@@ -207,6 +200,12 @@ type Store struct {
 	free []*chunk
 	// victims is trimCacheLocked's scratch list, kept for its array.
 	victims []*chunk
+	// logicalBytes and uniqueBytes are Stats' running totals: the live
+	// manifests' sizes, and each chunk with refs > 0 counted once.
+	// Commits and releases keep them, where a manifest comes or goes and
+	// a chunk's refs crosses zero.
+	logicalBytes int64
+	uniqueBytes  int64
 }
 
 // Option configures a Store.
@@ -356,7 +355,9 @@ func (s *Store) CommitCheckpoint(ctx context.Context, key string) PutStats {
 	var st PutStats
 	st.Chunks = len(p.refs)
 	now := s.clock.Now()
+	var size int64
 	for _, r := range p.refs {
+		size += r.Bytes
 		c, ok := s.chunks[r.ID]
 		if !ok {
 			c = s.newChunkLocked(r)
@@ -368,13 +369,17 @@ func (s *Store) CommitCheckpoint(ctx context.Context, key string) PutStats {
 			s.hostBytes += r.Bytes
 			st.NewBytes += r.Bytes
 		}
+		if c.refs == 0 {
+			s.uniqueBytes += c.bytes
+		}
 		c.refs++
 		c.hostRefs++
 		c.lastUsed = now
 		s.seq++
 		c.seq = s.seq
 	}
-	s.manifests[key] = &manifest{key: key, chunks: p.refs, resident: TierHost}
+	s.manifests[key] = &manifest{key: key, chunks: p.refs, size: size, resident: TierHost}
+	s.logicalBytes += size
 	s.trimCacheLocked()
 	s.mu.Unlock()
 	if span != nil {
@@ -405,12 +410,15 @@ func (s *Store) Release(key string) {
 }
 
 func (s *Store) releaseLocked(m *manifest) {
+	s.logicalBytes -= m.size
 	for _, r := range m.chunks {
 		c, ok := s.chunks[r.ID]
 		if !ok {
 			continue
 		}
-		c.refs--
+		if c.refs--; c.refs == 0 {
+			s.uniqueBytes -= c.bytes
+		}
 		if m.resident == TierHost {
 			c.hostRefs--
 		}
@@ -501,7 +509,7 @@ func (s *Store) Demote(ctx context.Context, key string) (written int64, sleep ti
 	// already on disk (from an earlier demotion) are free.
 	sleep = s.tb.StorageReadTime(perfmodel.TierDisk, written)
 	s.reg.Counter("ckpt_demote_bytes").Add(float64(written))
-	s.reg.Counter("ckpt_demote_shared_kept_bytes").Add(float64(m.bytesTotal() - dropped))
+	s.reg.Counter("ckpt_demote_shared_kept_bytes").Add(float64(m.size - dropped))
 	return written, sleep, nil
 }
 
@@ -545,7 +553,7 @@ func (s *Store) HostChunkFrac(key string) float64 {
 	if !ok {
 		return 0
 	}
-	total := m.bytesTotal()
+	total := m.size
 	if total == 0 {
 		return 1
 	}
@@ -585,17 +593,9 @@ func (st Stats) DedupRatio() float64 {
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := Stats{Manifests: len(s.manifests), Chunks: len(s.chunks),
-		HostBytes: s.hostBytes, DiskBytes: s.diskBytes}
-	for _, m := range s.manifests {
-		st.LogicalBytes += m.bytesTotal()
-	}
-	for _, c := range s.chunks {
-		if c.refs > 0 {
-			st.UniqueBytes += c.bytes
-		}
-	}
-	return st
+	return Stats{Manifests: len(s.manifests), Chunks: len(s.chunks),
+		HostBytes: s.hostBytes, DiskBytes: s.diskBytes,
+		LogicalBytes: s.logicalBytes, UniqueBytes: s.uniqueBytes}
 }
 
 // trimCacheLocked LRU-evicts unreferenced, unpinned cached chunks from
@@ -634,15 +634,16 @@ func (s *Store) trimCacheLocked() {
 }
 
 // SelfCheck verifies the store's internal invariants: tier byte totals
-// match the chunk flags, refcounts match the manifest lists, no count is
-// negative, and every live manifest's chunks are reachable from its
-// resident tier (host-resident ⇒ in host RAM; disk-resident ⇒ on disk
-// or still cached in RAM). The chaos soak calls this after every
-// operation.
+// match the chunk flags, refcounts match the manifest lists, the logical
+// and unique byte totals match a walk of the manifests and the
+// referenced chunks, no count is negative, and every live manifest's
+// chunks are reachable from its resident tier (host-resident ⇒ in host
+// RAM; disk-resident ⇒ on disk or still cached in RAM). The chaos soak
+// calls this after every operation.
 func (s *Store) SelfCheck() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var host, disk int64
+	var host, disk, logical, unique int64
 	refs := make(map[ChunkID]int)
 	hostRefs := make(map[ChunkID]int)
 	for id, c := range s.chunks {
@@ -659,6 +660,9 @@ func (s *Store) SelfCheck() error {
 		if !c.inHost && !c.onDisk {
 			return fmt.Errorf("ckptstore: chunk %s resident in no tier", id)
 		}
+		if c.refs > 0 {
+			unique += c.bytes
+		}
 	}
 	if host != s.hostBytes || disk != s.diskBytes {
 		return fmt.Errorf("ckptstore: tier totals host=%d disk=%d, chunks sum host=%d disk=%d",
@@ -666,6 +670,7 @@ func (s *Store) SelfCheck() error {
 	}
 	for key, m := range s.manifests {
 		for _, r := range m.chunks {
+			logical += r.Bytes
 			c, ok := s.chunks[r.ID]
 			if !ok {
 				return fmt.Errorf("ckptstore: manifest %q references missing chunk %s", key, r.ID)
@@ -681,6 +686,10 @@ func (s *Store) SelfCheck() error {
 				}
 			}
 		}
+	}
+	if logical != s.logicalBytes || unique != s.uniqueBytes {
+		return fmt.Errorf("ckptstore: running totals logical=%d unique=%d, manifests and chunks sum logical=%d unique=%d",
+			s.logicalBytes, s.uniqueBytes, logical, unique)
 	}
 	for id, c := range s.chunks {
 		if c.refs != refs[id] {

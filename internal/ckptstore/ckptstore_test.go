@@ -562,3 +562,91 @@ func TestChunkRecordRecycling(t *testing.T) {
 		t.Fatalf("the store made %d chunk records for at most %d live at once: records are not recycled", len(seen), peak)
 	}
 }
+
+// walkTotals sums what Stats keeps as running totals the long way: each
+// live manifest's chunk bytes, and each chunk with a reference once.
+func walkTotals(s *Store) (logical, unique int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, m := range s.manifests {
+		for _, r := range m.chunks {
+			logical += r.Bytes
+		}
+	}
+	for _, c := range s.chunks {
+		if c.refs > 0 {
+			unique += c.bytes
+		}
+	}
+	return logical, unique
+}
+
+// TestStatsTotalsMatchWalk checks Stats' running logical and unique
+// byte totals against a full walk after every kind of operation:
+// commits that share, repeat and replace chunks, an abort, a demotion
+// and promotion, a restore, releases (one of them repeated), Forget and
+// a cache trim.
+func TestStatsTotalsMatchWalk(t *testing.T) {
+	const mib = int64(1) << 20
+	s := testStore(t, WithHostCap(8*mib))
+	check := func(op string) {
+		t.Helper()
+		mustSelfCheck(t, s)
+		logical, unique := walkTotals(s)
+		if st := s.Stats(); st.LogicalBytes != logical || st.UniqueBytes != unique {
+			t.Fatalf("after %s: Stats logical=%d unique=%d, walk logical=%d unique=%d",
+				op, st.LogicalBytes, st.UniqueBytes, logical, unique)
+		}
+	}
+	a := refsFor("a", 3, mib)
+	checkpoint(s, "a", a)
+	check("commit a")
+	checkpoint(s, "b", append(refsFor("a", 2, mib), refsFor("b", 2, mib)...))
+	check("commit b sharing two of a's chunks")
+	checkpoint(s, "twice", []ChunkRef{a[2], a[2]})
+	check("commit a manifest listing one chunk twice")
+	checkpoint(s, "a", a[:2])
+	check("re-checkpoint a without its third chunk")
+	s.PlanCheckpoint("c", refsFor("c", 2, mib))
+	check("plan c")
+	s.AbortCheckpoint("c")
+	check("abort c")
+	if _, _, err := s.Demote(context.Background(), "b"); err != nil {
+		t.Fatal(err)
+	}
+	check("demote b")
+	if _, _, err := s.Promote(context.Background(), "b"); err != nil {
+		t.Fatal(err)
+	}
+	check("promote b")
+	sess, err := s.OpenRestore(context.Background(), "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = sess.FetchRange(0, 2*mib)
+	sess.Close(err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("restore a")
+	s.Release("a")
+	check("release a")
+	s.Release("a")
+	check("release a again")
+	s.Release("twice")
+	check("release twice")
+	var ids []ChunkID
+	for _, r := range a {
+		ids = append(ids, r.ID)
+	}
+	s.Forget(ids)
+	check("forget a's chunks")
+	checkpoint(s, "big", refsFor("big", 8, mib))
+	check("commit past the host cap")
+	s.Release("b")
+	s.Release("big")
+	check("release everything")
+	if st := s.Stats(); st.LogicalBytes != 0 || st.UniqueBytes != 0 {
+		t.Fatalf("empty store reports logical=%d unique=%d", st.LogicalBytes, st.UniqueBytes)
+	}
+}

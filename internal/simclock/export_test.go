@@ -48,3 +48,18 @@ func awaitParked(v *Virtual, key any) {
 		}
 	})
 }
+
+// napCount reports how many wall naps settle passes have taken.
+func (v *Virtual) napCount() int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.naps
+}
+
+// owedCount reports how many BlockIO requests the clock still owes an
+// arrival.
+func (v *Virtual) owedCount() int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.owed
+}

@@ -2,6 +2,7 @@ package simclock
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/url"
@@ -115,5 +116,47 @@ func BenchmarkInProcessHop(b *testing.B) {
 				hop(b, rt, c.base)
 			}
 		})
+	}
+}
+
+// TestHealthProbeAllocs pins what one /health probe allocates through
+// Transport, client and handler together: a GET answered the way the
+// node router and the engines answer it, a status and a line of text,
+// the header never touched. The client still reads the sniffed
+// Content-Type. Building a header map for each answer and setting the
+// sniffed type in it made it 7.
+func TestHealthProbeAllocs(t *testing.T) {
+	v := NewVirtual(vEpoch)
+	g := v.Gate()
+	g.Enter()
+	defer g.Exit()
+	srv, err := Listen(v, "127.0.0.1:0", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusOK)
+		fmt.Fprintln(w, "ok")
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	req := NewRequest(context.Background(), http.MethodGet, &url.URL{Scheme: "http", Host: srv.Addr()}, "/health", nil, nil)
+	rt := Transport(v)
+	probe := func() {
+		resp, err := Send(rt, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "text/plain; charset=utf-8" {
+			t.Fatalf("Content-Type %q", ct)
+		}
+		if n, _ := io.Copy(io.Discard, resp.Body); n != 3 || resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d, %d bytes", resp.StatusCode, n)
+		}
+		resp.Body.Close()
+	}
+	probe()
+	got := testing.AllocsPerRun(200, probe)
+	t.Logf("health probe: %v allocations", got)
+	if got > 4 {
+		t.Errorf("a health probe allocates %v times, budget 4", got)
 	}
 }

@@ -34,7 +34,8 @@ var statusOK = strconv.Itoa(http.StatusOK) + " " + http.StatusText(http.StatusOK
 // Gate.BlockOn and whose flushes Wake the reader, so virtual time never
 // moves while a request or response is in flight. A request arriving
 // over the socket runs its handler registered too (Enter on arrival,
-// Exit on return); its flushes and return re-arm ioGrace.
+// Exit on return). Its arrival pays the request a client's BlockIO
+// owes, and its flushes and return re-arm ioGrace.
 type Server struct {
 	http *http.Server
 	ln   net.Listener
@@ -64,6 +65,7 @@ func Listen(clock Clock, addr string, h http.Handler) (*Server, error) {
 			v.gate.Enter()
 			defer v.gate.Exit()
 			defer v.armGrace()
+			v.arrive()
 			h.ServeHTTP(edgeWriter{w, v}, r)
 		})
 	}
@@ -121,8 +123,40 @@ func Transport(clock Clock) http.RoundTripper {
 // for NewRequest callers to share: nobody writes to it.
 var JSONHeader = http.Header{"Content-Type": {"application/json"}}
 
-// noHeader is the header of a request built with none.
+// noHeader is the header of a request built with none, and of a
+// response with no body whose handler set none.
 var noHeader = http.Header{}
+
+// sniffed maps each Content-Type DetectContentType names, a fixed set,
+// to a header carrying only it: the header of every response whose
+// handler set none, such as a /health answer. Like JSONHeader it is
+// shared, so nobody writes to it: no client here writes to a
+// response's header, and a handler that asks for its header after the
+// commit gets a copy.
+var sniffed struct {
+	sync.Mutex
+	m map[string]http.Header
+}
+
+// sniffedHeader returns the shared header of a response whose handler
+// set none and wrote body before its first flush or return.
+func sniffedHeader(body []byte) http.Header {
+	if len(body) == 0 {
+		return noHeader
+	}
+	ct := http.DetectContentType(body)
+	sniffed.Lock()
+	defer sniffed.Unlock()
+	h, ok := sniffed.m[ct]
+	if !ok {
+		if sniffed.m == nil {
+			sniffed.m = make(map[string]http.Header)
+		}
+		h = http.Header{"Content-Type": {ct}}
+		sniffed.m[ct] = h
+	}
+	return h
+}
 
 // NewRequest builds a request to path on base, a parsed URL that is
 // shared and never written, carrying body (nil for none) and header,
@@ -340,7 +374,8 @@ func (x *exchange) Flush() {
 
 // sendLocked commits the response, sniffing the content type from the
 // first bytes written as net/http does, and flushes the written bytes.
-// The handler's header map becomes the response's.
+// The handler's header map becomes the response's; a handler that set
+// none gets a shared one (see sniffed).
 func (x *exchange) sendLocked() {
 	if x.err == nil {
 		x.sent = len(x.buf) - x.lent
@@ -357,9 +392,8 @@ func (x *exchange) sendLocked() {
 	h := x.header
 	x.header = nil
 	if h == nil {
-		h = make(http.Header)
-	}
-	if _, ok := h["Content-Type"]; !ok && len(x.buf) > 0 {
+		h = sniffedHeader(x.buf)
+	} else if _, ok := h["Content-Type"]; !ok && len(x.buf) > 0 {
 		h.Set("Content-Type", http.DetectContentType(x.buf))
 	}
 	r := &reply{x: x, gen: x.gen}

@@ -9,15 +9,18 @@ import (
 	"time"
 )
 
-// ioGrace is the wall window after bytes leave on a real socket (a
-// BlockIO entry or exit, a socket request's flush or return) during
-// which a jump's settle pass first sleeps, so netpoll can hand them
-// over. In-process HTTP never needs it (see Listen).
+// ioGrace bounds how long the clock waits on a real socket by the wall
+// clock. A request sent from a BlockIO is counted (see Virtual.owed),
+// and time does not jump while it is owed, for at most ioGrace after
+// the entry: a server off this clock never pays. The bytes a socket
+// handler flushes or returns are not counted: for ioGrace after them a
+// jump's settle pass first sleeps, so netpoll can hand them over.
+// In-process HTTP never needs either (see Listen).
 const ioGrace = 10 * time.Millisecond
 
-// settleNap is the wall sleep a settle round within ioGrace asks for
-// (see settleLocked). It takes about 1.06 ms: Go's netpoll timer rounds
-// a sub-millisecond sleep up to a millisecond.
+// settleNap is the wall sleep a settle round on the socket edge asks
+// for (see settleLocked). It takes about 1.06 ms: Go's netpoll timer
+// rounds a sub-millisecond sleep up to a millisecond.
 const settleNap = 200 * time.Microsecond
 
 // Virtual is a concurrency-aware discrete-event clock: Sleep and After
@@ -36,9 +39,11 @@ const settleNap = 200 * time.Microsecond
 // start the next spawned goroutine or fire the earliest deadline. A
 // wait it cannot probe (a plain Block or a BlockIO) costs a settle pass
 // first, and only after an event that could have ended it (see
-// advanceLoop). HTTP servers on the clock serve in-process callers on
-// registered goroutines (see Listen); an unregistered goroutine may
-// still Sleep, but its waiter carries no token and no ordering promise.
+// advanceLoop); a request a BlockIO sent over a socket holds time until
+// its handler on this clock takes it (see owed). HTTP servers on the
+// clock serve in-process callers on registered goroutines (see
+// Listen); an unregistered goroutine may still Sleep, but its waiter
+// carries no token and no ordering promise.
 type Virtual struct {
 	mu      sync.Mutex
 	now     time.Time
@@ -63,9 +68,19 @@ type Virtual struct {
 	// BlockIO.
 	opaque    int
 	blockedIO int
+	// owed counts requests sent from inside BlockIO that no socket
+	// handler on this clock has taken yet: each BlockIO entry adds one,
+	// each socket request's arrival pays one (see Listen), and a BlockIO
+	// exit clamps it to the goroutines still inside, so a request that
+	// failed before it arrived leaves nothing owed. A jump waits while
+	// one is owed, until sendUntil, ioGrace after the newest entry: a
+	// request to a server off this clock never arrives.
+	owed      int
+	sendUntil time.Time
 	// debt records an event that may have ended an opaque wait without
 	// the clock seeing it: an outermost Exit, a Block or BlockIO entry,
-	// or socket activity. The next advance settles before it moves on.
+	// or a socket handler's flush or return. The next advance settles
+	// before it moves on.
 	debt bool
 
 	// parked holds the goroutines blocked in Gate.BlockOn, probed at
@@ -103,13 +118,16 @@ type Virtual struct {
 	advancing bool
 	advance   func()
 
-	// ioGraceUntil is a wall-clock deadline armed at every Gate.BlockIO
-	// entry and socket request flush or return: settles stay in wall
-	// mode, and keep the debt, until it passes.
+	// ioGraceUntil is a wall-clock deadline armed when a socket handler
+	// flushes or returns, the bytes going back to a client in BlockIO,
+	// which the clock does not count: settles nap once per change, and
+	// keep the debt, until it passes.
 	ioGraceUntil time.Time
 
-	// settles counts settle passes run (read by tests).
+	// settles counts settle passes run and naps their wall sleeps (read
+	// by tests).
 	settles int
+	naps    int
 	// nap is the settle's wall-clock timer, made at the first socket
 	// settle and reused by every later one. Only the advancer, of which
 	// one is live at a time, touches it. A time.Sleep would run on the
@@ -288,28 +306,40 @@ func (v *Virtual) grantWaitLocked(w *vwaiter) {
 
 // settleLocked yields until the observable state (gen) holds still for
 // three consecutive rounds with no run token outstanding. Before a jump
-// within ioGrace of a socket hand-off, the first round after each
-// change is a settleNap wall sleep instead, so netpoll delivers bytes
-// still in flight (at 20 µs a seventh of perfbench's replayed requests
-// diverged). The nap asks for 200 µs, about twice a loopback hand-off
-// on a loaded two-core host, but lasts about 1.06 ms, since Go's
-// netpoll timer rounds it up to a millisecond. Every clock event inside
-// the window costs one nap, so the count of events sets the wall rate
-// of a socket-driven run such as perfbench. A settle that begins once ioGrace has passed pays the
-// debt. Returns false if a registered goroutine took its token back, in
-// which case the advance must abort.
+// the socket edge may need wall time, in two ways. While a request a
+// BlockIO sent is owed (see owed), every round is a settleNap wall
+// sleep and the settle does not end, until the request's handler takes
+// a run token or sendUntil passes. Within ioGrace of a socket handler's
+// flush or return, whose bytes the clock does not count, the first
+// round after each change naps instead, so netpoll delivers them (at
+// 20 µs a seventh of perfbench's replayed requests diverged). The nap
+// asks for 200 µs, about twice a loopback hand-off on a loaded
+// two-core host, but lasts about 1.06 ms, since Go's netpoll timer
+// rounds it up to a millisecond; so each clock event inside that
+// window costs one nap. A settle that ends with both windows passed
+// pays the debt. Returns false if a registered goroutine took its
+// token back, in which case the advance must abort.
 func (v *Virtual) settleLocked() bool {
 	v.settles++
-	paid := v.ioGraceUntil.IsZero() || !time.Now().Before(v.ioGraceUntil)
 	stable := 0
 	last := v.gen
-	for stable < 3 {
+	for {
 		if v.running > 0 || v.waking.Load() > 0 {
 			return false
 		}
 		// A start does not move time, so only a jump waits on netpoll.
-		io := stable == 0 && v.blockedIO > 0 && v.started == len(v.starts) && time.Now().Before(v.ioGraceUntil)
-		if io {
+		jump := v.blockedIO > 0 && v.started == len(v.starts)
+		var now time.Time
+		if jump {
+			now = time.Now()
+		}
+		sending := jump && v.owed > 0 && now.Before(v.sendUntil)
+		if stable >= 3 && !sending {
+			break
+		}
+		nap := sending || jump && stable == 0 && now.Before(v.ioGraceUntil)
+		if nap {
+			v.naps++
 			if v.nap == nil {
 				v.nap = time.NewTimer(settleNap)
 			} else {
@@ -317,7 +347,7 @@ func (v *Virtual) settleLocked() bool {
 			}
 		}
 		v.mu.Unlock()
-		if io {
+		if nap {
 			<-v.nap.C
 		} else {
 			for i := 0; i < 32; i++ {
@@ -335,7 +365,8 @@ func (v *Virtual) settleLocked() bool {
 	if v.running > 0 {
 		return false
 	}
-	if paid {
+	now := time.Now()
+	if !now.Before(v.ioGraceUntil) && (v.owed == 0 || !now.Before(v.sendUntil)) {
 		v.debt = false
 	}
 	return true
@@ -372,8 +403,8 @@ func (v *Virtual) armWatchdogLocked() {
 }
 
 func (v *Virtual) dumpLocked() string {
-	head := fmt.Sprintf("virtual clock: now=%s registered=%d running=%d parked=%d opaque=%d blockedIO=%d waiters=%d",
-		v.now.Format(time.RFC3339Nano), len(v.reg), v.running, len(v.parked), v.opaque, v.blockedIO, v.waiters.Len())
+	head := fmt.Sprintf("virtual clock: now=%s registered=%d running=%d parked=%d opaque=%d blockedIO=%d owed=%d waiters=%d",
+		v.now.Format(time.RFC3339Nano), len(v.reg), v.running, len(v.parked), v.opaque, v.blockedIO, v.owed, v.waiters.Len())
 	buf := make([]byte, 1<<20)
 	n := runtime.Stack(buf, true)
 	return head + "\n" + string(buf[:n])
@@ -477,7 +508,9 @@ func (h *vheap) Pop() any {
 //   - Block(fn) is a join: a wait the clock cannot probe, which must end
 //     only through another goroutine's Exit, Block or BlockIO (say, a
 //     WaitGroup whose goroutines are done when they exit).
-//   - BlockIO(fn) marks the caller as waiting on a real socket.
+//   - BlockIO(fn) marks the caller as waiting on a real socket: fn
+//     sends one request, which the clock counts until a socket handler
+//     on it takes the request.
 //   - Wait(d, done...) parks on the clock like Sleep but also wakes on
 //     a done channel, returning -1 for the timer or the channel's index.
 //     WaitOn(key, d, done...) is a Wait that Wake(key) also ends.
@@ -584,9 +617,14 @@ func (v *Virtual) runChild() {
 func (g *Gate) Block(fn func()) { g.block(nil, nil, fn, false) }
 
 // BlockIO runs fn with the caller's run token released, marking it as
-// waiting on I/O outside the process: the socket edge of a client
-// whose server is not in-process. The advancer settles with wall
-// micro-sleeps within ioGrace of its entry.
+// waiting on a real socket: the edge of a client that reaches a server
+// over TCP rather than through Transport. fn sends one request. The
+// entry counts it as owed, and time does not jump until a Listen
+// handler on this clock takes it, for at most ioGrace; the exit drops
+// what is still owed beyond the goroutines left inside, so a request
+// that failed before it arrived holds nothing. The response is not
+// counted: the advancer naps once per change within ioGrace of the
+// handler's flushes and return while the client reads.
 func (g *Gate) BlockIO(fn func()) { g.block(nil, nil, fn, true) }
 
 // BlockOn runs fn, a blocking wait on a peer, with the caller's run
@@ -634,7 +672,8 @@ func (g *Gate) block(key any, ready func() bool, fn func(), io bool) {
 		if io {
 			// The request is leaving on a real socket.
 			v.blockedIO++
-			v.ioGraceUntil = time.Now().Add(ioGrace)
+			v.owed++
+			v.sendUntil = time.Now().Add(ioGrace)
 		}
 	}
 	v.running--
@@ -652,6 +691,7 @@ func (g *Gate) block(key any, ready func() bool, fn func(), io bool) {
 		v.opaque--
 		if io {
 			v.blockedIO--
+			v.owed = min(v.owed, v.blockedIO)
 		}
 		v.running++
 	case !rec.woken:
@@ -696,7 +736,21 @@ func (v *Virtual) grantLocked(r *parkRec) {
 	v.gen++
 }
 
-// armGrace re-arms ioGrace: bytes are leaving on a real socket.
+// arrive pays one request owed by a BlockIO: a socket request reached
+// its handler, which already holds a run token. It pays only while one
+// is owed, so a request from a client outside BlockIO never drives the
+// count below zero; it may pay another's, which then holds time no
+// longer.
+func (v *Virtual) arrive() {
+	v.mu.Lock()
+	if v.owed > 0 {
+		v.owed--
+	}
+	v.mu.Unlock()
+}
+
+// armGrace re-arms ioGrace: a socket handler's bytes are leaving for
+// its client.
 func (v *Virtual) armGrace() {
 	v.mu.Lock()
 	v.ioGraceUntil = time.Now().Add(ioGrace)

@@ -480,11 +480,12 @@ func TestWaitReuseNoStaleWake(t *testing.T) {
 	t.Logf("%d of 500 Waits raced their timer", raced)
 }
 
-// TestSettleAllocs checks that a settle pass within ioGrace of a
-// BlockIO, the one that naps on the wall clock while netpoll delivers,
-// allocates nothing: it naps on the clock's own timer, not in a
-// time.Sleep on the fresh advancer goroutine, whose first sleep would
-// allocate that goroutine's runtime timer every time.
+// TestSettleAllocs checks that a settle pass within ioGrace of a socket
+// handler's bytes (armGrace), with a client in BlockIO, the one that
+// naps on the wall clock while netpoll delivers, allocates nothing: it
+// naps on the clock's own timer, not in a time.Sleep on the fresh
+// advancer goroutine, whose first sleep would allocate that
+// goroutine's runtime timer every time.
 func TestSettleAllocs(t *testing.T) {
 	v := NewVirtual(vEpoch)
 	g := v.Gate()
