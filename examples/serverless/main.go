@@ -24,8 +24,7 @@ func main() {
 	cfg := config.Default()
 	cfg.Global.KeepAliveSec = 12       // reap backends idle for 12 simulated seconds
 	cfg.Global.Prefetch = true         // predictive swap-ins
-	cfg.Global.SnapshotHostCapGiB = 40 // host RAM budget for snapshots
-	cfg.Global.SnapshotSpill = true    // spill LRU images to disk
+	cfg.Global.SnapshotHostCapGiB = 40 // host RAM budget for snapshots; LRU images spill to disk
 	cfg.Models = []config.Model{
 		{Name: "deepseek-r1:14b-fp16", Engine: "ollama"}, // ~31 GiB snapshot
 		{Name: "llama3.1:8b-fp16", Engine: "ollama"},     // ~17 GiB snapshot

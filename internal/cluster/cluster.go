@@ -17,6 +17,10 @@ import (
 	"swapservellm/internal/simclock"
 )
 
+// proxyCacheEntries bounds the gateway's response cache (the proxy
+// section's cache_disabled turns it off).
+const proxyCacheEntries = 256
+
 // Options tunes cluster construction.
 type Options struct {
 	// Clock is the shared simulation clock for every node (required,
@@ -155,8 +159,12 @@ func New(cfg config.Cluster, options ...Option) (*Cluster, error) {
 	// The multi-protocol front door: one endpoint table and response
 	// cache shared by every gateway handler. The chaos injector covers
 	// the proxy.translate and proxy.cache sites.
+	cacheEntries := proxyCacheEntries
+	if cfg.Proxy.CacheDisabled {
+		cacheEntries = 0
+	}
 	c.front = proxy.New(
-		proxy.WithCacheEntries(cfg.ProxyCacheEntries()),
+		proxy.WithCacheEntries(cacheEntries),
 		proxy.WithChaos(opts.Chaos),
 		proxy.WithRegistry(reg),
 		proxy.WithClock(clock),
@@ -174,7 +182,7 @@ func New(cfg config.Cluster, options ...Option) (*Cluster, error) {
 	if schedSt != nil {
 		ttl = schedSt.ttl
 	}
-	capBytes := int64(cfg.Global.SnapshotHostCapGiB * (1 << 30))
+	capBytes := cfg.Global.SnapshotHostCapBytes()
 	for i := range cfg.Nodes {
 		nc := cfg.Nodes[i]
 		srv, err := core.New(cfg.NodeConfig(i), core.Options{

@@ -38,7 +38,7 @@ func buildSched(cfg config.Cluster, catalog *models.Catalog, c *Cluster) (*sched
 	}
 	st := &schedState{
 		cfg:     sc,
-		pred:    sched.NewPredictor(sc.PredictorWindow(), sc.PredictorBucket()),
+		pred:    sched.NewPredictor(),
 		classOf: make(map[string]string),
 	}
 

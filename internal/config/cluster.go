@@ -1,11 +1,9 @@
 package config
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"swapservellm/internal/models"
@@ -54,10 +52,7 @@ type ClusterGlobal struct {
 // ProxyCfg configures the gateway's multi-protocol front door: the
 // IR-keyed response cache sitting in front of placement.
 type ProxyCfg struct {
-	// CacheEntries bounds the response cache (default 256 entries).
-	CacheEntries int `json:"cache_entries,omitempty"`
-	// CacheDisabled turns the response cache off entirely (the
-	// cache_entries default makes a plain 0 mean "use the default").
+	// CacheDisabled turns the response cache off entirely.
 	CacheDisabled bool `json:"cache_disabled,omitempty"`
 }
 
@@ -84,96 +79,53 @@ type Cluster struct {
 }
 
 // DefaultCluster returns a cluster configuration with sensible defaults
-// and no nodes.
+// and no nodes. The cluster section's defaults are filled by Validate.
 func DefaultCluster() Cluster {
 	def := Default()
 	return Cluster{
 		Listen:  "127.0.0.1:0",
 		Testbed: def.Testbed,
 		Global:  def.Global,
-		Cluster: ClusterGlobal{
-			Placement:          "locality",
-			HeartbeatSec:       2,
-			HeartbeatMissLimit: 3,
-			RebalanceHighWater: 0.75,
-			RetryLimit:         2,
-		},
 	}
 }
 
 // ParseCluster decodes a JSON cluster configuration, applying defaults
 // for omitted fields.
-func ParseCluster(r io.Reader) (Cluster, error) {
-	cfg := DefaultCluster()
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
-		return cfg, fmt.Errorf("config: parsing cluster: %w", err)
-	}
-	return cfg, nil
-}
+func ParseCluster(r io.Reader) (Cluster, error) { return decode(r, DefaultCluster()) }
 
 // LoadCluster reads and parses a cluster configuration file.
-func LoadCluster(path string) (Cluster, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Cluster{}, fmt.Errorf("config: %w", err)
-	}
-	defer f.Close()
-	return ParseCluster(f)
-}
+func LoadCluster(path string) (Cluster, error) { return load(path, ParseCluster) }
 
 // Validate checks the cluster configuration: gateway parameters, node
 // uniqueness, and every node's deployment via the single-node rules.
-// Node defaults (listen address, queue capacities, storage tiers) are
+// Gateway defaults, node listen addresses and per-model defaults are
 // filled in place.
 func (c *Cluster) Validate(catalog *models.Catalog) error {
 	if c.Listen == "" {
 		return errors.New("config: cluster listen address required")
 	}
-	switch c.Cluster.Placement {
-	case "", "locality", "least-loaded", "random":
+	g := &c.Cluster
+	switch g.Placement {
+	case "":
+		g.Placement = "locality"
+	case "locality", "least-loaded", "random":
 	default:
-		return fmt.Errorf("config: unknown placement policy %q (want locality, least-loaded, or random)", c.Cluster.Placement)
+		return fmt.Errorf("config: unknown placement policy %q (want locality, least-loaded, or random)", g.Placement)
 	}
-	if c.Cluster.Placement == "" {
-		c.Cluster.Placement = "locality"
-	}
-	if c.Cluster.HeartbeatSec < 0 {
-		return errors.New("config: heartbeat_sec must be non-negative")
-	}
-	if c.Cluster.HeartbeatSec == 0 {
-		c.Cluster.HeartbeatSec = 2
-	}
-	if c.Cluster.HeartbeatMissLimit < 0 {
-		return errors.New("config: heartbeat_miss_limit must be non-negative")
-	}
-	if c.Cluster.HeartbeatMissLimit == 0 {
-		c.Cluster.HeartbeatMissLimit = 3
-	}
-	if c.Cluster.RebalanceSec < 0 {
-		return errors.New("config: rebalance_sec must be non-negative")
-	}
-	if c.Cluster.RebalanceHighWater < 0 || c.Cluster.RebalanceHighWater > 1 {
+	if g.RebalanceHighWater > 1 {
 		return errors.New("config: rebalance_high_water must be in [0,1]")
 	}
-	if c.Cluster.RebalanceHighWater == 0 {
-		c.Cluster.RebalanceHighWater = 0.75
-	}
-	if c.Cluster.RetryLimit < 0 {
-		return errors.New("config: retry_limit must be non-negative")
-	}
-	if c.Cluster.RetryLimit == 0 {
-		c.Cluster.RetryLimit = 2
+	if err := errors.Join(
+		nonNegative(&g.HeartbeatSec, 2, "heartbeat_sec"),
+		nonNegative(&g.HeartbeatMissLimit, 3, "heartbeat_miss_limit"),
+		nonNegative(&g.RebalanceSec, 0, "rebalance_sec"),
+		nonNegative(&g.RebalanceHighWater, 0.75, "rebalance_high_water"),
+		nonNegative(&g.RetryLimit, 2, "retry_limit"),
+	); err != nil {
+		return err
 	}
 	if err := c.Scheduling.validate(c.Global.KeepAliveSec); err != nil {
 		return err
-	}
-	if c.Proxy.CacheEntries < 0 {
-		return errors.New("config: proxy cache_entries must be non-negative")
-	}
-	if c.Proxy.CacheEntries == 0 {
-		c.Proxy.CacheEntries = 256
 	}
 	if len(c.Nodes) == 0 {
 		return errors.New("config: at least one node required")
@@ -229,15 +181,6 @@ func (c *Cluster) NodeConfig(i int) Config {
 	}
 }
 
-// ProxyCacheEntries returns the response-cache bound the front door
-// should use (0 when the cache is disabled).
-func (c *Cluster) ProxyCacheEntries() int {
-	if c.Proxy.CacheDisabled {
-		return 0
-	}
-	return c.Proxy.CacheEntries
-}
-
 // Heartbeat returns the heartbeat probe interval as a Duration.
 func (c *Cluster) Heartbeat() time.Duration {
 	return time.Duration(c.Cluster.HeartbeatSec * float64(time.Second))
@@ -247,4 +190,16 @@ func (c *Cluster) Heartbeat() time.Duration {
 // disabled).
 func (c *Cluster) RebalanceEvery() time.Duration {
 	return time.Duration(c.Cluster.RebalanceSec * float64(time.Second))
+}
+
+// nonNegative rejects a negative *v, naming its key, and fills a zero
+// one with def.
+func nonNegative[T int | float64](v *T, def T, key string) error {
+	if *v < 0 {
+		return fmt.Errorf("config: %s must be non-negative", key)
+	}
+	if *v == 0 {
+		*v = def
+	}
+	return nil
 }

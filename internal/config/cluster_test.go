@@ -21,16 +21,14 @@ func TestClusterValidateDefaults(t *testing.T) {
 	if err := c.Validate(models.Default()); err != nil {
 		t.Fatal(err)
 	}
-	if c.Cluster.Placement != "locality" || c.Cluster.HeartbeatMissLimit != 3 || c.Cluster.RetryLimit != 2 {
+	want := ClusterGlobal{Placement: "locality", HeartbeatSec: 2, HeartbeatMissLimit: 3, RebalanceHighWater: 0.75, RetryLimit: 2}
+	if c.Cluster != want {
 		t.Fatalf("defaults not applied: %+v", c.Cluster)
 	}
 	if c.Nodes[0].Listen != "127.0.0.1:0" {
 		t.Fatalf("node listen default = %q", c.Nodes[0].Listen)
 	}
 	// Per-model defaults flow through the single-node validation.
-	if c.Nodes[0].Models[0].QueueCapacity != c.Global.QueueCapacity {
-		t.Fatalf("node model queue capacity = %d", c.Nodes[0].Models[0].QueueCapacity)
-	}
 	if c.Nodes[0].Models[0].Image == "" {
 		t.Fatal("node model image default missing")
 	}
@@ -48,6 +46,11 @@ func TestClusterValidateRejects(t *testing.T) {
 		{"bad model", func(c *Cluster) { c.Nodes[0].Models[0].Name = "nope" }, "not in catalog"},
 		{"missing name", func(c *Cluster) { c.Nodes[0].Name = "" }, "missing name"},
 		{"bad highwater", func(c *Cluster) { c.Cluster.RebalanceHighWater = 1.5 }, "rebalance_high_water"},
+		{"negative heartbeat", func(c *Cluster) { c.Cluster.HeartbeatSec = -1 }, "heartbeat_sec must be non-negative"},
+		{"negative retry limit", func(c *Cluster) { c.Cluster.RetryLimit = -1 }, "retry_limit must be non-negative"},
+		{"negative ttl", func(c *Cluster) {
+			c.Scheduling = SchedCfg{Classes: []SchedClass{{Name: "std", SLOSec: 10, RatePerSec: 1}}, TTLSec: -5}
+		}, "ttl_sec must be non-negative"},
 		{"adaptive ttl policy", func(c *Cluster) {
 			c.Scheduling = SchedCfg{Classes: []SchedClass{{Name: "std", SLOSec: 10, RatePerSec: 1}}, TTLPolicy: "adaptive"}
 		}, `unknown ttl_policy "adaptive"`},

@@ -2,8 +2,9 @@
 // runtime parameters and the per-model backend list (§3.2). Configurations
 // load from JSON, are validated against the model catalog, and carry the
 // global/local parameter split the paper describes (engine-wide options
-// such as response timeout and KV-cache type vs model-specific options
-// such as container image and GPU memory utilization).
+// such as response timeout and queue depth vs model-specific options
+// such as container image and GPU memory utilization). Unknown keys are
+// errors, so a key this package no longer carries is reported by name.
 package config
 
 import (
@@ -35,11 +36,10 @@ type Global struct {
 	// Ollama's keep_alive to every engine.
 	KeepAliveSec float64 `json:"keep_alive_sec"`
 	// SnapshotHostCapGiB bounds the host memory available for checkpoint
-	// images (0 = unlimited). The paper's H100 testbed has 221 GB RAM.
+	// images (0 = unlimited). A checkpoint that would exceed it spills
+	// least-recently-used images to disk. The paper's H100 testbed has
+	// 221 GB RAM.
 	SnapshotHostCapGiB float64 `json:"snapshot_host_cap_gib"`
-	// SnapshotSpill spills least-recently-used checkpoint images to disk
-	// when the host cap is exceeded, instead of failing the swap-out.
-	SnapshotSpill bool `json:"snapshot_spill"`
 	// CkptStore enables the content-addressed checkpoint store: images
 	// decompose into deduplicated chunks, re-checkpoints write deltas
 	// only, spills demote by chunk reference, and restores fetch each
@@ -54,18 +54,11 @@ type Global struct {
 	// simulated seconds (0 disables the monitor loop). §3.2's continuous
 	// GPU monitoring.
 	GPUMonitorSec float64 `json:"gpu_monitor_sec"`
-	// CompileCache shares compilation artifacts (torch.compile cache,
-	// TensorRT plans) across the deployment's cold starts.
-	CompileCache bool `json:"compile_cache"`
 	// PipelinedSwap selects the full-duplex swap-exchange fast path: a
 	// target's restore starts as soon as the victim's checkpoint frees
 	// its first chunks, instead of after the checkpoint completes. Off
 	// by default so the sequential baseline remains selectable for A/B.
 	PipelinedSwap bool `json:"pipelined_swap"`
-	// SwapChunkMiB sets the checkpoint/restore transfer chunk size in
-	// MiB (0 = the driver default, 1 GiB). Smaller chunks tighten the
-	// pipeline overlap at the cost of more bookkeeping.
-	SwapChunkMiB int `json:"swap_chunk_mib"`
 	// StorageTier is the default tier model weights are read from.
 	StorageTier string `json:"storage_tier"`
 }
@@ -86,10 +79,6 @@ type Model struct {
 	GPUs []int `json:"gpus,omitempty"`
 	// InitTimeoutSec bounds engine initialization in simulated seconds.
 	InitTimeoutSec float64 `json:"init_timeout_sec,omitempty"`
-	// QueueCapacity overrides the global queue depth.
-	QueueCapacity int `json:"queue_capacity,omitempty"`
-	// StorageTier overrides the global weight-storage tier.
-	StorageTier string `json:"storage_tier,omitempty"`
 	// KeepWarm leaves the backend running after initialization instead of
 	// snapshotting and pausing it.
 	KeepWarm bool `json:"keep_warm,omitempty"`
@@ -125,8 +114,14 @@ func Default() Config {
 
 // Parse decodes a JSON configuration, applying defaults for omitted
 // fields.
-func Parse(r io.Reader) (Config, error) {
-	cfg := Default()
+func Parse(r io.Reader) (Config, error) { return decode(r, Default()) }
+
+// Load reads and parses a configuration file.
+func Load(path string) (Config, error) { return load(path, Parse) }
+
+// decode decodes r over cfg's defaults. An unknown key is an error that
+// names it.
+func decode[T any](r io.Reader, cfg T) (T, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&cfg); err != nil {
@@ -135,14 +130,15 @@ func Parse(r io.Reader) (Config, error) {
 	return cfg, nil
 }
 
-// Load reads and parses a configuration file.
-func Load(path string) (Config, error) {
+// load opens path and parses it with parse.
+func load[T any](path string, parse func(io.Reader) (T, error)) (T, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return Config{}, fmt.Errorf("config: %w", err)
+		var zero T
+		return zero, fmt.Errorf("config: %w", err)
 	}
 	defer f.Close()
-	return Parse(f)
+	return parse(f)
 }
 
 // Validate checks the configuration against the model catalog and the
@@ -157,23 +153,19 @@ func (c *Config) Validate(catalog *models.Catalog) error {
 	if c.Global.QueueCapacity <= 0 {
 		return errors.New("config: global queue_capacity must be positive")
 	}
-	if c.Global.ResponseTimeoutSec < 0 {
-		return errors.New("config: response_timeout_sec must be non-negative")
-	}
-	if c.Global.KeepAliveSec < 0 {
-		return errors.New("config: keep_alive_sec must be non-negative")
-	}
-	if c.Global.SnapshotHostCapGiB < 0 {
-		return errors.New("config: snapshot_host_cap_gib must be non-negative")
-	}
-	if c.Global.GPUMonitorSec < 0 {
-		return errors.New("config: gpu_monitor_sec must be non-negative")
-	}
-	if c.Global.SwapChunkMiB < 0 {
-		return errors.New("config: swap_chunk_mib must be non-negative")
-	}
-	if err := validTier(c.Global.StorageTier); err != nil {
+	g := &c.Global
+	if err := errors.Join(
+		nonNegative(&g.ResponseTimeoutSec, 0, "response_timeout_sec"),
+		nonNegative(&g.KeepAliveSec, 0, "keep_alive_sec"),
+		nonNegative(&g.SnapshotHostCapGiB, 0, "snapshot_host_cap_gib"),
+		nonNegative(&g.GPUMonitorSec, 0, "gpu_monitor_sec"),
+	); err != nil {
 		return err
+	}
+	switch perfmodel.StorageTier(g.StorageTier) {
+	case perfmodel.TierDisk, perfmodel.TierTmpfs:
+	default:
+		return fmt.Errorf("config: unknown storage tier %q", g.StorageTier)
 	}
 	if len(c.Models) == 0 {
 		return errors.New("config: at least one model required")
@@ -205,18 +197,6 @@ func (c *Config) Validate(catalog *models.Catalog) error {
 				return fmt.Errorf("config: model %q references invalid GPU %d", m.Name, g)
 			}
 		}
-		if m.QueueCapacity < 0 {
-			return fmt.Errorf("config: model %q queue_capacity must be non-negative", m.Name)
-		}
-		if m.QueueCapacity == 0 {
-			m.QueueCapacity = c.Global.QueueCapacity
-		}
-		if m.StorageTier == "" {
-			m.StorageTier = c.Global.StorageTier
-		}
-		if err := validTier(m.StorageTier); err != nil {
-			return fmt.Errorf("config: model %q: %w", m.Name, err)
-		}
 		if m.InitTimeoutSec < 0 {
 			return fmt.Errorf("config: model %q init_timeout_sec must be non-negative", m.Name)
 		}
@@ -231,15 +211,6 @@ func (c *Config) Validate(catalog *models.Catalog) error {
 // extended beyond the testbed's physical single GPU for multi-GPU
 // experiments.
 const maxGPUs = 16
-
-// validTier checks a storage tier string.
-func validTier(t string) error {
-	switch perfmodel.StorageTier(t) {
-	case perfmodel.TierDisk, perfmodel.TierTmpfs:
-		return nil
-	}
-	return fmt.Errorf("config: unknown storage tier %q", t)
-}
 
 // defaultImage returns the conventional container image for an engine.
 func defaultImage(e perfmodel.EngineKind) string {
@@ -260,6 +231,12 @@ func defaultImage(e perfmodel.EngineKind) string {
 // ResponseTimeout returns the global response timeout as a Duration.
 func (c *Config) ResponseTimeout() time.Duration {
 	return time.Duration(c.Global.ResponseTimeoutSec * float64(time.Second))
+}
+
+// SnapshotHostCapBytes returns the checkpoint host-memory cap in bytes
+// (0 = unlimited).
+func (g *Global) SnapshotHostCapBytes() int64 {
+	return int64(g.SnapshotHostCapGiB * (1 << 30))
 }
 
 // KeepAlive returns the idle-reap window as a Duration (zero = disabled).

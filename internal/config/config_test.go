@@ -25,12 +25,6 @@ func TestValidateFillsDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := cfg.Models[0]
-	if m.QueueCapacity != cfg.Global.QueueCapacity {
-		t.Errorf("queue capacity default not applied: %d", m.QueueCapacity)
-	}
-	if m.StorageTier != "disk" {
-		t.Errorf("storage tier default = %q", m.StorageTier)
-	}
 	if len(m.GPUs) != 1 || m.GPUs[0] != 0 {
 		t.Errorf("GPUs default = %v", m.GPUs)
 	}
@@ -60,8 +54,6 @@ func TestValidateRejections(t *testing.T) {
 		{"util > 1", func(c *Config) { c.Models[0].GPUMemoryUtilization = 1.5 }},
 		{"negative gpu", func(c *Config) { c.Models[0].GPUs = []int{-1} }},
 		{"huge gpu index", func(c *Config) { c.Models[0].GPUs = []int{99} }},
-		{"negative model queue", func(c *Config) { c.Models[0].QueueCapacity = -2 }},
-		{"bad model tier", func(c *Config) { c.Models[0].StorageTier = "floppy" }},
 		{"negative init timeout", func(c *Config) { c.Models[0].InitTimeoutSec = -3 }},
 	}
 	for _, c := range cases {
@@ -92,10 +84,10 @@ func TestParseJSON(t *testing.T) {
 	if cfg.Listen != "127.0.0.1:9001" || cfg.Testbed != "a100" {
 		t.Fatalf("cfg = %+v", cfg)
 	}
-	if !cfg.Global.UseSleepMode || cfg.Global.QueueCapacity != 8 {
+	if !cfg.Global.UseSleepMode || cfg.Global.QueueCapacity != 8 || cfg.Global.StorageTier != "tmpfs" {
 		t.Fatalf("global = %+v", cfg.Global)
 	}
-	if !cfg.Models[0].KeepWarm || cfg.Models[0].StorageTier != "tmpfs" {
+	if !cfg.Models[0].KeepWarm {
 		t.Fatalf("model = %+v", cfg.Models[0])
 	}
 	if cfg.ResponseTimeout() != 30*time.Second {

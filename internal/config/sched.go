@@ -44,12 +44,6 @@ type SchedCfg struct {
 	DefaultClass string `json:"default_class,omitempty"`
 	// Admission enables gateway admission control and load shedding.
 	Admission bool `json:"admission,omitempty"`
-	// PredictorWindowSec is the demand predictor's recent-rate EWMA
-	// window in simulated seconds (default 600).
-	PredictorWindowSec float64 `json:"predictor_window_sec,omitempty"`
-	// PredictorBucketMin is the width of the predictor's time-of-day
-	// histogram buckets in minutes (default 15; must divide 24h).
-	PredictorBucketMin int `json:"predictor_bucket_min,omitempty"`
 	// Prewarm enables predictive checkpoint prefetch / engine pre-warm
 	// ahead of forecast ramps.
 	Prewarm bool `json:"prewarm,omitempty"`
@@ -74,16 +68,6 @@ type SchedCfg struct {
 
 // Enabled reports whether the scheduling subsystem is configured.
 func (s *SchedCfg) Enabled() bool { return len(s.Classes) > 0 }
-
-// PredictorWindow returns the recent-rate EWMA window as a Duration.
-func (s *SchedCfg) PredictorWindow() time.Duration {
-	return time.Duration(s.PredictorWindowSec * float64(time.Second))
-}
-
-// PredictorBucket returns the time-of-day histogram bucket width.
-func (s *SchedCfg) PredictorBucket() time.Duration {
-	return time.Duration(s.PredictorBucketMin) * time.Minute
-}
 
 // PrewarmHorizon returns the pre-warm lookahead as a Duration.
 func (s *SchedCfg) PrewarmHorizon() time.Duration {
@@ -154,46 +138,18 @@ func (s *SchedCfg) validate(fallbackTTLSec float64) error {
 	} else if !seen[s.DefaultClass] {
 		return fmt.Errorf("config: default_class %q not declared", s.DefaultClass)
 	}
-	if s.PredictorWindowSec < 0 {
-		return errors.New("config: predictor_window_sec must be non-negative")
-	}
-	if s.PredictorWindowSec == 0 {
-		s.PredictorWindowSec = 600
-	}
-	if s.PredictorBucketMin < 0 {
-		return errors.New("config: predictor_bucket_min must be non-negative")
-	}
-	if s.PredictorBucketMin == 0 {
-		s.PredictorBucketMin = 15
-	}
-	if (24*60)%s.PredictorBucketMin != 0 {
-		return fmt.Errorf("config: predictor_bucket_min %d must divide 24h", s.PredictorBucketMin)
-	}
-	if s.PrewarmHorizonSec < 0 || s.PrewarmIntervalSec < 0 || s.PrewarmThreshold < 0 {
-		return errors.New("config: prewarm parameters must be non-negative")
-	}
-	if s.PrewarmHorizonSec == 0 {
-		s.PrewarmHorizonSec = 300
-	}
-	if s.PrewarmIntervalSec == 0 {
-		s.PrewarmIntervalSec = 60
-	}
-	if s.PrewarmThreshold == 0 {
-		s.PrewarmThreshold = 0.5
-	}
 	switch s.TTLPolicy {
 	case "", "fixed", "predictive":
 	default:
 		return fmt.Errorf("config: unknown ttl_policy %q (want fixed or predictive)", s.TTLPolicy)
 	}
-	if s.TTLSec < 0 {
-		return errors.New("config: ttl_sec must be non-negative")
+	if fallbackTTLSec == 0 {
+		fallbackTTLSec = 300
 	}
-	if s.TTLSec == 0 {
-		s.TTLSec = fallbackTTLSec
-		if s.TTLSec == 0 {
-			s.TTLSec = 300
-		}
-	}
-	return nil
+	return errors.Join(
+		nonNegative(&s.PrewarmHorizonSec, 300, "prewarm_horizon_sec"),
+		nonNegative(&s.PrewarmIntervalSec, 60, "prewarm_interval_sec"),
+		nonNegative(&s.PrewarmThreshold, 0.5, "prewarm_threshold"),
+		nonNegative(&s.TTLSec, fallbackTTLSec, "ttl_sec"),
+	)
 }

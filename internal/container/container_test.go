@@ -21,7 +21,7 @@ import (
 var testEpoch = time.Date(2025, 11, 16, 0, 0, 0, 0, time.UTC)
 
 type rig struct {
-	clock   *simclock.Scaled
+	clock   simclock.Clock
 	tb      perfmodel.Testbed
 	device  *gpu.Device
 	store   *storage.ModelStore
@@ -32,7 +32,23 @@ type rig struct {
 
 func newRig(t *testing.T) *rig {
 	t.Helper()
-	clock := simclock.NewScaled(testEpoch, 5000)
+	return newRigOn(simclock.NewScaled(testEpoch, 5000))
+}
+
+// newVirtualRig is newRig on a Virtual clock, with the calling test
+// goroutine registered on its gate until the test's cleanups finish:
+// simulated durations are then exact, free of a scaled clock's
+// wall-clock slop under host load.
+func newVirtualRig(t *testing.T) *rig {
+	t.Helper()
+	clock := simclock.NewVirtual(testEpoch)
+	gate := clock.Gate()
+	gate.Enter()
+	t.Cleanup(gate.Exit)
+	return newRigOn(clock)
+}
+
+func newRigOn(clock simclock.Clock) *rig {
 	tb := perfmodel.H100()
 	dev := gpu.NewDevice(0, tb.GPU, tb.GPUMemBytes)
 	store := storage.NewModelStore(clock, tb)
@@ -314,7 +330,7 @@ func TestShutdownStopsEverything(t *testing.T) {
 }
 
 func TestStartTakesSimulatedTime(t *testing.T) {
-	r := newRig(t)
+	r := newVirtualRig(t)
 	c, _ := r.rt.Create(context.Background(), r.spec(t, "timing", "llama3.2:1b-fp16"))
 	t0 := r.clock.Now()
 	r.rt.Start(context.Background(), c)

@@ -248,20 +248,22 @@ func TestEvictionsOverlapAcrossDevices(t *testing.T) {
 	// blocks until the other eviction's first chunk is seen — possible
 	// only if neither holds a lock the other needs.
 	cfg := config.Default()
-	cfg.Global.SwapChunkMiB = 256
 	a := ollamaModel("deepseek-r1:14b-fp16")
 	a.KeepWarm = true
 	b := ollamaModel("deepseek-r1:7b-q4")
 	b.KeepWarm = true
 	b.GPUs = []int{1}
 	cfg.Models = []config.Model{a, b}
-	s := startServer(t, cfg, Options{Clock: simclock.NewScaled(testEpoch, 2000)})
+	clock := virtualTestClock(t)
+	s := startServer(t, cfg, Options{Clock: clock})
+	s.Driver().SetChunkBytes(256 << 20)
 
 	ba, _ := s.Backend(a.Name)
 	bb, _ := s.Backend(b.Name)
 	pidA := ba.Container().ID()
 	pidB := bb.Container().ID()
 
+	gate := clock.Gate()
 	firstA := make(chan struct{})
 	firstB := make(chan struct{})
 	var onceA, onceB sync.Once
@@ -269,33 +271,26 @@ func TestEvictionsOverlapAcrossDevices(t *testing.T) {
 		switch ev.PID {
 		case pidA:
 			onceA.Do(func() { close(firstA) })
-			select {
-			case <-firstB:
-			case <-time.After(30 * time.Second):
+			if gate.Wait(30*time.Second, firstB) < 0 {
 				t.Error("eviction on gpu1 never progressed during eviction on gpu0")
 			}
 		case pidB:
 			onceB.Do(func() { close(firstB) })
-			select {
-			case <-firstA:
-			case <-time.After(30 * time.Second):
+			if gate.Wait(30*time.Second, firstA) < 0 {
 				t.Error("eviction on gpu0 never progressed during eviction on gpu1")
 			}
 		}
 	})
 
-	var wg sync.WaitGroup
+	evictions := simclock.NewGroup(clock)
 	results := make([]bool, 2)
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
+	evictions.Go(func() {
 		_, results[0] = s.Controller().EvictOne(context.Background(), 0, "", nil)
-	}()
-	go func() {
-		defer wg.Done()
+	})
+	evictions.Go(func() {
 		_, results[1] = s.Controller().EvictOne(context.Background(), 1, "", nil)
-	}()
-	wg.Wait()
+	})
+	evictions.Wait()
 	if !results[0] || !results[1] {
 		t.Fatalf("evictions failed: gpu0=%v gpu1=%v", results[0], results[1])
 	}
@@ -306,13 +301,14 @@ func TestSameDeviceEvictionsSerialize(t *testing.T) {
 	// the per-device lock serializes them, so the two victims' chunk
 	// streams never interleave.
 	cfg := config.Default()
-	cfg.Global.SwapChunkMiB = 256
 	a := ollamaModel("deepseek-r1:14b-fp16")
 	a.KeepWarm = true
 	b := ollamaModel("deepseek-r1:7b-q4")
 	b.KeepWarm = true
 	cfg.Models = []config.Model{a, b}
-	s := startServer(t, cfg, Options{Clock: simclock.NewScaled(testEpoch, 2000)})
+	clock := virtualTestClock(t)
+	s := startServer(t, cfg, Options{Clock: clock})
+	s.Driver().SetChunkBytes(256 << 20)
 
 	ba, _ := s.Backend(a.Name)
 	bb, _ := s.Backend(b.Name)
@@ -328,18 +324,15 @@ func TestSameDeviceEvictionsSerialize(t *testing.T) {
 		}
 	})
 
-	var wg sync.WaitGroup
+	evictions := simclock.NewGroup(clock)
 	results := make([]bool, 2)
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
+	evictions.Go(func() {
 		_, results[0] = s.Controller().EvictOne(context.Background(), 0, b.Name, nil)
-	}()
-	go func() {
-		defer wg.Done()
+	})
+	evictions.Go(func() {
 		_, results[1] = s.Controller().EvictOne(context.Background(), 0, a.Name, nil)
-	}()
-	wg.Wait()
+	})
+	evictions.Wait()
 	if !results[0] || !results[1] {
 		t.Fatalf("evictions failed: %v %v", results[0], results[1])
 	}

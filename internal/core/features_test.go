@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -178,7 +179,6 @@ func TestSnapshotSpillToDisk(t *testing.T) {
 	// the disk read but still works end-to-end.
 	cfg := config.Default()
 	cfg.Global.SnapshotHostCapGiB = 40
-	cfg.Global.SnapshotSpill = true
 	cfg.Models = []config.Model{
 		ollamaModel("deepseek-r1:14b-fp16"), // ~31 GiB snapshot
 		ollamaModel("llama3.1:8b-fp16"),     // ~17.5 GiB snapshot
@@ -220,21 +220,22 @@ func TestSnapshotSpillToDisk(t *testing.T) {
 	}
 }
 
-func TestSnapshotCapWithoutSpillFails(t *testing.T) {
-	// Without spilling, the second snapshot must fail the init sequence.
+func TestSnapshotCapNothingToSpillFails(t *testing.T) {
+	// A cap below one snapshot: the first backend's init snapshot has
+	// no other image to spill, so the init sequence must fail.
 	cfg := config.Default()
-	cfg.Global.SnapshotHostCapGiB = 40
+	cfg.Global.SnapshotHostCapGiB = 20
 	cfg.Models = []config.Model{
-		ollamaModel("deepseek-r1:14b-fp16"),
+		ollamaModel("deepseek-r1:14b-fp16"), // ~31 GiB snapshot
 		ollamaModel("llama3.1:8b-fp16"),
 	}
-	s, err := New(cfg, Options{Clock: simclock.NewScaled(testEpoch, 5000)})
+	s, err := New(cfg, Options{Clock: virtualTestClock(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Shutdown()
-	if err := s.Start(context.Background()); err == nil {
-		t.Fatal("init succeeded despite host snapshot cap without spill")
+	if err := s.Start(context.Background()); !errors.Is(err, cudackpt.ErrHostMemory) {
+		t.Fatalf("init under a cap below one snapshot: %v, want ErrHostMemory", err)
 	}
 }
 

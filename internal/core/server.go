@@ -81,12 +81,11 @@ type Server struct {
 	demand   *sched.Predictor
 	chaosInj *chaos.Injector
 
-	mu        sync.Mutex
-	backends  map[string]*Backend // the model-name index of §3.2
-	sorted    []*Backend          // backends by name, replaced whole on each add
-	workers   []*worker
-	loops     []*simclock.Loop
-	initCache *engine.InitCache
+	mu       sync.Mutex
+	backends map[string]*Backend // the model-name index of §3.2
+	sorted   []*Backend          // backends by name, replaced whole on each add
+	workers  []*worker
+	loops    []*simclock.Loop
 
 	httpServer *simclock.Server
 	url        string   // "http://" + httpServer.Addr(), set with httpServer
@@ -130,17 +129,8 @@ func New(cfg config.Config, opts Options) (*Server, error) {
 
 	topo := gpu.NewTopology(tb.GPU, gpuCount, tb.GPUMemBytes)
 	freezer := cgroup.NewFreezer()
-	var hostCap int64
-	if cfg.Global.SnapshotHostCapGiB > 0 {
-		hostCap = int64(cfg.Global.SnapshotHostCapGiB * float64(int64(1)<<30))
-	}
+	hostCap := cfg.Global.SnapshotHostCapBytes()
 	driver := cudackpt.NewDriver(clock, tb, hostCap)
-	if cfg.Global.SnapshotSpill {
-		driver.EnableSpill()
-	}
-	if cfg.Global.SwapChunkMiB > 0 {
-		driver.SetChunkBytes(int64(cfg.Global.SwapChunkMiB) << 20)
-	}
 	var ckpts *ckptstore.Store
 	if cfg.Global.CkptStore {
 		ckpts = ckptstore.New(clock, tb,
@@ -209,12 +199,9 @@ func New(cfg config.Config, opts Options) (*Server, error) {
 		ctrl:     ctrl,
 		sched:    scheduler,
 		ttl:      ttl,
-		demand:   sched.NewPredictor(0, 0),
+		demand:   sched.NewPredictor(),
 		chaosInj: opts.Chaos,
 		backends: make(map[string]*Backend),
-	}
-	if cfg.Global.CompileCache {
-		s.initCache = engine.NewInitCache()
 	}
 	return s, nil
 }
@@ -299,10 +286,10 @@ func (s *Server) Start(ctx context.Context) error {
 
 	catalog := models.Default()
 
-	// Stage model weights into the configured tiers (the model-pull step).
+	// Stage model weights into the configured tier (the model-pull step).
 	for _, mc := range s.cfg.Models {
 		m := catalog.MustLookup(mc.Name)
-		if err := engine.StageWeights(s.store, perfmodel.StorageTier(mc.StorageTier), m); err != nil {
+		if err := engine.StageWeights(s.store, perfmodel.StorageTier(s.cfg.Global.StorageTier), m); err != nil {
 			return fmt.Errorf("core: staging weights for %s: %w", mc.Name, err)
 		}
 	}
@@ -357,9 +344,8 @@ func (s *Server) initBackend(ctx context.Context, mc *config.Model) error {
 				Clock:                s.clock,
 				Devices:              devices,
 				Store:                s.store,
-				Tier:                 perfmodel.StorageTier(mc.StorageTier),
+				Tier:                 perfmodel.StorageTier(s.cfg.Global.StorageTier),
 				GPUMemoryUtilization: mc.GPUMemoryUtilization,
-				InitCache:            s.initCache,
 			})
 		},
 	}
@@ -378,7 +364,7 @@ func (s *Server) initBackend(ctx context.Context, mc *config.Model) error {
 		engine:       kind,
 		gpus:         gpus,
 		ctr:          ctr,
-		queue:        make(chan *queuedRequest, mc.QueueCapacity),
+		queue:        make(chan *queuedRequest, s.cfg.Global.QueueCapacity),
 		requests:     s.reg.CounterHandle("requests_" + mc.Name),
 		useSleepMode: s.cfg.Global.UseSleepMode,
 		keepWarm:     mc.KeepWarm,

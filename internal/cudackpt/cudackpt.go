@@ -110,8 +110,7 @@ type Driver struct {
 	procs       map[string]*proc
 	hostUsed    int64
 	hostPledged int64 // in-flight checkpoint bytes pledged against the cap
-	hostCap     int64 // 0 = unlimited
-	spill       bool  // spill LRU images to disk instead of failing on the cap
+	hostCap     int64 // 0 = unlimited; a checkpoint past it spills LRU images to disk
 	diskUsed    int64
 	spills      int64
 	chunkBytes  int64
@@ -124,7 +123,9 @@ type Driver struct {
 
 // NewDriver creates a driver that times transfers against tb on clock.
 // hostCapBytes bounds the total host memory available for checkpoint
-// images (0 means unlimited).
+// images (0 means unlimited); a checkpoint that would exceed it spills
+// least-recently-used images to disk, and fails with ErrHostMemory only
+// when nothing is left to spill.
 func NewDriver(clock simclock.Clock, tb perfmodel.Testbed, hostCapBytes int64) *Driver {
 	return &Driver{
 		clock:      clock,
@@ -325,19 +326,11 @@ func (d *Driver) Checkpoint(ctx context.Context, pid string) (bytes int64, err e
 		bytes += shard[i]
 	}
 	span.SetAttr(obs.Int64("bytes", bytes))
-	var spillSleep time.Duration
-	if d.hostCap > 0 && d.hostUsed+d.hostPledged+bytes > d.hostCap {
-		if !d.spill {
-			d.mu.Unlock()
-			return 0, fmt.Errorf("%w: need %d, used %d of %d", ErrHostMemory, bytes, d.hostUsed, d.hostCap)
-		}
-		var ok bool
-		spillSleep, ok = d.spillUntilLocked(ctx, bytes, pid)
-		if !ok {
-			d.mu.Unlock()
-			return 0, fmt.Errorf("%w: need %d, used %d of %d and nothing left to spill",
-				ErrHostMemory, bytes, d.hostUsed, d.hostCap)
-		}
+	spillSleep, ok := d.spillUntilLocked(ctx, bytes, pid)
+	if !ok {
+		d.mu.Unlock()
+		return 0, fmt.Errorf("%w: need %d, used %d of %d and nothing left to spill",
+			ErrHostMemory, bytes, d.hostUsed, d.hostCap)
 	}
 	// The whole image is pledged against the host cap up front; each
 	// committed chunk converts its share of the pledge into real usage.

@@ -174,9 +174,11 @@ func TestRestoreOOM(t *testing.T) {
 }
 
 func TestHostMemoryCap(t *testing.T) {
+	// Spilling every other image still leaves p2's 45 GiB over the
+	// 40 GiB cap: with nothing left to spill, the checkpoint fails.
 	d, dev, _ := newDriver(t, 40*gib)
 	dev.Alloc("p1", 30*gib)
-	dev.Alloc("p2", 20*gib)
+	dev.Alloc("p2", 45*gib)
 	d.Register("p1", dev, perfmodel.EngineVLLM, gib)
 	d.Register("p2", dev, perfmodel.EngineVLLM, gib)
 	if _, err := d.Suspend(context.Background(), "p1"); err != nil {
@@ -191,7 +193,7 @@ func TestHostMemoryCap(t *testing.T) {
 		t.Fatalf("state after failed suspend = %v", s)
 	}
 	// And the device allocation must be intact.
-	if dev.OwnerUsage("p2") != 20*gib {
+	if dev.OwnerUsage("p2") != 45*gib {
 		t.Fatalf("device usage lost: %d", dev.OwnerUsage("p2"))
 	}
 }

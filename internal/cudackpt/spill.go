@@ -33,17 +33,6 @@ func (l ImageLocation) String() string {
 	return "ram"
 }
 
-// EnableSpill turns on disk spilling: when a checkpoint would exceed the
-// host-memory cap, the least recently used resident image is written to
-// disk instead of failing. This addresses the deployment limit the paper
-// leaves open — a host with 221 GB of RAM cannot hold many 72 GB vLLM
-// snapshots simultaneously.
-func (d *Driver) EnableSpill() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.spill = true
-}
-
 // ImageLocation reports where pid's checkpoint image resides.
 func (d *Driver) ImageLocation(pid string) (ImageLocation, error) {
 	d.mu.Lock()
@@ -195,7 +184,9 @@ func (d *Driver) Snapshots() []SnapshotInfo {
 }
 
 // spillUntilLocked evicts LRU RAM-resident images to disk until need
-// bytes fit under the host cap, excluding exceptPid. Returns the total
+// bytes fit under the host cap, excluding exceptPid. Spilling addresses
+// the deployment limit the paper leaves open: a host with 221 GB of RAM
+// cannot hold many 72 GB vLLM snapshots at once. Returns the total
 // simulated write time the caller must sleep (outside the lock), and
 // whether enough space was freed. Caller holds d.mu.
 //

@@ -15,9 +15,7 @@ func newSpillDriver(t *testing.T, hostCap int64) (*Driver, *gpu.Device, *simcloc
 	t.Helper()
 	clock := simclock.NewScaled(time.Date(2025, 11, 16, 0, 0, 0, 0, time.UTC), 5000)
 	dev := gpu.NewDevice(0, perfmodel.GPUH100, 80*gib)
-	d := NewDriver(clock, perfmodel.H100(), hostCap)
-	d.EnableSpill()
-	return d, dev, clock
+	return NewDriver(clock, perfmodel.H100(), hostCap), dev, clock
 }
 
 func TestSpillEvictsLRUImage(t *testing.T) {
@@ -56,7 +54,6 @@ func TestSpillRestoreFromDiskSlower(t *testing.T) {
 	// Virtual time: the two restore durations are exact deadline sums,
 	// so host load cannot reorder them.
 	d, dev, clock := newVirtualDriver(t, 40*gib)
-	d.EnableSpill()
 	dev.Alloc("a", 30*gib)
 	dev.Alloc("b", 30*gib)
 	d.Register("a", dev, perfmodel.EngineOllama, gib)
@@ -84,8 +81,8 @@ func TestSpillRestoreFromDiskSlower(t *testing.T) {
 }
 
 func TestSpillExhausted(t *testing.T) {
-	// A single image larger than the cap cannot be satisfied even with
-	// spilling (nothing else to evict).
+	// A single image larger than the cap, with no other image to spill,
+	// fails the checkpoint.
 	d, dev, _ := newSpillDriver(t, 20*gib)
 	dev.Alloc("big", 30*gib)
 	d.Register("big", dev, perfmodel.EngineOllama, gib)

@@ -11,13 +11,12 @@ import (
 	"swapservellm/internal/simclock"
 )
 
-// newStoreDriver builds a spill-enabled driver with the content-addressed
+// newStoreDriver builds a driver with the content-addressed
 // checkpoint store attached, on newVirtualDriver's Virtual clock.
 func newStoreDriver(t testing.TB, hostCap int64) (*Driver, *ckptstore.Store, *gpu.Device, *metrics.Registry, *simclock.Virtual) {
 	t.Helper()
 	d, dev, clock := newVirtualDriver(t, hostCap)
 	reg := metrics.NewRegistry()
-	d.EnableSpill()
 	st := ckptstore.New(clock, perfmodel.H100(), ckptstore.WithRegistry(reg))
 	d.AttachStore(st)
 	return d, st, dev, reg, clock

@@ -77,7 +77,6 @@ type ckptRig struct {
 func newCkptRig(r *rig, node string, devIdx int, hostCap int64) *ckptRig {
 	reg := metrics.NewRegistry()
 	d := cudackpt.NewDriver(r.clock, r.tb, hostCap)
-	d.EnableSpill()
 	st := ckptstore.New(r.clock, r.tb,
 		ckptstore.WithRegistry(reg), ckptstore.WithNodeID(node))
 	d.AttachStore(st)

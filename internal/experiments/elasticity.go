@@ -175,7 +175,6 @@ type TieringRow struct {
 func AblationSnapshotTiering() ([]TieringRow, error) {
 	cfg := config.Default()
 	cfg.Global.SnapshotHostCapGiB = 40
-	cfg.Global.SnapshotSpill = true
 	modelsUsed := []string{"deepseek-r1:14b-fp16", "deepseek-r1:14b-q8", "deepseek-r1:14b-q4"}
 	for _, m := range modelsUsed {
 		cfg.Models = append(cfg.Models, config.Model{Name: m, Engine: "ollama"})

@@ -285,7 +285,7 @@ func runSLOArm(arm string, predictive bool, training [][]time.Time, measured []s
 	var simNow time.Time
 
 	if predictive {
-		pred = sched.NewPredictor(10*time.Minute, 15*time.Minute)
+		pred = sched.NewPredictor()
 		for i := range sloModels {
 			for _, at := range training[i] {
 				pred.Observe(sloModels[i].name, at)

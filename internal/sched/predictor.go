@@ -16,13 +16,15 @@ import (
 // All methods take explicit timestamps so decisions are a pure function
 // of the observed trace — no wall clock, per swaplint's clockcheck.
 type Predictor struct {
-	window  time.Duration // EWMA window for the recent-rate signal
-	bucket  time.Duration // time-of-day histogram bucket width
-	buckets int           // buckets per day
-
 	mu     sync.Mutex
 	models map[string]*modelDemand
 }
+
+const (
+	demandWindow  = 10 * time.Minute                   // EWMA window for the recent-rate signal
+	demandBucket  = 15 * time.Minute                   // time-of-day histogram bucket width
+	bucketsPerDay = int(24 * time.Hour / demandBucket) // buckets per day
+)
 
 // modelDemand is the learned state for one model.
 type modelDemand struct {
@@ -40,21 +42,10 @@ type modelDemand struct {
 // folding: high enough that two similar days converge quickly.
 const histBlend = 0.5
 
-// NewPredictor returns a predictor with the given recent-rate window
-// and time-of-day bucket width (bucket must divide 24h).
-func NewPredictor(window, bucket time.Duration) *Predictor {
-	if window <= 0 {
-		window = 10 * time.Minute
-	}
-	if bucket <= 0 || (24*time.Hour)%bucket != 0 {
-		bucket = 15 * time.Minute
-	}
-	return &Predictor{
-		window:  window,
-		bucket:  bucket,
-		buckets: int((24 * time.Hour) / bucket),
-		models:  make(map[string]*modelDemand),
-	}
+// NewPredictor returns a predictor with a 10-minute recent-rate window
+// and 15-minute time-of-day buckets.
+func NewPredictor() *Predictor {
+	return &Predictor{models: make(map[string]*modelDemand)}
 }
 
 // Observe records one request arrival for model at t. Call it for every
@@ -75,7 +66,7 @@ func (p *Predictor) Observe(model string, t time.Time) {
 				// window replaces the estimate; shorter gaps blend in
 				// with a floor of 1/4 so a dense burst converges within
 				// a few arrivals rather than a few windows.
-				alpha := gap / p.window.Seconds()
+				alpha := gap / demandWindow.Seconds()
 				if alpha > 1 {
 					alpha = 1
 				} else if alpha < 0.25 {
@@ -87,7 +78,7 @@ func (p *Predictor) Observe(model string, t time.Time) {
 	}
 	md.last = t
 
-	b := p.bucketIndex(t)
+	b := bucketIndex(t)
 	p.foldLocked(md, b, dayIndex(t))
 	md.count[b]++
 }
@@ -103,17 +94,17 @@ func (p *Predictor) Rate(model string, at time.Time) float64 {
 	if !ok {
 		return 0
 	}
-	b := p.bucketIndex(at)
+	b := bucketIndex(at)
 	p.foldLocked(md, b, dayIndex(at))
 
-	hist := md.rate[b] / p.bucket.Seconds()
+	hist := md.rate[b] / demandBucket.Seconds()
 	var recent float64
 	if md.ewmaGap > 0 && !md.last.IsZero() {
 		recent = 1 / md.ewmaGap
 		// Decay the recent signal with distance from the last arrival:
 		// it says nothing about the far side of the horizon.
 		if dt := at.Sub(md.last); dt > 0 {
-			recent *= math.Exp(-dt.Seconds() / p.window.Seconds())
+			recent *= math.Exp(-dt.Seconds() / demandWindow.Seconds())
 		}
 	}
 	if recent > hist {
@@ -144,7 +135,7 @@ func (p *Predictor) ExpectedArrivals(model string, from, to time.Time) float64 {
 	}
 	var total float64
 	for t := from; t.Before(to); {
-		next := t.Truncate(p.bucket).Add(p.bucket)
+		next := t.Truncate(demandBucket).Add(demandBucket)
 		if next.After(to) {
 			next = to
 		}
@@ -176,9 +167,9 @@ func (p *Predictor) demandLocked(model string) *modelDemand {
 	md, ok := p.models[model]
 	if !ok {
 		md = &modelDemand{
-			rate:  make([]float64, p.buckets),
-			count: make([]float64, p.buckets),
-			day:   make([]int, p.buckets),
+			rate:  make([]float64, bucketsPerDay),
+			count: make([]float64, bucketsPerDay),
+			day:   make([]int, bucketsPerDay),
 		}
 		for i := range md.day {
 			md.day[i] = -1
@@ -211,11 +202,11 @@ func (p *Predictor) foldLocked(md *modelDemand, b, today int) {
 }
 
 // bucketIndex maps a timestamp to its time-of-day bucket.
-func (p *Predictor) bucketIndex(t time.Time) int {
+func bucketIndex(t time.Time) int {
 	dayOff := time.Duration(t.Hour())*time.Hour +
 		time.Duration(t.Minute())*time.Minute +
 		time.Duration(t.Second())*time.Second
-	return int(dayOff / p.bucket)
+	return int(dayOff / demandBucket)
 }
 
 // dayIndex returns an absolute day counter for t.

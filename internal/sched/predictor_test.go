@@ -25,7 +25,7 @@ func TestPredictorGoldenTrace(t *testing.T) {
 	gen := workload.NewGenerator(42)
 	reqs := gen.Arrivals(workload.ClassCoding, model, monday, monday.AddDate(0, 0, 4), peak, 1)
 
-	p := NewPredictor(10*time.Minute, 15*time.Minute)
+	p := NewPredictor()
 	evalStart := monday.AddDate(0, 0, 3) // Thursday
 	actual := make([]float64, 24)
 	for _, r := range reqs {
@@ -83,7 +83,7 @@ func TestPredictorGoldenTrace(t *testing.T) {
 // TestPredictorRecentRateLifts checks the EWMA side: when live traffic
 // runs hotter than history, the short-horizon forecast follows it.
 func TestPredictorRecentRateLifts(t *testing.T) {
-	p := NewPredictor(10*time.Minute, 15*time.Minute)
+	p := NewPredictor()
 	now := monday.Add(12 * time.Hour)
 	// History: one sparse arrival per bucket yesterday.
 	for i := 0; i < 96; i++ {
@@ -120,7 +120,7 @@ func argmax(xs []float64) int {
 // α = ¼ recurrence the node's prefetcher was built around.
 func TestPredictorNextArrival(t *testing.T) {
 	const model = "m"
-	p := NewPredictor(10*time.Minute, 15*time.Minute)
+	p := NewPredictor()
 	if _, _, ok := p.NextArrival(model); ok {
 		t.Fatal("forecast before any arrival")
 	}

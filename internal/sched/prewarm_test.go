@@ -17,7 +17,7 @@ func trainSteady(p *Predictor, model string, now time.Time, gap time.Duration) {
 }
 
 func TestPrewarmerIssuesAndScoresHit(t *testing.T) {
-	pred := NewPredictor(10*time.Minute, 15*time.Minute)
+	pred := NewPredictor()
 	now := monday.Add(10 * time.Hour)
 	trainSteady(pred, "busy", now, 30*time.Second)
 
@@ -53,7 +53,7 @@ func TestPrewarmerIssuesAndScoresHit(t *testing.T) {
 }
 
 func TestPrewarmerScoresMissOnExpiry(t *testing.T) {
-	pred := NewPredictor(10*time.Minute, 15*time.Minute)
+	pred := NewPredictor()
 	now := monday.Add(10 * time.Hour)
 	trainSteady(pred, "busy", now, 30*time.Second)
 
@@ -81,7 +81,7 @@ func TestPrewarmerScoresMissOnExpiry(t *testing.T) {
 // TestPrewarmerChaosSuppression: a fired sched.prefetch site swallows
 // the pre-warm the predictor asked for.
 func TestPrewarmerChaosSuppression(t *testing.T) {
-	pred := NewPredictor(10*time.Minute, 15*time.Minute)
+	pred := NewPredictor()
 	now := monday.Add(10 * time.Hour)
 	trainSteady(pred, "busy", now, 30*time.Second)
 

@@ -20,7 +20,7 @@ func TestFixedTTL(t *testing.T) {
 // policy keeps the model whose next arrival is due before a cold
 // swap-in would pay off, and reclaims the one with no forecast demand.
 func TestPredictiveTTLOrder(t *testing.T) {
-	pred := NewPredictor(10*time.Minute, 15*time.Minute)
+	pred := NewPredictor()
 	now := monday.Add(12 * time.Hour)
 	// "busy": an arrival every 10s over the last five minutes.
 	for i := 30; i > 0; i-- {
