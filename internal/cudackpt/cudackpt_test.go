@@ -196,6 +196,16 @@ func TestHostMemoryCap(t *testing.T) {
 	if dev.OwnerUsage("p2") != 45*gib {
 		t.Fatalf("device usage lost: %d", dev.OwnerUsage("p2"))
 	}
+	// A checkpoint that cannot fit moves no other image to disk.
+	if loc, _ := d.ImageLocation("p1"); loc != LocRAM {
+		t.Fatalf("p1 is at %v after the failed suspend, want ram", loc)
+	}
+	if n := d.SpillCount(); n != 0 {
+		t.Fatalf("the failed suspend spilled %d images, want 0", n)
+	}
+	if used := d.HostUsed(); used != 30*gib {
+		t.Fatalf("host used = %d after the failed suspend, want %d", used, 30*gib)
+	}
 }
 
 func TestUnregisterReleasesImage(t *testing.T) {

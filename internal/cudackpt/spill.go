@@ -188,7 +188,9 @@ func (d *Driver) Snapshots() []SnapshotInfo {
 // the deployment limit the paper leaves open: a host with 221 GB of RAM
 // cannot hold many 72 GB vLLM snapshots at once. Returns the total
 // simulated write time the caller must sleep (outside the lock), and
-// whether enough space was freed. Caller holds d.mu.
+// whether enough space was freed. When even every spillable image
+// together cannot make room, it moves none and returns false. Caller
+// holds d.mu.
 //
 // With a store attached the spill is chunk-aware: demoting the victim's
 // manifest writes only the chunks no other RAM-resident image (and no
@@ -198,12 +200,23 @@ func (d *Driver) Snapshots() []SnapshotInfo {
 // logical ledger still moves the whole image, preserving the host-cap
 // and invariant-checker arithmetic.
 func (d *Driver) spillUntilLocked(ctx context.Context, need int64, exceptPid string) (time.Duration, bool) {
-	var sleep time.Duration
-	for d.hostCap > 0 && d.hostUsed+d.hostPledged+need > d.hostCap {
-		victim := d.lruResidentLocked(exceptPid)
-		if victim == nil {
-			return sleep, false
+	over := d.hostUsed + d.hostPledged + need - d.hostCap
+	if d.hostCap <= 0 || over <= 0 {
+		return 0, true
+	}
+	var spillable int64
+	for pid, p := range d.procs {
+		if spillableLocked(pid, p, exceptPid) {
+			spillable += p.hostImage
 		}
+	}
+	if spillable < over {
+		return 0, false
+	}
+	var sleep time.Duration
+	for d.hostUsed+d.hostPledged+need > d.hostCap {
+		// Never nil: the images summed above cover the excess.
+		victim := d.lruResidentLocked(exceptPid)
 		demoted := false
 		if d.store != nil {
 			if _, wsleep, err := d.store.Demote(ctx, victim.pid); err == nil {
@@ -225,13 +238,20 @@ func (d *Driver) spillUntilLocked(ctx context.Context, need int64, exceptPid str
 	return sleep, true
 }
 
+// spillableLocked reports whether p, the process pid, is a checkpointed
+// RAM-resident image other than exceptPid's that a spill may move to
+// disk. Caller holds d.mu.
+func spillableLocked(pid string, p *proc, exceptPid string) bool {
+	return pid != exceptPid && p.state == StateCheckpointed && p.loc == LocRAM &&
+		p.hostImage != 0 && !p.transferring
+}
+
 // lruResidentLocked returns the checkpointed, RAM-resident process with
 // the oldest lastUsed stamp (nil if none). Caller holds d.mu.
 func (d *Driver) lruResidentLocked(exceptPid string) *proc {
 	var victim *proc
 	for pid, p := range d.procs {
-		if pid == exceptPid || p.state != StateCheckpointed || p.loc != LocRAM ||
-			p.hostImage == 0 || p.transferring {
+		if !spillableLocked(pid, p, exceptPid) {
 			continue
 		}
 		if victim == nil || p.lastUsed.Before(victim.lastUsed) {

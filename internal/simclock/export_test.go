@@ -56,8 +56,16 @@ func (v *Virtual) napCount() int {
 	return v.naps
 }
 
-// owedCount reports how many BlockIO requests the clock still owes an
-// arrival.
+// paidNapCount reports how many settle naps a payment ended before
+// their timer.
+func (v *Virtual) paidNapCount() int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.paidNaps
+}
+
+// owedCount reports how many BlockIO requests and replies the clock
+// still owes.
 func (v *Virtual) owedCount() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()

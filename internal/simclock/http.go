@@ -35,7 +35,8 @@ var statusOK = strconv.Itoa(http.StatusOK) + " " + http.StatusText(http.StatusOK
 // moves while a request or response is in flight. A request arriving
 // over the socket runs its handler registered too (Enter on arrival,
 // Exit on return). Its arrival pays the request a client's BlockIO
-// owes, and its flushes and return re-arm ioGrace.
+// owes, its return owes the reply, which that BlockIO's exit pays, and
+// its flushes re-arm ioGrace.
 type Server struct {
 	http *http.Server
 	ln   net.Listener
@@ -64,7 +65,7 @@ func Listen(clock Clock, addr string, h http.Handler) (*Server, error) {
 		s.http.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			v.gate.Enter()
 			defer v.gate.Exit()
-			defer v.armGrace()
+			defer v.depart()
 			v.arrive()
 			h.ServeHTTP(edgeWriter{w, v}, r)
 		})

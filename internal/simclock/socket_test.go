@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -28,11 +29,13 @@ func socketClient(t *testing.T, hold time.Duration) *http.Client {
 }
 
 // socketGet fetches url over the socket inside g.BlockIO and returns the
-// body.
-func socketGet(g *Gate, cli *http.Client, url string) (string, error) {
+// body. After reading it the client stays in BlockIO for hold of wall
+// time: a reply held back on its way to the client.
+func socketGet(g *Gate, cli *http.Client, url string, hold time.Duration) (string, error) {
 	var body []byte
 	var err error
 	g.BlockIO(func() {
+		defer spin(hold)
 		var resp *http.Response
 		if resp, err = cli.Get(url); err != nil {
 			return
@@ -43,17 +46,29 @@ func socketGet(g *Gate, cli *http.Client, url string) (string, error) {
 	return string(body), err
 }
 
-// sendTimer measures on the wall clock how long a request takes from
-// its send to its handler. The clock holds time for an owed request
-// only within ioGrace of the BlockIO entry, so a run in which one took
-// longer, a host stall, shows nothing about the count. Requests are
-// sent one at a time.
+// spin keeps the caller busy for d of wall time. A sleep's end would
+// come with a timer tick, often the one that ends a settle's nap, so
+// the nap could not end on the payment that follows.
+func spin(d time.Duration) {
+	for start := time.Now(); time.Since(start) < d; {
+		runtime.Gosched()
+	}
+}
+
+// sendTimer measures on the wall clock how long a message takes from
+// its send to its receiver: a request from before the BlockIO to its
+// handler, a reply from the handler's end to the BlockIO's return. The
+// clock holds time for an owed message only within ioGrace of its
+// send, so a run in which one took longer, a host stall, shows nothing
+// about the count. Messages are sent one at a time.
 type sendTimer struct{ sent, late atomic.Int64 }
 
-// send stamps a request leaving; call it before the BlockIO.
+// send stamps a message leaving: call it before the BlockIO, or last
+// thing in the handler.
 func (s *sendTimer) send() { s.sent.Store(time.Now().UnixNano()) }
 
-// arrive checks the request in; call it first thing in the handler.
+// arrive checks the message in: call it first thing in the handler, or
+// right after the BlockIO.
 func (s *sendTimer) arrive() {
 	if time.Now().UnixNano()-s.sent.Load() >= int64(ioGrace) {
 		s.late.Add(1)
@@ -77,7 +92,7 @@ func TestSocketArrivalPaysTheSend(t *testing.T) {
 		chainNaps.Store(int64(v.napCount() - before))
 		io.WriteString(w, "ok")
 	})
-	body, err := socketGet(g, socketClient(t, 0), "http://"+srv.Addr())
+	body, err := socketGet(g, socketClient(t, 0), "http://"+srv.Addr(), 0)
 	if err != nil || body != "ok" {
 		t.Fatalf("body %q, err %v", body, err)
 	}
@@ -93,43 +108,79 @@ func TestSocketArrivalPaysTheSend(t *testing.T) {
 }
 
 // heldServer serves "ok" on v, noting each request's virtual arrival
-// time in arrived and its wall latency in st.
+// time in arrived and timing both messages with st.
 func heldServer(t *testing.T, v *Virtual, arrived *atomic.Int64, st *sendTimer) *Server {
 	return listen(t, v, func(w http.ResponseWriter, r *http.Request) {
 		st.arrive()
 		arrived.Store(int64(v.Since(vEpoch)))
 		io.WriteString(w, "ok")
+		st.send()
 	})
 }
 
-// heldRequestHoldsTime sends a request held back by a 2 ms wall-clock
-// dial delay while a timer is due 1 ms of virtual time later, and fails
-// unless the request reached its handler before the timer fired. An
-// attempt whose request took ioGrace to arrive is retried.
-func heldRequestHoldsTime(t *testing.T, v *Virtual, srv *Server, arrived *atomic.Int64, st *sendTimer) {
-	t.Helper()
+// heldTrip is one round trip to a heldServer whose handler returns at
+// the instant its request arrives, while another goroutine's timer is
+// due 1 ms of virtual time later. The request is held back by a 2 ms
+// wall-clock dial delay, and the client stays in BlockIO replyHold of
+// wall time after reading the reply.
+type heldTrip struct {
+	t         *testing.T
+	v         *Virtual
+	srv       *Server
+	arrived   *atomic.Int64
+	st        *sendTimer
+	replyHold time.Duration
+}
+
+// holdsTime runs the trip until an attempt sends both messages within
+// ioGrace and its settle naps end on a payment at least wantPaid times,
+// for at most five attempts. It fails unless each such attempt's
+// request reached its handler, and its client left BlockIO, before the
+// timer fired: time held still while either message was owed.
+func (h heldTrip) holdsTime(wantPaid int) {
+	h.t.Helper()
+	v := h.v
 	g := v.Gate()
-	cli := socketClient(t, 2*time.Millisecond)
+	cli := socketClient(h.t, 2*time.Millisecond)
 	for try := 0; try < 5; try++ {
 		wg := NewGroup(v)
 		wg.Go(func() { v.Sleep(time.Millisecond) })
-		start, late := v.Since(vEpoch), st.late.Load()
-		st.send()
-		if _, err := socketGet(g, cli, "http://"+srv.Addr()); err != nil {
-			t.Fatal(err)
+		start, late, paid := v.Since(vEpoch), h.st.late.Load(), v.paidNapCount()
+		h.st.send()
+		if _, err := socketGet(g, cli, "http://"+h.srv.Addr(), h.replyHold); err != nil {
+			h.t.Fatal(err)
 		}
-		wg.Wait()
+		h.st.arrive()
+		left := v.Since(vEpoch)
+		wg.Wait() // a nap's payment is counted once it retakes the lock
+		paid = v.paidNapCount() - paid
 		cli.CloseIdleConnections() // the next try dials, and waits, again
-		if st.late.Load() > late {
-			t.Logf("try %d: the request took ioGrace to arrive; not counted", try)
+		if h.st.late.Load() > late {
+			h.t.Logf("try %d: a message took ioGrace to arrive; not counted", try)
 			continue
 		}
-		if at := time.Duration(arrived.Load()); at != start {
-			t.Fatalf("the held request arrived at +%v, want +%v: time moved while it was owed", at, start)
+		if at := time.Duration(h.arrived.Load()); at != start {
+			h.t.Fatalf("the held request arrived at +%v, want +%v: time moved while it was owed", at, start)
+		}
+		if left != start {
+			h.t.Fatalf("the client left BlockIO at +%v, want the handler's return at +%v: time moved while the reply was owed", left, start)
+		}
+		if paid < wantPaid {
+			// A payment between a nap's tick and its settle retaking
+			// the lock ends the settle without ending a nap.
+			h.t.Logf("try %d: %d settle naps ended on a payment, want %d; a timer tick came first", try, paid, wantPaid)
+			continue
 		}
 		return
 	}
-	t.Fatal("no request arrived within ioGrace in 5 tries")
+	h.t.Fatal("no round trip held time as asked in 5 tries")
+}
+
+// newHeldTrip starts a heldServer on v and returns its trip.
+func newHeldTrip(t *testing.T, v *Virtual, replyHold time.Duration) heldTrip {
+	h := heldTrip{t: t, v: v, arrived: new(atomic.Int64), st: new(sendTimer), replyHold: replyHold}
+	h.srv = heldServer(t, v, h.arrived, h.st)
+	return h
 }
 
 // TestSocketHeldRequestHoldsTime: a request held back on its way to a
@@ -140,13 +191,34 @@ func TestSocketHeldRequestHoldsTime(t *testing.T) {
 	g := v.Gate()
 	g.Enter()
 	defer g.Exit()
-	var arrived atomic.Int64
-	var st sendTimer
-	heldRequestHoldsTime(t, v, heldServer(t, v, &arrived, &st), &arrived, &st)
+	newHeldTrip(t, v, 0).holdsTime(0)
+}
+
+// TestSocketReplyHoldsTime: a reply held back on its way to a client in
+// BlockIO keeps time from jumping past its handler's return until the
+// client has read it, within ioGrace.
+func TestSocketReplyHoldsTime(t *testing.T) {
+	v := NewVirtual(vEpoch)
+	g := v.Gate()
+	g.Enter()
+	defer g.Exit()
+	newHeldTrip(t, v, 2*time.Millisecond).holdsTime(0)
+}
+
+// TestSocketPaymentEndsNap: the settle's wait on each of a held round
+// trip's two counted messages ends when the message is paid, by the
+// clock's signal, not on its nap timer.
+func TestSocketPaymentEndsNap(t *testing.T) {
+	v := NewVirtual(vEpoch)
+	g := v.Gate()
+	g.Enter()
+	defer g.Exit()
+	newHeldTrip(t, v, 2*time.Millisecond).holdsTime(2)
 }
 
 // TestSocketRefusedDialOwesNothing: a BlockIO whose dial is refused sent
-// nothing that can arrive, and leaves nothing owed.
+// nothing that can arrive, and leaves nothing owed; nor does a held
+// round trip after it, request or reply.
 func TestSocketRefusedDialOwesNothing(t *testing.T) {
 	v := NewVirtual(vEpoch)
 	g := v.Gate()
@@ -158,43 +230,49 @@ func TestSocketRefusedDialOwesNothing(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	ln.Close()
-	if _, err := socketGet(g, socketClient(t, 0), "http://"+addr); err == nil {
+	if _, err := socketGet(g, socketClient(t, 0), "http://"+addr, 0); err == nil {
 		t.Fatal("a dial to a closed port succeeded")
 	}
 	if n := v.owedCount(); n != 0 {
-		t.Fatalf("a refused BlockIO left %d requests owed, want 0", n)
+		t.Fatalf("a refused BlockIO left %d messages owed, want 0", n)
+	}
+	newHeldTrip(t, v, 2*time.Millisecond).holdsTime(0)
+	if n := v.owedCount(); n != 0 {
+		t.Fatalf("a held round trip left %d messages owed, want 0", n)
 	}
 }
 
 // TestSocketOutsideClientOwesNothing: socket requests from a client
-// outside BlockIO pay nothing, so the count does not go below zero and
-// a later BlockIO's request still holds time until it arrives.
+// outside BlockIO, and their replies, pay and owe nothing, so the count
+// does not go below zero or above it, and a later BlockIO's request and
+// reply still hold time until each arrives.
 func TestSocketOutsideClientOwesNothing(t *testing.T) {
 	v := NewVirtual(vEpoch)
-	var arrived atomic.Int64
-	var st sendTimer
-	srv := heldServer(t, v, &arrived, &st)
+	h := newHeldTrip(t, v, 2*time.Millisecond)
 	cli := socketClient(t, 0)
 	for i := 0; i < 3; i++ {
-		resp, err := cli.Get("http://" + srv.Addr())
+		resp, err := cli.Get("http://" + h.srv.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if n := v.owedCount(); n != 0 {
-			t.Fatalf("request %d left %d owed, want 0", i, n)
+			t.Fatalf("request %d and its reply left %d owed, want 0", i, n)
 		}
 	}
 	g := v.Gate()
 	g.Enter()
 	defer g.Exit()
-	heldRequestHoldsTime(t, v, srv, &arrived, &st)
+	h.holdsTime(0)
+	if n := v.owedCount(); n != 0 {
+		t.Fatalf("a held round trip left %d messages owed, want 0", n)
+	}
 }
 
-// TestSocketStreamFlushesNap: the response direction is not counted, so
-// the jumps between a streamed response's flushes still nap while the
-// client reads.
+// TestSocketStreamFlushesNap: a flush is the one socket message the
+// clock does not count, so the jumps between a streamed response's
+// flushes still nap while the client reads.
 func TestSocketStreamFlushesNap(t *testing.T) {
 	v := NewVirtual(vEpoch)
 	g := v.Gate()
@@ -211,7 +289,7 @@ func TestSocketStreamFlushesNap(t *testing.T) {
 		}
 		streamNaps.Store(int64(v.napCount() - before))
 	})
-	body, err := socketGet(g, socketClient(t, 0), "http://"+srv.Addr())
+	body, err := socketGet(g, socketClient(t, 0), "http://"+srv.Addr(), 0)
 	if err != nil || strings.Count(body, "frame") != frames {
 		t.Fatalf("body %q, err %v", body, err)
 	}
@@ -224,8 +302,8 @@ func TestSocketStreamFlushesNap(t *testing.T) {
 // its log of virtual timestamps: three round trips from a BlockIO
 // client, each to a handler whose three clock waits a timer of another
 // goroutine interleaves, due before the request could have arrived had
-// time moved while it was owed. late reports a request that took
-// ioGrace to arrive.
+// time moved while it was owed, and a second timer due just after the
+// handler's reply. late reports a message that took ioGrace to arrive.
 func socketReplay(t *testing.T) (log string, late bool) {
 	v := NewVirtual(vEpoch)
 	g := v.Gate()
@@ -248,18 +326,28 @@ func socketReplay(t *testing.T) (log string, late bool) {
 		}
 		rec("reply" + r.URL.Path)
 		io.WriteString(w, "ok")
+		st.send()
 	})
+	// Each run releases its sockets: left open until the test ended,
+	// they made the twentieth run's first accept take over ioGrace.
+	defer srv.Close()
 	cli := socketClient(t, 0)
+	defer cli.CloseIdleConnections()
 	for i := 0; i < 3; i++ {
 		wg := NewGroup(v)
 		wg.Go(func() {
 			v.Sleep(500 * time.Microsecond)
 			rec("tick")
 		})
+		wg.Go(func() {
+			v.Sleep(950 * time.Microsecond)
+			rec("tock")
+		})
 		st.send()
-		if _, err := socketGet(g, cli, fmt.Sprintf("http://%s/%d", srv.Addr(), i)); err != nil {
+		if _, err := socketGet(g, cli, fmt.Sprintf("http://%s/%d", srv.Addr(), i), 0); err != nil {
 			t.Fatal(err)
 		}
+		st.arrive()
 		rec("client")
 		wg.Wait()
 	}
@@ -267,19 +355,19 @@ func socketReplay(t *testing.T) (log string, late bool) {
 }
 
 // TestSocketReplayDeterministic: twenty runs of a socket scenario print
-// identical virtual timestamps. A run in which a request took ioGrace
+// identical virtual timestamps. A run in which a message took ioGrace
 // to arrive is not counted; at most twenty are tolerated.
 func TestSocketReplayDeterministic(t *testing.T) {
 	const runs = 20
 	var want string
 	for done, tries := 0, 0; done < runs; tries++ {
 		if tries == 2*runs {
-			t.Fatalf("only %d of %d runs sent every request within ioGrace", done, tries)
+			t.Fatalf("only %d of %d runs sent every message within ioGrace", done, tries)
 		}
 		got, late := socketReplay(t)
 		switch {
 		case late:
-			t.Logf("try %d: a request took ioGrace to arrive; not counted", tries)
+			t.Logf("try %d: a message took ioGrace to arrive; not counted", tries)
 			continue
 		case done == 0:
 			want = got

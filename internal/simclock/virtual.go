@@ -10,17 +10,19 @@ import (
 )
 
 // ioGrace bounds how long the clock waits on a real socket by the wall
-// clock. A request sent from a BlockIO is counted (see Virtual.owed),
-// and time does not jump while it is owed, for at most ioGrace after
-// the entry: a server off this clock never pays. The bytes a socket
-// handler flushes or returns are not counted: for ioGrace after them a
-// jump's settle pass first sleeps, so netpoll can hand them over.
-// In-process HTTP never needs either (see Listen).
+// clock. A BlockIO's request and its reply are counted (see
+// Virtual.owed), and time does not jump while one is owed, for at most
+// ioGrace after it was sent: a server off this clock never pays, nor
+// does a client that left before its reply came. The bytes a socket
+// handler flushes are not counted: for ioGrace after them a jump's
+// settle pass first sleeps, so netpoll can hand them over. In-process
+// HTTP never needs either (see Listen).
 const ioGrace = 10 * time.Millisecond
 
 // settleNap is the wall sleep a settle round on the socket edge asks
 // for (see settleLocked). It takes about 1.06 ms: Go's netpoll timer
-// rounds a sub-millisecond sleep up to a millisecond.
+// rounds a sub-millisecond sleep up to a millisecond. A round that
+// waits on a counted message ends sooner, when it is paid.
 const settleNap = 200 * time.Microsecond
 
 // Virtual is a concurrency-aware discrete-event clock: Sleep and After
@@ -40,7 +42,8 @@ const settleNap = 200 * time.Microsecond
 // wait it cannot probe (a plain Block or a BlockIO) costs a settle pass
 // first, and only after an event that could have ended it (see
 // advanceLoop); a request a BlockIO sent over a socket holds time until
-// its handler on this clock takes it (see owed). HTTP servers on the
+// its handler on this clock takes it, and the handler's reply until the
+// BlockIO returns (see owed). HTTP servers on the
 // clock serve in-process callers on registered goroutines (see
 // Listen); an unregistered goroutine may still Sleep, but its waiter
 // carries no token and no ordering promise.
@@ -68,18 +71,23 @@ type Virtual struct {
 	// BlockIO.
 	opaque    int
 	blockedIO int
-	// owed counts requests sent from inside BlockIO that no socket
-	// handler on this clock has taken yet: each BlockIO entry adds one,
-	// each socket request's arrival pays one (see Listen), and a BlockIO
-	// exit clamps it to the goroutines still inside, so a request that
-	// failed before it arrived leaves nothing owed. A jump waits while
-	// one is owed, until sendUntil, ioGrace after the newest entry: a
-	// request to a server off this clock never arrives.
+	// owed counts the messages on the wire between a goroutine in
+	// BlockIO and a socket handler on this clock. Each goroutine inside
+	// has at most one: its request until the handler takes it, then the
+	// handler's reply until the goroutine leaves. A BlockIO entry adds
+	// one and a socket request's arrival pays it (see Listen); the
+	// handler's return adds one, clamped to the goroutines inside, and
+	// a BlockIO exit pays it. So a request that failed before it
+	// arrived, which leaves at the exit, leaves nothing owed. A jump
+	// waits while one is owed, until sendUntil, ioGrace after the newest
+	// send: a request to a server off this clock never arrives. Each
+	// payment signals paid, which ends a settle's wait at once.
 	owed      int
 	sendUntil time.Time
+	paid      chan struct{}
 	// debt records an event that may have ended an opaque wait without
 	// the clock seeing it: an outermost Exit, a Block or BlockIO entry,
-	// or a socket handler's flush or return. The next advance settles
+	// or a socket handler's flush or reply. The next advance settles
 	// before it moves on.
 	debt bool
 
@@ -119,15 +127,17 @@ type Virtual struct {
 	advance   func()
 
 	// ioGraceUntil is a wall-clock deadline armed when a socket handler
-	// flushes or returns, the bytes going back to a client in BlockIO,
-	// which the clock does not count: settles nap once per change, and
-	// keep the debt, until it passes.
+	// flushes, the bytes going back to a client in BlockIO, which the
+	// clock does not count: settles nap once per change, and keep the
+	// debt, until it passes.
 	ioGraceUntil time.Time
 
-	// settles counts settle passes run and naps their wall sleeps (read
+	// settles counts settle passes run, naps their wall sleeps, and
+	// paidNaps the naps a payment on paid ended before their timer (read
 	// by tests).
-	settles int
-	naps    int
+	settles  int
+	naps     int
+	paidNaps int
 	// nap is the settle's wall-clock timer, made at the first socket
 	// settle and reused by every later one. Only the advancer, of which
 	// one is live at a time, touches it. A time.Sleep would run on the
@@ -149,6 +159,7 @@ func NewVirtual(origin time.Time) *Virtual {
 		now:       origin,
 		reg:       make(map[uintptr]int),
 		routes:    make(map[string]*Server),
+		paid:      make(chan struct{}, 1),
 		wdTimeout: 5 * time.Second,
 	}
 	v.gate = &Gate{v: v, clock: v}
@@ -306,19 +317,21 @@ func (v *Virtual) grantWaitLocked(w *vwaiter) {
 
 // settleLocked yields until the observable state (gen) holds still for
 // three consecutive rounds with no run token outstanding. Before a jump
-// the socket edge may need wall time, in two ways. While a request a
-// BlockIO sent is owed (see owed), every round is a settleNap wall
-// sleep and the settle does not end, until the request's handler takes
-// a run token or sendUntil passes. Within ioGrace of a socket handler's
-// flush or return, whose bytes the clock does not count, the first
-// round after each change naps instead, so netpoll delivers them (at
-// 20 µs a seventh of perfbench's replayed requests diverged). The nap
-// asks for 200 µs, about twice a loopback hand-off on a loaded
-// two-core host, but lasts about 1.06 ms, since Go's netpoll timer
-// rounds it up to a millisecond; so each clock event inside that
-// window costs one nap. A settle that ends with both windows passed
-// pays the debt. Returns false if a registered goroutine took its
-// token back, in which case the advance must abort.
+// the socket edge may need wall time, in two ways. While a message on
+// a BlockIO's socket is owed (see owed), every round is a wait and the
+// settle does not end, until the message is paid, which hands a run
+// token out, or sendUntil passes. The wait ends on the payment's
+// signal, so it lasts the loopback hand-off, or on a settleNap timer.
+// Within ioGrace of a socket handler's flush, whose bytes the clock
+// does not count, the first round after each change naps on the timer
+// alone, so netpoll delivers them (at 20 µs a seventh of perfbench's
+// replayed requests diverged). The nap asks for 200 µs, about twice a
+// loopback hand-off on a loaded two-core host, but lasts about 1.06
+// ms, since Go's netpoll timer rounds it up to a millisecond; so each
+// clock event inside that window costs one nap. A settle that ends
+// with both windows passed pays the debt. Returns false if a
+// registered goroutine took its token back, in which case the advance
+// must abort.
 func (v *Virtual) settleLocked() bool {
 	v.settles++
 	stable := 0
@@ -338,8 +351,17 @@ func (v *Virtual) settleLocked() bool {
 			break
 		}
 		nap := sending || jump && stable == 0 && now.Before(v.ioGraceUntil)
+		var paid chan struct{} // nil, which never fires, unless sending
 		if nap {
 			v.naps++
+			if sending {
+				paid = v.paid
+				// A signal left by a payment already counted above.
+				select {
+				case <-paid:
+				default:
+				}
+			}
 			if v.nap == nil {
 				v.nap = time.NewTimer(settleNap)
 			} else {
@@ -347,14 +369,31 @@ func (v *Virtual) settleLocked() bool {
 			}
 		}
 		v.mu.Unlock()
+		woke := false
 		if nap {
-			<-v.nap.C
+			select {
+			case <-v.nap.C:
+			case <-paid:
+				woke = true
+				// Under async timer channels (go1.22) a tick already
+				// on its way may land after the drain, and end the
+				// next nap early; the next round then waits again.
+				if !v.nap.Stop() {
+					select {
+					case <-v.nap.C:
+					default:
+					}
+				}
+			}
 		} else {
 			for i := 0; i < 32; i++ {
 				runtime.Gosched()
 			}
 		}
 		v.mu.Lock()
+		if woke {
+			v.paidNaps++
+		}
 		if v.gen == last {
 			stable++
 		} else {
@@ -402,6 +441,8 @@ func (v *Virtual) armWatchdogLocked() {
 	})
 }
 
+// dumpLocked formats the clock's state and every goroutine's stack for
+// the watchdog's panic. owed counts requests and replies alike.
 func (v *Virtual) dumpLocked() string {
 	head := fmt.Sprintf("virtual clock: now=%s registered=%d running=%d parked=%d opaque=%d blockedIO=%d owed=%d waiters=%d",
 		v.now.Format(time.RFC3339Nano), len(v.reg), v.running, len(v.parked), v.opaque, v.blockedIO, v.owed, v.waiters.Len())
@@ -509,8 +550,9 @@ func (h *vheap) Pop() any {
 //     only through another goroutine's Exit, Block or BlockIO (say, a
 //     WaitGroup whose goroutines are done when they exit).
 //   - BlockIO(fn) marks the caller as waiting on a real socket: fn
-//     sends one request, which the clock counts until a socket handler
-//     on it takes the request.
+//     sends one request and reads its reply. The clock counts the
+//     request until a socket handler on it takes it, and the reply
+//     from the handler's return until fn returns.
 //   - Wait(d, done...) parks on the clock like Sleep but also wakes on
 //     a done channel, returning -1 for the timer or the channel's index.
 //     WaitOn(key, d, done...) is a Wait that Wake(key) also ends.
@@ -618,13 +660,16 @@ func (g *Gate) Block(fn func()) { g.block(nil, nil, fn, false) }
 
 // BlockIO runs fn with the caller's run token released, marking it as
 // waiting on a real socket: the edge of a client that reaches a server
-// over TCP rather than through Transport. fn sends one request. The
-// entry counts it as owed, and time does not jump until a Listen
-// handler on this clock takes it, for at most ioGrace; the exit drops
-// what is still owed beyond the goroutines left inside, so a request
-// that failed before it arrived holds nothing. The response is not
-// counted: the advancer naps once per change within ioGrace of the
-// handler's flushes and return while the client reads.
+// over TCP rather than through Transport. fn sends one request and
+// reads its whole reply. The entry counts the request as owed, and
+// time does not jump until a Listen handler on this clock takes it;
+// the handler's return owes the reply, and the exit pays it. Each
+// holds time for at most ioGrace, so a request that failed before it
+// arrived, or a reply nobody reads, holds nothing for long. The bytes
+// of the handler's flushes are not counted: the advancer naps once per
+// change within ioGrace of each while the client reads. fn must read
+// to the end: only the handler's return sends the reply's last bytes,
+// since no socket handler here sets Content-Length.
 func (g *Gate) BlockIO(fn func()) { g.block(nil, nil, fn, true) }
 
 // BlockOn runs fn, a blocking wait on a peer, with the caller's run
@@ -690,8 +735,9 @@ func (g *Gate) block(key any, ready func() bool, fn func(), io bool) {
 	case rec == nil:
 		v.opaque--
 		if io {
+			// Its reply, or its request if that never arrived.
 			v.blockedIO--
-			v.owed = min(v.owed, v.blockedIO)
+			v.payLocked()
 		}
 		v.running++
 	case !rec.woken:
@@ -743,14 +789,40 @@ func (v *Virtual) grantLocked(r *parkRec) {
 // longer.
 func (v *Virtual) arrive() {
 	v.mu.Lock()
-	if v.owed > 0 {
-		v.owed--
+	v.payLocked()
+	v.mu.Unlock()
+}
+
+// depart owes one message: a socket handler returned, and its reply's
+// last bytes are leaving for a client, which leaves BlockIO once it has
+// read them. net/http writes them only after the handler returns, so
+// the count comes first. The clamp to the goroutines in BlockIO keeps a
+// reply to a client outside it from being owed.
+func (v *Virtual) depart() {
+	v.mu.Lock()
+	if v.blockedIO > 0 {
+		v.owed = min(v.owed+1, v.blockedIO)
+		v.sendUntil = time.Now().Add(ioGrace)
+		v.debt = true
 	}
 	v.mu.Unlock()
 }
 
-// armGrace re-arms ioGrace: a socket handler's bytes are leaving for
-// its client.
+// payLocked pays one owed message, if any, and signals a settle waiting
+// on it.
+func (v *Virtual) payLocked() {
+	if v.owed == 0 {
+		return
+	}
+	v.owed--
+	select {
+	case v.paid <- struct{}{}:
+	default:
+	}
+}
+
+// armGrace re-arms ioGrace: a socket handler flushed, and its bytes are
+// leaving for its client.
 func (v *Virtual) armGrace() {
 	v.mu.Lock()
 	v.ioGraceUntil = time.Now().Add(ioGrace)

@@ -480,12 +480,14 @@ func TestWaitReuseNoStaleWake(t *testing.T) {
 	t.Logf("%d of 500 Waits raced their timer", raced)
 }
 
-// TestSettleAllocs checks that a settle pass within ioGrace of a socket
-// handler's bytes (armGrace), with a client in BlockIO, the one that
-// naps on the wall clock while netpoll delivers, allocates nothing: it
-// naps on the clock's own timer, not in a time.Sleep on the fresh
-// advancer goroutine, whose first sleep would allocate that
-// goroutine's runtime timer every time.
+// TestSettleAllocs checks that the settle passes that wait on the wall
+// clock, with a client in BlockIO, allocate nothing: one within ioGrace
+// of a socket handler's flush (armGrace), which naps while netpoll
+// delivers, and one that waits on a counted reply until its payment
+// ends the nap. They nap on the clock's own timer, not in a time.Sleep
+// on the fresh advancer goroutine, whose first sleep would allocate
+// that goroutine's runtime timer every time, and on its own paid
+// channel.
 func TestSettleAllocs(t *testing.T) {
 	v := NewVirtual(vEpoch)
 	g := v.Gate()
@@ -511,6 +513,38 @@ func TestSettleAllocs(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("a settle within ioGrace allocates %v times, want 0", allocs)
+	}
+
+	// An unregistered payer pays each counted reply once a settle naps
+	// on it, as the client's BlockIO exit would.
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		for naps := v.napCount(); ; runtime.Gosched() {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if n := v.napCount(); n > naps {
+				naps = n
+				v.arrive()
+			}
+		}
+	}()
+	settles, paid := v.settleCount(), v.paidNapCount()
+	allocs = testing.AllocsPerRun(runs, func() {
+		v.depart() // the child owes a reply: each advance below waits on it
+		v.Sleep(time.Millisecond)
+	})
+	if n := v.settleCount() - settles; n != runs+1 {
+		t.Fatalf("%d settle passes over %d advances with a reply owed", n, runs+1)
+	}
+	if v.paidNapCount() == paid {
+		t.Fatal("no settle's wait on a counted reply ended on its payment")
+	}
+	if allocs != 0 {
+		t.Errorf("a settle waiting on a counted reply allocates %v times, want 0", allocs)
 	}
 	close(release)
 	wg.Wait()
