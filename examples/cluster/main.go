@@ -47,7 +47,14 @@ func main() {
 		cfg.Nodes[(i+1)%3].Models = append(cfg.Nodes[(i+1)%3].Models, m)
 	}
 
-	clock := simclock.NewScaled(time.Now(), 2000)
+	// The virtual clock jumps to the next simulated deadline whenever
+	// every registered goroutine waits on it, so hardware latencies cost
+	// no wall time and every duration printed is exact. main registers
+	// itself, and its clients wait through the clock.
+	clock := simclock.NewVirtual(time.Date(2025, 11, 16, 0, 0, 0, 0, time.UTC))
+	gate := clock.Gate()
+	gate.Enter()
+	defer gate.Exit()
 	c, err := cluster.New(cfg, cluster.WithClock(clock), cluster.WithSeed(7))
 	if err != nil {
 		log.Fatal(err)
@@ -57,14 +64,15 @@ func main() {
 		log.Fatal(err)
 	}
 	defer c.Shutdown()
-	fmt.Printf("gateway up at http://%s, placement policy %s\n\n", c.Addr(), c.Policy().Name())
+	fmt.Printf("gateway up, placement policy %s\n\n", c.Policy().Name())
 
 	cli := openai.NewClient(c.URL())
+	cli.Clock = clock
 	seed := int64(3)
 
 	// First touch is a placement miss: the chosen node restores the
-	// model's GPU snapshot from host RAM. The second request to the same
-	// model is a warm hit on the same node.
+	// model's GPU snapshot from host RAM. The second request repeats the
+	// first one's body, so the gateway answers it from its response cache.
 	for _, model := range []string{"llama3.1:8b-fp16", "llama3.1:8b-fp16", "gemma3:27b-fp16"} {
 		start := clock.Now()
 		resp, err := cli.ChatCompletion(context.Background(), &ir.ChatCompletionRequest{

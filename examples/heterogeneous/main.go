@@ -29,7 +29,14 @@ func main() {
 		{Name: "llama3.2:3b-fp16", Engine: "sglang"},
 		{Name: "deepseek-r1:1.5b-fp16", Engine: "trtllm"},
 	}
-	clock := simclock.NewScaled(time.Now(), 2000)
+	// The virtual clock jumps to the next simulated deadline whenever
+	// every registered goroutine waits on it, so hardware latencies cost
+	// no wall time and every duration printed is exact. main registers
+	// itself, and its clients wait through the clock.
+	clock := simclock.NewVirtual(time.Date(2025, 11, 16, 0, 0, 0, 0, time.UTC))
+	gate := clock.Gate()
+	gate.Enter()
+	defer gate.Exit()
 	srv, err := core.New(cfg, core.Options{Clock: clock})
 	if err != nil {
 		log.Fatal(err)
@@ -45,6 +52,7 @@ func main() {
 		clock.Since(t0).Seconds())
 
 	cli := openai.NewClient(srv.URL())
+	cli.Clock = clock
 	for _, b := range srv.Backends() {
 		seed := int64(3)
 		start := clock.Now()

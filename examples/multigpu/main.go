@@ -28,7 +28,14 @@ func main() {
 		{Name: "llama3.1:8b-fp16", Engine: "ollama", GPUs: []int{0}},
 		{Name: "deepseek-r1:7b-fp16", Engine: "ollama", GPUs: []int{1}},
 	}
-	clock := simclock.NewScaled(time.Now(), 2000)
+	// The virtual clock jumps to the next simulated deadline whenever
+	// every registered goroutine waits on it, so hardware latencies cost
+	// no wall time and every duration printed is exact. main registers
+	// itself, and its clients wait through the clock.
+	clock := simclock.NewVirtual(time.Date(2025, 11, 16, 0, 0, 0, 0, time.UTC))
+	gate := clock.Gate()
+	gate.Enter()
+	defer gate.Exit()
 	srv, err := core.New(cfg, core.Options{Clock: clock, GPUCount: 2})
 	if err != nil {
 		log.Fatal(err)
@@ -48,6 +55,7 @@ func main() {
 	printGPUs("after init (all snapshotted)")
 
 	cli := openai.NewClient(srv.URL())
+	cli.Clock = clock
 	ask := func(model string) {
 		seed := int64(5)
 		if _, err := cli.ChatCompletion(context.Background(), &ir.ChatCompletionRequest{

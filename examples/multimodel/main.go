@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"sync"
 	"time"
 
 	"swapservellm/internal/config"
@@ -34,7 +33,14 @@ func main() {
 	for _, m := range models {
 		cfg.Models = append(cfg.Models, config.Model{Name: m, Engine: "ollama"})
 	}
-	clock := simclock.NewScaled(time.Now(), 2000)
+	// The virtual clock jumps to the next simulated deadline whenever
+	// every registered goroutine waits on it, so hardware latencies cost
+	// no wall time and every duration printed is exact. main registers
+	// itself, and its clients wait through the clock.
+	clock := simclock.NewVirtual(time.Date(2025, 11, 16, 0, 0, 0, 0, time.UTC))
+	gate := clock.Gate()
+	gate.Enter()
+	defer gate.Exit()
 	srv, err := core.New(cfg, core.Options{Clock: clock})
 	if err != nil {
 		log.Fatal(err)
@@ -47,6 +53,7 @@ func main() {
 	printStates(srv, "after init (all snapshotted)")
 
 	cli := openai.NewClient(srv.URL())
+	cli.Clock = clock
 	ask := func(model string, tokens int) {
 		seed := int64(1)
 		if _, err := cli.ChatCompletion(context.Background(), &ir.ChatCompletionRequest{
@@ -60,12 +67,11 @@ func main() {
 	}
 
 	// §3.4: Gemma 7B and DeepSeek Coder 6.7B arrive together — both fit.
-	var wg sync.WaitGroup
+	pair := simclock.NewGroup(clock)
 	for _, m := range []string{"gemma:7b-fp16", "deepseek-coder:6.7b-fp16"} {
-		wg.Add(1)
-		go func(m string) { defer wg.Done(); ask(m, 16) }(m)
+		pair.Go(func() { ask(m, 16) })
 	}
-	wg.Wait()
+	pair.Wait()
 	printStates(srv, "after concurrent Gemma + DeepSeek-Coder requests")
 
 	// A LLaMA 3.3 70B FP8 request (≈77 GiB) must swap both out.

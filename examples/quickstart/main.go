@@ -26,9 +26,14 @@ func main() {
 		{Name: "llama3.2:1b-fp16", Engine: "ollama"},
 	}
 
-	// The scaled clock compresses simulated hardware latencies: one
-	// simulated second costs 1ms of wall time here.
-	clock := simclock.NewScaled(time.Now(), 1000)
+	// The virtual clock jumps to the next simulated deadline whenever
+	// every registered goroutine waits on it, so hardware latencies cost
+	// no wall time and every duration printed is exact. main registers
+	// itself, and its clients wait through the clock.
+	clock := simclock.NewVirtual(time.Date(2025, 11, 16, 0, 0, 0, 0, time.UTC))
+	gate := clock.Gate()
+	gate.Enter()
+	defer gate.Exit()
 	srv, err := core.New(cfg, core.Options{Clock: clock})
 	if err != nil {
 		log.Fatal(err)
@@ -46,6 +51,7 @@ func main() {
 
 	// A request for the swapped-out model triggers the hot-swap path.
 	cli := openai.NewClient(srv.URL())
+	cli.Clock = clock
 	seed := int64(7)
 	temp := 0.0
 	t0 := clock.Now()

@@ -30,7 +30,14 @@ func main() {
 		{Name: "llama3.1:8b-fp16", Engine: "ollama"},     // ~17 GiB snapshot
 		{Name: "llama3.2:1b-fp16", Engine: "ollama"},     // ~3.6 GiB snapshot
 	}
-	clock := simclock.NewScaled(time.Now(), 1000)
+	// The virtual clock jumps to the next simulated deadline whenever
+	// every registered goroutine waits on it, so hardware latencies cost
+	// no wall time and every duration printed is exact. main registers
+	// itself, and its clients wait through the clock.
+	clock := simclock.NewVirtual(time.Date(2025, 11, 16, 0, 0, 0, 0, time.UTC))
+	gate := clock.Gate()
+	gate.Enter()
+	defer gate.Exit()
 	srv, err := core.New(cfg, core.Options{Clock: clock})
 	if err != nil {
 		log.Fatal(err)
@@ -50,6 +57,7 @@ func main() {
 	}
 
 	cli := openai.NewClient(srv.URL())
+	cli.Clock = clock
 	ask := func(model string) time.Duration {
 		seed := int64(9)
 		t0 := clock.Now()
@@ -75,7 +83,7 @@ func main() {
 	for i := 0; i < 6; i++ {
 		lat := ask("llama3.2:1b-fp16")
 		fmt.Printf("  request %d: %.2fs simulated\n", i+1, lat.Seconds())
-		time.Sleep(20 * time.Millisecond) // 20 simulated seconds at scale 1000
+		clock.Sleep(20 * time.Second)
 	}
 	fmt.Printf("\nidle reaps: %.0f, prefetch swap-ins: %.0f\n",
 		srv.Registry().Counter("idle_reaps").Value(),

@@ -16,13 +16,23 @@ import (
 
 var testEpoch = time.Date(2025, 11, 16, 0, 0, 0, 0, time.UTC)
 
-// testStore builds a store on a fast scaled clock (sleeps are ~free in
-// wall time but still advance the simulated clock deterministically).
+// testClock returns a Virtual clock with the calling test goroutine
+// registered on its gate until the test's cleanups finish: sleeps cost
+// no wall time and advance the simulated clock deterministically.
+func testClock(t *testing.T) *simclock.Virtual {
+	t.Helper()
+	clock := simclock.NewVirtual(testEpoch)
+	gate := clock.Gate()
+	gate.Enter()
+	t.Cleanup(gate.Exit)
+	return clock
+}
+
+// testStore builds a store on testClock.
 func testStore(t *testing.T, opts ...Option) *Store {
 	t.Helper()
-	clock := simclock.NewScaled(testEpoch, 20000)
 	tb, _ := perfmodel.TestbedByName("h100")
-	return New(clock, tb, opts...)
+	return New(testClock(t), tb, opts...)
 }
 
 // refsFor builds an n-chunk manifest of size bytes each, keyed by name.
@@ -373,9 +383,8 @@ func TestMissingHostBytesAndFrac(t *testing.T) {
 
 func TestRegistryCountersPublished(t *testing.T) {
 	reg := metrics.NewRegistry()
-	clock := simclock.NewScaled(testEpoch, 20000)
 	tb, _ := perfmodel.TestbedByName("h100")
-	s := New(clock, tb, WithRegistry(reg), WithNodeID("n1"))
+	s := New(testClock(t), tb, WithRegistry(reg), WithNodeID("n1"))
 	checkpoint(s, "a", refsFor("m", 2, 100))
 	checkpoint(s, "b", refsFor("m", 2, 100))
 	if got := reg.Counter("ckpt_new_bytes").Value(); got != 200 {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
-	"sync"
 	"testing"
 
 	"swapservellm/internal/perfmodel"
@@ -105,10 +104,9 @@ func TestPropertyDeltaReassembly(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			clock := simclock.NewScaled(testEpoch, 50000)
 			tb, _ := perfmodel.TestbedByName("h100")
 			// A finite cache cap so trims happen mid-sequence.
-			s := New(clock, tb, WithHostCap(64*propChunkBytes))
+			s := New(testClock(t), tb, WithHostCap(64*propChunkBytes))
 
 			// Three replicas of model A (shared weights) and one of model B.
 			images := []*imageModel{
@@ -188,16 +186,14 @@ func TestPropertyDeltaReassembly(t *testing.T) {
 // concurrent goroutines (one per replica, shared weight chunks) so the
 // race detector sees the store's real interleavings.
 func TestPropertyConcurrentReplicas(t *testing.T) {
-	clock := simclock.NewScaled(testEpoch, 50000)
+	clock := testClock(t)
 	tb, _ := perfmodel.TestbedByName("h100")
 	s := New(clock, tb, WithHostCap(48*propChunkBytes))
 
-	var wg sync.WaitGroup
+	replicas := simclock.NewGroup(clock)
 	errc := make(chan error, 4)
 	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
+		replicas.Go(func() {
 			im := &imageModel{key: fmt.Sprintf("p%d", g), ckey: "modelA", chunks: 6, weight: 4}
 			for iter := 0; iter < 30; iter++ {
 				s.PlanCheckpoint(im.key, im.plan())
@@ -219,9 +215,9 @@ func TestPropertyConcurrentReplicas(t *testing.T) {
 				s.Release(im.key)
 				im.gen++
 			}
-		}(g)
+		})
 	}
-	wg.Wait()
+	replicas.Wait()
 	close(errc)
 	for err := range errc {
 		t.Fatal(err)

@@ -13,7 +13,6 @@ import (
 	"swapservellm/internal/metrics"
 	"swapservellm/internal/obs"
 	"swapservellm/internal/perfmodel"
-	"swapservellm/internal/simclock"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden trace files")
@@ -23,7 +22,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden trace files")
 // returns the deterministic WriteTree rendering plus the registry.
 func tracedLifecycle(t *testing.T) (string, *metrics.Registry) {
 	t.Helper()
-	clock := simclock.NewScaled(testEpoch, 20000)
+	clock := testClock(t)
 	tracer := obs.NewTracer(clock)
 	reg := metrics.NewRegistry()
 	tracer.SetRegistry(reg)

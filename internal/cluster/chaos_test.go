@@ -11,27 +11,8 @@ import (
 	"swapservellm/internal/config"
 	"swapservellm/internal/engine"
 	"swapservellm/internal/invariant"
-	"swapservellm/internal/openai"
 	"swapservellm/internal/proxy/ir"
-	"swapservellm/internal/simclock"
 )
-
-// startChaosCluster builds and starts a cluster with a chaos injector
-// and transition trace installed at construction.
-func startChaosCluster(t *testing.T, cfg config.Cluster, scale float64, inj *chaos.Injector, tr *chaos.Trace) *Cluster {
-	t.Helper()
-	c, err := New(cfg, WithClock(simclock.NewScaled(testEpoch, scale)), WithChaos(inj), WithTrace(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	if err := c.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Shutdown)
-	return c
-}
 
 // expectedTranscript computes the deterministic stream a request
 // produces: identical on every replica, which is what makes skip-ahead
@@ -64,7 +45,7 @@ func TestSSECutPointMatrix(t *testing.T) {
 		t.Run(fmt.Sprintf("after=%d", cut), func(t *testing.T) {
 			plan := chaos.MustParsePlan(fmt.Sprintf("seed=1; cluster.sse: after=%d times=1", cut))
 			inj := chaos.NewInjector(plan)
-			c := startChaosCluster(t, twoNodeConfig(model), 5000, inj, nil)
+			c := startCluster(t, twoNodeConfig(model), WithChaos(inj))
 
 			seed := seedForStream
 			req := &ir.ChatCompletionRequest{
@@ -77,7 +58,7 @@ func TestSSECutPointMatrix(t *testing.T) {
 
 			var got strings.Builder
 			var chunks int
-			err := openai.NewClient(c.URL()).ChatCompletionStream(context.Background(), req,
+			err := gatewayClient(c).ChatCompletionStream(context.Background(), req,
 				func(ch *ir.ChatCompletionChunk) error {
 					chunks++
 					for _, choice := range ch.Choices {
@@ -114,7 +95,7 @@ func TestSSECutPointMatrix(t *testing.T) {
 func TestHeartbeatFaultCrashAndRejoin(t *testing.T) {
 	const model = "llama3.2:1b-fp16"
 	tr := chaos.NewTrace()
-	c := startChaosCluster(t, twoNodeConfig(model), 5000, nil, tr)
+	c := startCluster(t, twoNodeConfig(model), WithTrace(tr))
 
 	// Install the injector after Start so the initial sweep does not
 	// consume heartbeat occurrences: sweeps probe nodes in ID order, so
@@ -140,7 +121,7 @@ func TestHeartbeatFaultCrashAndRejoin(t *testing.T) {
 	}
 
 	// The survivor keeps serving during the outage.
-	gatewayChat(t, c.URL(), model, 2)
+	gatewayChat(t, c, model, 2)
 	if got := c.Registry().Counter("placement_node_node-a").Value(); got != 1 {
 		t.Fatalf("node-a placements = %v", got)
 	}
@@ -178,9 +159,9 @@ func TestHeartbeatFaultCrashAndRejoin(t *testing.T) {
 func TestProxyFaultFailsOverWithoutFencing(t *testing.T) {
 	const model = "llama3.2:1b-fp16"
 	inj := chaos.NewInjector(chaos.MustParsePlan("seed=1; cluster.proxy: times=1"))
-	c := startChaosCluster(t, twoNodeConfig(model), 5000, inj, nil)
+	c := startCluster(t, twoNodeConfig(model), WithChaos(inj))
 
-	resp := gatewayChat(t, c.URL(), model, 4)
+	resp := gatewayChat(t, c, model, 4)
 	if resp.Usage.CompletionTokens != 4 {
 		t.Fatalf("completion tokens = %d", resp.Usage.CompletionTokens)
 	}
@@ -217,7 +198,7 @@ func TestRebalancerRechecksStateAtCommit(t *testing.T) {
 			{Name: "llama3.2:1b-fp16", Engine: "ollama"},
 		}},
 	}
-	c := startCluster(t, cfg, 5000)
+	c := startCluster(t, cfg)
 
 	nodeA, _ := c.Node("node-a")
 	nodeB, _ := c.Node("node-b")

@@ -48,11 +48,17 @@ func TestNewRequiresClock(t *testing.T) {
 	c.Shutdown()
 }
 
-// startCluster builds and starts a cluster, tearing it down with the
-// test.
-func startCluster(t *testing.T, cfg config.Cluster, scale float64) *Cluster {
+// startCluster builds and starts a cluster on a Virtual clock, tearing
+// it down with the test. The calling test goroutine is registered on
+// the clock's gate until the test's cleanups finish, the shutdown
+// included, so time moves only while the test waits on the cluster.
+func startCluster(t *testing.T, cfg config.Cluster, opts ...Option) *Cluster {
 	t.Helper()
-	c, err := New(cfg, WithClock(simclock.NewScaled(testEpoch, scale)))
+	clock := simclock.NewVirtual(testEpoch)
+	gate := clock.Gate()
+	gate.Enter()
+	t.Cleanup(gate.Exit)
+	c, err := New(cfg, append([]Option{WithClock(clock)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +71,23 @@ func startCluster(t *testing.T, cfg config.Cluster, scale float64) *Cluster {
 	return c
 }
 
-func gatewayChat(t *testing.T, url, model string, maxTokens int) *ir.ChatCompletionResponse {
+// httpClient returns an HTTP client on c's clock: requests to the
+// gateway are served in-process.
+func httpClient(c *Cluster) *http.Client {
+	return &http.Client{Transport: simclock.Transport(c.Clock())}
+}
+
+// gatewayClient returns an OpenAI client of c's gateway on c's clock.
+func gatewayClient(c *Cluster) *openai.Client {
+	cli := openai.NewClient(c.URL())
+	cli.Clock = c.Clock()
+	return cli
+}
+
+func gatewayChat(t *testing.T, c *Cluster, model string, maxTokens int) *ir.ChatCompletionResponse {
 	t.Helper()
 	seed := int64(7)
-	resp, err := openai.NewClient(url).ChatCompletion(context.Background(), &ir.ChatCompletionRequest{
+	resp, err := gatewayClient(c).ChatCompletion(context.Background(), &ir.ChatCompletionRequest{
 		Model:     model,
 		Messages:  []ir.Message{{Role: "user", Content: "hello cluster"}},
 		Seed:      &seed,
@@ -82,9 +101,9 @@ func gatewayChat(t *testing.T, url, model string, maxTokens int) *ir.ChatComplet
 
 func TestClusterServesAndReportsStatus(t *testing.T) {
 	const model = "llama3.2:1b-fp16"
-	c := startCluster(t, twoNodeConfig(model), 5000)
+	c := startCluster(t, twoNodeConfig(model))
 
-	resp := gatewayChat(t, c.URL(), model, 4)
+	resp := gatewayChat(t, c, model, 4)
 	if resp.Usage.CompletionTokens != 4 {
 		t.Fatalf("completion tokens = %d", resp.Usage.CompletionTokens)
 	}
@@ -93,7 +112,7 @@ func TestClusterServesAndReportsStatus(t *testing.T) {
 	}
 
 	// Status reports both nodes healthy with the model deployed.
-	hr, err := http.Get(c.URL() + "/admin/v1/cluster/status")
+	hr, err := httpClient(c).Get(c.URL() + "/admin/v1/cluster/status")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,17 +139,17 @@ func TestClusterServesAndReportsStatus(t *testing.T) {
 
 func TestLocalityRoutingSticksToWarmNode(t *testing.T) {
 	const model = "llama3.2:1b-fp16"
-	c := startCluster(t, twoNodeConfig(model), 5000)
+	c := startCluster(t, twoNodeConfig(model))
 
 	// First request: both nodes hold only a RAM snapshot (init leaves
 	// backends swapped out), so the placement is a miss that lands on
 	// node-a by deterministic tie-break and swaps it in.
-	gatewayChat(t, c.URL(), model, 2)
+	gatewayChat(t, c, model, 2)
 	// Subsequent requests must stick to the now-warm node-a. Each asks
 	// for a distinct token budget so the response cache (keyed on the
 	// canonical body) misses and placement actually runs.
 	for i := 0; i < 3; i++ {
-		gatewayChat(t, c.URL(), model, 3+i)
+		gatewayChat(t, c, model, 3+i)
 	}
 
 	reg := c.Registry()
@@ -150,10 +169,10 @@ func TestLocalityRoutingSticksToWarmNode(t *testing.T) {
 
 func TestDrainExcludesNode(t *testing.T) {
 	const model = "llama3.2:1b-fp16"
-	c := startCluster(t, twoNodeConfig(model), 5000)
+	c := startCluster(t, twoNodeConfig(model))
 
 	// Drain node-a (the deterministic first choice) via the admin API.
-	resp, err := http.Post(c.URL()+"/admin/v1/cluster/drain?node=node-a", "", nil)
+	resp, err := httpClient(c).Post(c.URL()+"/admin/v1/cluster/drain?node=node-a", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,14 +182,14 @@ func TestDrainExcludesNode(t *testing.T) {
 	}
 
 	for i := 0; i < 3; i++ {
-		gatewayChat(t, c.URL(), model, 2+i) // distinct bodies: no cache hits
+		gatewayChat(t, c, model, 2+i) // distinct bodies: no cache hits
 	}
 	if got := c.Registry().Counter("placement_node_node-b").Value(); got != 3 {
 		t.Fatalf("node-b placements = %v, want all 3 while node-a drains", got)
 	}
 
 	// Undrain restores eligibility.
-	resp, err = http.Post(c.URL()+"/admin/v1/cluster/undrain?node=node-a", "", nil)
+	resp, err = httpClient(c).Post(c.URL()+"/admin/v1/cluster/undrain?node=node-a", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,9 +206,9 @@ func TestModelsUnionAcrossNodes(t *testing.T) {
 		{Name: "node-a", Models: []config.Model{{Name: "llama3.2:1b-fp16", Engine: "ollama"}}},
 		{Name: "node-b", Models: []config.Model{{Name: "deepseek-r1:1.5b-q4", Engine: "ollama"}}},
 	}
-	c := startCluster(t, cfg, 5000)
+	c := startCluster(t, cfg)
 
-	list, err := openai.NewClient(c.URL()).ListModels(context.Background())
+	list, err := gatewayClient(c).ListModels(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +223,7 @@ func TestModelsUnionAcrossNodes(t *testing.T) {
 
 func TestHeartbeatMarksNodeDownAndRoutesAround(t *testing.T) {
 	const model = "llama3.2:1b-fp16"
-	c := startCluster(t, twoNodeConfig(model), 5000)
+	c := startCluster(t, twoNodeConfig(model))
 
 	if err := c.KillNode("node-b"); err != nil {
 		t.Fatal(err)
@@ -221,12 +240,12 @@ func TestHeartbeatMarksNodeDownAndRoutesAround(t *testing.T) {
 	}
 
 	// The cluster still serves from the surviving node.
-	gatewayChat(t, c.URL(), model, 2)
+	gatewayChat(t, c, model, 2)
 	if got := c.Registry().Counter("placement_node_node-a").Value(); got != 1 {
 		t.Fatalf("node-a placements = %v", got)
 	}
 	// Gateway health stays green with one node up.
-	hr, err := http.Get(c.URL() + "/health")
+	hr, err := httpClient(c).Get(c.URL() + "/health")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,17 +257,17 @@ func TestHeartbeatMarksNodeDownAndRoutesAround(t *testing.T) {
 
 func TestFailoverBufferedRequest(t *testing.T) {
 	const model = "llama3.2:1b-fp16"
-	c := startCluster(t, twoNodeConfig(model), 5000)
+	c := startCluster(t, twoNodeConfig(model))
 
 	// Warm node-a so it is the clear locality winner, then kill it
 	// abruptly. The registry still believes it is healthy, so the
 	// gateway's next placement goes there, hits a connection error,
 	// fences the node, and retries on node-b — invisibly to the client.
-	gatewayChat(t, c.URL(), model, 2)
+	gatewayChat(t, c, model, 2)
 	if err := c.KillNode("node-a"); err != nil {
 		t.Fatal(err)
 	}
-	resp := gatewayChat(t, c.URL(), model, 4)
+	resp := gatewayChat(t, c, model, 4)
 	if resp.Usage.CompletionTokens != 4 {
 		t.Fatalf("completion tokens = %d", resp.Usage.CompletionTokens)
 	}
@@ -269,17 +288,13 @@ func TestFailoverBufferedRequest(t *testing.T) {
 // with the client seeing one seamless, complete stream.
 func TestFailoverMidStream(t *testing.T) {
 	const model = "llama3.1:8b-fp16"
-	// A slower clock (~16 ms simulated per token for an 8B model, scale
-	// 200 → dozens of wall-milliseconds per stream) leaves ample time to
-	// kill the serving node between chunks.
-	c := startCluster(t, twoNodeConfig(model), 200)
+	c := startCluster(t, twoNodeConfig(model))
 
 	const prompt = "stream a long answer please"
 	seed := int64(7)
-	// MinTokens forces a stream far larger than kernel socket buffers
-	// (~320 KiB of SSE events), so the killed node cannot have finished
-	// writing ahead of the client: TCP backpressure guarantees the kill
-	// lands mid-stream regardless of goroutine scheduling.
+	// Each token takes clock time (~16 ms for an 8B model), and time
+	// stands still while the client's callback runs, so the kill after
+	// the third chunk lands with most of MinTokens' stream still to come.
 	req := &ir.ChatCompletionRequest{
 		Model:     model,
 		Messages:  []ir.Message{{Role: "user", Content: prompt}},
@@ -304,7 +319,7 @@ func TestFailoverMidStream(t *testing.T) {
 	var got strings.Builder
 	var chunks int
 	killed := false
-	err := openai.NewClient(c.URL()).ChatCompletionStream(context.Background(), req,
+	err := gatewayClient(c).ChatCompletionStream(context.Background(), req,
 		func(ch *ir.ChatCompletionChunk) error {
 			chunks++
 			for _, choice := range ch.Choices {
@@ -340,10 +355,10 @@ func TestFailoverMidStream(t *testing.T) {
 
 func TestGatewayMetricsEndpoints(t *testing.T) {
 	const model = "llama3.2:1b-fp16"
-	c := startCluster(t, twoNodeConfig(model), 5000)
-	gatewayChat(t, c.URL(), model, 2)
+	c := startCluster(t, twoNodeConfig(model))
+	gatewayChat(t, c, model, 2)
 
-	resp, err := http.Get(c.URL() + "/metrics")
+	resp, err := httpClient(c).Get(c.URL() + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +374,7 @@ func TestGatewayMetricsEndpoints(t *testing.T) {
 		}
 	}
 
-	resp2, err := http.Get(c.URL() + "/metrics.csv")
+	resp2, err := httpClient(c).Get(c.URL() + "/metrics.csv")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,8 +390,8 @@ func TestGatewayMetricsEndpoints(t *testing.T) {
 
 func TestUnrouteableModel(t *testing.T) {
 	const model = "llama3.2:1b-fp16"
-	c := startCluster(t, twoNodeConfig(model), 5000)
-	_, err := openai.NewClient(c.URL()).ChatCompletion(context.Background(), &ir.ChatCompletionRequest{
+	c := startCluster(t, twoNodeConfig(model))
+	_, err := gatewayClient(c).ChatCompletion(context.Background(), &ir.ChatCompletionRequest{
 		Model:    "gemma:7b-fp16", // valid catalog model, deployed nowhere
 		Messages: []ir.Message{{Role: "user", Content: "hi"}},
 	})

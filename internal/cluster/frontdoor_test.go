@@ -12,15 +12,14 @@ import (
 
 	"swapservellm/internal/chaos"
 	"swapservellm/internal/engine"
-	"swapservellm/internal/openai"
 	"swapservellm/internal/proxy/ir"
 )
 
 // postGateway posts a JSON body to a gateway path with optional extra
 // headers and returns the raw response.
-func postGateway(t *testing.T, url, path, body string, hdr map[string]string) *http.Response {
+func postGateway(t *testing.T, c *Cluster, path, body string, hdr map[string]string) *http.Response {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, url+path, bytes.NewReader([]byte(body)))
+	req, err := http.NewRequest(http.MethodPost, c.URL()+path, bytes.NewReader([]byte(body)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +27,7 @@ func postGateway(t *testing.T, url, path, body string, hdr map[string]string) *h
 	for k, v := range hdr {
 		req.Header.Set(k, v)
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := httpClient(c).Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +63,11 @@ func TestNDJSONCutPointMatrix(t *testing.T) {
 		t.Run(fmt.Sprintf("after=%d", cut), func(t *testing.T) {
 			plan := chaos.MustParsePlan(fmt.Sprintf("seed=1; cluster.sse: after=%d times=1", cut))
 			inj := chaos.NewInjector(plan)
-			c := startChaosCluster(t, twoNodeConfig(model), 5000, inj, nil)
+			c := startCluster(t, twoNodeConfig(model), WithChaos(inj))
 
 			body := fmt.Sprintf(`{"model":%q,"messages":[{"role":"user","content":%q}],"options":{"seed":7}}`,
 				model, prompt)
-			resp := postGateway(t, c.URL(), "/api/chat", body, nil)
+			resp := postGateway(t, c, "/api/chat", body, nil)
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("status = %d", resp.StatusCode)
 			}
@@ -125,13 +124,13 @@ func TestNDJSONCutPointMatrix(t *testing.T) {
 // re-deployed model can never serve its predecessor's responses.
 func TestGatewayCacheRevisionCorrectness(t *testing.T) {
 	const model = "llama3.2:1b-fp16"
-	c := startCluster(t, twoNodeConfig(model), 5000)
+	c := startCluster(t, twoNodeConfig(model))
 	reg := c.Registry()
 
 	openaiBody := fmt.Sprintf(`{"model":%q,"messages":[{"role":"user","content":"say hi"}],"max_tokens":4,"seed":7}`, model)
 
 	// First request: a miss, forwarded to a node and stored.
-	first := postGateway(t, c.URL(), "/v1/chat/completions", openaiBody, nil)
+	first := postGateway(t, c, "/v1/chat/completions", openaiBody, nil)
 	if first.StatusCode != http.StatusOK || first.Header.Get("X-Cache") == "hit" {
 		t.Fatalf("first request: status %d, X-Cache %q", first.StatusCode, first.Header.Get("X-Cache"))
 	}
@@ -142,7 +141,7 @@ func TestGatewayCacheRevisionCorrectness(t *testing.T) {
 
 	// Identical request: served from cache without touching placement.
 	placed := reg.Counter("placement_total").Value()
-	second := postGateway(t, c.URL(), "/v1/chat/completions", openaiBody, nil)
+	second := postGateway(t, c, "/v1/chat/completions", openaiBody, nil)
 	if second.Header.Get("X-Cache") != "hit" {
 		t.Fatal("identical request did not hit the cache")
 	}
@@ -161,7 +160,7 @@ func TestGatewayCacheRevisionCorrectness(t *testing.T) {
 	// to the same upstream encoding, so it hits — translated into the
 	// Ollama wire shape on the way out.
 	genBody := fmt.Sprintf(`{"model":%q,"prompt":"say hi","stream":false,"options":{"num_predict":4,"seed":7}}`, model)
-	gen := postGateway(t, c.URL(), "/api/generate", genBody, nil)
+	gen := postGateway(t, c, "/api/generate", genBody, nil)
 	if gen.Header.Get("X-Cache") != "hit" {
 		t.Fatal("cross-protocol sibling did not share the cache entry")
 	}
@@ -174,7 +173,7 @@ func TestGatewayCacheRevisionCorrectness(t *testing.T) {
 	}
 
 	// Cache-Control: no-store bypasses without poisoning accounting.
-	bypass := postGateway(t, c.URL(), "/v1/chat/completions", openaiBody,
+	bypass := postGateway(t, c, "/v1/chat/completions", openaiBody,
 		map[string]string{"Cache-Control": "no-store"})
 	if bypass.Header.Get("X-Cache") == "hit" {
 		t.Fatal("no-store request served from cache")
@@ -185,7 +184,7 @@ func TestGatewayCacheRevisionCorrectness(t *testing.T) {
 
 	// A revision bump (re-deployed weights under the same name) must
 	// invalidate: the next identical request misses and re-forwards.
-	rev := postGateway(t, c.URL(), "/admin/v1/models/revision?model="+model, "", nil)
+	rev := postGateway(t, c, "/admin/v1/models/revision?model="+model, "", nil)
 	if rev.StatusCode != http.StatusOK {
 		t.Fatalf("revision bump status = %d", rev.StatusCode)
 	}
@@ -200,7 +199,7 @@ func TestGatewayCacheRevisionCorrectness(t *testing.T) {
 		t.Fatalf("revision = %d, want 1", bumped.Revision)
 	}
 	placed = reg.Counter("placement_total").Value()
-	after := postGateway(t, c.URL(), "/v1/chat/completions", openaiBody, nil)
+	after := postGateway(t, c, "/v1/chat/completions", openaiBody, nil)
 	if after.Header.Get("X-Cache") == "hit" {
 		t.Fatal("request served from cache across a model revision")
 	}
@@ -225,10 +224,10 @@ func TestGatewayCacheRevisionCorrectness(t *testing.T) {
 func TestGatewayTranslateFaultIs503(t *testing.T) {
 	const model = "llama3.2:1b-fp16"
 	inj := chaos.NewInjector(chaos.MustParsePlan("seed=1; proxy.translate: times=1"))
-	c := startChaosCluster(t, twoNodeConfig(model), 5000, inj, nil)
+	c := startCluster(t, twoNodeConfig(model), WithChaos(inj))
 
 	body := fmt.Sprintf(`{"model":%q,"messages":[{"role":"user","content":"hi"}],"max_tokens":2,"seed":7}`, model)
-	resp := postGateway(t, c.URL(), "/v1/chat/completions", body, nil)
+	resp := postGateway(t, c, "/v1/chat/completions", body, nil)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want 503", resp.StatusCode)
 	}
@@ -243,7 +242,7 @@ func TestGatewayTranslateFaultIs503(t *testing.T) {
 		t.Fatalf("gateway_translate_failures = %v, want 1", got)
 	}
 
-	if resp := postGateway(t, c.URL(), "/v1/chat/completions", body, nil); resp.StatusCode != http.StatusOK {
+	if resp := postGateway(t, c, "/v1/chat/completions", body, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-fault request: status = %d, want 200", resp.StatusCode)
 	}
 }
@@ -255,9 +254,9 @@ func TestGatewayTranslateFaultIs503(t *testing.T) {
 // placement to a node's engine.
 func TestGatewayListingsAndEncoders(t *testing.T) {
 	const model = "llama3.2:1b-fp16"
-	c := startCluster(t, twoNodeConfig(model), 5000)
+	c := startCluster(t, twoNodeConfig(model))
 
-	list, err := openai.NewClient(c.URL()).ListModels(context.Background())
+	list, err := gatewayClient(c).ListModels(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +270,7 @@ func TestGatewayListingsAndEncoders(t *testing.T) {
 		}
 	}
 
-	tagsResp, err := http.Get(c.URL() + "/api/tags")
+	tagsResp, err := httpClient(c).Get(c.URL() + "/api/tags")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +285,7 @@ func TestGatewayListingsAndEncoders(t *testing.T) {
 	}
 
 	embBody := fmt.Sprintf(`{"model":%q,"input":["alpha","beta"]}`, model)
-	embResp := postGateway(t, c.URL(), "/v1/embeddings", embBody, nil)
+	embResp := postGateway(t, c, "/v1/embeddings", embBody, nil)
 	if embResp.StatusCode != http.StatusOK {
 		t.Fatalf("embeddings status = %d", embResp.StatusCode)
 	}
@@ -299,7 +298,7 @@ func TestGatewayListingsAndEncoders(t *testing.T) {
 	}
 
 	rrBody := fmt.Sprintf(`{"model":%q,"query":"swap latency","documents":["a","b","c"],"top_n":2}`, model)
-	rrResp := postGateway(t, c.URL(), "/v1/rerank", rrBody, nil)
+	rrResp := postGateway(t, c, "/v1/rerank", rrBody, nil)
 	if rrResp.StatusCode != http.StatusOK {
 		t.Fatalf("rerank status = %d", rrResp.StatusCode)
 	}
@@ -318,9 +317,9 @@ func TestGatewayListingsAndEncoders(t *testing.T) {
 func TestGatewayDebugTraceRequiresToken(t *testing.T) {
 	cfg := twoNodeConfig("llama3.2:1b-fp16")
 	cfg.Global.AuthToken = "secret-token"
-	c := startCluster(t, cfg, 5000)
+	c := startCluster(t, cfg)
 
-	resp, err := http.Get(c.URL() + "/debug/trace")
+	resp, err := httpClient(c).Get(c.URL() + "/debug/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +329,7 @@ func TestGatewayDebugTraceRequiresToken(t *testing.T) {
 	}
 	req, _ := http.NewRequest(http.MethodGet, c.URL()+"/debug/trace", nil)
 	req.Header.Set("Authorization", "Bearer secret-token")
-	resp, err = http.DefaultClient.Do(req)
+	resp, err = httpClient(c).Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,11 +344,11 @@ func TestGatewayDebugTraceRequiresToken(t *testing.T) {
 // misreported as malformed JSON.
 func TestGatewayOversizedBodyIs413(t *testing.T) {
 	const model = "llama3.2:1b-fp16"
-	c := startCluster(t, twoNodeConfig(model), 5000)
+	c := startCluster(t, twoNodeConfig(model))
 	head := fmt.Sprintf(`{"model":%q,"messages":[{"role":"user","content":"`, model)
 	const tail = `"}]}`
 	body := head + strings.Repeat("x", 1<<20+1-len(head)-len(tail)) + tail
-	resp := postGateway(t, c.URL(), "/api/chat", body, nil)
+	resp := postGateway(t, c, "/api/chat", body, nil)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status = %d, want 413", resp.StatusCode)
 	}

@@ -27,7 +27,7 @@ func TestRebalancerMigratesColdSnapshot(t *testing.T) {
 			{Name: "llama3.2:1b-fp16", Engine: "ollama"},
 		}},
 	}
-	c := startCluster(t, cfg, 5000)
+	c := startCluster(t, cfg)
 
 	nodeA, _ := c.Node("node-a")
 	nodeB, _ := c.Node("node-b")
@@ -89,7 +89,7 @@ func TestRebalancerMigratesColdSnapshot(t *testing.T) {
 // TestRebalancerDisabledWithoutCap: with no host snapshot cap there is
 // no RAM pressure signal, so sweeps do nothing.
 func TestRebalancerDisabledWithoutCap(t *testing.T) {
-	c := startCluster(t, twoNodeConfig("llama3.2:1b-fp16"), 5000)
+	c := startCluster(t, twoNodeConfig("llama3.2:1b-fp16"))
 	rb := newRebalancer(c, time.Second, 0.75, 0)
 	if got := rb.Sweep(context.Background()); got != 0 {
 		t.Fatalf("capless sweep migrated %d images", got)
@@ -101,7 +101,7 @@ func TestRebalancerDisabledWithoutCap(t *testing.T) {
 func TestRebalancerNeedsReplicaOnDisk(t *testing.T) {
 	// Replica image still in RAM on node-b: nothing to promote, so the
 	// hot node keeps its image even above the high-water mark.
-	c := startCluster(t, twoNodeConfig("llama3.2:1b-fp16"), 5000)
+	c := startCluster(t, twoNodeConfig("llama3.2:1b-fp16"))
 	nodeA, _ := c.Node("node-a")
 	rb := newRebalancer(c, time.Second, 0.5, nodeA.Server().Driver().HostUsed())
 	if got := rb.Sweep(context.Background()); got != 0 {

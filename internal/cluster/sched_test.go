@@ -31,12 +31,19 @@ func schedConfig() config.Cluster {
 	return cfg
 }
 
+// pollEvery and pollLimit pace a test's polling of cluster state on the
+// clock.
+const (
+	pollEvery = 25 * time.Second
+	pollLimit = 150000 * time.Second
+)
+
 // postChat sends a minimal chat request straight through the gateway,
 // returning the raw response so status codes and headers are visible.
-func postChat(t *testing.T, url, model, classHeader string) *http.Response {
+func postChat(t *testing.T, c *Cluster, model, classHeader string) *http.Response {
 	t.Helper()
 	body := fmt.Sprintf(`{"model":%q,"messages":[{"role":"user","content":"hi"}],"max_tokens":2,"seed":7}`, model)
-	req, err := http.NewRequest(http.MethodPost, url+"/v1/chat/completions", bytes.NewReader([]byte(body)))
+	req, err := http.NewRequest(http.MethodPost, c.URL()+"/v1/chat/completions", bytes.NewReader([]byte(body)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +54,7 @@ func postChat(t *testing.T, url, model, classHeader string) *http.Response {
 	if classHeader != "" {
 		req.Header.Set("X-Priority-Class", classHeader)
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := httpClient(c).Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +66,7 @@ func postChat(t *testing.T, url, model, classHeader string) *http.Response {
 // pile of bronze work in flight and the bronze bucket drained, a bronze
 // request gets 429 + Retry-After while gold still flows.
 func TestGatewayAdmissionSheds429(t *testing.T) {
-	c := startCluster(t, schedConfig(), 5000)
+	c := startCluster(t, schedConfig())
 	_, adm, _ := c.Sched()
 	if adm == nil {
 		t.Fatal("admission controller not built")
@@ -75,11 +82,11 @@ func TestGatewayAdmissionSheds429(t *testing.T) {
 
 	// The bronze burst is one token; the first over-SLO request spends
 	// it, the second is shed.
-	first := postChat(t, c.URL(), "llama3.2:3b-fp16", "")
+	first := postChat(t, c, "llama3.2:3b-fp16", "")
 	if first.StatusCode != http.StatusOK {
 		t.Fatalf("guaranteed-share request: HTTP %d", first.StatusCode)
 	}
-	shed := postChat(t, c.URL(), "llama3.2:3b-fp16", "")
+	shed := postChat(t, c, "llama3.2:3b-fp16", "")
 	if shed.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overload bronze request: HTTP %d, want 429", shed.StatusCode)
 	}
@@ -88,7 +95,7 @@ func TestGatewayAdmissionSheds429(t *testing.T) {
 	}
 
 	// Gold is invisible to bronze backlog: admitted via slack.
-	gold := postChat(t, c.URL(), "llama3.2:1b-fp16", "")
+	gold := postChat(t, c, "llama3.2:1b-fp16", "")
 	if gold.StatusCode != http.StatusOK {
 		t.Fatalf("gold request under bronze overload: HTTP %d", gold.StatusCode)
 	}
@@ -103,10 +110,10 @@ func TestGatewayAdmissionSheds429(t *testing.T) {
 
 	// A per-tenant header override re-classes the request: the gold
 	// model shed as bronze, and an unknown class rejected outright.
-	if resp := postChat(t, c.URL(), "llama3.2:1b-fp16", "bronze"); resp.StatusCode != http.StatusTooManyRequests {
+	if resp := postChat(t, c, "llama3.2:1b-fp16", "bronze"); resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("header-overridden request: HTTP %d, want 429", resp.StatusCode)
 	}
-	if resp := postChat(t, c.URL(), "llama3.2:1b-fp16", "platinum"); resp.StatusCode != http.StatusBadRequest {
+	if resp := postChat(t, c, "llama3.2:1b-fp16", "platinum"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown class header: HTTP %d, want 400", resp.StatusCode)
 	}
 }
@@ -116,21 +123,22 @@ func TestGatewayAdmissionSheds429(t *testing.T) {
 func TestClusterPrewarmModel(t *testing.T) {
 	const model = "llama3.2:1b-fp16"
 	cfg := schedConfig()
-	c := startCluster(t, cfg, 5000)
+	c := startCluster(t, cfg)
 
 	if !c.prewarmModel(model) {
 		t.Fatal("prewarmModel refused a cold model")
 	}
-	deadline := time.Now().Add(30 * time.Second)
+	clock := c.Clock()
+	deadline := clock.Now().Add(pollLimit)
 	for {
 		cands := c.registry.Candidates(model)
 		if len(cands) == 1 && cands[0].Presence == PresenceWarm {
 			break
 		}
-		if time.Now().After(deadline) {
+		if clock.Now().After(deadline) {
 			t.Fatal("model never became warm after pre-warm")
 		}
-		time.Sleep(5 * time.Millisecond)
+		clock.Sleep(pollEvery)
 	}
 	// Already warm: the hook declines rather than re-issuing.
 	if c.prewarmModel(model) {
@@ -147,19 +155,20 @@ func TestClusterTTLPolicyEvicts(t *testing.T) {
 	cfg.Scheduling.Admission = false
 	cfg.Scheduling.TTLPolicy = "fixed"
 	cfg.Scheduling.TTLSec = 5
-	c := startCluster(t, cfg, 5000)
+	c := startCluster(t, cfg)
 
-	gatewayChat(t, c.URL(), model, 2)
+	gatewayChat(t, c, model, 2)
 	n, _ := c.Node("node-a")
 	b, ok := n.Server().Backend(model)
 	if !ok {
 		t.Fatal("backend missing")
 	}
-	deadline := time.Now().Add(30 * time.Second)
+	clock := c.Clock()
+	deadline := clock.Now().Add(pollLimit)
 	for b.State() == core.BackendRunning {
-		if time.Now().After(deadline) {
+		if clock.Now().After(deadline) {
 			t.Fatal("TTL policy never evicted the idle backend")
 		}
-		time.Sleep(5 * time.Millisecond)
+		clock.Sleep(pollEvery)
 	}
 }

@@ -21,7 +21,7 @@ import (
 var testEpoch = time.Date(2025, 11, 16, 0, 0, 0, 0, time.UTC)
 
 type rig struct {
-	clock   simclock.Clock
+	clock   *simclock.Virtual
 	tb      perfmodel.Testbed
 	device  *gpu.Device
 	store   *storage.ModelStore
@@ -30,25 +30,15 @@ type rig struct {
 	rt      *Runtime
 }
 
-func newRig(t *testing.T) *rig {
-	t.Helper()
-	return newRigOn(simclock.NewScaled(testEpoch, 5000))
-}
-
-// newVirtualRig is newRig on a Virtual clock, with the calling test
+// newRig builds a runtime on a Virtual clock, with the calling test
 // goroutine registered on its gate until the test's cleanups finish:
-// simulated durations are then exact, free of a scaled clock's
-// wall-clock slop under host load.
-func newVirtualRig(t *testing.T) *rig {
+// simulated durations are then exact.
+func newRig(t *testing.T) *rig {
 	t.Helper()
 	clock := simclock.NewVirtual(testEpoch)
 	gate := clock.Gate()
 	gate.Enter()
 	t.Cleanup(gate.Exit)
-	return newRigOn(clock)
-}
-
-func newRigOn(clock simclock.Clock) *rig {
 	tb := perfmodel.H100()
 	dev := gpu.NewDevice(0, tb.GPU, tb.GPUMemBytes)
 	store := storage.NewModelStore(clock, tb)
@@ -137,6 +127,7 @@ func TestStartServesEngineAPI(t *testing.T) {
 		t.Fatalf("state=%s port=%d", c.State(), c.Port())
 	}
 	cli := openai.NewClient(c.BaseURL())
+	cli.Clock = r.clock
 	seed := int64(1)
 	resp, err := cli.ChatCompletion(context.Background(), &ir.ChatCompletionRequest{
 		Model:     "llama3.2:1b-fp16",
@@ -184,9 +175,12 @@ func TestPauseBlocksServing(t *testing.T) {
 
 	// A request against the paused container must hang until unpause.
 	done := make(chan error, 1)
-	go func() {
+	cli := openai.NewClient(c.BaseURL())
+	cli.Clock = r.clock
+	reqs := simclock.NewGroup(r.clock)
+	reqs.Go(func() {
 		seed := int64(1)
-		_, err := openai.NewClient(c.BaseURL()).ChatCompletion(context.Background(),
+		_, err := cli.ChatCompletion(context.Background(),
 			&ir.ChatCompletionRequest{
 				Model:     "llama3.2:1b-fp16",
 				Messages:  []ir.Message{{Role: "user", Content: "x"}},
@@ -194,22 +188,19 @@ func TestPauseBlocksServing(t *testing.T) {
 				MaxTokens: 2,
 			})
 		done <- err
-	}()
+	})
+	r.clock.Sleep(250 * time.Second) // far longer than the 2-token request takes
 	select {
 	case err := <-done:
 		t.Fatalf("request against paused container returned: %v", err)
-	case <-time.After(50 * time.Millisecond):
+	default:
 	}
 	if err := r.rt.Unpause(context.Background(), c); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("request after unpause: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("request did not complete after unpause")
+	reqs.Wait()
+	if err := <-done; err != nil {
+		t.Fatalf("request after unpause: %v", err)
 	}
 }
 
@@ -330,7 +321,7 @@ func TestShutdownStopsEverything(t *testing.T) {
 }
 
 func TestStartTakesSimulatedTime(t *testing.T) {
-	r := newVirtualRig(t)
+	r := newRig(t)
 	c, _ := r.rt.Create(context.Background(), r.spec(t, "timing", "llama3.2:1b-fp16"))
 	t0 := r.clock.Now()
 	r.rt.Start(context.Background(), c)

@@ -11,7 +11,7 @@ import (
 )
 
 func BenchmarkReserveRelease(b *testing.B) {
-	clock := simclock.NewScaled(testEpoch, 100000)
+	clock := simclock.NewVirtual(testEpoch)
 	topo := gpu.NewTopology(perfmodel.GPUH100, 1, 80*gib)
 	tm := NewTaskManager(clock, topo)
 	ctx := context.Background()
@@ -26,7 +26,7 @@ func BenchmarkReserveRelease(b *testing.B) {
 }
 
 func BenchmarkReserveMultiGPU(b *testing.B) {
-	clock := simclock.NewScaled(testEpoch, 100000)
+	clock := simclock.NewVirtual(testEpoch)
 	topo := gpu.NewTopology(perfmodel.GPUH100, 8, 80*gib)
 	tm := NewTaskManager(clock, topo)
 	ctx := context.Background()

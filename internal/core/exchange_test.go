@@ -354,7 +354,6 @@ func TestIncrementalGrantBeforeCheckpointFinishes(t *testing.T) {
 	// granted from the first freed chunks, long before the checkpoint
 	// finishes.
 	clock := virtualTestClock(t)
-	gate := clock.Gate()
 	topo := gpu.NewTopology(perfmodel.GPUH100, 1, 80*gib)
 	tm := NewTaskManager(clock, topo)
 	tb, _ := perfmodel.TestbedByName("h100")
@@ -373,7 +372,8 @@ func TestIncrementalGrantBeforeCheckpointFinishes(t *testing.T) {
 	})
 
 	suspended := make(chan error, 1)
-	gate.Go(func() {
+	checkpoint := simclock.NewGroup(clock)
+	checkpoint.Go(func() {
 		_, err := drv.Suspend(context.Background(), "victim")
 		suspended <- err
 	})
@@ -390,9 +390,8 @@ func TestIncrementalGrantBeforeCheckpointFinishes(t *testing.T) {
 	default:
 	}
 	res.Release()
-	var serr error
-	gate.Block(func() { serr = <-suspended })
-	if serr != nil {
+	checkpoint.Wait()
+	if serr := <-suspended; serr != nil {
 		t.Fatal(serr)
 	}
 	if got := tm.Reserved(0); got != 0 {
@@ -408,12 +407,10 @@ func TestCancelledReservationReturnsPartialClaims(t *testing.T) {
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := tm.Reserve(ctx, []int{0}, 40*gib, "w")
-		errCh <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // let the waiter enqueue
+	var werr error
+	waiter := simclock.NewGroup(tm.clock)
+	waiter.Go(func() { _, werr = tm.Reserve(ctx, []int{0}, 40*gib, "w") })
+	tm.clock.Sleep(100 * time.Second) // let the waiter enqueue
 
 	// Free 10 GiB: the head claims it incrementally but stays queued.
 	if err := dev.Resize("squatter", 70*gib); err != nil {
@@ -425,8 +422,9 @@ func TestCancelledReservationReturnsPartialClaims(t *testing.T) {
 	}
 
 	cancel()
-	if err := <-errCh; !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v", err)
+	waiter.Wait()
+	if !errors.Is(werr, context.Canceled) {
+		t.Fatalf("err = %v", werr)
 	}
 	if got := tm.Reserved(0); got != 0 {
 		t.Fatalf("cancelled reservation leaked %d claimed bytes", got)
@@ -558,18 +556,12 @@ func awaitSettled(t *testing.T, s *Server, b *Backend) {
 // ensureAll runs the served swap-in of every backend concurrently and
 // returns their errors in order.
 func ensureAll(s *Server, bs ...*Backend) []error {
-	gate := simclock.GateFor(s.Clock())
 	errs := make([]error, len(bs))
-	var wg sync.WaitGroup
+	swapIns := simclock.NewGroup(s.Clock())
 	for i, b := range bs {
-		i, b := i, b
-		wg.Add(1)
-		gate.Go(func() {
-			defer wg.Done()
-			errs[i] = s.Scheduler().EnsureRunning(context.Background(), b)
-		})
+		swapIns.Go(func() { errs[i] = s.Scheduler().EnsureRunning(context.Background(), b) })
 	}
-	gate.Block(wg.Wait)
+	swapIns.Wait()
 	return errs
 }
 
@@ -755,8 +747,9 @@ func TestReclaimSkipsEvictionOnceClaimFilled(t *testing.T) {
 	// parks, and the second starts only after its claim is queued (or,
 	// with time moving meanwhile, already granted and landed).
 	gate := simclock.GateFor(s.Clock())
+	swapIns := simclock.NewGroup(s.Clock())
 	errs := make(chan error, 2)
-	gate.Go(func() { errs <- s.Scheduler().EnsureRunning(context.Background(), ta) })
+	swapIns.Go(func() { errs <- s.Scheduler().EnsureRunning(context.Background(), ta) })
 	// The ready check takes the task manager's lock, which only a
 	// goroutine holding its run token ever holds, so the clock's probe
 	// at quiescence never waits on it.
@@ -766,11 +759,10 @@ func TestReclaimSkipsEvictionOnceClaimFilled(t *testing.T) {
 			time.Sleep(100 * time.Microsecond)
 		}
 	})
-	gate.Go(func() { errs <- s.Scheduler().EnsureRunning(context.Background(), tb) })
+	swapIns.Go(func() { errs <- s.Scheduler().EnsureRunning(context.Background(), tb) })
+	swapIns.Wait()
 	for i := 0; i < 2; i++ {
-		var err error
-		gate.Block(func() { err = <-errs })
-		if err != nil {
+		if err := <-errs; err != nil {
 			t.Fatalf("swap-in: %v", err)
 		}
 	}

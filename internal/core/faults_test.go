@@ -4,25 +4,24 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"swapservellm/internal/chaos"
 	"swapservellm/internal/config"
 	"swapservellm/internal/cudackpt"
-	"swapservellm/internal/openai"
 	"swapservellm/internal/proxy/ir"
-	"swapservellm/internal/simclock"
 )
 
 // TestSwapInFailureRecovers injects a driver restore fault: the first
 // request fails with a backend error, the backend stays swapped out with
 // its snapshot intact, and the next request succeeds.
 func TestSwapInFailureRecovers(t *testing.T) {
-	s := testServer(t, 5000, ollamaModel("llama3.2:1b-fp16"))
+	s := testServer(t, ollamaModel("llama3.2:1b-fp16"))
 	b, _ := s.Backend("llama3.2:1b-fp16")
 	s.Driver().SetChaos(chaos.FailNext(chaos.SiteCkptRestore, 1))
 
 	seed := int64(1)
-	_, err := openai.NewClient(s.URL()).ChatCompletion(context.Background(),
+	_, err := serverClient(s).ChatCompletion(context.Background(),
 		&ir.ChatCompletionRequest{
 			Model:     "llama3.2:1b-fp16",
 			Messages:  []ir.Message{{Role: "user", Content: "x"}},
@@ -47,7 +46,7 @@ func TestSwapInFailureRecovers(t *testing.T) {
 	}
 
 	// The fault was one-shot: the next request swaps in and serves.
-	doChat(t, s.URL(), "llama3.2:1b-fp16", 2)
+	serverChat(t, s, "llama3.2:1b-fp16", 2)
 	if b.State() != BackendRunning {
 		t.Fatalf("state after retry = %v", b.State())
 	}
@@ -59,7 +58,7 @@ func TestSwapInFailureRecovers(t *testing.T) {
 func TestSwapOutFailureKeepsServing(t *testing.T) {
 	m := ollamaModel("llama3.2:1b-fp16")
 	m.KeepWarm = true
-	s := testServer(t, 5000, m)
+	s := testServer(t, m)
 	b, _ := s.Backend("llama3.2:1b-fp16")
 
 	s.Driver().SetChaos(chaos.FailNext(chaos.SiteCkptCheckpoint, 1))
@@ -74,7 +73,7 @@ func TestSwapOutFailureKeepsServing(t *testing.T) {
 	if b.Container().Engine().GPUBytes() == 0 {
 		t.Fatal("engine lost its GPU memory after failed swap-out")
 	}
-	doChat(t, s.URL(), "llama3.2:1b-fp16", 2)
+	serverChat(t, s, "llama3.2:1b-fp16", 2)
 }
 
 // TestLockFaultDuringSwapOut covers the earliest failure point: the CUDA
@@ -83,7 +82,7 @@ func TestSwapOutFailureKeepsServing(t *testing.T) {
 func TestLockFaultDuringSwapOut(t *testing.T) {
 	m := ollamaModel("llama3.2:1b-fp16")
 	m.KeepWarm = true
-	s := testServer(t, 5000, m)
+	s := testServer(t, m)
 	b, _ := s.Backend("llama3.2:1b-fp16")
 
 	s.Driver().SetChaos(chaos.FailNext(chaos.SiteCkptLock, 1))
@@ -107,14 +106,14 @@ func TestLockFaultDuringSwapOut(t *testing.T) {
 // (re-suspend) so the backend's SwappedOut state stays consistent with
 // the driver, and the next request must recover.
 func TestThawFaultDuringSwapIn(t *testing.T) {
-	s := testServer(t, 5000, ollamaModel("llama3.2:1b-fp16"))
+	s := testServer(t, ollamaModel("llama3.2:1b-fp16"))
 	b, _ := s.Backend("llama3.2:1b-fp16")
 	// Unpause retries past transient faults, so arm enough thaw failures
 	// to exhaust the retry budget and fail the whole swap-in.
 	s.Freezer().SetChaos(chaos.FailNext(chaos.SiteCgroupThaw, 4))
 
 	seed := int64(1)
-	_, err := openai.NewClient(s.URL()).ChatCompletion(context.Background(),
+	_, err := serverClient(s).ChatCompletion(context.Background(),
 		&ir.ChatCompletionRequest{
 			Model:     "llama3.2:1b-fp16",
 			Messages:  []ir.Message{{Role: "user", Content: "x"}},
@@ -135,7 +134,7 @@ func TestThawFaultDuringSwapIn(t *testing.T) {
 	if got := s.TaskManager().Reserved(0); got != 0 {
 		t.Fatalf("leaked reservation: %d", got)
 	}
-	doChat(t, s.URL(), "llama3.2:1b-fp16", 2)
+	serverChat(t, s, "llama3.2:1b-fp16", 2)
 	if b.State() != BackendRunning {
 		t.Fatalf("state after retry = %v", b.State())
 	}
@@ -146,7 +145,7 @@ func TestThawFaultDuringSwapIn(t *testing.T) {
 func TestFreezeFaultDuringSwapOut(t *testing.T) {
 	m := ollamaModel("llama3.2:1b-fp16")
 	m.KeepWarm = true
-	s := testServer(t, 5000, m)
+	s := testServer(t, m)
 	b, _ := s.Backend("llama3.2:1b-fp16")
 
 	s.Freezer().SetChaos(chaos.FailNext(chaos.SiteCgroupFreeze, 1))
@@ -156,7 +155,7 @@ func TestFreezeFaultDuringSwapOut(t *testing.T) {
 	if b.State() != BackendRunning {
 		t.Fatalf("state after failed swap-out = %v", b.State())
 	}
-	doChat(t, s.URL(), "llama3.2:1b-fp16", 2)
+	serverChat(t, s, "llama3.2:1b-fp16", 2)
 }
 
 // TestPreemptionSurvivesRestoreFault: a fault during a preemption-driven
@@ -167,7 +166,7 @@ func TestPreemptionSurvivesRestoreFault(t *testing.T) {
 		vllmModel("llama3.2:1b-fp16"),
 		vllmModel("llama3.2:3b-fp16"),
 	}
-	s, err := New(cfg, Options{Clock: simclock.NewScaled(testEpoch, 20000)})
+	s, err := New(cfg, Options{Clock: virtualTestClock(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,10 +176,10 @@ func TestPreemptionSurvivesRestoreFault(t *testing.T) {
 	defer s.Shutdown()
 
 	// Serve A so B's swap-in needs a preemption; fault B's first restore.
-	doChat(t, s.URL(), "llama3.2:1b-fp16", 1)
+	serverChat(t, s, "llama3.2:1b-fp16", 1)
 	s.Driver().SetChaos(chaos.FailNext(chaos.SiteCkptRestore, 1))
 	seed := int64(1)
-	_, err = openai.NewClient(s.URL()).ChatCompletion(context.Background(),
+	_, err = serverClient(s).ChatCompletion(context.Background(),
 		&ir.ChatCompletionRequest{
 			Model:     "llama3.2:3b-fp16",
 			Messages:  []ir.Message{{Role: "user", Content: "x"}},
@@ -190,8 +189,17 @@ func TestPreemptionSurvivesRestoreFault(t *testing.T) {
 	if err == nil {
 		t.Fatal("request succeeded despite injected fault")
 	}
+	// The failed request cancels A's preemption, whose rollback puts A's
+	// state back on the device after the error has reached the client.
+	// The rollback takes that memory outside the task manager, so a retry
+	// reserving it meanwhile loses its restore to the OOM; retry once A
+	// has settled.
+	a, _ := s.Backend("llama3.2:1b-fp16")
+	for a.State() == BackendSwapping {
+		s.Clock().Sleep(10 * time.Millisecond)
+	}
 	// Recovery: B serves on retry.
-	doChat(t, s.URL(), "llama3.2:3b-fp16", 1)
+	serverChat(t, s, "llama3.2:3b-fp16", 1)
 	bb, _ := s.Backend("llama3.2:3b-fp16")
 	if bb.State() != BackendRunning {
 		t.Fatalf("state = %v", bb.State())

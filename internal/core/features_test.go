@@ -9,16 +9,15 @@ import (
 
 	"swapservellm/internal/config"
 	"swapservellm/internal/cudackpt"
-	"swapservellm/internal/openai"
 	"swapservellm/internal/proxy/ir"
-	"swapservellm/internal/simclock"
 )
 
-// startServer builds and starts a server from a full config.
+// startServer builds and starts a server from a full config, on
+// virtualTestClock unless opts names a clock.
 func startServer(t *testing.T, cfg config.Config, opts Options) *Server {
 	t.Helper()
 	if opts.Clock == nil {
-		opts.Clock = simclock.NewScaled(testEpoch, 2000)
+		opts.Clock = virtualTestClock(t)
 	}
 	s, err := New(cfg, opts)
 	if err != nil {
@@ -35,25 +34,26 @@ func TestIdleReaperSwapsOutIdleBackend(t *testing.T) {
 	cfg := config.Default()
 	cfg.Global.KeepAliveSec = 5 // short keep-alive in simulated time
 	cfg.Models = []config.Model{ollamaModel("llama3.2:1b-fp16")}
-	s := startServer(t, cfg, Options{Clock: simclock.NewScaled(testEpoch, 2000)})
+	s := startServer(t, cfg, Options{})
 
 	b, _ := s.Backend("llama3.2:1b-fp16")
-	doChat(t, s.URL(), "llama3.2:1b-fp16", 2)
+	serverChat(t, s, "llama3.2:1b-fp16", 2)
 
-	// Wait past the keep-alive window (simulated): the reaper must evict.
-	deadline := time.Now().Add(5 * time.Second)
+	// Wait past the keep-alive window: the reaper must evict.
+	clock := s.Clock()
+	deadline := clock.Now().Add(10000 * time.Second)
 	for b.State() != BackendSwappedOut {
-		if time.Now().After(deadline) {
+		if clock.Now().After(deadline) {
 			t.Fatalf("reaper never swapped out the idle backend (state=%v)", b.State())
 		}
-		time.Sleep(2 * time.Millisecond)
+		clock.Sleep(4 * time.Second)
 	}
 	if s.Registry().Counter("idle_reaps").Value() == 0 {
 		t.Fatal("idle_reaps counter not incremented")
 	}
 	// The backend still serves after a reap (it may be re-reaped again
 	// once idle, so only the successful response is asserted).
-	doChat(t, s.URL(), "llama3.2:1b-fp16", 2)
+	serverChat(t, s, "llama3.2:1b-fp16", 2)
 	if in, _ := b.SwapCounts(); in < 2 {
 		t.Fatalf("swap-ins = %d, want >= 2 (one per served burst)", in)
 	}
@@ -65,10 +65,10 @@ func TestReaperSkipsKeepWarm(t *testing.T) {
 	m := ollamaModel("llama3.2:1b-fp16")
 	m.KeepWarm = true
 	cfg.Models = []config.Model{m}
-	s := startServer(t, cfg, Options{Clock: simclock.NewScaled(testEpoch, 2000)})
+	s := startServer(t, cfg, Options{})
 	b, _ := s.Backend("llama3.2:1b-fp16")
-	// Give the reaper several sweep windows (simulated seconds are ms here).
-	time.Sleep(30 * time.Millisecond)
+	// Give the reaper several sweep windows.
+	s.Clock().Sleep(60 * time.Second)
 	if b.State() != BackendRunning {
 		t.Fatalf("keep-warm backend was reaped: %v", b.State())
 	}
@@ -80,19 +80,18 @@ func TestReaperSkipsBusyBackend(t *testing.T) {
 	cfg := config.Default()
 	cfg.Global.KeepAliveSec = 2
 	cfg.Models = []config.Model{ollamaModel("deepseek-r1:14b-fp16")}
-	s := startServer(t, cfg, Options{Clock: simclock.NewScaled(testEpoch, 2000)})
+	s := startServer(t, cfg, Options{})
 	b, _ := s.Backend("deepseek-r1:14b-fp16")
 
 	// The reaper must never evict mid-stream: a mid-generation eviction
 	// would force a second swap-in before the stream could finish, so a
 	// complete stream with exactly one swap-in proves the stream was
 	// never interrupted. (Client-side state checks are invalid here: the
-	// simulated decode finishes long before the client drains the socket
-	// buffers, so a post-completion reap can legitimately be visible
-	// while chunks are still being parsed.)
+	// decode may finish before the client has parsed every chunk, so a
+	// post-completion reap can legitimately be visible meanwhile.)
 	seed := int64(1)
 	var chunks int
-	err := openai.NewClient(s.URL()).ChatCompletionStream(context.Background(),
+	err := serverClient(s).ChatCompletionStream(context.Background(),
 		&ir.ChatCompletionRequest{
 			Model:     "deepseek-r1:14b-fp16",
 			Messages:  []ir.Message{{Role: "user", Content: "long"}},
@@ -116,9 +115,9 @@ func TestReaperSkipsBusyBackend(t *testing.T) {
 }
 
 func TestCompletionsEndpoint(t *testing.T) {
-	s := testServer(t, 5000, ollamaModel("llama3.2:1b-fp16"))
+	s := testServer(t, ollamaModel("llama3.2:1b-fp16"))
 	seed := int64(11)
-	resp, err := openai.NewClient(s.URL()).Completion(context.Background(), &ir.CompletionRequest{
+	resp, err := serverClient(s).Completion(context.Background(), &ir.CompletionRequest{
 		Model:     "llama3.2:1b-fp16",
 		Prompt:    ir.PromptField{"Once upon a time"},
 		MaxTokens: 6,
@@ -141,9 +140,9 @@ func TestCompletionsEndpoint(t *testing.T) {
 }
 
 func TestCompletionsMultiPrompt(t *testing.T) {
-	s := testServer(t, 5000, ollamaModel("llama3.2:1b-fp16"))
+	s := testServer(t, ollamaModel("llama3.2:1b-fp16"))
 	seed := int64(2)
-	resp, err := openai.NewClient(s.URL()).Completion(context.Background(), &ir.CompletionRequest{
+	resp, err := serverClient(s).Completion(context.Background(), &ir.CompletionRequest{
 		Model:     "llama3.2:1b-fp16",
 		Prompt:    ir.PromptField{"first prompt", "second prompt"},
 		MaxTokens: 3,
@@ -164,8 +163,8 @@ func TestCompletionsMultiPrompt(t *testing.T) {
 }
 
 func TestCompletionsValidation(t *testing.T) {
-	s := testServer(t, 5000, ollamaModel("llama3.2:1b-fp16"))
-	_, err := openai.NewClient(s.URL()).Completion(context.Background(), &ir.CompletionRequest{
+	s := testServer(t, ollamaModel("llama3.2:1b-fp16"))
+	_, err := serverClient(s).Completion(context.Background(), &ir.CompletionRequest{
 		Model: "llama3.2:1b-fp16",
 	})
 	if err == nil || !strings.Contains(err.Error(), "prompt") {
@@ -244,15 +243,15 @@ func TestPrefetcherHidesSwapIn(t *testing.T) {
 	cfg.Global.Prefetch = true
 	cfg.Global.KeepAliveSec = 2 // reap quickly so the cycle repeats
 	cfg.Models = []config.Model{ollamaModel("llama3.2:1b-fp16")}
-	s := startServer(t, cfg, Options{Clock: simclock.NewScaled(testEpoch, 1000)})
+	s := startServer(t, cfg, Options{})
 	b, _ := s.Backend("llama3.2:1b-fp16")
 
-	// Periodic traffic: one request every ~8 simulated seconds (8ms wall).
-	// After a few arrivals the EWMA converges and the prefetcher should
-	// swap the backend in before the next request.
+	// Periodic traffic: one request every ~8 simulated seconds. After a
+	// few arrivals the EWMA converges and the prefetcher should swap the
+	// backend in before the next request.
 	for i := 0; i < 8; i++ {
-		doChat(t, s.URL(), "llama3.2:1b-fp16", 1)
-		time.Sleep(8 * time.Millisecond)
+		serverChat(t, s, "llama3.2:1b-fp16", 1)
+		s.Clock().Sleep(8 * time.Second)
 	}
 	if v := s.Registry().Counter("prefetch_swap_ins").Value(); v == 0 {
 		t.Fatal("prefetcher never triggered a proactive swap-in")

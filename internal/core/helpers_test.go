@@ -80,7 +80,7 @@ func TestInitTimeoutOnServerClock(t *testing.T) {
 func TestServerAccessorsBeforeStart(t *testing.T) {
 	cfg := config.Default()
 	cfg.Models = []config.Model{ollamaModel("llama3.2:1b-fp16")}
-	s, err := New(cfg, Options{Clock: simclock.NewScaled(testEpoch, 2000)})
+	s, err := New(cfg, Options{Clock: virtualTestClock(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

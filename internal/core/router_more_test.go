@@ -22,10 +22,10 @@ func TestResponseTimeoutEndToEnd(t *testing.T) {
 	// 0.5 simulated seconds: far below the ~4.7s swap-in of the 14B model.
 	cfg.Global.ResponseTimeoutSec = 0.5
 	cfg.Models = []config.Model{ollamaModel("deepseek-r1:14b-fp16")}
-	s := startServer(t, cfg, Options{Clock: simclock.NewScaled(testEpoch, 500)})
+	s := startServer(t, cfg, Options{})
 
 	seed := int64(1)
-	_, err := openai.NewClient(s.URL()).ChatCompletion(context.Background(),
+	_, err := serverClient(s).ChatCompletion(context.Background(),
 		&ir.ChatCompletionRequest{
 			Model:     "deepseek-r1:14b-fp16",
 			Messages:  []ir.Message{{Role: "user", Content: "x"}},
@@ -72,13 +72,14 @@ func TestResponseTimeoutOnVirtualClock(t *testing.T) {
 // TestClientCancelBeforeDequeue: a request cancelled while queued is
 // discarded by the worker's liveness check without touching the engine.
 func TestClientCancelBeforeDequeue(t *testing.T) {
-	s := testServer(t, 500, ollamaModel("deepseek-r1:14b-fp16"))
+	s := testServer(t, ollamaModel("deepseek-r1:14b-fp16"))
 	// First request occupies the worker with a multi-second swap-in; a
 	// second, immediately-cancelled request sits in the queue behind it.
 	first := make(chan error, 1)
-	go func() {
+	warm := simclock.NewGroup(s.Clock())
+	warm.Go(func() {
 		seed := int64(1)
-		_, err := openai.NewClient(s.URL()).ChatCompletion(context.Background(),
+		_, err := serverClient(s).ChatCompletion(context.Background(),
 			&ir.ChatCompletionRequest{
 				Model:     "deepseek-r1:14b-fp16",
 				Messages:  []ir.Message{{Role: "user", Content: "warm"}},
@@ -86,13 +87,13 @@ func TestClientCancelBeforeDequeue(t *testing.T) {
 				MaxTokens: 1,
 			})
 		first <- err
-	}()
-	time.Sleep(2 * time.Millisecond)
+	})
+	s.Clock().Sleep(time.Second) // the first request reaches the worker
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the worker can dequeue it
 	seed := int64(2)
-	_, err := openai.NewClient(s.URL()).ChatCompletion(ctx, &ir.ChatCompletionRequest{
+	_, err := serverClient(s).ChatCompletion(ctx, &ir.ChatCompletionRequest{
 		Model:     "deepseek-r1:14b-fp16",
 		Messages:  []ir.Message{{Role: "user", Content: "x"}},
 		Seed:      &seed,
@@ -101,6 +102,7 @@ func TestClientCancelBeforeDequeue(t *testing.T) {
 	if err == nil {
 		t.Fatal("cancelled request succeeded")
 	}
+	warm.Wait()
 	if err := <-first; err != nil {
 		t.Fatalf("first request failed: %v", err)
 	}
@@ -111,10 +113,10 @@ func TestClientCancelBeforeDequeue(t *testing.T) {
 // caller's context... the drain waits, so use a short request context via
 // the admin HTTP call racing a long stream.
 func TestMetricsAfterTraffic(t *testing.T) {
-	s := testServer(t, 5000, ollamaModel("llama3.2:1b-fp16"))
-	doChat(t, s.URL(), "llama3.2:1b-fp16", 2)
-	doChat(t, s.URL(), "llama3.2:1b-fp16", 2)
-	resp, err := http.Get(s.URL() + "/metrics.csv")
+	s := testServer(t, ollamaModel("llama3.2:1b-fp16"))
+	serverChat(t, s, "llama3.2:1b-fp16", 2)
+	serverChat(t, s, "llama3.2:1b-fp16", 2)
+	resp, err := httpClient(s).Get(s.URL() + "/metrics.csv")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,8 +139,8 @@ func TestMetricsAfterTraffic(t *testing.T) {
 
 // TestBackendStatusFields sanity-checks the admin snapshot after churn.
 func TestBackendStatusFields(t *testing.T) {
-	s := testServer(t, 5000, ollamaModel("llama3.2:1b-fp16"))
-	doChat(t, s.URL(), "llama3.2:1b-fp16", 2)
+	s := testServer(t, ollamaModel("llama3.2:1b-fp16"))
+	serverChat(t, s, "llama3.2:1b-fp16", 2)
 	b, _ := s.Backend("llama3.2:1b-fp16")
 	st := b.Status()
 	if st.Name != "llama3.2:1b-fp16" || st.Engine != "ollama" {
@@ -168,9 +170,9 @@ func TestDebugTraceRequiresToken(t *testing.T) {
 	cfg := config.Default()
 	cfg.Global.AuthToken = "secret-token"
 	cfg.Models = []config.Model{ollamaModel("llama3.2:1b-fp16")}
-	s := startServer(t, cfg, Options{Clock: simclock.NewScaled(testEpoch, 5000)})
+	s := startServer(t, cfg, Options{})
 
-	resp, err := http.Get(s.URL() + "/debug/trace")
+	resp, err := httpClient(s).Get(s.URL() + "/debug/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +182,7 @@ func TestDebugTraceRequiresToken(t *testing.T) {
 	}
 	req, _ := http.NewRequest(http.MethodGet, s.URL()+"/debug/trace", nil)
 	req.Header.Set("Authorization", "Bearer secret-token")
-	resp, err = http.DefaultClient.Do(req)
+	resp, err = httpClient(s).Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,10 +196,10 @@ func TestDebugTraceRequiresToken(t *testing.T) {
 // is answered 413 with an error envelope, not cut short and misreported
 // as malformed JSON.
 func TestOversizedBodyIs413(t *testing.T) {
-	s := testServer(t, 5000, ollamaModel("llama3.2:1b-fp16"))
+	s := testServer(t, ollamaModel("llama3.2:1b-fp16"))
 	const head, tail = `{"model":"llama3.2:1b-fp16","messages":[{"role":"user","content":"`, `"}]}`
 	body := head + strings.Repeat("x", 1<<20+1-len(head)-len(tail)) + tail
-	resp, err := http.Post(s.URL()+"/v1/chat/completions", "application/json", strings.NewReader(body))
+	resp, err := httpClient(s).Post(s.URL()+"/v1/chat/completions", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,24 +17,13 @@ import (
 	"swapservellm/internal/simclock"
 )
 
-// testServer builds and starts a server from the given model configs.
-func testServer(t *testing.T, scale float64, models ...config.Model) *Server {
+// testServer builds and starts a server from the given model configs on
+// virtualTestClock.
+func testServer(t *testing.T, models ...config.Model) *Server {
 	t.Helper()
 	cfg := config.Default()
 	cfg.Models = models
-	s, err := New(cfg, Options{
-		Clock: simclock.NewScaled(testEpoch, scale),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	if err := s.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Shutdown)
-	return s
+	return startServer(t, cfg, Options{})
 }
 
 func ollamaModel(name string) config.Model {
@@ -45,19 +34,24 @@ func vllmModel(name string) config.Model {
 	return config.Model{Name: name, Engine: "vllm"}
 }
 
-func doChat(t *testing.T, url, model string, maxTokens int) *ir.ChatCompletionResponse {
-	t.Helper()
-	return chatVia(t, openai.NewClient(url), model, maxTokens)
-}
-
-// serverChat is doChat with the client on the server's clock, so a test
-// goroutine registered with a Virtual clock gives up its run token for
-// the round trip instead of freezing simulated time.
-func serverChat(t *testing.T, s *Server, model string, maxTokens int) *ir.ChatCompletionResponse {
-	t.Helper()
+// serverClient returns an OpenAI client of s on the server's clock, so
+// a test goroutine registered with a Virtual clock gives up its run
+// token for each round trip instead of freezing simulated time.
+func serverClient(s *Server) *openai.Client {
 	cli := openai.NewClient(s.URL())
 	cli.Clock = s.Clock()
-	return chatVia(t, cli, model, maxTokens)
+	return cli
+}
+
+// httpClient returns an HTTP client on the server's clock: requests to
+// s are served in-process.
+func httpClient(s *Server) *http.Client {
+	return &http.Client{Transport: simclock.Transport(s.Clock())}
+}
+
+func serverChat(t *testing.T, s *Server, model string, maxTokens int) *ir.ChatCompletionResponse {
+	t.Helper()
+	return chatVia(t, serverClient(s), model, maxTokens)
 }
 
 func chatVia(t *testing.T, cli *openai.Client, model string, maxTokens int) *ir.ChatCompletionResponse {
@@ -80,7 +74,7 @@ func chatVia(t *testing.T, cli *openai.Client, model string, maxTokens int) *ir.
 func TestServerInitSnapshotsAndPauses(t *testing.T) {
 	// §3.2: after initialization every backend is snapshotted and paused,
 	// leaving the GPU empty.
-	s := testServer(t, 5000, ollamaModel("llama3.2:1b-fp16"), ollamaModel("deepseek-r1:1.5b-q4"))
+	s := testServer(t, ollamaModel("llama3.2:1b-fp16"), ollamaModel("deepseek-r1:1.5b-q4"))
 	for _, b := range s.Backends() {
 		if b.State() != BackendSwappedOut {
 			t.Errorf("backend %s state = %v, want swapped-out", b.Name(), b.State())
@@ -102,7 +96,7 @@ func TestServerInitSnapshotsAndPauses(t *testing.T) {
 func TestServerKeepWarm(t *testing.T) {
 	m := ollamaModel("llama3.2:1b-fp16")
 	m.KeepWarm = true
-	s := testServer(t, 5000, m)
+	s := testServer(t, m)
 	b, _ := s.Backend("llama3.2:1b-fp16")
 	if b.State() != BackendRunning {
 		t.Fatalf("keep-warm backend state = %v", b.State())
@@ -112,12 +106,12 @@ func TestServerKeepWarm(t *testing.T) {
 func TestRequestTriggersSwapIn(t *testing.T) {
 	// §3.3: a request for a swapped-out model triggers the full swap-in
 	// path and is then served.
-	s := testServer(t, 5000, ollamaModel("llama3.2:1b-fp16"))
+	s := testServer(t, ollamaModel("llama3.2:1b-fp16"))
 	b, _ := s.Backend("llama3.2:1b-fp16")
 	if b.State() != BackendSwappedOut {
 		t.Fatalf("precondition: state = %v", b.State())
 	}
-	resp := doChat(t, s.URL(), "llama3.2:1b-fp16", 4)
+	resp := serverChat(t, s, "llama3.2:1b-fp16", 4)
 	if resp.Usage.CompletionTokens != 4 {
 		t.Fatalf("usage = %+v", resp.Usage)
 	}
@@ -129,7 +123,7 @@ func TestRequestTriggersSwapIn(t *testing.T) {
 		t.Fatalf("swap-ins = %d, want 1", in)
 	}
 	// A second request hits the running backend with no further swap.
-	doChat(t, s.URL(), "llama3.2:1b-fp16", 4)
+	serverChat(t, s, "llama3.2:1b-fp16", 4)
 	if in2, _ := b.SwapCounts(); in2 != 1 {
 		t.Fatalf("second request re-swapped: %d", in2)
 	}
@@ -157,15 +151,15 @@ func TestSwapInLatencyFasterThanColdStart(t *testing.T) {
 func TestPreemptionUnderMemoryPressure(t *testing.T) {
 	// Two vLLM backends each demand 90% of the GPU: serving model B must
 	// preempt model A, and vice versa.
-	s := testServer(t, 20000, vllmModel("llama3.2:1b-fp16"), vllmModel("llama3.2:3b-fp16"))
+	s := testServer(t, vllmModel("llama3.2:1b-fp16"), vllmModel("llama3.2:3b-fp16"))
 	a, _ := s.Backend("llama3.2:1b-fp16")
 	bb, _ := s.Backend("llama3.2:3b-fp16")
 
-	doChat(t, s.URL(), "llama3.2:1b-fp16", 2)
+	serverChat(t, s, "llama3.2:1b-fp16", 2)
 	if a.State() != BackendRunning {
 		t.Fatalf("A state = %v", a.State())
 	}
-	doChat(t, s.URL(), "llama3.2:3b-fp16", 2)
+	serverChat(t, s, "llama3.2:3b-fp16", 2)
 	if bb.State() != BackendRunning {
 		t.Fatalf("B state = %v", bb.State())
 	}
@@ -178,7 +172,7 @@ func TestPreemptionUnderMemoryPressure(t *testing.T) {
 		t.Fatalf("A swap-outs = %d, want >= 2", aOuts)
 	}
 	// And A can come back.
-	doChat(t, s.URL(), "llama3.2:1b-fp16", 2)
+	serverChat(t, s, "llama3.2:1b-fp16", 2)
 	if a.State() != BackendRunning || bb.State() != BackendSwappedOut {
 		t.Fatalf("states after A re-served: A=%v B=%v", a.State(), bb.State())
 	}
@@ -187,7 +181,7 @@ func TestPreemptionUnderMemoryPressure(t *testing.T) {
 func TestPaperScenario34(t *testing.T) {
 	// §3.4: Gemma 7B and DeepSeek Coder 6.7B fit together on the 80 GB
 	// GPU; a subsequent LLaMA 3.3 70B FP8 request must swap both out.
-	s := testServer(t, 20000,
+	s := testServer(t,
 		ollamaModel("gemma:7b-fp16"),
 		ollamaModel("deepseek-coder:6.7b-fp16"),
 		ollamaModel("llama3.3:70b-fp8"),
@@ -197,21 +191,28 @@ func TestPaperScenario34(t *testing.T) {
 	big, _ := s.Backend("llama3.3:70b-fp8")
 
 	// Both small models swap in concurrently.
-	var wg sync.WaitGroup
+	chats := simclock.NewGroup(s.Clock())
 	for _, m := range []string{"gemma:7b-fp16", "deepseek-coder:6.7b-fp16"} {
-		wg.Add(1)
-		go func(m string) {
-			defer wg.Done()
-			doChat(t, s.URL(), m, 2)
-		}(m)
+		chats.Go(func() {
+			seed := int64(7)
+			_, err := serverClient(s).ChatCompletion(context.Background(), &ir.ChatCompletionRequest{
+				Model:     m,
+				Messages:  []ir.Message{{Role: "user", Content: "hello from the test"}},
+				Seed:      &seed,
+				MaxTokens: 2,
+			})
+			if err != nil {
+				t.Errorf("chat against %s: %v", m, err)
+			}
+		})
 	}
-	wg.Wait()
+	chats.Wait()
 	if gemma.State() != BackendRunning || coder.State() != BackendRunning {
 		t.Fatalf("small models not co-resident: gemma=%v coder=%v", gemma.State(), coder.State())
 	}
 
 	// The 70B model displaces both.
-	doChat(t, s.URL(), "llama3.3:70b-fp8", 2)
+	serverChat(t, s, "llama3.3:70b-fp8", 2)
 	if big.State() != BackendRunning {
 		t.Fatalf("70B state = %v", big.State())
 	}
@@ -221,9 +222,9 @@ func TestPaperScenario34(t *testing.T) {
 }
 
 func TestUnknownModel404(t *testing.T) {
-	s := testServer(t, 5000, ollamaModel("llama3.2:1b-fp16"))
+	s := testServer(t, ollamaModel("llama3.2:1b-fp16"))
 	seed := int64(1)
-	_, err := openai.NewClient(s.URL()).ChatCompletion(context.Background(), &ir.ChatCompletionRequest{
+	_, err := serverClient(s).ChatCompletion(context.Background(), &ir.ChatCompletionRequest{
 		Model:    "gpt-42",
 		Messages: []ir.Message{{Role: "user", Content: "x"}},
 		Seed:     &seed,
@@ -235,9 +236,9 @@ func TestUnknownModel404(t *testing.T) {
 }
 
 func TestRouterValidation(t *testing.T) {
-	s := testServer(t, 5000, ollamaModel("llama3.2:1b-fp16"))
+	s := testServer(t, ollamaModel("llama3.2:1b-fp16"))
 	// Malformed JSON.
-	resp, err := http.Post(s.URL()+"/v1/chat/completions", "application/json", strings.NewReader("{"))
+	resp, err := httpClient(s).Post(s.URL()+"/v1/chat/completions", "application/json", strings.NewReader("{"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +247,7 @@ func TestRouterValidation(t *testing.T) {
 		t.Fatalf("malformed JSON status = %d", resp.StatusCode)
 	}
 	// Missing messages.
-	resp, err = http.Post(s.URL()+"/v1/chat/completions", "application/json",
+	resp, err = httpClient(s).Post(s.URL()+"/v1/chat/completions", "application/json",
 		strings.NewReader(`{"model":"llama3.2:1b-fp16"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +257,7 @@ func TestRouterValidation(t *testing.T) {
 		t.Fatalf("empty messages status = %d", resp.StatusCode)
 	}
 	// GET on completions.
-	resp, err = http.Get(s.URL() + "/v1/chat/completions")
+	resp, err = httpClient(s).Get(s.URL() + "/v1/chat/completions")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,8 +268,8 @@ func TestRouterValidation(t *testing.T) {
 }
 
 func TestListModelsEndpoint(t *testing.T) {
-	s := testServer(t, 5000, ollamaModel("llama3.2:1b-fp16"), ollamaModel("deepseek-r1:1.5b-q4"))
-	list, err := openai.NewClient(s.URL()).ListModels(context.Background())
+	s := testServer(t, ollamaModel("llama3.2:1b-fp16"), ollamaModel("deepseek-r1:1.5b-q4"))
+	list, err := serverClient(s).ListModels(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,10 +282,10 @@ func TestListModelsEndpoint(t *testing.T) {
 }
 
 func TestStreamingThroughRouter(t *testing.T) {
-	s := testServer(t, 5000, ollamaModel("llama3.2:1b-fp16"))
+	s := testServer(t, ollamaModel("llama3.2:1b-fp16"))
 	seed := int64(3)
 	var tokens []string
-	err := openai.NewClient(s.URL()).ChatCompletionStream(context.Background(),
+	err := serverClient(s).ChatCompletionStream(context.Background(),
 		&ir.ChatCompletionRequest{
 			Model:     "llama3.2:1b-fp16",
 			Messages:  []ir.Message{{Role: "user", Content: "stream through proxy"}},
@@ -306,11 +307,11 @@ func TestStreamingThroughRouter(t *testing.T) {
 }
 
 func TestAdminStatusAndSwap(t *testing.T) {
-	s := testServer(t, 5000, ollamaModel("llama3.2:1b-fp16"))
+	s := testServer(t, ollamaModel("llama3.2:1b-fp16"))
 	b, _ := s.Backend("llama3.2:1b-fp16")
 
 	// Explicit swap-in via the admin API.
-	resp, err := http.Post(s.URL()+"/admin/swap-in?model=llama3.2:1b-fp16", "", nil)
+	resp, err := httpClient(s).Post(s.URL()+"/admin/swap-in?model=llama3.2:1b-fp16", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +324,7 @@ func TestAdminStatusAndSwap(t *testing.T) {
 	}
 
 	// Status reflects it.
-	resp, err = http.Get(s.URL() + "/admin/status")
+	resp, err = httpClient(s).Get(s.URL() + "/admin/status")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +346,7 @@ func TestAdminStatusAndSwap(t *testing.T) {
 	}
 
 	// Explicit swap-out.
-	resp, err = http.Post(s.URL()+"/admin/swap-out?model=llama3.2:1b-fp16", "", nil)
+	resp, err = httpClient(s).Post(s.URL()+"/admin/swap-out?model=llama3.2:1b-fp16", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +359,7 @@ func TestAdminStatusAndSwap(t *testing.T) {
 	}
 
 	// Unknown model.
-	resp, _ = http.Post(s.URL()+"/admin/swap-in?model=nope", "", nil)
+	resp, _ = httpClient(s).Post(s.URL()+"/admin/swap-in?model=nope", "", nil)
 	resp.Body.Close()
 	if resp.StatusCode != 404 {
 		t.Fatalf("unknown model swap status = %d", resp.StatusCode)
@@ -366,9 +367,9 @@ func TestAdminStatusAndSwap(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	s := testServer(t, 5000, ollamaModel("llama3.2:1b-fp16"))
-	doChat(t, s.URL(), "llama3.2:1b-fp16", 2)
-	resp, err := http.Get(s.URL() + "/metrics")
+	s := testServer(t, ollamaModel("llama3.2:1b-fp16"))
+	serverChat(t, s, "llama3.2:1b-fp16", 2)
+	resp, err := httpClient(s).Get(s.URL() + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +391,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	// The CSV exposition remains available at /metrics.csv.
-	csvResp, err := http.Get(s.URL() + "/metrics.csv")
+	csvResp, err := httpClient(s).Get(s.URL() + "/metrics.csv")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +407,7 @@ func TestAuthToken(t *testing.T) {
 	cfg := config.Default()
 	cfg.Global.AuthToken = "secret-token"
 	cfg.Models = []config.Model{ollamaModel("llama3.2:1b-fp16")}
-	s, err := New(cfg, Options{Clock: simclock.NewScaled(testEpoch, 5000)})
+	s, err := New(cfg, Options{Clock: virtualTestClock(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +417,7 @@ func TestAuthToken(t *testing.T) {
 	defer s.Shutdown()
 
 	// Without the token: 401.
-	resp, err := http.Get(s.URL() + "/v1/models")
+	resp, err := httpClient(s).Get(s.URL() + "/v1/models")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +428,7 @@ func TestAuthToken(t *testing.T) {
 	// With it: 200.
 	req, _ := http.NewRequest(http.MethodGet, s.URL()+"/v1/models", nil)
 	req.Header.Set("Authorization", "Bearer secret-token")
-	resp, err = http.DefaultClient.Do(req)
+	resp, err = httpClient(s).Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,13 +450,11 @@ func TestQueueFull429(t *testing.T) {
 	// swap-in cannot finish while the flood is still crossing the wire, so
 	// the outcome does not hang on host scheduling.
 	gate := clock.Gate()
-	var wg sync.WaitGroup
+	flood := simclock.NewGroup(clock)
 	var got429 bool
 	var mu sync.Mutex
 	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		gate.Go(func() {
-			defer wg.Done()
+		flood.Go(func() {
 			seed := int64(1)
 			body, _ := json.Marshal(ir.ChatCompletionRequest{
 				Model:     "llama3.2:1b-fp16",
@@ -481,14 +480,14 @@ func TestQueueFull429(t *testing.T) {
 			}
 		})
 	}
-	gate.Block(wg.Wait)
+	flood.Wait()
 	if !got429 {
 		t.Fatal("no request was rejected with 429 despite queue depth 1")
 	}
 }
 
 func TestServerDoubleStart(t *testing.T) {
-	s := testServer(t, 5000, ollamaModel("llama3.2:1b-fp16"))
+	s := testServer(t, ollamaModel("llama3.2:1b-fp16"))
 	if err := s.Start(context.Background()); err == nil {
 		t.Fatal("second Start accepted")
 	}
@@ -527,7 +526,7 @@ func TestVLLMSleepModeSwapPath(t *testing.T) {
 	cfg := config.Default()
 	cfg.Global.UseSleepMode = true
 	cfg.Models = []config.Model{vllmModel("llama3.2:1b-fp16")}
-	s, err := New(cfg, Options{Clock: simclock.NewScaled(testEpoch, 20000)})
+	s, err := New(cfg, Options{Clock: virtualTestClock(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -553,7 +552,7 @@ func TestVLLMSleepModeSwapPath(t *testing.T) {
 		t.Fatalf("required bytes = %d, want ~72 GiB", b.RequiredBytes())
 	}
 	// And the backend serves correctly after swap-in.
-	resp := doChat(t, s.URL(), "llama3.2:1b-fp16", 2)
+	resp := serverChat(t, s, "llama3.2:1b-fp16", 2)
 	if resp.Usage.CompletionTokens != 2 {
 		t.Fatalf("usage = %+v", resp.Usage)
 	}
@@ -563,15 +562,13 @@ func TestVLLMSleepModeSwapPath(t *testing.T) {
 }
 
 func TestConcurrentRequestsSameModel(t *testing.T) {
-	s := testServer(t, 5000, ollamaModel("llama3.2:1b-fp16"))
-	var wg sync.WaitGroup
+	s := testServer(t, ollamaModel("llama3.2:1b-fp16"))
+	clients := simclock.NewGroup(s.Clock())
 	errs := make(chan error, 8)
 	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		clients.Go(func() {
 			seed := int64(1)
-			_, err := openai.NewClient(s.URL()).ChatCompletion(context.Background(), &ir.ChatCompletionRequest{
+			_, err := serverClient(s).ChatCompletion(context.Background(), &ir.ChatCompletionRequest{
 				Model:     "llama3.2:1b-fp16",
 				Messages:  []ir.Message{{Role: "user", Content: "concurrent"}},
 				Seed:      &seed,
@@ -580,9 +577,9 @@ func TestConcurrentRequestsSameModel(t *testing.T) {
 			if err != nil {
 				errs <- err
 			}
-		}()
+		})
 	}
-	wg.Wait()
+	clients.Wait()
 	close(errs)
 	for err := range errs {
 		t.Errorf("concurrent request: %v", err)

@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"swapservellm/internal/config"
-	"swapservellm/internal/openai"
 	"swapservellm/internal/proxy/ir"
+	"swapservellm/internal/simclock"
 )
 
 // TestSoakRandomChurn drives a five-model deployment with randomized
@@ -38,11 +38,6 @@ func TestSoakRandomChurn(t *testing.T) {
 	clock := virtualTestClock(t)
 	gate := clock.Gate()
 	s := startServer(t, cfg, Options{Clock: clock})
-	client := func() *openai.Client {
-		cli := openai.NewClient(s.URL())
-		cli.Clock = clock
-		return cli
-	}
 
 	// Memory pressure: leave ~35 GiB of headroom so evictions happen.
 	dev, _ := s.Topology().Device(0)
@@ -51,7 +46,7 @@ func TestSoakRandomChurn(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(99))
-	var wg sync.WaitGroup
+	churn := simclock.NewGroup(clock)
 	var mu sync.Mutex
 	served, failed := 0, 0
 	sem := make(chan struct{}, 10)
@@ -61,11 +56,14 @@ func TestSoakRandomChurn(t *testing.T) {
 		model := modelNames[rng.Intn(len(modelNames))]
 		action := rng.Intn(10)
 		maxTokens := 1 + rng.Intn(8)
-		wg.Add(1)
-		gate.Block(func() { sem <- struct{}{} })
-		gate.Go(func() {
-			defer wg.Done()
-			defer func() { <-sem }()
+		// The test goroutine is the only sender, so a free slot means the
+		// send cannot block.
+		gate.BlockOn(sem, func() bool { return len(sem) < cap(sem) }, func() { sem <- struct{}{} })
+		churn.Go(func() {
+			defer func() {
+				<-sem
+				gate.Wake(sem)
+			}()
 			switch {
 			case action == 0:
 				// Occasional explicit admin swap-out (may legitimately
@@ -74,7 +72,7 @@ func TestSoakRandomChurn(t *testing.T) {
 				s.Controller().SwapOut(context.Background(), b)
 			default:
 				seed := int64(i)
-				_, err := client().ChatCompletion(context.Background(),
+				_, err := serverClient(s).ChatCompletion(context.Background(),
 					&ir.ChatCompletionRequest{
 						Model:     model,
 						Messages:  []ir.Message{{Role: "user", Content: "soak"}},
@@ -91,7 +89,7 @@ func TestSoakRandomChurn(t *testing.T) {
 			}
 		})
 	}
-	gate.Block(wg.Wait)
+	churn.Wait()
 
 	if failed > 0 {
 		t.Errorf("%d/%d requests failed during churn", failed, served+failed)
@@ -157,7 +155,7 @@ func TestSoakRandomChurn(t *testing.T) {
 	// Invariant 4: every backend still serves.
 	for _, name := range modelNames {
 		seed := int64(7)
-		if _, err := client().ChatCompletion(context.Background(),
+		if _, err := serverClient(s).ChatCompletion(context.Background(),
 			&ir.ChatCompletionRequest{
 				Model:     name,
 				Messages:  []ir.Message{{Role: "user", Content: "post-soak"}},

@@ -18,9 +18,10 @@ const gib = int64(1) << 30
 
 var testEpoch = time.Date(2025, 11, 16, 0, 0, 0, 0, time.UTC)
 
+// newTM builds a task manager on virtualTestClock.
 func newTM(t *testing.T, gpuCount int) (*TaskManager, *gpu.Topology) {
 	t.Helper()
-	clock := simclock.NewScaled(testEpoch, 5000)
+	clock := virtualTestClock(t)
 	topo := gpu.NewTopology(perfmodel.GPUH100, gpuCount, 80*gib)
 	return NewTaskManager(clock, topo), topo
 }
@@ -82,25 +83,28 @@ func TestReserveBlocksUntilRelease(t *testing.T) {
 	}
 
 	granted := make(chan *Reservation, 1)
-	go func() {
+	waiter := simclock.NewGroup(tm.clock)
+	waiter.Go(func() {
 		res, err := tm.Reserve(context.Background(), []int{0}, 40*gib, "b")
 		if err != nil {
 			t.Errorf("blocked Reserve: %v", err)
 			return
 		}
 		granted <- res
-	}()
+	})
 
+	tm.clock.Sleep(150 * time.Second)
 	select {
 	case <-granted:
 		t.Fatal("40 GiB granted while 60 GiB reserved on an 80 GiB device")
-	case <-time.After(30 * time.Millisecond):
+	default:
 	}
 	first.Release()
+	waiter.Wait()
 	select {
 	case res := <-granted:
 		res.Release()
-	case <-time.After(2 * time.Second):
+	default:
 		t.Fatal("reservation not granted after release")
 	}
 }
@@ -113,34 +117,31 @@ func TestReserveFIFOOrder(t *testing.T) {
 
 	var order []string
 	var mu sync.Mutex
-	var wg sync.WaitGroup
+	waiters := simclock.NewGroup(tm.clock)
 	record := func(name string) {
 		mu.Lock()
 		order = append(order, name)
 		mu.Unlock()
 	}
 
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
+	waiters.Go(func() {
 		res, err := tm.Reserve(context.Background(), []int{0}, 50*gib, "big")
 		if err == nil {
 			record("big")
 			res.Release()
 		}
-	}()
-	time.Sleep(20 * time.Millisecond) // let "big" enqueue first
-	go func() {
-		defer wg.Done()
+	})
+	tm.clock.Sleep(100 * time.Second) // let "big" enqueue first
+	waiters.Go(func() {
 		res, err := tm.Reserve(context.Background(), []int{0}, 40*gib, "small")
 		if err == nil {
 			record("small")
 			res.Release()
 		}
-	}()
-	time.Sleep(20 * time.Millisecond)
+	})
+	tm.clock.Sleep(100 * time.Second)
 	first.Release()
-	wg.Wait()
+	waiters.Wait()
 	if len(order) != 2 || order[0] != "big" {
 		t.Fatalf("grant order = %v, want big first", order)
 	}
@@ -150,20 +151,14 @@ func TestReserveCancellation(t *testing.T) {
 	tm, _ := newTM(t, 1)
 	first, _ := tm.Reserve(context.Background(), []int{0}, 70*gib, "a")
 	ctx, cancel := context.WithCancel(context.Background())
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := tm.Reserve(ctx, []int{0}, 40*gib, "b")
-		errCh <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
+	var err error
+	waiter := simclock.NewGroup(tm.clock)
+	waiter.Go(func() { _, err = tm.Reserve(ctx, []int{0}, 40*gib, "b") })
+	tm.clock.Sleep(100 * time.Second)
 	cancel()
-	select {
-	case err := <-errCh:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("cancelled Reserve did not return")
+	waiter.Wait()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v", err)
 	}
 	if tm.PendingCount() != 0 {
 		t.Fatalf("pending queue not cleaned: %d", tm.PendingCount())
@@ -180,12 +175,10 @@ func TestReserveCancellation(t *testing.T) {
 func TestConcurrentSmallReservations(t *testing.T) {
 	// §3.4: multiple requests that fit together are granted concurrently.
 	tm, _ := newTM(t, 1)
-	var wg sync.WaitGroup
+	reservers := simclock.NewGroup(tm.clock)
 	var granted atomic.Int32
 	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		reservers.Go(func() {
 			res, err := tm.Reserve(context.Background(), []int{0}, 16*gib, "m")
 			if err != nil {
 				t.Errorf("Reserve: %v", err)
@@ -193,9 +186,9 @@ func TestConcurrentSmallReservations(t *testing.T) {
 			}
 			granted.Add(1)
 			res.Release()
-		}()
+		})
 	}
-	wg.Wait()
+	reservers.Wait()
 	if granted.Load() != 4 {
 		t.Fatalf("granted %d of 4", granted.Load())
 	}
@@ -287,19 +280,21 @@ func TestNotifyFreedGrantsWaiters(t *testing.T) {
 	dev.Alloc("external", 70*gib)
 
 	granted := make(chan struct{})
-	go func() {
+	waiter := simclock.NewGroup(tm.clock)
+	waiter.Go(func() {
 		res, err := tm.Reserve(context.Background(), []int{0}, 40*gib, "w")
 		if err == nil {
 			res.Release()
 			close(granted)
 		}
-	}()
-	time.Sleep(20 * time.Millisecond)
+	})
+	tm.clock.Sleep(100 * time.Second)
 	dev.FreeOwner("external")
 	tm.NotifyFreed()
+	waiter.Wait()
 	select {
 	case <-granted:
-	case <-time.After(2 * time.Second):
+	default:
 		t.Fatal("waiter not granted after NotifyFreed")
 	}
 }
@@ -333,14 +328,12 @@ func TestNormalizeGPUs(t *testing.T) {
 func TestReservationAccountingProperty(t *testing.T) {
 	f := func(sizes []uint8) bool {
 		tm, _ := newTM(t, 1)
-		var wg sync.WaitGroup
+		reservers := simclock.NewGroup(tm.clock)
 		valid := true
 		var mu sync.Mutex
 		for _, raw := range sizes {
 			bytes := (int64(raw%40) + 1) * gib
-			wg.Add(1)
-			go func(bytes int64) {
-				defer wg.Done()
+			reservers.Go(func() {
 				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 				defer cancel()
 				res, err := tm.Reserve(ctx, []int{0}, bytes, "p")
@@ -354,9 +347,9 @@ func TestReservationAccountingProperty(t *testing.T) {
 				}
 				mu.Unlock()
 				res.Release()
-			}(bytes)
+			})
 		}
-		wg.Wait()
+		reservers.Wait()
 		return valid && tm.Reserved(0) == 0 && tm.PendingCount() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {

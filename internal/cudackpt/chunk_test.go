@@ -79,7 +79,7 @@ func TestChunkedAccountingBalancedAtEveryBoundary(t *testing.T) {
 // simulated time and emits exactly one chunk event per direction.
 func TestMonolithicChunkSizeMatchesChunkedTiming(t *testing.T) {
 	elapsed := func(chunkBytes int64) (time.Duration, int) {
-		d, dev, clock := newVirtualDriver(t, 0)
+		d, dev, clock := newDriver(t, 0)
 		d.SetChunkBytes(chunkBytes)
 		if err := dev.Alloc("p", 8*gib); err != nil {
 			t.Fatal(err)
@@ -107,8 +107,7 @@ func TestMonolithicChunkSizeMatchesChunkedTiming(t *testing.T) {
 	if diff < 0 {
 		diff = -diff
 	}
-	// The split telescopes exactly in simulated time; allow wall-clock
-	// scheduling slop from the scaled clock.
+	// The split telescopes in simulated time.
 	if diff > 150*time.Millisecond {
 		t.Fatalf("chunked cycle %v vs monolithic %v differ by %v", chunked, mono, diff)
 	}
@@ -241,8 +240,7 @@ func TestCheckpointRollsForwardWhenCapacityClaimed(t *testing.T) {
 // means neither stretches the other, so the exchange completes in
 // roughly the slower transfer's time rather than the sum.
 func TestPipelinedExchangeOverlapsTransfers(t *testing.T) {
-	d, dev, clock := newVirtualDriver(t, 0)
-	gate := clock.Gate()
+	d, dev, clock := newDriver(t, 0)
 	// Build target's host image first: it runs, checkpoints out.
 	if err := dev.Alloc("target", 72*gib); err != nil {
 		t.Fatal(err)
@@ -267,16 +265,13 @@ func TestPipelinedExchangeOverlapsTransfers(t *testing.T) {
 		perfmodel.EngineResumeOverhead(perfmodel.EngineVLLM)
 
 	start := clock.Now()
-	suspendErr := make(chan error, 1)
-	gate.Go(func() {
-		_, err := d.Suspend(context.Background(), "victim")
-		suspendErr <- err
-	})
+	victim := simclock.NewGroup(clock)
+	var serr error
+	victim.Go(func() { _, serr = d.Suspend(context.Background(), "victim") })
 	if err := d.Restore(context.Background(), "target", newFreedClaim(clock, d, dev)); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	var serr error
-	gate.Block(func() { serr = <-suspendErr })
+	victim.Wait()
 	if serr != nil {
 		t.Fatalf("victim Suspend: %v", serr)
 	}

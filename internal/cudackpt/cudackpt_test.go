@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -15,18 +14,10 @@ import (
 
 const gib = int64(1) << 30
 
-func newDriver(t *testing.T, hostCap int64) (*Driver, *gpu.Device, *simclock.Scaled) {
-	t.Helper()
-	clock := simclock.NewScaled(time.Date(2025, 11, 16, 0, 0, 0, 0, time.UTC), simclock.DefaultScale)
-	dev := gpu.NewDevice(0, perfmodel.GPUH100, 80*gib)
-	return NewDriver(clock, perfmodel.H100(), hostCap), dev, clock
-}
-
-// newVirtualDriver is newDriver on a Virtual clock, with the calling
-// test goroutine registered on its gate until the test's cleanups
-// finish: simulated durations are then exact deadline arithmetic, free
-// of the wall-clock slop a scaled clock adds under host load.
-func newVirtualDriver(t testing.TB, hostCap int64) (*Driver, *gpu.Device, *simclock.Virtual) {
+// newDriver builds a driver on a Virtual clock, with the calling test
+// goroutine registered on its gate until the test's cleanups finish:
+// simulated durations are then exact deadline arithmetic.
+func newDriver(t testing.TB, hostCap int64) (*Driver, *gpu.Device, *simclock.Virtual) {
 	t.Helper()
 	clock := simclock.NewVirtual(time.Date(2025, 11, 16, 0, 0, 0, 0, time.UTC))
 	gate := clock.Gate()
@@ -243,7 +234,7 @@ func TestSuspendTimingScalesWithSize(t *testing.T) {
 }
 
 func TestConcurrentSuspendResume(t *testing.T) {
-	d, dev, _ := newDriver(t, 0)
+	d, dev, clock := newDriver(t, 0)
 	const n = 8
 	for i := 0; i < n; i++ {
 		pid := fmt.Sprintf("p%d", i)
@@ -254,13 +245,11 @@ func TestConcurrentSuspendResume(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var wg sync.WaitGroup
+	cycles := simclock.NewGroup(clock)
 	errs := make(chan error, 2*n)
 	for i := 0; i < n; i++ {
-		wg.Add(1)
 		pid := fmt.Sprintf("p%d", i)
-		go func() {
-			defer wg.Done()
+		cycles.Go(func() {
 			if _, err := d.Suspend(context.Background(), pid); err != nil {
 				errs <- err
 				return
@@ -268,9 +257,9 @@ func TestConcurrentSuspendResume(t *testing.T) {
 			if err := d.Resume(context.Background(), pid, nil); err != nil {
 				errs <- err
 			}
-		}()
+		})
 	}
-	wg.Wait()
+	cycles.Wait()
 	close(errs)
 	for err := range errs {
 		t.Errorf("concurrent cycle: %v", err)

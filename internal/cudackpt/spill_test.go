@@ -4,22 +4,12 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
-	"swapservellm/internal/gpu"
 	"swapservellm/internal/perfmodel"
-	"swapservellm/internal/simclock"
 )
 
-func newSpillDriver(t *testing.T, hostCap int64) (*Driver, *gpu.Device, *simclock.Scaled) {
-	t.Helper()
-	clock := simclock.NewScaled(time.Date(2025, 11, 16, 0, 0, 0, 0, time.UTC), 5000)
-	dev := gpu.NewDevice(0, perfmodel.GPUH100, 80*gib)
-	return NewDriver(clock, perfmodel.H100(), hostCap), dev, clock
-}
-
 func TestSpillEvictsLRUImage(t *testing.T) {
-	d, dev, _ := newSpillDriver(t, 40*gib)
+	d, dev, _ := newDriver(t, 40*gib)
 	// Two processes whose images cannot both fit in 40 GiB of host RAM.
 	dev.Alloc("old", 30*gib)
 	dev.Alloc("new", 25*gib)
@@ -53,7 +43,7 @@ func TestSpillEvictsLRUImage(t *testing.T) {
 func TestSpillRestoreFromDiskSlower(t *testing.T) {
 	// Virtual time: the two restore durations are exact deadline sums,
 	// so host load cannot reorder them.
-	d, dev, clock := newVirtualDriver(t, 40*gib)
+	d, dev, clock := newDriver(t, 40*gib)
 	dev.Alloc("a", 30*gib)
 	dev.Alloc("b", 30*gib)
 	d.Register("a", dev, perfmodel.EngineOllama, gib)
@@ -83,7 +73,7 @@ func TestSpillRestoreFromDiskSlower(t *testing.T) {
 func TestSpillExhausted(t *testing.T) {
 	// A single image larger than the cap, with no other image to spill,
 	// fails the checkpoint.
-	d, dev, _ := newSpillDriver(t, 20*gib)
+	d, dev, _ := newDriver(t, 20*gib)
 	dev.Alloc("big", 30*gib)
 	d.Register("big", dev, perfmodel.EngineOllama, gib)
 	if _, err := d.Suspend(context.Background(), "big"); !errors.Is(err, ErrHostMemory) {
@@ -100,7 +90,7 @@ func TestSpillExhausted(t *testing.T) {
 
 func TestSpillLRUOrder(t *testing.T) {
 	// Three images; the cap forces exactly the least recently used out.
-	d, dev, _ := newSpillDriver(t, 50*gib)
+	d, dev, _ := newDriver(t, 50*gib)
 	for _, pid := range []string{"p1", "p2", "p3"} {
 		dev.Alloc(pid, 20*gib)
 		d.Register(pid, dev, perfmodel.EngineOllama, gib)
@@ -120,7 +110,7 @@ func TestSpillLRUOrder(t *testing.T) {
 }
 
 func TestSpillUnregisterReleasesDisk(t *testing.T) {
-	d, dev, _ := newSpillDriver(t, 40*gib)
+	d, dev, _ := newDriver(t, 40*gib)
 	dev.Alloc("a", 30*gib)
 	dev.Alloc("b", 30*gib)
 	d.Register("a", dev, perfmodel.EngineOllama, gib)
@@ -142,7 +132,7 @@ func TestSpillUnregisterReleasesDisk(t *testing.T) {
 }
 
 func TestDemotePromoteRoundTrip(t *testing.T) {
-	d, dev, clock := newSpillDriver(t, 60*gib)
+	d, dev, clock := newDriver(t, 60*gib)
 	dev.Alloc("a", 20*gib)
 	d.Register("a", dev, perfmodel.EngineOllama, gib)
 	if _, err := d.Suspend(context.Background(), "a"); err != nil {
@@ -185,7 +175,7 @@ func TestDemotePromoteRoundTrip(t *testing.T) {
 }
 
 func TestPromoteRespectsCap(t *testing.T) {
-	d, dev, _ := newSpillDriver(t, 40*gib)
+	d, dev, _ := newDriver(t, 40*gib)
 	dev.Alloc("a", 30*gib)
 	dev.Alloc("b", 30*gib)
 	d.Register("a", dev, perfmodel.EngineOllama, gib)
@@ -203,7 +193,7 @@ func TestPromoteRespectsCap(t *testing.T) {
 }
 
 func TestDemoteBadState(t *testing.T) {
-	d, dev, _ := newSpillDriver(t, 0)
+	d, dev, _ := newDriver(t, 0)
 	dev.Alloc("run", 5*gib)
 	d.Register("run", dev, perfmodel.EngineOllama, gib)
 	if err := d.Demote(context.Background(), "run"); !errors.Is(err, ErrBadState) {
@@ -221,7 +211,7 @@ func TestImageLocationString(t *testing.T) {
 }
 
 func TestImageLocationUnknown(t *testing.T) {
-	d, _, _ := newSpillDriver(t, 0)
+	d, _, _ := newDriver(t, 0)
 	if _, err := d.ImageLocation("ghost"); !errors.Is(err, ErrUnknownProcess) {
 		t.Fatalf("unknown pid: %v", err)
 	}

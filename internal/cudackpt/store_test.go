@@ -12,10 +12,10 @@ import (
 )
 
 // newStoreDriver builds a driver with the content-addressed
-// checkpoint store attached, on newVirtualDriver's Virtual clock.
+// checkpoint store attached, on newDriver's Virtual clock.
 func newStoreDriver(t testing.TB, hostCap int64) (*Driver, *ckptstore.Store, *gpu.Device, *metrics.Registry, *simclock.Virtual) {
 	t.Helper()
-	d, dev, clock := newVirtualDriver(t, hostCap)
+	d, dev, clock := newDriver(t, hostCap)
 	reg := metrics.NewRegistry()
 	st := ckptstore.New(clock, perfmodel.H100(), ckptstore.WithRegistry(reg))
 	d.AttachStore(st)

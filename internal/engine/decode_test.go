@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -20,7 +21,7 @@ import (
 // per-token loop it replaced, kept below as perToken: one clock sleep
 // per token, the gate checked before each. Every scenario runs on a
 // fresh Virtual clock, so the instants compared are exact; timers are
-// counted on a Manual clock, which lists what is pending.
+// counted on a recordingClock, which fires each one at once.
 
 const (
 	decodeModel  = "llama3.2:1b-fp16"
@@ -214,7 +215,7 @@ func TestDecodeRunBuffered(t *testing.T) {
 		flush bool
 		want  int
 	}{{false, 1}, {true, n}} {
-		deadlines := manualDeadlines(t, func(h *handler) error {
+		deadlines := timerDeadlines(t, func(h *handler) error {
 			return h.decode(context.Background(), decodePrompt, decodeSeed, n, c.flush, func(string) error { return nil })
 		})
 		if len(deadlines) != c.want {
@@ -226,34 +227,46 @@ func TestDecodeRunBuffered(t *testing.T) {
 	}
 }
 
-// manualDeadlines runs decode on a Manual clock, advancing the clock to
-// each timer it arms, and returns the timers' offsets from the start.
-func manualDeadlines(t *testing.T, decode func(h *handler) error) []time.Duration {
+// timerDeadlines runs decode on a recordingClock and returns the
+// offsets from the start of the timers it armed.
+func timerDeadlines(t *testing.T, decode func(h *handler) error) []time.Duration {
 	t.Helper()
-	clock := simclock.NewManual(testEpoch)
-	h := readyHandler(t, clock)
-	done := make(chan error, 1)
-	go func() { done <- decode(h) }()
-	var deadlines []time.Duration
-	limit := time.After(10 * time.Second)
-	for {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
-			}
-			return deadlines
-		case <-limit:
-			t.Fatal("decode on a Manual clock did not finish")
-		default:
-		}
-		if at, ok := clock.NextDeadline(); ok {
-			deadlines = append(deadlines, at.Sub(testEpoch))
-			clock.Set(at)
-			continue
-		}
-		time.Sleep(20 * time.Microsecond)
+	clock := &recordingClock{now: testEpoch}
+	if err := decode(readyHandler(t, clock)); err != nil {
+		t.Fatal(err)
 	}
+	return clock.deadlines
+}
+
+// recordingClock is a Clock whose timers fire at once: each one moves
+// its time to the timer's deadline and records the deadline. A gate of
+// it falls back to After, so a decode on it runs straight through.
+type recordingClock struct {
+	mu        sync.Mutex
+	now       time.Time
+	deadlines []time.Duration
+}
+
+func (c *recordingClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *recordingClock) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
+
+func (c *recordingClock) Sleep(d time.Duration) { <-c.After(d) }
+
+func (c *recordingClock) After(d time.Duration) <-chan time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if d > 0 {
+		c.now = c.now.Add(d)
+		c.deadlines = append(c.deadlines, c.now.Sub(testEpoch))
+	}
+	ch := make(chan time.Time, 1)
+	ch <- c.now
+	return ch
 }
 
 // TestDecodeRunFreeze: a freeze strictly inside token k stalls the

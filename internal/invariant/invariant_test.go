@@ -17,7 +17,10 @@ const gib = int64(1) << 30
 
 func newDriver(t *testing.T) (*cudackpt.Driver, *gpu.Topology) {
 	t.Helper()
-	clock := simclock.NewScaled(time.Date(2025, 11, 16, 0, 0, 0, 0, time.UTC), simclock.DefaultScale)
+	clock := simclock.NewVirtual(time.Date(2025, 11, 16, 0, 0, 0, 0, time.UTC))
+	gate := clock.Gate()
+	gate.Enter()
+	t.Cleanup(gate.Exit)
 	topo := gpu.NewTopology(perfmodel.GPUH100, 1, 80*gib)
 	return cudackpt.NewDriver(clock, perfmodel.H100(), 0), topo
 }

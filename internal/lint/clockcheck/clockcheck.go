@@ -11,18 +11,21 @@
 // deterministic package. Duration/Time types and constants
 // (time.Second, time.Duration, ...) remain free to use.
 //
-// Test files are exempt: tests drive Manual clocks but also bound
+// Test files are exempt: tests run on Virtual clocks but may bound
 // themselves with real wall-clock timeouts, which is legitimate.
 // internal/simclock itself is the abstraction over the wall clock and
 // is not a deterministic package.
 //
-// The experiment harness carries one further rule, enforced in test
-// files too: internal/experiments must not construct scaled clocks
-// (simclock.NewScaled). Experiments run on simclock.NewVirtual — the
-// discrete-event clock whose runs are deterministic and race-clean —
-// and a scaled clock smuggled into one trial reintroduces wall-clock
-// waiting and timing-dependent results for the whole suite. A genuinely exceptional site can carry a
-// //swaplint:ignore clockcheck <reason> directive.
+// A second rule holds in every package, test files included: only
+// internal/simclock and the two daemons (cmd/swapserved,
+// cmd/swapgateway) may construct a scaled clock (simclock.NewScaled).
+// Tests, examples and experiments run on simclock.NewVirtual, the
+// discrete-event clock whose runs are deterministic and race-clean; a
+// scaled clock turns wall-clock overhead into simulated time, so its
+// numbers depend on the host. The daemons keep it because their clients
+// are other processes, which a Virtual clock cannot serve. A genuinely
+// exceptional site can carry a //swaplint:ignore clockcheck <reason>
+// directive.
 package clockcheck
 
 import (
@@ -55,17 +58,12 @@ var deterministicPkgs = []string{
 	"internal/proxy/ir",
 }
 
-// virtualOnlyPkgs lists import-path suffixes where constructing a
-// scaled clock is forbidden: these packages run on the Virtual
-// discrete-event clock exclusively.
-var virtualOnlyPkgs = []string{
-	"internal/experiments",
-}
-
-// scaledCtors lists the simclock constructors banned in virtual-only
-// packages.
-var scaledCtors = map[string]bool{
-	"NewScaled": true,
+// scaledPkgs lists the import-path suffixes of the packages that may
+// construct a scaled clock.
+var scaledPkgs = []string{
+	"internal/simclock",
+	"cmd/swapserved",
+	"cmd/swapgateway",
 }
 
 // forbidden lists the wall-clock entry points of package time.
@@ -88,15 +86,15 @@ func New() *lint.Analyzer {
 		Doc:  "forbid direct time.Now/Sleep/After/... in deterministic packages; use internal/simclock",
 	}
 	a.Run = func(pass *lint.Pass) error {
-		wallClock := deterministic(pass.Pkg.Path())
-		virtOnly := virtualOnly(pass.Pkg.Path())
-		if !wallClock && !virtOnly {
+		wallClock := hasSuffix(pass.Pkg.Path(), deterministicPkgs)
+		checkScaled := !hasSuffix(pass.Pkg.Path(), scaledPkgs)
+		if !wallClock && !checkScaled {
 			return nil
 		}
 		for _, f := range pass.Files {
-			// The wall-clock rule exempts test files; the virtual-only
-			// rule does not — a scaled clock in an experiment _test.go
-			// de-determinizes the suite just the same.
+			// The wall-clock rule exempts test files; the scaled-clock
+			// rule does not: a scaled clock in a _test.go makes that
+			// test's timings depend on the host just the same.
 			checkWall := wallClock && !pass.IsTestFile(f.Pos())
 			ast.Inspect(f, func(n ast.Node) bool {
 				sel, ok := n.(*ast.SelectorExpr)
@@ -118,11 +116,11 @@ func New() *lint.Analyzer {
 						sel.Sel.Name, pass.Pkg.Name())
 					return true
 				}
-				if virtOnly && scaledCtors[sel.Sel.Name] &&
+				if checkScaled && sel.Sel.Name == "NewScaled" &&
 					lint.PkgPathHasSuffix(from, "internal/simclock") {
 					pass.Reportf(sel.Pos(),
-						"scaled clock simclock.%s in virtual-only package %s: experiments run on simclock.NewVirtual",
-						sel.Sel.Name, pass.Pkg.Name())
+						"scaled clock simclock.NewScaled in package %s: only the daemons run on one; use simclock.NewVirtual",
+						pass.Pkg.Name())
 				}
 				return true
 			})
@@ -132,19 +130,9 @@ func New() *lint.Analyzer {
 	return a
 }
 
-// virtualOnly reports whether the package path is in the Virtual-only set.
-func virtualOnly(path string) bool {
-	for _, suffix := range virtualOnlyPkgs {
-		if lint.PkgPathHasSuffix(path, suffix) {
-			return true
-		}
-	}
-	return false
-}
-
-// deterministic reports whether the package path is in the enforced set.
-func deterministic(path string) bool {
-	for _, suffix := range deterministicPkgs {
+// hasSuffix reports whether the package path ends in one of suffixes.
+func hasSuffix(path string, suffixes []string) bool {
+	for _, suffix := range suffixes {
 		if lint.PkgPathHasSuffix(path, suffix) {
 			return true
 		}

@@ -1,5 +1,5 @@
-// Package experiments is clockcheck testdata for the virtual-only rule
-// (import-path suffix internal/experiments): constructing a scaled
+// Package experiments is clockcheck testdata for the scaled-clock rule
+// in a package outside the deterministic set: constructing a scaled
 // clock is forbidden, the Virtual clock is not.
 package experiments
 
@@ -12,15 +12,14 @@ import (
 var epoch = time.Time{}
 
 func bad() {
-	_ = simclock.NewScaled(epoch, 4000) // want `scaled clock simclock\.NewScaled in virtual-only package`
+	_ = simclock.NewScaled(epoch, 4000) // want `scaled clock simclock\.NewScaled in package experiments`
 }
 
 func good() {
 	clock := simclock.NewVirtual(epoch)
 	_ = clock.Now()
 	// Wall-clock calls are allowed here: experiments is not in the
-	// deterministic set (its tests bound themselves with wall timeouts),
-	// only scaled-clock construction is banned.
+	// deterministic set, only scaled-clock construction is banned.
 	_ = time.Now()
 }
 

@@ -17,8 +17,15 @@ import (
 
 var testEpoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
-func newTestTracer() (*Tracer, *simclock.Manual) {
-	clk := simclock.NewManual(testEpoch)
+// newTestTracer returns a tracer on a Virtual clock with the calling test
+// goroutine registered until the test's cleanups finish: the test moves
+// time by sleeping on the clock, and each sleep ends exactly on time.
+func newTestTracer(t *testing.T) (*Tracer, *simclock.Virtual) {
+	t.Helper()
+	clk := simclock.NewVirtual(testEpoch)
+	gate := clk.Gate()
+	gate.Enter()
+	t.Cleanup(gate.Exit)
 	return NewTracer(clk), clk
 }
 
@@ -42,19 +49,19 @@ func TestStartWithoutTracerIsNil(t *testing.T) {
 }
 
 func TestSpanNesting(t *testing.T) {
-	tr, clk := newTestTracer()
+	tr, clk := newTestTracer(t)
 	ctx := WithTracer(context.Background(), tr)
 
 	ctx1, root := Start(ctx, "request", String("model", "m"))
-	clk.Advance(10 * time.Millisecond)
+	clk.Sleep(10 * time.Millisecond)
 	ctx2, child := Start(ctx1, "swap.in")
-	clk.Advance(5 * time.Millisecond)
+	clk.Sleep(5 * time.Millisecond)
 	_, grand := Start(ctx2, "ckpt.restore")
 	grand.Event("chunk", Int("done", 1))
-	clk.Advance(5 * time.Millisecond)
+	clk.Sleep(5 * time.Millisecond)
 	grand.End()
 	child.End()
-	clk.Advance(2 * time.Millisecond)
+	clk.Sleep(2 * time.Millisecond)
 	root.End()
 
 	spans := tr.Snapshot()
@@ -82,12 +89,12 @@ func TestSpanNesting(t *testing.T) {
 }
 
 func TestSpanEndIdempotentAndFail(t *testing.T) {
-	tr, clk := newTestTracer()
+	tr, clk := newTestTracer(t)
 	ctx := WithTracer(context.Background(), tr)
 	_, s := Start(ctx, "op")
-	clk.Advance(time.Millisecond)
+	clk.Sleep(time.Millisecond)
 	s.EndErr(errors.New("boom"))
-	clk.Advance(time.Hour)
+	clk.Sleep(time.Hour)
 	s.End() // must not move the end time
 	d := tr.Snapshot()[0]
 	if !d.Ended || d.Status != "boom" {
@@ -99,7 +106,7 @@ func TestSpanEndIdempotentAndFail(t *testing.T) {
 }
 
 func TestConcurrentSpans(t *testing.T) {
-	tr, _ := newTestTracer()
+	tr, _ := newTestTracer(t)
 	ctx := WithTracer(context.Background(), tr)
 	const workers = 16
 	const perWorker = 50
@@ -138,7 +145,7 @@ func TestConcurrentSpans(t *testing.T) {
 }
 
 func TestRetentionCap(t *testing.T) {
-	tr, _ := newTestTracer()
+	tr, _ := newTestTracer(t)
 	tr.SetMaxSpans(2)
 	ctx := WithTracer(context.Background(), tr)
 	_, a := Start(ctx, "a")
@@ -158,12 +165,12 @@ func TestRetentionCap(t *testing.T) {
 }
 
 func TestHistogramObservation(t *testing.T) {
-	tr, clk := newTestTracer()
+	tr, clk := newTestTracer(t)
 	reg := metrics.NewRegistry()
 	tr.SetRegistry(reg)
 	ctx := WithTracer(context.Background(), tr)
 	_, s := Start(ctx, "swap.out")
-	clk.Advance(30 * time.Millisecond)
+	clk.Sleep(30 * time.Millisecond)
 	s.End()
 	h := reg.Histogram("span_swap.out")
 	if h.Count() != 1 {
@@ -172,13 +179,13 @@ func TestHistogramObservation(t *testing.T) {
 }
 
 func TestWriteTraceEventsAndValidate(t *testing.T) {
-	tr, clk := newTestTracer()
+	tr, clk := newTestTracer(t)
 	ctx := WithTracer(context.Background(), tr)
 	rctx, root := Start(ctx, "exchange", String("victim", "a"), String("target", "b"))
-	clk.Advance(4 * time.Millisecond)
+	clk.Sleep(4 * time.Millisecond)
 	_, child := Start(rctx, "ckpt.checkpoint")
 	child.Event("chunk", Int64("done_bytes", 1<<30))
-	clk.Advance(6 * time.Millisecond)
+	clk.Sleep(6 * time.Millisecond)
 	child.End()
 	root.End()
 	_, open := Start(ctx, "in-flight")
@@ -211,10 +218,10 @@ func TestWriteTraceEventsAndValidate(t *testing.T) {
 
 func TestWriteTreeDeterministic(t *testing.T) {
 	build := func(advance time.Duration) string {
-		tr, clk := newTestTracer()
+		tr, clk := newTestTracer(t)
 		ctx := WithTracer(context.Background(), tr)
 		rctx, root := Start(ctx, "exchange", String("victim", "a"))
-		clk.Advance(advance)
+		clk.Sleep(advance)
 		_, c1 := Start(rctx, "swap.out")
 		c1.Event("fault", String("site", "ckpt_chunk"))
 		c1.End()
@@ -245,7 +252,7 @@ func TestWriteTreeDeterministic(t *testing.T) {
 }
 
 func TestHandler(t *testing.T) {
-	tr, _ := newTestTracer()
+	tr, _ := newTestTracer(t)
 	ctx := WithTracer(context.Background(), tr)
 	_, s := Start(ctx, "op")
 	s.End()
@@ -270,7 +277,7 @@ func TestHandler(t *testing.T) {
 }
 
 func TestAnnotateFault(t *testing.T) {
-	tr, _ := newTestTracer()
+	tr, _ := newTestTracer(t)
 	ctx := WithTracer(context.Background(), tr)
 	sctx, s := Start(ctx, "op")
 	AnnotateFault(sctx, "proxy", errors.New("injected fault"))
@@ -288,13 +295,13 @@ func TestAnnotateFault(t *testing.T) {
 // site formats nothing.
 func TestIntAttrsExportFormatted(t *testing.T) {
 	record := func(num func(string, int64) Attr) (string, string) {
-		tr, clk := newTestTracer()
+		tr, clk := newTestTracer(t)
 		ctx := WithTracer(context.Background(), tr)
 		rctx, root := Start(ctx, "reserve", String("owner", "m"), num("bytes", 72<<30))
 		root.SetAttr(num("dedup_bytes", 0), num("new_bytes", -3))
 		_, child := Start(rctx, "ckpt.restore", num("bytes", 1<<30))
 		child.Event("chunk", String("dir", "h2d"), num("done_bytes", 1<<30), num("total_bytes", 1<<30))
-		clk.Advance(time.Millisecond)
+		clk.Sleep(time.Millisecond)
 		child.End()
 		root.End()
 		var js, tree bytes.Buffer

@@ -2,14 +2,22 @@
 
 package simclock
 
-import "runtime"
+import (
+	"runtime"
+	"sync"
+)
+
+// stackBufs holds the buffers gid parses stack headers from: a local
+// array escapes to the heap through runtime.Stack, so each call would
+// allocate one.
+var stackBufs = sync.Pool{New: func() any { return new([64]byte) }}
 
 // gid returns the calling goroutine's id, parsed from the stack header
 // ("goroutine N [running]:"). It is the portable fallback for
 // architectures without a getg: runtime.Stack walks the whole stack, so
 // each call costs microseconds and grows with the stack's depth.
 func gid() uintptr {
-	var buf [64]byte
+	buf := stackBufs.Get().(*[64]byte)
 	n := runtime.Stack(buf[:], false)
 	const prefix = len("goroutine ")
 	var id uintptr
@@ -19,5 +27,6 @@ func gid() uintptr {
 		}
 		id = id*10 + uintptr(c-'0')
 	}
+	stackBufs.Put(buf)
 	return id
 }

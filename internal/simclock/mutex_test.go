@@ -82,7 +82,7 @@ func TestRWMutexWriterWaitsForReaders(t *testing.T) {
 
 // TestMutexOffVirtual: on a wall-driven clock the Mutex is a plain lock.
 func TestMutexOffVirtual(t *testing.T) {
-	g := GateFor(NewReal())
+	g := GateFor(Real{})
 	var mu Mutex
 	n := 0
 	var wg sync.WaitGroup

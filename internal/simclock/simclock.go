@@ -4,18 +4,17 @@
 // microseconds of wall time while reporting consistent simulated
 // timestamps.
 //
-// Four implementations are provided:
+// Three implementations are provided, one per purpose:
 //
-//   - Real: the system clock, for live deployments of the framework.
-//   - Scaled: simulated time runs Scale times faster than wall time; a
-//     Sleep(87s) with Scale 10000 blocks for 8.7ms while Now() advances
-//     by 87s. Concurrency interleavings remain realistic because all
-//     goroutines share the same compression factor.
-//   - Manual: a hand-advanced clock for deterministic unit tests.
 //   - Virtual: a discrete-event clock that jumps straight to the next
 //     deadline whenever the system is quiescent (see Gate), with an
-//     in-process HTTP transport (see Listen). The experiment harness
-//     runs on it: zero wall waiting and byte-identical artifacts.
+//     in-process HTTP transport (see Listen). Every test, example and
+//     experiment runs on it: zero wall waiting and byte-identical output.
+//   - Scaled: simulated time runs Scale times faster than wall time; a
+//     Sleep(87s) with Scale 10000 blocks for 8.7ms while Now() advances
+//     by 87s. The two daemons run on it, since their clients are other
+//     processes, which Virtual cannot serve.
+//   - Real: the system clock, for clients of a live deployment.
 package simclock
 
 import (
@@ -42,9 +41,6 @@ type Clock interface {
 // Real is a Clock backed directly by the operating system clock.
 type Real struct{}
 
-// NewReal returns a Clock that uses the wall clock without scaling.
-func NewReal() Real { return Real{} }
-
 // Now implements Clock.
 func (Real) Now() time.Time { return time.Now() }
 
@@ -69,11 +65,11 @@ type Scaled struct {
 	scale  float64
 }
 
-// DefaultScale is the compression factor used by tests and benchmarks:
-// one simulated second costs 5ms of wall time. The scale trades wall time
+// DefaultScale is the compression factor the daemons default to: one
+// simulated second costs 5ms of wall time. The scale trades wall time
 // for accuracy — unscaled wall-clock overhead (scheduling, HTTP handling)
 // is magnified by the scale factor when observed in simulated time, so
-// experiments that measure end-to-end latency keep the factor moderate.
+// a daemon whose latencies are compared keeps the factor moderate.
 const DefaultScale = 200
 
 // spinThreshold is the wall duration below which Sleep busy-waits instead

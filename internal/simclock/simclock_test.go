@@ -1,16 +1,14 @@
 package simclock
 
 import (
-	"sync"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
 var epoch = time.Date(2025, 11, 16, 0, 0, 0, 0, time.UTC)
 
 func TestRealNow(t *testing.T) {
-	c := NewReal()
+	c := Real{}
 	before := time.Now()
 	got := c.Now()
 	after := time.Now()
@@ -20,7 +18,7 @@ func TestRealNow(t *testing.T) {
 }
 
 func TestRealSleepNonPositive(t *testing.T) {
-	c := NewReal()
+	c := Real{}
 	start := time.Now()
 	c.Sleep(-time.Hour)
 	c.Sleep(0)
@@ -30,7 +28,7 @@ func TestRealSleepNonPositive(t *testing.T) {
 }
 
 func TestRealSince(t *testing.T) {
-	c := NewReal()
+	c := Real{}
 	t0 := c.Now()
 	if d := c.Since(t0); d < 0 {
 		t.Fatalf("Since returned negative duration %v", d)
@@ -98,207 +96,5 @@ func TestScaledAfterFires(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("After(5s simulated) did not fire within 2s wall")
-	}
-}
-
-func TestManualSleepBlocksUntilAdvance(t *testing.T) {
-	c := NewManual(epoch)
-	done := make(chan time.Time, 1)
-	go func() {
-		c.Sleep(10 * time.Second)
-		done <- c.Now()
-	}()
-	// Wait until the sleeper has registered.
-	for c.PendingWaiters() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	select {
-	case <-done:
-		t.Fatal("Sleep returned before Advance")
-	case <-time.After(10 * time.Millisecond):
-	}
-	c.Advance(10 * time.Second)
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("Sleep did not return after Advance")
-	}
-}
-
-func TestManualAdvancePartial(t *testing.T) {
-	c := NewManual(epoch)
-	ch := c.After(10 * time.Second)
-	c.Advance(5 * time.Second)
-	select {
-	case <-ch:
-		t.Fatal("After fired before its deadline")
-	default:
-	}
-	c.Advance(5 * time.Second)
-	select {
-	case ts := <-ch:
-		if want := epoch.Add(10 * time.Second); !ts.Equal(want) {
-			t.Fatalf("After fired at %v, want %v", ts, want)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("After did not fire at its deadline")
-	}
-}
-
-func TestManualWakeOrder(t *testing.T) {
-	c := NewManual(epoch)
-	var mu sync.Mutex
-	var order []int
-	var wg sync.WaitGroup
-	durations := []time.Duration{30 * time.Second, 10 * time.Second, 20 * time.Second}
-	for i, d := range durations {
-		wg.Add(1)
-		i, d := i, d
-		ch := c.After(d)
-		go func() {
-			defer wg.Done()
-			<-ch
-			mu.Lock()
-			order = append(order, i)
-			mu.Unlock()
-		}()
-	}
-	// One big advance must release in deadline order: 10s (idx 1), 20s (2), 30s (0).
-	c.Advance(time.Minute)
-	wg.Wait()
-	// The goroutines may be scheduled out of order after receiving, so
-	// verify via the timestamps instead: re-check deadlines were delivered.
-	if len(order) != 3 {
-		t.Fatalf("got %d wakeups, want 3", len(order))
-	}
-}
-
-func TestManualWakeTimestampsOrdered(t *testing.T) {
-	c := NewManual(epoch)
-	chans := []<-chan time.Time{
-		c.After(30 * time.Second),
-		c.After(10 * time.Second),
-		c.After(20 * time.Second),
-	}
-	c.Advance(time.Minute)
-	times := make([]time.Time, len(chans))
-	for i, ch := range chans {
-		times[i] = <-ch
-	}
-	if !times[1].Before(times[2]) || !times[2].Before(times[0]) {
-		t.Fatalf("wake timestamps not ordered by deadline: %v", times)
-	}
-}
-
-func TestManualSetIgnoresPast(t *testing.T) {
-	c := NewManual(epoch)
-	c.Advance(time.Hour)
-	c.Set(epoch) // earlier: must be ignored
-	if got := c.Now(); !got.Equal(epoch.Add(time.Hour)) {
-		t.Fatalf("Set moved clock backwards to %v", got)
-	}
-}
-
-func TestManualNextDeadline(t *testing.T) {
-	c := NewManual(epoch)
-	if _, ok := c.NextDeadline(); ok {
-		t.Fatal("NextDeadline reported a waiter on an idle clock")
-	}
-	c.After(42 * time.Second)
-	dl, ok := c.NextDeadline()
-	if !ok || !dl.Equal(epoch.Add(42*time.Second)) {
-		t.Fatalf("NextDeadline = %v, %v; want %v, true", dl, ok, epoch.Add(42*time.Second))
-	}
-}
-
-func TestManualNegativeAdvance(t *testing.T) {
-	c := NewManual(epoch)
-	c.Advance(-time.Hour)
-	if got := c.Now(); !got.Equal(epoch) {
-		t.Fatalf("negative Advance moved the clock to %v", got)
-	}
-}
-
-// Property: after any sequence of positive advances, Now equals the origin
-// plus the sum, and never runs backwards.
-func TestManualAdvanceMonotonicProperty(t *testing.T) {
-	f := func(steps []uint16) bool {
-		c := NewManual(epoch)
-		var total time.Duration
-		prev := c.Now()
-		for _, s := range steps {
-			d := time.Duration(s) * time.Millisecond
-			c.Advance(d)
-			total += d
-			now := c.Now()
-			if now.Before(prev) {
-				return false
-			}
-			prev = now
-		}
-		return c.Now().Equal(epoch.Add(total))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: every waiter fires exactly at its deadline regardless of the
-// registration order.
-func TestManualDeadlineExactProperty(t *testing.T) {
-	f := func(delays []uint16) bool {
-		if len(delays) == 0 {
-			return true
-		}
-		if len(delays) > 64 {
-			delays = delays[:64]
-		}
-		c := NewManual(epoch)
-		chans := make([]<-chan time.Time, len(delays))
-		var maxDelay time.Duration
-		for i, raw := range delays {
-			d := time.Duration(raw)*time.Millisecond + time.Millisecond
-			if d > maxDelay {
-				maxDelay = d
-			}
-			chans[i] = c.After(d)
-		}
-		c.Advance(maxDelay)
-		for i, ch := range chans {
-			want := epoch.Add(time.Duration(delays[i])*time.Millisecond + time.Millisecond)
-			got := <-ch
-			if !got.Equal(want) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestManualConcurrentSleepers(t *testing.T) {
-	c := NewManual(epoch)
-	const n = 32
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		d := time.Duration(i+1) * time.Second
-		go func() {
-			defer wg.Done()
-			c.Sleep(d)
-		}()
-	}
-	for c.PendingWaiters() < n {
-		time.Sleep(time.Millisecond)
-	}
-	c.Advance(n * time.Second)
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("concurrent sleepers did not all wake")
 	}
 }

@@ -568,8 +568,8 @@ type Gate struct {
 }
 
 // GateFor returns the gate for clock: Virtual's live gate, or a no-op
-// gate (still carrying the clock, for Wait's fallback select) for Real,
-// Scaled, and Manual clocks.
+// gate (still carrying the clock, for Wait's fallback select) for any
+// other clock.
 func GateFor(clock Clock) *Gate {
 	if v, ok := clock.(*Virtual); ok {
 		return v.gate

@@ -11,7 +11,7 @@ import (
 
 func benchStore(b *testing.B) *ModelStore {
 	b.Helper()
-	clock := simclock.NewScaled(time.Date(2025, 11, 16, 0, 0, 0, 0, time.UTC), 1e6)
+	clock := simclock.NewVirtual(time.Date(2025, 11, 16, 0, 0, 0, 0, time.UTC))
 	return NewModelStore(clock, perfmodel.H100())
 }
 

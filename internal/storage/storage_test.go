@@ -11,9 +11,12 @@ import (
 
 const gib = int64(1) << 30
 
-func newStore(t *testing.T) (*ModelStore, *simclock.Scaled) {
+func newStore(t *testing.T) (*ModelStore, *simclock.Virtual) {
 	t.Helper()
-	clock := simclock.NewScaled(time.Date(2025, 11, 16, 0, 0, 0, 0, time.UTC), simclock.DefaultScale)
+	clock := simclock.NewVirtual(time.Date(2025, 11, 16, 0, 0, 0, 0, time.UTC))
+	gate := clock.Gate()
+	gate.Enter()
+	t.Cleanup(gate.Exit)
 	return NewModelStore(clock, perfmodel.A100()), clock
 }
 
