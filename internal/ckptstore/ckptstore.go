@@ -200,6 +200,9 @@ type Store struct {
 	free []*chunk
 	// victims is trimCacheLocked's scratch list, kept for its array.
 	victims []*chunk
+	// sessions holds closed restore sessions for OpenRestore to reuse.
+	// It never outgrows the peak number of open sessions.
+	sessions []*RestoreSession
 	// logicalBytes and uniqueBytes are Stats' running totals: the live
 	// manifests' sizes, and each chunk with refs > 0 counted once.
 	// Commits and releases keep them, where a manifest comes or goes and

@@ -259,11 +259,12 @@ func TestRestorePlanRanksPeerRAMOverLocalDisk(t *testing.T) {
 	if err := sess.FetchRange(0, 2<<30); err != nil {
 		t.Fatal(err)
 	}
+	bySource := sess.bySource // a closed session is recycled
 	sess.Close(nil)
-	if got := sess.bySource[SrcPeerRAM]; got != 1<<30 {
+	if got := bySource[SrcPeerRAM]; got != 1<<30 {
 		t.Fatalf("peer RAM served %d bytes, want chunk 0 (%d)", got, 1<<30)
 	}
-	if got := sess.bySource[SrcLocalDisk]; got != 1<<30 {
+	if got := bySource[SrcLocalDisk]; got != 1<<30 {
 		t.Fatalf("local disk served %d bytes, want chunk 1 (%d)", got, 1<<30)
 	}
 	mustSelfCheck(t, s)
@@ -289,9 +290,10 @@ func TestFetchFaultFallsBackToNextSource(t *testing.T) {
 	if err := sess.FetchRange(0, 1<<20); err != nil {
 		t.Fatal(err)
 	}
+	bySource := sess.bySource // a closed session is recycled
 	sess.Close(nil)
-	if sess.bySource[SrcLocalDisk] != 1<<20 {
-		t.Fatalf("bySource = %v, want local_disk fallback", sess.bySource)
+	if bySource[SrcLocalDisk] != 1<<20 {
+		t.Fatalf("bySource = %v, want local_disk fallback", bySource)
 	}
 	mustSelfCheck(t, s)
 }

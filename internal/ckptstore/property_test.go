@@ -64,7 +64,8 @@ func fullRestore(s *Store, im *imageModel) error {
 	}
 	total := im.chunks * propChunkBytes
 	ferr := sess.FetchRange(0, total)
-	sess.Close(ferr)
+	// A closed session is recycled: check it before it closes.
+	defer sess.Close(ferr)
 	if ferr != nil {
 		return ferr
 	}

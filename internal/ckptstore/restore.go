@@ -200,13 +200,15 @@ func (s *Store) commitFetch(r ChunkRef, src Source) {
 // RestoreSession is one planned restore of a manifest: per-chunk ranked
 // sources captured at open time, fetched incrementally as the driver's
 // H2D pipeline advances through the image. The session owns the
-// ckpt.fetch span; callers must Close it.
+// ckpt.fetch span; callers must Close it, and use it no more after:
+// the store recycles it, plan arrays and all, for a later restore.
 type RestoreSession struct {
 	s        *Store
 	ctx      context.Context
 	key      string
 	refs     []ChunkRef     // the manifest's chunks, shared with it
 	chunks   []sessionChunk // refs[i]'s plan
+	cands    []candidate    // every chunk's sources, in one array
 	span     *obs.Span
 	bySource [SrcPeerDisk + 1]int64
 }
@@ -230,8 +232,7 @@ func (s *Store) OpenRestore(ctx context.Context, key string) (*RestoreSession, e
 		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrUnknownManifest, key)
 	}
-	rs := &RestoreSession{s: s, key: key, refs: m.chunks,
-		chunks: make([]sessionChunk, len(m.chunks))}
+	rs := s.sessionLocked(key, m.chunks)
 	for i, r := range rs.refs {
 		if c, ok := s.chunks[r.ID]; ok {
 			rs.chunks[i].state = chunkState{inHost: c.inHost, onDisk: c.onDisk}
@@ -246,7 +247,10 @@ func (s *Store) OpenRestore(ctx context.Context, key string) (*RestoreSession, e
 	var off int64
 	// Every chunk's sources come from one backing array, sized for the
 	// most any chunk can have: local RAM, local disk and one per peer.
-	all := make([]candidate, 0, len(rs.refs)*(2+len(peers)))
+	if n := len(rs.refs) * (2 + len(peers)); cap(rs.cands) < n {
+		rs.cands = make([]candidate, 0, n)
+	}
+	all := rs.cands[:0]
 	for i, r := range rs.refs {
 		sc := &rs.chunks[i]
 		sc.start = off
@@ -256,6 +260,7 @@ func (s *Store) OpenRestore(ctx context.Context, key string) (*RestoreSession, e
 		sc.cands = all[n:len(all):len(all)]
 		if len(sc.cands) == 0 {
 			span.EndErr(fmt.Errorf("%w %s", ErrNoSource, r.ID))
+			s.recycle(rs)
 			return nil, fmt.Errorf("%w %s (%d bytes) of manifest %q", ErrNoSource, r.ID, r.Bytes, key)
 		}
 	}
@@ -310,6 +315,34 @@ func (rs *RestoreSession) Close(err error) {
 		}
 	}
 	rs.span.EndErr(err)
+	rs.s.recycle(rs)
+}
+
+// sessionLocked returns a zeroed restore session of refs, reusing a
+// closed one and its plan arrays when there is one. s.mu is held.
+func (s *Store) sessionLocked(key string, refs []ChunkRef) *RestoreSession {
+	var rs *RestoreSession
+	if n := len(s.sessions); n > 0 {
+		rs, s.sessions = s.sessions[n-1], s.sessions[:n-1]
+	} else {
+		rs = new(RestoreSession)
+	}
+	chunks := rs.chunks[:0]
+	if cap(chunks) < len(refs) {
+		chunks = make([]sessionChunk, 0, len(refs))
+	}
+	chunks = chunks[:len(refs)]
+	clear(chunks)
+	*rs = RestoreSession{s: s, key: key, refs: refs, chunks: chunks, cands: rs.cands}
+	return rs
+}
+
+// recycle keeps a closed session for a later OpenRestore.
+func (s *Store) recycle(rs *RestoreSession) {
+	rs.ctx, rs.span = nil, nil
+	s.mu.Lock()
+	s.sessions = append(s.sessions, rs)
+	s.mu.Unlock()
 }
 
 // Promote moves key's manifest residency from disk back to host RAM,

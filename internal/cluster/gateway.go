@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"swapservellm/internal/chaos"
@@ -40,6 +41,12 @@ import (
 type gateway struct {
 	c     *Cluster
 	front *proxy.Front
+
+	// headers are the forward headers of each priority class for a
+	// request carrying the gateway's own Authorization value, built once
+	// per class (classFor admits only declared ones).
+	headersMu sync.Mutex
+	headers   map[string]http.Header
 }
 
 // proxyOutcome classifies one forwarding attempt.
@@ -77,13 +84,17 @@ func (g *gateway) handler() http.Handler {
 	return mux
 }
 
+// cacheHit is the shared X-Cache header value of a cache hit (see
+// ir.JSONType).
+var cacheHit = []string{"hit"}
+
 // translateFailed counts a request answered 503 translate_failed.
 func (g *gateway) translateFailed() { g.c.reg.Counter("gateway_translate_failures").Inc() }
 
-// serveEndpoint serves one decoded endpoint-table request: consult the
-// response cache, run admission, then place → forward → maybe-fail-over.
-func (g *gateway) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy.Endpoint, req *ir.Request, canonical []byte) {
-	class, err := g.c.classFor(req.Model, r.Header.Get("X-Priority-Class"), ep.Class)
+// serveEndpoint serves one endpoint-table request: consult the response
+// cache, run admission, then place → forward → maybe-fail-over.
+func (g *gateway) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy.Endpoint, model string, streaming bool, canonical []byte) {
+	class, err := g.c.classFor(model, r.Header.Get("X-Priority-Class"), ep.Class)
 	if err != nil {
 		ir.WriteError(w, http.StatusBadRequest, "invalid_request_error", err.Error())
 		return
@@ -95,7 +106,7 @@ func (g *gateway) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy
 	ctx := g.c.traceCtx(r.Context())
 	var span *obs.Span
 	ctx, span = obs.Start(ctx, "gateway.request",
-		obs.String("model", req.Model), obs.String("path", ep.Path),
+		obs.String("model", model), obs.String("path", ep.Path),
 		obs.String("protocol", string(ep.Protocol)), obs.String("class", class))
 	defer span.End()
 
@@ -105,13 +116,13 @@ func (g *gateway) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy
 	// encoding, so protocol siblings (/api/chat and /v1/chat/completions)
 	// share entries.
 	noStore := strings.Contains(r.Header.Get("Cache-Control"), "no-store")
-	if !req.Stream {
-		if cached, ok := g.front.CacheLookup(ep, req.Model, canonical, noStore); ok {
+	if !streaming {
+		if cached, ok := g.front.CacheLookup(ep, model, canonical, noStore); ok {
 			out, terr := g.front.TranslateResponse(ep, cached)
 			if terr == nil {
 				span.Event("cache.hit", obs.String("endpoint", ep.Path))
-				w.Header().Set("Content-Type", "application/json")
-				w.Header().Set("X-Cache", "hit")
+				h := w.Header()
+				h["Content-Type"], h["X-Cache"] = ir.JSONType, cacheHit
 				w.WriteHeader(http.StatusOK)
 				w.Write(out)
 				return
@@ -126,7 +137,7 @@ func (g *gateway) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy
 	// guaranteed share refills.
 	if sc := g.c.sched; sc != nil {
 		now := g.c.clock.Now()
-		sc.pred.Observe(req.Model, now)
+		sc.pred.Observe(model, now)
 		if sc.adm != nil {
 			wait := sc.adm.PredictedWait(class)
 			dec := sc.adm.Decide(class, wait, now)
@@ -164,17 +175,8 @@ func (g *gateway) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy
 	}
 	tried := make(map[string]bool)
 	var lastErr string
-	var attempt int
-	// A resumed stream counts its failover before its terminal frame
-	// goes out, so a client that has read the whole stream sees it.
-	stream.Done = func() {
-		if attempt > 0 {
-			g.c.reg.Counter("failover_successes").Inc()
-		}
-	}
-
-	for attempt = 0; attempt < g.c.retryLimit; attempt++ {
-		id, warm, ok := g.place(req.Model, tried)
+	for attempt := 0; attempt < g.c.retryLimit; attempt++ {
+		id, warm, ok := g.place(model, tried)
 		if !ok {
 			break
 		}
@@ -186,18 +188,22 @@ func (g *gateway) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy
 		if attempt == 0 {
 			g.recordPlacement(node, warm)
 			if sc := g.c.sched; sc != nil && sc.pw != nil {
-				sc.pw.NotePlacement(req.Model, warm, g.c.clock.Now())
+				sc.pw.NotePlacement(model, warm, g.c.clock.Now())
 			}
 		} else {
 			g.c.reg.Counter("cross_node_retries").Inc()
+			// A resumed stream counts its failover before its terminal
+			// frame goes out, so a client that has read the whole
+			// stream sees it.
+			stream.Done = g.countFailover
 		}
-		outcome, errMsg := g.forward(ctx, w, node, ep, req.Model, canonical, r.Header.Get("Authorization"), class, stream)
+		outcome, errMsg := g.forward(ctx, w, node, ep, model, canonical, r.Header.Get("Authorization"), class, stream)
 		switch outcome {
 		case outcomeDone:
 			// A buffered response reaches the client only when the
 			// handler returns; a stream was counted by stream.Done.
 			if attempt > 0 && !stream.Started() {
-				g.c.reg.Counter("failover_successes").Inc()
+				g.countFailover()
 			}
 			return
 		case outcomeFatal:
@@ -219,15 +225,18 @@ func (g *gateway) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy
 	}
 	if len(tried) == 0 {
 		ir.WriteError(w, http.StatusNotFound, "invalid_request_error",
-			fmt.Sprintf("model %q is not available on any healthy node", req.Model))
+			fmt.Sprintf("model %q is not available on any healthy node", model))
 		return
 	}
-	msg := fmt.Sprintf("all %d eligible nodes failed for %q", len(tried), req.Model)
+	msg := fmt.Sprintf("all %d eligible nodes failed for %q", len(tried), model)
 	if lastErr != "" {
 		msg += ": " + lastErr
 	}
 	ir.WriteError(w, http.StatusServiceUnavailable, "no_available_node", msg)
 }
+
+// countFailover counts a request a replica completed after a failover.
+func (g *gateway) countFailover() { g.c.reg.Counter("failover_successes").Inc() }
 
 // place asks the policy for the next node, excluding already-tried
 // ones. Returns the node ID and whether the placement was a locality
@@ -278,19 +287,7 @@ func (g *gateway) forward(ctx context.Context, w http.ResponseWriter, node *Node
 	if base == nil {
 		return outcomeRetry, fmt.Sprintf("node %s: not serving", node.ID())
 	}
-	header := simclock.JSONHeader
-	if authHeader != "" || class != "" {
-		header = http.Header{"Content-Type": header["Content-Type"]}
-		if authHeader != "" {
-			header["Authorization"] = []string{authHeader}
-		}
-		if class != "" {
-			// Thread the resolved priority class through the request
-			// envelope so node-side tooling can attribute work to classes.
-			header["X-Priority-Class"] = []string{class}
-		}
-	}
-	req := simclock.NewRequest(ctx, http.MethodPost, base, ep.Upstream, canonical, header)
+	req := simclock.NewRequest(ctx, http.MethodPost, base, ep.Upstream, canonical, g.header(authHeader, class))
 	// An injected proxy fault is indistinguishable from a refused
 	// connection: fence the node and try a replica. A delay-only outcome
 	// models a slow upstream link.
@@ -345,6 +342,45 @@ func (g *gateway) forward(ctx context.Context, w http.ResponseWriter, node *Node
 		g.front.CacheStore(ep, model, canonical, full)
 	}
 	return outcomeDone, ""
+}
+
+// header returns the request header of a forward, shared like
+// simclock.JSONHeader: nobody writes to it. A request whose
+// Authorization is not the gateway's own token gets a header of its
+// own, so the per-class set stays as small as the class list.
+func (g *gateway) header(auth, class string) http.Header {
+	if auth == "" && class == "" {
+		return simclock.JSONHeader
+	}
+	tok := g.c.cfg.Global.AuthToken
+	if own := tok == "" && auth == "" || tok != "" && auth == "Bearer "+tok; !own {
+		return forwardHeader(auth, class)
+	}
+	g.headersMu.Lock()
+	defer g.headersMu.Unlock()
+	h, ok := g.headers[class]
+	if !ok {
+		if g.headers == nil {
+			g.headers = make(map[string]http.Header)
+		}
+		h = forwardHeader(auth, class)
+		g.headers[class] = h
+	}
+	return h
+}
+
+// forwardHeader builds a forward's request header.
+func forwardHeader(auth, class string) http.Header {
+	h := http.Header{"Content-Type": simclock.JSONHeader["Content-Type"]}
+	if auth != "" {
+		h["Authorization"] = []string{auth}
+	}
+	if class != "" {
+		// Thread the resolved priority class through the request
+		// envelope so node-side tooling can attribute work to classes.
+		h["X-Priority-Class"] = []string{class}
+	}
+	return h
 }
 
 // retriableStatus reports whether a node-level status is worth trying

@@ -46,9 +46,10 @@ func swapRotationServer(t *testing.T) (*Server, *Backend, *Backend) {
 // the victim's checkpoint, the target's restore and the resumed
 // engine's health probe. It measured 55 allocations before the driver,
 // the reservation path, the engine probe and untraced span attributes
-// stopped allocating per swap, and 26 after; what is left is what outlives the
-// swap (the reservation, its grant channels, the image's manifest) and
-// the in-process HTTP hops.
+// stopped allocating per swap, 24 to 26 after, and 21 once the store
+// recycled its restore sessions; what is left is what outlives the swap
+// (the reservation, its grant channels, the image's manifest) and the
+// in-process HTTP hops.
 func TestServedSwapAllocs(t *testing.T) {
 	s, resident, cold := swapRotationServer(t)
 	ctx := context.Background()
@@ -70,7 +71,7 @@ func TestServedSwapAllocs(t *testing.T) {
 	if resident.State() != BackendRunning || cold.State() != BackendSwappedOut {
 		t.Fatalf("states after the rotation: %v, %v", resident.State(), cold.State())
 	}
-	if got > 32 {
-		t.Errorf("a served swap allocates %v times, budget 32", got)
+	if got > 28 {
+		t.Errorf("a served swap allocates %v times, budget 28", got)
 	}
 }

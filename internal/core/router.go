@@ -66,19 +66,19 @@ func (rt *router) handler() http.Handler {
 	return mux
 }
 
-// serveEndpoint serves one decoded endpoint-table request: queue the
-// canonical request for the model's worker and translate the backend's
-// response back out.
-func (rt *router) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy.Endpoint, req *ir.Request, canonical []byte) {
-	b, ok := rt.s.Backend(req.Model)
+// serveEndpoint serves one endpoint-table request: queue the canonical
+// request for the model's worker and translate the backend's response
+// back out.
+func (rt *router) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy.Endpoint, model string, _ bool, canonical []byte) {
+	b, ok := rt.s.Backend(model)
 	if !ok {
 		ir.WriteError(w, http.StatusNotFound, "invalid_request_error",
-			fmt.Sprintf("model %q is not configured", req.Model))
+			fmt.Sprintf("model %q is not configured", model))
 		return
 	}
 	if b.State() == BackendFailed {
 		ir.WriteError(w, http.StatusServiceUnavailable, "backend_failed",
-			fmt.Sprintf("backend for %q failed to initialize", req.Model))
+			fmt.Sprintf("backend for %q failed to initialize", model))
 		return
 	}
 
@@ -90,7 +90,7 @@ func (rt *router) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy
 	ctx := rt.s.traceCtx(r.Context())
 	var span *obs.Span
 	ctx, span = obs.Start(ctx, "request",
-		obs.String("model", req.Model), obs.String("path", ep.Path),
+		obs.String("model", model), obs.String("path", ep.Path),
 		obs.String("protocol", string(ep.Protocol)))
 	defer span.End()
 	// The response timeout runs on the clock, in simulated time: it ends
@@ -127,7 +127,7 @@ func (rt *router) serveEndpoint(w http.ResponseWriter, r *http.Request, ep proxy
 		rt.s.reg.Counter("rejected_queue_full").Inc()
 		span.Fail(fmt.Errorf("queue full"))
 		ir.WriteError(w, http.StatusTooManyRequests, "queue_full",
-			fmt.Sprintf("request queue for %q is full", req.Model))
+			fmt.Sprintf("request queue for %q is full", model))
 		return
 	}
 

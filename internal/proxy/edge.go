@@ -15,22 +15,25 @@ import (
 )
 
 // maxBodyBytes bounds an inference request body (1 MiB covers any chat
-// request); a larger one is answered 413.
+// request); a larger one is answered 413. It bounds a canonical body
+// too: the next hop reads one under the same bound, so the edge answers
+// 413 itself for a body whose translation outgrows it.
 const maxBodyBytes = 1 << 20
 
 // Door is what a server plugs into the front door's HTTP edge. The edge
 // owns everything about serving a table row over HTTP — the bearer
-// token, the inference prelude (method check, bounded body read,
-// decode, canonical encode), the protocol model listings and the
-// observability routes — so the server supplies only what is its own:
-// how a decoded request is served, and which models it lists.
+// token, the inference prelude (method check, bounded body read, then
+// either a decode and canonical encode or a check of a body it relays
+// as it came), the protocol model listings and the observability
+// routes — so the server supplies only what is its own: how a request
+// is served, and which models it lists.
 type Door struct {
 	// Token, when set, must be presented as a Bearer token on every
 	// route the edge mounts or Auth wraps.
 	Token string
-	// Serve answers one decoded inference request; canonical is its
-	// upstream (OpenAI) encoding.
-	Serve func(w http.ResponseWriter, r *http.Request, ep Endpoint, req *ir.Request, canonical []byte)
+	// Serve answers one inference request for model, streamed or not;
+	// canonical is its upstream (OpenAI) encoding.
+	Serve func(w http.ResponseWriter, r *http.Request, ep Endpoint, model string, stream bool, canonical []byte)
 	// Models lists the served models for /v1/models and /api/tags.
 	Models func() []ListedModel
 	// TranslateFailed, when set, is called each time the prelude answers
@@ -90,43 +93,64 @@ func (f *Front) Mux(d Door) *http.ServeMux {
 	return mux
 }
 
-// serve is the inference prelude every table row shares: it turns the
-// client's bytes into the IR and its canonical encoding, answering the
-// client itself when that fails, and hands the result to the server.
+// serve is the inference prelude every table row shares: it reads the
+// client's bytes, turns them into a model, a stream flag and the
+// canonical upstream encoding (Inward), answering the client itself
+// when that fails, and hands the result to the server.
 func (f *Front) serve(d Door, w http.ResponseWriter, r *http.Request, ep Endpoint) {
 	if r.Method != ep.Method {
 		ir.WriteError(w, http.StatusMethodNotAllowed, "invalid_request_error", "use "+ep.Method)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := readBody(r)
 	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			ir.WriteError(w, http.StatusRequestEntityTooLarge, "invalid_request_error",
-				fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes))
-			return
-		}
 		ir.WriteError(w, http.StatusBadRequest, "invalid_request_error", "reading body: "+err.Error())
 		return
 	}
-	req, err := f.Decode(ep, body)
-	if err != nil && !errors.Is(err, ErrTranslate) {
-		ir.WriteError(w, http.StatusBadRequest, "invalid_request_error", err.Error())
+	if len(body) > maxBodyBytes {
+		ir.WriteError(w, http.StatusRequestEntityTooLarge, "invalid_request_error",
+			fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes))
 		return
 	}
-	var canonical []byte
-	if err == nil {
-		canonical, err = f.EncodeUpstream(req)
-	}
-	if err != nil {
+	model, stream, canonical, err := f.Inward(ep, body)
+	switch {
+	case errors.Is(err, ErrTranslate):
 		// The pipeline is degraded, not the request: a well-formed 503.
 		if d.TranslateFailed != nil {
 			d.TranslateFailed()
 		}
 		ir.WriteError(w, http.StatusServiceUnavailable, "translate_failed", err.Error())
-		return
+	case errors.Is(err, ErrTooLarge):
+		ir.WriteError(w, http.StatusRequestEntityTooLarge, "invalid_request_error", err.Error())
+	case err != nil:
+		ir.WriteError(w, http.StatusBadRequest, "invalid_request_error", err.Error())
+	default:
+		d.Serve(w, r, ep, model, stream, canonical)
 	}
-	d.Serve(w, r, ep, req, canonical)
+}
+
+// readBody reads a request body, stopping one byte past maxBodyBytes.
+// A request that states its length is read into one allocation.
+func readBody(r *http.Request) ([]byte, error) {
+	rd := io.LimitedReader{R: r.Body, N: maxBodyBytes + 1}
+	size := int64(512)
+	if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
+		size = n + 1
+	}
+	b := make([]byte, 0, size)
+	for {
+		n, err := rd.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // writeListing answers a model-listing row in its protocol's shape.
@@ -187,7 +211,7 @@ func (f *Front) WriteResponse(w http.ResponseWriter, ep Endpoint, resp *http.Res
 		ir.WriteError(w, http.StatusServiceUnavailable, "translate_failed", err.Error())
 		return err
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = ir.JSONType
 	w.WriteHeader(http.StatusOK)
 	w.Write(out)
 	return nil
@@ -201,7 +225,7 @@ func (f *Front) WriteResponse(w http.ResponseWriter, ep Endpoint, resp *http.Res
 // codec, so the resume is exact under SSE and NDJSON alike.
 type StreamRelay struct {
 	w         http.ResponseWriter
-	tr        *StreamTranslator
+	tr        StreamTranslator
 	started   bool
 	delivered int
 	buf       []byte // the frames of one event, reused
@@ -218,7 +242,7 @@ type StreamRelay struct {
 
 // StreamRelay starts a relay into w in the endpoint's client framing.
 func (f *Front) StreamRelay(w http.ResponseWriter, ep Endpoint) *StreamRelay {
-	return &StreamRelay{w: w, tr: f.Translator(ep)}
+	return &StreamRelay{w: w, tr: f.translator(ep)}
 }
 
 // Started reports whether the client response has begun.
@@ -231,7 +255,11 @@ func (s *StreamRelay) Started() bool { return s.started }
 // translation failure or a departed client cannot be resumed.
 func (s *StreamRelay) Relay(resp *http.Response) error {
 	if !s.started {
-		s.w.Header().Set("Content-Type", s.tr.ContentType())
+		ct := ir.SSEType
+		if s.tr.framing() == ir.FramingNDJSON {
+			ct = ir.NDJSONType
+		}
+		s.w.Header()["Content-Type"] = ct
 		s.w.WriteHeader(resp.StatusCode)
 		s.started = true
 	}

@@ -19,7 +19,7 @@ import (
 func testDoor(token string, served *[]string) Door {
 	return Door{
 		Token: token,
-		Serve: func(w http.ResponseWriter, r *http.Request, ep Endpoint, req *ir.Request, canonical []byte) {
+		Serve: func(w http.ResponseWriter, r *http.Request, ep Endpoint, model string, stream bool, canonical []byte) {
 			*served = append(*served, string(canonical))
 			w.WriteHeader(http.StatusOK)
 		},

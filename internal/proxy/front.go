@@ -123,26 +123,65 @@ func (f *Front) sleep(out chaos.Outcome) {
 	}
 }
 
-// Decode translates one client request body into the IR via the
-// endpoint's codec. The proxy.translate chaos site fires here: an
-// injected fault surfaces as ErrTranslate, which the caller answers
-// with a well-formed protocol error instead of forwarding garbage.
-func (f *Front) Decode(ep Endpoint, body []byte) (*ir.Request, error) {
+// translateFault consults the proxy.translate chaos site, returning an
+// injected fault as ErrTranslate, which the caller answers with a
+// well-formed protocol error instead of forwarding garbage.
+func (f *Front) translateFault(ep Endpoint) error {
 	if out := f.inj.At(chaos.SiteProxyTranslate); out.Err != nil || out.Delay > 0 {
 		f.sleep(out)
 		if out.Err != nil {
-			return nil, fmt.Errorf("%w: %s: %w", ErrTranslate, ep.Path, out.Err)
+			return fmt.Errorf("%w: %s: %w", ErrTranslate, ep.Path, out.Err)
 		}
 	}
+	return nil
+}
+
+// decode translates one client request body into the IR via the
+// endpoint's codec.
+func (f *Front) decode(ep Endpoint, body []byte) (*ir.Request, error) {
 	codec, err := f.Codec(ep.Protocol)
 	if err != nil {
 		return nil, err
 	}
-	req, err := codec.DecodeRequest(ep.Family, body)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", ep.Path, err)
+	return codec.DecodeRequest(ep.Family, body)
+}
+
+// Inward is the inference prelude past the body read: it turns a
+// client body into the request's model, its stream flag and its
+// canonical upstream body, each hop decoding only what it needs.
+//
+// An OpenAI row of a Front without a response cache (every node, and a
+// gateway with the cache off) relays: the body it reads is the
+// canonical encoding a gateway forwards, or one the engine decodes to
+// the same request, so it only checks the body as DecodeRequest would
+// and returns the bytes it got. A Front with a cache decodes and
+// encodes, since the cache key is the canonical body protocol siblings
+// share; so does every Ollama row, which must translate.
+//
+// A failure the pipeline caused wraps ErrTranslate, a canonical body
+// past the size bound the next hop reads under wraps ErrTooLarge, and
+// any other error is the request's.
+func (f *Front) Inward(ep Endpoint, body []byte) (model string, stream bool, canonical []byte, err error) {
+	if err := f.translateFault(ep); err != nil {
+		return "", false, nil, err
 	}
-	return req, nil
+	if f.cache == nil && ep.Protocol == ProtocolOpenAI {
+		if model, stream, err = (ir.OpenAICodec{}).Check(ep.Family, body); err != nil {
+			return "", false, nil, fmt.Errorf("%s: %w", ep.Path, err)
+		}
+		return model, stream, body, nil
+	}
+	req, err := f.decode(ep, body)
+	if err != nil {
+		return "", false, nil, fmt.Errorf("%s: %w", ep.Path, err)
+	}
+	if canonical, err = f.EncodeUpstream(req); err != nil {
+		return "", false, nil, fmt.Errorf("%w: %w", ErrTranslate, err)
+	}
+	if len(canonical) > maxBodyBytes {
+		return "", false, nil, fmt.Errorf("%w: its canonical encoding exceeds %d bytes", ErrTooLarge, maxBodyBytes)
+	}
+	return req.Model, req.Stream, canonical, nil
 }
 
 // EncodeUpstream renders the canonical upstream body every protocol
@@ -175,13 +214,20 @@ func (f *Front) TranslateResponse(ep Endpoint, canonical []byte) ([]byte, error)
 
 // Translator builds the stream translator for an endpoint.
 func (f *Front) Translator(ep Endpoint) *StreamTranslator {
+	t := f.translator(ep)
+	return &t
+}
+
+// translator is Translator's value, for a relay to hold in its own
+// allocation.
+func (f *Front) translator(ep Endpoint) StreamTranslator {
 	codec, err := f.Codec(ep.Protocol)
 	if err != nil {
 		codec = ir.OpenAICodec{}
 	}
-	return &StreamTranslator{
+	return StreamTranslator{
 		out:         codec,
-		re:          ir.NewReframer(codec, ep.Family),
+		re:          *ir.NewReframer(codec, ep.Family),
 		passthrough: ep.Protocol == ProtocolOpenAI,
 	}
 }

@@ -366,9 +366,9 @@ func checkDecoders(t *testing.T, body []byte) {
 	werr := wm.unmarshalReflect(body)
 	diff("Message", m, gerr, wm, werr)
 
-	req, gerr := decodeChatRequest(body)
+	req, gerr := decodeChat(FamilyChat, body)
 	wreq := new(ChatCompletionRequest)
-	diff("request", req, gerr, wreq, json.Unmarshal(body, wreq))
+	diff("request", &req.chat, gerr, wreq, json.Unmarshal(body, wreq))
 
 	resp, gerr := decodeChatResponse(body)
 	wresp := new(ChatCompletionResponse)
@@ -459,6 +459,9 @@ func TestSSEReader(t *testing.T) {
 // every chat request or stream token takes.
 func TestCodecAllocBudget(t *testing.T) {
 	body := []byte(goldenOpenAIChat)
+	// perfbench's frontdoor-hot shapes.
+	ollamaChat, generate := []byte(requestSeeds[2]), []byte(requestSeeds[3])
+	embeddings, rerank := []byte(requestSeeds[4]), []byte(requestSeeds[5])
 	chunk := &ChatCompletionChunk{ID: "chatcmpl-n1-7", Object: "chat.completion.chunk", Created: 1700000000,
 		Model: "llama3.2:3b", Choices: []DeltaChoice{{Delta: Message{Content: " token"}}}}
 	sw := NewSSEWriter(io.Discard)
@@ -468,9 +471,18 @@ func TestCodecAllocBudget(t *testing.T) {
 		max  float64
 		run  func()
 	}{
-		// Request, payload, model, message slice, two contents,
-		// temperature and seed.
-		{"decode canonical chat request", 8, func() { OpenAICodec{}.DecodeRequest(FamilyChat, body) }},
+		// The request with its payload, temperature and seed; one block
+		// of strings; the message slice.
+		{"decode canonical chat request", 3, func() { OpenAICodec{}.DecodeRequest(FamilyChat, body) }},
+		// The model string.
+		{"check canonical chat request", 1, func() { OpenAICodec{}.Check(FamilyChat, body) }},
+		// The request with its payload, one block of strings, the list.
+		{"decode embeddings request", 3, func() { OpenAICodec{}.DecodeRequest(FamilyEmbeddings, embeddings) }},
+		{"decode rerank request", 3, func() { OpenAICodec{}.DecodeRequest(FamilyRerank, rerank) }},
+		// The Ollama request with its options, its strings, its message
+		// slice; the canonical request with its payload, its messages.
+		{"decode ollama chat request", 5, func() { OllamaCodec{}.DecodeRequest(FamilyChat, ollamaChat) }},
+		{"decode ollama generate request", 4, func() { OllamaCodec{}.DecodeRequest(FamilyGenerate, generate) }},
 		{"encode chunk frame", 1, func() { OpenAICodec{}.EncodeStreamEvent(FamilyChat, &StreamEvent{Chunk: chunk}) }},
 		{"SSEWriter event", 0, func() { sw.WriteEvent(&StreamEvent{Chunk: chunk}) }},
 	} {

@@ -70,6 +70,14 @@ func (f Framing) ContentType() string {
 	return "text/event-stream"
 }
 
+// Header values every response that carries them shares. A handler
+// assigns one (h["Content-Type"] = ir.JSONType) where Header.Set would
+// allocate a slice per response; nobody writes to them.
+var (
+	JSONType, SSEType, NDJSONType = []string{"application/json"}, []string{FramingSSE.ContentType()}, []string{FramingNDJSON.ContentType()}
+	noCache, keepAlive            = []string{"no-cache"}, []string{"keep-alive"}
+)
+
 // DoneSentinel is the terminal SSE data payload.
 const DoneSentinel = "[DONE]"
 

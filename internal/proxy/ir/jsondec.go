@@ -3,6 +3,7 @@ package ir
 import (
 	"encoding/json"
 	"strconv"
+	"strings"
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -145,6 +146,7 @@ var fieldNames = [...]string{
 	"model", "messages", "stream", "max_tokens", "min_tokens", "temperature", "seed", "user",
 	"role", "content", "id", "object", "created", "choices", "usage", "index", "delta",
 	"message", "finish_reason", "prompt_tokens", "completion_tokens", "total_tokens",
+	"input", "query", "documents", "top_n", "prompt", "system", "options", "num_predict",
 }
 
 // once marks field bit in seen and fails on a repeat: encoding/json
@@ -314,26 +316,23 @@ func (s *scanner) text() string { return intern(s.str()) }
 // (roles, object kinds, finish reasons) come back as constants instead
 // of fresh allocations.
 func intern(b []byte) string {
-	switch string(b) {
-	case "":
-		return ""
-	case "user":
-		return "user"
-	case "assistant":
-		return "assistant"
-	case "system":
-		return "system"
-	case "chat.completion.chunk":
-		return "chat.completion.chunk"
-	case "chat.completion":
-		return "chat.completion"
-	case "stop":
-		return "stop"
-	case "length":
-		return "length"
+	if s, ok := constant(b); ok {
+		return s
 	}
 	return string(b)
 }
+
+// constant returns the constant intern keeps equal to b, if any.
+func constant(b []byte) (string, bool) {
+	for _, c := range constants {
+		if string(b) == c {
+			return c, true
+		}
+	}
+	return "", false
+}
+
+var constants = [...]string{"", "user", "assistant", "system", "chat.completion.chunk", "chat.completion", "stop", "length"}
 
 // number consumes a JSON number and returns its literal, failing on
 // anything the JSON grammar rejects.
@@ -467,71 +466,6 @@ func (s *scanner) messageBytes() (role, content []byte) {
 			s.fail()
 		}
 	}
-}
-
-// chatRequest decodes a ChatCompletionRequest into the zero value r.
-func (s *scanner) chatRequest(r *ChatCompletionRequest) {
-	var seen uint32
-	for n := 0; ; n++ {
-		key, ok := s.member(n)
-		if !ok {
-			return
-		}
-		switch key {
-		case "model":
-			if s.once(&seen, 1<<0) && !s.null() {
-				r.Model = s.text()
-			}
-		case "messages":
-			if s.once(&seen, 1<<1) && !s.null() {
-				r.Messages = s.messages()
-			}
-		case "stream":
-			if s.once(&seen, 1<<2) && !s.null() {
-				r.Stream = s.boolean()
-			}
-		case "max_tokens":
-			if s.once(&seen, 1<<3) && !s.null() {
-				r.MaxTokens = int(s.integer(strconv.IntSize))
-			}
-		case "min_tokens":
-			if s.once(&seen, 1<<4) && !s.null() {
-				r.MinTokens = int(s.integer(strconv.IntSize))
-			}
-		case "temperature":
-			if s.once(&seen, 1<<5) && !s.null() {
-				t := s.float()
-				r.Temperature = &t
-			}
-		case "seed":
-			if s.once(&seen, 1<<6) && !s.null() {
-				seed := s.integer(64)
-				r.Seed = &seed
-			}
-		case "user":
-			if s.once(&seen, 1<<7) && !s.null() {
-				r.User = s.text()
-			}
-		default:
-			s.fail()
-			return
-		}
-	}
-}
-
-// messages decodes a message array into a slice sized exactly, as
-// encoding/json leaves a non-nil empty slice for [].
-func (s *scanner) messages() []Message {
-	var small [4]Message
-	msgs := small[:0]
-	for n := 0; s.element(n); n++ {
-		msgs = append(msgs, Message{})
-		s.message(&msgs[n])
-	}
-	if s.bad {
-		return nil
-	}
-	return append(make([]Message, 0, len(msgs)), msgs...)
 }
 
 // usage decodes a Usage object into u.
@@ -777,19 +711,6 @@ func (v *chunkView) chunk() *ChatCompletionChunk {
 	return c
 }
 
-// decodeChatRequest decodes body as json.Unmarshal into a fresh
-// ChatCompletionRequest does.
-func decodeChatRequest(body []byte) (*ChatCompletionRequest, error) {
-	var s scanner
-	s.reset(body)
-	r := new(ChatCompletionRequest)
-	if s.chatRequest(r); s.done() {
-		return r, nil
-	}
-	*r = ChatCompletionRequest{}
-	return r, json.Unmarshal(body, r)
-}
-
 // decodeChatResponse decodes body as json.Unmarshal into a fresh
 // ChatCompletionResponse does.
 func decodeChatResponse(body []byte) (*ChatCompletionResponse, error) {
@@ -814,4 +735,330 @@ func decodeChunk(payload []byte) (*ChatCompletionChunk, error) {
 	}
 	c := new(ChatCompletionChunk)
 	return c, json.Unmarshal(payload, c)
+}
+
+// The request decoders scan a body into a reqView, its strings still
+// bytes: enough to validate it (OpenAICodec.Check), or to build it with
+// its strings carved from one allocation and its pointers boxed with
+// it. A failed scan hands the body to encoding/json, as above.
+
+// reqKind is the request shape a scan accepts.
+type reqKind uint8
+
+const (
+	kindChat reqKind = iota
+	kindEmbeddings
+	kindRerank
+	kindOllamaChat
+	kindOllamaGenerate
+	kindOptions // an Ollama request's options object
+)
+
+// kindKeys are the keys each kind's object may hold, as fieldBit sets.
+var kindKeys = [...]uint64{
+	kindChat:           keys("model", "messages", "stream", "max_tokens", "min_tokens", "temperature", "seed", "user"),
+	kindEmbeddings:     keys("model", "input", "user"),
+	kindRerank:         keys("model", "query", "documents", "top_n"),
+	kindOllamaChat:     keys("model", "messages", "stream", "options"),
+	kindOllamaGenerate: keys("model", "prompt", "system", "stream", "options"),
+	kindOptions:        keys("num_predict", "temperature", "seed"),
+}
+
+func keys(names ...string) (set uint64) {
+	for _, name := range names {
+		set |= fieldBit(name)
+	}
+	return set
+}
+
+// fieldBit is key's bit in a key set: 1<<i for fieldNames[i].
+func fieldBit(key string) uint64 {
+	for i, name := range fieldNames {
+		if key == name {
+			return 1 << i
+		}
+	}
+	return 0
+}
+
+// reqView is a decoded request of any kind. maxTokens holds max_tokens
+// or num_predict, list the input or documents; msgsSet, listSet and
+// optsSet record a non-nil Messages, list and Options.
+type reqView struct {
+	model, user, query, prompt, system  []byte
+	msgs                                []msgView
+	list                                [][]byte
+	msgsSet, listSet, optsSet           bool
+	stream, streamSet, tempSet, seedSet bool
+	maxTokens, minTokens, topN          int
+	temp                                float64
+	seed                                int64
+}
+
+// msgView is one message's role and content.
+type msgView struct{ role, content []byte }
+
+// scan decodes body as a kind k request into v, appending to v's msgs
+// and list; ok reports that the scan recognised all of body. v comes
+// and goes by value, so a caller's small arrays stay on its stack.
+func scan(k reqKind, body []byte, v reqView) (_ reqView, ok bool) {
+	var s scanner
+	s.reset(body)
+	v = s.request(k, v)
+	return v, s.done()
+}
+
+// request decodes a kind k object's members into v. A null member
+// leaves its field as encoding/json does, unset; a key repeated, or
+// not one of kind k's, fails the scan.
+func (s *scanner) request(k reqKind, v reqView) reqView {
+	var seen uint64
+	for n := 0; ; n++ {
+		key, ok := s.member(n)
+		if !ok {
+			return v
+		}
+		bit := fieldBit(key)
+		if bit&kindKeys[k] == 0 || seen&bit != 0 {
+			s.fail()
+			return v
+		}
+		seen |= bit
+		if s.null() {
+			continue
+		}
+		switch key {
+		case "model":
+			v.model = s.str()
+		case "user":
+			v.user = s.str()
+		case "query":
+			v.query = s.str()
+		case "prompt":
+			v.prompt = s.str()
+		case "system":
+			v.system = s.str()
+		case "messages":
+			v.msgsSet = true
+			for i := 0; s.element(i); i++ {
+				var m msgView
+				m.role, m.content = s.messageBytes()
+				v.msgs = append(v.msgs, m)
+			}
+		case "input", "documents":
+			v.listSet = true
+			if key == "input" && s.peek() == '"' {
+				// InputField reads a lone string as a one-element list.
+				v.list = append(v.list, s.str())
+				break
+			}
+			for i := 0; s.element(i); i++ {
+				v.list = append(v.list, s.str())
+			}
+		case "stream":
+			v.stream, v.streamSet = s.boolean(), true
+		case "max_tokens", "num_predict":
+			v.maxTokens = int(s.integer(strconv.IntSize))
+		case "min_tokens":
+			v.minTokens = int(s.integer(strconv.IntSize))
+		case "top_n":
+			v.topN = int(s.integer(strconv.IntSize))
+		case "temperature":
+			v.temp, v.tempSet = s.float(), true
+		case "seed":
+			v.seed, v.seedSet = s.integer(64), true
+		case "options":
+			v.optsSet = true
+			v = s.request(kindOptions, v)
+		}
+	}
+}
+
+// valid reports whether the Validate of a kind k request accepts v.
+func (v *reqView) valid(k reqKind) bool {
+	switch k {
+	case kindEmbeddings:
+		return len(v.model) > 0 && len(v.list) > 0
+	case kindRerank:
+		return len(v.model) > 0 && len(v.query) > 0 && len(v.list) > 0 && v.topN >= 0
+	}
+	if len(v.model) == 0 || len(v.msgs) == 0 || v.maxTokens < 0 || v.minTokens < 0 ||
+		v.tempSet && !(v.temp >= 0 && v.temp <= 2) {
+		return false
+	}
+	for _, m := range v.msgs {
+		switch string(m.role) {
+		case "system", "user", "assistant", "tool":
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// texts hands out the strings of one request from a single allocation
+// sized for all of them. Values intern knows come back as its
+// constants.
+type texts struct {
+	n int
+	b strings.Builder
+}
+
+// texts returns a texts sized for every string v holds.
+func (v *reqView) texts() (t texts) {
+	t.n = len(v.model) + len(v.user) + len(v.query) + len(v.prompt) + len(v.system)
+	for _, m := range v.msgs {
+		t.n += len(m.role) + len(m.content)
+	}
+	for _, b := range v.list {
+		t.n += len(b)
+	}
+	return t
+}
+
+func (t *texts) take(b []byte) string {
+	if s, ok := constant(b); ok {
+		return s
+	}
+	if t.b.Cap() == 0 {
+		t.b.Grow(t.n)
+	}
+	n := t.b.Len()
+	t.b.Write(b)
+	return t.b.String()[n:]
+}
+
+func (t *texts) takeAll(bs [][]byte, set bool) []string {
+	if !set {
+		return nil
+	}
+	out := make([]string, len(bs))
+	for i, b := range bs {
+		out[i] = t.take(b)
+	}
+	return out
+}
+
+// chatBox allocates a chat Request with its payload and the payload's
+// pointer targets.
+type chatBox struct {
+	req  Request
+	chat ChatCompletionRequest
+	temp float64
+	seed int64
+}
+
+func newChatBox(f Family) *chatBox {
+	b := &chatBox{req: Request{Family: f}}
+	b.req.Chat = &b.chat
+	return b
+}
+
+// decodeChat decodes body as json.Unmarshal into a fresh
+// ChatCompletionRequest does, into the box's payload.
+func decodeChat(f Family, body []byte) (*chatBox, error) {
+	var small [4]msgView
+	b := newChatBox(f)
+	v, ok := scan(kindChat, body, reqView{msgs: small[:0]})
+	if !ok {
+		return b, json.Unmarshal(body, &b.chat)
+	}
+	t, r := v.texts(), &b.chat
+	r.Model, r.User = t.take(v.model), t.take(v.user)
+	if v.msgsSet {
+		r.Messages = make([]Message, len(v.msgs))
+		for i, m := range v.msgs {
+			r.Messages[i] = Message{Role: t.take(m.role), Content: t.take(m.content)}
+		}
+	}
+	r.Stream, r.MaxTokens, r.MinTokens = v.stream, v.maxTokens, v.minTokens
+	if v.tempSet {
+		b.temp, r.Temperature = v.temp, &b.temp
+	}
+	if v.seedSet {
+		b.seed, r.Seed = v.seed, &b.seed
+	}
+	return b, nil
+}
+
+// decodeList decodes body as json.Unmarshal into a fresh
+// EmbeddingsRequest (k is kindEmbeddings) or RerankRequest does, into
+// a Request allocated with it.
+func decodeList(k reqKind, body []byte) (*Request, error) {
+	var small [8][]byte
+	b := new(struct {
+		req Request
+		emb EmbeddingsRequest
+		rr  RerankRequest
+	})
+	var dst any = &b.emb
+	b.req.Family, b.req.Embeddings = FamilyEmbeddings, &b.emb
+	if k == kindRerank {
+		dst, b.req.Family, b.req.Embeddings, b.req.Rerank = &b.rr, FamilyRerank, nil, &b.rr
+	}
+	v, ok := scan(k, body, reqView{list: small[:0]})
+	if !ok {
+		return &b.req, json.Unmarshal(body, dst)
+	}
+	t := v.texts()
+	b.emb.Model, b.emb.User, b.rr.Query = t.take(v.model), t.take(v.user), t.take(v.query)
+	b.rr.Model, b.rr.TopN = b.emb.Model, v.topN
+	b.emb.Input = t.takeAll(v.list, v.listSet)
+	b.rr.Documents = b.emb.Input
+	return &b.req, nil
+}
+
+// ollamaBox allocates a decoded Ollama request with its pointer
+// targets; chat or generate holds it.
+type ollamaBox struct {
+	chat     OllamaChatRequest
+	generate OllamaGenerateRequest
+	stream   bool
+	opts     OllamaOptions
+	temp     float64
+	seed     int64
+}
+
+// decodeOllama decodes body as json.Unmarshal into a fresh
+// OllamaChatRequest (k is kindOllamaChat) or OllamaGenerateRequest
+// does, into the box. A request with images goes to encoding/json.
+func decodeOllama(k reqKind, body []byte) (*ollamaBox, error) {
+	var small [4]msgView
+	b := new(ollamaBox)
+	v, ok := scan(k, body, reqView{msgs: small[:0]})
+	switch {
+	case !ok && k == kindOllamaChat:
+		return b, json.Unmarshal(body, &b.chat)
+	case !ok:
+		return b, json.Unmarshal(body, &b.generate)
+	}
+	var stream *bool
+	var opts *OllamaOptions
+	if v.streamSet {
+		b.stream, stream = v.stream, &b.stream
+	}
+	if v.optsSet {
+		opts = &b.opts
+		opts.NumPredict = v.maxTokens
+		if v.tempSet {
+			b.temp, opts.Temperature = v.temp, &b.temp
+		}
+		if v.seedSet {
+			b.seed, opts.Seed = v.seed, &b.seed
+		}
+	}
+	t := v.texts()
+	if k == kindOllamaGenerate {
+		b.generate = OllamaGenerateRequest{Model: t.take(v.model), Prompt: t.take(v.prompt),
+			System: t.take(v.system), Stream: stream, Options: opts}
+		return b, nil
+	}
+	b.chat = OllamaChatRequest{Model: t.take(v.model), Stream: stream, Options: opts}
+	if v.msgsSet {
+		b.chat.Messages = make([]OllamaMessage, len(v.msgs))
+		for i, m := range v.msgs {
+			b.chat.Messages[i] = OllamaMessage{Role: t.take(m.role), Content: t.take(m.content)}
+		}
+	}
+	return b, nil
 }

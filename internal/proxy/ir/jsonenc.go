@@ -321,9 +321,11 @@ func marshalChatResponse(r *ChatCompletionResponse) ([]byte, error) {
 	if r == nil {
 		return json.Marshal(r)
 	}
-	n := 160 + len(r.ID) + len(r.Model)
+	// The fixed text around the strings: 80 bytes of head, 80 per
+	// choice, 80 of usage, and a byte for WriteJSON's newline.
+	n := 161 + len(r.ID) + len(r.Model)
 	for i := range r.Choices {
-		n += 64 + len(r.Choices[i].Message.Content)
+		n += 80 + len(r.Choices[i].Message.Content)
 	}
 	w := writer{b: make([]byte, 0, n)}
 	if w.chatResponse(r); w.bad {

@@ -104,42 +104,44 @@ func (OllamaCodec) Framing() Framing { return FramingNDJSON }
 
 // DecodeRequest implements Codec.
 func (OllamaCodec) DecodeRequest(f Family, body []byte) (*Request, error) {
+	k := kindOllamaChat
 	switch f {
 	case FamilyChat:
-		var p OllamaChatRequest
-		if err := json.Unmarshal(body, &p); err != nil {
-			return nil, fmt.Errorf("%w: malformed JSON: %w", ErrDecode, err)
-		}
-		chat := &ChatCompletionRequest{Model: p.Model, Stream: p.Stream == nil || *p.Stream}
-		for _, om := range p.Messages {
-			chat.Messages = append(chat.Messages, ollamaMessageToCanonical(om))
-		}
-		applyOllamaOptions(chat, p.Options)
-		req := &Request{Family: f, Model: p.Model, Stream: chat.Stream, Chat: chat}
-		if err := req.Validate(); err != nil {
-			return nil, err
-		}
-		return req, nil
 	case FamilyGenerate:
-		var p OllamaGenerateRequest
-		if err := json.Unmarshal(body, &p); err != nil {
-			return nil, fmt.Errorf("%w: malformed JSON: %w", ErrDecode, err)
-		}
-		chat := &ChatCompletionRequest{Model: p.Model, Stream: p.Stream == nil || *p.Stream}
-		if p.System != "" {
-			chat.Messages = append(chat.Messages, Message{Role: "system", Content: p.System})
-		}
-		chat.Messages = append(chat.Messages, ollamaMessageToCanonical(OllamaMessage{
-			Role: "user", Content: p.Prompt, Images: p.Images,
-		}))
-		applyOllamaOptions(chat, p.Options)
-		req := &Request{Family: f, Model: p.Model, Stream: chat.Stream, Chat: chat}
-		if err := req.Validate(); err != nil {
-			return nil, err
-		}
-		return req, nil
+		k = kindOllamaGenerate
+	default:
+		return nil, fmt.Errorf("%w: ollama codec cannot decode %q", ErrUnsupported, f)
 	}
-	return nil, fmt.Errorf("%w: ollama codec cannot decode %q", ErrUnsupported, f)
+	o, err := decodeOllama(k, body)
+	if err != nil {
+		return nil, fmt.Errorf("%w: malformed JSON: %w", ErrDecode, err)
+	}
+	model, stream, opts, msgs := o.chat.Model, o.chat.Stream, o.chat.Options, o.chat.Messages
+	if f == FamilyGenerate {
+		// A generate is a chat of its system and user turns.
+		var turns [2]OllamaMessage
+		g := &o.generate
+		model, stream, opts, msgs = g.Model, g.Stream, g.Options, turns[:0]
+		if g.System != "" {
+			msgs = append(msgs, OllamaMessage{Role: "system", Content: g.System})
+		}
+		msgs = append(msgs, OllamaMessage{Role: "user", Content: g.Prompt, Images: g.Images})
+	}
+	b := newChatBox(f)
+	chat := &b.chat
+	chat.Model, chat.Stream = model, stream == nil || *stream
+	if len(msgs) > 0 {
+		chat.Messages = make([]Message, len(msgs))
+	}
+	for i, om := range msgs {
+		chat.Messages[i] = ollamaMessageToCanonical(om)
+	}
+	applyOllamaOptions(chat, opts)
+	b.req.Model, b.req.Stream = model, chat.Stream
+	if err := b.req.Validate(); err != nil {
+		return nil, err
+	}
+	return &b.req, nil
 }
 
 // ollamaMessageToCanonical converts one Ollama message; attached images

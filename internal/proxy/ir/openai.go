@@ -23,34 +23,29 @@ func (OpenAICodec) Framing() Framing { return FramingSSE }
 
 // DecodeRequest implements Codec.
 func (OpenAICodec) DecodeRequest(f Family, body []byte) (*Request, error) {
-	req := &Request{Family: f}
+	var req *Request
+	var err error
 	switch f {
 	case FamilyChat:
-		p, err := decodeChatRequest(body)
-		if err != nil {
-			return nil, fmt.Errorf("%w: malformed JSON: %w", ErrDecode, err)
-		}
-		req.Chat, req.Model, req.Stream = p, p.Model, p.Stream
+		var b *chatBox
+		b, err = decodeChat(f, body)
+		req = &b.req
+		req.Model, req.Stream = b.chat.Model, b.chat.Stream
 	case FamilyCompletion:
 		var p CompletionRequest
-		if err := json.Unmarshal(body, &p); err != nil {
-			return nil, fmt.Errorf("%w: malformed JSON: %w", ErrDecode, err)
-		}
-		req.Completion, req.Model, req.Stream = &p, p.Model, p.Stream
+		err = json.Unmarshal(body, &p)
+		req = &Request{Family: f, Completion: &p, Model: p.Model, Stream: p.Stream}
 	case FamilyEmbeddings:
-		var p EmbeddingsRequest
-		if err := json.Unmarshal(body, &p); err != nil {
-			return nil, fmt.Errorf("%w: malformed JSON: %w", ErrDecode, err)
-		}
-		req.Embeddings, req.Model = &p, p.Model
+		req, err = decodeList(kindEmbeddings, body)
+		req.Model = req.Embeddings.Model
 	case FamilyRerank:
-		var p RerankRequest
-		if err := json.Unmarshal(body, &p); err != nil {
-			return nil, fmt.Errorf("%w: malformed JSON: %w", ErrDecode, err)
-		}
-		req.Rerank, req.Model = &p, p.Model
+		req, err = decodeList(kindRerank, body)
+		req.Model = req.Rerank.Model
 	default:
 		return nil, fmt.Errorf("%w: openai codec cannot decode %q", ErrUnsupported, f)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: malformed JSON: %w", ErrDecode, err)
 	}
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -58,9 +53,32 @@ func (OpenAICodec) DecodeRequest(f Family, body []byte) (*Request, error) {
 	return req, nil
 }
 
+// Check answers for a body what DecodeRequest would, without building
+// the request where a scan can decide (chat, embeddings, rerank): its
+// model and stream flag, or DecodeRequest's error.
+func (c OpenAICodec) Check(f Family, body []byte) (model string, stream bool, err error) {
+	var msgs [4]msgView
+	var list [8][]byte
+	if k, ok := checkKinds[f]; ok {
+		if v, ok := scan(k, body, reqView{msgs: msgs[:0], list: list[:0]}); ok && v.valid(k) {
+			return string(v.model), v.stream, nil
+		}
+	}
+	req, err := c.DecodeRequest(f, body)
+	if err != nil {
+		return "", false, err
+	}
+	return req.Model, req.Stream, nil
+}
+
+// checkKinds are the families Check scans.
+var checkKinds = map[Family]reqKind{FamilyChat: kindChat, FamilyEmbeddings: kindEmbeddings, FamilyRerank: kindRerank}
+
 // EncodeRequest implements Codec: the canonical upstream encoding. A
 // FamilyGenerate request encodes as its canonical chat payload, so the
-// upstream node and engine see one protocol.
+// upstream node and engine see one protocol. The encoding is
+// json.Marshal's with <, > and & left unescaped, so that it outgrows a
+// client's body only where translation adds to it.
 func (OpenAICodec) EncodeRequest(req *Request) ([]byte, error) {
 	var b []byte
 	var err error
@@ -79,8 +97,30 @@ func (OpenAICodec) EncodeRequest(req *Request) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ir: encoding %s request: %w", req.Family, err)
 	}
-	return b, nil
+	return unescapeHTML(b), nil
 }
+
+// unescapeHTML undoes, in place, the escapes encoding/json writes for
+// <, > and & in a JSON document. Escaping each as six bytes would let a
+// body within a size bound encode past it.
+func unescapeHTML(b []byte) []byte {
+	w := 0
+	for r := 0; r < len(b); r, w = r+1, w+1 {
+		c := b[r]
+		if c == '\\' && r+6 <= len(b) && string(b[r+1:r+4]) == "u00" {
+			if h, ok := htmlEscapes[string(b[r+4:r+6])]; ok {
+				c, r = h, r+5
+			}
+		} else if c == '\\' { // a two-byte escape, "\\" among them, is copied whole
+			b[w], w, r, c = c, w+1, r+1, b[r+1]
+		}
+		b[w] = c
+	}
+	return b[:w]
+}
+
+// htmlEscapes maps encoding/json's HTML escapes to their bytes.
+var htmlEscapes = map[string]byte{"3c": '<', "3e": '>', "26": '&'}
 
 // DecodeResponse implements Codec.
 func (OpenAICodec) DecodeResponse(f Family, body []byte) (*Response, error) {
@@ -188,11 +228,12 @@ type SSEWriter struct {
 // http.ResponseWriter the event-stream headers are set and every event
 // is flushed as soon as it is written.
 func NewSSEWriter(w io.Writer) *SSEWriter {
-	s := &SSEWriter{w: w}
+	// One buffer holds the largest frame pair, the finish chunk with its
+	// usage and the [DONE] sentinel, so a stream allocates it once.
+	s := &SSEWriter{w: w, buf: make([]byte, 0, 512)}
 	if rw, ok := w.(http.ResponseWriter); ok {
-		rw.Header().Set("Content-Type", FramingSSE.ContentType())
-		rw.Header().Set("Cache-Control", "no-cache")
-		rw.Header().Set("Connection", "keep-alive")
+		h := rw.Header()
+		h["Content-Type"], h["Cache-Control"], h["Connection"] = SSEType, noCache, keepAlive
 		s.flusher, _ = rw.(http.Flusher)
 	}
 	return s

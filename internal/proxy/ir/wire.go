@@ -449,7 +449,7 @@ type ErrorEnvelope struct {
 // WriteJSON writes v to w as a JSON body with the given HTTP status,
 // byte for byte as json.Encoder would.
 func WriteJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = JSONType
 	w.WriteHeader(status)
 	var r *ChatCompletionResponse
 	switch v := v.(type) {

@@ -178,16 +178,16 @@ func TestDecodeTranslateChaos(t *testing.T) {
 	ep, _ := f.Endpoint("/api/chat")
 	body := []byte(`{"model":"m","messages":[{"role":"user","content":"hi"}]}`)
 
-	_, err := f.Decode(ep, body)
+	_, _, _, err := f.Inward(ep, body)
 	if !errors.Is(err, ErrTranslate) {
 		t.Fatalf("first decode must fail with ErrTranslate, got %v", err)
 	}
-	req, err := f.Decode(ep, body)
+	model, stream, canonical, err := f.Inward(ep, body)
 	if err != nil {
 		t.Fatalf("second decode: %v", err)
 	}
-	if req.Family != ir.FamilyChat || req.Model != "m" || !req.Stream {
-		t.Fatalf("decoded request = %+v", req)
+	if model != "m" || !stream || !strings.Contains(string(canonical), `"messages":[{"role":"user","content":"hi"}]`) {
+		t.Fatalf("decoded request = %q, %v, %s", model, stream, canonical)
 	}
 }
 
@@ -213,7 +213,7 @@ func TestCacheChaosBypass(t *testing.T) {
 func TestDecodeRejectsBadPayload(t *testing.T) {
 	f := New()
 	ep, _ := f.Endpoint("/v1/chat/completions")
-	if _, err := f.Decode(ep, []byte(`{"model":"m","messages":[]}`)); !errors.Is(err, ir.ErrDecode) {
+	if _, _, _, err := f.Inward(ep, []byte(`{"model":"m","messages":[]}`)); !errors.Is(err, ir.ErrDecode) {
 		t.Fatalf("want ErrDecode, got %v", err)
 	}
 }

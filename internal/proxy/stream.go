@@ -17,7 +17,7 @@ import (
 // reuses its decode scratch between events, so it serves one stream.
 type StreamTranslator struct {
 	out         ir.Codec
-	re          *ir.Reframer
+	re          ir.Reframer
 	passthrough bool
 }
 
@@ -25,11 +25,14 @@ type StreamTranslator struct {
 func (t *StreamTranslator) Passthrough() bool { return t.passthrough }
 
 // ContentType returns the client-facing stream content type.
-func (t *StreamTranslator) ContentType() string {
+func (t *StreamTranslator) ContentType() string { return t.framing().ContentType() }
+
+// framing is the client-facing stream framing.
+func (t *StreamTranslator) framing() ir.Framing {
 	if t.passthrough {
-		return ir.FramingSSE.ContentType()
+		return ir.FramingSSE
 	}
-	return t.out.Framing().ContentType()
+	return t.out.Framing()
 }
 
 // AppendFrames translates one upstream SSE event (the "data: ..."
